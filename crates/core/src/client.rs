@@ -236,6 +236,12 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         self.queue.len()
     }
 
+    /// File-content bytes the sync queue holds (write data, full
+    /// uploads, delta literals); superseded nodes hold none.
+    pub fn queued_payload_bytes(&self) -> u64 {
+        self.queue.payload_bytes()
+    }
+
     /// The latest version this client knows for `path`.
     pub fn version_of(&self, path: &str) -> Option<Version> {
         self.versions.get(path).copied()
@@ -269,29 +275,22 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         self.undo_base.remove(path);
     }
 
-    fn peek(&mut self, fs: &Vfs, path: &str) -> Vec<u8> {
-        let content = fs.peek_all(path).unwrap_or_default();
-        self.cost.bytes_engine_read += content.len() as u64;
-        content
-    }
-
     /// Enqueues full-content uploads for every file already present in
     /// `fs` (initial sync of a pre-existing folder).
     pub fn bootstrap(&mut self, fs: &Vfs) {
         let now = self.clock.now();
         let paths = fs.walk_files("/").unwrap_or_default();
         for path in paths {
-            let content = self.peek(fs, path.as_str());
+            let content = engine_read(&mut self.cost, fs, path.as_str());
             if let Some(cs) = &mut self.checksums {
-                cs.reindex_file(path.as_str(), &content, &mut self.cost)
-                    .ok();
+                cs.reindex_file(path.as_str(), content, &mut self.cost).ok();
             }
             let version = self.next_version();
             self.sizes.insert(path.to_string(), content.len() as u64);
             self.queue.push(
                 NodeKind::Full {
                     path: path.to_string(),
-                    data: Payload::from(content),
+                    data: Payload::copy_from_slice(content),
                 },
                 None,
                 Some(version),
@@ -702,16 +701,23 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         fs: &Vfs,
         now: SimTime,
     ) {
-        let new_content = self.peek(fs, path);
+        // Both versions are read where they lie: the new one (and an old
+        // one that survives under another name) in the file system, a
+        // preserved old one in its buffer.
+        let new_content = engine_read(&mut self.cost, fs, path);
         let old_via_path = matches!(pre.old, OldVersion::Path(_));
-        let (old_content, base_path, base_version): (Vec<u8>, String, Option<Version>) =
+        let preserved;
+        let (old_content, base_path, base_version): (&[u8], String, Option<Version>) =
             match pre.old {
                 OldVersion::Path(p) => {
-                    let content = self.peek(fs, &p);
+                    let content = engine_read(&mut self.cost, fs, &p);
                     let version = self.versions.get(&p).copied();
                     (content, p, version)
                 }
-                OldVersion::Content(bytes) => (bytes.to_vec(), path.to_string(), pre.base_version),
+                OldVersion::Content(bytes) => {
+                    preserved = bytes;
+                    (&preserved[..], path.to_string(), pre.base_version)
+                }
             };
 
         // Nodes this delta supersedes: the file's own pending content
@@ -751,10 +757,10 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         // Per-worker-segment events come from the *same* split the scan
         // phase uses; emitted here on the engine thread so the trace stays
         // deterministic regardless of worker scheduling.
-        for (i, (start, end)) in
-            segment_bounds(new_content.len(), self.cfg.block_size, self.cfg.parallelism)
-                .into_iter()
-                .enumerate()
+        let workers = params.workers_for(new_content.len(), self.cfg.parallelism);
+        for (i, (start, end)) in segment_bounds(new_content.len(), self.cfg.block_size, workers)
+            .into_iter()
+            .enumerate()
         {
             self.obs
                 .tracer
@@ -763,8 +769,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 });
         }
         let delta = local::diff_parallel(
-            &old_content,
-            &new_content,
+            old_content,
+            new_content,
             &params,
             self.cfg.parallelism,
             &mut self.cost,
@@ -845,7 +851,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             self.queue.push(
                 NodeKind::Full {
                     path: path.to_string(),
-                    data: Payload::from(new_content),
+                    data: Payload::copy_from_slice(new_content),
                 },
                 full_base,
                 Some(version),
@@ -1067,13 +1073,13 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 })
                 .unwrap_or(false);
         if try_delta {
-            let current = self.peek(fs, path);
+            let current = engine_read(&mut self.cost, fs, path);
             let undo = self.undo.get(path).expect("checked above");
-            let old = undo.reconstruct(&current);
+            let old = undo.reconstruct(current);
             self.cost.bytes_copied += old.len() as u64;
             let params = self.delta_params();
             let delta =
-                local::diff_parallel(&old, &current, &params, self.cfg.parallelism, &mut self.cost);
+                local::diff_parallel(&old, current, &params, self.cfg.parallelism, &mut self.cost);
             self.absorb_hierarchy_stats();
             self.clear_undo(path);
             if delta.wire_size() < raw_size {
@@ -1102,7 +1108,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         );
         if !pending.is_empty() && content_change {
             let local_copy = format!("{}.conflict-{}", msg.path, self.id);
-            let local_content = self.peek(fs, &msg.path);
+            // Owned: the copy is written back into the same file system.
+            let local_content = engine_read(&mut self.cost, fs, &msg.path).to_vec();
             fs.create(&local_copy).ok();
             fs.write(&local_copy, 0, &local_content).ok();
             // Drop our losing pending nodes.
@@ -1122,9 +1129,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
         if content_change {
             if let Some(cs) = &mut self.checksums {
-                let content = fs.peek_all(&msg.path).unwrap_or_default();
-                self.cost.bytes_engine_read += content.len() as u64;
-                cs.reindex_file(&msg.path, &content, &mut self.cost).ok();
+                let content = engine_read(&mut self.cost, fs, &msg.path);
+                cs.reindex_file(&msg.path, content, &mut self.cost).ok();
             }
             self.sizes.insert(
                 msg.path.clone(),
@@ -1155,23 +1161,12 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 }
             }
             UpdatePayload::Delta { base_path, delta } => {
-                let base = fs.peek_all(base_path).unwrap_or_default();
-                self.cost.bytes_engine_read += base.len() as u64;
-                if let Ok(new_content) = delta.apply(&base) {
-                    if !fs.exists(&msg.path) {
-                        fs.create(&msg.path).ok();
-                    }
-                    fs.truncate(&msg.path, 0).ok();
-                    fs.write(&msg.path, 0, &new_content).ok();
+                let base = engine_read(&mut self.cost, fs, base_path);
+                if let Ok(new_content) = delta.apply(base) {
+                    install_content(fs, &msg.path, &new_content);
                 }
             }
-            UpdatePayload::Full(data) => {
-                if !fs.exists(&msg.path) {
-                    fs.create(&msg.path).ok();
-                }
-                fs.truncate(&msg.path, 0).ok();
-                fs.write(&msg.path, 0, data).ok();
-            }
+            UpdatePayload::Full(data) => install_content(fs, &msg.path, data),
             UpdatePayload::Rename { to } => {
                 fs.rename(&msg.path, to).ok();
                 self.rekey(&msg.path, to);
@@ -1253,12 +1248,11 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     pub fn crash_recovery_scan(&mut self, paths: &[String], fs: &Vfs) -> Vec<IntegrityIssue> {
         let mut found = Vec::new();
         for path in paths {
-            let content = fs.peek_all(path).unwrap_or_default();
-            self.cost.bytes_engine_read += content.len() as u64;
+            let content = engine_read(&mut self.cost, fs, path);
             let Some(cs) = &mut self.checksums else {
                 continue;
             };
-            if let Ok(bad) = cs.verify_file(path, &content, &mut self.cost) {
+            if let Ok(bad) = cs.verify_file(path, content, &mut self.cost) {
                 if !bad.is_empty() {
                     let issue = IntegrityIssue {
                         path: path.clone(),
@@ -1343,19 +1337,19 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 self.clear_undo(&path);
                 continue;
             }
-            let current = self.peek(fs, &path);
+            let current = engine_read(&mut self.cost, fs, &path);
             let cloud = cloud_version(&path);
             let base_matches =
                 cloud.is_some() && cloud == self.undo_base.get(path.as_str()).copied();
             let version = self.next_version();
             let mut pushed_delta = false;
             if base_matches && initial_len > 0 {
-                let old = self.undo[&path].reconstruct(&current);
+                let old = self.undo[&path].reconstruct(current);
                 self.cost.bytes_copied += old.len() as u64;
                 let params = self.delta_params();
                 let delta = local::diff_parallel(
                     &old,
-                    &current,
+                    current,
                     &params,
                     self.cfg.parallelism,
                     &mut self.cost,
@@ -1380,7 +1374,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 self.queue.push(
                     NodeKind::Full {
                         path: path.clone(),
-                        data: Payload::from(current.clone()),
+                        data: Payload::copy_from_slice(current),
                     },
                     cloud,
                     Some(version),
@@ -1394,6 +1388,32 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
         replayed
     }
+}
+
+/// Borrows `path`'s whole content in place for one of the engine's own
+/// scans (empty when the file is gone), charging the read to `cost`.
+fn engine_read<'a>(cost: &mut Cost, fs: &'a Vfs, path: &str) -> &'a [u8] {
+    let content = fs.peek_slice(path).unwrap_or_default();
+    cost.bytes_engine_read += content.len() as u64;
+    content
+}
+
+/// Makes `content` the whole content of `path` on the receiving side.
+///
+/// A forwarded delta or full upload stands for a *new file* under that
+/// name (the writer renamed a temporary over it), so when the name still
+/// shares its inode with other hard links — gedit's `link f f~` backup —
+/// the name gets a fresh inode instead of the bytes being written through
+/// to every link.
+fn install_content(fs: &mut Vfs, path: &str, content: &[u8]) {
+    if fs.metadata(path).is_ok_and(|m| m.nlink > 1) {
+        fs.unlink(path).ok();
+    }
+    if !fs.exists(path) {
+        fs.create(path).ok();
+    }
+    fs.truncate(path, 0).ok();
+    fs.write(path, 0, content).ok();
 }
 
 /// Compact one-line rendering of an intercepted operation for the trace.

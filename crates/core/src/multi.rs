@@ -1078,7 +1078,8 @@ impl SyncHub {
     ///
     /// * per-client link traffic (`traffic_*`), VFS IO (`io_*`), and
     ///   delta-engine cost (`delta_cost_*`), each labeled
-    ///   `client="<n>"`, plus courier retry counters;
+    ///   `client="<n>"`, plus courier retry counters and the
+    ///   `sync_queue_payload_bytes` gauge;
     /// * server-side apply cost (`server_cost_*`), the idempotency
     ///   index's `server_duplicates_ignored`, and
     ///   `server_cross_shard_groups`;
@@ -1153,6 +1154,12 @@ impl SyncHub {
                 label,
             )
             .set(hstats.leaf_walk_bytes);
+            reg.gauge_labeled(
+                "sync_queue_payload_bytes",
+                "file-content bytes held by this client's sync queue",
+                label,
+            )
+            .set(slot.client.queued_payload_bytes() as i64);
             queued += slot.client.queued_nodes() as i64;
             shard_queue[slot.home_shard] += slot.client.queued_nodes() as i64;
         }

@@ -100,6 +100,27 @@ impl NodeKind {
             NodeKind::Rename { src, .. } | NodeKind::Link { src, .. } => src,
         }
     }
+
+    /// File-content bytes the node holds: batched write data, a full
+    /// upload's content, a delta's literals.
+    fn payload_bytes(&self) -> u64 {
+        match self {
+            NodeKind::Write { ops, .. } => ops.iter().map(FileOpItem::payload_len).sum(),
+            NodeKind::Full { data, .. } => data.len() as u64,
+            NodeKind::Delta { delta, .. } => delta.literal_bytes(),
+            _ => 0,
+        }
+    }
+
+    /// Drops the content a superseded node will never ship.
+    fn release_payload(&mut self) {
+        match self {
+            NodeKind::Write { ops, .. } => *ops = Vec::new(),
+            NodeKind::Full { data, .. } => *data = Payload::new(),
+            NodeKind::Delta { delta, .. } => *delta = Delta::default(),
+            _ => {}
+        }
+    }
 }
 
 /// One queue entry.
@@ -183,6 +204,12 @@ impl SyncQueue {
         self.nodes.iter()
     }
 
+    /// File-content bytes held by all queued nodes — batched write data,
+    /// full uploads, delta literals; superseded nodes hold none.
+    pub fn payload_bytes(&self) -> u64 {
+        self.nodes.iter().map(|n| n.kind.payload_bytes()).sum()
+    }
+
     /// The id of the node currently at the tail, if any.
     pub fn tail_id(&self) -> Option<u64> {
         self.nodes.back().map(|n| n.id)
@@ -249,18 +276,15 @@ impl SyncQueue {
     /// immutable. Subsequent writes to the same name start a new node.
     /// Returns the packed node's id, if there was one.
     ///
-    /// Packing also coalesces runs of strictly adjacent `Write` ops (each
-    /// starting exactly where the previous one ended) into single ops.
-    /// Sequential writers — editors flushing a buffer, databases appending
-    /// a log — produce long such runs, and every op costs a fixed protocol
-    /// header on the wire, so coalescing at pack time (once, when the node
-    /// can no longer grow) cuts per-node upload overhead without touching
-    /// batching or backindex semantics.
+    /// Packing only seals the node; it touches none of the batched data.
+    /// A packed node's runs of strictly adjacent `Write` ops are merged
+    /// when the node is popped for upload — a transactional save packs a
+    /// node on close and supersedes it on the rename that follows, so
+    /// merging here would copy every written byte for nothing.
     pub fn pack(&mut self, path: &str) -> Option<u64> {
         let id = self.write_index.remove(path)?;
         let pos = self.position(id).expect("indexed node is queued");
-        if let NodeKind::Write { ops, packed, .. } = &mut self.nodes[pos].kind {
-            coalesce_adjacent_writes(ops);
+        if let NodeKind::Write { packed, .. } = &mut self.nodes[pos].kind {
             *packed = true;
         }
         Some(id)
@@ -339,12 +363,15 @@ impl SyncQueue {
 
     /// Marks `ids` deleted with a backindex to `target` (the node standing
     /// where the deleting operation would have been appended under FIFO).
-    /// Unknown ids are ignored.
+    /// A deleted node stays queued as a placeholder that delimits its
+    /// transaction, but its content is released at once. Unknown ids are
+    /// ignored.
     pub fn delete_nodes(&mut self, ids: &[u64], target: u64) {
         for node in &mut self.nodes {
             if ids.contains(&node.id) {
                 node.deleted = true;
                 node.backindex = Some(target);
+                node.kind.release_payload();
                 if let NodeKind::Write { path, packed, .. } = &mut node.kind {
                     *packed = true;
                     if self.write_index.get(path.as_str()) == Some(&node.id) {
@@ -352,17 +379,6 @@ impl SyncQueue {
                     }
                 }
             }
-        }
-    }
-
-    /// Computes transaction groups over the queued nodes.
-    fn groups(&self) -> Vec<(usize, usize)> {
-        let (a, b) = self.nodes.as_slices();
-        if b.is_empty() {
-            group_spans(a)
-        } else {
-            let all: Vec<Node> = self.nodes.iter().cloned().collect();
-            group_spans(&all)
         }
     }
 
@@ -374,7 +390,7 @@ impl SyncQueue {
     /// all aged past the upload delay. Stops at the first group that is
     /// not fully ready (strict FIFO between groups).
     pub fn pop_ready(&mut self, now: SimTime) -> Vec<Vec<Node>> {
-        let groups = self.groups();
+        let groups = group_spans(self.nodes.make_contiguous());
         let mut take = 0usize;
         for (start, end) in groups {
             let all_ready = (start..=end).all(|i| self.node_ready(&self.nodes[i], now));
@@ -398,10 +414,16 @@ impl SyncQueue {
         }
         let mut popped: Vec<Node> = Vec::with_capacity(count);
         for _ in 0..count {
-            let node = self.nodes.pop_front().expect("count bounded by len");
-            if let NodeKind::Write { path, .. } = &node.kind {
+            let mut node = self.nodes.pop_front().expect("count bounded by len");
+            if let NodeKind::Write { path, ops, packed } = &mut node.kind {
                 if self.write_index.get(path.as_str()) == Some(&node.id) {
                     self.write_index.remove(path.as_str());
+                }
+                // Only a sealed node is merged: an open node that aged
+                // out ships its ops as they were written (and a deleted
+                // one has none left).
+                if *packed {
+                    coalesce_adjacent_writes(ops);
                 }
             }
             popped.push(node);
@@ -421,27 +443,62 @@ impl SyncQueue {
 /// prev.offset + prev.data.len()` — into one op carrying the concatenated
 /// data. Non-write ops and non-adjacent writes break a run; op order is
 /// preserved, and the byte image the sequence produces is unchanged.
+///
+/// Sequential writers — editors flushing a buffer, databases appending a
+/// log — produce long such runs, and every op costs a fixed protocol
+/// header on the wire. A run is measured first and gathered into one
+/// buffer allocated at its final size, so each byte is copied once; an op
+/// outside any run is moved, not copied.
 fn coalesce_adjacent_writes(ops: &mut Vec<FileOpItem>) {
+    let adjacent = |pair: &[FileOpItem]| match pair {
+        [FileOpItem::Write { offset, data }, FileOpItem::Write { offset: next, .. }] => {
+            *offset + data.len() as u64 == *next
+        }
+        _ => false,
+    };
+    if !ops.windows(2).any(adjacent) {
+        return;
+    }
     let mut out: Vec<FileOpItem> = Vec::with_capacity(ops.len());
+    // The pending run: its start offset, the offset just past its last
+    // byte, and its pieces in order.
+    let (mut run_start, mut run_end) = (0u64, 0u64);
+    let mut run: Vec<Payload> = Vec::new();
+    let flush = |run: &mut Vec<Payload>, run_start: u64, out: &mut Vec<FileOpItem>| {
+        let data = match run.len() {
+            0 => return,
+            1 => run.pop().expect("one piece"),
+            _ => {
+                let mut merged = Vec::with_capacity(run.iter().map(Payload::len).sum());
+                for piece in run.drain(..) {
+                    merged.extend_from_slice(&piece);
+                }
+                Payload::from(merged)
+            }
+        };
+        out.push(FileOpItem::Write {
+            offset: run_start,
+            data,
+        });
+    };
     for op in ops.drain(..) {
-        if let (
-            Some(FileOpItem::Write {
-                offset: prev_offset,
-                data: prev_data,
-            }),
-            FileOpItem::Write { offset, data },
-        ) = (out.last_mut(), &op)
-        {
-            if *prev_offset + prev_data.len() as u64 == *offset {
-                let mut merged = Vec::with_capacity(prev_data.len() + data.len());
-                merged.extend_from_slice(prev_data);
-                merged.extend_from_slice(data);
-                *prev_data = Payload::from(merged);
-                continue;
+        match op {
+            FileOpItem::Write { offset, data } => {
+                if run.is_empty() || offset != run_end {
+                    flush(&mut run, run_start, &mut out);
+                    run_start = offset;
+                    run_end = offset;
+                }
+                run_end += data.len() as u64;
+                run.push(data);
+            }
+            other => {
+                flush(&mut run, run_start, &mut out);
+                out.push(other);
             }
         }
-        out.push(op);
     }
+    flush(&mut run, run_start, &mut out);
     *ops = out;
 }
 
@@ -524,6 +581,16 @@ mod tests {
         assert!(q.iter().any(|n| n.id == id2));
     }
 
+    /// The ops of the single write node a full pop releases.
+    fn popped_ops(q: &mut SyncQueue) -> Vec<FileOpItem> {
+        let mut nodes: Vec<Node> = q.pop_all().into_iter().flatten().collect();
+        assert_eq!(nodes.len(), 1);
+        match nodes.pop().unwrap().kind {
+            NodeKind::Write { ops, .. } => ops,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn pack_coalesces_adjacent_writes() {
         let mut q = SyncQueue::new(3000);
@@ -533,18 +600,78 @@ mod tests {
         push_write(&mut q, "/f", w(4, b"cc"), SimTime(2));
         push_write(&mut q, "/f", w(10, b"dd"), SimTime(3));
         q.pack("/f");
+        assert!(matches!(
+            q.iter().next().unwrap().kind,
+            NodeKind::Write { packed: true, .. }
+        ));
+        assert_eq!(
+            popped_ops(&mut q),
+            vec![w(0, b"aabbcc"), w(10, b"dd")],
+            "adjacent run merged, gapped write kept separate"
+        );
+    }
+
+    #[test]
+    fn pack_seals_without_touching_the_data() {
+        let mut q = SyncQueue::new(3000);
+        let ops = [w(0, b"aa"), w(2, b"bb"), w(4, b"cc")];
+        for (i, op) in ops.iter().enumerate() {
+            push_write(&mut q, "/f", op.clone(), SimTime(i as u64));
+        }
+        q.pack("/f");
         let node = q.iter().next().unwrap();
         match &node.kind {
-            NodeKind::Write { ops, packed, .. } => {
+            NodeKind::Write {
+                ops: queued,
+                packed,
+                ..
+            } => {
                 assert!(*packed);
-                assert_eq!(
-                    ops,
-                    &vec![w(0, b"aabbcc"), w(10, b"dd")],
-                    "adjacent run merged, gapped write kept separate"
-                );
+                assert_eq!(queued.len(), 3, "merging waits for the pop");
+                for (queued, appended) in queued.iter().zip(&ops) {
+                    let (FileOpItem::Write { data: a, .. }, FileOpItem::Write { data: b, .. }) =
+                        (queued, appended)
+                    else {
+                        panic!("unexpected op");
+                    };
+                    assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
+                }
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn open_node_that_ages_out_pops_unmerged() {
+        let mut q = SyncQueue::new(3000);
+        push_write(&mut q, "/f", w(0, b"aa"), SimTime(0));
+        push_write(&mut q, "/f", w(2, b"bb"), SimTime(1));
+        let mut nodes: Vec<Node> = q.pop_ready(SimTime(5000)).into_iter().flatten().collect();
+        match nodes.pop().unwrap().kind {
+            NodeKind::Write { ops, packed, .. } => {
+                assert!(!packed);
+                assert_eq!(ops, vec![w(0, b"aa"), w(2, b"bb")]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unmerged_ops_keep_their_buffers_through_the_pop() {
+        // A lone op and an op outside any run are moved, not re-copied.
+        let mut q = SyncQueue::new(3000);
+        let gapped = w(10, b"dd");
+        push_write(&mut q, "/f", w(0, b"aa"), SimTime(0));
+        push_write(&mut q, "/f", w(2, b"bb"), SimTime(1));
+        push_write(&mut q, "/f", gapped.clone(), SimTime(2));
+        q.pack("/f");
+        let ops = popped_ops(&mut q);
+        let (FileOpItem::Write { data: a, .. }, FileOpItem::Write { data: b, .. }) =
+            (&ops[1], &gapped)
+        else {
+            panic!("unexpected op");
+        };
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
     }
 
     #[test]
@@ -554,13 +681,7 @@ mod tests {
         q.append_write("/f", FileOpItem::Truncate { size: 2 }, SimTime(1));
         push_write(&mut q, "/f", w(2, b"bb"), SimTime(2));
         q.pack("/f");
-        let node = q.iter().next().unwrap();
-        match &node.kind {
-            NodeKind::Write { ops, .. } => {
-                assert_eq!(ops.len(), 3, "truncate must break the run");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(popped_ops(&mut q).len(), 3, "truncate must break the run");
     }
 
     #[test]
@@ -572,13 +693,93 @@ mod tests {
         push_write(&mut q, "/f", w(0, b"aaaa"), SimTime(0));
         push_write(&mut q, "/f", w(2, b"bb"), SimTime(1));
         q.pack("/f");
-        let node = q.iter().next().unwrap();
-        match &node.kind {
-            NodeKind::Write { ops, .. } => {
-                assert_eq!(ops, &vec![w(0, b"aaaa"), w(2, b"bb")]);
-            }
-            other => panic!("unexpected {other:?}"),
+        assert_eq!(popped_ops(&mut q), vec![w(0, b"aaaa"), w(2, b"bb")]);
+    }
+
+    #[test]
+    fn deleted_nodes_release_their_payload() {
+        let mut q = SyncQueue::new(3000);
+        let a = push_write(&mut q, "/a", w(0, b"aaaa"), SimTime(0));
+        let b = q.push(
+            NodeKind::Full {
+                path: "/b".into(),
+                data: Payload::from_static(b"bbbbbb"),
+            },
+            None,
+            None,
+            SimTime(0),
+        );
+        let c = push_write(&mut q, "/c", w(0, b"cc"), SimTime(0));
+        assert_eq!(q.payload_bytes(), 12);
+        q.delete_nodes(&[a, b], c);
+        assert_eq!(q.payload_bytes(), 2, "only the live node holds bytes");
+        assert_eq!(q.len(), 3, "placeholders still delimit the transaction");
+        let groups = q.pop_all();
+        assert_eq!(groups.len(), 1);
+    }
+
+    #[test]
+    fn groups_are_unchanged_when_the_ring_has_wrapped() {
+        // Reference: the same backindex pattern in a queue that never
+        // popped, so its ring is one contiguous slice.
+        let build = |q: &mut SyncQueue| {
+            let ids: Vec<u64> = (0..6)
+                .map(|i| {
+                    q.push(
+                        NodeKind::Create {
+                            path: format!("/n{i}"),
+                        },
+                        None,
+                        None,
+                        SimTime(10),
+                    )
+                })
+                .collect();
+            q.delete_nodes(&[ids[0]], ids[2]);
+            q.delete_nodes(&[ids[3]], ids[4]);
+        };
+        let shape = |groups: Vec<Vec<Node>>| -> Vec<Vec<String>> {
+            groups
+                .iter()
+                .map(|g| g.iter().map(|n| n.kind.path().to_string()).collect())
+                .collect()
+        };
+        let mut flat = SyncQueue::new(0);
+        build(&mut flat);
+        assert!(flat.nodes.as_slices().1.is_empty());
+        let expected = shape(flat.pop_ready(SimTime(10)));
+        assert_eq!(expected.len(), 3);
+
+        // Fill the ring to capacity, pop from the front, and push again so
+        // the live range wraps past the end of the buffer.
+        let mut q = SyncQueue::new(0);
+        let fill = q.nodes.capacity().max(8);
+        for i in 0..fill {
+            q.push(
+                NodeKind::Create {
+                    path: format!("/pad{i}"),
+                },
+                None,
+                None,
+                SimTime(0),
+            );
         }
+        assert_eq!(q.pop_ready(SimTime(0)).len(), fill);
+        for i in 0..q.nodes.capacity() - 3 {
+            q.push(
+                NodeKind::Create {
+                    path: format!("/pad{i}"),
+                },
+                None,
+                None,
+                SimTime(0),
+            );
+        }
+        assert_eq!(q.pop_ready(SimTime(0)).len(), q.nodes.capacity() - 3);
+        build(&mut q);
+        assert!(!q.nodes.as_slices().1.is_empty(), "ring must have wrapped");
+        assert_eq!(shape(q.pop_ready(SimTime(10))), expected);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -50,26 +50,29 @@ pub const OP_HEADER_BYTES: u64 = 9;
 impl Delta {
     /// Creates a delta from a list of instructions, merging adjacent
     /// compatible ops (back-to-back copies, back-to-back literals).
+    ///
+    /// A run of back-to-back literals is gathered first and concatenated
+    /// with one allocation, so a literal streamed in N chunks costs one
+    /// copy of its bytes, not N.
     pub fn from_ops(ops: Vec<DeltaOp>) -> Self {
         let mut merged: Vec<DeltaOp> = Vec::with_capacity(ops.len());
+        let mut run: Vec<Bytes> = Vec::new();
         for op in ops {
-            match (merged.last_mut(), op) {
-                (
-                    Some(DeltaOp::Copy { offset, len }),
-                    DeltaOp::Copy {
-                        offset: o2,
-                        len: l2,
-                    },
-                ) if *offset + *len == o2 => *len += l2,
-                (Some(DeltaOp::Literal(a)), DeltaOp::Literal(b)) => {
-                    let mut v = Vec::with_capacity(a.len() + b.len());
-                    v.extend_from_slice(a);
-                    v.extend_from_slice(&b);
-                    *a = Bytes::from(v);
+            match op {
+                DeltaOp::Literal(b) => run.push(b),
+                DeltaOp::Copy { offset, len } => {
+                    flush_literal_run(&mut run, &mut merged);
+                    match merged.last_mut() {
+                        Some(DeltaOp::Copy {
+                            offset: prev_offset,
+                            len: prev_len,
+                        }) if *prev_offset + *prev_len == offset => *prev_len += len,
+                        _ => merged.push(DeltaOp::Copy { offset, len }),
+                    }
                 }
-                (_, op) => merged.push(op),
             }
         }
+        flush_literal_run(&mut run, &mut merged);
         Delta { ops: merged }
     }
 
@@ -158,6 +161,21 @@ impl Delta {
     }
 }
 
+/// Appends the pending run of back-to-back literals to `merged` as one
+/// op: a lone literal moves as it is, a longer run is concatenated into a
+/// single buffer sized up front.
+fn flush_literal_run(run: &mut Vec<Bytes>, merged: &mut Vec<DeltaOp>) {
+    if run.len() <= 1 {
+        merged.extend(run.drain(..).map(DeltaOp::Literal));
+        return;
+    }
+    let mut joined = Vec::with_capacity(run.iter().map(Bytes::len).sum());
+    for part in run.drain(..) {
+        joined.extend_from_slice(&part);
+    }
+    merged.push(DeltaOp::Literal(Bytes::from(joined)));
+}
+
 /// Error returned by [`Delta::apply`] when the base file does not match.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApplyError {
@@ -224,6 +242,48 @@ mod tests {
         ]);
         assert_eq!(delta.ops().len(), 1);
         assert_eq!(delta.apply(b"").unwrap(), b"abcd");
+    }
+
+    #[test]
+    fn long_literal_runs_merge_into_one_op() {
+        // A fully-literal file streamed at a small chunk budget: 2 048
+        // adjacent literal chunks, then a copy, then 1 024 more.
+        let chunk = |i: usize| -> Vec<u8> { (0..64).map(|j| (i * 31 + j) as u8).collect() };
+        let mut ops = Vec::new();
+        let mut head = Vec::new();
+        for i in 0..2048 {
+            head.extend_from_slice(&chunk(i));
+            ops.push(DeltaOp::Literal(Bytes::from(chunk(i))));
+        }
+        ops.push(DeltaOp::Copy { offset: 8, len: 4 });
+        let mut tail = Vec::new();
+        for i in 0..1024 {
+            tail.extend_from_slice(&chunk(i + 7));
+            ops.push(DeltaOp::Literal(Bytes::from(chunk(i + 7))));
+        }
+        let delta = Delta::from_ops(ops);
+        assert_eq!(
+            delta.ops(),
+            &[
+                DeltaOp::Literal(Bytes::from(head)),
+                DeltaOp::Copy { offset: 8, len: 4 },
+                DeltaOp::Literal(Bytes::from(tail)),
+            ]
+        );
+    }
+
+    #[test]
+    fn lone_literal_is_moved_not_copied() {
+        let lit = Bytes::from(vec![5u8; 1024]);
+        let ptr = lit.as_ref().as_ptr();
+        let delta = Delta::from_ops(vec![
+            DeltaOp::Copy { offset: 0, len: 1 },
+            DeltaOp::Literal(lit),
+        ]);
+        match &delta.ops()[1] {
+            DeltaOp::Literal(b) => assert_eq!(b.as_ref().as_ptr(), ptr),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

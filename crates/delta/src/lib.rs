@@ -90,11 +90,15 @@ pub struct DeltaParams {
     /// is modified").
     pub block_size: usize,
 
-    /// New-file sizes below this take the sequential matcher even when a
-    /// parallel diff is requested: per-segment seam overhead (window
-    /// re-derivations, on-demand replay probes) outweighs the parallel
-    /// win on small inputs — BENCH_3 measured 0.76–0.84x at 4 MiB.
-    /// Output and [`Cost`] are unaffected either way, by contract.
+    /// The least share of the new file one parallel worker must get
+    /// ([`DeltaParams::workers_for`]): a file below it takes the
+    /// sequential matcher even when a parallel diff is requested, one
+    /// below twice it gets a single worker, and so on. Per-segment seam
+    /// overhead (window re-derivations, on-demand replay probes)
+    /// outweighs the parallel win on small shares — BENCH_3 measured
+    /// 0.76–0.84x at 4 MiB, the standing benchmark 0.83–0.91x for two
+    /// workers on 10–16 MB. Output and [`Cost`] are unaffected either
+    /// way, by contract.
     pub min_parallel_bytes: usize,
 
     /// Hierarchical coarse→fine matching for huge files ([`hierarchy`]):
@@ -141,6 +145,17 @@ impl DeltaParams {
         self
     }
 
+    /// How many of the `parallelism` offered workers the flat parallel
+    /// matchers use on a `new_len`-byte file: as many as get at least
+    /// [`min_parallel_bytes`](DeltaParams::min_parallel_bytes) each, and
+    /// never fewer than one (which means the sequential walk).
+    pub fn workers_for(&self, new_len: usize, parallelism: usize) -> usize {
+        let by_size = new_len
+            .checked_div(self.min_parallel_bytes)
+            .unwrap_or(usize::MAX);
+        parallelism.min(by_size).max(1)
+    }
+
     /// Enables (or with `None`, disables) hierarchical coarse→fine
     /// matching for huge files.
     pub fn with_hierarchy(mut self, hierarchy: Option<HierarchyParams>) -> Self {
@@ -163,6 +178,18 @@ mod tests {
     fn default_params_use_4k_blocks() {
         assert_eq!(DeltaParams::new().block_size, 4096);
         assert_eq!(DeltaParams::default(), DeltaParams::new());
+    }
+
+    #[test]
+    fn worker_plan_reads_the_floor_per_worker() {
+        let p = DeltaParams::new().with_min_parallel_bytes(8 << 20);
+        assert_eq!(p.workers_for((8 << 20) - 1, 4), 1, "below the floor");
+        assert_eq!(p.workers_for(10 << 20, 4), 1, "one share only");
+        assert_eq!(p.workers_for(16 << 20, 4), 2);
+        assert_eq!(p.workers_for(64 << 20, 4), 4, "capped by parallelism");
+        assert_eq!(p.workers_for(64 << 20, 0), 1);
+        // A zero floor offers every worker at any size.
+        assert_eq!(p.with_min_parallel_bytes(0).workers_for(10, 7), 7);
     }
 
     #[test]

@@ -93,9 +93,11 @@ pub fn diff(old: &[u8], new: &[u8], params: &DeltaParams, cost: &mut Cost) -> De
 /// the greedy walk skips is wall-clock overhead of the parallel pipeline,
 /// not algorithmic work, and is never charged.
 ///
-/// `workers <= 1` — or an input below `params.min_parallel_bytes`, where
-/// seam overhead would outweigh the parallel win — falls through to the
-/// sequential implementation (same output and cost by contract).
+/// `workers` is an offer: the flat matcher uses
+/// [`DeltaParams::workers_for`] of them, and with one — `workers <= 1`,
+/// or an input below `params.min_parallel_bytes`, where seam overhead
+/// would outweigh the parallel win — falls through to the sequential
+/// implementation (same output and cost by contract).
 pub fn diff_parallel(
     old: &[u8],
     new: &[u8],
@@ -108,7 +110,8 @@ pub fn diff_parallel(
         diff_hier_local(old, new, params.block_size, &h, workers, cost, &mut sink);
         return sink.into_delta();
     }
-    if workers <= 1 || new.len() < params.min_parallel_bytes {
+    let workers = params.workers_for(new.len(), workers);
+    if workers <= 1 {
         return diff(old, new, params, cost);
     }
     let bs = params.block_size;
@@ -244,17 +247,18 @@ pub fn diff_streaming(
 ) {
     let bs = params.block_size;
     let mut sink = ChunkSink::new(chunk_budget, emit);
+    let flat_workers = params.workers_for(new.len(), workers);
     if let Some(h) = hierarchy_gate(params, new) {
         diff_hier_local(old, new, bs, &h, workers, cost, &mut sink);
-    } else if workers <= 1 || new.len() < params.min_parallel_bytes {
+    } else if flat_workers <= 1 {
         let weak_map = index_old(old, bs, cost);
         diff_sink(old, new, bs, cost, &weak_map, &mut sink);
     } else {
-        let index = WeakIndex::build_parallel(old, bs, workers);
+        let index = WeakIndex::build_parallel(old, bs, flat_workers);
         cost.bytes_rolled += old.len() as u64;
         cost.ops += old.len().div_ceil(bs) as u64;
         let probe = probe_bitwise(old, bs, &index);
-        scan_streaming(new, bs, workers, &probe, |feed| {
+        scan_streaming(new, bs, flat_workers, &probe, |feed| {
             replay_with(
                 new,
                 bs,

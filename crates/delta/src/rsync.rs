@@ -148,8 +148,9 @@ pub fn diff(sig: &Signature, new: &[u8], params: &DeltaParams, cost: &mut Cost) 
 /// The output `Delta` — and the `Cost` totals — are **byte-identical** to
 /// [`diff`]'s for any thread count: candidate selection stays ordered by
 /// block index and the greedy walk is replayed sequentially over the
-/// precomputed match table. `workers <= 1` falls through to the sequential
-/// implementation.
+/// precomputed match table. Of the `workers` offered,
+/// [`DeltaParams::workers_for`] are used; one falls through to the
+/// sequential implementation.
 pub fn diff_parallel(
     sig: &Signature,
     new: &[u8],
@@ -158,7 +159,8 @@ pub fn diff_parallel(
     cost: &mut Cost,
 ) -> Delta {
     debug_assert_eq!(sig.block_size, params.block_size);
-    if workers <= 1 || new.len() < params.min_parallel_bytes {
+    let workers = params.workers_for(new.len(), workers);
+    if workers <= 1 {
         return diff(sig, new, params, cost);
     }
     let bs = sig.block_size;
@@ -213,7 +215,8 @@ pub fn diff_streaming(
     debug_assert_eq!(sig.block_size, params.block_size);
     let bs = sig.block_size;
     let mut sink = ChunkSink::new(chunk_budget, emit);
-    if workers <= 1 || new.len() < params.min_parallel_bytes {
+    let workers = params.workers_for(new.len(), workers);
+    if workers <= 1 {
         diff_with_sink(
             new,
             bs,

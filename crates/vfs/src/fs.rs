@@ -430,9 +430,20 @@ impl Vfs {
     ///
     /// Same as [`Vfs::read`].
     pub fn peek_all(&self, path: &str) -> Result<Vec<u8>> {
+        self.peek_slice(path).map(<[u8]>::to_vec)
+    }
+
+    /// Borrows the whole file in place, without touching the IO counters:
+    /// the view a sync engine's matcher reads, so a delta costs no copy of
+    /// either version. The borrow ends before the next mutation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vfs::read`].
+    pub fn peek_slice(&self, path: &str) -> Result<&[u8]> {
         let p = VPath::new(path)?;
         let id = self.resolve(&p)?;
-        Ok(self.file_data(id, &p)?.clone())
+        Ok(self.file_data(id, &p)?)
     }
 
     /// Reads up to `len` bytes at `offset` without touching the IO
@@ -1104,6 +1115,24 @@ mod tests {
         assert!(fs.drain_events().is_empty());
         assert_eq!(fs.read_all("/a").unwrap(), b"aaZZZZ");
         assert_eq!(fs.bytes_used(), 6);
+    }
+
+    #[test]
+    fn peek_slice_borrows_the_stored_bytes() {
+        let mut fs = fs_with_file("/a", b"abcdef");
+        fs.reset_stats();
+        let view = fs.peek_slice("/a").unwrap();
+        assert_eq!(view, b"abcdef");
+        // In place: a second borrow sees the same storage, and no IO was
+        // counted.
+        assert_eq!(view.as_ptr(), fs.peek_slice("/a").unwrap().as_ptr());
+        assert_eq!(fs.stats().bytes_read, 0);
+        assert!(matches!(fs.peek_slice("/nope"), Err(VfsError::NotFound(_))));
+        fs.mkdir("/d").unwrap();
+        assert!(matches!(
+            fs.peek_slice("/d"),
+            Err(VfsError::IsADirectory(_))
+        ));
     }
 
     #[test]

@@ -15,10 +15,11 @@ use std::sync::Arc;
 /// Clones share the underlying allocation via `Arc`, and — like the real
 /// `bytes::Bytes` — a [`Bytes::slice`] is a zero-copy *view* (offset +
 /// length into the shared storage), so sub-slicing a payload costs one
-/// reference-count bump, never a memcpy.
+/// reference-count bump, never a memcpy. The storage is the `Vec` itself
+/// behind the `Arc`, so `From<Vec<u8>>` is a move, as in the real crate.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     off: usize,
     len: usize,
 }
@@ -27,7 +28,7 @@ impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
         Bytes {
-            data: Arc::from([]),
+            data: Arc::new(Vec::new()),
             off: 0,
             len: 0,
         }
@@ -35,20 +36,12 @@ impl Bytes {
 
     /// Wraps a static byte slice.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes {
-            len: bytes.len(),
-            data: Arc::from(bytes),
-            off: 0,
-        }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            len: data.len(),
-            data: Arc::from(data),
-            off: 0,
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
@@ -128,10 +121,14 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
+    /// Takes over `v`'s allocation. Spare capacity is given back first (a
+    /// no-op for an exactly sized buffer), so a buffer built by growth
+    /// does not pin its slack for as long as any clone lives.
+    fn from(mut v: Vec<u8>) -> Self {
+        v.shrink_to_fit();
         Bytes {
             len: v.len(),
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             off: 0,
         }
     }
@@ -232,6 +229,15 @@ mod tests {
         let a = Bytes::from(vec![1u8, 2, 3, 4]);
         assert_eq!(&a.slice(1..3)[..], &[2, 3]);
         assert_eq!(Bytes::from_static(b"x").to_vec(), vec![b'x']);
+    }
+
+    #[test]
+    fn from_vec_is_a_move() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ref().as_ptr(), ptr, "conversion must not copy");
+        assert_eq!(b.len(), 4096);
     }
 
     #[test]

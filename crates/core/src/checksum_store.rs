@@ -15,6 +15,8 @@
 //!   blocks disagree with the recorded checksums (data blocks hit the disk
 //!   while the corresponding interception-layer state did not).
 
+use std::ops::Range;
+
 use deltacfs_delta::{Cost, RollingChecksum};
 use deltacfs_kvstore::{BatchOp, KeyValue, KvError};
 
@@ -177,6 +179,63 @@ impl<K: KeyValue> ChecksumStore<K> {
             }
         }
         self.kv.write_batch(&batch)
+    }
+
+    /// Brings `path`'s checksums up to date after a batch of in-place
+    /// operations left the file as `content`: every block a `dirty` byte
+    /// range touches is re-summed once, however many ranges hit it, and
+    /// the blocks between `content`'s end and `peak_len` — the longest
+    /// the file was before or during the batch — are dropped. All of it
+    /// is one [`KeyValue::write_batch`] group commit, and the store ends
+    /// as [`ChecksumStore::reindex_file`] would leave it (given that it
+    /// matched the file before the batch) at the cost of the touched
+    /// blocks only.
+    ///
+    /// Returns how many bytes of `content` were read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend errors.
+    pub fn update_blocks(
+        &mut self,
+        path: &str,
+        content: &[u8],
+        dirty: &[Range<u64>],
+        peak_len: u64,
+        cost: &mut Cost,
+    ) -> Result<u64, KvError> {
+        let bs = self.block_size as u64;
+        let nblocks = (content.len() as u64).div_ceil(bs);
+        let mut spans: Vec<(u64, u64)> = dirty
+            .iter()
+            .filter(|r| r.start < r.end)
+            .map(|r| (r.start / bs, ((r.end - 1) / bs + 1).min(nblocks)))
+            .collect();
+        spans.sort_unstable();
+        let mut batch = Vec::new();
+        let mut read = 0;
+        // First block no earlier span has re-summed.
+        let mut next = 0;
+        for (first, end) in spans {
+            for idx in first.max(next)..end {
+                let start = (idx * bs) as usize;
+                let block = &content[start..(start + self.block_size).min(content.len())];
+                read += block.len() as u64;
+                let sum = self.checksum(block, cost);
+                batch.push(BatchOp::Put {
+                    key: block_key(path, idx),
+                    value: sum.to_le_bytes().to_vec(),
+                });
+            }
+            next = next.max(end);
+        }
+        for idx in nblocks..peak_len.div_ceil(bs) {
+            batch.push(BatchOp::Delete {
+                key: block_key(path, idx),
+            });
+        }
+        self.kv.write_batch(&batch)?;
+        Ok(read)
     }
 
     /// Adjusts checksums after a truncate to `new_size`; `last_block` is
@@ -342,6 +401,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cs.verify_file("/f", &content, &mut cost).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn update_blocks_resums_each_touched_block_once_and_drops_the_tail() {
+        let mut cs = store();
+        let mut cost = Cost::new();
+        cs.reindex_file("/f", b"aaaabbbbccccdddd", &mut cost).unwrap();
+        // Two overlapping writes inside blocks 0-1, then a cut to 10 bytes.
+        let content = b"aXYZWbbbcc";
+        let mut cost = Cost::new();
+        let read = cs
+            .update_blocks("/f", content, &[1..4, 3..5, 9..10], 16, &mut cost)
+            .unwrap();
+        assert_eq!(read, 4 + 4 + 2, "blocks 0, 1 and the new last one, once each");
+        assert_eq!(cost.bytes_rolled, read);
+        let mut fresh = store();
+        fresh.reindex_file("/f", content, &mut Cost::new()).unwrap();
+        assert_eq!(
+            cs.backend_mut().scan_prefix(b"cs\0").unwrap(),
+            fresh.backend_mut().scan_prefix(b"cs\0").unwrap()
+        );
     }
 
     #[test]

@@ -231,6 +231,18 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         &self.issues
     }
 
+    /// Whether [`DeltaCfsClient::tick`] would do nothing, whatever the
+    /// time: no node queued and no relation-table entry left to expire.
+    /// A driver may skip such a client until its file system logs an
+    /// event. Never true in [`CausalMode::Snapshot`]: there a tick moves
+    /// the snapshot clock even over an empty queue, so a skipped tick
+    /// would shift every later upload.
+    pub fn is_quiescent(&self) -> bool {
+        self.queue.is_empty()
+            && self.relation.is_empty()
+            && !matches!(self.cfg.causal_mode, CausalMode::Snapshot { .. })
+    }
+
     /// Number of nodes waiting in the sync queue (diagnostics).
     pub fn queued_nodes(&self) -> usize {
         self.queue.len()
@@ -1100,6 +1112,11 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     /// content is preserved as a conflict copy first (the cloud's version
     /// won — first write wins).
     pub fn apply_remote(&mut self, msg: &UpdateMsg, fs: &mut Vfs) -> Option<RemoteConflict> {
+        // Our own application must not come back as local edits, and the
+        // local edits already waiting in the log must survive it: the log
+        // is paused for the call, not drained after it.
+        let mut paused = fs.pause_event_log();
+        let fs: &mut Vfs = &mut paused;
         let mut conflict = None;
         let pending = self.queue.pending_ids_for_path(&msg.path);
         let content_change = matches!(
@@ -1121,21 +1138,28 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 local_copy,
             });
         }
+        let len_before = fs.metadata(&msg.path).map_or(0, |m| m.size);
         self.apply_remote_payload(msg, fs);
-        // Discard the events our own application just generated.
-        let _ = fs.drain_events();
         if let Some(v) = msg.version {
             self.versions.insert(msg.path.clone(), v);
         }
         if content_change {
+            let content = fs.peek_slice(&msg.path).unwrap_or_default();
             if let Some(cs) = &mut self.checksums {
-                let content = engine_read(&mut self.cost, fs, &msg.path);
-                cs.reindex_file(&msg.path, content, &mut self.cost).ok();
+                if let UpdatePayload::Ops(ops) = &msg.payload {
+                    // File RPC moves no byte it does not write, so only
+                    // the blocks the batch touched are read and re-summed.
+                    let dirty = ops_dirty_ranges(len_before, ops);
+                    let peak_len = FileOpItem::peak_len(ops, len_before);
+                    let read = cs.update_blocks(&msg.path, content, &dirty, peak_len, &mut self.cost);
+                    self.cost.bytes_engine_read += read.unwrap_or(0);
+                } else {
+                    // A delta or a new image may move every block.
+                    self.cost.bytes_engine_read += content.len() as u64;
+                    cs.reindex_file(&msg.path, content, &mut self.cost).ok();
+                }
             }
-            self.sizes.insert(
-                msg.path.clone(),
-                fs.metadata(&msg.path).map(|m| m.size).unwrap_or(0),
-            );
+            self.sizes.insert(msg.path.clone(), content.len() as u64);
         }
         conflict
     }
@@ -1271,12 +1295,15 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     /// Replaces a quarantined file's local content with `good` (pulled
     /// from the cloud) and lifts the quarantine.
     pub fn recover_file(&mut self, path: &str, good: &[u8], fs: &mut Vfs) {
-        if !fs.exists(path) {
-            fs.create(path).ok();
+        {
+            // Paused, not drained afterwards: see `apply_remote`.
+            let mut fs = fs.pause_event_log();
+            if !fs.exists(path) {
+                fs.create(path).ok();
+            }
+            fs.truncate(path, 0).ok();
+            fs.write(path, 0, good).ok();
         }
-        fs.truncate(path, 0).ok();
-        fs.write(path, 0, good).ok();
-        let _ = fs.drain_events();
         if let Some(cs) = &mut self.checksums {
             cs.reindex_file(path, good, &mut self.cost).ok();
         }
@@ -1396,6 +1423,25 @@ fn engine_read<'a>(cost: &mut Cost, fs: &'a Vfs, path: &str) -> &'a [u8] {
     let content = fs.peek_slice(path).unwrap_or_default();
     cost.bytes_engine_read += content.len() as u64;
     content
+}
+
+/// The byte ranges an ops batch dirties in a file that was `len` bytes
+/// long before it. A write dirties what it covers plus the zero-filled gap
+/// when it starts past the end; a growing truncate the zero-filled tail; a
+/// shrinking one the block the file now ends in.
+fn ops_dirty_ranges(mut len: u64, ops: &[FileOpItem]) -> Vec<std::ops::Range<u64>> {
+    let mut dirty = Vec::with_capacity(ops.len());
+    for op in ops {
+        match op {
+            FileOpItem::Write { offset, data } => {
+                dirty.push(len.min(*offset)..offset + data.len() as u64);
+            }
+            FileOpItem::Truncate { size } if *size >= len => dirty.push(len..*size),
+            FileOpItem::Truncate { size } => dirty.push(size.saturating_sub(1)..*size),
+        }
+        len = op.len_after(len);
+    }
+    dirty
 }
 
 /// Makes `content` the whole content of `path` on the receiving side.

@@ -17,6 +17,7 @@
 //! byte for byte — the shard-invariance property suite pins this.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use deltacfs_kvstore::MemStore;
@@ -42,6 +43,9 @@ struct Slot {
     fs: Vfs,
     link: Link,
     courier: Courier,
+    /// Trace actor name, `client-<CliID>` like the engine's own; shared,
+    /// so naming the sender of a forward costs no allocation.
+    actor: Arc<str>,
     /// The shared folder this client is attached to (first path
     /// component); `""` is the legacy root client that sees everything.
     namespace: String,
@@ -71,6 +75,17 @@ struct Slot {
     /// byte savings beat the hub's compression CPU. Policy follows the
     /// client's `wire_compression` knob.
     forward_codec: WireCodec,
+}
+
+impl Slot {
+    /// Whether a pump has anything to do for this client: events to feed
+    /// its engine, an engine whose `tick` is not a no-op, or a group in
+    /// its courier. A pump skips a client that is not busy — no drain, no
+    /// tick — and nothing but the client's own file system makes it busy
+    /// again: a forwarded update logs no event and queues no node.
+    fn is_busy(&self) -> bool {
+        self.fs.has_events() || !self.client.is_quiescent() || !self.courier.is_idle()
+    }
 }
 
 /// A cloud server with any number of attached DeltaCFS clients, all
@@ -131,6 +146,13 @@ pub struct SyncHub {
     /// Observability bundle shared with every client. Default-disabled
     /// tracer; [`SyncHub::enable_observability`] installs a live one.
     obs: Obs,
+    /// Cores of the host: the most workers a parallel pump deals its busy
+    /// lanes over.
+    cores: usize,
+    /// Clients the pumps drained and ticked, and clients they skipped as
+    /// not busy, over all rounds so far.
+    pump_visited: u64,
+    pump_skipped: u64,
 }
 
 impl std::fmt::Debug for SyncHub {
@@ -171,6 +193,9 @@ impl SyncHub {
             acked: Vec::new(),
             synthetic_groups: 0,
             obs: Obs::new(),
+            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            pump_visited: 0,
+            pump_skipped: 0,
         }
     }
 
@@ -264,6 +289,7 @@ impl SyncHub {
             fs,
             link,
             courier,
+            actor: format!("client-{}", idx + 1).into(),
             namespace: namespace.to_string(),
             home_shard,
             forward: ChunkStager::new(),
@@ -475,7 +501,7 @@ impl SyncHub {
             idx,
             &mut self.slots[idx],
             gid,
-            &msgs,
+            msgs,
             None,
             &mut self.conflicts,
         );
@@ -505,14 +531,16 @@ impl SyncHub {
         self.pump_inner(true);
     }
 
-    /// Like [`SyncHub::pump`], but pumps one lane per home shard, with
-    /// lanes running concurrently when the host has cores to spare
-    /// (capped at `min(shards, available cores)`; a single-core host
-    /// runs the lanes inline with zero thread overhead). Requires every
-    /// client to be namespaced — a root client shares files across
-    /// lanes — and faults to be off; otherwise this falls back to the
-    /// sequential pump. Conflicts and outcomes merge in lane order, so
-    /// the result is deterministic for a fixed topology.
+    /// Like [`SyncHub::pump`], but pumps one lane per home shard, and
+    /// only the lanes that hold a busy client (one with logged events, a
+    /// non-quiescent engine or a group in its courier): none busy and
+    /// the round ends at once; one busy lane runs inline on the caller;
+    /// more are dealt over `min(busy lanes, available cores)` workers, of
+    /// which the caller is one. Requires every client to be namespaced —
+    /// a root client shares files across lanes — and faults to be off;
+    /// otherwise this falls back to the sequential pump. Conflicts and
+    /// outcomes merge in lane order, so the result is deterministic for
+    /// a fixed topology.
     pub fn pump_parallel(&mut self) {
         self.pump_parallel_inner(false);
     }
@@ -524,61 +552,67 @@ impl SyncHub {
     }
 
     fn pump_parallel_inner(&mut self, flush: bool) {
-        if self.fault.is_some()
-            || self.server.shard_count() <= 1
-            || self.slots.iter().any(|s| s.namespace.is_empty())
-        {
+        let shard_count = self.server.shard_count();
+        if self.fault.is_some() || shard_count <= 1 || !self.root_subscribers.is_empty() {
             return self.pump_inner(flush);
         }
         let now = self.clock.now();
-        let shard_count = self.server.shard_count();
-        // Move the slots into per-home-shard lanes (index order is
-        // preserved within a lane). A namespace's clients all share one
-        // home shard, so forwarding never crosses a lane.
-        let taken = std::mem::take(&mut self.slots);
-        let mut lanes: Vec<Vec<(usize, Slot)>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (idx, slot) in taken.into_iter().enumerate() {
-            lanes[slot.home_shard].push((idx, slot));
+        // A namespace's clients all share one home shard, so forwarding
+        // never crosses a lane, and a lane with no busy client has
+        // nothing to upload and nobody to forward to it: it is not run.
+        let mut busy = vec![false; shard_count];
+        for slot in &self.slots {
+            busy[slot.home_shard] = busy[slot.home_shard] || slot.is_busy();
+        }
+        // Shard → its lane; lanes are numbered in shard order.
+        let mut lanes: Vec<Vec<(usize, &mut Slot)>> = Vec::new();
+        let lane_of_shard: Vec<Option<usize>> = busy
+            .iter()
+            .map(|&busy| {
+                busy.then(|| {
+                    lanes.push(Vec::new());
+                    lanes.len() - 1
+                })
+            })
+            .collect();
+        let clients = self.slots.len() as u64;
+        if lanes.is_empty() {
+            self.pump_skipped += clients;
+            return;
         }
         let hist = self.cfg.latency_histogram.then(|| self.latency_histogram());
-        let threads = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(shard_count);
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(lane) = lane_of_shard[slot.home_shard] {
+                lanes[lane].push((idx, slot));
+            }
+        }
         let server = &self.server;
         let obs = &self.obs;
-        let mut outputs: Vec<LaneOutput> = (0..lanes.len()).map(|_| LaneOutput::default()).collect();
-        if threads <= 1 {
-            for (lane, out) in lanes.iter_mut().zip(outputs.iter_mut()) {
+        let run = |lanes: &mut [Vec<(usize, &mut Slot)>], outputs: &mut [LaneOutput]| {
+            for (lane, out) in lanes.iter_mut().zip(outputs) {
                 *out = run_lane(server, obs, now, lane, flush, hist.as_ref());
             }
+        };
+        let mut outputs: Vec<LaneOutput> = lanes.iter().map(|_| LaneOutput::default()).collect();
+        let workers = self.cores.min(lanes.len());
+        if workers <= 1 {
+            run(&mut lanes, &mut outputs);
         } else {
-            let chunk = lanes.len().div_ceil(threads);
+            let per_worker = lanes.len().div_ceil(workers);
+            let mut dealt = lanes.chunks_mut(per_worker).zip(outputs.chunks_mut(per_worker));
+            let (own_lanes, own_outputs) = dealt.next().expect("two or more lanes");
+            let run = &run;
             std::thread::scope(|scope| {
-                for (lane_chunk, out_chunk) in
-                    lanes.chunks_mut(chunk).zip(outputs.chunks_mut(chunk))
-                {
-                    let hist = hist.clone();
-                    scope.spawn(move || {
-                        for (lane, out) in lane_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                            *out = run_lane(server, obs, now, lane, flush, hist.as_ref());
-                        }
-                    });
+                for (lanes, outputs) in dealt {
+                    scope.spawn(move || run(lanes, outputs));
                 }
+                run(own_lanes, own_outputs);
             });
         }
-        // Reassemble the slot vector in original index order.
-        let total: usize = lanes.iter().map(Vec::len).sum();
-        let mut rebuilt: Vec<Option<Slot>> = (0..total).map(|_| None).collect();
-        for lane in lanes {
-            for (idx, slot) in lane {
-                rebuilt[idx] = Some(slot);
-            }
-        }
-        self.slots = rebuilt
-            .into_iter()
-            .map(|s| s.expect("every lane returns its slots"))
-            .collect();
         // Merge lane outputs deterministically, by lane order.
+        let visited: u64 = outputs.iter().map(|out| out.visited).sum();
+        self.pump_visited += visited;
+        self.pump_skipped += clients - visited;
         for out in outputs {
             self.server_outcomes.extend(out.outcomes);
             self.conflicts.extend(out.conflicts);
@@ -609,6 +643,11 @@ impl SyncHub {
     fn pump_inner(&mut self, flush: bool) {
         let now = self.clock.now();
         for idx in 0..self.slots.len() {
+            if !self.slots[idx].is_busy() {
+                self.pump_skipped += 1;
+                continue;
+            }
+            self.pump_visited += 1;
             // 1. Feed pending fs events into the engine.
             self.ingest(idx);
             // 2. Upload ready groups.
@@ -626,11 +665,12 @@ impl SyncHub {
             } else {
                 for group in groups {
                     let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-                    self.obs
-                        .tracer
-                        .event(now.as_millis(), &actor_name(idx), "wire.upload", || {
-                            format!("group of {} msgs, {wire} wire bytes", group.len())
-                        });
+                    self.obs.tracer.event(
+                        now.as_millis(),
+                        &self.slots[idx].actor,
+                        "wire.upload",
+                        || format!("group of {} msgs, {wire} wire bytes", group.len()),
+                    );
                     let busy_before = self.slots[idx].link.upload_busy_until();
                     let arrival = self.slots[idx].link.upload(wire, now);
                     let gkey = group
@@ -656,7 +696,7 @@ impl SyncHub {
                         .event(now.as_millis(), "server", "server.apply", || {
                             format!(
                                 "group from {}: {} msgs, all_applied={all_applied}",
-                                actor_name(idx),
+                                self.slots[idx].actor,
                                 group.len()
                             )
                         });
@@ -723,6 +763,7 @@ impl SyncHub {
     /// queue.
     fn drive_courier(&mut self, idx: usize, now: SimTime) {
         let mut topo = self.fault.take().expect("fault mode is armed");
+        let actor = Arc::clone(&self.slots[idx].actor);
         while self.slots[idx].courier.ready(now) {
             let Some(flight) = self.slots[idx].courier.take_attempt(now) else {
                 break;
@@ -730,7 +771,6 @@ impl SyncHub {
             let attempt = flight.attempts;
             let group = flight.group.clone();
             let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-            let actor = actor_name(idx);
             let now_ms = now.as_millis();
             self.obs.tracer.event(now_ms, &actor, "wire.upload", || {
                 format!(
@@ -911,7 +951,7 @@ impl SyncHub {
     fn trace_backoff(&self, idx: usize, now_ms: u64, delay: Option<u64>) {
         self.obs
             .tracer
-            .event(now_ms, &actor_name(idx), "retry.backoff", || match delay {
+            .event(now_ms, &self.slots[idx].actor, "retry.backoff", || match delay {
                 Some(d) => format!("retransmission armed in {d}ms"),
                 None => "retry budget exhausted: group parked".to_string(),
             });
@@ -950,12 +990,13 @@ impl SyncHub {
         now: SimTime,
         fault: &mut Option<&mut FaultTopology>,
     ) {
+        let sender = Arc::clone(&self.slots[from].actor);
         for idx in self.receivers_for(from) {
             forward_group_to_peer(
                 &self.server,
                 &self.obs,
                 now,
-                from,
+                &sender,
                 idx,
                 &mut self.slots[idx],
                 group,
@@ -1045,7 +1086,7 @@ impl SyncHub {
                     idx,
                     &mut self.slots[idx],
                     gid,
-                    &repairs,
+                    repairs,
                     None,
                     &mut self.conflicts,
                 );
@@ -1081,8 +1122,12 @@ impl SyncHub {
     ///   `client="<n>"`, plus courier retry counters and the
     ///   `sync_queue_payload_bytes` gauge;
     /// * server-side apply cost (`server_cost_*`), the idempotency
-    ///   index's `server_duplicates_ignored`, and
-    ///   `server_cross_shard_groups`;
+    ///   index's `server_duplicates_ignored`,
+    ///   `server_cross_shard_groups`, and the `server_history_bytes`
+    ///   gauge (bytes retained for old versions, summed over shards);
+    /// * `hub_pump_clients_visited` / `hub_pump_clients_skipped`: clients
+    ///   the pumps drained and ticked, and clients they passed over as
+    ///   not busy;
     /// * per-shard `shard_queue_depth` / `shard_files` gauges labeled
     ///   `shard="<k>"`;
     /// * when fault injection is armed, the per-kind `fault_*` injection
@@ -1188,6 +1233,21 @@ impl SyncHub {
             "transaction groups dispatched through the cross-shard path",
         )
         .set(self.server.cross_shard_groups());
+        reg.gauge(
+            "server_history_bytes",
+            "bytes the server retains for the sake of older file versions",
+        )
+        .set(self.server.history_bytes() as i64);
+        reg.counter(
+            "hub_pump_clients_visited",
+            "clients a pump round drained and ticked",
+        )
+        .set(self.pump_visited);
+        reg.counter(
+            "hub_pump_clients_skipped",
+            "clients a pump round passed over: no events, quiescent engine, idle courier",
+        )
+        .set(self.pump_skipped);
         if let Some(stats) = self.fault_stats() {
             stats.export_counters(reg, "fault", None);
             reg.counter(
@@ -1253,43 +1313,45 @@ impl SyncHub {
 struct LaneOutput {
     outcomes: Vec<ApplyOutcome>,
     conflicts: Vec<(usize, RemoteConflict)>,
+    /// Clients of the lane that were busy and so drained and ticked.
+    visited: u64,
 }
 
 /// One parallel-pump lane: the slots homed on one shard, pumped in index
-/// order exactly like the sequential path (events → tick/flush → upload →
-/// apply → forward to same-namespace lane peers).
+/// order exactly like the sequential path (skip unless busy; events →
+/// tick/flush → upload → apply → forward to same-namespace lane peers).
 fn run_lane(
     server: &ShardedServer,
     obs: &Obs,
     now: SimTime,
-    lane: &mut [(usize, Slot)],
+    lane: &mut [(usize, &mut Slot)],
     flush: bool,
     hist: Option<&Histogram>,
 ) -> LaneOutput {
     let mut out = LaneOutput::default();
     for i in 0..lane.len() {
-        let groups = {
-            let (_, slot) = &mut lane[i];
-            let events = slot.fs.drain_events();
-            for e in &events {
-                slot.client.handle_event(e, &slot.fs);
-            }
-            if flush {
-                slot.client.flush(&slot.fs)
-            } else {
-                slot.client.tick(&slot.fs)
-            }
+        let (before, rest) = lane.split_at_mut(i);
+        let ((_, slot), after) = rest.split_first_mut().expect("i < lane.len()");
+        if !slot.is_busy() {
+            continue;
+        }
+        out.visited += 1;
+        for e in &slot.fs.drain_events() {
+            slot.client.handle_event(e, &slot.fs);
+        }
+        let groups = if flush {
+            slot.client.flush(&slot.fs)
+        } else {
+            slot.client.tick(&slot.fs)
         };
-        let from = lane[i].0;
-        let ns = lane[i].1.namespace.clone();
         for group in groups {
             let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
             obs.tracer
-                .event(now.as_millis(), &actor_name(from), "wire.upload", || {
+                .event(now.as_millis(), &slot.actor, "wire.upload", || {
                     format!("group of {} msgs, {wire} wire bytes", group.len())
                 });
-            let busy_before = lane[i].1.link.upload_busy_until();
-            let arrival = lane[i].1.link.upload(wire, now);
+            let busy_before = slot.link.upload_busy_until();
+            let arrival = slot.link.upload(wire, now);
             let gkey = group
                 .iter()
                 .find_map(|m| m.group)
@@ -1316,7 +1378,7 @@ fn run_lane(
                 .event(now.as_millis(), "server", "server.apply", || {
                     format!(
                         "group from {}: {} msgs, all_applied={all_applied}",
-                        actor_name(from),
+                        slot.actor,
                         group.len()
                     )
                 });
@@ -1327,17 +1389,17 @@ fn run_lane(
                 });
             }
             out.outcomes.extend(outcomes);
-            lane[i].1.link.download(ACK_WIRE_BYTES, now);
+            slot.link.download(ACK_WIRE_BYTES, now);
             if all_applied {
-                for (j, (peer_idx, peer)) in lane.iter_mut().enumerate() {
-                    if j == i || peer.namespace != ns {
+                for (peer_idx, peer) in before.iter_mut().chain(after.iter_mut()) {
+                    if peer.namespace != slot.namespace {
                         continue;
                     }
                     forward_group_to_peer(
                         server,
                         obs,
                         now,
-                        from,
+                        &slot.actor,
                         *peer_idx,
                         peer,
                         &group,
@@ -1363,7 +1425,7 @@ fn forward_group_to_peer(
     server: &ShardedServer,
     obs: &Obs,
     now: SimTime,
-    from: usize,
+    from: &str,
     peer_idx: usize,
     peer: &mut Slot,
     group: &[UpdateMsg],
@@ -1381,14 +1443,13 @@ fn forward_group_to_peer(
     obs.tracer
         .event(now.as_millis(), "server", "wire.forward", || {
             format!(
-                "forwarding group of {} msgs from {} to {}",
+                "forwarding group of {} msgs from {from} to {}",
                 planned.len(),
-                actor_name(from),
-                actor_name(peer_idx)
+                peer.actor
             )
         });
     let plan = fault.as_mut().map(|topo| topo.plan_for(peer_idx));
-    deliver_group_streaming(obs, now, peer_idx, peer, gid, &planned, plan, conflicts);
+    deliver_group_streaming(obs, now, peer_idx, peer, gid, planned, plan, conflicts);
 }
 
 /// Plans what one peer receives for a forwarded group: messages outside
@@ -1490,7 +1551,7 @@ fn deliver_group_streaming(
     peer_idx: usize,
     peer: &mut Slot,
     gid: GroupId,
-    msgs: &[UpdateMsg],
+    mut msgs: Vec<UpdateMsg>,
     mut plan: Option<&mut FaultPlan>,
     conflicts: &mut Vec<(usize, RemoteConflict)>,
 ) {
@@ -1500,13 +1561,9 @@ fn deliver_group_streaming(
     // Restamp with the stream's group id so every frame keys one stage
     // (synthetic streams — full sync, anti-entropy — carry no group id
     // of their own).
-    let stamped: Vec<UpdateMsg> = msgs
-        .iter()
-        .map(|m| UpdateMsg {
-            group: Some(gid),
-            ..m.clone()
-        })
-        .collect();
+    for m in &mut msgs {
+        m.group = Some(gid);
+    }
     let budget = peer.client.config().chunk_budget;
     let mut lost = false;
     let mut committed: Option<Vec<UpdateMsg>> = None;
@@ -1518,7 +1575,7 @@ fn deliver_group_streaming(
     let fwd_span = if obs.spans.enabled() {
         Some(obs.spans.start(
             gid.span_key(),
-            &actor_name(peer_idx),
+            &peer.actor,
             "forward",
             now.max(peer.link.download_busy_until()).as_millis(),
             None,
@@ -1532,9 +1589,10 @@ fn deliver_group_streaming(
         forward_chunks,
         forward_max_frame_bytes,
         forward_codec,
+        actor,
         ..
     } = peer;
-    frame_group(&stamped, budget, |frame| {
+    frame_group(&msgs, budget, |frame| {
         let frame = forward_codec.encode_frame(frame, now.as_millis());
         if frame.chunk_idx == 0 {
             // One loss draw per message, in message order — the same
@@ -1556,7 +1614,7 @@ fn deliver_group_streaming(
                     frame.msg_idx,
                     frame.chunk_idx,
                     if frame.last_in_group { " [group end]" } else { "" },
-                    actor_name(peer_idx),
+                    actor,
                     frame.byte_len(),
                 )
             });
@@ -1572,9 +1630,9 @@ fn deliver_group_streaming(
     let delivered = link.download_end_msg(now);
     if committed.is_some() {
         if let Some(span) = fwd_span {
-            let n = stamped.len();
+            let n = msgs.len();
             obs.spans.end_detail(span, delivered.as_millis(), || {
-                format!("group of {n} msgs committed on {}", actor_name(peer_idx))
+                format!("group of {n} msgs committed on {}", peer.actor)
             });
         }
     }
@@ -1618,12 +1676,6 @@ fn msg_visible(ns: &str, msg: &UpdateMsg) -> bool {
 /// Mixes the fault seed and the slot index into one courier seed.
 fn courier_seed(fault_seed: u64, idx: usize) -> u64 {
     fault_seed ^ (idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Trace actor name of the client in slot `idx` — matches the engine's
-/// own `client-<CliID>` naming.
-fn actor_name(idx: usize) -> String {
-    format!("client-{}", idx + 1)
 }
 
 const BACKOFF_HELP: &str = "courier retransmission backoff delays (ms)";

@@ -185,7 +185,7 @@ pub fn save<K: KeyValue>(server: &CloudServer, store: &mut K) -> Result<(), Pers
                 path: path.clone(),
                 base: prev,
                 version: Some(*v),
-                payload: UpdatePayload::Full(Payload::copy_from_slice(old)),
+                payload: UpdatePayload::Full(Payload::from(old.into_owned())),
                 txn: None,
                 group: None,
             };
@@ -331,7 +331,7 @@ mod tests {
         assert_eq!(restored.file("/b"), Some(&b"b1"[..]));
         assert!(restored.has_dir("/dir"));
         // History survived: the old version is still retrievable.
-        assert_eq!(restored.file_at("/a", v(1)), Some(&b"a1"[..]));
+        assert_eq!(restored.file_at("/a", v(1)).as_deref(), Some(&b"a1"[..]));
         // And incremental updates continue from the restored version.
         let outcome = restored.apply_msg(&full("/a", Some(v(2)), 4, b"a3"));
         assert_eq!(outcome, crate::protocol::ApplyOutcome::Applied);

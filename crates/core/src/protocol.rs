@@ -199,6 +199,26 @@ impl FileOpItem {
         }
     }
 
+    /// The length of a file that was `len` bytes long once this op has
+    /// been applied to it.
+    pub fn len_after(&self, len: u64) -> u64 {
+        match self {
+            FileOpItem::Write { offset, data } => len.max(offset + data.len() as u64),
+            FileOpItem::Truncate { size } => *size,
+        }
+    }
+
+    /// The longest a file of `len` bytes gets while `ops` are applied to
+    /// it in order (never less than `len`).
+    pub fn peak_len(ops: &[FileOpItem], mut len: u64) -> u64 {
+        let mut peak = len;
+        for op in ops {
+            len = op.len_after(len);
+            peak = peak.max(len);
+        }
+        peak
+    }
+
     /// Applies this op to a file image in memory.
     pub fn apply_to(&self, content: &mut Vec<u8>) {
         match self {

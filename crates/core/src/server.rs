@@ -10,13 +10,15 @@
 //! *incremental* data applied against the matching historical version, so
 //! nothing needs to be re-uploaded (§III-C).
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 use deltacfs_delta::Cost;
 
 use crate::pipeline::{ChunkFrame, ChunkStager};
-use crate::protocol::{ApplyOutcome, GroupId, UpdateMsg, UpdatePayload, Version};
+use crate::protocol::{ApplyOutcome, FileOpItem, GroupId, UpdateMsg, UpdatePayload, Version};
+use crate::undo_log::UndoLog;
 use crate::wire::WireError;
 
 /// How many past versions the server retains per file.
@@ -26,7 +28,20 @@ const DEFAULT_HISTORY: usize = 8;
 pub(crate) struct ServerFile {
     content: Bytes,
     version: Option<Version>,
-    history: VecDeque<(Version, Bytes)>,
+    /// The retained older versions, oldest first.
+    history: VecDeque<(Version, Retained)>,
+}
+
+/// How a version that is no longer current is kept: as its whole image,
+/// or as the way back to it from the next newer version — never both.
+#[derive(Debug, Clone)]
+enum Retained {
+    /// The version's bytes. A delta, a full upload or a restore replaced
+    /// the file, so the old image was moved here as it was.
+    Image(Bytes),
+    /// What an ops group overwrote and cut off: reverting it on the next
+    /// newer version's image gives this version back.
+    Patch(UndoLog),
 }
 
 impl ServerFile {
@@ -37,6 +52,78 @@ impl ServerFile {
             history: VecDeque::new(),
         }
     }
+
+    /// The bytes of a retained `version`, the current one included. A
+    /// version kept as a patch is rebuilt by walking back from the nearest
+    /// newer whole image.
+    fn at(&self, version: Version) -> Option<Cow<'_, [u8]>> {
+        if self.version == Some(version) {
+            return Some(Cow::Borrowed(&self.content));
+        }
+        let idx = self.history.iter().position(|(v, _)| *v == version)?;
+        let mut newer = &self.content;
+        // The patches between `version` and `newer`, oldest first.
+        let mut patches = Vec::new();
+        for (_, kept) in self.history.range(idx..) {
+            match kept {
+                Retained::Image(image) => {
+                    newer = image;
+                    break;
+                }
+                Retained::Patch(patch) => patches.push(patch),
+            }
+        }
+        if patches.is_empty() {
+            return Some(Cow::Borrowed(newer));
+        }
+        let mut image = newer.to_vec();
+        for patch in patches.into_iter().rev() {
+            patch.revert(&mut image);
+        }
+        Some(Cow::Owned(image))
+    }
+
+    /// Makes `version` the current one; the version it replaces, if the
+    /// file had one, stays retrievable through `kept`, within `limit`
+    /// retained versions.
+    fn advance(&mut self, kept: Retained, version: Option<Version>, limit: usize) {
+        if let Some(old_version) = self.version {
+            self.history.push_back((old_version, kept));
+            while self.history.len() > limit {
+                self.history.pop_front();
+            }
+        }
+        self.version = version;
+    }
+
+    /// Bytes held for the sake of older versions.
+    fn history_bytes(&self) -> u64 {
+        self.history
+            .iter()
+            .map(|(_, kept)| match kept {
+                Retained::Image(image) => image.len() as u64,
+                Retained::Patch(patch) => patch.preserved_bytes(),
+            })
+            .sum()
+    }
+}
+
+/// Applies `op` to `content`, first saving in `undo` what it destroys.
+fn apply_logged(op: &FileOpItem, content: &mut Vec<u8>, undo: &mut UndoLog) {
+    let len = content.len();
+    match op {
+        FileOpItem::Write { offset, data } => {
+            let start = (*offset as usize).min(len);
+            let end = (*offset as usize + data.len()).min(len);
+            let overwritten = Bytes::copy_from_slice(&content[start..end]);
+            undo.record_write(len as u64, *offset, overwritten, data.len() as u64);
+        }
+        FileOpItem::Truncate { size } => {
+            let cut = Bytes::copy_from_slice(&content[(*size as usize).min(len)..]);
+            undo.record_truncate(len as u64, *size, cut);
+        }
+    }
+    op.apply_to(content);
 }
 
 /// The cloud endpoint: versioned file storage that applies incremental
@@ -149,6 +236,13 @@ impl CloudServer {
         self.files.values().map(|f| f.content.len() as u64).sum()
     }
 
+    /// Bytes retained for the sake of older versions: whole images of
+    /// versions a delta or a full upload replaced, and the overwritten
+    /// bytes of versions an ops group replaced.
+    pub fn history_bytes(&self) -> u64 {
+        self.files.values().map(ServerFile::history_bytes).sum()
+    }
+
     /// The order in which file updates were applied — the causal-ordering
     /// probe used by the Table IV reliability test.
     pub fn apply_order(&self) -> &[String] {
@@ -169,16 +263,10 @@ impl CloudServer {
     }
 
     /// Content of `path` at a specific retained version (the current
-    /// version included).
-    pub fn file_at(&self, path: &str, version: Version) -> Option<&[u8]> {
-        let f = self.files.get(path)?;
-        if f.version == Some(version) {
-            return Some(&f.content);
-        }
-        f.history
-            .iter()
-            .find(|(v, _)| *v == version)
-            .map(|(_, c)| &c[..])
+    /// version included). Borrowed where the server holds that image,
+    /// rebuilt where it holds the way back to it.
+    pub fn file_at(&self, path: &str, version: Version) -> Option<Cow<'_, [u8]>> {
+        self.files.get(path)?.at(version)
     }
 
     /// Restores `path` to a retained `version`, stamping the restored
@@ -186,10 +274,10 @@ impl CloudServer {
     /// they forward to clients like any other update). Returns `false`
     /// if the version is no longer retained.
     pub fn restore(&mut self, path: &str, version: Version, new_version: Version) -> bool {
-        let Some(content) = self.file_at(path, version).map(Bytes::copy_from_slice) else {
+        let Some(content) = self.file_at(path, version).map(Cow::into_owned) else {
             return false;
         };
-        self.bump(path, content, Some(new_version));
+        self.bump(path, Bytes::from(content), Some(new_version));
         true
     }
 
@@ -509,16 +597,8 @@ impl CloudServer {
             .files
             .entry(path.to_string())
             .or_insert_with(ServerFile::new);
-        if let Some(old_version) = entry.version {
-            entry
-                .history
-                .push_back((old_version, entry.content.clone()));
-            while entry.history.len() > self.history_limit {
-                entry.history.pop_front();
-            }
-        }
-        entry.content = new_content;
-        entry.version = new_version;
+        let old_image = std::mem::replace(&mut entry.content, new_content);
+        entry.advance(Retained::Image(old_image), new_version, self.history_limit);
         self.apply_order.push(path.to_string());
     }
 
@@ -532,17 +612,27 @@ impl CloudServer {
                 self.apply_order.push(msg.path.clone());
             }
             UpdatePayload::Ops(ops) => {
-                let mut content = self
+                let file = self
                     .files
-                    .get(&msg.path)
-                    .map(|f| f.content.to_vec())
-                    .unwrap_or_default();
+                    .entry(msg.path.clone())
+                    .or_insert_with(ServerFile::new);
+                // In place: the file's buffer is taken out and put back,
+                // not copied (a message that still shares it costs one
+                // copy, once), and grown once, to no more than the group
+                // needs. What the group destroys is the way back to the
+                // version it replaces.
+                let mut content = Vec::from(std::mem::take(&mut file.content));
+                let peak = FileOpItem::peak_len(ops, content.len() as u64);
+                content.reserve_exact(peak as usize - content.len());
+                let mut undo = UndoLog::new();
                 for op in ops {
                     self.cost.bytes_copied += op.payload_len();
                     self.cost.ops += 1;
-                    op.apply_to(&mut content);
+                    apply_logged(op, &mut content, &mut undo);
                 }
-                self.bump(&msg.path, Bytes::from(content), msg.version);
+                file.content = Bytes::from(content);
+                file.advance(Retained::Patch(undo), msg.version, self.history_limit);
+                self.apply_order.push(msg.path.clone());
             }
             UpdatePayload::Delta { base_path, delta } => {
                 let base = self
@@ -600,21 +690,9 @@ impl CloudServer {
             UpdatePayload::Delta { base_path, .. } => base_path.as_str(),
             _ => msg.path.as_str(),
         };
-        let base_content: Option<Bytes> = match msg.base {
-            None => Some(Bytes::new()),
-            Some(wanted) => self.files.get(base_path).and_then(|f| {
-                f.history
-                    .iter()
-                    .find(|(v, _)| *v == wanted)
-                    .map(|(_, c)| c.clone())
-                    .or_else(|| {
-                        if f.version == Some(wanted) {
-                            Some(f.content.clone())
-                        } else {
-                            None
-                        }
-                    })
-            }),
+        let base_content: Option<Cow<'_, [u8]>> = match msg.base {
+            None => Some(Cow::Borrowed(&[])),
+            Some(wanted) => self.files.get(base_path).and_then(|f| f.at(wanted)),
         };
         let Some(base_content) = base_content else {
             return ApplyOutcome::Rejected {
@@ -625,7 +703,7 @@ impl CloudServer {
         let stored_as = format!("{}.conflict-c{}", msg.path, client);
         let new_content = match &msg.payload {
             UpdatePayload::Ops(ops) => {
-                let mut content = base_content.to_vec();
+                let mut content = base_content.into_owned();
                 for op in ops {
                     self.cost.bytes_copied += op.payload_len();
                     op.apply_to(&mut content);
@@ -876,7 +954,7 @@ mod tests {
         assert_eq!(s.version("/f"), Some(v(3, 2)));
         assert!(s.file(&stored_as).is_none());
         // The overwritten winner is still retained in history.
-        assert_eq!(s.file_at("/f", v(2, 1)), Some(&b"AAAA"[..]));
+        assert_eq!(s.file_at("/f", v(2, 1)).as_deref(), Some(&b"AAAA"[..]));
         // Discarding a nonexistent copy reports false.
         assert!(!s.resolve_conflict_discard(&stored_as));
     }
@@ -898,18 +976,60 @@ mod tests {
             vec![write_op(0, b"tri")],
         ));
         assert_eq!(s.version_history("/f"), vec![v(1, 1), v(1, 2), v(1, 3)]);
-        assert_eq!(s.file_at("/f", v(1, 1)), Some(&b"one"[..]));
-        assert_eq!(s.file_at("/f", v(1, 3)), Some(&b"tri"[..]));
+        assert_eq!(s.file_at("/f", v(1, 1)).as_deref(), Some(&b"one"[..]));
+        assert_eq!(s.file_at("/f", v(1, 3)).as_deref(), Some(&b"tri"[..]));
         assert_eq!(s.file_at("/f", v(9, 9)), None);
         // Restore to the first version under a fresh version number.
         assert!(s.restore("/f", v(1, 1), v(1, 4)));
         assert_eq!(s.file("/f"), Some(&b"one"[..]));
         assert_eq!(s.version("/f"), Some(v(1, 4)));
         // The pre-restore content is itself retained.
-        assert_eq!(s.file_at("/f", v(1, 3)), Some(&b"tri"[..]));
+        assert_eq!(s.file_at("/f", v(1, 3)).as_deref(), Some(&b"tri"[..]));
         // Restoring an evicted/unknown version fails cleanly.
         assert!(!s.restore("/f", v(9, 9), v(1, 5)));
         assert!(s.version_history("/missing").is_empty());
+    }
+
+    #[test]
+    fn ops_apply_in_place_and_leave_a_reverse_patch() {
+        let full = |base, ver, data: Vec<u8>| UpdateMsg {
+            path: "/f".into(),
+            base,
+            version: Some(ver),
+            payload: UpdatePayload::Full(Payload::from(data)),
+            txn: None,
+            group: None,
+        };
+        let mut s = CloudServer::new();
+        s.apply_msg(&full(None, v(1, 1), vec![7u8; 100_000]));
+        // The full upload's buffer was shared with its message; from the
+        // first ops group on the file owns its buffer.
+        s.apply_msg(&ops_msg("/f", Some(v(1, 1)), v(1, 2), vec![write_op(10, b"one")]));
+        let buffer = s.file("/f").unwrap().as_ptr();
+        s.apply_msg(&ops_msg("/f", Some(v(1, 2)), v(1, 3), vec![write_op(50_000, b"two")]));
+        assert_eq!(s.file("/f").unwrap().as_ptr(), buffer, "applied where it lies");
+        s.apply_msg(&ops_msg(
+            "/f",
+            Some(v(1, 3)),
+            v(1, 4),
+            vec![FileOpItem::Truncate { size: 90_000 }],
+        ));
+        // Three ops groups retain what they destroyed, not three images.
+        assert_eq!(s.history_bytes(), 3 + 3 + 10_000);
+        // A new image in between: older versions walk back from it, not
+        // from the current content.
+        s.apply_msg(&full(Some(v(1, 4)), v(1, 5), b"rewritten".to_vec()));
+        s.apply_msg(&ops_msg("/f", Some(v(1, 5)), v(1, 6), vec![write_op(0, b"RE")]));
+        assert_eq!(s.file("/f"), Some(&b"REwritten"[..]));
+        assert_eq!(s.file_at("/f", v(1, 5)).as_deref(), Some(&b"rewritten"[..]));
+        let mut expect = vec![7u8; 100_000];
+        assert_eq!(s.file_at("/f", v(1, 1)).as_deref(), Some(&expect[..]));
+        expect[10..13].copy_from_slice(b"one");
+        assert_eq!(s.file_at("/f", v(1, 2)).as_deref(), Some(&expect[..]));
+        expect[50_000..50_003].copy_from_slice(b"two");
+        assert_eq!(s.file_at("/f", v(1, 3)).as_deref(), Some(&expect[..]));
+        expect.truncate(90_000);
+        assert_eq!(s.file_at("/f", v(1, 4)).as_deref(), Some(&expect[..]));
     }
 
     #[test]

@@ -411,6 +411,12 @@ impl ShardedServer {
         (0..self.shard_count()).map(|s| self.lock(s).stored_bytes()).sum()
     }
 
+    /// Bytes retained for the sake of older versions, summed over shards
+    /// (see [`CloudServer::history_bytes`]).
+    pub fn history_bytes(&self) -> u64 {
+        (0..self.shard_count()).map(|s| self.lock(s).history_bytes()).sum()
+    }
+
     /// The retained versions of `path`, oldest first.
     pub fn version_history(&self, path: &str) -> Vec<Version> {
         self.lock(self.router.shard_of_path(path)).version_history(path)
@@ -420,7 +426,7 @@ impl ShardedServer {
     pub fn file_at(&self, path: &str, version: Version) -> Option<Vec<u8>> {
         self.lock(self.router.shard_of_path(path))
             .file_at(path, version)
-            .map(<[u8]>::to_vec)
+            .map(std::borrow::Cow::into_owned)
     }
 
     /// The global causal apply order, spliced from every shard's log in

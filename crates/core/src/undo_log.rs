@@ -124,13 +124,19 @@ impl UndoLog {
     /// operation, given the `current` content.
     pub fn reconstruct(&self, current: &[u8]) -> Vec<u8> {
         let mut content = current.to_vec();
+        self.revert(&mut content);
+        content
+    }
+
+    /// [`UndoLog::reconstruct`] in place: turns `content` back into what
+    /// it was before the first recorded operation.
+    pub fn revert(&self, content: &mut Vec<u8>) {
         for rec in self.records.iter().rev() {
             content.resize(rec.old_len as usize, 0);
             let start = (rec.offset as usize).min(content.len());
             let end = (start + rec.old_bytes.len()).min(content.len());
             content[start..end].copy_from_slice(&rec.old_bytes[..end - start]);
         }
-        content
     }
 
     /// Clears the log (after the corresponding node uploaded).

@@ -96,6 +96,32 @@ impl std::fmt::Debug for Vfs {
     }
 }
 
+/// A [`Vfs`] whose event log is paused ([`Vfs::pause_event_log`]); the
+/// log comes back, with everything it held, when this is dropped.
+pub struct PausedEventLog<'a> {
+    fs: &'a mut Vfs,
+    log: Option<Vec<OpEvent>>,
+}
+
+impl std::ops::Deref for PausedEventLog<'_> {
+    type Target = Vfs;
+    fn deref(&self) -> &Vfs {
+        self.fs
+    }
+}
+
+impl std::ops::DerefMut for PausedEventLog<'_> {
+    fn deref_mut(&mut self) -> &mut Vfs {
+        self.fs
+    }
+}
+
+impl Drop for PausedEventLog<'_> {
+    fn drop(&mut self) {
+        self.fs.event_log = self.log.take();
+    }
+}
+
 const ROOT: InodeId = InodeId(1);
 
 impl Default for Vfs {
@@ -160,6 +186,29 @@ impl Vfs {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
         }
+    }
+
+    /// Whether the event log holds events that were not drained yet.
+    pub fn has_events(&self) -> bool {
+        self.event_log.as_ref().is_some_and(|log| !log.is_empty())
+    }
+
+    /// Pauses the event log for as long as the returned guard lives:
+    /// operations performed through the guard are not logged, and the
+    /// events logged before the pause are all still there when it ends.
+    /// A sync engine applies *remote* updates through this, so they
+    /// neither come back as local edits nor cost the local edits already
+    /// waiting in the log. An inline observer keeps observing.
+    pub fn pause_event_log(&mut self) -> PausedEventLog<'_> {
+        let log = self.event_log.take();
+        PausedEventLog { fs: self, log }
+    }
+
+    /// Whether anybody receives this file system's events. With no
+    /// listener an operation skips capturing the bytes only an event
+    /// would carry.
+    fn observed(&self) -> bool {
+        self.event_log.is_some() || self.observer.is_some()
     }
 
     /// IO counters accumulated so far.
@@ -363,6 +412,7 @@ impl Vfs {
         let end = offset + data.len() as u64;
         let growth = end.saturating_sub(old_len);
         self.check_space(growth)?;
+        let observed = self.observed();
         let overwritten = {
             let file = match self.inodes.get_mut(&id.0) {
                 Some(Node::File { data, .. }) => data,
@@ -370,7 +420,7 @@ impl Vfs {
                 None => return Err(VfsError::NotFound(p.to_string())),
             };
             let ow_end = end.min(old_len);
-            let overwritten = if offset < ow_end {
+            let overwritten = if observed && offset < ow_end {
                 Bytes::copy_from_slice(&file[offset as usize..ow_end as usize])
             } else {
                 Bytes::new()
@@ -385,12 +435,14 @@ impl Vfs {
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         self.stats.mutations += 1;
-        self.emit(OpEvent::Write {
-            path: p,
-            offset,
-            data: Bytes::copy_from_slice(data),
-            overwritten,
-        });
+        if observed {
+            self.emit(OpEvent::Write {
+                path: p,
+                offset,
+                data: Bytes::copy_from_slice(data),
+                overwritten,
+            });
+        }
         Ok(())
     }
 
@@ -473,13 +525,14 @@ impl Vfs {
         let old_len = self.file_data(id, &p)?.len() as u64;
         let growth = size.saturating_sub(old_len);
         self.check_space(growth)?;
+        let observed = self.observed();
         let cut = {
             let file = match self.inodes.get_mut(&id.0) {
                 Some(Node::File { data, .. }) => data,
                 Some(Node::Dir { .. }) => return Err(VfsError::IsADirectory(p.to_string())),
                 None => return Err(VfsError::NotFound(p.to_string())),
             };
-            let cut = if size < old_len {
+            let cut = if observed && size < old_len {
                 Bytes::copy_from_slice(&file[size as usize..])
             } else {
                 Bytes::new()
@@ -487,9 +540,11 @@ impl Vfs {
             file.resize(size as usize, 0);
             cut
         };
-        self.used = self.used + growth - cut.len() as u64;
+        self.used = self.used + growth - old_len.saturating_sub(size);
         self.stats.mutations += 1;
-        self.emit(OpEvent::Truncate { path: p, size, cut });
+        if observed {
+            self.emit(OpEvent::Truncate { path: p, size, cut });
+        }
         Ok(())
     }
 
@@ -1095,6 +1150,29 @@ mod tests {
         fs.unlink("/b").unwrap();
         let kinds: Vec<_> = fs.drain_events().iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["create", "write", "rename", "unlink"]);
+    }
+
+    #[test]
+    fn paused_event_log_keeps_what_it_held_and_logs_nothing_new() {
+        let mut fs = Vfs::new();
+        fs.enable_event_log();
+        fs.create("/mine").unwrap();
+        assert!(fs.has_events());
+        {
+            let mut paused = fs.pause_event_log();
+            paused.create("/theirs").unwrap();
+            paused.write("/theirs", 0, b"remote").unwrap();
+            paused.truncate("/theirs", 3).unwrap();
+            assert!(!paused.has_events());
+        }
+        assert_eq!(fs.peek_all("/theirs").unwrap(), b"rem");
+        assert_eq!(fs.bytes_used(), 3);
+        let kinds: Vec<_> = fs.drain_events().iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds, vec!["create"], "only the local edit is logged");
+        assert!(!fs.has_events());
+        // The log is live again after the pause.
+        fs.unlink("/theirs").unwrap();
+        assert!(fs.has_events());
     }
 
     #[test]

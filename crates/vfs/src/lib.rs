@@ -46,7 +46,7 @@ mod stats;
 
 pub use error::VfsError;
 pub use event::{OpEvent, OpObserver, RecordingObserver};
-pub use fs::{DirEntry, FileKind, Handle, Metadata, Vfs};
+pub use fs::{DirEntry, FileKind, Handle, Metadata, PausedEventLog, Vfs};
 pub use path::VPath;
 pub use stats::IoStats;
 

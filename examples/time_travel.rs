@@ -56,7 +56,7 @@ fn main() {
     println!("versions retained for /story.txt:");
     for v in &history {
         let content = server.file_at("/story.txt", *v).unwrap();
-        println!("  {v}  {:?}", String::from_utf8_lossy(content));
+        println!("  {v}  {:?}", String::from_utf8_lossy(&content));
     }
 
     // Restore the middle draft.

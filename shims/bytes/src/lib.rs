@@ -134,6 +134,23 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+impl From<Bytes> for Vec<u8> {
+    /// Takes the storage back without copying when `b` is its only owner
+    /// and views it from the start; copies the viewed range otherwise —
+    /// the real crate's contract.
+    fn from(b: Bytes) -> Self {
+        let Bytes { data, off, len } = b;
+        match Arc::try_unwrap(data) {
+            Ok(mut v) if off == 0 => {
+                v.truncate(len);
+                v
+            }
+            Ok(v) => v[off..off + len].to_vec(),
+            Err(shared) => shared[off..off + len].to_vec(),
+        }
+    }
+}
+
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
         Bytes::from_static(v)
@@ -238,6 +255,20 @@ mod tests {
         let b = Bytes::from(v);
         assert_eq!(b.as_ref().as_ptr(), ptr, "conversion must not copy");
         assert_eq!(b.len(), 4096);
+    }
+
+    #[test]
+    fn into_vec_moves_a_sole_owner_and_copies_a_shared_buffer() {
+        let b = Bytes::from(vec![7u8; 4096]);
+        let ptr = b.as_ref().as_ptr();
+        let shared = b.clone();
+        let copy = Vec::from(shared);
+        assert_ne!(copy.as_ptr(), ptr, "a shared buffer must be copied");
+        let v = Vec::from(b);
+        assert_eq!(v.as_ptr(), ptr, "the last owner gets the storage itself");
+        assert_eq!(v, copy);
+        let tail = Bytes::from(vec![1u8, 2, 3, 4]).slice(1..3);
+        assert_eq!(Vec::from(tail), vec![2, 3]);
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn main() {
             }
             "history" => {
                 for v in sys.server().version_history(arg1) {
-                    let len = sys.server().file_at(arg1, v).map(<[u8]>::len).unwrap_or(0);
+                    let len = sys.server().file_at(arg1, v).map_or(0, |c| c.len());
                     println!("  {v}  {len} B");
                 }
                 Ok(())

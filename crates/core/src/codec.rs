@@ -35,7 +35,8 @@
 //! link via the codec-aware part methods (timing).
 
 use bytes::Bytes;
-use deltacfs_delta::{compress, Cost};
+use deltacfs_delta::compress::{self, Encoder};
+use deltacfs_delta::Cost;
 use deltacfs_net::{LinkSpec, PlatformProfile};
 use deltacfs_obs::{Counter, Histogram, Obs};
 
@@ -86,6 +87,13 @@ pub struct WireCodec {
     schedule_pos: usize,
     bias: f64,
     cost: Cost,
+    /// The match finder's table and the buffer multi-piece frames are
+    /// gathered into. Both are allocated by the first frame of a group
+    /// that is actually compressed and released after the group's last
+    /// frame, so a codec that ships raw — or sits idle between groups —
+    /// holds no memory.
+    encoder: Encoder,
+    gather: Vec<u8>,
     obs: Obs,
     compressed_chunks: Counter,
     raw_chunks: Counter,
@@ -111,6 +119,8 @@ impl WireCodec {
             schedule_pos: 0,
             bias: 0.0,
             cost: Cost::new(),
+            encoder: Encoder::new(),
+            gather: Vec::new(),
             compressed_chunks: obs.registry.counter("wire_compress_chunks", ""),
             raw_chunks: obs.registry.counter("wire_raw_chunks", ""),
             bytes_saved: obs.registry.counter("wire_compress_bytes_saved", ""),
@@ -192,6 +202,20 @@ impl WireCodec {
         if self.policy == CodecPolicy::Never {
             return frame;
         }
+        let last_in_group = frame.last_in_group;
+        let out = self.encode(frame, at_ms);
+        if last_in_group {
+            // Groups are seconds apart; frames within one follow each
+            // other directly.
+            self.encoder = Encoder::new();
+            self.gather = Vec::new();
+        }
+        out
+    }
+
+    /// [`encode_frame`](Self::encode_frame) for a policy other than
+    /// `Never`.
+    fn encode(&mut self, frame: ChunkFrame, at_ms: u64) -> ChunkFrame {
         let raw_len = frame.byte_len();
         if raw_len < MIN_COMPRESS_BYTES {
             self.raw_chunks.inc();
@@ -199,7 +223,7 @@ impl WireCodec {
         }
         let probe = probe_frame(&frame, raw_len);
         let attempt = match &self.policy {
-            CodecPolicy::Never => unreachable!("handled above"),
+            CodecPolicy::Never => unreachable!("handled by encode_frame"),
             CodecPolicy::Always => true,
             CodecPolicy::Schedule(plan) => {
                 let decision = plan.is_empty() || plan[self.schedule_pos % plan.len()];
@@ -212,16 +236,32 @@ impl WireCodec {
             self.raw_chunks.inc();
             return frame;
         }
-        let mut raw = Vec::with_capacity(raw_len as usize);
-        for piece in &frame.pieces {
-            raw.extend_from_slice(piece.as_slice());
-        }
-        let compressed = compress::compress(&raw, &mut self.cost);
-        let observed = compressed.len() as f64 / raw.len() as f64;
+        // A one-piece frame is compressed where it lies; several pieces
+        // are gathered once.
+        let raw = match frame.pieces.as_slice() {
+            [piece] => piece.as_slice(),
+            pieces => {
+                self.gather.clear();
+                self.gather.reserve(raw_len as usize);
+                for piece in pieces {
+                    self.gather.extend_from_slice(piece.as_slice());
+                }
+                &self.gather
+            }
+        };
+        // The token stream is written straight behind the envelope
+        // header; `raw_len` is room enough, since a stream that outgrows
+        // it ships raw anyway.
+        let mut envelope = wire::encode_codec_envelope(raw_len, &[]);
+        let header_len = envelope.len();
+        envelope.reserve(raw.len());
+        self.cost.bytes_compressed += raw_len;
+        self.cost.ops += 1;
+        self.encoder.compress_into(raw, &mut envelope);
+        let observed = (envelope.len() - header_len) as f64 / raw_len as f64;
         // Outcome feedback: pull the probe toward what the compressor
         // actually achieved on this workload.
         self.bias += BIAS_ALPHA * ((observed - probe) - self.bias);
-        let envelope = wire::encode_codec_envelope(raw_len, &compressed);
         let envelope_len = envelope.len() as u64;
         if envelope_len >= raw_len.min(frame.accounted) {
             // Not worth it after all — ship the original, untouched.
@@ -452,6 +492,32 @@ mod tests {
         let restored =
             compress::decompress_limited(comp, raw_len as usize).expect("envelope inflates");
         assert_eq!(restored, body);
+    }
+
+    #[test]
+    fn scratch_lives_from_a_groups_first_compressed_frame_to_its_last_frame() {
+        let two_pieces = |last: bool| ChunkFrame {
+            last_in_msg: last,
+            last_in_group: last,
+            pieces: vec![
+                FramePiece::Control(Bytes::from(text(32 * 1024))),
+                FramePiece::Control(Bytes::from(text(32 * 1024))),
+            ],
+            ..frame_of(Vec::new(), 64 * 1024)
+        };
+        let mut codec =
+            WireCodec::for_upload(CodecPolicy::Always, PlatformProfile::mobile(), LinkSpec::mobile());
+        assert_eq!(codec.gather.capacity(), 0, "a new codec holds nothing");
+        let out = codec.encode_frame(two_pieces(false), 0);
+        assert!(matches!(out.codec, Codec::Lz77 { raw_len: 65_536 }));
+        assert!(codec.gather.capacity() >= 65_536, "kept for the group's next frame");
+        codec.encode_frame(two_pieces(true), 0);
+        assert_eq!(codec.gather.capacity(), 0, "released after the group's last frame");
+        // A link that ships raw never gets as far as allocating.
+        let mut lan =
+            WireCodec::for_upload(CodecPolicy::Adaptive, PlatformProfile::pc(), LinkSpec::pc());
+        assert_eq!(lan.encode_frame(two_pieces(false), 0).codec, Codec::Raw);
+        assert_eq!(lan.gather.capacity(), 0);
     }
 
     #[test]

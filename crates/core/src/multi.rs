@@ -1125,6 +1125,10 @@ impl SyncHub {
     ///   index's `server_duplicates_ignored`,
     ///   `server_cross_shard_groups`, and the `server_history_bytes`
     ///   gauge (bytes retained for old versions, summed over shards);
+    /// * `stager_staged_bytes`, labeled `client="<n>"` for each client's
+    ///   forward stager and `side="server"` for the shards' upload
+    ///   stagers: raw bytes of streamed groups received but not yet
+    ///   committed;
     /// * `hub_pump_clients_visited` / `hub_pump_clients_skipped`: clients
     ///   the pumps drained and ticked, and clients they passed over as
     ///   not busy;
@@ -1180,6 +1184,12 @@ impl SyncHub {
                 label,
             )
             .set(slot.forward.staged_groups() as i64);
+            reg.gauge_labeled(
+                "stager_staged_bytes",
+                "raw bytes held for streamed groups that have not committed yet",
+                label,
+            )
+            .set(slot.forward.staged_bytes() as i64);
             let hstats = slot.client.hierarchy_stats();
             reg.counter_labeled(
                 "hierarchy_levels_matched",
@@ -1238,6 +1248,12 @@ impl SyncHub {
             "bytes the server retains for the sake of older file versions",
         )
         .set(self.server.history_bytes() as i64);
+        reg.gauge_labeled(
+            "stager_staged_bytes",
+            "raw bytes held for streamed groups that have not committed yet",
+            Some(("side", "server")),
+        )
+        .set(self.server.staged_bytes() as i64);
         reg.counter(
             "hub_pump_clients_visited",
             "clients a pump round drained and ticked",

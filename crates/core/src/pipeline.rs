@@ -36,8 +36,8 @@ use std::sync::{Condvar, Mutex};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
 use deltacfs_delta::{
-    local, record_hierarchy_stats, take_hierarchy_stats, Cost, Delta, DeltaChunk, DeltaOp,
-    DeltaParams, HierarchyStats, OP_HEADER_BYTES,
+    compress, local, record_hierarchy_stats, take_hierarchy_stats, Cost, Delta, DeltaChunk,
+    DeltaOp, DeltaParams, HierarchyStats, OP_HEADER_BYTES,
 };
 use deltacfs_net::{Link, SimTime};
 use deltacfs_obs::Obs;
@@ -133,6 +133,8 @@ impl ChunkFrame {
 #[derive(Debug, Clone, Default)]
 struct StageState {
     msgs: Vec<UpdateMsg>,
+    /// Encoded bytes of `msgs`, whose payloads are views of them.
+    msgs_bytes: u64,
     cur: Vec<u8>,
     next_msg: usize,
     next_chunk: usize,
@@ -170,9 +172,16 @@ impl ChunkStager {
     ///
     /// An out-of-order or unknown frame (a prior chunk was lost) drops
     /// the stage and returns [`WireError::Malformed`]; staged bytes
-    /// that fail to decode are reported likewise. Either way the group
+    /// that fail to decode, and a frame that closes the group without
+    /// closing its message, are reported likewise. Either way the group
     /// is untouched and a full resend recovers.
     pub fn accept(&mut self, frame: &ChunkFrame) -> Result<Option<Vec<UpdateMsg>>, WireError> {
+        if frame.last_in_group && !frame.last_in_msg {
+            // The flags are wire input: committing here would drop the
+            // bytes staged for the message still in progress.
+            self.stages.remove(&frame.group);
+            return Err(WireError::Malformed("group ends inside a message"));
+        }
         if frame.msg_idx == 0 && frame.chunk_idx == 0 {
             self.stages.insert(frame.group, StageState::default());
         }
@@ -190,36 +199,32 @@ impl ChunkStager {
                 }
             }
             Codec::Lz77 { raw_len } => {
-                // Inflate the envelope back into the exact message bytes
-                // a raw frame would have carried; `raw_len` caps the
-                // allocation, so a corrupt frame cannot balloon memory.
-                let mut env = Vec::with_capacity(frame.byte_len() as usize);
-                for piece in &frame.pieces {
-                    env.extend_from_slice(piece.as_slice());
-                }
-                let restored = wire::decode_codec_envelope(&env)
-                    .ok()
-                    .and_then(|(declared, body)| {
-                        if declared != raw_len {
-                            return None;
-                        }
-                        let out = deltacfs_delta::compress::decompress_limited(
-                            body,
-                            usize::try_from(raw_len).ok()?,
-                        )?;
-                        (out.len() as u64 == raw_len).then_some(out)
-                    });
-                match restored {
-                    Some(bytes) => stage.cur.extend_from_slice(&bytes),
-                    None => {
-                        self.stages.remove(&frame.group);
-                        return Err(WireError::Malformed("codec frame"));
-                    }
+                // A compressed frame is one piece, its envelope, read
+                // where it lies and inflated straight onto the staged
+                // message: the exact bytes a raw frame would have
+                // carried. `raw_len` caps what is appended, so a corrupt
+                // frame cannot balloon memory.
+                let staged = stage.cur.len();
+                let inflated = match frame.pieces.as_slice() {
+                    [envelope] => wire::decode_codec_envelope(envelope.as_slice())
+                        .ok()
+                        .filter(|(declared, _)| *declared == raw_len)
+                        .and_then(|(_, body)| {
+                            let cap = usize::try_from(raw_len).ok()?;
+                            compress::decompress_into(body, cap, &mut stage.cur)?;
+                            (stage.cur.len() - staged == cap).then_some(())
+                        }),
+                    _ => None,
+                };
+                if inflated.is_none() {
+                    self.stages.remove(&frame.group);
+                    return Err(WireError::Malformed("codec frame"));
                 }
             }
         }
         if frame.last_in_msg {
             let buf = Bytes::from(std::mem::take(&mut stage.cur));
+            stage.msgs_bytes += buf.len() as u64;
             match wire::decode_shared(&buf) {
                 Ok(msg) => stage.msgs.push(msg),
                 Err(e) => {
@@ -245,6 +250,16 @@ impl ChunkStager {
     /// How many groups are currently staged (incomplete streams).
     pub fn staged_groups(&self) -> usize {
         self.stages.len()
+    }
+
+    /// Bytes held for incomplete streams: every open group's decoded
+    /// messages plus the message still arriving — the raw (inflated)
+    /// bytes received for those groups so far.
+    pub fn staged_bytes(&self) -> u64 {
+        self.stages
+            .values()
+            .map(|stage| stage.msgs_bytes + stage.cur.len() as u64)
+            .sum()
     }
 
     /// Drops every staged group — what a crash does to in-flight
@@ -942,6 +957,48 @@ mod tests {
         }
         assert_eq!(committed, Some(vec![msg]));
         assert_eq!(stager.staged_groups(), 0, "commit must clear the stage");
+    }
+
+    #[test]
+    fn group_end_inside_a_message_is_rejected_not_committed_truncated() {
+        // `last_in_group` without `last_in_msg` never leaves the framers,
+        // but the flags are wire input: committing on it would apply the
+        // group without the message still being staged.
+        let msg = UpdateMsg {
+            path: "/f".into(),
+            base: None,
+            version: Some(ver(1)),
+            payload: UpdatePayload::Full(Payload::from(vec![0xA5u8; 3_000])),
+            txn: Some(1),
+            group: Some(gid()),
+        };
+        let mut frames = Vec::new();
+        frame_group(std::slice::from_ref(&msg), 1024, |f| frames.push(f));
+        assert!(frames.len() >= 3);
+        let mut stager = ChunkStager::new();
+        // At chunk (0, 0), and at a later chunk of the message.
+        for cut in [0, 1] {
+            for frame in &frames[..cut] {
+                assert_eq!(stager.accept(frame), Ok(None));
+            }
+            let forged = ChunkFrame {
+                last_in_group: true,
+                ..frames[cut].clone()
+            };
+            assert!(
+                matches!(stager.accept(&forged), Err(WireError::Malformed(_))),
+                "cut at chunk {cut}"
+            );
+            assert_eq!(stager.staged_groups(), 0, "cut at chunk {cut}");
+            assert_eq!(stager.staged_bytes(), 0, "cut at chunk {cut}");
+            // A clean resend of the whole group then commits.
+            let mut committed = None;
+            for frame in &frames {
+                committed = stager.accept(frame).expect("in-order stream stages");
+            }
+            assert_eq!(committed, Some(vec![msg.clone()]));
+            assert_eq!(stager.staged_groups(), 0);
+        }
     }
 
     #[test]

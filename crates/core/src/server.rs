@@ -243,6 +243,12 @@ impl CloudServer {
         self.files.values().map(ServerFile::history_bytes).sum()
     }
 
+    /// Bytes staged for streamed groups that have not committed yet
+    /// (see [`ChunkStager::staged_bytes`]).
+    pub fn staged_bytes(&self) -> u64 {
+        self.stager.staged_bytes()
+    }
+
     /// The order in which file updates were applied — the causal-ordering
     /// probe used by the Table IV reliability test.
     pub fn apply_order(&self) -> &[String] {

@@ -417,6 +417,12 @@ impl ShardedServer {
         (0..self.shard_count()).map(|s| self.lock(s).history_bytes()).sum()
     }
 
+    /// Bytes staged for streamed groups that have not committed yet,
+    /// summed over shards (see [`CloudServer::staged_bytes`]).
+    pub fn staged_bytes(&self) -> u64 {
+        (0..self.shard_count()).map(|s| self.lock(s).staged_bytes()).sum()
+    }
+
     /// The retained versions of `path`, oldest first.
     pub fn version_history(&self, path: &str) -> Vec<Version> {
         self.lock(self.router.shard_of_path(path)).version_history(path)

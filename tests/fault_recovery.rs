@@ -808,12 +808,29 @@ fn crash_drops_staged_forward_group_and_settle_reconverges() {
             continue; // this seed lost the head message (or nothing)
         }
         exercised = true;
+        // The budget gauge sees the same partial group: at least the
+        // first message's 700 written bytes, and nothing server-side
+        // (the hub's uploads are not chunk-staged).
+        let staged = |hub: &SyncHub, label: &str| {
+            match hub.export_metrics().get_labeled("stager_staged_bytes", label) {
+                Some(deltacfs::obs::MetricValue::Gauge(v)) => *v,
+                other => panic!("stager_staged_bytes{{{label}}}: unexpected {other:?}"),
+            }
+        };
+        assert!(
+            (700..2_800).contains(&staged(&hub, "2")),
+            "seed {seed}: {} bytes staged",
+            staged(&hub, "2")
+        );
+        assert_eq!(staged(&hub, "1"), 0, "seed {seed}");
+        assert_eq!(staged(&hub, "server"), 0, "seed {seed}");
         hub.crash_and_restart_client(1);
         assert_eq!(
             hub.forward_stage_depth(1),
             0,
             "seed {seed}: restart left staged forward frames"
         );
+        assert_eq!(staged(&hub, "2"), 0, "seed {seed}: restart left staged bytes");
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: courier never drained");
         assert_converged(&hub, seed);

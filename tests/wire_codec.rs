@@ -1,0 +1,517 @@
+//! The compressed wire path against its references.
+//!
+//! * `decompress_into` against the byte-at-a-time decoder it replaced:
+//!   same accept/reject, same bytes, the destination untouched on
+//!   reject, memory that follows the bytes read and produced.
+//! * Encoder round trips aimed at the word-wise arithmetic (4-byte
+//!   loads at the end of input, 8-byte match extension, the distance
+//!   limit, the miss stride).
+//! * Mixed raw/compressed frame streams through
+//!   `WireCodec::encode_frame` -> `ChunkStager::accept`, with the
+//!   stager's byte gauge checked along the way.
+
+use bytes::Bytes;
+use deltacfs::core::pipeline::{frame_group, ChunkFrame, ChunkStager};
+use deltacfs::core::wire::{Codec, WireError};
+use deltacfs::core::{
+    ClientId, CodecPolicy, FileOpItem, GroupId, Payload, UpdateMsg, UpdatePayload, Version,
+    WireCodec,
+};
+use deltacfs::delta::{compress, Cost, Delta, DeltaOp};
+use deltacfs::net::{LinkSpec, PlatformProfile};
+use proptest::prelude::*;
+
+// --- the reference decoder ----------------------------------------------
+
+fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = *data.get(*pos)?;
+        *pos += 1;
+        if shift == 63 && byte & 0x7e != 0 {
+            return None;
+        }
+        v |= ((byte & 0x7f) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+        shift += 7;
+        if shift > 63 {
+            return None;
+        }
+    }
+}
+
+/// `decompress_limited` as it was before `decompress_into`: one bounds
+/// check and one `push` per byte. `out` is the caller's only so that a
+/// rejected stream still shows how far it got.
+fn reference_inflate(data: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let token = get_varint(data, &mut pos)?;
+        let len = usize::try_from(token >> 1).ok()?;
+        if out.len().checked_add(len)? > max_len {
+            return None;
+        }
+        if token & 1 == 0 {
+            let end = pos.checked_add(len)?;
+            if end > data.len() {
+                return None;
+            }
+            out.extend_from_slice(&data[pos..end]);
+            pos = end;
+        } else {
+            let dist = usize::try_from(get_varint(data, &mut pos)?).ok()?;
+            if dist == 0 || dist > out.len() {
+                return None;
+            }
+            let start = out.len() - dist;
+            for k in 0..len {
+                let byte = out[start + k];
+                out.push(byte);
+            }
+        }
+    }
+    Some(())
+}
+
+/// Runs both decoders on `stream` under `cap` and holds the new one to
+/// the reference, with `out` pre-filled so that a back-reference
+/// reaching before the append point, or a rejection that leaves bytes
+/// behind, shows.
+fn check_against_reference(stream: &[u8], cap: usize, prefix: &[u8]) {
+    let mut expected = Vec::new();
+    let accepted = reference_inflate(stream, cap, &mut expected);
+    let mut out = prefix.to_vec();
+    let got = compress::decompress_into(stream, cap, &mut out);
+    assert_eq!(got, accepted, "verdicts differ");
+    let (kept, appended) = out.split_at(prefix.len());
+    assert!(kept == prefix, "the bytes before the append point changed");
+    match accepted {
+        Some(()) => {
+            assert!(appended == expected, "decoded bytes differ");
+            assert!(appended.len() <= cap, "appended more than the cap");
+        }
+        None => assert!(appended.is_empty(), "a rejected stream left bytes behind"),
+    }
+    // Memory follows what was read and what was produced (before a
+    // rejection, too), never a length a token only declared.
+    let budget = 4 * (prefix.len() + stream.len().max(expected.len())) + 64;
+    assert!(
+        out.capacity() <= budget,
+        "capacity {} for {} input and {} produced bytes",
+        out.capacity(),
+        stream.len(),
+        expected.len()
+    );
+}
+
+/// Byte ranges of the tokens of a well-formed stream.
+fn token_spans(stream: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut spans = Vec::new();
+    let mut pos = 0usize;
+    while pos < stream.len() {
+        let start = pos;
+        let token = get_varint(stream, &mut pos).expect("well-formed stream");
+        if token & 1 == 0 {
+            pos += (token >> 1) as usize;
+        } else {
+            get_varint(stream, &mut pos).expect("well-formed stream");
+        }
+        spans.push(start..pos);
+    }
+    spans
+}
+
+/// Skewed toward repetitive content so matches — overlapping ones
+/// included — actually occur.
+fn buffer(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..max),
+        proptest::collection::vec(0u8..4, 0..max),
+        (proptest::collection::vec(any::<u8>(), 1..24), 0..max)
+            .prop_map(|(unit, len)| unit.iter().copied().cycle().take(len).collect()),
+    ]
+}
+
+/// A cap below, at or above `len`.
+fn cap_around(len: usize, choice: u8, slack: usize) -> usize {
+    match choice % 3 {
+        0 => len.saturating_sub(1 + slack % 8),
+        1 => len,
+        _ => len + 1 + slack,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoder_matches_reference_on_byte_soup(
+        soup in proptest::collection::vec(any::<u8>(), 0..512),
+        cap in prop_oneof![0usize..8192, Just(1usize << 20)],
+        prefix in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        check_against_reference(&soup, cap, &prefix);
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_damaged_streams(
+        data in buffer(4096),
+        damage in 0u8..5,
+        x in any::<usize>(),
+        y in any::<usize>(),
+        cap_choice in any::<u8>(),
+        slack in 0usize..4096,
+        prefix in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let valid = compress::compress(&data, &mut Cost::new());
+        let spans = token_spans(&valid);
+        let mut stream = valid.clone();
+        match damage {
+            // Untouched: the cap alone decides.
+            0 => {}
+            // One to three flipped bits.
+            1 if !stream.is_empty() => {
+                for k in 0..1 + y % 3 {
+                    let bit = x.wrapping_add(k.wrapping_mul(y)) % (stream.len() * 8);
+                    stream[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            // Cut anywhere, token boundary or not.
+            2 => stream.truncate(x % (stream.len() + 1)),
+            // One token spliced in at another token's boundary — or, when
+            // both land on the same token, duplicated in place.
+            3 if !spans.is_empty() => {
+                let token = valid[spans[x % spans.len()].clone()].to_vec();
+                let at = spans[y % spans.len()].start;
+                stream.splice(at..at, token);
+            }
+            // A run of tokens dropped.
+            4 if !spans.is_empty() => {
+                let (a, b) = (x % spans.len(), y % spans.len());
+                stream.drain(spans[a.min(b)].start..spans[a.max(b)].end);
+            }
+            _ => {}
+        }
+        check_against_reference(&stream, cap_around(data.len(), cap_choice, slack), &prefix);
+    }
+
+    /// Any decision schedule over any framing of a group of multi-piece
+    /// messages stages to the messages the raw stream stages to, and the
+    /// stager's gauge counts exactly the raw bytes received so far.
+    #[test]
+    fn scheduled_codec_stream_stages_like_the_raw_stream(
+        bodies in proptest::collection::vec(buffer(6000), 1..5),
+        budget in 64usize..4096,
+        schedule in proptest::collection::vec(any::<bool>(), 1..12),
+    ) {
+        let msgs = group_of(&bodies);
+        let mut raw_frames = Vec::new();
+        frame_group(&msgs, budget, |f| raw_frames.push(f));
+        let mut raw_stager = ChunkStager::new();
+        let mut raw_committed = None;
+        for frame in &raw_frames {
+            raw_committed = raw_stager.accept(frame).expect("raw stream stages");
+        }
+        prop_assert_eq!(raw_committed.as_ref(), Some(&msgs));
+
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Schedule(schedule),
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
+        let mut stager = ChunkStager::new();
+        let mut received = 0u64;
+        let mut committed = None;
+        for frame in raw_frames {
+            received += frame.byte_len();
+            let wire_frame = codec.encode_frame(frame, 0);
+            prop_assert!(committed.is_none(), "frames after the commit");
+            committed = stager.accept(&wire_frame).expect("codec stream stages");
+            let staged = if committed.is_some() { 0 } else { received };
+            prop_assert_eq!(stager.staged_bytes(), staged);
+        }
+        prop_assert_eq!(committed, Some(msgs));
+        prop_assert_eq!(stager.staged_groups(), 0);
+    }
+}
+
+// --- streams through the codec and the stager ---------------------------
+
+fn gid() -> GroupId {
+    GroupId {
+        client: ClientId(1),
+        seq: 7,
+    }
+}
+
+fn ver(n: u64) -> Version {
+    Version {
+        client: ClientId(1),
+        counter: n,
+    }
+}
+
+/// One group cycling through the payload kinds that carry bytes; every
+/// message frames to several pieces (header, op tags, shared bodies).
+fn group_of(bodies: &[Vec<u8>]) -> Vec<UpdateMsg> {
+    bodies
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            let half = body.len() / 2;
+            let payload = match i % 3 {
+                0 => UpdatePayload::Ops(vec![
+                    FileOpItem::Write {
+                        offset: 0,
+                        data: Payload::copy_from_slice(&body[..half]),
+                    },
+                    FileOpItem::Truncate { size: 9_000 },
+                    FileOpItem::Write {
+                        offset: 4_096,
+                        data: Payload::copy_from_slice(&body[half..]),
+                    },
+                ]),
+                1 => UpdatePayload::Full(Payload::copy_from_slice(body)),
+                _ => UpdatePayload::Delta {
+                    base_path: format!("/f{}", i - 1),
+                    delta: Delta::from_ops(vec![
+                        DeltaOp::Copy { offset: 0, len: 64 },
+                        DeltaOp::Literal(Bytes::copy_from_slice(&body[..half])),
+                        DeltaOp::Copy {
+                            offset: 128,
+                            len: 32,
+                        },
+                        DeltaOp::Literal(Bytes::copy_from_slice(&body[half..])),
+                    ]),
+                },
+            };
+            UpdateMsg {
+                path: format!("/f{i}"),
+                base: (i > 0).then(|| ver(i as u64)),
+                version: Some(ver(i as u64 + 1)),
+                payload,
+                txn: Some(3),
+                group: Some(gid()),
+            }
+        })
+        .collect()
+}
+
+fn text(len: usize) -> Vec<u8> {
+    b"the quick brown fox jumps over the lazy dog "
+        .iter()
+        .copied()
+        .cycle()
+        .take(len)
+        .collect()
+}
+
+fn noise(len: usize, mut state: u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn staged_bytes_is_zero_after_commit_rejection_and_clear() {
+    let msgs = group_of(&[text(20_000), text(9_000)]);
+    let mut frames = Vec::new();
+    frame_group(&msgs, 4096, |f| frames.push(f));
+    let mut codec = WireCodec::for_upload(
+        CodecPolicy::Always,
+        PlatformProfile::mobile(),
+        LinkSpec::mobile(),
+    );
+    let raw_lens: Vec<u64> = frames.iter().map(ChunkFrame::byte_len).collect();
+    let frames: Vec<ChunkFrame> = frames
+        .into_iter()
+        .map(|f| codec.encode_frame(f, 0))
+        .collect();
+    assert!(
+        frames.iter().all(|f| f.compressed_from().is_some()),
+        "text frames compress"
+    );
+
+    // Mid-stream the gauge is the raw bytes received, whatever crossed
+    // the wire; the commit empties it.
+    let mut stager = ChunkStager::new();
+    let mut received = 0;
+    for (frame, raw_len) in frames.iter().zip(&raw_lens) {
+        received += raw_len;
+        let done = stager.accept(frame).expect("stream stages").is_some();
+        assert_eq!(stager.staged_bytes(), if done { 0 } else { received });
+    }
+    assert_eq!(stager.staged_groups(), 0);
+
+    // A Malformed rejection drops the group's bytes with its stage: here
+    // an envelope that inflates to fewer bytes than it declares.
+    let half = frames.len() / 2;
+    for frame in &frames[..half] {
+        stager.accept(frame).expect("stream stages");
+    }
+    assert_eq!(stager.staged_bytes(), raw_lens[..half].iter().sum::<u64>());
+    let Codec::Lz77 { raw_len } = frames[half].codec else {
+        unreachable!("checked above");
+    };
+    let lying = ChunkFrame {
+        codec: Codec::Lz77 {
+            raw_len: raw_len + 1,
+        },
+        ..frames[half].clone()
+    };
+    assert!(matches!(
+        stager.accept(&lying),
+        Err(WireError::Malformed(_))
+    ));
+    assert_eq!((stager.staged_groups(), stager.staged_bytes()), (0, 0));
+
+    // `clear` — a receiver crash — likewise.
+    for frame in &frames[..half] {
+        stager.accept(frame).expect("stream stages");
+    }
+    assert!(stager.staged_bytes() > 0);
+    stager.clear();
+    assert_eq!((stager.staged_groups(), stager.staged_bytes()), (0, 0));
+}
+
+// --- the decoder's bounds, one case each ---------------------------------
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+#[test]
+fn declared_length_reserves_nothing() {
+    // Thirteen bytes declaring a 2^60-byte match under a 1 GiB cap.
+    let mut bomb = vec![0x04, b'a', b'b'];
+    put_varint(&mut bomb, (1u64 << 61) | 1);
+    put_varint(&mut bomb, 1);
+    let mut out = Vec::new();
+    assert_eq!(compress::decompress_into(&bomb, 1 << 30, &mut out), None);
+    assert!(out.is_empty());
+    assert!(out.capacity() < 4096, "capacity {}", out.capacity());
+    // A length the cap does allow is produced, not just reserved: memory
+    // then follows the output.
+    let mut run = vec![0x02, 0];
+    put_varint(&mut run, ((1u64 << 20) - 1) << 1 | 1);
+    put_varint(&mut run, 1);
+    let mut out = Vec::new();
+    assert_eq!(compress::decompress_into(&run, 1 << 20, &mut out), Some(()));
+    assert_eq!(out, vec![0u8; 1 << 20]);
+}
+
+#[test]
+fn back_reference_stops_at_the_append_point() {
+    // "abcd" then a 4-byte match: distance 4 is the first appended byte,
+    // distance 5 would read the caller's own bytes.
+    for (dist, accepted) in [(4u8, true), (5, false)] {
+        let stream = [0x08, b'a', b'b', b'c', b'd', 0x09, dist];
+        let mut out = b"caller's bytes".to_vec();
+        let got = compress::decompress_into(&stream, 64, &mut out);
+        assert_eq!(got.is_some(), accepted, "distance {dist}");
+        let expected: &[u8] = if accepted {
+            b"caller's bytesabcdabcd"
+        } else {
+            b"caller's bytes"
+        };
+        assert_eq!(out, expected);
+    }
+}
+
+// --- encoder round trips --------------------------------------------------
+
+fn roundtrip(data: &[u8]) -> Vec<u8> {
+    let packed = compress::compress(data, &mut Cost::new());
+    let mut out = Vec::new();
+    assert_eq!(
+        compress::decompress_into(&packed, data.len(), &mut out),
+        Some(()),
+        "{} bytes do not inflate under their own length",
+        data.len()
+    );
+    assert!(out == data, "{} bytes do not round-trip", data.len());
+    packed
+}
+
+#[test]
+fn every_short_length_round_trips() {
+    let random = noise(40, 11);
+    for len in 0..=40 {
+        roundtrip(&random[..len]);
+        roundtrip(&vec![b'z'; len]);
+        roundtrip(&text(len));
+    }
+}
+
+#[test]
+fn matches_ending_near_the_end_of_input_round_trip() {
+    // The second copy ends 0..=8 bytes before the end: the 8-byte match
+    // extension and the 4-byte loads run out of input at every offset.
+    let unit = noise(61, 3);
+    let tail = noise(8, 4);
+    for gap in 0..=8 {
+        let data = [&unit[..], &unit[..], &tail[..gap]].concat();
+        let packed = roundtrip(&data);
+        assert!(packed.len() < unit.len() + gap + 16, "gap {gap}: no match");
+    }
+}
+
+#[test]
+fn periodic_data_round_trips_through_overlapping_copies() {
+    // Every match length from none to well past the decoder's 16-byte
+    // block, at every distance on both sides of it.
+    let unit = noise(20, 5);
+    for period in 1..=20 {
+        for len in (0..=period + 40).chain([1000]) {
+            let data: Vec<u8> = unit[..period].iter().copied().cycle().take(len).collect();
+            let packed = roundtrip(&data);
+            if len == 1000 {
+                assert!(packed.len() < period + 16, "period {period}: {}", packed.len());
+            }
+        }
+    }
+}
+
+#[test]
+fn distance_limit_is_inclusive_at_64_kib() {
+    // A 32-byte unit, zeros (one long match: nothing else enters the
+    // table), the unit again at exactly 65 536 or 65 537 bytes' distance.
+    let unit: Vec<u8> = noise(32, 6).iter().map(|b| b | 1).collect();
+    let sizes: Vec<usize> = [65_536usize, 65_537]
+        .iter()
+        .map(|&dist| {
+            let data = [&unit[..], &vec![0u8; dist - unit.len()], &unit[..]].concat();
+            roundtrip(&data).len()
+        })
+        .collect();
+    assert!(
+        sizes[0] + unit.len() / 2 < sizes[1],
+        "a match at 65 536 is in reach, one at 65 537 is not: {sizes:?}"
+    );
+}
+
+#[test]
+fn text_after_a_noise_run_is_found_again() {
+    // Two copies of one text with a noise run between them, at run
+    // lengths on both sides of each stride step.
+    let words = text(2_000);
+    for run in [0, 31, 32, 33, 63, 64, 65, 127, 128, 129, 4_096] {
+        let data = [&words[..], &noise(run, 9)[..], &words[..]].concat();
+        let packed = roundtrip(&data);
+        assert!(
+            packed.len() < run + words.len() / 4,
+            "noise run of {run}: {} bytes",
+            packed.len()
+        );
+    }
+}

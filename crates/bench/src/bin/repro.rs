@@ -13,6 +13,12 @@ use deltacfs_bench::experiments;
 use deltacfs_bench::table;
 use deltacfs_workloads::filebench::FilebenchConfig;
 
+/// Every positional word `repro` understands.
+const SECTIONS: &[&str] = &[
+    "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "table5", "check",
+    "metrics", "profile",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -54,7 +60,8 @@ fn main() {
                         .unwrap_or_else(|| die("--profile expects a trace output path")),
                 );
             }
-            other if !other.starts_with('-') => which.push(other.to_string()),
+            other if SECTIONS.contains(&other) => which.push(other.to_string()),
+            other if !other.starts_with('-') => die(&format!("unknown section {other}")),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -172,8 +179,8 @@ fn main() {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!(
-        "usage: repro [all|fig1|fig2|table2|fig8|fig9|table3|table4|table5|metrics|profile]... \
-         [--scale F] [--json PATH] [--metrics PATH] [--profile TRACE_PATH]"
+        "usage: repro [{}]... [--scale F] [--json PATH] [--metrics PATH] [--profile TRACE_PATH]",
+        SECTIONS.join("|")
     );
     std::process::exit(2);
 }

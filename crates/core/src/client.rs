@@ -802,8 +802,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
         if self.obs.spans.enabled() {
             // Encode CPU never advances the simulated clock, so the
-            // span is zero-width at `now`; the streaming bench path
-            // (Pace::Measured) is where encode time becomes visible.
+            // span is zero-width at `now`; measured encode time is the
+            // standing benchmark's `delta.local_diff_ns_per_byte`.
             let marks = self.span_marks.entry(path.to_string()).or_default();
             marks.encode = Some((now.as_millis(), now.as_millis()));
             if hstats.engaged() {

@@ -55,24 +55,21 @@ pub struct DeltaCfsConfig {
     /// New-file sizes below this use the sequential delta matcher even
     /// when [`parallelism`](DeltaCfsConfig::parallelism) is higher:
     /// per-segment seam overhead beats the parallel win on small inputs
-    /// (BENCH_3 measured 0.76–0.84x at 4 MiB). Threaded into
+    /// (the standing benchmark measures 0.83–0.91x for two workers on
+    /// 10–16 MB). Threaded into
     /// [`DeltaParams::min_parallel_bytes`]; output and cost are
     /// unaffected either way.
     ///
     /// [`DeltaParams::min_parallel_bytes`]: deltacfs_delta::DeltaParams
     pub min_parallel_bytes: usize,
     /// Upload transaction groups as a stream of bounded chunk frames
-    /// (scatter-gather wire framing, encode→upload overlap) instead of
-    /// one materialized buffer per group. Off by default; traffic
-    /// totals, costs, and server state are identical either way.
+    /// (scatter-gather wire framing, staged per group on the server)
+    /// instead of one materialized buffer per group. Off by default;
+    /// traffic totals, costs, and server state are identical either way.
     pub streaming: bool,
-    /// Literal-byte budget per streamed chunk frame (see
-    /// [`ChunkSink`](deltacfs_delta::ChunkSink)).
+    /// Payload-byte budget per streamed chunk frame (see
+    /// [`frame_group`](crate::pipeline::frame_group)).
     pub chunk_budget: usize,
-    /// Depth of the bounded encoder→uploader channel; together with
-    /// [`chunk_budget`](DeltaCfsConfig::chunk_budget) it caps the bytes
-    /// in flight between the delta encoder and the wire.
-    pub pipeline_depth: usize,
     /// Run streamed chunk frames through the adaptive wire codec: a
     /// cost-benefit controller compresses a frame when the link's
     /// byte savings beat the platform's compression CPU, and ships it
@@ -81,23 +78,17 @@ pub struct DeltaCfsConfig {
     /// default; applied content, costs, and outcomes are identical
     /// either way, only traffic and timing improve.
     pub wire_compression: bool,
-    /// Hierarchical coarse→fine delta matching for huge files: a
-    /// content-defined shingle tree pairs identical old/new spans
-    /// wholesale so only divergent leaf ranges reach the byte-level
-    /// walk. On by default; deltas and [`Cost`] totals are byte-identical
-    /// to the plain matcher by contract, only wall-clock time and the
-    /// `hierarchy_*` metrics change.
+    /// New files at least this large take hierarchical coarse→fine
+    /// delta matching: a content-defined shingle tree pairs identical
+    /// old/new spans wholesale so only divergent leaf ranges reach the
+    /// byte-level walk. Smaller files never pay the shingle-tree
+    /// overhead — the huge-file analogue of
+    /// [`min_parallel_bytes`](DeltaCfsConfig::min_parallel_bytes).
+    /// Deltas and [`Cost`] totals are byte-identical to the plain
+    /// matcher by contract, only wall-clock time and the `hierarchy_*`
+    /// metrics change.
     ///
     /// [`Cost`]: deltacfs_delta::Cost
-    pub hierarchy: bool,
-    /// Shingle-tree fan-out: how many coarse→fine levels (1–3) the
-    /// hierarchical matcher descends through.
-    pub hierarchy_levels: usize,
-    /// New-file sizes below this take the plain matcher even when
-    /// [`hierarchy`](DeltaCfsConfig::hierarchy) is on — the huge-file
-    /// analogue of
-    /// [`min_parallel_bytes`](DeltaCfsConfig::min_parallel_bytes)
-    /// (small files never pay the shingle-tree overhead).
     pub hierarchy_min_bytes: usize,
 }
 
@@ -116,32 +107,9 @@ impl DeltaCfsConfig {
             min_parallel_bytes: deltacfs_delta::DeltaParams::DEFAULT_MIN_PARALLEL_BYTES,
             streaming: false,
             chunk_budget: 256 * 1024,
-            pipeline_depth: 4,
             wire_compression: false,
-            hierarchy: true,
-            hierarchy_levels: 2,
             hierarchy_min_bytes: deltacfs_delta::HierarchyParams::DEFAULT_MIN_FILE_BYTES,
         }
-    }
-
-    /// Enables or disables hierarchical matching for huge files.
-    pub fn with_hierarchy(mut self, on: bool) -> Self {
-        self.hierarchy = on;
-        self
-    }
-
-    /// Sets the shingle-tree level fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is not in `1..=3`.
-    pub fn with_hierarchy_levels(mut self, levels: usize) -> Self {
-        assert!(
-            (1..=deltacfs_delta::hierarchy::MAX_LEVELS).contains(&levels),
-            "hierarchy levels must be 1..=3"
-        );
-        self.hierarchy_levels = levels;
-        self
     }
 
     /// Overrides the hierarchical-matching size floor (`0` engages the
@@ -151,13 +119,14 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// The [`HierarchyParams`](deltacfs_delta::HierarchyParams) these
-    /// knobs select, or `None` when hierarchy is off.
+    /// The [`HierarchyParams`](deltacfs_delta::HierarchyParams) every
+    /// diff site uses: the default two-level ladder behind the
+    /// [`hierarchy_min_bytes`](DeltaCfsConfig::hierarchy_min_bytes) gate.
     pub fn hierarchy_params(&self) -> Option<deltacfs_delta::HierarchyParams> {
-        self.hierarchy.then(|| {
-            deltacfs_delta::HierarchyParams::with_levels(self.hierarchy_levels)
-                .with_min_file_bytes(self.hierarchy_min_bytes)
-        })
+        Some(
+            deltacfs_delta::HierarchyParams::default()
+                .with_min_file_bytes(self.hierarchy_min_bytes),
+        )
     }
 
     /// Disables the checksum store (the plain `DeltaCFS` row of
@@ -200,7 +169,7 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// Sets the per-chunk literal budget for streamed uploads.
+    /// Sets the per-frame payload budget for streamed uploads.
     ///
     /// # Panics
     ///
@@ -208,17 +177,6 @@ impl DeltaCfsConfig {
     pub fn with_chunk_budget(mut self, bytes: usize) -> Self {
         assert!(bytes > 0, "chunk budget must be positive");
         self.chunk_budget = bytes;
-        self
-    }
-
-    /// Sets the bounded encoder→uploader channel depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "pipeline depth must be positive");
-        self.pipeline_depth = depth;
         self
     }
 
@@ -312,32 +270,15 @@ mod tests {
         assert!(c.parallelism >= 1, "defaults to available cores, >= 1");
         assert!(!c.streaming, "streaming is opt-in");
         assert_eq!(c.chunk_budget, 256 * 1024);
-        assert_eq!(c.pipeline_depth, 4);
         assert_eq!(c.min_parallel_bytes, 8 << 20);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);
-        assert!(c.hierarchy, "hierarchical matching defaults on");
-        assert_eq!(c.hierarchy_levels, 2);
         assert_eq!(c.hierarchy_min_bytes, 64 << 20);
         let h = c.hierarchy_params().expect("hierarchy params");
         assert_eq!(h.min_file_bytes, 64 << 20);
         assert_eq!(h.level_params().count(), 2);
-        assert!(c.with_hierarchy(false).hierarchy_params().is_none());
-    }
-
-    #[test]
-    fn hierarchy_builders() {
-        let c = DeltaCfsConfig::new()
-            .with_hierarchy_levels(3)
-            .with_hierarchy_min_bytes(0);
-        assert_eq!(c.hierarchy_params().unwrap().level_params().count(), 3);
-        assert_eq!(c.hierarchy_min_bytes, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hierarchy levels")]
-    fn zero_hierarchy_levels_rejected() {
-        let _ = DeltaCfsConfig::new().with_hierarchy_levels(0);
+        let gated = c.with_hierarchy_min_bytes(0).hierarchy_params();
+        assert_eq!(gated.expect("hierarchy params").min_file_bytes, 0);
     }
 
     #[test]
@@ -345,11 +286,9 @@ mod tests {
         let c = DeltaCfsConfig::new()
             .with_streaming(true)
             .with_chunk_budget(4096)
-            .with_pipeline_depth(2)
             .with_min_parallel_bytes(0);
         assert!(c.streaming);
         assert_eq!(c.chunk_budget, 4096);
-        assert_eq!(c.pipeline_depth, 2);
         assert_eq!(c.min_parallel_bytes, 0);
     }
 

@@ -173,7 +173,7 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         let cfg = *self.client.config();
         for group in groups {
             if cfg.streaming && group.iter().all(|m| m.group.is_some()) {
-                self.upload_group_streaming(&group, &cfg, now);
+                self.upload_group_streaming(&group, cfg.chunk_budget, now);
             } else {
                 let wire: u64 = group.iter().map(|m| m.wire_size()).sum();
                 let busy_before = self.link.upload_busy_until();
@@ -204,98 +204,89 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         }
     }
 
-    /// Streams one group as bounded chunk frames: an encoder thread
-    /// frames messages (scatter-gather, shared payloads) into the
-    /// pipeline's bounded channel while this thread uploads each frame
-    /// and feeds the server's chunk stage; the server commits the group
-    /// atomically on the final frame. Traffic totals match the
-    /// materialized path exactly — the frames' accounted bytes sum to
-    /// `Σ wire_size()` and the message latency is charged once per
-    /// group, as `Link::upload` would.
-    fn upload_group_streaming(&mut self, group: &[UpdateMsg], cfg: &DeltaCfsConfig, now: SimTime) {
+    /// Streams one group as bounded chunk frames: each frame
+    /// (scatter-gather, shared payloads) goes through the wire codec,
+    /// onto the link and into the server's chunk stage as it is cut; the
+    /// server commits the group atomically on the final frame. Traffic
+    /// totals match the materialized path exactly — the frames'
+    /// accounted bytes sum to `Σ wire_size()` and the message latency is
+    /// charged once per group, as `Link::upload` would.
+    fn upload_group_streaming(&mut self, group: &[UpdateMsg], chunk_budget: usize, now: SimTime) {
         let link = &mut self.link;
         let server = &mut self.server;
         let outcomes = &mut self.outcomes;
         let codec = &mut self.wire_codec;
+        let tracer = &self.obs.tracer;
+        let spans = &self.obs.spans;
         let at_ms = now.as_millis();
-        let spans = self.obs.spans.clone();
-        let span_on = spans.enabled();
-        let gkey = group.iter().find_map(|m| m.group).map(|g| g.span_key());
+        let gkey = group
+            .iter()
+            .find_map(|m| m.group)
+            .filter(|_| spans.enabled())
+            .map(|g| g.span_key());
         let mut stage_first_ms: Option<u64> = None;
-        pipeline::run_pipeline(
-            pipeline::PipelineConfig {
-                chunk_budget: cfg.chunk_budget,
-                pipeline_depth: cfg.pipeline_depth,
-            },
-            pipeline::Pace::Immediate,
-            now,
-            &self.obs,
-            |sender| {
-                pipeline::frame_group(group, cfg.chunk_budget, |frame| {
-                    sender.send(codec.encode_frame(frame, at_ms));
-                });
-            },
-            |frame, ready| {
-                let busy_before = link.upload_busy_until();
-                let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), ready);
-                if span_on {
-                    if let Some(key) = gkey {
-                        spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            ready.max(busy_before).as_millis(),
-                            done.as_millis(),
-                            None,
-                            || {
-                                format!(
-                                    "msg {} chunk {}: {} wire bytes",
-                                    frame.msg_idx, frame.chunk_idx, frame.accounted
-                                )
-                            },
-                        );
-                        if stage_first_ms.is_none() {
-                            stage_first_ms = Some(done.as_millis());
-                        }
-                    }
-                }
-                if let Some(out) = server
-                    .receive_chunk(&frame)
-                    .expect("in-process chunk stream cannot be malformed")
-                {
-                    if span_on {
-                        if let Some(key) = gkey {
-                            let d = done.as_millis();
-                            spans.record(key, "server", "server.stage", d, d, None, || {
-                                format!(
-                                    "committed after a {}ms staging window",
-                                    d - stage_first_ms.unwrap_or(d)
-                                )
-                            });
-                            spans.record(key, "server", "server.apply", d, d, None, || {
-                                format!("{} outcome(s)", out.len())
-                            });
-                        }
-                    }
-                    outcomes.extend(out);
-                }
-                done
-            },
-        );
-        let busy_before_end = link.upload_busy_until();
-        let end_done = link.upload_end_msg(now);
-        if span_on {
+        pipeline::frame_group(group, chunk_budget, |frame| {
+            let frame = codec.encode_frame(frame, at_ms);
+            tracer.event(at_ms, "pipeline", "chunk", || {
+                format!(
+                    "msg {} chunk {}{}: {} bytes ({} shared)",
+                    frame.msg_idx,
+                    frame.chunk_idx,
+                    if frame.last_in_group { " [group end]" } else { "" },
+                    frame.byte_len(),
+                    frame.payload_bytes(),
+                )
+            });
+            let busy_before = link.upload_busy_until();
+            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), now);
             if let Some(key) = gkey {
                 spans.record(
                     key,
                     "link",
                     "wire.upload",
-                    now.max(busy_before_end).as_millis(),
-                    end_done.as_millis(),
+                    now.max(busy_before).as_millis(),
+                    done.as_millis(),
                     None,
-                    || "end-of-message latency".into(),
+                    || {
+                        format!(
+                            "msg {} chunk {}: {} wire bytes",
+                            frame.msg_idx, frame.chunk_idx, frame.accounted
+                        )
+                    },
                 );
+                stage_first_ms.get_or_insert(done.as_millis());
             }
+            if let Some(out) = server
+                .receive_chunk(&frame)
+                .expect("in-process chunk stream cannot be malformed")
+            {
+                if let Some(key) = gkey {
+                    let d = done.as_millis();
+                    spans.record(key, "server", "server.stage", d, d, None, || {
+                        format!(
+                            "committed after a {}ms staging window",
+                            d - stage_first_ms.unwrap_or(d)
+                        )
+                    });
+                    spans.record(key, "server", "server.apply", d, d, None, || {
+                        format!("{} outcome(s)", out.len())
+                    });
+                }
+                outcomes.extend(out);
+            }
+        });
+        let busy_before_end = link.upload_busy_until();
+        let end_done = link.upload_end_msg(now);
+        if let Some(key) = gkey {
+            spans.record(
+                key,
+                "link",
+                "wire.upload",
+                now.max(busy_before_end).as_millis(),
+                end_done.as_millis(),
+                None,
+                || "end-of-message latency".into(),
+            );
         }
         // Acknowledgement.
         link.download(ACK_WIRE_BYTES, now);
@@ -406,8 +397,7 @@ mod tests {
             let clock = SimClock::new();
             let cfg = DeltaCfsConfig::new()
                 .with_streaming(streaming)
-                .with_chunk_budget(512)
-                .with_pipeline_depth(2);
+                .with_chunk_budget(512);
             let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
             let mut fs = Vfs::new();
             fs.enable_event_log();

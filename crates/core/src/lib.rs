@@ -56,7 +56,6 @@ mod client;
 pub mod codec;
 mod config;
 mod engine;
-mod event_buffer;
 mod inline;
 mod multi;
 pub mod persist;
@@ -67,7 +66,6 @@ mod retry;
 mod server;
 mod shard;
 mod sync_queue;
-mod threaded;
 mod undo_log;
 pub mod wire;
 
@@ -76,7 +74,6 @@ pub use client::{DeltaCfsClient, IntegrityIssue, IssueKind, RemoteConflict};
 pub use codec::{CodecPolicy, WireCodec};
 pub use config::{CausalMode, DeltaCfsConfig, HubConfig};
 pub use engine::{DeltaCfsSystem, EngineReport, SyncEngine};
-pub use event_buffer::{BufferObserver, EventBuffer};
 pub use inline::{InlineInterceptor, InlineMode};
 pub use multi::SyncHub;
 pub use protocol::{
@@ -88,5 +85,4 @@ pub use retry::{Courier, Flight, RetryPolicy, BACKOFF_BUCKETS_MS};
 pub use server::CloudServer;
 pub use shard::{ShardRouter, ShardedServer};
 pub use sync_queue::{Node, NodeKind, SyncQueue};
-pub use threaded::{spawn_cloud, CloudGone, CloudHandle};
 pub use undo_log::{UndoLog, UndoRecord};

@@ -1,52 +1,33 @@
-//! Streaming upload pipeline: bounded chunk frames between the delta
-//! encoder and the simulated wire.
+//! Chunk framing and staging: a transaction group as a stream of bounded
+//! frames, and the receiver's reassembly of that stream.
 //!
-//! The materialized path builds every [`UpdateMsg`] of a transaction
-//! group, sums their [`wire_size`](UpdateMsg::wire_size), and puts the
-//! whole group on the link in one shot — peak client memory tracks the
-//! *group* size, and the link sits idle while the encoder works. This
-//! module replaces that with a producer/consumer pipeline:
+//! Putting a whole group on the link in one shot makes the receiver's
+//! landing buffer track the *group* size. Both stream directions — a
+//! client's upload and the hub's forward to a peer — instead run the same
+//! inline loop on the calling thread:
 //!
-//! * the encoder side turns each message into a sequence of
+//! * [`frame_group`] turns each message into a sequence of
 //!   [`ChunkFrame`]s — scatter-gather pieces mixing small control
 //!   buffers (headers, op tags) with shared [`Payload`] views, never
-//!   copying payload bytes — holding at most `chunk_budget` literal
+//!   copying payload bytes — holding at most `chunk_budget` payload
 //!   bytes each;
-//! * frames travel over a **bounded** channel ([`run_pipeline`]) with
-//!   byte-based back-pressure: the encoder blocks once
-//!   `chunk_budget * pipeline_depth` bytes are queued, so peak pipeline
-//!   memory is a configuration constant instead of ballooning with the
-//!   delta;
-//! * the uploader side puts each frame on the wire as it arrives
-//!   ([`Link::upload_part`](deltacfs_net::Link::upload_part)) and feeds
-//!   it to [`CloudServer::receive_chunk`], which stages bytes per
-//!   message and commits the group atomically when the final chunk
-//!   lands.
+//! * the caller runs each frame through the wire codec, puts it on the
+//!   link as a part, and hands it to the receiver's [`ChunkStager`],
+//!   which stages bytes per message and releases the group atomically
+//!   when the final frame lands.
 //!
-//! Accounting is exact, not approximate: the [`ChunkAccountant`]
-//! charges each streamed chunk so the per-group total equals the
-//! materialized `wire_size` byte for byte — ops that a chunk boundary
-//! split are charged one header, just as the receiver's
+//! Accounting is exact, not approximate: each frame's `accounted` bytes
+//! are charged so the per-group total equals the materialized
+//! `Σ wire_size()` byte for byte — a delta op that a frame boundary
+//! split is charged one header, just as the receiver's
 //! [`Delta::from_ops`](deltacfs_delta::Delta) re-merge produces one op.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
-use deltacfs_delta::{
-    compress, local, record_hierarchy_stats, take_hierarchy_stats, Cost, Delta, DeltaChunk,
-    DeltaOp, DeltaParams, HierarchyStats, OP_HEADER_BYTES,
-};
-use deltacfs_net::{Link, SimTime};
-use deltacfs_obs::Obs;
+use deltacfs_delta::{compress, Delta, DeltaOp, OP_HEADER_BYTES};
 
-use crate::protocol::{
-    ApplyOutcome, GroupId, Payload, UpdateMsg, UpdatePayload, ACK_WIRE_BYTES, MSG_HEADER_BYTES,
-};
-use crate::codec::WireCodec;
-use crate::server::CloudServer;
+use crate::protocol::{GroupId, Payload, UpdateMsg, UpdatePayload, MSG_HEADER_BYTES};
 use crate::wire::{self, Codec, FrameSeg, WireError};
 
 /// One scatter-gather piece of a [`ChunkFrame`].
@@ -142,9 +123,10 @@ struct StageState {
 
 /// Per-`<CliID, GroupSeq>` chunk staging, shared by both stream
 /// directions: the cloud stages client uploads
-/// ([`CloudServer::receive_chunk`]) and each client stages the server's
-/// forwarded groups through the same state machine, so the commit
-/// semantics are symmetric by construction.
+/// ([`CloudServer::receive_chunk`](crate::CloudServer::receive_chunk))
+/// and each client stages the server's forwarded groups through the
+/// same state machine, so the commit semantics are symmetric by
+/// construction.
 ///
 /// Frames stage per-message bytes (the receiver's single "NIC landing"
 /// copy); a `last_in_msg` frame freezes and decodes the message, and
@@ -277,30 +259,33 @@ enum PrevOp {
     Literal,
 }
 
-/// Charges streamed [`DeltaChunk`]s so their total equals the
-/// materialized delta's wire size.
+/// A budget-bounded slice of one delta's op stream: the next
+/// instructions in output order, at most the budget in literal bytes
+/// (copies reference the receiver's base file and cost only a header).
+struct DeltaChunk {
+    ops: Vec<DeltaOp>,
+    /// Whether this is the final chunk of the delta.
+    last: bool,
+}
+
+/// Charges [`DeltaChunk`]s so their total equals the materialized
+/// delta's wire size.
 ///
-/// A materialized [`Delta`](deltacfs_delta::Delta) charges
-/// [`OP_HEADER_BYTES`] per op plus the literal bytes. Chunked emission
-/// may split one op across a boundary (a literal cut by the budget, a
-/// copy run continued in the next chunk); the receiver's `from_ops`
-/// re-merge collapses those back into one op, so the accountant charges
-/// the header only for the op's first piece.
+/// A materialized [`Delta`] charges [`OP_HEADER_BYTES`] per op plus the
+/// literal bytes. Splitting may cut one op across a boundary (a literal
+/// cut by the budget, a copy run continued in the next chunk); the
+/// receiver's `from_ops` re-merge collapses those back into one op, so
+/// the accountant charges the header only for the op's first piece.
 #[derive(Debug, Default)]
-pub struct ChunkAccountant {
+struct ChunkAccountant {
     prev: Option<PrevOp>,
 }
 
 impl ChunkAccountant {
-    /// A fresh accountant (one per streamed message).
-    pub fn new() -> Self {
-        ChunkAccountant::default()
-    }
-
     /// Model bytes for `chunk`: literals plus per-op headers, minus the
     /// header of a leading op that merges with the previous chunk's
     /// trailing op.
-    pub fn account(&mut self, chunk: &DeltaChunk) -> u64 {
+    fn account(&mut self, chunk: &DeltaChunk) -> u64 {
         let mut bytes = 0u64;
         for (i, op) in chunk.ops.iter().enumerate() {
             let merges = i == 0
@@ -332,10 +317,9 @@ impl ChunkAccountant {
 /// `base_path`; the last frame (the chunk with `last == true`) closes
 /// the op stream. Literal bytes are referenced as shared pieces, never
 /// copied.
-#[derive(Debug)]
-pub struct DeltaFramer {
-    meta: UpdateMsg,
-    base_path: String,
+struct DeltaFramer<'a> {
+    msg: &'a UpdateMsg,
+    base_path: &'a str,
     group: GroupId,
     msg_idx: usize,
     last_in_group: bool,
@@ -343,39 +327,14 @@ pub struct DeltaFramer {
     acct: ChunkAccountant,
 }
 
-impl DeltaFramer {
-    /// A framer for one Delta-payload message.
-    ///
-    /// `msg`'s payload must be [`UpdatePayload::Delta`]; its `delta`
-    /// contents are ignored (the ops come from the chunk stream), so
-    /// streaming callers pass an empty one. `last_in_group` marks this
-    /// message as the group's final one, propagated to its last frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msg.payload` is not a Delta or `msg.group` is `None`.
-    pub fn new(msg: &UpdateMsg, msg_idx: usize, last_in_group: bool) -> Self {
-        let UpdatePayload::Delta { base_path, .. } = &msg.payload else {
-            panic!("DeltaFramer needs a Delta payload");
-        };
-        DeltaFramer {
-            base_path: base_path.clone(),
-            group: msg.group.expect("streamed messages carry a group id"),
-            meta: msg.clone(),
-            msg_idx,
-            last_in_group,
-            chunk_idx: 0,
-            acct: ChunkAccountant::new(),
-        }
-    }
-
+impl DeltaFramer<'_> {
     /// Frames the next chunk of the stream.
-    pub fn frame(&mut self, chunk: &DeltaChunk) -> ChunkFrame {
+    fn frame(&mut self, chunk: &DeltaChunk) -> ChunkFrame {
         let mut pieces = Vec::new();
         let mut control = Vec::new();
         let mut accounted = self.acct.account(chunk);
         if self.chunk_idx == 0 {
-            wire::begin_delta_stream(&mut control, &self.meta, &self.base_path);
+            wire::begin_delta_stream(&mut control, self.msg, self.base_path);
             accounted += MSG_HEADER_BYTES + self.base_path.len() as u64;
         }
         for op in &chunk.ops {
@@ -448,9 +407,9 @@ fn split_delta_ops(delta: &Delta, budget: usize, mut emit: impl FnMut(DeltaChunk
     emit(DeltaChunk { ops, last: true });
 }
 
-/// Frames every message of a materialized transaction group as a chunk
-/// stream: Delta payloads are split into budget-bounded frames via
-/// [`DeltaFramer`]; other payloads are scatter-gather packed with their
+/// Frames every message of a transaction group as a chunk stream:
+/// Delta payloads are split into frames of at most `chunk_budget`
+/// literal bytes; other payloads are scatter-gather packed with their
 /// shared bodies sliced at the budget, so a group-sized `Full` body
 /// streams as many bounded frames instead of one group-sized unit
 /// (payload bytes stay shared either way — slicing is an `Arc` bump).
@@ -468,8 +427,16 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
     for (msg_idx, msg) in msgs.iter().enumerate() {
         let last_in_group = msg_idx == msgs.len() - 1;
         let group = msg.group.expect("streamed messages carry a group id");
-        if let UpdatePayload::Delta { delta, .. } = &msg.payload {
-            let mut framer = DeltaFramer::new(msg, msg_idx, last_in_group);
+        if let UpdatePayload::Delta { base_path, delta } = &msg.payload {
+            let mut framer = DeltaFramer {
+                msg,
+                base_path,
+                group,
+                msg_idx,
+                last_in_group,
+                chunk_idx: 0,
+                acct: ChunkAccountant::default(),
+            };
             split_delta_ops(delta, budget, |chunk| emit(framer.frame(&chunk)));
         } else {
             let wire_frame = wire::encode_vectored(msg, &mut scratch);
@@ -524,305 +491,6 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
             }
         }
     }
-}
-
-/// Bounds for one pipelined upload.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Literal-byte budget per chunk frame.
-    pub chunk_budget: usize,
-    /// Bounded channel depth between encoder and uploader.
-    pub pipeline_depth: usize,
-}
-
-/// How the uploader stamps each frame's ready time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pace {
-    /// Every frame is ready at the call's `now` — fully deterministic,
-    /// used by the engine (frame production is cheap there).
-    Immediate,
-    /// A frame is ready at `now` plus the real encoder time elapsed
-    /// when it was received — this is what lets the bench show upload
-    /// of chunk `k` overlapping the encoding of chunk `k + 1`.
-    Measured,
-}
-
-/// What a pipelined upload observed.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineReport {
-    /// Peak bytes queued between encoder and uploader (frame contents,
-    /// control and payload alike).
-    pub max_inflight_bytes: u64,
-    /// Frames that crossed the channel.
-    pub frames: u64,
-    /// Simulated completion time of the last uploaded part.
-    pub done: SimTime,
-}
-
-/// The encoder side's handle: sends frames downstream with in-flight
-/// byte accounting. Blocks while the pipeline holds its byte cap
-/// (back-pressure); an empty pipeline always admits one frame, so a
-/// frame slightly over the cap cannot wedge the channel.
-pub struct FrameSender<'a> {
-    tx: Sender<ChunkFrame>,
-    inflight: &'a Mutex<u64>,
-    drained: &'a Condvar,
-    cap: u64,
-    max_inflight: &'a AtomicU64,
-}
-
-impl FrameSender<'_> {
-    /// Queues one frame; returns `false` if the uploader has gone away.
-    pub fn send(&self, frame: ChunkFrame) -> bool {
-        let bytes = frame.byte_len();
-        {
-            let mut queued = self.inflight.lock().expect("pipeline lock");
-            while *queued > 0 && *queued + bytes > self.cap {
-                queued = self.drained.wait(queued).expect("pipeline lock");
-            }
-            *queued += bytes;
-            self.max_inflight.fetch_max(*queued, Ordering::SeqCst);
-        }
-        if self.tx.send(frame).is_err() {
-            *self.inflight.lock().expect("pipeline lock") -= bytes;
-            return false;
-        }
-        true
-    }
-}
-
-/// Runs one producer/consumer pipeline: `produce` emits frames from a
-/// scoped encoder thread while `upload` consumes them on the calling
-/// thread. Back-pressure is byte-based: at most
-/// `chunk_budget * pipeline_depth` bytes sit between the two (the one
-/// exception being a single frame admitted into an empty pipeline, so
-/// an over-cap frame cannot deadlock the encoder). With frames of at
-/// most `chunk_budget` bytes — the budget covers a frame's control
-/// overhead as long as `pipeline_depth >= 2` — the report's
-/// `max_inflight_bytes` is therefore bounded by the cap by
-/// construction, which the bench-smoke CI job asserts.
-///
-/// The `pipeline.inflight_bytes` gauge tracks the queued bytes and
-/// every frame logs a `chunk` trace event, so a flight recording of a
-/// streamed upload shows the interleaving.
-pub fn run_pipeline<P>(
-    cfg: PipelineConfig,
-    pace: Pace,
-    now: SimTime,
-    obs: &Obs,
-    produce: P,
-    mut upload: impl FnMut(ChunkFrame, SimTime) -> SimTime,
-) -> PipelineReport
-where
-    P: FnOnce(&FrameSender<'_>) + Send,
-{
-    let depth = cfg.pipeline_depth.max(1);
-    let cap = cfg.chunk_budget.max(1) as u64 * depth as u64;
-    let (tx, rx) = bounded::<ChunkFrame>(depth);
-    let inflight = Mutex::new(0u64);
-    let drained = Condvar::new();
-    let max_inflight = AtomicU64::new(0);
-    let gauge = obs
-        .registry
-        .gauge("pipeline.inflight_bytes", "bytes queued encoder->uploader");
-    let started = std::time::Instant::now();
-    let mut frames = 0u64;
-    let mut done = now;
-    std::thread::scope(|scope| {
-        let sender = FrameSender {
-            tx,
-            inflight: &inflight,
-            drained: &drained,
-            cap,
-            max_inflight: &max_inflight,
-        };
-        let encoder = scope.spawn(move || produce(&sender));
-        while let Ok(frame) = rx.recv() {
-            let ready = match pace {
-                Pace::Immediate => now,
-                Pace::Measured => now.plus_millis(started.elapsed().as_millis() as u64),
-            };
-            gauge.set(*inflight.lock().expect("pipeline lock") as i64);
-            obs.tracer
-                .event(ready.as_millis(), "pipeline", "chunk", || {
-                    format!(
-                        "msg {} chunk {}{}: {} bytes ({} shared)",
-                        frame.msg_idx,
-                        frame.chunk_idx,
-                        if frame.last_in_group { " [group end]" } else { "" },
-                        frame.byte_len(),
-                        frame.payload_bytes(),
-                    )
-                });
-            let bytes = frame.byte_len();
-            frames += 1;
-            done = upload(frame, ready);
-            let mut queued = inflight.lock().expect("pipeline lock");
-            *queued -= bytes;
-            gauge.set(*queued as i64);
-            drop(queued);
-            drained.notify_all();
-        }
-        encoder.join().expect("pipeline encoder panicked");
-    });
-    PipelineReport {
-        max_inflight_bytes: max_inflight.load(Ordering::SeqCst),
-        frames,
-        done,
-    }
-}
-
-/// Streams a freshly encoded local delta for one file straight onto the
-/// wire: `local::diff_streaming` runs on the encoder thread, each
-/// [`DeltaChunk`] is framed and uploaded as it lands, and the server
-/// commits the (single-message) group when the final chunk arrives.
-///
-/// This is the full encode→pack→upload overlap in one call: with a
-/// bounded channel of `pipeline_depth` frames of at most `chunk_budget`
-/// literal bytes, peak in-flight memory no longer tracks the delta
-/// size. Traffic accounting, the applied content, and the client
-/// [`Cost`] are identical to materializing the delta and uploading it
-/// in one shot.
-///
-/// With a codec attached (`codec: Some(..)`) each frame runs through
-/// the [`WireCodec`]'s cost-benefit decision on the encoder thread; a
-/// frame that compresses ships its (smaller) envelope and pays the
-/// link's modeled compression CPU, and the server's stager inflates it
-/// back — applied content and outcomes are identical either way.
-///
-/// # Panics
-///
-/// Panics if `msg.payload` is not a Delta or `msg.group` is `None`.
-#[allow(clippy::too_many_arguments)]
-pub fn upload_delta_streaming(
-    old: &[u8],
-    new: &[u8],
-    params: &DeltaParams,
-    workers: usize,
-    msg: &UpdateMsg,
-    cfg: &PipelineConfig,
-    link: &mut Link,
-    server: &mut CloudServer,
-    now: SimTime,
-    obs: &Obs,
-    cost: &mut Cost,
-    codec: Option<&mut WireCodec>,
-) -> (PipelineReport, Vec<ApplyOutcome>) {
-    let mut framer = DeltaFramer::new(msg, 0, true);
-    let mut outcomes = Vec::new();
-    let at_ms = now.as_millis();
-    let gkey = msg
-        .group
-        .expect("streamed messages carry a group id")
-        .span_key();
-    let spans = &obs.spans;
-    let span_on = spans.enabled();
-    // The encode span closes at the last frame's ready time — under
-    // Pace::Measured that is when the encoder actually finished, so the
-    // profiler sees the true encode/upload overlap.
-    let encode_span = spans.start(gkey, "pipeline", "delta.encode", at_ms, None);
-    let mut encode_end_ms = at_ms;
-    let mut stage_first_ms: Option<u64> = None;
-    // The diff runs on the encoder thread; its hierarchy stats land in
-    // *that* thread's accumulator, so the encoder drains them here and
-    // the tail below re-records them on the caller's thread.
-    let mut hstats = HierarchyStats::default();
-    let hstats_out = &mut hstats;
-    let mut report = run_pipeline(
-        *cfg,
-        Pace::Measured,
-        now,
-        obs,
-        move |sender| {
-            let mut codec = codec;
-            local::diff_streaming(old, new, params, workers, cost, cfg.chunk_budget, |chunk| {
-                let frame = framer.frame(&chunk);
-                let frame = match codec.as_deref_mut() {
-                    Some(codec) => codec.encode_frame(frame, at_ms),
-                    None => frame,
-                };
-                sender.send(frame);
-            });
-            *hstats_out = take_hierarchy_stats();
-        },
-        |frame, ready| {
-            let busy_before = link.upload_busy_until();
-            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), ready);
-            if span_on {
-                encode_end_ms = encode_end_ms.max(ready.as_millis());
-                spans.record(
-                    gkey,
-                    "link",
-                    "wire.upload",
-                    ready.max(busy_before).as_millis(),
-                    done.as_millis(),
-                    None,
-                    || {
-                        format!(
-                            "msg {} chunk {}: {} wire bytes",
-                            frame.msg_idx, frame.chunk_idx, frame.accounted
-                        )
-                    },
-                );
-                if stage_first_ms.is_none() {
-                    stage_first_ms = Some(done.as_millis());
-                }
-            }
-            if let Some(out) = server
-                .receive_chunk(&frame)
-                .expect("in-process chunk stream cannot be malformed")
-            {
-                if span_on {
-                    // Staging and apply are memory movement the clock
-                    // does not model: zero-width spans at commit time,
-                    // with the staging window in the detail.
-                    let d = done.as_millis();
-                    spans.record(gkey, "server", "server.stage", d, d, None, || {
-                        format!(
-                            "committed after a {}ms staging window",
-                            d - stage_first_ms.unwrap_or(d)
-                        )
-                    });
-                    spans.record(gkey, "server", "server.apply", d, d, None, || {
-                        format!("{} outcome(s)", out.len())
-                    });
-                }
-                outcomes.extend(out);
-            }
-            done
-        },
-    );
-    let parts_done = report.done;
-    report.done = link.upload_end_msg(report.done);
-    link.download(ACK_WIRE_BYTES, now);
-    if hstats.engaged() {
-        record_hierarchy_stats(&hstats);
-        if span_on {
-            spans.record(gkey, "pipeline", "delta.hierarchy", at_ms, at_ms, None, || {
-                format!(
-                    "{} span(s) matched wholesale, {} bytes skipped, {} leaf-walked",
-                    hstats.levels_matched(),
-                    hstats.bytes_skipped,
-                    hstats.leaf_walk_bytes
-                )
-            });
-        }
-    }
-    if span_on {
-        spans.end_detail(encode_span, encode_end_ms, || {
-            format!("{} frame(s) emitted", report.frames)
-        });
-        spans.record(
-            gkey,
-            "link",
-            "wire.upload",
-            parts_done.as_millis(),
-            report.done.as_millis(),
-            None,
-            || "end-of-message latency".into(),
-        );
-    }
-    (report, outcomes)
 }
 
 #[cfg(test)]
@@ -903,20 +571,24 @@ mod tests {
 
     #[test]
     fn framed_message_bytes_reassemble_to_a_decodable_encoding() {
-        let msg = delta_msg(sample_delta());
-        let mut frames = Vec::new();
-        frame_group(std::slice::from_ref(&msg), 100, |f| frames.push(f));
-        assert!(frames.len() > 1, "budget 100 must split the 1010-byte delta");
-        let mut bytes = Vec::new();
-        for f in &frames {
-            for p in &f.pieces {
-                bytes.extend_from_slice(p.as_slice());
+        // Budget 100 must split the 1010-byte delta; an op-less delta is
+        // still one frame, the one that closes the message.
+        for (delta, min_frames) in [(sample_delta(), 2), (Delta::default(), 1)] {
+            let msg = delta_msg(delta);
+            let mut frames = Vec::new();
+            frame_group(std::slice::from_ref(&msg), 100, |f| frames.push(f));
+            assert!(frames.len() >= min_frames, "{} frame(s)", frames.len());
+            let mut bytes = Vec::new();
+            for f in &frames {
+                for p in &f.pieces {
+                    bytes.extend_from_slice(p.as_slice());
+                }
             }
+            let decoded = wire::decode(&bytes).expect("streamed bytes decode");
+            // The receiver's from_ops re-merge makes the chunk splits
+            // invisible: the decoded message equals the materialized one.
+            assert_eq!(decoded, msg);
         }
-        let decoded = wire::decode(&bytes).expect("streamed bytes decode");
-        // The receiver's from_ops re-merge makes the chunk splits
-        // invisible: the decoded message equals the materialized one.
-        assert_eq!(decoded, msg);
     }
 
     #[test]
@@ -1005,50 +677,10 @@ mod tests {
     fn chunk_accountant_charges_split_ops_once() {
         let delta = sample_delta();
         for budget in [1usize, 3, 64, 999, 4096] {
-            let mut acct = ChunkAccountant::new();
+            let mut acct = ChunkAccountant::default();
             let mut total = 0;
             split_delta_ops(&delta, budget, |chunk| total += acct.account(&chunk));
             assert_eq!(total, delta.wire_size(), "budget {budget}");
         }
-    }
-
-    #[test]
-    fn pipeline_applies_back_pressure_and_bounds_inflight_bytes() {
-        let obs = Obs::new();
-        let msg = delta_msg(sample_delta());
-        let mut frames_seen = 0;
-        let budget = 100usize;
-        let depth = 2usize;
-        let report = run_pipeline(
-            PipelineConfig {
-                chunk_budget: budget,
-                pipeline_depth: depth,
-            },
-            Pace::Immediate,
-            SimTime::ZERO,
-            &obs,
-            |sender| {
-                let mut framer = DeltaFramer::new(&msg, 0, true);
-                split_delta_ops(&sample_delta(), budget, |chunk| {
-                    sender.send(framer.frame(&chunk));
-                });
-            },
-            |_, _| {
-                frames_seen += 1;
-                SimTime::ZERO
-            },
-        );
-        assert_eq!(report.frames, frames_seen);
-        assert!(report.frames > 1);
-        // Byte-based back-pressure: the queue never exceeds the cap,
-        // except for the single-frame empty-pipeline admission — and a
-        // frame here is well under budget * depth.
-        let cap = (budget * depth) as u64;
-        assert!(
-            report.max_inflight_bytes <= cap,
-            "{} > {}",
-            report.max_inflight_bytes,
-            cap
-        );
     }
 }

@@ -528,7 +528,7 @@ mod tests {
         out
     }
 
-    /// Server-log lines (BENCH_8's compressible text).
+    /// Server-log lines (the compressible text of `tests/wire_codec.rs`).
     fn log_text(len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len + 128);
         let mut i = 0u64;
@@ -552,7 +552,7 @@ mod tests {
     }
 
     /// 4 KiB B-tree pages: header, cell pointers, small records, zero
-    /// padding (BENCH_8's SQLite-style content).
+    /// padding (the SQLite-style content of `tests/wire_codec.rs`).
     fn sqlite_pages(len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         for (p, page) in out.chunks_exact_mut(4096).enumerate() {
@@ -568,7 +568,8 @@ mod tests {
         out
     }
 
-    /// Noise with a marker every 8 KiB (BENCH_8's JPEG-like content).
+    /// Noise with a marker every 8 KiB (the JPEG-like content of
+    /// `tests/wire_codec.rs`).
     fn jpeg_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
         let mut out = noise(rng, len);
         for chunk in out.chunks_exact_mut(8192) {

@@ -52,8 +52,8 @@ impl Delta {
     /// compatible ops (back-to-back copies, back-to-back literals).
     ///
     /// A run of back-to-back literals is gathered first and concatenated
-    /// with one allocation, so a literal streamed in N chunks costs one
-    /// copy of its bytes, not N.
+    /// with one allocation, so a literal that arrived in N frames costs
+    /// one copy of its bytes, not N.
     pub fn from_ops(ops: Vec<DeltaOp>) -> Self {
         let mut merged: Vec<DeltaOp> = Vec::with_capacity(ops.len());
         let mut run: Vec<Bytes> = Vec::new();
@@ -74,16 +74,6 @@ impl Delta {
         }
         flush_literal_run(&mut run, &mut merged);
         Delta { ops: merged }
-    }
-
-    /// Reassembles a materialized delta from streamed chunks.
-    ///
-    /// Ops split at chunk boundaries (adjacent copies, a literal cut by
-    /// the chunk budget) re-merge under the [`from_ops`](Delta::from_ops)
-    /// rules, so the result is byte-identical to the `Delta` the
-    /// non-streaming walk would have produced.
-    pub fn from_chunks<I: IntoIterator<Item = crate::stream::DeltaChunk>>(chunks: I) -> Self {
-        Delta::from_ops(chunks.into_iter().flat_map(|c| c.ops).collect())
     }
 
     /// The instructions, in order.
@@ -158,6 +148,31 @@ impl Delta {
             }
         }
         Ok(out)
+    }
+}
+
+/// Collects the instructions a matcher walk emits, in output order; the
+/// sequential, replayed and hierarchical walks all write through it so
+/// they cannot drift in how ops are formed.
+#[derive(Default)]
+pub(crate) struct DeltaBuilder {
+    ops: Vec<DeltaOp>,
+}
+
+impl DeltaBuilder {
+    /// A copy of `len` bytes at `offset` of the old file.
+    pub(crate) fn copy(&mut self, offset: u64, len: u64) {
+        self.ops.push(DeltaOp::Copy { offset, len });
+    }
+
+    /// A run of literal bytes.
+    pub(crate) fn literal(&mut self, data: &[u8]) {
+        self.ops.push(DeltaOp::Literal(Bytes::copy_from_slice(data)));
+    }
+
+    /// The finished delta, adjacent compatible ops merged.
+    pub(crate) fn finish(self) -> Delta {
+        Delta::from_ops(self.ops)
     }
 }
 

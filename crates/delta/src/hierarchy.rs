@@ -20,15 +20,16 @@
 //!    chunks and verified byte-for-byte, which catches content that an
 //!    insertion *shifted*. Chunks still unmatched after the finest level
 //!    are the divergent leaf ranges.
-//! 3. **Exact replay** ([`hier_replay_with`]) — the sequential greedy walk
+//! 3. **Exact replay** ([`hier_replay`]) — the sequential greedy walk
 //!    is then reproduced position by position. Inside a verified span the
 //!    probe question ("does this window match an old block, at what
 //!    confirm cost?") is answered from the *old* file: the window equals
 //!    an old-side slice byte-for-byte, so at block-aligned old offsets a
 //!    memoized per-block self-probe answers in O(1) and the walk jumps a
 //!    whole block without touching the new bytes. Divergent ranges are
-//!    scanned by the PR 3 segment scanner (in parallel, streamed into the
-//!    replay) and handled exactly like parallel seams.
+//!    scanned by the parallel matcher's segment scanner (in parallel,
+//!    fed into the replay as segments finish) and handled exactly like
+//!    parallel seams.
 //!
 //! The output [`Delta`](crate::Delta) and the charged [`Cost`] totals are
 //! **byte-identical** to the sequential greedy matcher for every input —
@@ -45,9 +46,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::cdc::{cut_spans_sparse, CdcParams};
 use crate::cost::Cost;
-use crate::parallel::{scan_segment, ProbeOutcome, ReadyFeed, ScanTable, TableFeed};
+use crate::delta_ops::{Delta, DeltaBuilder};
+use crate::parallel::{scan_segment, ProbeOutcome, ScanTable};
 use crate::rolling::RollingChecksum;
-use crate::stream::OpSink;
 
 /// Maximum number of shingle levels (coarse → fine).
 pub const MAX_LEVELS: usize = 3;
@@ -214,19 +215,9 @@ thread_local! {
 ///
 /// The diff entry points keep their signatures free of out-params by
 /// accumulating here; callers that export metrics take the stats right
-/// after the diff call, on the same thread that ran it (the streaming
-/// paths run the matcher on the encoder thread — take the stats inside
-/// the encode closure).
+/// after the diff call, on the same thread that ran it.
 pub fn take_hierarchy_stats() -> HierarchyStats {
     STATS.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-/// Merges `stats` into the current thread's accumulator. Pipelines that
-/// run the diff on a dedicated encoder thread drain there and re-record
-/// here, so their callers see the stats through [`take_hierarchy_stats`]
-/// exactly as with an in-thread diff.
-pub fn record_hierarchy_stats(stats: &HierarchyStats) {
-    STATS.with(|s| s.borrow_mut().merge(stats));
 }
 
 /// A verified identical region: `len` bytes at `new_start` of the new
@@ -507,11 +498,28 @@ fn split_gap_segments(gaps: &[(usize, usize)], workers: usize) -> Vec<(usize, us
     out
 }
 
-/// Streaming feed over the gap scan segments: per-segment tables arrive
-/// over a channel in whatever order the scan workers finish; `ensure`
-/// splices them in segment order so the replay only ever sees an
-/// append-only, position-sorted prefix (the same contract as the PR 3
-/// `StreamFeed`).
+/// Supplies scan-table data to the replay walk, possibly incrementally.
+trait TableFeed {
+    /// Blocks until the table covers window position `pos`, then returns
+    /// the records and unprobed intervals accumulated so far. Both stay
+    /// append-only and position-sorted across calls, so callers may keep
+    /// cursors.
+    fn ensure(&mut self, pos: usize) -> &ScanTable;
+}
+
+/// A [`TableFeed`] over an already-complete scan table.
+struct ReadyFeed<'a>(&'a ScanTable);
+
+impl TableFeed for ReadyFeed<'_> {
+    fn ensure(&mut self, _pos: usize) -> &ScanTable {
+        self.0
+    }
+}
+
+/// Incremental feed over the gap scan segments: per-segment tables
+/// arrive over a channel in whatever order the scan workers finish;
+/// `ensure` splices them in segment order so the replay only ever sees
+/// an append-only, position-sorted prefix.
 struct GapFeed<'a> {
     bounds: &'a [(usize, usize)],
     rx: std::sync::mpsc::Receiver<(usize, ScanTable)>,
@@ -538,8 +546,8 @@ impl TableFeed for GapFeed<'_> {
 
 /// Scans the gap segments across a pool of `workers` scoped threads
 /// (work-stealing over the segment list) while `consume` replays against
-/// the incrementally-fed table — the overlap that keeps the streaming
-/// path streaming.
+/// the incrementally-fed table, so the walk starts before the last gap
+/// is scanned.
 fn scan_gaps_streaming<P, F, T>(
     new: &[u8],
     block_size: usize,
@@ -597,7 +605,7 @@ where
 ///   slice; `probe_at` answers from scratch (at most `block_size - 1`
 ///   such positions per span entry before the walk aligns);
 /// * **gap** — answered from the scanned tables exactly as
-///   [`replay_with`](crate::parallel) does: a record is a weak hit with
+///   `parallel::replay_matches` does: a record is a weak hit with
 ///   its precomputed confirm cost, an unprobed interval triggers an
 ///   on-demand probe, anything else is a scanned miss.
 ///
@@ -605,7 +613,7 @@ where
 /// every (re)initialization, one per slide — so `Cost` totals equal the
 /// sequential matcher's to the byte.
 #[allow(clippy::too_many_arguments)]
-fn hier_replay_with<S: OpSink>(
+fn hier_replay(
     new: &[u8],
     block_size: usize,
     spans: &[SpanPair],
@@ -615,15 +623,15 @@ fn hier_replay_with<S: OpSink>(
     charge: impl Fn(&mut Cost, u64, u64),
     block_range: impl Fn(u32) -> (u64, u64),
     probe_at: impl Fn(usize) -> Option<ProbeOutcome>,
-    sink: &mut S,
-) {
+) -> Delta {
+    let mut sink = DeltaBuilder::default();
     let mut literal_start = 0usize;
     let mut pos = 0usize;
     let mut cursor = 0usize;
     let mut iv = 0usize;
     let mut sc = 0usize;
 
-    let flush_literal = |sink: &mut S, from: usize, to: usize, cost: &mut Cost| {
+    let flush_literal = |sink: &mut DeltaBuilder, from: usize, to: usize, cost: &mut Cost| {
         if to > from {
             sink.literal(&new[from..to]);
             cost.bytes_copied += (to - from) as u64;
@@ -682,7 +690,7 @@ fn hier_replay_with<S: OpSink>(
                 }
             };
             if let Some(block_idx) = matched {
-                flush_literal(sink, literal_start, pos, cost);
+                flush_literal(&mut sink, literal_start, pos, cost);
                 let (offset, len) = block_range(block_idx);
                 sink.copy(offset, len);
                 pos += block_size;
@@ -700,13 +708,13 @@ fn hier_replay_with<S: OpSink>(
             }
         }
     }
-    flush_literal(sink, literal_start, new.len(), cost);
+    flush_literal(&mut sink, literal_start, new.len(), cost);
+    sink.finish()
 }
 
-/// The hierarchical matcher, generic over the path-specific probe /
-/// charge / block-range closures so `local` and `rsync` share one
-/// implementation. The caller has already built (and charged) the weak
-/// index the probe closes over.
+/// The hierarchical matcher, generic over the caller's probe / charge /
+/// block-range closures. The caller has already built (and charged) the
+/// weak index the probe closes over.
 ///
 /// `self_probe_meta` answers "what would the sequential probe return for
 /// old block `b` probing its own content?" from index/signature
@@ -716,7 +724,7 @@ fn hier_replay_with<S: OpSink>(
 /// the memoized answer (and the cost charged through `charge`) must be
 /// exactly what the sequential walk computes at that position.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn diff_hier_sink<S, P>(
+pub(crate) fn diff_hier<P>(
     old: &[u8],
     new: &[u8],
     block_size: usize,
@@ -727,9 +735,8 @@ pub(crate) fn diff_hier_sink<S, P>(
     cost: &mut Cost,
     charge: impl Fn(&mut Cost, u64, u64),
     block_range: impl Fn(u32) -> (u64, u64),
-    sink: &mut S,
-) where
-    S: OpSink,
+) -> Delta
+where
     P: Fn(u32, &[u8]) -> Option<ProbeOutcome> + Sync,
 {
     let mut stats = HierarchyStats {
@@ -755,8 +762,8 @@ pub(crate) fn diff_hier_sink<S, P>(
         memo.borrow_mut().insert(block, outcome);
         outcome
     };
-    scan_gaps_streaming(new, block_size, &segs, workers, probe, |feed| {
-        hier_replay_with(
+    let delta = scan_gaps_streaming(new, block_size, &segs, workers, probe, |feed| {
+        hier_replay(
             new,
             block_size,
             &spans,
@@ -769,11 +776,11 @@ pub(crate) fn diff_hier_sink<S, P>(
                 let window = &new[pos..pos + block_size];
                 probe(RollingChecksum::new(window).digest(), window)
             },
-            sink,
-        );
+        )
     });
     stats.overhead.bytes_rolled += fallback_probes.get() * block_size as u64;
-    record_hierarchy_stats(&stats);
+    STATS.with(|s| s.borrow_mut().merge(&stats));
+    delta
 }
 
 #[cfg(test)]

@@ -66,18 +66,14 @@ mod md5_impl;
 mod parallel;
 mod rolling;
 pub mod rsync;
-mod stream;
 mod weak_index;
 
 pub use cost::Cost;
-pub use hierarchy::{
-    record_hierarchy_stats, take_hierarchy_stats, HierarchyParams, HierarchyStats,
-};
+pub use hierarchy::{take_hierarchy_stats, HierarchyParams, HierarchyStats};
 pub use parallel::segment_bounds;
 pub use delta_ops::{ApplyError, Delta, DeltaOp, OP_HEADER_BYTES};
 pub use md5_impl::{md5, md5_hex, Md5};
 pub use rolling::RollingChecksum;
-pub use stream::{ChunkSink, DeltaChunk};
 
 /// Tuning parameters shared by the block-based delta algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +91,9 @@ pub struct DeltaParams {
     /// sequential matcher even when a parallel diff is requested, one
     /// below twice it gets a single worker, and so on. Per-segment seam
     /// overhead (window re-derivations, on-demand replay probes)
-    /// outweighs the parallel win on small shares — BENCH_3 measured
-    /// 0.76–0.84x at 4 MiB, the standing benchmark 0.83–0.91x for two
-    /// workers on 10–16 MB. Output and [`Cost`] are unaffected either
-    /// way, by contract.
+    /// outweighs the parallel win on small shares — the standing
+    /// benchmark measures 0.83–0.91x for two workers on 10–16 MB. Output
+    /// and [`Cost`] are unaffected either way, by contract.
     pub min_parallel_bytes: usize,
 
     /// Hierarchical coarse→fine matching for huge files ([`hierarchy`]):
@@ -114,8 +109,9 @@ impl DeltaParams {
     pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 
     /// Default [`min_parallel_bytes`](DeltaParams::min_parallel_bytes)
-    /// threshold (8 MiB): the smallest size where the BENCH_3 thread
-    /// sweep shows parallel segmentation breaking even.
+    /// threshold (8 MiB), set from a thread sweep over 4–64 MiB files;
+    /// the standing benchmark still measures two workers at 0.83–0.91x
+    /// on 10–16 MB.
     pub const DEFAULT_MIN_PARALLEL_BYTES: usize = 8 << 20;
 
     /// Creates parameters with the paper's default 4 KB block size.

@@ -35,9 +35,8 @@
 //! DESIGN.md §10 for the contract).
 
 use crate::cost::Cost;
-use crate::delta_ops::Delta;
+use crate::delta_ops::{Delta, DeltaBuilder};
 use crate::rolling::RollingChecksum;
-use crate::stream::{MaterializeSink, OpSink};
 
 /// Outcome of probing one window position: `(matched block, confirm bytes,
 /// confirm ops)`. `matched` is `None` when candidates existed but none
@@ -73,101 +72,6 @@ impl ScanTable {
             unprobed: Vec::new(),
         }
     }
-}
-
-/// Supplies scan-table data to the replay walk, possibly incrementally.
-///
-/// The materialized feed ([`ReadyFeed`]) hands back a complete table; the
-/// streaming feed ([`scan_streaming`]) blocks in `ensure` until the
-/// contiguous segment frontier passes `pos`, which is what lets the
-/// replay release chunks while later segments are still scanning.
-pub(crate) trait TableFeed {
-    /// Blocks until the table covers window position `pos`, then returns
-    /// the records and unprobed intervals accumulated so far. Both stay
-    /// append-only and position-sorted across calls, so callers may keep
-    /// cursors.
-    fn ensure(&mut self, pos: usize) -> &ScanTable;
-}
-
-/// A [`TableFeed`] over an already-complete scan table.
-pub(crate) struct ReadyFeed<'a>(pub &'a ScanTable);
-
-impl TableFeed for ReadyFeed<'_> {
-    fn ensure(&mut self, _pos: usize) -> &ScanTable {
-        self.0
-    }
-}
-
-/// Incremental feed: per-segment tables arrive over a channel in whatever
-/// order the workers finish; `ensure` splices them into the accumulated
-/// table strictly in segment order, so the replay only ever sees a
-/// contiguous position prefix.
-struct StreamFeed<'a> {
-    bounds: &'a [(usize, usize)],
-    rx: std::sync::mpsc::Receiver<(usize, ScanTable)>,
-    pending: Vec<Option<ScanTable>>,
-    next: usize,
-    acc: ScanTable,
-    /// First window position *not* yet covered.
-    frontier: usize,
-}
-
-impl TableFeed for StreamFeed<'_> {
-    fn ensure(&mut self, pos: usize) -> &ScanTable {
-        while self.frontier <= pos && self.next < self.bounds.len() {
-            while self.pending[self.next].is_none() {
-                let (i, seg) = self.rx.recv().expect("scan worker disconnected");
-                self.pending[i] = Some(seg);
-            }
-            let seg = self.pending[self.next].take().expect("segment just arrived");
-            self.acc.records.extend(seg.records);
-            self.acc.unprobed.extend(seg.unprobed);
-            self.frontier = self.bounds[self.next].1;
-            self.next += 1;
-        }
-        &self.acc
-    }
-}
-
-/// Runs the segment scan workers concurrently with `consume`, which
-/// receives a [`TableFeed`] whose `ensure` blocks only until the needed
-/// segment has landed — the overlap that drives the streaming pipeline.
-pub(crate) fn scan_streaming<P, F, T>(
-    new: &[u8],
-    block_size: usize,
-    workers: usize,
-    probe: &P,
-    consume: F,
-) -> T
-where
-    P: Fn(u32, &[u8]) -> Option<ProbeOutcome> + Sync,
-    F: FnOnce(&mut dyn TableFeed) -> T,
-{
-    let bounds = segment_bounds(new.len(), block_size, workers);
-    if bounds.is_empty() {
-        let empty = ScanTable::empty();
-        return consume(&mut ReadyFeed(&empty));
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, ScanTable)>();
-    std::thread::scope(|s| {
-        for (i, &(start, end)) in bounds.iter().enumerate() {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let seg = scan_segment(new, block_size, start, end, probe);
-                let _ = tx.send((i, seg));
-            });
-        }
-        drop(tx);
-        let mut feed = StreamFeed {
-            bounds: &bounds,
-            rx,
-            pending: (0..bounds.len()).map(|_| None).collect(),
-            next: 0,
-            acc: ScanTable::empty(),
-            frontier: 0,
-        };
-        consume(&mut feed)
-    })
 }
 
 /// The contiguous window-position segments the parallel scan splits a
@@ -207,10 +111,7 @@ where
 {
     let bounds = segment_bounds(new.len(), block_size, workers);
     if bounds.is_empty() {
-        return ScanTable {
-            records: Vec::new(),
-            unprobed: Vec::new(),
-        };
+        return ScanTable::empty();
     }
     let mut segments: Vec<ScanTable> = Vec::new();
     std::thread::scope(|s| {
@@ -305,40 +206,14 @@ pub(crate) fn replay_matches(
     block_range: impl Fn(u32) -> (u64, u64),
     probe_at: impl Fn(usize) -> Option<ProbeOutcome>,
 ) -> Delta {
-    let mut sink = MaterializeSink::new();
-    replay_with(
-        new,
-        block_size,
-        &mut ReadyFeed(table),
-        cost,
-        charge,
-        block_range,
-        probe_at,
-        &mut sink,
-    );
-    sink.into_delta()
-}
-
-/// Sink-generic replay shared by [`replay_matches`] and the streaming
-/// diff paths; pulls table data through `feed` so it can run before all
-/// scan segments have finished.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_with<S: OpSink>(
-    new: &[u8],
-    block_size: usize,
-    feed: &mut dyn TableFeed,
-    cost: &mut Cost,
-    charge: impl Fn(&mut Cost, u64, u64),
-    block_range: impl Fn(u32) -> (u64, u64),
-    probe_at: impl Fn(usize) -> Option<ProbeOutcome>,
-    sink: &mut S,
-) {
+    let mut sink = DeltaBuilder::default();
+    let records = &table.records;
     let mut literal_start = 0usize;
     let mut pos = 0usize;
     let mut cursor = 0usize;
     let mut iv = 0usize;
 
-    let flush_literal = |sink: &mut S, from: usize, to: usize, cost: &mut Cost| {
+    let flush_literal = |sink: &mut DeltaBuilder, from: usize, to: usize, cost: &mut Cost| {
         if to > from {
             sink.literal(&new[from..to]);
             cost.bytes_copied += (to - from) as u64;
@@ -348,8 +223,6 @@ pub(crate) fn replay_with<S: OpSink>(
     if new.len() >= block_size {
         cost.bytes_rolled += block_size as u64;
         loop {
-            let table = feed.ensure(pos);
-            let records = &table.records;
             while cursor < records.len() && records[cursor].pos < pos {
                 cursor += 1;
             }
@@ -376,7 +249,7 @@ pub(crate) fn replay_with<S: OpSink>(
                 None
             };
             if let Some(block_idx) = matched {
-                flush_literal(sink, literal_start, pos, cost);
+                flush_literal(&mut sink, literal_start, pos, cost);
                 let (offset, len) = block_range(block_idx);
                 sink.copy(offset, len);
                 pos += block_size;
@@ -394,5 +267,6 @@ pub(crate) fn replay_with<S: OpSink>(
             }
         }
     }
-    flush_literal(sink, literal_start, new.len(), cost);
+    flush_literal(&mut sink, literal_start, new.len(), cost);
+    sink.finish()
 }

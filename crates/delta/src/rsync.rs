@@ -14,12 +14,10 @@
 use std::collections::HashMap;
 
 use crate::cost::Cost;
-use crate::delta_ops::Delta;
-use crate::hierarchy::{diff_hier_sink, HierarchyParams};
+use crate::delta_ops::{Delta, DeltaBuilder};
 use crate::md5_impl::md5;
-use crate::parallel::{replay_matches, replay_with, scan_matches, scan_streaming, ProbeOutcome};
+use crate::parallel::{replay_matches, scan_matches, ProbeOutcome};
 use crate::rolling::RollingChecksum;
-use crate::stream::{ChunkSink, DeltaChunk, MaterializeSink, OpSink};
 use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
 use crate::DeltaParams;
 
@@ -33,11 +31,6 @@ pub struct Signature {
     block_size: usize,
     /// Strong checksum of each block, indexed by block number.
     strong: Vec<[u8; 16]>,
-    /// Weak checksum of each block, indexed by block number. Part of the
-    /// wire signature already (each entry ships weak + strong); kept
-    /// per-block so the hierarchical matcher's metadata self-probe can
-    /// answer a span-aligned block's own probe without hashing.
-    weak: Vec<u32>,
     /// Weak checksum -> block numbers with that weak checksum (first
     /// candidate inline, overflow allocated only on collision).
     weak_map: HashMap<u32, CandidateSet>,
@@ -96,7 +89,6 @@ pub fn signature(old: &[u8], params: &DeltaParams, cost: &mut Cost) -> Signature
     let bs = params.block_size;
     let nblocks = old.len().div_ceil(bs);
     let mut strong = Vec::with_capacity(nblocks);
-    let mut weaks = Vec::with_capacity(nblocks);
     let mut weak_map: HashMap<u32, CandidateSet> = HashMap::with_capacity(nblocks);
     let mut filter = WeakFilter::new();
     for (i, block) in old.chunks(bs).enumerate() {
@@ -106,14 +98,12 @@ pub fn signature(old: &[u8], params: &DeltaParams, cost: &mut Cost) -> Signature
         cost.bytes_strong_hashed += block.len() as u64;
         cost.ops += 2;
         strong.push(digest);
-        weaks.push(weak);
         insert_candidate(&mut weak_map, weak, i as u32);
         filter.insert(weak);
     }
     Signature {
         block_size: bs,
         strong,
-        weak: weaks,
         weak_map,
         filter,
         old_len: old.len() as u64,
@@ -183,7 +173,7 @@ pub fn diff_parallel(
     )
 }
 
-/// The md5-confirming probe shared by the parallel and streaming paths.
+/// The md5-confirming probe the parallel scan and its replay share.
 fn probe_md5<'a>(sig: &'a Signature) -> impl Fn(u32, &[u8]) -> Option<ProbeOutcome> + Sync + 'a {
     |weak: u32, window: &[u8]| {
         sig.lookup_weak(weak).map(|candidates| {
@@ -194,186 +184,12 @@ fn probe_md5<'a>(sig: &'a Signature) -> impl Fn(u32, &[u8]) -> Option<ProbeOutco
     }
 }
 
-/// Streaming variant of [`diff_parallel`]: instead of materializing a
-/// [`Delta`], hands [`DeltaChunk`]s of at most `chunk_budget` literal
-/// bytes to `emit` as the walk produces them, overlapping segment
-/// scanning with chunk release.
-///
-/// Reassembling the chunks with [`Delta::from_chunks`] yields output
-/// byte-identical to [`diff`] / [`diff_parallel`], with identical
-/// [`Cost`] totals. Sub-threshold or single-worker inputs run the
-/// sequential walk through the same chunk sink.
-pub fn diff_streaming(
-    sig: &Signature,
-    new: &[u8],
-    params: &DeltaParams,
-    workers: usize,
-    cost: &mut Cost,
-    chunk_budget: usize,
-    emit: impl FnMut(DeltaChunk),
-) {
-    debug_assert_eq!(sig.block_size, params.block_size);
-    let bs = sig.block_size;
-    let mut sink = ChunkSink::new(chunk_budget, emit);
-    let workers = params.workers_for(new.len(), workers);
-    if workers <= 1 {
-        diff_with_sink(
-            new,
-            bs,
-            cost,
-            Some(&sig.filter),
-            |weak| sig.lookup_weak(weak),
-            |window, candidates, cost| {
-                let digest = md5(window);
-                cost.bytes_strong_hashed += window.len() as u64;
-                cost.ops += 1;
-                candidates.iter().find(|&b| sig.strong[b as usize] == digest)
-            },
-            |block_idx| sig.block_range(block_idx),
-            &mut sink,
-        );
-    } else {
-        let probe = probe_md5(sig);
-        scan_streaming(new, bs, workers, &probe, |feed| {
-            replay_with(
-                new,
-                bs,
-                feed,
-                cost,
-                |cost, bytes, ops| {
-                    cost.bytes_strong_hashed += bytes;
-                    cost.ops += ops;
-                },
-                |block_idx| sig.block_range(block_idx),
-                |pos| {
-                    let window = &new[pos..pos + bs];
-                    probe(RollingChecksum::new(window).digest(), window)
-                },
-                &mut sink,
-            );
-        });
-    }
-    sink.finish();
-}
-
-/// Hierarchical coarse→fine variant of [`diff_parallel`].
-///
-/// Unlike the other rsync entry points this needs the *old file content*
-/// (`old`), not just its [`Signature`] — the shingle tree pairs old and
-/// new spans byte-for-byte. That is exactly the paper's client-side
-/// offloading setting (§IV-B): the machine running the diff holds both
-/// versions, and the signature is only reused so the `Cost` model and
-/// output stay those of rsync. `old` must be the file `sig` was computed
-/// from. Output and [`Cost`] are byte-identical to [`diff`]'s.
-pub fn diff_hierarchical(
-    sig: &Signature,
-    old: &[u8],
-    new: &[u8],
-    h: &HierarchyParams,
-    params: &DeltaParams,
-    workers: usize,
-    cost: &mut Cost,
-) -> Delta {
-    debug_assert_eq!(sig.block_size, params.block_size);
-    debug_assert_eq!(sig.old_len, old.len() as u64);
-    if new.len() < h.min_file_bytes || new.len() < params.block_size {
-        return diff_parallel(sig, new, params, workers, cost);
-    }
-    let mut sink = MaterializeSink::new();
-    diff_hier_md5(sig, old, new, h, workers, cost, &mut sink);
-    sink.into_delta()
-}
-
-/// Streaming form of [`diff_hierarchical`]: chunked like
-/// [`diff_streaming`], same identity contract.
-#[allow(clippy::too_many_arguments)] // mirrors diff_streaming's signature plus the hierarchy knobs
-pub fn diff_hierarchical_streaming(
-    sig: &Signature,
-    old: &[u8],
-    new: &[u8],
-    h: &HierarchyParams,
-    params: &DeltaParams,
-    workers: usize,
-    cost: &mut Cost,
-    chunk_budget: usize,
-    emit: impl FnMut(DeltaChunk),
-) {
-    debug_assert_eq!(sig.block_size, params.block_size);
-    debug_assert_eq!(sig.old_len, old.len() as u64);
-    if new.len() < h.min_file_bytes || new.len() < params.block_size {
-        return diff_streaming(sig, new, params, workers, cost, chunk_budget, emit);
-    }
-    let mut sink = ChunkSink::new(chunk_budget, emit);
-    diff_hier_md5(sig, old, new, h, workers, cost, &mut sink);
-    sink.finish();
-}
-
-/// The md5-confirming hierarchical walk behind both entry points.
-fn diff_hier_md5<S: OpSink>(
-    sig: &Signature,
-    old: &[u8],
-    new: &[u8],
-    h: &HierarchyParams,
-    workers: usize,
-    cost: &mut Cost,
-    sink: &mut S,
-) {
-    let bs = sig.block_size;
-    let probe = probe_md5(sig);
-    // Metadata self-probe: a span-aligned window IS old block `block`
-    // (full length), so its MD5 equals the signature's stored strong sum
-    // and its weak digest is the stored weak sum. The sequential probe's
-    // answer — first candidate whose strong sum equals the window's —
-    // is therefore derivable from signature metadata alone, with the
-    // same `(window.len(), 1)` charge `probe_md5` reports.
-    let self_probe_meta = |block: u32| -> Option<ProbeOutcome> {
-        let candidates = sig.lookup_weak(sig.weak[block as usize])?;
-        let digest = sig.strong[block as usize];
-        let matched = candidates.iter().find(|&b| sig.strong[b as usize] == digest);
-        Some((matched, bs as u64, 1))
-    };
-    diff_hier_sink(
-        old,
-        new,
-        bs,
-        h,
-        workers.max(1),
-        &probe,
-        self_probe_meta,
-        cost,
-        |cost, bytes, ops| {
-            cost.bytes_strong_hashed += bytes;
-            cost.ops += ops;
-        },
-        |block_idx| sig.block_range(block_idx),
-        sink,
-    );
-}
-
 /// Shared rolling-window matcher used by both the remote ([`diff`]) and the
 /// local bitwise variant (`local::diff`).
 ///
 /// `lookup` maps a weak digest to its candidate set; `confirm` verifies a
 /// candidate (MD5 or bitwise compare); `block_range` maps a confirmed
 /// block index to its (offset, len) in the old file.
-pub(crate) fn diff_with<'a>(
-    new: &[u8],
-    block_size: usize,
-    cost: &mut Cost,
-    filter: Option<&WeakFilter>,
-    lookup: impl Fn(u32) -> Option<&'a CandidateSet>,
-    confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<u32>,
-    block_range: impl Fn(u32) -> (u64, u64),
-) -> Delta {
-    let mut sink = MaterializeSink::new();
-    diff_with_sink(
-        new, block_size, cost, filter, lookup, confirm, block_range, &mut sink,
-    );
-    sink.into_delta()
-}
-
-/// Sink-generic form of [`diff_with`]: identical walk, but ops go to an
-/// [`OpSink`] so the streaming paths reuse the exact traversal.
 ///
 /// With a `filter`, the miss loop advances word-wise: instead of rolling
 /// one byte at a time, it peeks the next 8 window positions
@@ -382,8 +198,7 @@ pub(crate) fn diff_with<'a>(
 /// are *provably* lookup misses — and a lookup miss charges nothing but
 /// its one rolled byte, which the jump still charges per position skipped
 /// — so output and [`Cost`] are identical to the byte-at-a-time walk.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn diff_with_sink<'a, S: OpSink>(
+pub(crate) fn diff_with<'a>(
     new: &[u8],
     block_size: usize,
     cost: &mut Cost,
@@ -391,12 +206,12 @@ pub(crate) fn diff_with_sink<'a, S: OpSink>(
     lookup: impl Fn(u32) -> Option<&'a CandidateSet>,
     mut confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<u32>,
     block_range: impl Fn(u32) -> (u64, u64),
-    sink: &mut S,
-) {
+) -> Delta {
+    let mut sink = DeltaBuilder::default();
     let mut literal_start = 0usize;
     let mut pos = 0usize;
 
-    let flush_literal = |sink: &mut S, from: usize, to: usize, cost: &mut Cost| {
+    let flush_literal = |sink: &mut DeltaBuilder, from: usize, to: usize, cost: &mut Cost| {
         if to > from {
             sink.literal(&new[from..to]);
             cost.bytes_copied += (to - from) as u64;
@@ -411,7 +226,7 @@ pub(crate) fn diff_with_sink<'a, S: OpSink>(
             let matched =
                 lookup(rc.digest()).and_then(|candidates| confirm(window, candidates, cost));
             if let Some(block_idx) = matched {
-                flush_literal(sink, literal_start, pos, cost);
+                flush_literal(&mut sink, literal_start, pos, cost);
                 let (offset, len) = block_range(block_idx);
                 sink.copy(offset, len);
                 pos += block_size;
@@ -452,7 +267,8 @@ pub(crate) fn diff_with_sink<'a, S: OpSink>(
             }
         }
     }
-    flush_literal(sink, literal_start, new.len(), cost);
+    flush_literal(&mut sink, literal_start, new.len(), cost);
+    sink.finish()
 }
 
 #[cfg(test)]
@@ -584,19 +400,17 @@ mod tests {
         }
     }
 
-    /// Runs the sink walk with and without the weak filter and demands
+    /// Runs the walk with and without the weak filter and demands
     /// identical deltas and identical `Cost` totals — the skip must be
     /// decision-neutral at every boundary (tiny blocks, block sizes under
     /// the 8-byte lookahead, tails shorter than a word, dense matches).
     fn assert_filter_is_decision_neutral(old: &[u8], new: &[u8], bs: usize) {
-        use crate::stream::MaterializeSink;
         let params = DeltaParams::with_block_size(bs);
         let mut c_sig = Cost::new();
         let sig = signature(old, &params, &mut c_sig);
         let run = |filter: Option<&WeakFilter>| {
             let mut cost = Cost::new();
-            let mut sink = MaterializeSink::new();
-            diff_with_sink(
+            let delta = diff_with(
                 new,
                 bs,
                 &mut cost,
@@ -609,9 +423,8 @@ mod tests {
                     candidates.iter().find(|&b| sig.strong[b as usize] == digest)
                 },
                 |block_idx| sig.block_range(block_idx),
-                &mut sink,
             );
-            (sink.into_delta(), cost)
+            (delta, cost)
         };
         let (d_plain, c_plain) = run(None);
         let (d_filt, c_filt) = run(Some(&sig.filter));
@@ -648,79 +461,6 @@ mod tests {
         // Degenerate inputs around the lookahead guard.
         for len in [0usize, 3, 8, 9, 15, 16, 17] {
             assert_filter_is_decision_neutral(&old, &disjoint[..len], 8);
-        }
-    }
-
-    #[test]
-    fn hierarchical_output_is_byte_identical() {
-        use crate::cdc::CdcParams;
-        let old: Vec<u8> = (0..20_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = vec![0x42; 333];
-        new.extend_from_slice(&old);
-        new.splice(3_000..3_000, b"SHIFTED".iter().copied());
-        new[60_000] ^= 0x55;
-        let params = DeltaParams::with_block_size(256);
-        let h = HierarchyParams::from_levels(&[
-            CdcParams {
-                min_size: 128,
-                mask_bits: 7,
-                max_size: 2048,
-            },
-            CdcParams {
-                min_size: 32,
-                mask_bits: 5,
-                max_size: 512,
-            },
-        ])
-        .with_min_file_bytes(0);
-        let mut c_sig = Cost::new();
-        let sig = signature(&old, &params, &mut c_sig);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&sig, &new, &params, &mut c_seq);
-        for workers in [1, 2, 4] {
-            let mut c_h = Cost::new();
-            let d_h = diff_hierarchical(&sig, &old, &new, &h, &params, workers, &mut c_h);
-            let stats = crate::take_hierarchy_stats();
-            assert_eq!(d_h, d_seq, "delta differs ({workers} workers)");
-            assert_eq!(c_h, c_seq, "cost differs ({workers} workers)");
-            assert!(stats.engaged());
-        }
-        for budget in [128usize, 4096] {
-            let mut c_h = Cost::new();
-            let mut chunks = Vec::new();
-            diff_hierarchical_streaming(&sig, &old, &new, &h, &params, 2, &mut c_h, budget, |c| {
-                chunks.push(c)
-            });
-            let _ = crate::take_hierarchy_stats();
-            assert!(chunks.iter().all(|c| c.literal_bytes() <= budget as u64));
-            assert_eq!(Delta::from_chunks(chunks), d_seq, "budget {budget}");
-            assert_eq!(c_h, c_seq, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn streaming_chunks_reassemble_byte_identically() {
-        let old: Vec<u8> = (0..20_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = old.clone();
-        new.splice(3_000..3_000, b"SHIFTED".iter().copied());
-        new[60_000] ^= 0x55;
-        let params = DeltaParams::with_block_size(256).with_min_parallel_bytes(0);
-        let mut c_sig = Cost::new();
-        let sig = signature(&old, &params, &mut c_sig);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&sig, &new, &params, &mut c_seq);
-        for workers in [1, 3] {
-            for budget in [128usize, 4096] {
-                let mut c_str = Cost::new();
-                let mut chunks = Vec::new();
-                diff_streaming(&sig, &new, &params, workers, &mut c_str, budget, |c| {
-                    chunks.push(c)
-                });
-                assert!(chunks.iter().all(|c| c.literal_bytes() <= budget as u64));
-                let d_str = Delta::from_chunks(chunks);
-                assert_eq!(d_str, d_seq, "{workers} workers, budget {budget}");
-                assert_eq!(c_str, c_seq, "{workers} workers, budget {budget}");
-            }
         }
     }
 }

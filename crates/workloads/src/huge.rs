@@ -1,31 +1,27 @@
-//! Sparse synthetic huge files for the hierarchical-delta tests/benches.
+//! Synthetic huge-file content for the hierarchical-delta tests and the
+//! standing benchmark.
 //!
 //! The hierarchy work targets multi-GB files (VM images, databases —
-//! paper §IV), but a test that *allocates* 10 GB to describe "a huge file
-//! with three edits" is wasteful and flaky on small machines. A
-//! [`HugeFile`] is instead a **virtual** byte string: base content is a
-//! pure function of `(seed, offset)` computed on demand (a splitmix64
-//! word stream), and mutations — a prepend that shifts everything, plus
-//! non-overlapping overlay edits — are stored as deltas. Memory is
-//! O(edit bytes), independent of the file length; callers materialize
-//! only the ranges (or, in the 1 GiB benches, the single buffer) they
-//! actually feed to the diff.
+//! paper §IV), but a test that *allocates* 10 GB to describe "a huge
+//! file" is wasteful and flaky on small machines. A [`HugeFile`] is
+//! instead a **virtual** byte string: content is a pure function of
+//! `(seed, offset)` computed on demand (a splitmix64 word stream), so
+//! memory is independent of the file length; callers materialize only
+//! the ranges (or the single buffer) they actually feed to the diff and
+//! edit the materialized bytes.
 //!
-//! The word-random base is deliberately incompressible and collision-free
-//! enough that content-defined chunking resynchronizes immediately after
-//! any edit — the structure the shingle tree exploits.
+//! The word-random content is deliberately incompressible and
+//! collision-free enough that content-defined chunking resynchronizes
+//! immediately after any edit — the structure the shingle tree exploits.
 
 /// A deterministic, virtually-materialized huge file.
 #[derive(Debug, Clone)]
 pub struct HugeFile {
     seed: u64,
-    base_len: u64,
-    prepend: Vec<u8>,
-    /// Overlay edits as `(logical offset, bytes)`, sorted, non-overlapping.
-    edits: Vec<(u64, Vec<u8>)>,
+    len: u64,
 }
 
-/// splitmix64: the finalizer-quality mixer behind the base word stream.
+/// splitmix64: the finalizer-quality mixer behind the word stream.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -34,111 +30,41 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl HugeFile {
-    /// A virtual file of `base_len` seed-determined bytes. No allocation
-    /// proportional to `base_len` happens here or in [`read_at`].
+    /// A virtual file of `len` seed-determined bytes. No allocation
+    /// proportional to `len` happens here or in [`read_at`].
     ///
     /// [`read_at`]: HugeFile::read_at
-    pub fn new(seed: u64, base_len: u64) -> Self {
-        HugeFile {
-            seed,
-            base_len,
-            prepend: Vec::new(),
-            edits: Vec::new(),
-        }
+    pub fn new(seed: u64, len: u64) -> Self {
+        HugeFile { seed, len }
     }
 
-    /// Total logical length (prepend + base).
+    /// Length in bytes.
     pub fn len(&self) -> u64 {
-        self.prepend.len() as u64 + self.base_len
+        self.len
     }
 
     /// Whether the file is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Prepends `bytes`, shifting all existing content — the
-    /// insertion-shift pattern that defeats same-offset matching.
-    /// Existing edit offsets shift with the content they overlay.
-    pub fn with_prepend(mut self, bytes: &[u8]) -> Self {
-        for (off, _) in &mut self.edits {
-            *off += bytes.len() as u64;
-        }
-        let mut prepend = bytes.to_vec();
-        prepend.extend_from_slice(&self.prepend);
-        self.prepend = prepend;
-        self
-    }
-
-    /// Overlays `bytes` at logical `offset` (length unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edit runs past the end of the file or overlaps an
-    /// existing edit — overlapping overlays have order-dependent meaning
-    /// and are almost certainly a test-author mistake.
-    pub fn with_edit(mut self, offset: u64, bytes: &[u8]) -> Self {
-        assert!(
-            offset + bytes.len() as u64 <= self.len(),
-            "edit [{offset}, {}) past end {}",
-            offset + bytes.len() as u64,
-            self.len()
-        );
-        let end = offset + bytes.len() as u64;
-        for (o, b) in &self.edits {
-            let oe = o + b.len() as u64;
-            assert!(end <= *o || offset >= oe, "edit [{offset}, {end}) overlaps [{o}, {oe})");
-        }
-        self.edits.push((offset, bytes.to_vec()));
-        self.edits.sort_by_key(|(o, _)| *o);
-        self
-    }
-
-    /// Total bytes covered by overlay edits plus the prepend — the
-    /// "divergent bytes" a delta against the unedited base must carry.
-    pub fn divergent_bytes(&self) -> u64 {
-        self.prepend.len() as u64 + self.edits.iter().map(|(_, b)| b.len() as u64).sum::<u64>()
-    }
-
-    /// One byte of the un-edited stream at logical `offset`.
-    fn raw_at(&self, offset: u64) -> u8 {
-        let p = self.prepend.len() as u64;
-        if offset < p {
-            self.prepend[offset as usize]
-        } else {
-            let base = offset - p;
-            let word = splitmix64(self.seed ^ (base / 8));
-            (word >> (8 * (base % 8))) as u8
-        }
-    }
-
-    /// Fills `buf` with the bytes at `[offset, offset + buf.len())`.
-    /// Cost is O(`buf.len()` + intersecting edits); untouched pages are
-    /// never materialized anywhere.
+    /// Fills `buf` with the bytes at `[offset, offset + buf.len())`;
+    /// nothing outside that range is materialized anywhere.
     ///
     /// # Panics
     ///
     /// Panics if the range runs past the end of the file.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) {
         assert!(
-            offset + buf.len() as u64 <= self.len(),
+            offset + buf.len() as u64 <= self.len,
             "read [{offset}, {}) past end {}",
             offset + buf.len() as u64,
-            self.len()
+            self.len
         );
         for (i, out) in buf.iter_mut().enumerate() {
-            *out = self.raw_at(offset + i as u64);
-        }
-        let end = offset + buf.len() as u64;
-        for (eo, bytes) in &self.edits {
-            let ee = eo + bytes.len() as u64;
-            if *eo >= end || ee <= offset {
-                continue;
-            }
-            let from = (*eo).max(offset);
-            let to = ee.min(end);
-            buf[(from - offset) as usize..(to - offset) as usize]
-                .copy_from_slice(&bytes[(from - eo) as usize..(to - eo) as usize]);
+            let at = offset + i as u64;
+            let word = splitmix64(self.seed ^ (at / 8));
+            *out = (word >> (8 * (at % 8))) as u8;
         }
     }
 
@@ -149,12 +75,12 @@ impl HugeFile {
         buf
     }
 
-    /// Materializes the whole file — for benches that must hand the diff
+    /// Materializes the whole file — for callers that must hand the diff
     /// a contiguous slice. Tests should prefer [`materialize_range`].
     ///
     /// [`materialize_range`]: HugeFile::materialize_range
     pub fn materialize(&self) -> Vec<u8> {
-        self.materialize_range(0, self.len())
+        self.materialize_range(0, self.len)
     }
 }
 
@@ -174,10 +100,7 @@ mod tests {
 
     #[test]
     fn read_at_matches_materialize() {
-        let f = HugeFile::new(3, 5_000)
-            .with_prepend(b"SHIFT-HEADER")
-            .with_edit(100, b"edited-run-one")
-            .with_edit(4_000, &[0xEE; 200]);
+        let f = HugeFile::new(3, 5_000);
         let whole = f.materialize();
         assert_eq!(whole.len() as u64, f.len());
         for (start, len) in [(0u64, 64usize), (5, 1), (90, 40), (3_990, 300), (f.len() - 17, 17)] {
@@ -192,35 +115,14 @@ mod tests {
     }
 
     #[test]
-    fn edits_overlay_and_prepend_shifts() {
-        let base = HugeFile::new(1, 1_000);
-        let plain = base.materialize();
-        let edited = base.clone().with_edit(500, b"XYZ");
-        let out = edited.materialize();
-        assert_eq!(&out[500..503], b"XYZ");
-        assert_eq!(out[..500], plain[..500]);
-        assert_eq!(out[503..], plain[503..]);
-        assert_eq!(edited.divergent_bytes(), 3);
-
-        // Prepend shifts both base content and prior edit offsets.
-        let shifted = edited.with_prepend(b"0123456789");
-        let sout = shifted.materialize();
-        assert_eq!(&sout[..10], b"0123456789");
-        assert_eq!(sout[10..], out[..]);
-        assert_eq!(shifted.divergent_bytes(), 13);
-    }
-
-    #[test]
     fn gigantic_files_stay_sparse() {
         // 1 TiB virtual length: constructing it and reading a page near
         // the tail must be instant and allocation-bounded by the page.
-        let f = HugeFile::new(77, 1 << 40).with_edit((1 << 40) - 4096, &[0xAB; 4096]);
+        let f = HugeFile::new(77, 1 << 40);
         assert_eq!(f.len(), 1 << 40);
         let mut page = vec![0u8; 4096];
         f.read_at(f.len() - 4096, &mut page);
-        assert!(page.iter().all(|&b| b == 0xAB));
-        f.read_at(1 << 30, &mut page);
-        // Word-random base: no long zero runs.
+        // Word-random content: no long zero runs.
         assert!(page.iter().filter(|&&b| b == 0).count() < 200);
     }
 
@@ -230,9 +132,8 @@ mod tests {
         // points downstream of an edit coincide with the unedited file's.
         use deltacfs_delta::cdc::{chunks, CdcParams};
         let old = HugeFile::new(5, 200_000).materialize();
-        let new = HugeFile::new(5, 200_000)
-            .with_edit(10_000, &[0x55; 64])
-            .materialize();
+        let mut new = old.clone();
+        new[10_000..10_064].fill(0x55);
         let params = CdcParams {
             min_size: 1024,
             mask_bits: 11,
@@ -253,13 +154,5 @@ mod tests {
             .count();
         let downstream = new_cuts.iter().filter(|o| **o > 20_000).count();
         assert_eq!(resynced, downstream, "cut points diverged downstream of the edit");
-    }
-
-    #[test]
-    #[should_panic(expected = "overlaps")]
-    fn overlapping_edits_panic() {
-        let _ = HugeFile::new(0, 100)
-            .with_edit(10, &[1; 10])
-            .with_edit(15, &[2; 10]);
     }
 }

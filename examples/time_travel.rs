@@ -1,13 +1,12 @@
 //! Fine-grained version control (paper §III-C): every sync-queue node the
 //! cloud applies becomes a retained version; browse the history and
-//! restore any of them. Also demonstrates the threaded cloud endpoint and
-//! the binary wire format.
+//! restore any of them. Also demonstrates the binary wire format.
 //!
 //! ```text
 //! cargo run --example time_travel
 //! ```
 
-use deltacfs::core::{spawn_cloud, wire, ClientId, DeltaCfsClient, DeltaCfsConfig, Version};
+use deltacfs::core::{wire, ClientId, CloudServer, DeltaCfsClient, DeltaCfsConfig, Version};
 use deltacfs::net::SimClock;
 use deltacfs::vfs::Vfs;
 
@@ -17,10 +16,9 @@ fn main() {
     let mut fs = Vfs::new();
     fs.enable_event_log();
 
-    // The cloud runs on its own thread; updates cross it as real bytes.
-    let (cloud, join) = spawn_cloud();
+    let mut server = CloudServer::new();
 
-    let edit_and_sync = |content: &[u8], client: &mut DeltaCfsClient, fs: &mut Vfs| {
+    let mut edit_and_sync = |content: &[u8], client: &mut DeltaCfsClient, fs: &mut Vfs| {
         if !fs.exists("/story.txt") {
             fs.create("/story.txt").unwrap();
         }
@@ -37,7 +35,7 @@ fn main() {
                 .iter()
                 .map(|m| wire::decode(&wire::encode(m)).expect("wire round-trip"))
                 .collect();
-            cloud.apply_txn(shipped).expect("cloud alive");
+            server.apply_txn(&shipped);
         }
     };
 
@@ -49,9 +47,6 @@ fn main() {
     );
     edit_and_sync(b"THE END.", &mut client, &mut fs);
 
-    let server = cloud.shutdown().expect("cloud alive");
-    join.join().expect("cloud thread");
-
     let history = server.version_history("/story.txt");
     println!("versions retained for /story.txt:");
     for v in &history {
@@ -60,7 +55,6 @@ fn main() {
     }
 
     // Restore the middle draft.
-    let mut server = server;
     let wanted: Version = history[history.len() - 2];
     let restored_as = Version {
         client: ClientId(1),

@@ -123,12 +123,13 @@ fn unified_snapshot_covers_every_subsystem() {
     assert!(prom.contains("retry_backoff_ms_bucket{le=\"8000\"}"));
 }
 
-#[test]
-fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
-    // A compressible streamed upload on a mobile platform must leave
-    // the codec's full observability surface behind: compressed/raw
-    // chunk counters, the bytes-saved counter, the ratio histogram,
-    // and a `wire.compress` trace event per codec decision.
+/// One compressible streamed upload on a mobile link and platform with
+/// tracing on: `len` bytes of repetitive text (every chunk clears the
+/// cost-benefit bar there), synced to the cloud.
+fn streamed_text_upload(
+    len: usize,
+    ring: usize,
+) -> (deltacfs::core::DeltaCfsSystem, Obs) {
     use deltacfs::core::{DeltaCfsSystem, SyncEngine};
     use deltacfs::net::PlatformProfile;
 
@@ -139,19 +140,17 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
         .with_wire_compression(true);
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
     sys.set_platform(PlatformProfile::mobile());
-    let obs = Obs::with_tracing(8192);
+    let obs = Obs::with_tracing(ring);
     sys.enable_observability(obs.clone());
 
     let mut fs = deltacfs::vfs::Vfs::new();
     fs.enable_event_log();
     fs.create("/doc.txt").unwrap();
-    // Highly repetitive content: every chunk clears the cost-benefit
-    // bar on a mobile link.
     let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
         .iter()
         .copied()
         .cycle()
-        .take(64 * 1024)
+        .take(len)
         .collect();
     fs.write("/doc.txt", 0, &text).unwrap();
     for e in fs.drain_events() {
@@ -160,6 +159,18 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
     clock.advance(4_000);
     sys.finish(&fs);
     assert_eq!(sys.server().file("/doc.txt"), Some(&text[..]));
+    (sys, obs)
+}
+
+#[test]
+fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
+    // A compressible streamed upload on a mobile platform must leave
+    // the codec's full observability surface behind: compressed/raw
+    // chunk counters, the bytes-saved counter, the ratio histogram,
+    // and a `wire.compress` trace event per codec decision.
+    use deltacfs::core::SyncEngine;
+
+    let (sys, obs) = streamed_text_upload(64 * 1024, 8192);
 
     let snap = obs.registry.snapshot();
     let counter = |name: &str| match snap.get(name) {
@@ -192,6 +203,23 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
         compress_events >= compressed,
         "codec traced {compress_events} events for {compressed} compressed chunks"
     );
+}
+
+#[test]
+fn streamed_compressed_upload_trace_is_deterministic() {
+    // The codec's `wire.compress` events and the uploader's `chunk`
+    // events come from one loop on one thread, so the same streamed,
+    // compressed upload renders the same dump every time.
+    let run = || -> String {
+        let (_, obs) = streamed_text_upload(256 * 1024, 65536);
+        assert_eq!(obs.tracer.dropped(), 0, "ring dropped events");
+        obs.tracer.dump()
+    };
+    let first = run();
+    assert!(first.contains("wire.compress") && first.contains("chunk"));
+    for round in 1..=20 {
+        assert!(run() == first, "dump of run {round} differs from the first");
+    }
 }
 
 #[test]

@@ -200,32 +200,40 @@ fn streaming_upload_spans_cover_compress_and_stage() {
     use deltacfs::core::{DeltaCfsSystem, SyncEngine};
     use deltacfs::net::PlatformProfile;
 
-    let clock = SimClock::new();
-    let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
-        .with_chunk_budget(4096)
-        .with_wire_compression(true);
-    let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
-    sys.set_platform(PlatformProfile::mobile());
-    let obs = Obs::with_profiling(8192);
-    sys.enable_observability(obs.clone());
+    let run = |obs: Obs| {
+        let clock = SimClock::new();
+        let cfg = DeltaCfsConfig::new()
+            .with_streaming(true)
+            .with_chunk_budget(4096)
+            .with_wire_compression(true);
+        let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
+        sys.set_platform(PlatformProfile::mobile());
+        sys.enable_observability(obs);
 
-    let mut fs = deltacfs::vfs::Vfs::new();
-    fs.enable_event_log();
-    fs.create("/doc.txt").unwrap();
-    let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
-        .iter()
-        .copied()
-        .cycle()
-        .take(64 * 1024)
-        .collect();
-    fs.write("/doc.txt", 0, &text).unwrap();
-    for e in fs.drain_events() {
-        sys.on_event(&e, &fs);
-    }
-    clock.advance(4_000);
-    sys.finish(&fs);
-    assert_eq!(sys.server().file("/doc.txt"), Some(&text[..]));
+        let mut fs = deltacfs::vfs::Vfs::new();
+        fs.enable_event_log();
+        fs.create("/doc.txt").unwrap();
+        let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
+            .iter()
+            .copied()
+            .cycle()
+            .take(64 * 1024)
+            .collect();
+        fs.write("/doc.txt", 0, &text).unwrap();
+        for e in fs.drain_events() {
+            sys.on_event(&e, &fs);
+        }
+        clock.advance(4_000);
+        sys.finish(&fs);
+        assert_eq!(sys.server().file("/doc.txt"), Some(&text[..]));
+        (sys.report().traffic, sys.outcomes().to_vec())
+    };
+    let obs = Obs::with_profiling(8192);
+    let profiled = run(obs.clone());
+    // Profiling changes what the run remembers, not what it does.
+    let plain = Obs::new();
+    assert_eq!(run(plain.clone()), profiled);
+    assert!(plain.spans.is_empty(), "spans recorded while disabled");
 
     let profiler = Profiler::new(obs.spans.records());
     let stages: Vec<&str> = profiler.records().iter().map(|r| r.stage.as_str()).collect();

@@ -73,60 +73,69 @@ proptest! {
         prop_assert_eq!(par.apply(&old).unwrap(), new);
     }
 
-    /// The streaming chunked encoders are indistinguishable from the
-    /// materializing ones once the chunks are reassembled: byte-identical
-    /// `Delta`, identical `Cost`, for any worker count and any chunk
-    /// budget — boundary splits re-merge losslessly. This is the
-    /// correctness contract of the zero-copy upload pipeline (DESIGN.md
-    /// §12): what goes over the wire in chunks is exactly what the
-    /// one-shot encoder would have sent.
+    /// A delta framed for the wire is indistinguishable from the
+    /// materialized one once the receiver has staged it: for any inputs,
+    /// block size and chunk budget, no frame carries more than the
+    /// budget in payload bytes, the frames account for exactly the
+    /// message's wire size, and the stager hands back the identical
+    /// message — ops a frame boundary split re-merge losslessly. This is
+    /// the correctness contract of the streamed upload (DESIGN.md §12):
+    /// what crosses the wire in frames is exactly what the one-shot
+    /// upload would have sent.
     #[test]
-    fn streaming_equals_materialized(
+    fn framed_delta_equals_materialized(
         old in buffer(8192),
         new in buffer(8192),
         bs in 1usize..256,
-        workers in 1usize..5,
         budget in 1usize..4096,
     ) {
-        use deltacfs::delta::Delta;
+        use deltacfs::core::pipeline::{frame_group, ChunkStager};
+        use deltacfs::core::{GroupId, UpdateMsg, UpdatePayload, Version};
 
-        let params = DeltaParams::with_block_size(bs).with_min_parallel_bytes(0);
+        let params = DeltaParams::with_block_size(bs);
+        let delta = local::diff(&old, &new, &params, &mut Cost::new());
+        let ver = |counter| Version { client: ClientId(1), counter };
+        let msg = UpdateMsg {
+            path: "/f".into(),
+            base: Some(ver(1)),
+            version: Some(ver(2)),
+            payload: UpdatePayload::Delta { base_path: "/f.old".into(), delta },
+            txn: Some(1),
+            group: Some(GroupId { client: ClientId(1), seq: 1 }),
+        };
 
-        let mut mat_cost = Cost::new();
-        let mat = local::diff(&old, &new, &params, &mut mat_cost);
-        let mut st_cost = Cost::new();
-        let mut chunks = Vec::new();
-        local::diff_streaming(&old, &new, &params, workers, &mut st_cost, budget, |c| {
-            chunks.push(c);
-        });
-        let st = Delta::from_chunks(chunks);
-        prop_assert_eq!(&st, &mat);
-        prop_assert_eq!(st_cost, mat_cost);
-        prop_assert_eq!(st.apply(&old).unwrap(), new.clone());
+        let mut frames = Vec::new();
+        frame_group(std::slice::from_ref(&msg), budget, |f| frames.push(f));
+        for f in &frames {
+            prop_assert!(
+                f.payload_bytes() <= budget as u64,
+                "frame {} carries {} payload bytes over a budget of {}",
+                f.chunk_idx, f.payload_bytes(), budget
+            );
+        }
+        prop_assert_eq!(frames.iter().map(|f| f.accounted).sum::<u64>(), msg.wire_size());
 
-        let mut mat_cost = Cost::new();
-        let sig = rsync::signature(&old, &params, &mut mat_cost);
-        let mat = rsync::diff(&sig, &new, &params, &mut mat_cost);
-        let mut st_cost = Cost::new();
-        let sig_s = rsync::signature(&old, &params, &mut st_cost);
-        let mut chunks = Vec::new();
-        rsync::diff_streaming(&sig_s, &new, &params, workers, &mut st_cost, budget, |c| {
-            chunks.push(c);
-        });
-        let st = Delta::from_chunks(chunks);
-        prop_assert_eq!(&st, &mat);
-        prop_assert_eq!(st_cost, mat_cost);
-        prop_assert_eq!(st.apply(&old).unwrap(), new);
+        let mut stager = ChunkStager::new();
+        let mut committed = None;
+        for f in &frames {
+            prop_assert!(committed.is_none(), "frames after the commit");
+            committed = stager.accept(f).expect("in-order stream stages");
+        }
+        let staged = committed.expect("the last frame commits the group");
+        prop_assert_eq!(&staged, std::slice::from_ref(&msg));
+        let UpdatePayload::Delta { delta, .. } = &staged[0].payload else {
+            unreachable!("compared equal to a Delta message");
+        };
+        prop_assert_eq!(delta.apply(&old).unwrap(), new);
     }
 
     /// The hierarchical coarse→fine matcher is byte-identical to the
-    /// sequential greedy walk — same `Delta`, same `Cost` totals — for
-    /// local and rsync, across level fan-outs, worker counts, and chunk
-    /// budgets (including the streaming paths). The shingle tree may only
-    /// change wall-clock time, never output or accounting. `new` is
-    /// derived from `old` (prefix shift + XOR edit + tail) so identical
-    /// spans actually exist for the tree to pair; the tiny level params
-    /// make the tree engage on kilobyte inputs.
+    /// sequential greedy walk — same `Delta`, same `Cost` totals — across
+    /// level fan-outs and worker counts. The shingle tree may only change
+    /// wall-clock time, never output or accounting. `new` is derived from
+    /// `old` (prefix shift + XOR edit + tail) so identical spans actually
+    /// exist for the tree to pair; the tiny level params make the tree
+    /// engage on kilobyte inputs.
     #[test]
     fn hierarchical_diff_is_byte_identical(
         old in buffer(16384),
@@ -137,9 +146,8 @@ proptest! {
         bs in 1usize..256,
         levels in 1usize..4,
         workers in 1usize..5,
-        budget in 1usize..4096,
     ) {
-        use deltacfs::delta::{take_hierarchy_stats, Delta, HierarchyParams};
+        use deltacfs::delta::{take_hierarchy_stats, HierarchyParams};
 
         let mut new = prefix.clone();
         new.extend_from_slice(&old);
@@ -169,40 +177,7 @@ proptest! {
         let _ = take_hierarchy_stats();
         prop_assert_eq!(&hd, &seq);
         prop_assert_eq!(h_cost, seq_cost);
-
-        let mut st_cost = Cost::new();
-        let mut chunks = Vec::new();
-        local::diff_streaming(&old, &new, &hier_params, workers, &mut st_cost, budget, |c| {
-            chunks.push(c);
-        });
-        let _ = take_hierarchy_stats();
-        let st = Delta::from_chunks(chunks);
-        prop_assert_eq!(&st, &seq);
-        prop_assert_eq!(st_cost, seq_cost);
-        prop_assert_eq!(st.apply(&old).unwrap(), new.clone());
-
-        let mut seq_cost = Cost::new();
-        let sig = rsync::signature(&old, &params, &mut seq_cost);
-        let seq_r = rsync::diff(&sig, &new, &params, &mut seq_cost);
-
-        let mut h_cost = Cost::new();
-        let sig_h = rsync::signature(&old, &params, &mut h_cost);
-        let hd = rsync::diff_hierarchical(&sig_h, &old, &new, &h, &params, workers, &mut h_cost);
-        let _ = take_hierarchy_stats();
-        prop_assert_eq!(&hd, &seq_r);
-        prop_assert_eq!(h_cost, seq_cost);
-
-        let mut st_cost = Cost::new();
-        let sig_s = rsync::signature(&old, &params, &mut st_cost);
-        let mut chunks = Vec::new();
-        rsync::diff_hierarchical_streaming(
-            &sig_s, &old, &new, &h, &params, workers, &mut st_cost, budget, |c| chunks.push(c),
-        );
-        let _ = take_hierarchy_stats();
-        let st = Delta::from_chunks(chunks);
-        prop_assert_eq!(&st, &seq_r);
-        prop_assert_eq!(st_cost, seq_cost);
-        prop_assert_eq!(st.apply(&old).unwrap(), new);
+        prop_assert_eq!(hd.apply(&old).unwrap(), new);
     }
 
     /// Local and remote rsync produce deltas of identical output length
@@ -1367,7 +1342,6 @@ fn run_codec_workload(
     let cfg = DeltaCfsConfig::new()
         .with_streaming(true)
         .with_chunk_budget(budget)
-        .with_pipeline_depth(2)
         .with_min_parallel_bytes(0)
         .with_wire_compression(policy.is_some());
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());

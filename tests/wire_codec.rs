@@ -9,6 +9,9 @@
 //! * Mixed raw/compressed frame streams through
 //!   `WireCodec::encode_frame` -> `ChunkStager::accept`, with the
 //!   stager's byte gauge checked along the way.
+//! * The adaptive controller against a raw wire over four content
+//!   classes and two link/platform pairs, through the loop the engine
+//!   runs: never more bytes, never later where it compresses.
 
 use bytes::Bytes;
 use deltacfs::core::pipeline::{frame_group, ChunkFrame, ChunkStager};
@@ -18,7 +21,8 @@ use deltacfs::core::{
     WireCodec,
 };
 use deltacfs::delta::{compress, Cost, Delta, DeltaOp};
-use deltacfs::net::{LinkSpec, PlatformProfile};
+use deltacfs::net::{Link, LinkSpec, PlatformProfile, SimTime};
+use deltacfs::obs::{MetricValue, Obs};
 use proptest::prelude::*;
 
 // --- the reference decoder ----------------------------------------------
@@ -378,6 +382,179 @@ fn staged_bytes_is_zero_after_commit_rejection_and_clear() {
     assert!(stager.staged_bytes() > 0);
     stager.clear();
     assert_eq!((stager.staged_groups(), stager.staged_bytes()), (0, 0));
+}
+
+// --- adaptive against raw, content class by link --------------------------
+
+/// Server-log text: the classic highly compressible sync payload.
+fn log_text(len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len + 128);
+    let mut i = 0u64;
+    while out.len() < len {
+        out.extend_from_slice(
+            format!(
+                "2026-08-07T12:{:02}:{:02} INFO request id={} path=/api/v1/items/{} \
+                 status=200 latency_ms={}\n",
+                i / 60 % 60,
+                i % 60,
+                i.wrapping_mul(31) % 100_000,
+                i % 512,
+                i.wrapping_mul(7) % 300,
+            )
+            .as_bytes(),
+        );
+        i += 1;
+    }
+    out.truncate(len);
+    out
+}
+
+/// SQLite-style 4 KiB B-tree pages: a structured header, ascending cell
+/// pointers, zero-padded free space — moderately compressible.
+fn sqlite_pages(len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    for (p, page) in out.chunks_mut(4096).enumerate() {
+        if page.len() < 128 {
+            break;
+        }
+        page[..16].copy_from_slice(b"SQLite format 3\0");
+        let cells = 20 + p % 10;
+        for c in 0..cells {
+            let at = 16 + c * 2;
+            let ptr = (4096 - (c + 1) * 64) as u16;
+            page[at..at + 2].copy_from_slice(&ptr.to_be_bytes());
+        }
+        for c in 0..cells {
+            let at = page.len().saturating_sub((c + 1) * 64);
+            if at + 8 <= page.len() {
+                page[at..at + 8].copy_from_slice(&((p * cells + c) as u64).to_be_bytes());
+            }
+        }
+    }
+    out
+}
+
+/// Entropy-coded media: noise with JPEG-style marker segments — the
+/// probe must price it incompressible despite the sprinkled structure.
+fn jpeg_like(len: usize) -> Vec<u8> {
+    let mut out = noise(len, 0x9E3779B97F4A7C15);
+    for chunk in out.chunks_mut(8192) {
+        if chunk.len() >= 4 {
+            chunk[0] = 0xFF;
+            chunk[1] = 0xDA;
+        }
+    }
+    out
+}
+
+struct Upload {
+    bytes_up: u64,
+    done: SimTime,
+    frames: u64,
+    compressed_chunks: u64,
+    raw_chunks: u64,
+    staged: Vec<UpdateMsg>,
+}
+
+/// One streamed upload of `msg` the way `DeltaCfsSystem` runs it:
+/// `frame_group` -> `encode_frame` -> `upload_part_codec` -> `accept`,
+/// then the end-of-message latency.
+fn upload(msg: &UpdateMsg, policy: CodecPolicy, spec: LinkSpec, profile: PlatformProfile) -> Upload {
+    let obs = Obs::new();
+    let mut codec = WireCodec::for_upload(policy, profile, spec);
+    codec.attach_obs(&obs);
+    let mut link = Link::new(spec);
+    link.set_compute(profile);
+    let mut stager = ChunkStager::new();
+    let mut frames = 0;
+    let mut staged = None;
+    frame_group(std::slice::from_ref(msg), 64 * 1024, |frame| {
+        frames += 1;
+        let frame = codec.encode_frame(frame, 0);
+        link.upload_part_codec(frame.accounted, frame.compressed_from(), SimTime::ZERO);
+        staged = stager.accept(&frame).expect("in-order stream stages");
+    });
+    let done = link.upload_end_msg(SimTime::ZERO);
+    let snap = obs.registry.snapshot();
+    let counter = |name: &str| match snap.get(name) {
+        Some(MetricValue::Counter(v)) => *v,
+        _ => 0,
+    };
+    Upload {
+        bytes_up: link.stats().bytes_up,
+        done,
+        frames,
+        compressed_chunks: counter("wire_compress_chunks"),
+        raw_chunks: counter("wire_raw_chunks"),
+        staged: staged.expect("the last frame commits the group"),
+    }
+}
+
+#[test]
+fn adaptive_codec_is_never_worse_than_raw_across_content_and_links() {
+    const LEN: usize = 1 << 20;
+    let contents = [
+        ("log text", true, log_text(LEN)),
+        ("sqlite pages", true, sqlite_pages(LEN)),
+        ("jpeg-like", false, jpeg_like(LEN)),
+        ("noise", false, noise(LEN, 0x2545F4914F6CDD1D)),
+    ];
+    let links = [
+        ("mobile", LinkSpec::mobile(), PlatformProfile::mobile()),
+        ("pc", LinkSpec::pc(), PlatformProfile::pc()),
+    ];
+    for (cname, compressible, content) in &contents {
+        // An all-literal delta: the content crosses the wire verbatim.
+        let msg = UpdateMsg {
+            path: "/f".into(),
+            base: Some(ver(1)),
+            version: Some(ver(2)),
+            payload: UpdatePayload::Delta {
+                base_path: "/f".into(),
+                delta: Delta::from_ops(vec![DeltaOp::Literal(Bytes::copy_from_slice(content))]),
+            },
+            txn: Some(1),
+            group: Some(gid()),
+        };
+        for (lname, spec, profile) in links {
+            let cell = format!("{cname} on {lname}");
+            let raw = upload(&msg, CodecPolicy::Never, spec, profile);
+            let adaptive = upload(&msg, CodecPolicy::Adaptive, spec, profile);
+            assert_eq!(raw.bytes_up, msg.wire_size(), "{cell}: raw accounting");
+            assert_eq!(raw.staged, std::slice::from_ref(&msg), "{cell}: raw stages the message");
+            assert_eq!(adaptive.staged, raw.staged, "{cell}: staged messages differ");
+            assert_eq!(adaptive.frames, raw.frames, "{cell}");
+            assert!(
+                adaptive.bytes_up <= raw.bytes_up,
+                "{cell}: adaptive uplink {} exceeds raw {}",
+                adaptive.bytes_up,
+                raw.bytes_up
+            );
+            assert_eq!(
+                adaptive.compressed_chunks + adaptive.raw_chunks,
+                adaptive.frames,
+                "{cell}: every frame gets exactly one codec decision"
+            );
+            if !compressible {
+                // Raw frames carry no tag, so the overhead is 0 bytes.
+                assert_eq!(adaptive.compressed_chunks, 0, "{cell}: must ship raw");
+                assert_eq!(adaptive.bytes_up, raw.bytes_up, "{cell}: raw frames are untagged");
+            } else if lname == "mobile" {
+                assert!(adaptive.compressed_chunks >= 1, "{cell}: nothing compressed");
+                assert!(
+                    adaptive.bytes_up * 3 <= raw.bytes_up * 2,
+                    "{cell}: uplink reduction {:.2}x below the 1.5x floor",
+                    raw.bytes_up as f64 / adaptive.bytes_up as f64
+                );
+                assert!(
+                    adaptive.done <= raw.done,
+                    "{cell}: compression lost end to end ({:?} vs {:?} raw)",
+                    adaptive.done,
+                    raw.done
+                );
+            }
+        }
+    }
 }
 
 // --- the decoder's bounds, one case each ---------------------------------

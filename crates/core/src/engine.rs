@@ -6,9 +6,12 @@
 //! and Dropsync-like) implement the same [`SyncEngine`] trait, so the
 //! trace-replay driver and every benchmark treat all five identically.
 
+use std::time::Instant;
+
 use deltacfs_delta::Cost;
 use deltacfs_kvstore::KeyValue;
 use deltacfs_net::{Link, LinkSpec, PlatformProfile, SimClock, SimTime, TrafficStats};
+use deltacfs_obs::{GroupKey, Histogram, Obs};
 use deltacfs_vfs::{OpEvent, Vfs};
 
 use crate::client::DeltaCfsClient;
@@ -60,7 +63,7 @@ pub struct DeltaCfsSystem<K: KeyValue = deltacfs_kvstore::MemStore> {
     link: Link,
     clock: SimClock,
     outcomes: Vec<ApplyOutcome>,
-    obs: deltacfs_obs::Obs,
+    obs: Obs,
     wire_codec: WireCodec,
 }
 
@@ -85,7 +88,7 @@ impl DeltaCfsSystem<deltacfs_kvstore::MemStore> {
             link: Link::new(link_spec),
             clock,
             outcomes: Vec::new(),
-            obs: deltacfs_obs::Obs::new(),
+            obs: Obs::new(),
             wire_codec: upload_codec(&cfg, link_spec),
         }
     }
@@ -105,14 +108,14 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
             link: Link::new(link_spec),
             clock,
             outcomes: Vec::new(),
-            obs: deltacfs_obs::Obs::new(),
+            obs: Obs::new(),
             wire_codec: upload_codec(&cfg, link_spec),
         }
     }
 
     /// Installs a shared observability bundle on the client engine (see
     /// [`DeltaCfsClient::set_obs`]).
-    pub fn enable_observability(&mut self, obs: deltacfs_obs::Obs) {
+    pub fn enable_observability(&mut self, obs: Obs) {
         self.obs = obs.clone();
         self.wire_codec.attach_obs(&obs);
         self.client.set_obs(obs);
@@ -175,31 +178,17 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
             if cfg.streaming && group.iter().all(|m| m.group.is_some()) {
                 self.upload_group_streaming(&group, cfg.chunk_budget, now);
             } else {
-                let wire: u64 = group.iter().map(|m| m.wire_size()).sum();
-                let busy_before = self.link.upload_busy_until();
-                let arrival = self.link.upload(wire, now);
-                if self.obs.spans.enabled() {
-                    if let Some(gid) = group.first().and_then(|m| m.group) {
-                        let key = gid.span_key();
-                        self.obs.spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            now.max(busy_before).as_millis(),
-                            arrival.as_millis(),
-                            None,
-                            || format!("{wire} wire bytes (materialized)"),
-                        );
-                        let a = arrival.as_millis();
-                        self.obs.spans.record(key, "server", "server.apply", a, a, None, || {
-                            format!("{} msg(s)", group.len())
-                        });
-                    }
-                }
-                let outcomes = self.server.apply_txn(&group);
+                // "client-1": the actor `ClientId(1)`'s engine traces itself as.
+                let outcomes = upload_group(
+                    &self.obs,
+                    &mut self.link,
+                    "client-1",
+                    now,
+                    &group,
+                    None,
+                    |msgs| self.server.apply_txn(msgs),
+                );
                 self.outcomes.extend(outcomes);
-                // Acknowledgement.
-                self.link.download(ACK_WIRE_BYTES, now);
             }
         }
     }
@@ -219,11 +208,7 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         let tracer = &self.obs.tracer;
         let spans = &self.obs.spans;
         let at_ms = now.as_millis();
-        let gkey = group
-            .iter()
-            .find_map(|m| m.group)
-            .filter(|_| spans.enabled())
-            .map(|g| g.span_key());
+        let gkey = group_span_key(&self.obs, group);
         let mut stage_first_ms: Option<u64> = None;
         pipeline::frame_group(group, chunk_budget, |frame| {
             let frame = codec.encode_frame(frame, at_ms);
@@ -291,6 +276,110 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         // Acknowledgement.
         link.download(ACK_WIRE_BYTES, now);
     }
+}
+
+/// Whether the server applied every message of a group (no conflict copy,
+/// no rejection) — the condition for forwarding it to peers.
+pub(crate) fn all_applied(outcomes: &[ApplyOutcome]) -> bool {
+    outcomes.iter().all(|o| *o == ApplyOutcome::Applied)
+}
+
+/// The span key a group's stamped id gives, while span profiling is on.
+fn group_span_key(obs: &Obs, group: &[UpdateMsg]) -> Option<GroupKey> {
+    group
+        .iter()
+        .find_map(|m| m.group)
+        .filter(|_| obs.spans.enabled())
+        .map(|g| g.span_key())
+}
+
+/// Starts a whole-message upload in the record: the `wire.upload` trace
+/// event (a courier passes its attempt number), the group's wire bytes
+/// and its [`group_span_key`].
+pub(crate) fn announce_upload(
+    obs: &Obs,
+    actor: &str,
+    now: SimTime,
+    group: &[UpdateMsg],
+    attempt: Option<u32>,
+) -> (u64, Option<GroupKey>) {
+    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
+    obs.tracer.event(now.as_millis(), actor, "wire.upload", || {
+        let attempt = attempt.map_or(String::new(), |a| format!(", attempt {a}"));
+        format!("group of {} msgs, {wire} wire bytes{attempt}", group.len())
+    });
+    (wire, group_span_key(obs, group))
+}
+
+/// Records a first application of `from`'s group: the `server.apply`
+/// trace event at `now`, and a span at the group's arrival that is
+/// zero-width on the simulated clock — apply CPU is accounted in cost
+/// counters, not link time.
+pub(crate) fn record_apply(
+    obs: &Obs,
+    from: &str,
+    now: SimTime,
+    key: Option<GroupKey>,
+    arrival_ms: u64,
+    outcomes: &[ApplyOutcome],
+) {
+    let applied = all_applied(outcomes);
+    obs.tracer
+        .event(now.as_millis(), "server", "server.apply", || {
+            format!(
+                "group from {from}: {} msgs, all_applied={applied}",
+                outcomes.len()
+            )
+        });
+    if let Some(key) = key {
+        obs.spans.record(
+            key,
+            "server",
+            "server.apply",
+            arrival_ms,
+            arrival_ms,
+            None,
+            || format!("{} outcome(s), all_applied={applied}", outcomes.len()),
+        );
+    }
+}
+
+/// The whole-message upload leg on a fault-free link, the one place a
+/// group goes up unframed: announce → [`Link::upload`] → `wire.upload`
+/// span → `apply` (its wall-clock time observed into `latency` when
+/// given) → [`record_apply`] → acknowledgement. [`DeltaCfsSystem`] and
+/// the hub's pump both upload through here.
+pub(crate) fn upload_group(
+    obs: &Obs,
+    link: &mut Link,
+    actor: &str,
+    now: SimTime,
+    group: &[UpdateMsg],
+    latency: Option<&Histogram>,
+    apply: impl FnOnce(&[UpdateMsg]) -> Vec<ApplyOutcome>,
+) -> Vec<ApplyOutcome> {
+    let (wire, key) = announce_upload(obs, actor, now, group, None);
+    let busy_before = link.upload_busy_until();
+    let arrival = link.upload(wire, now);
+    if let Some(key) = key {
+        obs.spans.record(
+            key,
+            "link",
+            "wire.upload",
+            now.max(busy_before).as_millis(),
+            arrival.as_millis(),
+            None,
+            || format!("group of {} msgs, {wire} wire bytes", group.len()),
+        );
+    }
+    let t0 = latency.map(|_| Instant::now());
+    let outcomes = apply(group);
+    if let (Some(hist), Some(t0)) = (latency, t0) {
+        hist.observe(t0.elapsed().as_micros() as u64);
+    }
+    record_apply(obs, actor, now, key, arrival.as_millis(), &outcomes);
+    link.download(ACK_WIRE_BYTES, now);
+    outcomes
 }
 
 impl<K: KeyValue> SyncEngine for DeltaCfsSystem<K> {

@@ -11,26 +11,28 @@
 //! [`ShardedServer`], each shard with its own snapshot store, and clients
 //! attach to a *namespace* (their shared folder, the first path
 //! component). Fan-out is batched per peer through the namespace
-//! subscriber index instead of scanning every client per message, and
-//! [`SyncHub::pump_parallel`] pumps one lane per home shard. A 1-shard
-//! hub with root clients reproduces the original single-instance hub
-//! byte for byte — the shard-invariance property suite pins this.
+//! subscriber index instead of scanning every client per message. One
+//! round loop on the calling thread delivers everything, busy clients in
+//! index order, so traces, `apply_order()` and the conflict list do not
+//! depend on the shard count. A 1-shard hub with root clients reproduces
+//! the original single-instance hub byte for byte — the shard-invariance
+//! property suite pins this.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use deltacfs_kvstore::MemStore;
 use deltacfs_net::{
     FaultPlan, FaultSpec, FaultStats, FaultTopology, Link, LinkSpec, PlatformProfile, SimClock,
     SimTime, UploadVerdict,
 };
-use deltacfs_obs::{Histogram, Obs, Profiler, Snapshot};
+use deltacfs_obs::{Obs, Profiler, Snapshot};
 use deltacfs_vfs::Vfs;
 
 use crate::client::{DeltaCfsClient, RemoteConflict};
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::{DeltaCfsConfig, HubConfig};
+use crate::engine::{all_applied, announce_upload, record_apply, upload_group};
 use crate::pipeline::{frame_group, ChunkStager};
 use crate::protocol::{
     ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version, ACK_WIRE_BYTES,
@@ -49,8 +51,8 @@ struct Slot {
     /// The shared folder this client is attached to (first path
     /// component); `""` is the legacy root client that sees everything.
     namespace: String,
-    /// The server shard the namespace hashes to — the client's pump lane
-    /// and queue-depth gauge bucket.
+    /// The server shard the namespace hashes to — the client's
+    /// queue-depth gauge bucket.
     home_shard: usize,
     /// Client-side staging for chunk-streamed forwards and recovery
     /// downloads — the mirror of the server's upload stage. A group
@@ -146,9 +148,6 @@ pub struct SyncHub {
     /// Observability bundle shared with every client. Default-disabled
     /// tracer; [`SyncHub::enable_observability`] installs a live one.
     obs: Obs,
-    /// Cores of the host: the most workers a parallel pump deals its busy
-    /// lanes over.
-    cores: usize,
     /// Clients the pumps drained and ticked, and clients they skipped as
     /// not busy, over all rounds so far.
     pump_visited: u64,
@@ -193,7 +192,6 @@ impl SyncHub {
             acked: Vec::new(),
             synthetic_groups: 0,
             obs: Obs::new(),
-            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             pump_visited: 0,
             pump_skipped: 0,
         }
@@ -463,37 +461,7 @@ impl SyncHub {
     /// atomically on the client.
     pub fn full_sync(&mut self, idx: usize) {
         let now = self.clock.now();
-        let ns = self.slots[idx].namespace.clone();
-        let mut msgs: Vec<UpdateMsg> = Vec::new();
-        for dir in self.server.dirs() {
-            if !ns.is_empty() && !path_in_namespace(&ns, &dir) {
-                continue;
-            }
-            msgs.push(UpdateMsg {
-                path: dir,
-                base: None,
-                version: None,
-                payload: UpdatePayload::Mkdir,
-                txn: None,
-                group: None,
-            });
-        }
-        let paths = if ns.is_empty() {
-            self.server.paths()
-        } else {
-            self.server.paths_in_namespace(&ns)
-        };
-        for path in paths {
-            let content = self.server.file(&path).expect("listed path exists");
-            msgs.push(UpdateMsg {
-                path: path.clone(),
-                base: None,
-                version: self.server.version(&path),
-                payload: UpdatePayload::Full(Payload::from(content)),
-                txn: None,
-                group: None,
-            });
-        }
+        let msgs = self.namespace_state(idx);
         let gid = self.next_synthetic_group();
         deliver_group_streaming(
             &self.obs,
@@ -505,6 +473,41 @@ impl SyncHub {
             None,
             &mut self.conflicts,
         );
+    }
+
+    /// The server's state as client `idx` may see it — its namespace, or
+    /// everything for a root client — as messages: a `Mkdir` per
+    /// directory, then a `Full` per file. A full sync streams all of
+    /// them; anti-entropy picks its repairs from them.
+    fn namespace_state(&self, idx: usize) -> Vec<UpdateMsg> {
+        let ns = &self.slots[idx].namespace;
+        let state_msg = |path, version, payload| UpdateMsg {
+            path,
+            base: None,
+            version,
+            payload,
+            txn: None,
+            group: None,
+        };
+        let mut msgs: Vec<UpdateMsg> = self
+            .server
+            .dirs()
+            .into_iter()
+            .filter(|dir| ns.is_empty() || path_in_namespace(ns, dir))
+            .map(|dir| state_msg(dir, None, UpdatePayload::Mkdir))
+            .collect();
+        let paths = if ns.is_empty() {
+            self.server.paths()
+        } else {
+            self.server.paths_in_namespace(ns)
+        };
+        for path in paths {
+            let content = self.server.file(&path).expect("listed path exists");
+            let version = self.server.version(&path);
+            let content = Payload::from(content);
+            msgs.push(state_msg(path, version, UpdatePayload::Full(content)));
+        }
+        msgs
     }
 
     /// Stamps the next synthetic download-stream group id (full sync,
@@ -531,92 +534,17 @@ impl SyncHub {
         self.pump_inner(true);
     }
 
-    /// Like [`SyncHub::pump`], but pumps one lane per home shard, and
-    /// only the lanes that hold a busy client (one with logged events, a
-    /// non-quiescent engine or a group in its courier): none busy and
-    /// the round ends at once; one busy lane runs inline on the caller;
-    /// more are dealt over `min(busy lanes, available cores)` workers, of
-    /// which the caller is one. Requires every client to be namespaced —
-    /// a root client shares files across lanes — and faults to be off;
-    /// otherwise this falls back to the sequential pump. Conflicts and
-    /// outcomes merge in lane order, so the result is deterministic for
-    /// a fixed topology.
+    /// Forwards to [`SyncHub::pump`]. There is one pump; this name stays
+    /// only because `benchmark/src/driver.rs` calls it and goes with the
+    /// benchmark's `api.rs` change (ROADMAP, benchmark-wall item).
     pub fn pump_parallel(&mut self) {
-        self.pump_parallel_inner(false);
+        self.pump();
     }
 
-    /// [`SyncHub::flush`] over the parallel lanes.
+    /// Forwards to [`SyncHub::flush`]; kept for the same reason as
+    /// [`SyncHub::pump_parallel`].
     pub fn flush_parallel(&mut self) {
-        self.pump_parallel_inner(true);
-        self.pump_parallel_inner(true);
-    }
-
-    fn pump_parallel_inner(&mut self, flush: bool) {
-        let shard_count = self.server.shard_count();
-        if self.fault.is_some() || shard_count <= 1 || !self.root_subscribers.is_empty() {
-            return self.pump_inner(flush);
-        }
-        let now = self.clock.now();
-        // A namespace's clients all share one home shard, so forwarding
-        // never crosses a lane, and a lane with no busy client has
-        // nothing to upload and nobody to forward to it: it is not run.
-        let mut busy = vec![false; shard_count];
-        for slot in &self.slots {
-            busy[slot.home_shard] = busy[slot.home_shard] || slot.is_busy();
-        }
-        // Shard → its lane; lanes are numbered in shard order.
-        let mut lanes: Vec<Vec<(usize, &mut Slot)>> = Vec::new();
-        let lane_of_shard: Vec<Option<usize>> = busy
-            .iter()
-            .map(|&busy| {
-                busy.then(|| {
-                    lanes.push(Vec::new());
-                    lanes.len() - 1
-                })
-            })
-            .collect();
-        let clients = self.slots.len() as u64;
-        if lanes.is_empty() {
-            self.pump_skipped += clients;
-            return;
-        }
-        let hist = self.cfg.latency_histogram.then(|| self.latency_histogram());
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(lane) = lane_of_shard[slot.home_shard] {
-                lanes[lane].push((idx, slot));
-            }
-        }
-        let server = &self.server;
-        let obs = &self.obs;
-        let run = |lanes: &mut [Vec<(usize, &mut Slot)>], outputs: &mut [LaneOutput]| {
-            for (lane, out) in lanes.iter_mut().zip(outputs) {
-                *out = run_lane(server, obs, now, lane, flush, hist.as_ref());
-            }
-        };
-        let mut outputs: Vec<LaneOutput> = lanes.iter().map(|_| LaneOutput::default()).collect();
-        let workers = self.cores.min(lanes.len());
-        if workers <= 1 {
-            run(&mut lanes, &mut outputs);
-        } else {
-            let per_worker = lanes.len().div_ceil(workers);
-            let mut dealt = lanes.chunks_mut(per_worker).zip(outputs.chunks_mut(per_worker));
-            let (own_lanes, own_outputs) = dealt.next().expect("two or more lanes");
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (lanes, outputs) in dealt {
-                    scope.spawn(move || run(lanes, outputs));
-                }
-                run(own_lanes, own_outputs);
-            });
-        }
-        // Merge lane outputs deterministically, by lane order.
-        let visited: u64 = outputs.iter().map(|out| out.visited).sum();
-        self.pump_visited += visited;
-        self.pump_skipped += clients - visited;
-        for out in outputs {
-            self.server_outcomes.extend(out.outcomes);
-            self.conflicts.extend(out.conflicts);
-        }
+        self.flush();
     }
 
     /// Feeds client `idx`'s pending file-system events into its engine
@@ -640,8 +568,20 @@ impl SyncHub {
         }
     }
 
+    /// One delivery round, on the calling thread: every busy client, in
+    /// index order, has its events fed to its engine and its ready groups
+    /// uploaded, applied and forwarded before the next client is looked at.
     fn pump_inner(&mut self, flush: bool) {
         let now = self.clock.now();
+        // The opt-in wall-clock apply-latency histogram (µs), resolved
+        // once per round rather than once per group.
+        let latency = self.cfg.latency_histogram.then(|| {
+            self.obs.registry.histogram(
+                "hub_apply_latency_us",
+                APPLY_LATENCY_HELP,
+                &APPLY_LATENCY_BUCKETS_US,
+            )
+        });
         for idx in 0..self.slots.len() {
             if !self.slots[idx].is_busy() {
                 self.pump_skipped += 1;
@@ -662,57 +602,23 @@ impl SyncHub {
                     self.slots[idx].courier.enqueue(group);
                 }
                 self.drive_courier(idx, now);
-            } else {
-                for group in groups {
-                    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-                    self.obs.tracer.event(
-                        now.as_millis(),
-                        &self.slots[idx].actor,
-                        "wire.upload",
-                        || format!("group of {} msgs, {wire} wire bytes", group.len()),
-                    );
-                    let busy_before = self.slots[idx].link.upload_busy_until();
-                    let arrival = self.slots[idx].link.upload(wire, now);
-                    let gkey = group
-                        .iter()
-                        .find_map(|m| m.group)
-                        .filter(|_| self.obs.spans.enabled())
-                        .map(|g| g.span_key());
-                    if let Some(key) = gkey {
-                        self.obs.spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            now.max(busy_before).as_millis(),
-                            arrival.as_millis(),
-                            None,
-                            || format!("group of {} msgs, {wire} wire bytes", group.len()),
-                        );
-                    }
-                    let outcomes = self.timed_apply(&group);
-                    let all_applied = outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
-                    self.obs
-                        .tracer
-                        .event(now.as_millis(), "server", "server.apply", || {
-                            format!(
-                                "group from {}: {} msgs, all_applied={all_applied}",
-                                self.slots[idx].actor,
-                                group.len()
-                            )
-                        });
-                    if let Some(key) = gkey {
-                        // Zero-width on the simulated clock: apply CPU is
-                        // accounted in cost counters, not link time.
-                        let at = arrival.as_millis();
-                        self.obs.spans.record(key, "server", "server.apply", at, at, None, || {
-                            format!("{} outcome(s), all_applied={all_applied}", outcomes.len())
-                        });
-                    }
-                    self.server_outcomes.extend(outcomes);
-                    self.slots[idx].link.download(ACK_WIRE_BYTES, now);
-                    if all_applied {
-                        self.forward(idx, &group, now, &mut None);
-                    }
+                continue;
+            }
+            for group in groups {
+                let slot = &mut self.slots[idx];
+                let outcomes = upload_group(
+                    &self.obs,
+                    &mut slot.link,
+                    &slot.actor,
+                    now,
+                    &group,
+                    latency.as_ref(),
+                    |msgs| self.server.apply_txn(msgs),
+                );
+                let applied = all_applied(&outcomes);
+                self.server_outcomes.extend(outcomes);
+                if applied {
+                    self.forward(idx, &group, now, &mut None);
                 }
             }
         }
@@ -734,29 +640,6 @@ impl SyncHub {
         }
     }
 
-    /// The opt-in wall-clock apply-latency histogram (µs).
-    fn latency_histogram(&self) -> Histogram {
-        self.obs.registry.histogram(
-            "hub_apply_latency_us",
-            APPLY_LATENCY_HELP,
-            &APPLY_LATENCY_BUCKETS_US,
-        )
-    }
-
-    /// Applies a group, recording wall-clock latency when the
-    /// [`HubConfig::latency_histogram`] knob is on.
-    fn timed_apply(&self, group: &[UpdateMsg]) -> Vec<ApplyOutcome> {
-        if self.cfg.latency_histogram {
-            let hist = self.latency_histogram();
-            let t0 = Instant::now();
-            let outcomes = self.server.apply_txn(group);
-            hist.observe(t0.elapsed().as_micros() as u64);
-            outcomes
-        } else {
-            self.server.apply_txn(group)
-        }
-    }
-
     /// Runs client `idx`'s courier until its queue drains or backoff /
     /// disconnection parks it: each attempt goes through the client's
     /// fault plan, and only a surviving acknowledgement advances the
@@ -770,19 +653,8 @@ impl SyncHub {
             };
             let attempt = flight.attempts;
             let group = flight.group.clone();
-            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
             let now_ms = now.as_millis();
-            self.obs.tracer.event(now_ms, &actor, "wire.upload", || {
-                format!(
-                    "group of {} msgs, {wire} wire bytes, attempt {attempt}",
-                    group.len()
-                )
-            });
-            let gkey = group
-                .iter()
-                .find_map(|m| m.group)
-                .filter(|_| self.obs.spans.enabled())
-                .map(|g| g.span_key());
+            let (wire, gkey) = announce_upload(&self.obs, &actor, now, &group, Some(attempt));
             let busy_before = self.slots[idx].link.upload_busy_until();
             let (done, verdict) =
                 self.slots[idx]
@@ -847,32 +719,17 @@ impl SyncHub {
                     crash_after_apply,
                 } => {
                     let (outcomes, was_dup) = self.server.apply_txn_idempotent(&group);
-                    let stage = if was_dup { "server.dedup" } else { "server.apply" };
-                    self.obs.tracer.event(now_ms, "server", stage, || {
-                        if was_dup {
-                            format!("replay of group from {actor} absorbed ({} msgs)", group.len())
-                        } else {
-                            format!("group from {actor} applied ({} msgs)", group.len())
-                        }
-                    });
                     if let Some(span) = attempt_span {
                         self.obs.spans.end_detail(span, done_ms, || {
                             format!("attempt {attempt}: {wire} wire bytes delivered")
                         });
                     }
-                    if !was_dup {
-                        if let Some(key) = gkey {
-                            // Zero-width: apply CPU lives in cost counters.
-                            self.obs.spans.record(
-                                key,
-                                "server",
-                                "server.apply",
-                                done_ms,
-                                done_ms,
-                                None,
-                                || format!("{} outcome(s) after {attempt} attempt(s)", outcomes.len()),
-                            );
-                        }
+                    if was_dup {
+                        self.obs.tracer.event(now_ms, "server", "server.dedup", || {
+                            format!("replay of group from {actor} absorbed ({} msgs)", group.len())
+                        });
+                    } else {
+                        record_apply(&self.obs, &actor, now, gkey, done_ms, &outcomes);
                     }
                     self.server
                         .save_group(&group, &mut self.stores)
@@ -918,8 +775,7 @@ impl SyncHub {
                         });
                         self.slots[idx].courier.on_ack();
                         if !was_dup {
-                            let all_applied =
-                                outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
+                            let applied = all_applied(&outcomes);
                             for (msg, out) in group.iter().zip(&outcomes) {
                                 if *out == ApplyOutcome::Applied {
                                     if let Some(v) = msg.version {
@@ -928,7 +784,7 @@ impl SyncHub {
                                 }
                             }
                             self.server_outcomes.extend(outcomes);
-                            if all_applied {
+                            if applied {
                                 self.forward(idx, &group, now, &mut Some(&mut topo));
                             }
                         }
@@ -980,9 +836,14 @@ impl SyncHub {
 
     /// Sends `group` to every subscribed client except `from` — the same
     /// incremental data, no recomputation (paper §III-D), one batch per
-    /// peer. In fault mode each forwarded message can be lost on the
-    /// *receiving peer's* downlink, as decided by that peer's own fault
-    /// plan.
+    /// peer. Messages outside a peer's namespace are filtered; the rest
+    /// keep the per-message divergence check (a diverged peer gets
+    /// materialized Full content, an in-sync peer the verbatim incremental
+    /// data), resolved up front by [`plan_forward_group`] so the whole
+    /// batch streams through the chunked download pipeline and commits
+    /// atomically on the peer. In fault mode each forwarded message can
+    /// be lost on the *receiving peer's* downlink, as decided by that
+    /// peer's own fault plan.
     fn forward(
         &mut self,
         from: usize,
@@ -992,15 +853,33 @@ impl SyncHub {
     ) {
         let sender = Arc::clone(&self.slots[from].actor);
         for idx in self.receivers_for(from) {
-            forward_group_to_peer(
-                &self.server,
+            let peer = &mut self.slots[idx];
+            let planned = plan_forward_group(&self.server, peer, group);
+            if planned.is_empty() {
+                continue;
+            }
+            let gid = group
+                .iter()
+                .find_map(|m| m.group)
+                .expect("upload groups are stamped");
+            self.obs
+                .tracer
+                .event(now.as_millis(), "server", "wire.forward", || {
+                    format!(
+                        "forwarding group of {} msgs from {sender} to {}",
+                        planned.len(),
+                        peer.actor
+                    )
+                });
+            let plan = fault.as_mut().map(|topo| topo.plan_for(idx));
+            deliver_group_streaming(
                 &self.obs,
                 now,
-                &sender,
                 idx,
-                &mut self.slots[idx],
-                group,
-                fault,
+                peer,
+                gid,
+                planned,
+                plan,
                 &mut self.conflicts,
             );
         }
@@ -1031,48 +910,25 @@ impl SyncHub {
         // reconciles its own subtree.
         let now = self.clock.now();
         for idx in 0..self.slots.len() {
-            let ns = self.slots[idx].namespace.clone();
-            // Directories first: a dropped Mkdir forward would otherwise
-            // leave every file reconciliation under it failing for want
-            // of a parent.
-            for dir in self.server.dirs() {
-                if !ns.is_empty() && !path_in_namespace(&ns, &dir) {
-                    continue;
-                }
-                if self.slots[idx].fs.exists(&dir) {
-                    continue;
-                }
-                let msg = UpdateMsg {
-                    path: dir,
-                    base: None,
-                    version: None,
-                    payload: UpdatePayload::Mkdir,
-                    txn: None,
-                    group: None,
-                };
-                let slot = &mut self.slots[idx];
-                slot.client.apply_remote(&msg, &mut slot.fs);
-            }
-            let paths = if ns.is_empty() {
-                self.server.paths()
-            } else {
-                self.server.paths_in_namespace(&ns)
-            };
             let mut repairs: Vec<UpdateMsg> = Vec::new();
-            for path in paths {
-                let server_content = self.server.file(&path).expect("listed path exists");
-                let local = self.slots[idx].fs.peek_all(&path).ok();
-                if local.as_deref() == Some(&server_content[..]) {
-                    continue;
+            for msg in self.namespace_state(idx) {
+                let slot = &mut self.slots[idx];
+                match &msg.payload {
+                    UpdatePayload::Full(content) => {
+                        if slot.fs.peek_slice(&msg.path).ok() != Some(&content[..]) {
+                            repairs.push(msg);
+                        }
+                    }
+                    // Directories are made at once, ahead of the repair
+                    // stream: a dropped Mkdir forward would otherwise
+                    // leave every file reconciliation under it failing
+                    // for want of a parent.
+                    _ => {
+                        if !slot.fs.exists(&msg.path) {
+                            slot.client.apply_remote(&msg, &mut slot.fs);
+                        }
+                    }
                 }
-                repairs.push(UpdateMsg {
-                    path: path.clone(),
-                    base: None,
-                    version: self.server.version(&path),
-                    payload: UpdatePayload::Full(Payload::from(server_content)),
-                    txn: None,
-                    group: None,
-                });
             }
             if !repairs.is_empty() {
                 // One synthetic chunked stream per client: the same
@@ -1322,150 +1178,6 @@ impl SyncHub {
     pub fn forward_stage_depth(&self, idx: usize) -> usize {
         self.slots[idx].forward.staged_groups()
     }
-}
-
-/// What one pump lane produced, merged into the hub in lane order.
-#[derive(Default)]
-struct LaneOutput {
-    outcomes: Vec<ApplyOutcome>,
-    conflicts: Vec<(usize, RemoteConflict)>,
-    /// Clients of the lane that were busy and so drained and ticked.
-    visited: u64,
-}
-
-/// One parallel-pump lane: the slots homed on one shard, pumped in index
-/// order exactly like the sequential path (skip unless busy; events →
-/// tick/flush → upload → apply → forward to same-namespace lane peers).
-fn run_lane(
-    server: &ShardedServer,
-    obs: &Obs,
-    now: SimTime,
-    lane: &mut [(usize, &mut Slot)],
-    flush: bool,
-    hist: Option<&Histogram>,
-) -> LaneOutput {
-    let mut out = LaneOutput::default();
-    for i in 0..lane.len() {
-        let (before, rest) = lane.split_at_mut(i);
-        let ((_, slot), after) = rest.split_first_mut().expect("i < lane.len()");
-        if !slot.is_busy() {
-            continue;
-        }
-        out.visited += 1;
-        for e in &slot.fs.drain_events() {
-            slot.client.handle_event(e, &slot.fs);
-        }
-        let groups = if flush {
-            slot.client.flush(&slot.fs)
-        } else {
-            slot.client.tick(&slot.fs)
-        };
-        for group in groups {
-            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-            obs.tracer
-                .event(now.as_millis(), &slot.actor, "wire.upload", || {
-                    format!("group of {} msgs, {wire} wire bytes", group.len())
-                });
-            let busy_before = slot.link.upload_busy_until();
-            let arrival = slot.link.upload(wire, now);
-            let gkey = group
-                .iter()
-                .find_map(|m| m.group)
-                .filter(|_| obs.spans.enabled())
-                .map(|g| g.span_key());
-            if let Some(key) = gkey {
-                obs.spans.record(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before).as_millis(),
-                    arrival.as_millis(),
-                    None,
-                    || format!("group of {} msgs, {wire} wire bytes", group.len()),
-                );
-            }
-            let t0 = hist.map(|_| Instant::now());
-            let outcomes = server.apply_txn(&group);
-            if let (Some(h), Some(t0)) = (hist, t0) {
-                h.observe(t0.elapsed().as_micros() as u64);
-            }
-            let all_applied = outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
-            obs.tracer
-                .event(now.as_millis(), "server", "server.apply", || {
-                    format!(
-                        "group from {}: {} msgs, all_applied={all_applied}",
-                        slot.actor,
-                        group.len()
-                    )
-                });
-            if let Some(key) = gkey {
-                let at = arrival.as_millis();
-                obs.spans.record(key, "server", "server.apply", at, at, None, || {
-                    format!("{} outcome(s), all_applied={all_applied}", outcomes.len())
-                });
-            }
-            out.outcomes.extend(outcomes);
-            slot.link.download(ACK_WIRE_BYTES, now);
-            if all_applied {
-                for (peer_idx, peer) in before.iter_mut().chain(after.iter_mut()) {
-                    if peer.namespace != slot.namespace {
-                        continue;
-                    }
-                    forward_group_to_peer(
-                        server,
-                        obs,
-                        now,
-                        &slot.actor,
-                        *peer_idx,
-                        peer,
-                        &group,
-                        &mut None,
-                        &mut out.conflicts,
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Delivers one group to one peer — the per-peer forward batch shared by
-/// the sequential pump and the parallel lanes. Messages outside the
-/// peer's namespace are filtered; the rest keep the per-message
-/// divergence check (a diverged peer gets materialized Full content, an
-/// in-sync peer the verbatim incremental data), resolved up front by
-/// [`plan_forward_group`] so the whole batch streams through the
-/// chunked download pipeline and commits atomically on the peer.
-#[allow(clippy::too_many_arguments)]
-fn forward_group_to_peer(
-    server: &ShardedServer,
-    obs: &Obs,
-    now: SimTime,
-    from: &str,
-    peer_idx: usize,
-    peer: &mut Slot,
-    group: &[UpdateMsg],
-    fault: &mut Option<&mut FaultTopology>,
-    conflicts: &mut Vec<(usize, RemoteConflict)>,
-) {
-    let planned = plan_forward_group(server, peer, group);
-    if planned.is_empty() {
-        return;
-    }
-    let gid = group
-        .iter()
-        .find_map(|m| m.group)
-        .expect("upload groups are stamped");
-    obs.tracer
-        .event(now.as_millis(), "server", "wire.forward", || {
-            format!(
-                "forwarding group of {} msgs from {from} to {}",
-                planned.len(),
-                peer.actor
-            )
-        });
-    let plan = fault.as_mut().map(|topo| topo.plan_for(peer_idx));
-    deliver_group_streaming(obs, now, peer_idx, peer, gid, planned, plan, conflicts);
 }
 
 /// Plans what one peer receives for a forwarded group: messages outside
@@ -1904,52 +1616,5 @@ mod tests {
         assert_eq!(hub.fs(a2).peek_all("/t1/doc").unwrap(), b"tenant one");
         assert!(!hub.fs(b1).exists("/t1/doc"));
         assert_eq!(hub.traffic(b1).bytes_down, 0, "no fan-out to tenant 2");
-    }
-
-    #[test]
-    fn parallel_pump_matches_sequential_for_namespaced_tenants() {
-        let mk = |parallel: bool| {
-            let clock = SimClock::new();
-            let mut hub = SyncHub::with_shards(clock.clone(), 4);
-            let mut idxs = Vec::new();
-            for t in 0..6 {
-                let ns = format!("t{t}");
-                idxs.push(hub.add_client_in(&ns, DeltaCfsConfig::new(), LinkSpec::pc()));
-                idxs.push(hub.add_client_in(&ns, DeltaCfsConfig::new(), LinkSpec::pc()));
-            }
-            for t in 0..6 {
-                let writer = idxs[t * 2];
-                let dir = format!("/t{t}");
-                let path = format!("/t{t}/file");
-                hub.fs_mut(writer).mkdir_all(&dir).unwrap();
-                hub.fs_mut(writer).create(&path).unwrap();
-                hub.fs_mut(writer)
-                    .write(&path, 0, format!("payload-{t}").as_bytes())
-                    .unwrap();
-            }
-            if parallel {
-                hub.pump_parallel();
-                clock.advance(4000);
-                hub.pump_parallel();
-            } else {
-                hub.pump();
-                clock.advance(4000);
-                hub.pump();
-            }
-            hub
-        };
-        let seq = mk(false);
-        let par = mk(true);
-        assert_eq!(seq.server().paths(), par.server().paths());
-        for path in seq.server().paths() {
-            assert_eq!(seq.server().file(&path), par.server().file(&path), "{path}");
-        }
-        for idx in 0..seq.client_count() {
-            assert_eq!(
-                seq.traffic(idx).bytes_down,
-                par.traffic(idx).bytes_down,
-                "client {idx} downstream traffic"
-            );
-        }
     }
 }

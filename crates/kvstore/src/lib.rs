@@ -44,14 +44,12 @@ mod error;
 mod mem;
 mod segment;
 mod store;
-mod tenant;
 pub mod wal;
 
 pub use crc::crc32;
 pub use error::KvError;
 pub use mem::MemStore;
 pub use store::KvStore;
-pub use tenant::{ReadCache, TenantView};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, KvError>;

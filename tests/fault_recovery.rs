@@ -858,53 +858,32 @@ fn crash_drops_staged_forward_group_and_settle_reconverges() {
 /// pump round a later-indexed peer has not been drained yet when an
 /// earlier client's group is forwarded to it; applying the forward used
 /// to end by draining (and dropping) the peer's whole event log — here
-/// the create and the write of `/…/b`, which then never reached the
-/// cloud. Same schedule through the sequential pump (root clients) and
-/// the parallel lanes (namespaced ones).
+/// the create and the write of `/b`, which then never reached the cloud.
 #[test]
 fn forward_keeps_the_receivers_own_pending_edits() {
-    for parallel in [false, true] {
-        let clock = SimClock::new();
-        let mut hub = SyncHub::with_shards(clock.clone(), if parallel { 4 } else { 1 });
-        let (ns, dir) = if parallel { ("t", "/t") } else { ("", "") };
-        let a = hub.add_client_in(ns, DeltaCfsConfig::new(), LinkSpec::pc());
-        let b = hub.add_client_in(ns, DeltaCfsConfig::new(), LinkSpec::pc());
-        let pump = |hub: &mut SyncHub| {
-            if parallel {
-                hub.pump_parallel()
-            } else {
-                hub.pump()
-            }
-        };
-        let (file_a, file_b) = (format!("{dir}/a"), format!("{dir}/b"));
-        if parallel {
-            hub.fs_mut(a).mkdir_all(dir).unwrap();
-        }
-        hub.fs_mut(a).create(&file_a).unwrap();
-        hub.fs_mut(a).write(&file_a, 0, b"from a").unwrap();
-        pump(&mut hub);
-        clock.advance(10_000);
-        // B edits without an `ingest`: its events wait in the log while
-        // the pump visits A first and forwards A's group to B.
-        hub.fs_mut(b).mkdir_all(if parallel { dir } else { "/" }).unwrap();
-        hub.fs_mut(b).create(&file_b).unwrap();
-        hub.fs_mut(b).write(&file_b, 0, b"from b").unwrap();
-        pump(&mut hub);
-        clock.advance(10_000);
-        pump(&mut hub);
-        if parallel {
-            hub.flush_parallel();
-        } else {
-            hub.flush();
-        }
-        assert_eq!(
-            hub.server().file(&file_b).as_deref(),
-            Some(&b"from b"[..]),
-            "parallel={parallel}: B's own edit was lost to the forward"
-        );
-        assert_eq!(hub.fs(a).peek_all(&file_b).unwrap(), b"from b");
-        assert_eq!(hub.fs(b).peek_all(&file_a).unwrap(), b"from a");
-        assert!(hub.conflicts().is_empty(), "parallel={parallel}");
-        assert_converged(&hub, 0);
-    }
+    let clock = SimClock::new();
+    let mut hub = SyncHub::new(clock.clone());
+    let a = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    let b = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    hub.fs_mut(a).create("/a").unwrap();
+    hub.fs_mut(a).write("/a", 0, b"from a").unwrap();
+    hub.pump();
+    clock.advance(10_000);
+    // B edits without an `ingest`: its events wait in the log while
+    // the pump visits A first and forwards A's group to B.
+    hub.fs_mut(b).create("/b").unwrap();
+    hub.fs_mut(b).write("/b", 0, b"from b").unwrap();
+    hub.pump();
+    clock.advance(10_000);
+    hub.pump();
+    hub.flush();
+    assert_eq!(
+        hub.server().file("/b").as_deref(),
+        Some(&b"from b"[..]),
+        "B's own edit was lost to the forward"
+    );
+    assert_eq!(hub.fs(a).peek_all("/b").unwrap(), b"from b");
+    assert_eq!(hub.fs(b).peek_all("/a").unwrap(), b"from a");
+    assert!(hub.conflicts().is_empty());
+    assert_converged(&hub, 0);
 }

@@ -799,12 +799,19 @@ proptest! {
 use deltacfs::core::{ShardRouter, SyncHub};
 use deltacfs::net::{FaultSpec, LinkSpec};
 
+/// A hub's round drivers: `(pump, flush)`.
+type HubDriver = (fn(&mut SyncHub), fn(&mut SyncHub));
+
 /// Drives a multi-tenant workload on a hub with `shards` shards: four
 /// tenants, two clients each, writes/renames/unlinks confined to each
-/// tenant's namespace. Returns everything shard count must not change.
+/// tenant's namespace; an op whose tenant number is 4 or more (tenant
+/// `n % 4`) shares its pump round with the next op, so rounds see several
+/// busy tenants. `pump` and `flush` are the hub's round drivers under
+/// test. Returns everything shard count must not change.
 #[allow(clippy::type_complexity)]
 fn run_tenant_workload(
     shards: usize,
+    (pump, flush): HubDriver,
     ops: &[(u8, bool, u8, usize, u64, Vec<u8>)],
 ) -> (
     Vec<(String, Option<Vec<u8>>)>,      // server content
@@ -812,7 +819,7 @@ fn run_tenant_workload(
     Vec<Vec<(String, Vec<u8>)>>,         // per-client file state
     Vec<(u64, u64)>,                     // per-client traffic totals
     Vec<(usize, String, u64)>,           // acked versions, in ack order
-    usize,                               // conflicts observed
+    Vec<(usize, String)>,                // conflicts observed: (client, path)
 ) {
     use deltacfs::core::DeltaCfsConfig;
 
@@ -880,13 +887,17 @@ fn run_tenant_workload(
                 }
             }
         }
-        hub.pump();
+        hub.ingest(idx);
+        if *tenant >= 4 {
+            continue;
+        }
+        pump(&mut hub);
         clock.advance(2_500);
-        hub.pump();
+        pump(&mut hub);
     }
     clock.advance(10_000);
-    hub.pump();
-    hub.flush();
+    pump(&mut hub);
+    flush(&mut hub);
 
     let server_content = hub
         .server()
@@ -927,7 +938,10 @@ fn run_tenant_workload(
         client_files,
         traffic,
         acked,
-        hub.conflicts().len(),
+        hub.conflicts()
+            .iter()
+            .map(|(client, conflict)| (*client, conflict.path.clone()))
+            .collect(),
     )
 }
 
@@ -937,25 +951,30 @@ proptest! {
     /// Sharding is a pure dispatch optimization (DESIGN.md §13): the same
     /// multi-tenant workload run on 1-, 4- and 16-shard hubs produces
     /// identical server content, identical per-client state, identical
-    /// traffic totals, and the identical causal apply order. The striped
-    /// locks, per-shard persistence and batched fan-out may only change
-    /// wall-clock time, never outcomes.
+    /// traffic totals, the identical causal apply order and the identical
+    /// conflict sequence — under either name of the hub's pump. The
+    /// striped locks, per-shard persistence and batched fan-out may only
+    /// change wall-clock time, never outcomes.
     #[test]
     fn sharded_hub_matches_single_shard(
         ops in proptest::collection::vec(
-            (0u8..4, any::<bool>(), 0u8..5, 0usize..4, 0u64..2048, buffer(192)),
+            (0u8..8, any::<bool>(), 0u8..5, 0usize..4, 0u64..2048, buffer(192)),
             1..16
         )
     ) {
-        let baseline = run_tenant_workload(1, &ops);
+        let plain: HubDriver = (SyncHub::pump, SyncHub::flush);
+        let baseline = run_tenant_workload(1, plain, &ops);
         for shards in [4usize, 16] {
-            let sharded = run_tenant_workload(shards, &ops);
-            prop_assert_eq!(&sharded.0, &baseline.0, "server content, {} shards", shards);
-            prop_assert_eq!(&sharded.1, &baseline.1, "apply order, {} shards", shards);
-            prop_assert_eq!(&sharded.2, &baseline.2, "client state, {} shards", shards);
-            prop_assert_eq!(&sharded.3, &baseline.3, "traffic, {} shards", shards);
-            prop_assert_eq!(&sharded.4, &baseline.4, "acked order, {} shards", shards);
-            prop_assert_eq!(sharded.5, baseline.5, "conflicts, {} shards", shards);
+            let forwarding: HubDriver = (SyncHub::pump_parallel, SyncHub::flush_parallel);
+            for (name, driver) in [("pump", plain), ("pump_parallel", forwarding)] {
+                let sharded = run_tenant_workload(shards, driver, &ops);
+                prop_assert_eq!(&sharded.0, &baseline.0, "server content, {} shards, {}", shards, name);
+                prop_assert_eq!(&sharded.1, &baseline.1, "apply order, {} shards, {}", shards, name);
+                prop_assert_eq!(&sharded.2, &baseline.2, "client state, {} shards, {}", shards, name);
+                prop_assert_eq!(&sharded.3, &baseline.3, "traffic, {} shards, {}", shards, name);
+                prop_assert_eq!(&sharded.4, &baseline.4, "acked order, {} shards, {}", shards, name);
+                prop_assert_eq!(&sharded.5, &baseline.5, "conflicts, {} shards, {}", shards, name);
+            }
         }
     }
 

@@ -4,14 +4,12 @@
 //! locks must never change what the server stores, what clients see, or
 //! which duplicates are recognized. These tests pin the hazards the
 //! refactor introduced — cross-shard groups, replicated group records,
-//! per-shard persistence — plus the multi-tenant kvstore layer the
-//! shards sit on.
+//! per-shard persistence.
 
 use deltacfs::core::{
     ApplyOutcome, ClientId, DeltaCfsConfig, GroupId, Payload, ShardRouter, ShardedServer, SyncHub,
     UpdateMsg, UpdatePayload, Version,
 };
-use deltacfs::kvstore::{BatchOp, KeyValue, MemStore, ReadCache, TenantView};
 use deltacfs::net::{FaultSpec, LinkSpec, SimClock};
 
 const SETTLE_MS: u64 = 600_000;
@@ -238,92 +236,4 @@ fn whole_group_resend_on_committed_shards_replays_verbatim() {
     assert_eq!(server.apply_order(), order_after_commit, "no re-application");
     assert_eq!(server.file(&pa).as_deref(), Some(pa.as_bytes()));
     assert_eq!(server.file(&pb).as_deref(), Some(pb.as_bytes()));
-}
-
-// --- Multi-tenant kvstore ------------------------------------------------
-
-/// Per-namespace views over one shard's store share the LRU cache
-/// without leaking hits across tenants: the same user-level key read by
-/// two tenants is two distinct cache entries with distinct contents.
-#[test]
-fn tenant_cache_hits_never_leak_across_namespaces() {
-    let mut shard = ReadCache::new(MemStore::new(), 32);
-    TenantView::new(&mut shard, "t1").put(b"seg:0", b"tenant-one data").unwrap();
-    TenantView::new(&mut shard, "t2").put(b"seg:0", b"tenant-two data").unwrap();
-
-    // Tenant 1 warms the cache for its fenced key.
-    assert_eq!(
-        TenantView::new(&mut shard, "t1").get(b"seg:0").unwrap(),
-        Some(b"tenant-one data".to_vec())
-    );
-    let (hits_before, misses_before) = (shard.hits(), shard.misses());
-
-    // Tenant 2 reading the same user key must MISS (different fenced
-    // key) and must see its own bytes, never tenant 1's cached value.
-    assert_eq!(
-        TenantView::new(&mut shard, "t2").get(b"seg:0").unwrap(),
-        Some(b"tenant-two data".to_vec())
-    );
-    assert_eq!(shard.hits(), hits_before, "cross-tenant read served from cache");
-    assert_eq!(shard.misses(), misses_before + 1);
-
-    // Re-reads inside each tenant do hit.
-    assert_eq!(
-        TenantView::new(&mut shard, "t1").get(b"seg:0").unwrap(),
-        Some(b"tenant-one data".to_vec())
-    );
-    assert_eq!(shard.hits(), hits_before + 1);
-}
-
-/// Writer invalidation is shard-local by construction: each shard wraps
-/// its own store with its own cache, so invalidating a segment on one
-/// shard can never leave another shard serving stale bytes — the other
-/// shard's cache never held that segment, and its own entries are
-/// invalidated by its own writers.
-#[test]
-fn writer_invalidation_cannot_serve_stale_segments_across_shards() {
-    let mut shard_a = ReadCache::new(MemStore::new(), 32);
-    let mut shard_b = ReadCache::new(MemStore::new(), 32);
-
-    // The same tenant has segments on both shards (its files hash to
-    // different shards after a cross-shard rename, say).
-    TenantView::new(&mut shard_a, "t1").put(b"seg:7", b"v1").unwrap();
-    TenantView::new(&mut shard_b, "t1").put(b"seg:9", b"w1").unwrap();
-    assert_eq!(
-        TenantView::new(&mut shard_a, "t1").get(b"seg:7").unwrap(),
-        Some(b"v1".to_vec())
-    );
-    assert_eq!(
-        TenantView::new(&mut shard_b, "t1").get(b"seg:9").unwrap(),
-        Some(b"w1".to_vec())
-    );
-
-    // A writer rewrites both segments, each through its own shard; the
-    // batch goes through the cache wrapper so invalidation is atomic
-    // with the write.
-    TenantView::new(&mut shard_a, "t1")
-        .write_batch(&[BatchOp::put(&b"seg:7"[..], &b"v2"[..])])
-        .unwrap();
-    TenantView::new(&mut shard_b, "t1")
-        .write_batch(&[BatchOp::put(&b"seg:9"[..], &b"w2"[..])])
-        .unwrap();
-
-    // Neither shard serves the stale pre-write bytes.
-    assert_eq!(
-        TenantView::new(&mut shard_a, "t1").get(b"seg:7").unwrap(),
-        Some(b"v2".to_vec())
-    );
-    assert_eq!(
-        TenantView::new(&mut shard_b, "t1").get(b"seg:9").unwrap(),
-        Some(b"w2".to_vec())
-    );
-
-    // And shard A's invalidation touched only shard A's cache: shard B
-    // still has its (fresh) entry cached.
-    let b_misses = shard_b.misses();
-    assert_eq!(
-        TenantView::new(&mut shard_b, "t1").get(b"seg:9").unwrap(),
-        Some(b"w2".to_vec())
-    );
-    assert_eq!(shard_b.misses(), b_misses, "shard B lost its cache entry");
 }

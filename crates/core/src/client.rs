@@ -20,9 +20,7 @@
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
-use deltacfs_delta::{
-    local, segment_bounds, take_hierarchy_stats, Cost, DeltaParams, HierarchyStats,
-};
+use deltacfs_delta::{local, segment_bounds, Cost, DeltaParams};
 use deltacfs_kvstore::{KeyValue, MemStore};
 use deltacfs_net::{SimClock, SimTime};
 use deltacfs_obs::Obs;
@@ -110,11 +108,6 @@ pub struct DeltaCfsClient<K: KeyValue = MemStore> {
     /// relation triggers and delta encodes mark here and drain into
     /// parented spans at pack time.
     span_marks: HashMap<String, PathSpanMarks>,
-    /// Accumulated hierarchical-matcher statistics across this client's
-    /// delta encodes (drained from the per-thread accumulator right
-    /// after each diff call). Wall-clock bookkeeping only — the diff
-    /// [`Cost`] stays byte-identical to the plain matcher's by contract.
-    hierarchy_stats: HierarchyStats,
 }
 
 /// Pending span marks for one path (see `DeltaCfsClient::span_marks`).
@@ -124,8 +117,6 @@ struct PathSpanMarks {
     relation_ms: Option<u64>,
     /// Start/end of the local delta encode for the path.
     encode: Option<(u64, u64)>,
-    /// When the hierarchical matcher engaged for the path's encode.
-    hierarchy_ms: Option<u64>,
 }
 
 impl DeltaCfsClient<MemStore> {
@@ -164,29 +155,14 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             obs: Obs::new(),
             actor: format!("client-{}", id.0),
             span_marks: HashMap::new(),
-            hierarchy_stats: HierarchyStats::default(),
         }
     }
 
     /// The delta tuning this client's config selects, shared by every
-    /// diff site so the hierarchy/parallelism gates cannot drift.
+    /// diff site so the parallelism gate cannot drift.
     fn delta_params(&self) -> DeltaParams {
         DeltaParams::with_block_size(self.cfg.block_size)
             .with_min_parallel_bytes(self.cfg.min_parallel_bytes)
-            .with_hierarchy(self.cfg.hierarchy_params())
-    }
-
-    /// Drains the hierarchy stats the just-finished diff recorded on this
-    /// thread into the client accumulator, returning what was added.
-    fn absorb_hierarchy_stats(&mut self) -> HierarchyStats {
-        let stats = take_hierarchy_stats();
-        self.hierarchy_stats.merge(&stats);
-        stats
-    }
-
-    /// Cumulative hierarchical-matcher statistics for this client.
-    pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.hierarchy_stats
     }
 
     /// Marks a relation-table trigger on `path` for span assembly; a
@@ -737,6 +713,20 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         // pattern — the cloud's copy stays and serves as the delta base)
         // and the content assembled under the temporary source name.
         let mut ids = self.queue.pending_content_ids(path, true);
+        // Except the base's own history: when the node that *produces*
+        // `base_version` is still queued (an earlier save's delta, held
+        // back because another application's open write node keeps the
+        // group from aging out), the cloud has to receive it, and every
+        // node of `path` queued before it, for the base to exist there.
+        // Only what was queued after the base is superseded.
+        let base_node = base_version.and_then(|base| {
+            let mut nodes = self.queue.iter();
+            let produced = nodes.find(|n| n.version == Some(base) && ids.contains(&n.id));
+            produced.map(|n| n.id)
+        });
+        if let Some(base_node) = base_node {
+            ids.retain(|&id| id > base_node);
+        }
         if let Some(src) = src_hint {
             let src_ids = self.queue.pending_content_ids(src, false);
             if src_ids.is_empty() {
@@ -787,28 +777,12 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             self.cfg.parallelism,
             &mut self.cost,
         );
-        let hstats = self.absorb_hierarchy_stats();
-        if hstats.engaged() {
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "delta.hierarchy", || {
-                    format!(
-                        "{path}: {} span(s) matched wholesale, {} bytes skipped, {} leaf-walked",
-                        hstats.levels_matched(),
-                        hstats.bytes_skipped,
-                        hstats.leaf_walk_bytes
-                    )
-                });
-        }
         if self.obs.spans.enabled() {
             // Encode CPU never advances the simulated clock, so the
             // span is zero-width at `now`; measured encode time is the
             // standing benchmark's `delta.local_diff_ns_per_byte`.
             let marks = self.span_marks.entry(path.to_string()).or_default();
             marks.encode = Some((now.as_millis(), now.as_millis()));
-            if hstats.engaged() {
-                marks.hierarchy_ms = Some(now.as_millis());
-            }
         }
         let chose_delta = delta.wire_size() < new_content.len() as u64;
         self.obs
@@ -995,20 +969,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                                 || m.path.clone(),
                             );
                         }
-                        if let Some(t) = marks.hierarchy_ms {
-                            // Recorded before delta.encode so the
-                            // coarse→fine pass shows up ahead of the walk
-                            // it accelerates in the stage ordering.
-                            self.obs.spans.record(
-                                key,
-                                &self.actor,
-                                "delta.hierarchy",
-                                t,
-                                t,
-                                Some(root),
-                                || m.path.clone(),
-                            );
-                        }
                         if let Some((s, e)) = marks.encode {
                             self.obs.spans.record(
                                 key,
@@ -1092,7 +1052,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             let params = self.delta_params();
             let delta =
                 local::diff_parallel(&old, current, &params, self.cfg.parallelism, &mut self.cost);
-            self.absorb_hierarchy_stats();
             self.clear_undo(path);
             if delta.wire_size() < raw_size {
                 return UpdatePayload::Delta {
@@ -1381,7 +1340,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                     self.cfg.parallelism,
                     &mut self.cost,
                 );
-                self.absorb_hierarchy_stats();
                 if delta.wire_size() < current.len() as u64 {
                     self.queue.push(
                         NodeKind::Delta {
@@ -1681,6 +1639,51 @@ mod tests {
         // No full 10 KB re-upload happened.
         let total: u64 = msgs.iter().map(UpdateMsg::wire_size).sum();
         assert!(total < 5000, "uploaded {total} bytes");
+    }
+
+    #[test]
+    fn back_to_back_gedit_saves_chain_their_deltas() {
+        use crate::protocol::ApplyOutcome;
+        use crate::server::CloudServer;
+        let (mut client, mut fs, clock) = setup();
+        let mut server = CloudServer::new();
+        fs.create("/f").unwrap();
+        fs.write("/f", 0, &vec![5u8; 10_000]).unwrap();
+        pump(&mut client, &mut fs);
+        clock.advance(4000);
+        for group in client.tick(&fs) {
+            server.apply_txn(&group);
+        }
+
+        // Two saves with no tick between them: the second delta's base is
+        // the version the first one — still queued — produces, so the
+        // first must stay queued rather than be superseded.
+        let mut content = vec![5u8; 10_000];
+        for save in 0..2 {
+            content[save] = 6;
+            fs.create("/tmp0").unwrap();
+            fs.write("/tmp0", 0, &content).unwrap();
+            fs.close_path("/tmp0").unwrap();
+            if save > 0 {
+                fs.unlink("/f~").unwrap();
+            }
+            fs.link("/f", "/f~").unwrap();
+            fs.rename("/tmp0", "/f").unwrap();
+            pump(&mut client, &mut fs);
+        }
+        clock.advance(4000);
+        let msgs: Vec<_> = client.tick(&fs).into_iter().flatten().collect();
+        let deltas: Vec<_> = msgs
+            .iter()
+            .filter(|m| matches!(m.payload, UpdatePayload::Delta { .. }))
+            .collect();
+        assert_eq!(deltas.len(), 2, "one delta per save");
+        assert_eq!(deltas[1].base, deltas[0].version, "the deltas chain");
+        for outcome in server.apply_txn(&msgs) {
+            assert_eq!(outcome, ApplyOutcome::Applied);
+        }
+        assert_eq!(server.file("/f"), Some(&content[..]));
+        assert!(server.file("/tmp0").is_none());
     }
 
     #[test]

@@ -78,18 +78,6 @@ pub struct DeltaCfsConfig {
     /// default; applied content, costs, and outcomes are identical
     /// either way, only traffic and timing improve.
     pub wire_compression: bool,
-    /// New files at least this large take hierarchical coarse→fine
-    /// delta matching: a content-defined shingle tree pairs identical
-    /// old/new spans wholesale so only divergent leaf ranges reach the
-    /// byte-level walk. Smaller files never pay the shingle-tree
-    /// overhead — the huge-file analogue of
-    /// [`min_parallel_bytes`](DeltaCfsConfig::min_parallel_bytes).
-    /// Deltas and [`Cost`] totals are byte-identical to the plain
-    /// matcher by contract, only wall-clock time and the `hierarchy_*`
-    /// metrics change.
-    ///
-    /// [`Cost`]: deltacfs_delta::Cost
-    pub hierarchy_min_bytes: usize,
 }
 
 impl DeltaCfsConfig {
@@ -108,25 +96,7 @@ impl DeltaCfsConfig {
             streaming: false,
             chunk_budget: 256 * 1024,
             wire_compression: false,
-            hierarchy_min_bytes: deltacfs_delta::HierarchyParams::DEFAULT_MIN_FILE_BYTES,
         }
-    }
-
-    /// Overrides the hierarchical-matching size floor (`0` engages the
-    /// shingle tree on any input; tests use this).
-    pub fn with_hierarchy_min_bytes(mut self, bytes: usize) -> Self {
-        self.hierarchy_min_bytes = bytes;
-        self
-    }
-
-    /// The [`HierarchyParams`](deltacfs_delta::HierarchyParams) every
-    /// diff site uses: the default two-level ladder behind the
-    /// [`hierarchy_min_bytes`](DeltaCfsConfig::hierarchy_min_bytes) gate.
-    pub fn hierarchy_params(&self) -> Option<deltacfs_delta::HierarchyParams> {
-        Some(
-            deltacfs_delta::HierarchyParams::default()
-                .with_min_file_bytes(self.hierarchy_min_bytes),
-        )
     }
 
     /// Disables the checksum store (the plain `DeltaCFS` row of
@@ -184,6 +154,16 @@ impl DeltaCfsConfig {
     pub fn with_wire_compression(mut self, on: bool) -> Self {
         self.wire_compression = on;
         self
+    }
+
+    // Benchmark compat, no behaviour (see `deltacfs_delta`'s compat block).
+    /// Compat: returns `self`.
+    pub fn with_hierarchy_min_bytes(self, _: usize) -> Self {
+        self
+    }
+    /// Compat: always `None`.
+    pub fn hierarchy_params(&self) -> Option<deltacfs_delta::HierarchyParams> {
+        None
     }
 }
 
@@ -273,12 +253,6 @@ mod tests {
         assert_eq!(c.min_parallel_bytes, 8 << 20);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);
-        assert_eq!(c.hierarchy_min_bytes, 64 << 20);
-        let h = c.hierarchy_params().expect("hierarchy params");
-        assert_eq!(h.min_file_bytes, 64 << 20);
-        assert_eq!(h.level_params().count(), 2);
-        let gated = c.with_hierarchy_min_bytes(0).hierarchy_params();
-        assert_eq!(gated.expect("hierarchy params").min_file_bytes, 0);
     }
 
     #[test]

@@ -1046,25 +1046,6 @@ impl SyncHub {
                 label,
             )
             .set(slot.forward.staged_bytes() as i64);
-            let hstats = slot.client.hierarchy_stats();
-            reg.counter_labeled(
-                "hierarchy_levels_matched",
-                "spans the hierarchical matcher accepted wholesale (prescan + shingle levels)",
-                label,
-            )
-            .set(hstats.levels_matched());
-            reg.counter_labeled(
-                "hierarchy_bytes_skipped",
-                "new-file bytes fast-forwarded inside wholesale-matched spans",
-                label,
-            )
-            .set(hstats.bytes_skipped);
-            reg.counter_labeled(
-                "hierarchy_leaf_walk_bytes",
-                "new-file bytes left to the byte-level leaf walk",
-                label,
-            )
-            .set(hstats.leaf_walk_bytes);
             reg.gauge_labeled(
                 "sync_queue_payload_bytes",
                 "file-content bytes held by this client's sync queue",

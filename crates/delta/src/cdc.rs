@@ -128,70 +128,6 @@ pub fn chunks(data: &[u8], params: &CdcParams, cost: &mut Cost) -> Vec<ChunkSpan
     out
 }
 
-/// Gear bytes that must be hashed before a boundary decision is
-/// meaningful: the 64-bit gear hash shifts one bit per byte, so after 64
-/// bytes the fingerprint depends only on the trailing window — which is
-/// what lets [`cut_spans_sparse`] skip the guaranteed-boundary-free
-/// `min_size` prefix of every chunk without changing which boundaries are
-/// content-defined.
-pub(crate) const GEAR_WARMUP: usize = 64;
-
-/// Like [`chunks`], but skips the gear scan over the first
-/// `min_size - GEAR_WARMUP` bytes of every chunk: boundaries are
-/// suppressed there anyway, and the gear fingerprint only ever depends on
-/// the last [`GEAR_WARMUP`] bytes, so warming the hash up just before the
-/// earliest legal boundary yields the same *kind* of content-defined cut
-/// at a fraction of the scan cost. Used by the hierarchy shingle levels,
-/// where chunks are megabytes and a full-byte scan would dominate.
-///
-/// The cut points differ from [`chunks`]' in general (the hash is not
-/// seeded by the skipped prefix) but are equally deterministic and
-/// content-defined, which is all the shingle matcher needs — both sides
-/// of a comparison must simply use the same cutter.
-///
-/// `hashed_bytes` is incremented by the number of bytes actually fed to
-/// the gear hash (wall-clock overhead accounting for the caller).
-pub(crate) fn cut_spans_sparse(
-    data: &[u8],
-    params: &CdcParams,
-    hashed_bytes: &mut u64,
-) -> Vec<ChunkSpan> {
-    let table = gear_table();
-    let mask = params.mask();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < data.len() {
-        let remaining = data.len() - start;
-        if remaining <= params.min_size {
-            out.push(ChunkSpan {
-                offset: start as u64,
-                len: remaining as u64,
-            });
-            break;
-        }
-        let hash_from = start + params.min_size.saturating_sub(GEAR_WARMUP);
-        let limit = (start + params.max_size).min(data.len());
-        let mut hash: u64 = 0;
-        let mut cut = limit;
-        let mut i = hash_from;
-        while i < limit {
-            hash = (hash << 1).wrapping_add(table[data[i] as usize]);
-            if i + 1 - start >= params.min_size && (hash & mask) == 0 {
-                cut = i + 1;
-                break;
-            }
-            i += 1;
-        }
-        *hashed_bytes += (cut.max(hash_from) - hash_from) as u64;
-        out.push(ChunkSpan {
-            offset: start as u64,
-            len: (cut - start) as u64,
-        });
-        start = cut;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,63 +225,6 @@ mod tests {
         let a = chunks(&data, &small(), &mut Cost::new());
         let b = chunks(&data, &small(), &mut Cost::new());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sparse_cuts_partition_input_exactly() {
-        let data = pseudo_random(300_000, 31);
-        let mut hashed = 0u64;
-        let spans = cut_spans_sparse(&data, &small(), &mut hashed);
-        let mut pos = 0u64;
-        for s in &spans {
-            assert_eq!(s.offset, pos);
-            assert!(s.len > 0);
-            pos += s.len;
-        }
-        assert_eq!(pos, data.len() as u64);
-        // The whole point: far fewer bytes hashed than scanned.
-        assert!(hashed < data.len() as u64);
-    }
-
-    #[test]
-    fn sparse_cuts_respect_min_and_max() {
-        let data = pseudo_random(200_000, 37);
-        let params = small();
-        let spans = cut_spans_sparse(&data, &params, &mut 0);
-        for (i, s) in spans.iter().enumerate() {
-            assert!(s.len as usize <= params.max_size);
-            if i + 1 < spans.len() {
-                assert!(s.len as usize >= params.min_size, "chunk {i} too small");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_cuts_resynchronize_after_an_insertion() {
-        // Content-defined: chunk *contents* after an insertion re-align
-        // with the unedited file's chunks once the cutter passes the edit.
-        let data = pseudo_random(300_000, 41);
-        let mut edited = data.clone();
-        edited.splice(150_000..150_000, pseudo_random(51, 43));
-        let a = cut_spans_sparse(&data, &small(), &mut 0);
-        let b = cut_spans_sparse(&edited, &small(), &mut 0);
-        let tail_a: Vec<&[u8]> = a.iter().rev().take(3).map(|s| s.slice(&data)).collect();
-        let tail_b: Vec<&[u8]> = b.iter().rev().take(3).map(|s| s.slice(&edited)).collect();
-        assert_eq!(tail_a, tail_b);
-    }
-
-    #[test]
-    fn sparse_cuts_are_deterministic_and_handle_edges() {
-        assert!(cut_spans_sparse(&[], &small(), &mut 0).is_empty());
-        let tiny = pseudo_random(10, 47);
-        let spans = cut_spans_sparse(&tiny, &small(), &mut 0);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].len, 10);
-        let data = pseudo_random(100_000, 53);
-        assert_eq!(
-            cut_spans_sparse(&data, &small(), &mut 0),
-            cut_spans_sparse(&data, &small(), &mut 0)
-        );
     }
 
     #[test]

@@ -152,8 +152,8 @@ impl Delta {
 }
 
 /// Collects the instructions a matcher walk emits, in output order; the
-/// sequential, replayed and hierarchical walks all write through it so
-/// they cannot drift in how ops are formed.
+/// sequential and replayed walks both write through it so they cannot
+/// drift in how ops are formed.
 #[derive(Default)]
 pub(crate) struct DeltaBuilder {
     ops: Vec<DeltaOp>,

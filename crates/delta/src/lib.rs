@@ -60,7 +60,6 @@ pub mod compress;
 mod cost;
 pub mod dedup;
 mod delta_ops;
-pub mod hierarchy;
 pub mod local;
 mod md5_impl;
 mod parallel;
@@ -69,7 +68,6 @@ pub mod rsync;
 mod weak_index;
 
 pub use cost::Cost;
-pub use hierarchy::{take_hierarchy_stats, HierarchyParams, HierarchyStats};
 pub use parallel::segment_bounds;
 pub use delta_ops::{ApplyError, Delta, DeltaOp, OP_HEADER_BYTES};
 pub use md5_impl::{md5, md5_hex, Md5};
@@ -95,13 +93,6 @@ pub struct DeltaParams {
     /// benchmark measures 0.83–0.91x for two workers on 10–16 MB. Output
     /// and [`Cost`] are unaffected either way, by contract.
     pub min_parallel_bytes: usize,
-
-    /// Hierarchical coarse→fine matching for huge files ([`hierarchy`]):
-    /// `Some` enables the shingle tree for new files at least
-    /// [`HierarchyParams::min_file_bytes`] long. Output and [`Cost`] are
-    /// byte-identical to the sequential matcher either way, by contract —
-    /// only wall-clock time and [`HierarchyStats`] change.
-    pub hierarchy: Option<HierarchyParams>,
 }
 
 impl DeltaParams {
@@ -129,7 +120,6 @@ impl DeltaParams {
         DeltaParams {
             block_size,
             min_parallel_bytes: Self::DEFAULT_MIN_PARALLEL_BYTES,
-            hierarchy: None,
         }
     }
 
@@ -141,7 +131,7 @@ impl DeltaParams {
         self
     }
 
-    /// How many of the `parallelism` offered workers the flat parallel
+    /// How many of the `parallelism` offered workers the parallel
     /// matchers use on a `new_len`-byte file: as many as get at least
     /// [`min_parallel_bytes`](DeltaParams::min_parallel_bytes) each, and
     /// never fewer than one (which means the sequential walk).
@@ -151,18 +141,34 @@ impl DeltaParams {
             .unwrap_or(usize::MAX);
         parallelism.min(by_size).max(1)
     }
-
-    /// Enables (or with `None`, disables) hierarchical coarse→fine
-    /// matching for huge files.
-    pub fn with_hierarchy(mut self, hierarchy: Option<HierarchyParams>) -> Self {
-        self.hierarchy = hierarchy;
-        self
-    }
 }
 
 impl Default for DeltaParams {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+// Benchmark compat, no behaviour (DESIGN.md §17): `benchmark/src/probes.rs`
+// names these four; they go with the benchmark's `api.rs` PR.
+/// Compat: empty.
+pub struct HierarchyParams {}
+/// Compat: always zero.
+#[derive(Default)]
+pub struct HierarchyStats {
+    /// Always 0.
+    pub bytes_skipped: u64,
+    /// Always 0.
+    pub diffs: u64,
+}
+/// Compat: always the default.
+pub fn take_hierarchy_stats() -> HierarchyStats {
+    HierarchyStats::default()
+}
+impl DeltaParams {
+    /// Compat: returns `self`.
+    pub fn with_hierarchy(self, _: Option<HierarchyParams>) -> Self {
+        self
     }
 }
 

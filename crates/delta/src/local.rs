@@ -19,7 +19,6 @@ use std::collections::HashMap;
 
 use crate::cost::Cost;
 use crate::delta_ops::Delta;
-use crate::hierarchy::{diff_hier, HierarchyParams};
 use crate::parallel::{replay_matches, scan_matches, ProbeOutcome};
 use crate::rolling::RollingChecksum;
 use crate::rsync::diff_with;
@@ -82,7 +81,7 @@ pub fn diff(old: &[u8], new: &[u8], params: &DeltaParams, cost: &mut Cost) -> De
 /// the greedy walk skips is wall-clock overhead of the parallel pipeline,
 /// not algorithmic work, and is never charged.
 ///
-/// `workers` is an offer: the flat matcher uses
+/// `workers` is an offer: the matcher uses
 /// [`DeltaParams::workers_for`] of them, and with one — `workers <= 1`,
 /// or an input below `params.min_parallel_bytes`, where seam overhead
 /// would outweigh the parallel win — falls through to the sequential
@@ -94,9 +93,6 @@ pub fn diff_parallel(
     workers: usize,
     cost: &mut Cost,
 ) -> Delta {
-    if let Some(h) = hierarchy_gate(params, new) {
-        return diff_hier_local(old, new, params.block_size, &h, workers, cost);
-    }
     let workers = params.workers_for(new.len(), workers);
     if workers <= 1 {
         return diff(old, new, params, cost);
@@ -126,73 +122,7 @@ pub fn diff_parallel(
     )
 }
 
-/// The hierarchy gate: `Some(params)` when hierarchical matching is
-/// configured and the new file clears its size floor.
-fn hierarchy_gate(params: &DeltaParams, new: &[u8]) -> Option<HierarchyParams> {
-    params
-        .hierarchy
-        .filter(|h| new.len() >= h.min_file_bytes && new.len() >= params.block_size)
-}
-
-/// Hierarchical coarse→fine walk with bitwise confirmation: shares the
-/// canonical index charge and probe with [`diff_parallel`], hands the
-/// rest to [`diff_hier`]. Byte-identical output and [`Cost`] to
-/// [`diff`], by contract.
-fn diff_hier_local(
-    old: &[u8],
-    new: &[u8],
-    bs: usize,
-    h: &HierarchyParams,
-    workers: usize,
-    cost: &mut Cost,
-) -> Delta {
-    let workers = workers.max(1);
-    let index = WeakIndex::build_parallel(old, bs, workers);
-    cost.bytes_rolled += old.len() as u64;
-    cost.ops += old.len().div_ceil(bs) as u64;
-    let probe = probe_bitwise(old, bs, &index);
-    // Metadata self-probe: a span-aligned window IS old block `block`
-    // (full length), so its weak digest is in the index's census. When
-    // the block is the sole candidate of its digest class, the
-    // sequential confirm compares it against itself — equal, all
-    // `bs` bytes, one op — so the outcome is known without touching a
-    // byte. Collision classes rerun the real candidate compares (the
-    // window checksum alone is skipped; the digest is the census entry).
-    let self_probe_meta = |block: u32| -> Option<ProbeOutcome> {
-        let candidates = index.lookup(index.block_weak(block))?;
-        let mut it = candidates.iter();
-        if it.next() == Some(block) && it.next().is_none() {
-            return Some((Some(block), bs as u64, 1));
-        }
-        let start = block as usize * bs;
-        let window = &old[start..start + bs];
-        let mut bytes = 0u64;
-        let mut ops = 0u64;
-        let matched = confirm_bitwise(old, bs, window, candidates, |b, o| {
-            bytes += b;
-            ops += o;
-        });
-        Some((matched, bytes, ops))
-    };
-    diff_hier(
-        old,
-        new,
-        bs,
-        h,
-        workers,
-        &probe,
-        self_probe_meta,
-        cost,
-        |cost, bytes, ops| {
-            cost.bytes_compared += bytes;
-            cost.ops += ops;
-        },
-        |block_idx| block_range(old.len(), bs, block_idx),
-    )
-}
-
-/// The bitwise-confirming probe shared by the parallel and hierarchical
-/// paths.
+/// The bitwise-confirming probe the parallel scan and its replay share.
 fn probe_bitwise<'a>(
     old: &'a [u8],
     bs: usize,
@@ -466,98 +396,5 @@ mod tests {
         let d_par = diff_parallel(&old, &new, &params, 8, &mut c_par);
         assert_eq!(d_par, d_seq);
         assert_eq!(c_par, c_seq);
-    }
-
-    fn tiny_hierarchy() -> HierarchyParams {
-        use crate::cdc::CdcParams;
-        HierarchyParams::from_levels(&[
-            CdcParams {
-                min_size: 128,
-                mask_bits: 7,
-                max_size: 2048,
-            },
-            CdcParams {
-                min_size: 32,
-                mask_bits: 5,
-                max_size: 512,
-            },
-        ])
-        .with_min_file_bytes(0)
-    }
-
-    #[test]
-    fn hierarchical_output_is_byte_identical() {
-        let old: Vec<u8> = (0..30_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        // A prepend (shift), a splice, a point edit and a tail append —
-        // exercises prescan, shingle descent and the leaf walk at once.
-        let mut new = vec![0xCD; 777];
-        new.extend_from_slice(&old);
-        new.splice(5_000..5_000, [0xEE; 37]);
-        new[70_000] ^= 0xFF;
-        new.extend_from_slice(&[0xBB; 3_000]);
-        let params = DeltaParams::with_block_size(512);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&old, &new, &params, &mut c_seq);
-        let hier = params.with_hierarchy(Some(tiny_hierarchy()));
-        for workers in [1, 2, 4] {
-            let mut c_h = Cost::new();
-            let d_h = diff_parallel(&old, &new, &hier, workers, &mut c_h);
-            let stats = crate::take_hierarchy_stats();
-            assert_eq!(d_h, d_seq, "delta differs ({workers} workers)");
-            assert_eq!(c_h, c_seq, "cost differs ({workers} workers)");
-            assert!(stats.engaged());
-            assert!(stats.bytes_skipped > 0, "hierarchy never skipped");
-        }
-    }
-
-    #[test]
-    fn hierarchy_stats_account_for_every_byte_of_a_nearly_identical_pair() {
-        // A prepend plus three overlays, under 1 % of the file: whatever
-        // the tree skips and whatever it leaves to the leaf walk must add
-        // up to the new file, and most of it must be skipped.
-        let old: Vec<u8> = (0..100_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = vec![0xCD; 900];
-        new.extend_from_slice(&old);
-        for (k, at) in [60_000usize, 200_000, 340_000].into_iter().enumerate() {
-            new[at..at + 900].fill(0xE0 + k as u8);
-        }
-        assert!((900 + 3 * 900) * 100 <= new.len(), "at most 1 % divergent");
-        let params = DeltaParams::with_block_size(512);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&old, &new, &params, &mut c_seq);
-        let hier = params.with_hierarchy(Some(tiny_hierarchy()));
-        for workers in [1, 2, 4] {
-            let _ = crate::take_hierarchy_stats();
-            let mut c_h = Cost::new();
-            let d_h = diff_parallel(&old, &new, &hier, workers, &mut c_h);
-            let stats = crate::take_hierarchy_stats();
-            assert_eq!((d_h, c_h), (d_seq.clone(), c_seq), "{workers} workers");
-            assert_eq!(stats.diffs, 1);
-            assert_eq!(
-                stats.bytes_skipped + stats.leaf_walk_bytes,
-                new.len() as u64,
-                "skipped + leaf-walked must cover the new file ({workers} workers)"
-            );
-            assert!(
-                stats.bytes_skipped * 100 >= new.len() as u64 * 85,
-                "only {} of {} bytes skipped",
-                stats.bytes_skipped,
-                new.len()
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchy_min_size_gate_uses_plain_matcher() {
-        let old: Vec<u8> = (0..8_192u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = old.clone();
-        new[1000] ^= 0xFF;
-        // Default 64 MiB floor: a 32 KB file must not engage the tree.
-        let params =
-            DeltaParams::with_block_size(512).with_hierarchy(Some(HierarchyParams::default()));
-        let mut c = Cost::new();
-        let d = diff_parallel(&old, &new, &params, 4, &mut c);
-        assert!(!crate::take_hierarchy_stats().engaged());
-        assert_eq!(d.apply(&old).unwrap(), new);
     }
 }

@@ -137,7 +137,7 @@ where
 
 /// Greedily scans window positions `start..end`, deriving the rolling
 /// checksum at `start` and after every block jump.
-pub(crate) fn scan_segment<P>(
+fn scan_segment<P>(
     new: &[u8],
     block_size: usize,
     start: usize,

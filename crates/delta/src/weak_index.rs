@@ -126,10 +126,6 @@ impl WeakFilter {
 pub(crate) struct WeakIndex {
     shards: Vec<HashMap<u32, CandidateSet>>,
     filter: WeakFilter,
-    /// Weak digest of each old block, indexed by block number — the
-    /// census the hierarchical matcher's metadata self-probe reads so a
-    /// span-aligned block answers its own probe without re-checksumming.
-    digests: Vec<u32>,
 }
 
 impl WeakIndex {
@@ -148,12 +144,6 @@ impl WeakIndex {
     #[cfg(test)]
     pub(crate) fn filter(&self) -> &WeakFilter {
         &self.filter
-    }
-
-    /// Weak digest of old block `idx`, from the build-time census.
-    #[inline]
-    pub(crate) fn block_weak(&self, idx: u32) -> u32 {
-        self.digests[idx as usize]
     }
 
     /// Indexes the blocks of `old` across `workers` threads.
@@ -216,14 +206,7 @@ impl WeakIndex {
         });
         let filter =
             WeakFilter::from_weak_keys(pairs.iter().flatten().map(|&(weak, _)| weak));
-        // Ranges are contiguous and in block order, so flattening yields
-        // the per-block digest census already sorted by block index.
-        let digests = pairs.iter().flatten().map(|&(weak, _)| weak).collect();
-        WeakIndex {
-            shards,
-            filter,
-            digests,
-        }
+        WeakIndex { shards, filter }
     }
 }
 

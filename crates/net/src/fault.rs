@@ -361,11 +361,6 @@ impl FaultTopology {
         }
     }
 
-    /// Whether every client draws from one shared plan.
-    pub fn is_shared(&self) -> bool {
-        self.shared
-    }
-
     /// The plan deciding `client`'s fate.
     ///
     /// # Panics

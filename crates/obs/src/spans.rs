@@ -333,10 +333,9 @@ impl SpanRecorder {
 /// index, and overlapping spans resolve to the highest rank (the
 /// downstream stage wins the overlapped slice). Stages outside this
 /// list rank below all of them.
-pub const STAGE_ORDER: [&str; 9] = [
+pub const STAGE_ORDER: [&str; 8] = [
     "vfs.write",
     "relation.trigger",
-    "delta.hierarchy",
     "delta.encode",
     "wire.compress",
     "wire.upload",

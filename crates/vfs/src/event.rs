@@ -171,11 +171,6 @@ impl RecordingObserver {
     pub fn events(&self) -> &[OpEvent] {
         &self.events
     }
-
-    /// Consumes the recorder and returns the observed events.
-    pub fn into_events(self) -> Vec<OpEvent> {
-        self.events
-    }
 }
 
 impl OpObserver for RecordingObserver {

@@ -1,18 +1,15 @@
-//! Synthetic huge-file content for the hierarchical-delta tests and the
-//! standing benchmark.
+//! Synthetic huge-file content for the standing benchmark's `huge_save`
+//! workload.
 //!
-//! The hierarchy work targets multi-GB files (VM images, databases —
-//! paper §IV), but a test that *allocates* 10 GB to describe "a huge
-//! file" is wasteful and flaky on small machines. A [`HugeFile`] is
-//! instead a **virtual** byte string: content is a pure function of
-//! `(seed, offset)` computed on demand (a splitmix64 word stream), so
-//! memory is independent of the file length; callers materialize only
-//! the ranges (or the single buffer) they actually feed to the diff and
-//! edit the materialized bytes.
+//! A [`HugeFile`] is a **virtual** byte string: content is a pure
+//! function of `(seed, offset)` computed on demand (a splitmix64 word
+//! stream), so memory is independent of the file length; callers
+//! materialize only the ranges (or the single buffer) they actually feed
+//! to the diff and edit the materialized bytes.
 //!
-//! The word-random content is deliberately incompressible and
-//! collision-free enough that content-defined chunking resynchronizes
-//! immediately after any edit — the structure the shingle tree exploits.
+//! The word-random content is deliberately incompressible and free of
+//! repeated blocks, so a diff of two edited copies matches exactly the
+//! ranges the edits left alone.
 
 /// A deterministic, virtually-materialized huge file.
 #[derive(Debug, Clone)]
@@ -128,8 +125,9 @@ mod tests {
 
     #[test]
     fn cdc_resynchronizes_after_an_edit() {
-        // The content-defined structure the shingle tree relies on: cut
-        // points downstream of an edit coincide with the unedited file's.
+        // Content-defined chunking sees real structure in the word
+        // stream: cut points downstream of an edit coincide with the
+        // unedited file's.
         use deltacfs_delta::cdc::{chunks, CdcParams};
         let old = HugeFile::new(5, 200_000).materialize();
         let mut new = old.clone();

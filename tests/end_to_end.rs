@@ -2,11 +2,12 @@
 //! convergence and the paper's qualitative claims.
 
 use deltacfs::baselines::{DropboxEngine, NfsEngine, SeafileEngine};
-use deltacfs::core::{DeltaCfsConfig, DeltaCfsSystem, SyncEngine};
+use deltacfs::core::{ApplyOutcome, DeltaCfsConfig, DeltaCfsSystem, SyncEngine};
 use deltacfs::net::{LinkSpec, PlatformProfile, SimClock};
 use deltacfs::vfs::Vfs;
 use deltacfs::workloads::{
-    replay, AppendTrace, GeditTrace, RandomWriteTrace, Trace, TraceConfig, WeChatTrace, WordTrace,
+    replay, AppendTrace, GeditTrace, RandomWriteTrace, TimedOp, Trace, TraceConfig, TraceMeta,
+    WeChatTrace, WordTrace,
 };
 
 const SCALE: f64 = 0.02;
@@ -17,6 +18,30 @@ fn run_deltacfs(trace: &dyn Trace) -> (DeltaCfsSystem, Vfs, u64) {
     let mut fs = Vfs::new();
     let report = replay(trace, &mut fs, &mut sys, &clock, 100);
     (sys, fs, report.update_bytes)
+}
+
+/// Convergence as the cloud saw it: every update was `Applied` (a
+/// poisoned group cannot hide behind a later full-content heal), every
+/// local file is byte-equal on the cloud, and the cloud holds no path the
+/// client lacks — no stray temp file, no `.conflict-` copy.
+fn assert_converged(name: &str, sys: &DeltaCfsSystem, fs: &Vfs) {
+    for (i, outcome) in sys.outcomes().iter().enumerate() {
+        assert_eq!(outcome, &ApplyOutcome::Applied, "{name}: outcome {i}");
+    }
+    for path in fs.walk_files("/").unwrap() {
+        let local = fs.peek_all(path.as_str()).unwrap();
+        assert_eq!(
+            sys.server().file(path.as_str()),
+            Some(&local[..]),
+            "{name}: {path} diverged"
+        );
+    }
+    for cloud_path in sys.server().paths() {
+        assert!(
+            fs.exists(&cloud_path),
+            "{name}: cloud has {cloud_path} which does not exist locally"
+        );
+    }
 }
 
 /// The cloud's files must byte-match the client's for every trace.
@@ -33,22 +58,45 @@ fn deltacfs_converges_on_every_standard_trace() {
     for trace in traces {
         let name = trace.meta().name;
         let (sys, fs, _) = run_deltacfs(trace.as_ref());
-        for path in fs.walk_files("/").unwrap() {
-            let local = fs.peek_all(path.as_str()).unwrap();
-            assert_eq!(
-                sys.server().file(path.as_str()),
-                Some(&local[..]),
-                "{name}: {path} diverged"
-            );
+        assert_converged(name, &sys, &fs);
+    }
+}
+
+/// Two applications on one client, the paper's normal case: an editor's
+/// link+rename saves merged by timestamp with a chat database's journaled
+/// page writes. The database's open write node keeps the editor's
+/// transaction group from aging out, so a second save fires while the
+/// first save's delta is still queued — the second delta must chain onto
+/// the first, not replace it (it is the base's history).
+#[test]
+fn interleaved_editor_and_database_converge() {
+    struct Merged(GeditTrace, WeChatTrace);
+    impl Trace for Merged {
+        fn meta(&self) -> TraceMeta {
+            TraceMeta {
+                name: "gedit+wechat",
+                description: format!(
+                    "[{}] + [{}]",
+                    self.0.meta().description,
+                    self.1.meta().description
+                ),
+            }
         }
-        // And no stray temp files on the cloud.
-        for cloud_path in sys.server().paths() {
-            assert!(
-                fs.exists(&cloud_path),
-                "{name}: cloud has {cloud_path} which does not exist locally"
-            );
+        fn generate(&self, sink: &mut dyn FnMut(TimedOp)) {
+            let mut ops = Vec::new();
+            self.0.generate(&mut |op| ops.push(op));
+            self.1.generate(&mut |op| ops.push(op));
+            // Stable: each application keeps its own order.
+            ops.sort_by_key(|op| op.at_ms);
+            ops.into_iter().for_each(sink);
         }
     }
+    let trace = Merged(
+        GeditTrace::new(TraceConfig::scaled(0.2)),
+        WeChatTrace::new(TraceConfig::scaled(0.02)),
+    );
+    let (sys, fs, _) = run_deltacfs(&trace);
+    assert_converged("gedit+wechat", &sys, &fs);
 }
 
 #[test]
@@ -185,15 +233,9 @@ fn desktop_mix_routes_each_file_to_the_right_mechanism() {
     use deltacfs::workloads::DesktopTrace;
     let cfg = TraceConfig::scaled(0.05);
     let (sys, fs, _) = run_deltacfs(&DesktopTrace::new(cfg));
-    // Everything converged.
-    for path in fs.walk_files("/").unwrap() {
-        let local = fs.peek_all(path.as_str()).unwrap();
-        assert_eq!(
-            sys.server().file(path.as_str()),
-            Some(&local[..]),
-            "{path} diverged"
-        );
-    }
+    // Everything converged, temp files from either save pattern never
+    // reached the cloud.
+    assert_converged("desktop", &sys, &fs);
     // Adaptivity: no MD5 anywhere, yet the document's transactional saves
     // still synced via bitwise-verified deltas (compared bytes > 0), and
     // the database's pages shipped without any delta machinery touching
@@ -201,11 +243,4 @@ fn desktop_mix_routes_each_file_to_the_right_mechanism() {
     let cost = sys.report().client_cost;
     assert_eq!(cost.bytes_strong_hashed, 0);
     assert!(cost.bytes_compared > 0, "no delta ran for the document");
-    // Temp files from either save pattern never reached the cloud.
-    for cloud_path in sys.server().paths() {
-        assert!(
-            fs.exists(&cloud_path),
-            "stray {cloud_path} left on the cloud"
-        );
-    }
 }

@@ -15,6 +15,36 @@ fn buffer(max: usize) -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// An `(old, new)` pair for the matcher-identity property, from two
+/// input classes: two independent buffers, or a `new` derived from `old`
+/// (prefix shift + XOR edit + tail) — the class where long real matches
+/// exist, so the parallel scan's block jumps and its re-synchronisation
+/// at segment seams are actually exercised.
+fn old_new_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    let derived = (
+        buffer(16384),
+        proptest::collection::vec(any::<u8>(), 0..128),
+        proptest::collection::vec(any::<u8>(), 0..256),
+        0usize..16384,
+        0usize..64,
+    )
+        .prop_map(|(old, prefix, tail, edit_at, edit_len)| {
+            let shift = prefix.len();
+            let mut new = prefix;
+            new.extend_from_slice(&old);
+            if !old.is_empty() {
+                let at = shift + edit_at % old.len();
+                let end = (at + edit_len).min(new.len());
+                for b in &mut new[at..end] {
+                    *b ^= 0x5A;
+                }
+            }
+            new.extend_from_slice(&tail);
+            (old, new)
+        });
+    prop_oneof![(buffer(8192), buffer(8192)), derived]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -45,11 +75,11 @@ proptest! {
     /// change wall-clock time, never output or accounting.
     #[test]
     fn parallel_diff_is_byte_identical(
-        old in buffer(8192),
-        new in buffer(8192),
+        pair in old_new_pair(),
         bs in 1usize..256,
         workers in 1usize..8,
     ) {
+        let (old, new) = pair;
         // Drop the size gate so small generated inputs actually take the
         // parallel path instead of falling back to the sequential walk.
         let params = DeltaParams::with_block_size(bs).with_min_parallel_bytes(0);
@@ -127,57 +157,6 @@ proptest! {
             unreachable!("compared equal to a Delta message");
         };
         prop_assert_eq!(delta.apply(&old).unwrap(), new);
-    }
-
-    /// The hierarchical coarse→fine matcher is byte-identical to the
-    /// sequential greedy walk — same `Delta`, same `Cost` totals — across
-    /// level fan-outs and worker counts. The shingle tree may only change
-    /// wall-clock time, never output or accounting. `new` is derived from
-    /// `old` (prefix shift + XOR edit + tail) so identical spans actually
-    /// exist for the tree to pair; the tiny level params make the tree
-    /// engage on kilobyte inputs.
-    #[test]
-    fn hierarchical_diff_is_byte_identical(
-        old in buffer(16384),
-        prefix in proptest::collection::vec(any::<u8>(), 0..128),
-        tail in proptest::collection::vec(any::<u8>(), 0..256),
-        edit_at in 0usize..16384,
-        edit_len in 0usize..64,
-        bs in 1usize..256,
-        levels in 1usize..4,
-        workers in 1usize..5,
-    ) {
-        use deltacfs::delta::{take_hierarchy_stats, HierarchyParams};
-
-        let mut new = prefix.clone();
-        new.extend_from_slice(&old);
-        if !old.is_empty() {
-            let at = prefix.len() + edit_at % old.len();
-            let end = (at + edit_len).min(new.len());
-            for b in &mut new[at..end] {
-                *b ^= 0x5A;
-            }
-        }
-        new.extend_from_slice(&tail);
-
-        let tiny = [
-            cdc::CdcParams { min_size: 64, mask_bits: 6, max_size: 1024 },
-            cdc::CdcParams { min_size: 16, mask_bits: 4, max_size: 256 },
-            cdc::CdcParams { min_size: 4, mask_bits: 2, max_size: 64 },
-        ];
-        let h = HierarchyParams::from_levels(&tiny[..levels]).with_min_file_bytes(0);
-        let params = DeltaParams::with_block_size(bs);
-        let hier_params = params.with_hierarchy(Some(h));
-
-        let mut seq_cost = Cost::new();
-        let seq = local::diff(&old, &new, &params, &mut seq_cost);
-
-        let mut h_cost = Cost::new();
-        let hd = local::diff_parallel(&old, &new, &hier_params, workers, &mut h_cost);
-        let _ = take_hierarchy_stats();
-        prop_assert_eq!(&hd, &seq);
-        prop_assert_eq!(h_cost, seq_cost);
-        prop_assert_eq!(hd.apply(&old).unwrap(), new);
     }
 
     /// Local and remote rsync produce deltas of identical output length

@@ -588,15 +588,25 @@ fn fault_cell(scenario: &'static str, spec: FaultSpec) -> FaultCellResult {
         && hub.server().paths().iter().all(|p| {
             (0..2).all(|i| hub.fs(i).peek_all(p).ok().as_deref() == hub.server().file(p).as_deref())
         });
+    let snap = hub.export_metrics();
+    let both_clients = |name: &str| -> u64 {
+        ["1", "2"]
+            .iter()
+            .map(|client| match snap.get_labeled(name, client) {
+                Some(deltacfs_obs::MetricValue::Counter(v)) => *v,
+                other => panic!("{name}{{client={client}}}: {other:?}"),
+            })
+            .sum()
+    };
     FaultCellResult {
         scenario,
         seed,
         converged,
-        retries: hub.retries(0) + hub.retries(1),
+        retries: both_clients("retry_retransmissions"),
         duplicates: hub.server().duplicates_ignored(),
         server_crashes: stats.crashes_before_apply + stats.crashes_after_apply,
         bytes_up: hub.traffic(0).bytes_up + hub.traffic(1).bytes_up,
-        gave_up: hub.given_up(0) + hub.given_up(1),
+        gave_up: both_clients("retry_groups_given_up") as usize,
     }
 }
 
@@ -636,7 +646,7 @@ pub fn table5(seeds: &[u64]) -> Vec<FaultCellResult> {
 }
 
 /// Runs a pinned-seed faulty two-writer workload with the full
-/// observability stack armed (tracing enabled, couriers feeding the
+/// observability stack armed (recorder on, couriers feeding the
 /// backoff histogram) and returns the unified metrics snapshot —
 /// the `repro -- metrics` section, and a quick way to eyeball what the
 /// registry exports.
@@ -644,7 +654,7 @@ pub fn table5(seeds: &[u64]) -> Vec<FaultCellResult> {
 /// Deterministic: same snapshot (byte-identical JSON and Prometheus
 /// renderings) on every run.
 pub fn metrics_snapshot() -> deltacfs_obs::Snapshot {
-    faulty_word_save_run(HubConfig::new(), deltacfs_obs::Obs::with_tracing(8192)).export_metrics()
+    faulty_word_save_run(HubConfig::new(), deltacfs_obs::Obs::recording(8192)).export_metrics()
 }
 
 /// The pinned-seed faulty two-writer workload behind
@@ -710,13 +720,13 @@ pub struct ProfileRun {
 }
 
 /// Runs the [`metrics_snapshot`] workload with causal span profiling
-/// armed ([`HubConfig::with_profiling`] + [`deltacfs_obs::Obs::with_profiling`])
+/// armed ([`HubConfig::with_profiling`] + [`deltacfs_obs::Obs::recording`])
 /// and returns the assembled profile. Deterministic: byte-identical
 /// report and trace JSON on every run.
 pub fn profile_run() -> ProfileRun {
     let hub = faulty_word_save_run(
         HubConfig::new().with_profiling(true),
-        deltacfs_obs::Obs::with_profiling(8192),
+        deltacfs_obs::Obs::recording(8192),
     );
     let snapshot = hub.export_metrics();
     let profiler = hub.profiler();

@@ -23,7 +23,7 @@ use bytes::Bytes;
 use deltacfs_delta::{local, segment_bounds, Cost, DeltaParams};
 use deltacfs_kvstore::{KeyValue, MemStore};
 use deltacfs_net::{SimClock, SimTime};
-use deltacfs_obs::Obs;
+use deltacfs_obs::{Obs, SpanId};
 use deltacfs_vfs::{OpEvent, Vfs};
 
 use crate::checksum_store::ChecksumStore;
@@ -96,27 +96,17 @@ pub struct DeltaCfsClient<K: KeyValue = MemStore> {
     next_txn: u64,
     last_snapshot: SimTime,
     cost: Cost,
-    /// Observability bundle; default-disabled tracer, so every trace call
-    /// below costs one relaxed atomic load until [`DeltaCfsClient::set_obs`]
-    /// installs a live one.
+    /// Observability bundle; default-disabled recorder, so every
+    /// recorder call below costs one relaxed atomic load until
+    /// [`DeltaCfsClient::set_obs`] installs a live one.
     obs: Obs,
-    /// Actor name under which this client's trace events are recorded.
+    /// Actor name under which this client's records are made.
     actor: String,
-    /// Span timestamps observed per path before the path's nodes were
-    /// packed into an upload group — the `<CliID, GroupSeq>` span
-    /// context only exists once `convert_groups` stamps the group, so
-    /// relation triggers and delta encodes mark here and drain into
-    /// parented spans at pack time.
-    span_marks: HashMap<String, PathSpanMarks>,
-}
-
-/// Pending span marks for one path (see `DeltaCfsClient::span_marks`).
-#[derive(Debug, Clone, Copy, Default)]
-struct PathSpanMarks {
-    /// When a relation-table trigger fired for the path.
-    relation_ms: Option<u64>,
-    /// Start/end of the local delta encode for the path.
-    encode: Option<(u64, u64)>,
+    /// Per queue node, the `relation.trigger` and `delta.encode` records
+    /// made when the node was queued — the `<CliID, GroupSeq>` they
+    /// belong to only exists once `convert_groups` stamps the group,
+    /// which then attaches them to it.
+    span_marks: HashMap<u64, [SpanId; 2]>,
 }
 
 impl DeltaCfsClient<MemStore> {
@@ -165,19 +155,17 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             .with_min_parallel_bytes(self.cfg.min_parallel_bytes)
     }
 
-    /// Marks a relation-table trigger on `path` for span assembly; a
-    /// single relaxed atomic load while profiling is off.
-    fn mark_relation(&mut self, path: &str, now: SimTime) {
-        if self.obs.spans.enabled() {
-            self.span_marks
-                .entry(path.to_string())
-                .or_default()
-                .relation_ms = Some(now.as_millis());
-        }
+    /// Records a relation-table trigger; a single relaxed atomic load
+    /// while recording is off.
+    fn mark_relation(&self, now: SimTime, detail: impl FnOnce() -> String) -> SpanId {
+        let at_ms = now.as_millis();
+        self.obs
+            .recorder
+            .event(None, &self.actor, "relation.trigger", at_ms, detail)
     }
 
-    /// Installs a shared observability bundle: trace events from this
-    /// client flow into `obs.tracer` under the actor name `client-<id>`.
+    /// Installs a shared observability bundle: this client's records
+    /// flow into `obs.recorder` under the actor name `client-<id>`.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -299,8 +287,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     pub fn handle_event(&mut self, event: &OpEvent, fs: &Vfs) {
         let now = self.clock.now();
         self.obs
-            .tracer
-            .event(now.as_millis(), &self.actor, "vfs.op", || {
+            .recorder
+            .event(None, &self.actor, "vfs.op", now.as_millis(), || {
                 op_summary(event)
             });
         match event {
@@ -353,12 +341,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         {
             // Delete-then-rewrite (or similar) pattern: remember the old
             // version; the delta runs when the new content is complete.
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "relation.trigger", || {
-                    format!("delete-then-rewrite matched on {path}; delta deferred to close")
-                });
-            self.mark_relation(path, now);
+            self.mark_relation(now, || {
+                format!("delete-then-rewrite matched on {path}; delta deferred to close")
+            });
             self.pending_delta.insert(path.to_string(), pre);
         }
         self.sizes.insert(path.to_string(), 0);
@@ -575,25 +560,19 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 now,
             );
         } else if let Some(pre) = self.relation.take_match(dst, now) {
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "relation.trigger", || {
-                    format!("rename-recreate (word pattern) matched on {dst}")
-                });
-            self.mark_relation(dst, now);
-            self.execute_delta(dst, pre, Some(src), fs, now);
+            let trigger = self.mark_relation(now, || {
+                format!("rename-recreate (word pattern) matched on {dst}")
+            });
+            self.execute_delta(dst, pre, Some(src), fs, now, trigger);
         } else if let Some(old_content) = replaced {
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "relation.trigger", || {
-                    format!("rename-over-existing (gedit pattern) matched on {dst}")
-                });
-            self.mark_relation(dst, now);
+            let trigger = self.mark_relation(now, || {
+                format!("rename-over-existing (gedit pattern) matched on {dst}")
+            });
             let pre = Preserved {
                 old: OldVersion::Content(old_content),
                 base_version: replaced_version,
             };
-            self.execute_delta(dst, pre, Some(src), fs, now);
+            self.execute_delta(dst, pre, Some(src), fs, now, trigger);
         } else {
             self.queue.push(
                 NodeKind::Rename {
@@ -668,13 +647,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     fn on_close(&mut self, path: &str, fs: &Vfs, now: SimTime) {
         self.queue.pack(path);
         if let Some(pre) = self.pending_delta.remove(path) {
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "relation.trigger", || {
-                    format!("close fired deferred delta on {path}")
-                });
-            self.mark_relation(path, now);
-            self.execute_delta(path, pre, None, fs, now);
+            let trigger =
+                self.mark_relation(now, || format!("close fired deferred delta on {path}"));
+            self.execute_delta(path, pre, None, fs, now, trigger);
         }
     }
 
@@ -688,6 +663,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         src_hint: Option<&str>,
         fs: &Vfs,
         now: SimTime,
+        trigger: SpanId,
     ) {
         // Both versions are read where they lie: the new one (and an old
         // one that survives under another name) in the file system, a
@@ -747,28 +723,24 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
 
         let params = self.delta_params();
-        self.obs
-            .tracer
-            .enter(now.as_millis(), &self.actor, "delta.encode", || {
-                format!(
-                    "{path}: {} -> {} bytes, base {base_path}",
-                    old_content.len(),
-                    new_content.len()
-                )
-            });
-        // Per-worker-segment events come from the *same* split the scan
-        // phase uses; emitted here on the engine thread so the trace stays
-        // deterministic regardless of worker scheduling.
-        let workers = params.workers_for(new_content.len(), self.cfg.parallelism);
-        for (i, (start, end)) in segment_bounds(new_content.len(), self.cfg.block_size, workers)
-            .into_iter()
-            .enumerate()
-        {
-            self.obs
-                .tracer
-                .event(now.as_millis(), &self.actor, "delta.segment", || {
+        // Encode CPU never advances the simulated clock, so the span is
+        // zero-width at `now`; measured encode time is the standing
+        // benchmark's `delta.local_diff_ns_per_byte`.
+        let now_ms = now.as_millis();
+        let recorder = &self.obs.recorder;
+        let span = recorder.start(None, &self.actor, "delta.encode", now_ms, None);
+        if !span.is_none() {
+            // Per-worker-segment events come from the *same* split the
+            // scan phase uses; made here on the engine thread so the
+            // record stays deterministic regardless of worker scheduling.
+            let workers = params.workers_for(new_content.len(), self.cfg.parallelism);
+            let bounds = segment_bounds(new_content.len(), self.cfg.block_size, workers);
+            for (i, (start, end)) in bounds.into_iter().enumerate() {
+                let parent = Some(span);
+                recorder.record(None, &self.actor, "delta.segment", now_ms, now_ms, parent, || {
                     format!("worker {i}: window positions {start}..{end}")
                 });
+            }
         }
         let delta = local::diff_parallel(
             old_content,
@@ -777,27 +749,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             self.cfg.parallelism,
             &mut self.cost,
         );
-        if self.obs.spans.enabled() {
-            // Encode CPU never advances the simulated clock, so the
-            // span is zero-width at `now`; measured encode time is the
-            // standing benchmark's `delta.local_diff_ns_per_byte`.
-            let marks = self.span_marks.entry(path.to_string()).or_default();
-            marks.encode = Some((now.as_millis(), now.as_millis()));
-        }
         let chose_delta = delta.wire_size() < new_content.len() as u64;
-        self.obs
-            .tracer
-            .exit(now.as_millis(), &self.actor, "delta.encode", || {
-                if chose_delta {
-                    format!("delta wins: {} wire bytes", delta.wire_size())
-                } else {
-                    format!(
-                        "full-content fallback: delta {} >= file {}",
-                        delta.wire_size(),
-                        new_content.len()
-                    )
-                }
-            });
         // What the cloud will hold at `path` when a full-content node
         // lands there. The paper's per-RPC interception never uploads
         // mid-save, but a driver that pumps between batched operations
@@ -814,6 +766,15 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             None => self.versions.get(path).copied(),
         };
         let version = self.next_version();
+        self.obs.recorder.end(span, now_ms, || {
+            let base = base_version.map_or("none".to_string(), |v| v.to_string());
+            let (old, new, wire) = (old_content.len(), new_content.len(), delta.wire_size());
+            let verdict = if chose_delta { "delta wins" } else { "full-content fallback" };
+            format!(
+                "{path} {version}: {old} -> {new} bytes, base {base_path} {base}; \
+                 {verdict}: delta {wire} wire bytes"
+            )
+        });
         let node_id = if chose_delta {
             self.queue.push(
                 NodeKind::Delta {
@@ -845,6 +806,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             )
         };
         self.versions.insert(path.to_string(), version);
+        if !span.is_none() {
+            self.span_marks.insert(node_id, [trigger, span]);
+        }
         if !ids.is_empty() {
             self.queue.delete_nodes(&ids, node_id);
         }
@@ -889,6 +853,13 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     ) -> Vec<Vec<UpdateMsg>> {
         let mut out = Vec::with_capacity(groups.len());
         for group in groups {
+            // Superseded nodes included: their encodes were paid for too.
+            let marks: Vec<[SpanId; 2]> = if self.span_marks.is_empty() {
+                Vec::new()
+            } else {
+                let marks = &mut self.span_marks;
+                group.iter().filter_map(|n| marks.remove(&n.id)).collect()
+            };
             let mut msgs = Vec::new();
             for node in &group {
                 if node.deleted {
@@ -914,72 +885,32 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 for m in &mut msgs {
                     m.group = Some(gid);
                 }
-                let now_ms = self.clock.now().as_millis();
-                self.obs
-                    .tracer
-                    .event(now_ms, &self.actor, "sync.group", || {
-                        let wire: u64 = msgs.iter().map(UpdateMsg::wire_size).sum();
-                        format!(
-                            "group seq {} packed: {} msgs, {} wire bytes",
-                            gid.seq,
-                            msgs.len(),
-                            wire
-                        )
-                    });
-                if self.obs.spans.enabled() {
+                if self.obs.recorder.enabled() {
                     // The group's root span: first VFS write entering
                     // the queue through pack time — the NFS-style
                     // upload-delay dwell. Everything downstream (the
                     // server side included) parents under this root via
-                    // the group key riding the wire headers.
+                    // the group key riding the wire headers, and so do
+                    // the trigger and encode records made when the
+                    // group's nodes were queued.
+                    let now_ms = self.clock.now().as_millis();
                     let origin_ms = group
                         .iter()
                         .filter(|n| !n.deleted)
                         .map(|n| n.enqueued_at.as_millis())
                         .min()
                         .unwrap_or(now_ms);
-                    let key = gid.span_key();
-                    let root = self.obs.spans.record(
-                        key,
-                        &self.actor,
-                        "vfs.write",
-                        origin_ms,
-                        now_ms,
-                        None,
-                        || {
-                            format!(
-                                "{} msg(s) packed after {}ms queue dwell",
-                                msgs.len(),
-                                now_ms - origin_ms
-                            )
-                        },
-                    );
-                    for m in &msgs {
-                        let Some(marks) = self.span_marks.remove(&m.path) else {
-                            continue;
-                        };
-                        if let Some(t) = marks.relation_ms {
-                            self.obs.spans.record(
-                                key,
-                                &self.actor,
-                                "relation.trigger",
-                                t,
-                                t,
-                                Some(root),
-                                || m.path.clone(),
-                            );
-                        }
-                        if let Some((s, e)) = marks.encode {
-                            self.obs.spans.record(
-                                key,
-                                &self.actor,
-                                "delta.encode",
-                                s,
-                                e,
-                                Some(root),
-                                || m.path.clone(),
-                            );
-                        }
+                    let key = Some(gid.span_key());
+                    let recorder = &self.obs.recorder;
+                    recorder.record(key, &self.actor, "vfs.write", origin_ms, now_ms, None, || {
+                        format!("first write queued {}ms before the pack", now_ms - origin_ms)
+                    });
+                    recorder.event(key, &self.actor, "sync.group", now_ms, || {
+                        let wire: u64 = msgs.iter().map(UpdateMsg::wire_size).sum();
+                        format!("packed {} msgs, {wire} wire bytes", msgs.len())
+                    });
+                    for ids in &marks {
+                        recorder.attach(ids, gid.span_key());
                     }
                 }
                 out.push(msgs);
@@ -1306,6 +1237,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         self.queue = SyncQueue::new(self.cfg.upload_delay_ms);
         self.relation = RelationTable::new(self.cfg.relation_timeout_ms);
         self.pending_delta.clear();
+        self.span_marks.clear();
 
         let mut paths: Vec<String> = self.undo.keys().cloned().collect();
         paths.sort();

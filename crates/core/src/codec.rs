@@ -272,20 +272,12 @@ impl WireCodec {
         self.bytes_saved.add(frame.accounted - envelope_len);
         self.ratio_pct
             .observe((observed * 100.0).round().clamp(0.0, 100.0) as u64);
-        self.obs
-            .tracer
-            .event(at_ms, "codec", "wire.compress", || {
-                format!(
-                    "msg {} chunk {}: {} -> {} bytes (probe {:.2}, observed {:.2})",
-                    frame.msg_idx, frame.chunk_idx, raw_len, envelope_len, probe, observed,
-                )
-            });
         // The compression CPU is charged on the link's timeline; the
         // span models it at the encode point with the platform's
         // deterministic `compress_ms` cost, so the profiler can weigh
         // compress CPU against the wire time it buys.
-        self.obs.spans.record(
-            frame.group.span_key(),
+        self.obs.recorder.record(
+            Some(frame.group.span_key()),
             "codec",
             "wire.compress",
             at_ms,
@@ -293,8 +285,8 @@ impl WireCodec {
             None,
             || {
                 format!(
-                    "msg {} chunk {}: {} -> {} bytes",
-                    frame.msg_idx, frame.chunk_idx, raw_len, envelope_len
+                    "msg {} chunk {}: {} -> {} bytes (probe {:.2}, observed {:.2})",
+                    frame.msg_idx, frame.chunk_idx, raw_len, envelope_len, probe, observed,
                 )
             },
         );

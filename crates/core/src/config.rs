@@ -186,10 +186,10 @@ pub struct HubConfig {
     /// wall-clock timing is nondeterministic, and the deterministic
     /// tests compare metric snapshots.
     pub latency_histogram: bool,
-    /// Record causal per-group spans (the critical-path sync profiler's
-    /// input). Off by default: every span site then costs one relaxed
-    /// atomic load. When on, `enable_observability` turns the shared
-    /// span recorder on even if the bundle was built tracing-only, and
+    /// Record the run (the flight recorder's and the critical-path sync
+    /// profiler's input). Off by default: every recorder site then costs
+    /// one relaxed atomic load. When on, `enable_observability` turns the
+    /// shared recorder on even if the bundle was built with it off, and
     /// `export_metrics` folds the profiler's per-stage histograms and
     /// SLO lag gauges into the unified snapshot.
     pub profiling: bool,

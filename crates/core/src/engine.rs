@@ -205,74 +205,46 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         let server = &mut self.server;
         let outcomes = &mut self.outcomes;
         let codec = &mut self.wire_codec;
-        let tracer = &self.obs.tracer;
-        let spans = &self.obs.spans;
+        let recorder = &self.obs.recorder;
         let at_ms = now.as_millis();
-        let gkey = group_span_key(&self.obs, group);
+        let key = group_span_key(group);
         let mut stage_first_ms: Option<u64> = None;
         pipeline::frame_group(group, chunk_budget, |frame| {
             let frame = codec.encode_frame(frame, at_ms);
-            tracer.event(at_ms, "pipeline", "chunk", || {
+            let busy_before = link.upload_busy_until();
+            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), now);
+            let (start_ms, d) = (now.max(busy_before).as_millis(), done.as_millis());
+            recorder.record(key, "link", "wire.upload", start_ms, d, None, || {
                 format!(
-                    "msg {} chunk {}{}: {} bytes ({} shared)",
+                    "msg {} chunk {}{}: {} bytes ({} shared), {} on the wire",
                     frame.msg_idx,
                     frame.chunk_idx,
                     if frame.last_in_group { " [group end]" } else { "" },
                     frame.byte_len(),
                     frame.payload_bytes(),
+                    frame.accounted,
                 )
             });
-            let busy_before = link.upload_busy_until();
-            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), now);
-            if let Some(key) = gkey {
-                spans.record(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before).as_millis(),
-                    done.as_millis(),
-                    None,
-                    || {
-                        format!(
-                            "msg {} chunk {}: {} wire bytes",
-                            frame.msg_idx, frame.chunk_idx, frame.accounted
-                        )
-                    },
-                );
-                stage_first_ms.get_or_insert(done.as_millis());
-            }
+            let staged_at = *stage_first_ms.get_or_insert(d);
             if let Some(out) = server
                 .receive_chunk(&frame)
                 .expect("in-process chunk stream cannot be malformed")
             {
-                if let Some(key) = gkey {
-                    let d = done.as_millis();
-                    spans.record(key, "server", "server.stage", d, d, None, || {
-                        format!(
-                            "committed after a {}ms staging window",
-                            d - stage_first_ms.unwrap_or(d)
-                        )
-                    });
-                    spans.record(key, "server", "server.apply", d, d, None, || {
-                        format!("{} outcome(s)", out.len())
-                    });
-                }
+                recorder.record(key, "server", "server.stage", d, d, None, || {
+                    format!("committed after a {}ms staging window", d - staged_at)
+                });
+                recorder.record(key, "server", "server.apply", d, d, None, || {
+                    format!("{} outcome(s)", out.len())
+                });
                 outcomes.extend(out);
             }
         });
         let busy_before_end = link.upload_busy_until();
         let end_done = link.upload_end_msg(now);
-        if let Some(key) = gkey {
-            spans.record(
-                key,
-                "link",
-                "wire.upload",
-                now.max(busy_before_end).as_millis(),
-                end_done.as_millis(),
-                None,
-                || "end-of-message latency".into(),
-            );
-        }
+        let (start_ms, end_ms) = (now.max(busy_before_end).as_millis(), end_done.as_millis());
+        recorder.record(key, "link", "wire.upload", start_ms, end_ms, None, || {
+            "end-of-message latency".into()
+        });
         // Acknowledgement.
         link.download(ACK_WIRE_BYTES, now);
     }
@@ -284,71 +256,32 @@ pub(crate) fn all_applied(outcomes: &[ApplyOutcome]) -> bool {
     outcomes.iter().all(|o| *o == ApplyOutcome::Applied)
 }
 
-/// The span key a group's stamped id gives, while span profiling is on.
-fn group_span_key(obs: &Obs, group: &[UpdateMsg]) -> Option<GroupKey> {
-    group
-        .iter()
-        .find_map(|m| m.group)
-        .filter(|_| obs.spans.enabled())
-        .map(|g| g.span_key())
+/// The key a group's stamped id gives its records.
+pub(crate) fn group_span_key(group: &[UpdateMsg]) -> Option<GroupKey> {
+    group.iter().find_map(|m| m.group).map(|g| g.span_key())
 }
 
-/// Starts a whole-message upload in the record: the `wire.upload` trace
-/// event (a courier passes its attempt number), the group's wire bytes
-/// and its [`group_span_key`].
-pub(crate) fn announce_upload(
-    obs: &Obs,
-    actor: &str,
-    now: SimTime,
-    group: &[UpdateMsg],
-    attempt: Option<u32>,
-) -> (u64, Option<GroupKey>) {
-    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-    obs.tracer.event(now.as_millis(), actor, "wire.upload", || {
-        let attempt = attempt.map_or(String::new(), |a| format!(", attempt {a}"));
-        format!("group of {} msgs, {wire} wire bytes{attempt}", group.len())
-    });
-    (wire, group_span_key(obs, group))
-}
-
-/// Records a first application of `from`'s group: the `server.apply`
-/// trace event at `now`, and a span at the group's arrival that is
-/// zero-width on the simulated clock — apply CPU is accounted in cost
-/// counters, not link time.
+/// Records a first application of `from`'s group: a `server.apply` span
+/// at the group's arrival, zero-width on the simulated clock — apply CPU
+/// is accounted in cost counters, not link time.
 pub(crate) fn record_apply(
     obs: &Obs,
     from: &str,
-    now: SimTime,
     key: Option<GroupKey>,
-    arrival_ms: u64,
+    at_ms: u64,
     outcomes: &[ApplyOutcome],
 ) {
-    let applied = all_applied(outcomes);
-    obs.tracer
-        .event(now.as_millis(), "server", "server.apply", || {
-            format!(
-                "group from {from}: {} msgs, all_applied={applied}",
-                outcomes.len()
-            )
-        });
-    if let Some(key) = key {
-        obs.spans.record(
-            key,
-            "server",
-            "server.apply",
-            arrival_ms,
-            arrival_ms,
-            None,
-            || format!("{} outcome(s), all_applied={applied}", outcomes.len()),
-        );
-    }
+    obs.recorder.record(key, "server", "server.apply", at_ms, at_ms, None, || {
+        let applied = all_applied(outcomes);
+        format!("group from {from}: {} msgs, all_applied={applied}", outcomes.len())
+    });
 }
 
 /// The whole-message upload leg on a fault-free link, the one place a
-/// group goes up unframed: announce → [`Link::upload`] → `wire.upload`
-/// span → `apply` (its wall-clock time observed into `latency` when
-/// given) → [`record_apply`] → acknowledgement. [`DeltaCfsSystem`] and
-/// the hub's pump both upload through here.
+/// group goes up unframed: [`Link::upload`] → `wire.upload` span →
+/// `apply` (its wall-clock time observed into `latency` when given) →
+/// [`record_apply`] → acknowledgement. [`DeltaCfsSystem`] and the hub's
+/// pump both upload through here.
 pub(crate) fn upload_group(
     obs: &Obs,
     link: &mut Link,
@@ -358,26 +291,20 @@ pub(crate) fn upload_group(
     latency: Option<&Histogram>,
     apply: impl FnOnce(&[UpdateMsg]) -> Vec<ApplyOutcome>,
 ) -> Vec<ApplyOutcome> {
-    let (wire, key) = announce_upload(obs, actor, now, group, None);
+    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
+    let key = group_span_key(group);
     let busy_before = link.upload_busy_until();
     let arrival = link.upload(wire, now);
-    if let Some(key) = key {
-        obs.spans.record(
-            key,
-            "link",
-            "wire.upload",
-            now.max(busy_before).as_millis(),
-            arrival.as_millis(),
-            None,
-            || format!("group of {} msgs, {wire} wire bytes", group.len()),
-        );
-    }
+    let (start_ms, arrival_ms) = (now.max(busy_before).as_millis(), arrival.as_millis());
+    obs.recorder.record(key, "link", "wire.upload", start_ms, arrival_ms, None, || {
+        format!("group of {} msgs, {wire} wire bytes", group.len())
+    });
     let t0 = latency.map(|_| Instant::now());
     let outcomes = apply(group);
     if let (Some(hist), Some(t0)) = (latency, t0) {
         hist.observe(t0.elapsed().as_micros() as u64);
     }
-    record_apply(obs, actor, now, key, arrival.as_millis(), &outcomes);
+    record_apply(obs, actor, key, arrival_ms, &outcomes);
     link.download(ACK_WIRE_BYTES, now);
     outcomes
 }

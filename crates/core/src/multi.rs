@@ -26,13 +26,13 @@ use deltacfs_net::{
     FaultPlan, FaultSpec, FaultStats, FaultTopology, Link, LinkSpec, PlatformProfile, SimClock,
     SimTime, UploadVerdict,
 };
-use deltacfs_obs::{Obs, Profiler, Snapshot};
+use deltacfs_obs::{GroupKey, Obs, Profiler, Snapshot};
 use deltacfs_vfs::Vfs;
 
 use crate::client::{DeltaCfsClient, RemoteConflict};
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::{DeltaCfsConfig, HubConfig};
-use crate::engine::{all_applied, announce_upload, record_apply, upload_group};
+use crate::engine::{all_applied, group_span_key, record_apply, upload_group};
 use crate::pipeline::{frame_group, ChunkStager};
 use crate::protocol::{
     ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version, ACK_WIRE_BYTES,
@@ -45,8 +45,8 @@ struct Slot {
     fs: Vfs,
     link: Link,
     courier: Courier,
-    /// Trace actor name, `client-<CliID>` like the engine's own; shared,
-    /// so naming the sender of a forward costs no allocation.
+    /// Actor name in the record, `client-<CliID>` like the engine's own;
+    /// shared, so the courier names it without allocating per attempt.
     actor: Arc<str>,
     /// The shared folder this client is attached to (first path
     /// component); `""` is the legacy root client that sees everything.
@@ -146,7 +146,7 @@ pub struct SyncHub {
     /// upload group.
     synthetic_groups: u64,
     /// Observability bundle shared with every client. Default-disabled
-    /// tracer; [`SyncHub::enable_observability`] installs a live one.
+    /// recorder; [`SyncHub::enable_observability`] installs a live one.
     obs: Obs,
     /// Clients the pumps drained and ticked, and clients they skipped as
     /// not busy, over all rounds so far.
@@ -198,15 +198,15 @@ impl SyncHub {
     }
 
     /// Installs a shared observability bundle: every attached client's
-    /// trace events flow into `obs.tracer` (as do the hub's own wire,
-    /// retry, and server events under actor names `client-<n>` and
+    /// records flow into `obs.recorder` (as do the hub's own wire, retry,
+    /// and server records under actor names `client-<n>`, `link` and
     /// `server`), and courier backoff delays are recorded into the
     /// `retry_backoff_ms` histogram of `obs.registry`. Clients attached
     /// later inherit it.
     pub fn enable_observability(&mut self, obs: Obs) {
         self.obs = obs;
         if self.cfg.profiling {
-            self.obs.spans.set_enabled(true);
+            self.obs.recorder.set_enabled(true);
         }
         let hist = self
             .obs
@@ -363,18 +363,6 @@ impl SyncHub {
         self.fault.as_ref().map(FaultTopology::stats)
     }
 
-    /// The seed reproducing the current fault schedule (the first
-    /// plan's seed under a per-client topology — see
-    /// [`SyncHub::fault_seeds`] for all of them).
-    pub fn fault_seed(&self) -> Option<u64> {
-        self.fault.as_ref().map(|t| t.seeds()[0])
-    }
-
-    /// Every plan's seed, in client order (one entry when shared).
-    pub fn fault_seeds(&self) -> Option<Vec<u64>> {
-        self.fault.as_ref().map(FaultTopology::seeds)
-    }
-
     /// Duplicated group copies currently held back for late redelivery.
     /// Always zero after a [`SyncHub::pump`] returns — the pump drains
     /// the defer queue at the end of every round.
@@ -385,16 +373,6 @@ impl SyncHub {
     /// Every `(client, path, version)` the server acknowledged.
     pub fn acked(&self) -> &[(usize, String, Version)] {
         &self.acked
-    }
-
-    /// Retransmissions client `idx`'s courier performed.
-    pub fn retries(&self, idx: usize) -> u64 {
-        self.slots[idx].courier.retries()
-    }
-
-    /// Groups client `idx` abandoned after exhausting its retry budget.
-    pub fn given_up(&self, idx: usize) -> usize {
-        self.slots[idx].courier.given_up().len()
     }
 
     /// Traffic counters of client `idx`'s link.
@@ -627,9 +605,10 @@ impl SyncHub {
         // window that can straddle writers. The `<CliID, GroupSeq>`
         // replay index must absorb each copy, versioned or not.
         for group in std::mem::take(&mut self.deferred) {
+            let key = group_span_key(&group);
             self.obs
-                .tracer
-                .event(now.as_millis(), "server", "server.dedup", || {
+                .recorder
+                .event(key, "server", "server.dedup", now.as_millis(), || {
                     format!(
                         "late duplicate redelivered: {} msgs on {}",
                         group.len(),
@@ -654,7 +633,9 @@ impl SyncHub {
             let attempt = flight.attempts;
             let group = flight.group.clone();
             let now_ms = now.as_millis();
-            let (wire, gkey) = announce_upload(&self.obs, &actor, now, &group, Some(attempt));
+            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
+            let gkey = group_span_key(&group);
+            let recorder = self.obs.recorder.clone();
             let busy_before = self.slots[idx].link.upload_busy_until();
             let (done, verdict) =
                 self.slots[idx]
@@ -664,15 +645,8 @@ impl SyncHub {
             // (dropped on the wire, or a disconnected client) leaves its
             // span open on purpose: the profile shows in-flight work
             // that never completed.
-            let attempt_span = gkey.map(|key| {
-                self.obs.spans.start(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before).as_millis(),
-                    None,
-                )
-            });
+            let start_ms = now.max(busy_before).as_millis();
+            let attempt_span = recorder.start(gkey, "link", "wire.upload", start_ms, None);
             let done_ms = done.map(|d| d.as_millis()).unwrap_or(now_ms);
             match verdict {
                 UploadVerdict::Disconnected => {
@@ -681,55 +655,51 @@ impl SyncHub {
                         .plan_for(idx)
                         .disconnect_until(idx, now)
                         .unwrap_or(now.plus_millis(1));
-                    self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                    self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
                         format!("disconnected; courier parked until {}ms", until.as_millis())
                     });
                     self.slots[idx].courier.defer_until(until);
                     break;
                 }
                 UploadVerdict::Dropped => {
-                    self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
-                        "upload dropped on the wire".to_string()
+                    self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
+                        format!("attempt {attempt} dropped on the wire")
                     });
                     let delay = self.slots[idx].courier.on_failure(now);
-                    self.trace_backoff(idx, now_ms, delay);
+                    self.trace_backoff(idx, gkey, now_ms, delay);
                 }
                 UploadVerdict::CrashBeforeApply => {
                     // The group dies with the server's volatile state; the
                     // restarted server comes back from the per-shard
                     // snapshots and the client retries into it.
-                    self.obs.tracer.event(now_ms, "server", "fault.inject", || {
+                    self.obs.recorder.event(gkey, "server", "fault.inject", now_ms, || {
                         "server crash before apply; restored from snapshot".to_string()
                     });
-                    if let Some(span) = attempt_span {
-                        // The bytes did arrive — the wire span closes; the
-                        // missing server.apply is what marks the loss.
-                        self.obs.spans.end_detail(span, done_ms, || {
-                            format!("attempt {attempt} arrived; server crashed before apply")
-                        });
-                    }
+                    // The bytes did arrive — the wire span closes; the
+                    // missing server.apply is what marks the loss.
+                    self.obs.recorder.end(attempt_span, done_ms, || {
+                        format!("attempt {attempt} arrived; server crashed before apply")
+                    });
                     self.server
                         .reload_all(&mut self.stores)
                         .expect("snapshot loads");
                     let delay = self.slots[idx].courier.on_failure(now);
-                    self.trace_backoff(idx, now_ms, delay);
+                    self.trace_backoff(idx, gkey, now_ms, delay);
                 }
                 UploadVerdict::Delivered {
                     duplicate,
                     crash_after_apply,
                 } => {
                     let (outcomes, was_dup) = self.server.apply_txn_idempotent(&group);
-                    if let Some(span) = attempt_span {
-                        self.obs.spans.end_detail(span, done_ms, || {
-                            format!("attempt {attempt}: {wire} wire bytes delivered")
-                        });
-                    }
+                    self.obs.recorder.end(attempt_span, done_ms, || {
+                        format!("attempt {attempt}: {wire} wire bytes delivered")
+                    });
                     if was_dup {
-                        self.obs.tracer.event(now_ms, "server", "server.dedup", || {
+                        self.obs.recorder.event(gkey, "server", "server.dedup", now_ms, || {
                             format!("replay of group from {actor} absorbed ({} msgs)", group.len())
                         });
                     } else {
-                        record_apply(&self.obs, &actor, now, gkey, done_ms, &outcomes);
+                        record_apply(&self.obs, &actor, gkey, done_ms, &outcomes);
                     }
                     self.server
                         .save_group(&group, &mut self.stores)
@@ -740,7 +710,7 @@ impl SyncHub {
                         // newer groups: the `<CliID, GroupSeq>` replay
                         // index recognizes it whenever it shows up.
                         let deferred = topo.plan_for(idx).defer_duplicate();
-                        self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                        self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
                             if deferred {
                                 "upload duplicated; copy held for late redelivery".to_string()
                             } else {
@@ -757,20 +727,20 @@ impl SyncHub {
                         // Applied and persisted, but the ack died with the
                         // server: the retry must hit the rebuilt
                         // idempotency index of the restarted server.
-                        self.obs.tracer.event(now_ms, "server", "fault.inject", || {
+                        self.obs.recorder.event(gkey, "server", "fault.inject", now_ms, || {
                             "server crash after apply; ack lost with it".to_string()
                         });
                         self.server
                             .reload_all(&mut self.stores)
                             .expect("snapshot loads");
                         let delay = self.slots[idx].courier.on_failure(now);
-                        self.trace_backoff(idx, now_ms, delay);
+                        self.trace_backoff(idx, gkey, now_ms, delay);
                     } else if self.slots[idx]
                         .link
                         .download_faulty(ACK_WIRE_BYTES, now, idx, topo.plan_for(idx))
                         .is_some()
                     {
-                        self.obs.tracer.event(now_ms, &actor, "wire.ack", || {
+                        self.obs.recorder.event(gkey, &actor, "wire.ack", now_ms, || {
                             format!("group acknowledged after {} attempt(s)", attempt)
                         });
                         self.slots[idx].courier.on_ack();
@@ -791,11 +761,11 @@ impl SyncHub {
                     } else {
                         // Ack lost: the client cannot tell this from a
                         // dropped upload and retransmits.
-                        self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                        self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
                             "ack lost on the downlink".to_string()
                         });
                         let delay = self.slots[idx].courier.on_failure(now);
-                        self.trace_backoff(idx, now_ms, delay);
+                        self.trace_backoff(idx, gkey, now_ms, delay);
                     }
                 }
             }
@@ -803,11 +773,12 @@ impl SyncHub {
         self.fault = Some(topo);
     }
 
-    /// Records the courier's retransmission decision in the trace.
-    fn trace_backoff(&self, idx: usize, now_ms: u64, delay: Option<u64>) {
+    /// Records the courier's retransmission decision for group `key`.
+    fn trace_backoff(&self, idx: usize, key: Option<GroupKey>, now_ms: u64, delay: Option<u64>) {
+        let actor = &self.slots[idx].actor;
         self.obs
-            .tracer
-            .event(now_ms, &self.slots[idx].actor, "retry.backoff", || match delay {
+            .recorder
+            .event(key, actor, "retry.backoff", now_ms, || match delay {
                 Some(d) => format!("retransmission armed in {d}ms"),
                 None => "retry budget exhausted: group parked".to_string(),
             });
@@ -851,7 +822,6 @@ impl SyncHub {
         now: SimTime,
         fault: &mut Option<&mut FaultTopology>,
     ) {
-        let sender = Arc::clone(&self.slots[from].actor);
         for idx in self.receivers_for(from) {
             let peer = &mut self.slots[idx];
             let planned = plan_forward_group(&self.server, peer, group);
@@ -862,15 +832,6 @@ impl SyncHub {
                 .iter()
                 .find_map(|m| m.group)
                 .expect("upload groups are stamped");
-            self.obs
-                .tracer
-                .event(now.as_millis(), "server", "wire.forward", || {
-                    format!(
-                        "forwarding group of {} msgs from {sender} to {}",
-                        planned.len(),
-                        peer.actor
-                    )
-                });
             let plan = fault.as_mut().map(|topo| topo.plan_for(idx));
             deliver_group_streaming(
                 &self.obs,
@@ -952,7 +913,9 @@ impl SyncHub {
             let local_paths = self.slots[idx].fs.walk_files("/").unwrap_or_default();
             for path in local_paths {
                 let path = path.to_string();
-                if self.server.file(&path).is_none() && !path.contains(".conflict-") {
+                let shard = self.server.shard_of_path(&path);
+                let on_server = self.server.with_shard(shard, |s| s.file(&path).is_some());
+                if !on_server && !path.contains(".conflict-") {
                     let msg = UpdateMsg {
                         path,
                         base: None,
@@ -1111,20 +1074,20 @@ impl SyncHub {
         }
         reg.counter(
             "trace_events_dropped",
-            "flight-recorder events dropped because the ring was full",
+            "records the recorder evicted because its table was full",
         )
-        .set(self.obs.tracer.dropped());
-        if !self.obs.spans.is_empty() {
+        .set(self.obs.recorder.dropped());
+        if self.cfg.profiling {
             self.profiler().export(reg);
         }
         reg.snapshot()
     }
 
-    /// A critical-path profiler over the span table recorded so far
-    /// (requires [`HubConfig::with_profiling`] / an
-    /// [`Obs::with_profiling`] bundle — otherwise the table is empty).
+    /// A critical-path profiler over the records made so far (requires
+    /// [`HubConfig::with_profiling`] or an [`Obs::recording`] bundle —
+    /// otherwise the table is empty).
     pub fn profiler(&self) -> Profiler {
-        Profiler::new(self.obs.spans.records())
+        Profiler::new(self.obs.recorder.records())
     }
 
     /// Simulates a crash of client `idx`: the volatile sync queue and
@@ -1151,13 +1114,6 @@ impl SyncHub {
         let slot = &mut self.slots[idx];
         slot.client
             .restart_from_undo_log(&slot.fs, |p| server.version(p))
-    }
-
-    /// Forwarded groups currently staged — received in part, not yet
-    /// committed — on client `idx`. Non-zero after a forward stream was
-    /// cut mid-group by a lost downlink.
-    pub fn forward_stage_depth(&self, idx: usize) -> usize {
-        self.slots[idx].forward.staged_groups()
     }
 }
 
@@ -1281,17 +1237,9 @@ fn deliver_group_streaming(
     // of its final frame. A stream a fault plan cuts leaves the span
     // open on purpose: the profile shows the delivery that never
     // committed.
-    let fwd_span = if obs.spans.enabled() {
-        Some(obs.spans.start(
-            gid.span_key(),
-            &peer.actor,
-            "forward",
-            now.max(peer.link.download_busy_until()).as_millis(),
-            None,
-        ))
-    } else {
-        None
-    };
+    let key = Some(gid.span_key());
+    let start_ms = now.max(peer.link.download_busy_until()).as_millis();
+    let fwd_span = obs.recorder.start(key, &peer.actor, "forward", start_ms, None);
     let Slot {
         link,
         forward,
@@ -1316,8 +1264,8 @@ fn deliver_group_streaming(
         link.download_part_codec(frame.accounted, frame.compressed_from(), now);
         *forward_chunks += 1;
         *forward_max_frame_bytes = (*forward_max_frame_bytes).max(frame.byte_len());
-        obs.tracer
-            .event(now.as_millis(), "server", "wire.forward.chunk", || {
+        obs.recorder
+            .event(key, "server", "wire.forward.chunk", now.as_millis(), || {
                 format!(
                     "msg {} chunk {}{} to {}: {} bytes",
                     frame.msg_idx,
@@ -1338,12 +1286,9 @@ fn deliver_group_streaming(
     });
     let delivered = link.download_end_msg(now);
     if committed.is_some() {
-        if let Some(span) = fwd_span {
-            let n = msgs.len();
-            obs.spans.end_detail(span, delivered.as_millis(), || {
-                format!("group of {n} msgs committed on {}", peer.actor)
-            });
-        }
+        obs.recorder.end(fwd_span, delivered.as_millis(), || {
+            format!("group of {} msgs committed on {}", msgs.len(), peer.actor)
+        });
     }
     let Some(group_msgs) = committed else {
         return;

@@ -216,11 +216,6 @@ impl FaultPlan {
         &self.spec
     }
 
-    /// The seed needed to reproduce this plan's decision stream.
-    pub fn seed(&self) -> u64 {
-        self.spec.seed
-    }
-
     /// What the plan has injected so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -372,11 +367,6 @@ impl FaultTopology {
         } else {
             &mut self.plans[client]
         }
-    }
-
-    /// The seed of each plan, in client order (one entry when shared).
-    pub fn seeds(&self) -> Vec<u64> {
-        self.plans.iter().map(FaultPlan::seed).collect()
     }
 
     /// Injected-fault counters summed over every plan.

@@ -6,7 +6,7 @@
 //! quantity the fault harness needs to explain a diverging run flows
 //! through this crate.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Registry`] — a lock-cheap metrics registry: monotonic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket [`Histogram`]s behind atomic handles.
@@ -15,17 +15,18 @@
 //!   into a deterministic, name-sorted [`Snapshot`] that exports as JSON
 //!   ([`Snapshot::to_json`]) or Prometheus text exposition
 //!   ([`Snapshot::to_prometheus`]).
-//! * [`Tracer`] — structured event tracing for the sync pipeline: spans
-//!   ([`Tracer::enter`]/[`Tracer::exit`]) and point events
-//!   ([`Tracer::event`]), timestamped by the caller from the deterministic
-//!   `SimClock`, so two runs of the same seed produce *byte-identical*
-//!   trace output. Disabled tracers cost one relaxed atomic load per call
+//! * [`SpanRecorder`] — the one timeline of the sync pipeline: spans
+//!   ([`SpanRecorder::start`]/[`SpanRecorder::end`]) and point events
+//!   ([`SpanRecorder::event`], a zero-width span), keyed by the upload
+//!   group's `<CliID, GroupSeq>` and timestamped by the caller from the
+//!   deterministic `SimClock`, so two runs of the same seed produce a
+//!   *byte-identical* record. It keeps the most recent `capacity`
+//!   records. A disabled recorder costs one relaxed atomic load per call
 //!   site; detail strings are built lazily through closures and never
-//!   materialize when tracing is off.
-//! * **Flight recorder** — the tracer's bounded ring buffer plus
-//!   [`DumpGuard`]: a drop guard that writes the recent-event timeline to
-//!   a file (or stderr) when a test panics, turning an opaque convergence
-//!   failure into a replayable timeline.
+//!   materialize when recording is off. Two readers share the table: the
+//!   **flight recorder** ([`SpanRecorder::dump`] and [`DumpGuard`], a
+//!   drop guard that appends the timeline to a file, or stderr, when a
+//!   test panics) and the critical-path [`Profiler`].
 //!
 //! The [`Merge`] trait and the [`metric_struct!`] macro unify the ad-hoc
 //! counter structs (`TrafficStats`, `IoStats`, `Cost`, `FaultStats`) that
@@ -36,15 +37,16 @@
 //! # Example
 //!
 //! ```
-//! use deltacfs_obs::{Obs, Registry};
+//! use deltacfs_obs::{GroupKey, Obs};
 //!
-//! let obs = Obs::with_tracing(1024);
+//! let obs = Obs::recording(1024);
 //! let uploads = obs.registry.counter("uploads_total", "upload attempts");
 //! uploads.inc();
-//! obs.tracer.event(1500, "client-1", "wire.upload", || "group 1".into());
+//! let group = Some(GroupKey { client: 1, seq: 1 });
+//! obs.recorder.record(group, "link", "wire.upload", 1500, 1530, None, || "group 1".into());
 //! let snap = obs.registry.snapshot();
 //! assert!(snap.to_prometheus().contains("uploads_total 1"));
-//! assert!(obs.tracer.dump().contains("wire.upload"));
+//! assert!(obs.recorder.dump().contains("wire.upload <c1,g1> +30ms: group 1"));
 //! ```
 
 #![warn(missing_docs)]
@@ -52,57 +54,97 @@
 mod merge;
 mod registry;
 mod spans;
-mod trace;
+
+use std::fmt::Write as _;
+use std::io::Write as _;
 
 pub use merge::Merge;
 pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
 pub use spans::{
     GroupKey, GroupProfile, Profiler, SpanId, SpanRecord, SpanRecorder, STAGE_ORDER, WAIT_STAGE,
 };
-pub use trace::{DumpGuard, TraceEvent, TraceKind, Tracer};
 
 /// The observability bundle one simulated deployment shares: a metrics
-/// registry, a tracer/flight-recorder, and a causal span recorder.
-/// Cloning yields handles to the *same* registry, ring buffer, and
-/// span table.
+/// registry and the recorder. Cloning yields handles to the *same*
+/// registry and record table.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// The shared metrics registry.
     pub registry: Registry,
-    /// The shared tracer (disabled by default; see [`Obs::with_tracing`]).
-    pub tracer: Tracer,
-    /// The shared causal span recorder (disabled by default; see
-    /// [`Obs::with_profiling`]).
-    pub spans: SpanRecorder,
+    /// The shared recorder (disabled by default; see [`Obs::recording`]).
+    pub recorder: SpanRecorder,
 }
 
 impl Obs {
-    /// A bundle whose tracer and span recorder are disabled: metrics
-    /// record normally, trace and span call sites cost one relaxed
-    /// atomic load each.
+    /// A bundle whose recorder is disabled: metrics record normally,
+    /// recorder call sites cost one relaxed atomic load each.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A bundle with tracing enabled and a flight-recorder ring holding
-    /// the most recent `capacity` events. Span recording stays off.
-    pub fn with_tracing(capacity: usize) -> Self {
+    /// A bundle whose recorder is on and keeps the most recent
+    /// `capacity` records.
+    pub fn recording(capacity: usize) -> Self {
         Obs {
             registry: Registry::new(),
-            tracer: Tracer::new(capacity),
-            spans: SpanRecorder::default(),
+            recorder: SpanRecorder::new(capacity),
+        }
+    }
+}
+
+/// The flight recorder's trigger: a drop guard that dumps the record
+/// when the surrounding test or fault run panics.
+///
+/// On drop, if the thread is panicking, the timeline and a Prometheus
+/// snapshot of the registry are appended, under the guard's label, to
+/// the path named by the `DELTACFS_TRACE_DUMP` environment variable, or
+/// written to stderr when it is unset. Nothing is written on a clean
+/// exit.
+#[derive(Debug)]
+pub struct DumpGuard {
+    label: String,
+    obs: Obs,
+}
+
+impl DumpGuard {
+    /// Arms the flight recorder for `obs`; `label` names the run in the
+    /// dump header (e.g. the seed and topology under test).
+    pub fn new(label: &str, obs: &Obs) -> Self {
+        DumpGuard {
+            label: label.to_string(),
+            obs: obs.clone(),
         }
     }
 
-    /// A bundle with both tracing and causal span recording enabled:
-    /// the tracer ring keeps `capacity` events, the span table holds up
-    /// to `capacity` spans (further spans are counted as dropped).
-    pub fn with_profiling(capacity: usize) -> Self {
-        Obs {
-            registry: Registry::new(),
-            tracer: Tracer::new(capacity),
-            spans: SpanRecorder::new(capacity),
+    /// Builds the dump text without writing it anywhere (what the guard
+    /// would emit on panic).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "=== DeltaCFS flight recorder dump: {} ===", self.label);
+        out.push_str(&self.obs.recorder.dump());
+        out.push_str("=== metrics at failure ===\n");
+        out.push_str(&self.obs.registry.snapshot().to_prometheus());
+        out
+    }
+}
+
+impl Drop for DumpGuard {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
         }
+        let dump = self.render();
+        // Appended, not overwritten: every failing run of a test process
+        // keeps its dump.
+        if let Some(path) = std::env::var_os("DELTACFS_TRACE_DUMP").filter(|p| !p.is_empty()) {
+            let file = std::fs::OpenOptions::new().create(true).append(true).open(&path);
+            if file.and_then(|mut f| f.write_all(dump.as_bytes())).is_ok() {
+                let path = path.to_string_lossy();
+                eprintln!("flight recorder: appended {} bytes to {path}", dump.len());
+                return;
+            }
+        }
+        eprintln!("{dump}");
     }
 }
 
@@ -111,35 +153,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_bundle_has_disabled_tracer() {
+    fn default_bundle_records_nothing() {
         let obs = Obs::new();
-        assert!(!obs.tracer.enabled());
-        obs.tracer.event(0, "a", "stage", || unreachable!("lazy detail"));
-        assert_eq!(obs.tracer.len(), 0);
-        assert!(!obs.spans.enabled());
-        let g = GroupKey { client: 1, seq: 1 };
-        assert!(obs.spans.start(g, "a", "stage", 0, None).is_none());
-        assert!(obs.spans.is_empty());
-    }
-
-    #[test]
-    fn profiling_bundle_records_spans() {
-        let obs = Obs::with_profiling(128);
-        assert!(obs.tracer.enabled());
-        assert!(obs.spans.enabled());
-        let g = GroupKey { client: 1, seq: 1 };
-        let id = obs.spans.start(g, "client-1", "vfs.write", 0, None);
-        obs.spans.end(id, 5);
-        assert_eq!(obs.clone().spans.len(), 1); // clones share the table
+        assert!(!obs.recorder.enabled());
+        obs.recorder.event(None, "a", "stage", 0, || unreachable!("lazy detail"));
+        assert!(obs.recorder.is_empty());
     }
 
     #[test]
     fn clones_share_state() {
-        let obs = Obs::with_tracing(16);
+        let obs = Obs::recording(16);
         let other = obs.clone();
         other.registry.counter("c", "").add(3);
-        other.tracer.event(5, "x", "s", || "d".into());
+        other.recorder.event(None, "x", "s", 5, || "d".into());
         assert_eq!(obs.registry.counter("c", "").get(), 3);
-        assert_eq!(obs.tracer.len(), 1);
+        assert_eq!(obs.recorder.len(), 1);
+    }
+
+    #[test]
+    fn guard_renders_label_timeline_and_metrics() {
+        let obs = Obs::recording(8);
+        obs.registry.counter("fails_total", "").inc();
+        obs.recorder.event(None, "a", "s", 1, String::new);
+        let text = DumpGuard::new("seed=7", &obs).render();
+        assert!(text.contains("seed=7"), "{text}");
+        assert!(text.contains("1 records (0 dropped)"), "{text}");
+        assert!(text.contains("fails_total 1"), "{text}");
     }
 }

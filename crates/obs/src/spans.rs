@@ -1,21 +1,29 @@
-//! Causal per-group spans and the critical-path sync profiler.
+//! The one timeline: causal spans, point events, the flight-recorder
+//! dump, and the critical-path sync profiler.
 //!
 //! Every upload group already carries a `<CliID, GroupSeq>` identity on
 //! the wire (the `group_opt` header of each chunk frame, in the upload,
 //! forward, and recovery-download directions). A [`SpanRecorder`] keys
-//! parented spans on that identity — mirrored here as [`GroupKey`] so
-//! this crate stays dependency-free — which lets the client, the
-//! pipeline threads, the wire codec, the server shards, and the forward
-//! fan-out all contribute spans to the *same* causal tree without any
-//! extra bytes on the wire: the group id rides the existing headers and
-//! the shared recorder resolves parents on each side.
+//! parented records on that identity — mirrored here as [`GroupKey`] so
+//! this crate stays dependency-free — which lets the client, the wire
+//! codec, the server shards, and the forward fan-out all write into the
+//! *same* causal record without any extra bytes on the wire. A point
+//! event ([`SpanRecorder::event`]) is a zero-width record; a record made
+//! before its group id exists (a relation-table trigger, a delta encode)
+//! carries no group until [`SpanRecorder::attach`] hands it one.
 //!
-//! Like the [`Tracer`](crate::Tracer), the caller supplies every
-//! timestamp from the deterministic `SimClock` (raw milliseconds), so
-//! two runs of the same seed produce byte-identical span tables, text
-//! reports, and Chrome trace exports. A disabled recorder (the default)
-//! costs one relaxed atomic load per span site; detail closures never
-//! run while recording is off.
+//! **Retention:** one rule — a bounded FIFO. The table keeps the most
+//! recent `capacity` records; a new record evicts the oldest, and the
+//! eviction is counted ([`SpanRecorder::dropped`]). Ids are sequential
+//! and never reused, so a record sits at `id - first_id` and a handle to
+//! an evicted record is simply stale (ending it is a no-op).
+//!
+//! The caller supplies every timestamp from the deterministic `SimClock`
+//! (raw milliseconds), so two runs of the same seed produce
+//! byte-identical tables, [`SpanRecorder::dump`] timelines, text reports,
+//! and Chrome trace exports. A disabled recorder (the default) costs one
+//! relaxed atomic load per site; detail closures never run while
+//! recording is off.
 //!
 //! The [`Profiler`] assembles per-group span trees and computes a
 //! **critical-path attribution**: the group's wall-clock interval
@@ -28,12 +36,14 @@
 //! critical-path reading of the concurrent encode/upload overlap — and
 //! slices covered by no span at all are attributed to `pipeline.wait`.
 //! By construction the per-stage attributions sum to the end-to-end
-//! time of every group, with no double counting.
+//! time of every group, with no double counting. Only records that carry
+//! a group and a stage of the pipeline order take part; everything else
+//! in the table annotates the timeline.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::registry::json_str;
 use crate::Registry;
@@ -56,14 +66,15 @@ impl std::fmt::Display for GroupKey {
     }
 }
 
-/// Handle to a recorded span. [`SpanId::NONE`] is the sentinel a
-/// disabled recorder hands out; ending it is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Handle to a record; ids order as the records were made.
+/// [`SpanId::NONE`] is the sentinel a disabled recorder hands out;
+/// ending it is a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(u64);
 
 impl SpanId {
-    /// The null span: returned by every [`SpanRecorder::start`] while
-    /// recording is disabled, accepted (and ignored) everywhere.
+    /// The null span: returned by every recording call while recording
+    /// is disabled, accepted (and ignored) everywhere.
     pub const NONE: SpanId = SpanId(0);
 
     /// Whether this is the null span.
@@ -72,19 +83,20 @@ impl SpanId {
     }
 }
 
-/// One recorded span. `end_ms: None` means the span never closed — for
-/// example a `wire.upload` attempt whose frames were dropped by the
-/// fault plan. Open spans are excluded from critical-path attribution
-/// but surface in the report and export as Chrome `B` (begin-only)
-/// events, so a lost chunk is visible rather than silently absorbed.
+/// One record of the timeline. `end_ms: None` means the span never
+/// closed — for example a `wire.upload` attempt whose frames were
+/// dropped by the fault plan. Open spans are excluded from critical-path
+/// attribution but surface in the report and export as Chrome `B`
+/// (begin-only) events, so a lost chunk is visible rather than silently
+/// absorbed. A point event has `end_ms == Some(start_ms)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// This span's id (recording order, 1-based).
+    /// This record's id (recording order, 1-based, never reused).
     pub id: SpanId,
-    /// The parent span, when one was resolvable.
+    /// The parent record, when one was resolvable.
     pub parent: Option<SpanId>,
-    /// The upload group this span belongs to.
-    pub group: GroupKey,
+    /// The upload group this record belongs to, once it is known.
+    pub group: Option<GroupKey>,
     /// Which actor ran it (e.g. `client-1`, `server`, `codec`).
     pub actor: String,
     /// Pipeline stage name (e.g. `wire.upload`).
@@ -99,14 +111,21 @@ pub struct SpanRecord {
 
 #[derive(Debug)]
 struct SpanState {
-    spans: Vec<SpanRecord>,
-    /// id -> index into `spans`.
-    by_id: HashMap<u64, usize>,
-    /// First span recorded per group: the tree root spans with no
+    /// The retained records; the front one has id `first_id`.
+    spans: VecDeque<SpanRecord>,
+    first_id: u64,
+    /// First retained record per group: the root that records with no
     /// explicit parent attach to.
     roots: BTreeMap<GroupKey, SpanId>,
     capacity: usize,
     dropped: u64,
+}
+
+impl SpanState {
+    fn get_mut(&mut self, id: SpanId) -> Option<&mut SpanRecord> {
+        let idx = id.0.checked_sub(self.first_id)?;
+        self.spans.get_mut(usize::try_from(idx).ok()?)
+    }
 }
 
 #[derive(Debug)]
@@ -115,14 +134,13 @@ struct RecorderInner {
     state: Mutex<SpanState>,
 }
 
-/// The shared span recorder: a bounded, append-only span table keyed by
-/// upload group. Cloning yields a handle to the same table, so the
-/// client threads, the pipeline's encoder thread, the codec, and the
+/// The shared recorder: a bounded FIFO of [`SpanRecord`]s. Cloning
+/// yields a handle to the same table, so the clients, the codec, and the
 /// server all write into one causal record.
 ///
-/// The default recorder is *disabled*: every span site pays exactly one
-/// relaxed atomic load, [`SpanRecorder::start`] returns
-/// [`SpanId::NONE`], and detail closures never execute.
+/// The default recorder is *disabled*: every site pays exactly one
+/// relaxed atomic load, recording calls return [`SpanId::NONE`], and
+/// detail closures never execute.
 #[derive(Debug, Clone)]
 pub struct SpanRecorder {
     inner: Arc<RecorderInner>,
@@ -137,16 +155,15 @@ impl Default for SpanRecorder {
 }
 
 impl SpanRecorder {
-    /// An enabled recorder holding up to `capacity` spans. Once full,
-    /// further spans are counted as dropped rather than evicting old
-    /// ones (eviction would orphan parent links mid-tree).
+    /// An enabled recorder keeping the most recent `capacity` records
+    /// (older ones are evicted and counted).
     pub fn new(capacity: usize) -> Self {
         SpanRecorder {
             inner: Arc::new(RecorderInner {
                 enabled: AtomicBool::new(true),
                 state: Mutex::new(SpanState {
-                    spans: Vec::new(),
-                    by_id: HashMap::new(),
+                    spans: VecDeque::new(),
+                    first_id: 1,
                     roots: BTreeMap::new(),
                     capacity: capacity.max(1),
                     dropped: 0,
@@ -155,8 +172,8 @@ impl SpanRecorder {
         }
     }
 
-    /// Whether spans are currently recorded — the one relaxed atomic
-    /// load every span site pays when profiling is off.
+    /// Whether records are currently made — the one relaxed atomic load
+    /// every site pays when recording is off.
     pub fn enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
@@ -166,13 +183,16 @@ impl SpanRecorder {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Opens a span for `group`. With `parent: None` the span attaches
-    /// to the group's root (its first recorded span); the first span of
-    /// a group becomes that root. Returns [`SpanId::NONE`] while
-    /// disabled.
+    fn state(&self) -> MutexGuard<'_, SpanState> {
+        self.inner.state.lock().expect("span recorder poisoned")
+    }
+
+    /// Opens a span. With `parent: None` it attaches to its group's root
+    /// (the group's first retained record); the first record of a group
+    /// becomes that root. Returns [`SpanId::NONE`] while disabled.
     pub fn start(
         &self,
-        group: GroupKey,
+        group: Option<GroupKey>,
         actor: &str,
         stage: &str,
         at_ms: u64,
@@ -184,28 +204,17 @@ impl SpanRecorder {
         self.push(group, actor, stage, at_ms, None, parent, String::new())
     }
 
-    /// Closes span `id` at `at_ms`. No-op for [`SpanId::NONE`], unknown
-    /// ids, or spans already closed.
-    pub fn end(&self, id: SpanId, at_ms: u64) {
-        self.end_detail(id, at_ms, String::new);
-    }
-
-    /// Closes span `id`, attaching a lazily built detail string. The
+    /// Closes span `id` at `at_ms` with a lazily built detail string. No-op
+    /// for [`SpanId::NONE`], evicted ids, or spans already closed; the
     /// closure only runs if the span is actually closed.
-    pub fn end_detail(&self, id: SpanId, at_ms: u64, detail: impl FnOnce() -> String) {
+    pub fn end(&self, id: SpanId, at_ms: u64, detail: impl FnOnce() -> String) {
         if id.is_none() || !self.enabled() {
             return;
         }
-        let mut state = self.inner.state.lock().expect("span recorder poisoned");
-        if let Some(&idx) = state.by_id.get(&id.0) {
-            let span = &mut state.spans[idx];
-            if span.end_ms.is_none() {
-                span.end_ms = Some(at_ms.max(span.start_ms));
-                let d = detail();
-                if !d.is_empty() {
-                    span.detail = d;
-                }
-            }
+        let mut state = self.state();
+        if let Some(span) = state.get_mut(id).filter(|s| s.end_ms.is_none()) {
+            span.end_ms = Some(at_ms.max(span.start_ms));
+            span.detail = detail();
         }
     }
 
@@ -214,7 +223,7 @@ impl SpanRecorder {
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
-        group: GroupKey,
+        group: Option<GroupKey>,
         actor: &str,
         stage: &str,
         start_ms: u64,
@@ -225,21 +234,26 @@ impl SpanRecorder {
         if !self.enabled() {
             return SpanId::NONE;
         }
-        self.push(
-            group,
-            actor,
-            stage,
-            start_ms,
-            Some(end_ms.max(start_ms)),
-            parent,
-            detail(),
-        )
+        let end_ms = Some(end_ms.max(start_ms));
+        self.push(group, actor, stage, start_ms, end_ms, parent, detail())
+    }
+
+    /// Records a point event: a zero-width record at `at_ms`.
+    pub fn event(
+        &self,
+        group: Option<GroupKey>,
+        actor: &str,
+        stage: &str,
+        at_ms: u64,
+        detail: impl FnOnce() -> String,
+    ) -> SpanId {
+        self.record(group, actor, stage, at_ms, at_ms, None, detail)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn push(
         &self,
-        group: GroupKey,
+        group: Option<GroupKey>,
         actor: &str,
         stage: &str,
         start_ms: u64,
@@ -247,19 +261,22 @@ impl SpanRecorder {
         parent: Option<SpanId>,
         detail: String,
     ) -> SpanId {
-        let mut state = self.inner.state.lock().expect("span recorder poisoned");
-        if state.spans.len() >= state.capacity {
+        let mut state = self.state();
+        if state.spans.len() == state.capacity {
+            let old = state.spans.pop_front().expect("capacity is at least one");
+            state.first_id += 1;
             state.dropped += 1;
-            return SpanId::NONE;
+            if let Some(g) = old.group.filter(|g| state.roots.get(g) == Some(&old.id)) {
+                state.roots.remove(&g);
+            }
         }
-        let id = SpanId(state.spans.len() as u64 + 1);
-        let parent = parent
-            .filter(|p| !p.is_none())
-            .or_else(|| state.roots.get(&group).copied());
-        state.roots.entry(group).or_insert(id);
-        let idx = state.spans.len();
-        state.by_id.insert(id.0, idx);
-        state.spans.push(SpanRecord {
+        let id = SpanId(state.first_id + state.spans.len() as u64);
+        let mut parent = parent.filter(|p| !p.is_none());
+        if let Some(g) = group {
+            parent = parent.or_else(|| state.roots.get(&g).copied());
+            state.roots.entry(g).or_insert(id);
+        }
+        state.spans.push_back(SpanRecord {
             id,
             parent,
             group,
@@ -272,67 +289,82 @@ impl SpanRecorder {
         id
     }
 
-    /// The root span of `group` (its first recorded span), used to
-    /// parent the far side of a wire crossing: the server's spans for a
-    /// group attach under the root the uploading client created.
-    pub fn group_root(&self, group: GroupKey) -> Option<SpanId> {
-        self.inner
-            .state
-            .lock()
-            .expect("span recorder poisoned")
-            .roots
-            .get(&group)
-            .copied()
+    /// Hands `group` to records made before the group id existed; the
+    /// parentless ones attach to the group's root. Stale ids are skipped.
+    pub fn attach(&self, ids: &[SpanId], group: GroupKey) {
+        if !self.enabled() {
+            return;
+        }
+        let mut state = self.state();
+        let root = state.roots.get(&group).copied();
+        for &id in ids {
+            if let Some(span) = state.get_mut(id) {
+                span.group = Some(group);
+                span.parent = span.parent.or(root);
+            }
+        }
     }
 
-    /// Number of spans recorded so far.
+    /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .expect("span recorder poisoned")
-            .spans
-            .len()
+        self.state().spans.len()
     }
 
-    /// Whether no span has been recorded.
+    /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Spans refused because the table was at capacity.
+    /// Records evicted because the table was full.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .expect("span recorder poisoned")
-            .dropped
+        self.state().dropped
     }
 
-    /// Clones the span table in recording order (deterministic for a
-    /// pinned seed).
+    /// Clones the table in recording order (deterministic for a pinned
+    /// seed).
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.inner
-            .state
-            .lock()
-            .expect("span recorder poisoned")
-            .spans
-            .clone()
+        self.state().spans.iter().cloned().collect()
     }
 
-    /// Clears the table and the root index.
-    pub fn clear(&self) {
-        let mut state = self.inner.state.lock().expect("span recorder poisoned");
-        state.spans.clear();
-        state.by_id.clear();
-        state.roots.clear();
+    /// Renders the table as a stable, human-readable timeline in
+    /// recording order: one line per record with its start time, actor,
+    /// stage, group, and `+<n>ms` for a span of nonzero width or
+    /// `(open)` for one that never closed. Byte-identical for identical
+    /// tables — the determinism tests compare these strings directly.
+    pub fn dump(&self) -> String {
+        let state = self.state();
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "=== flight recorder: {} records ({} dropped) ===",
+            state.spans.len(),
+            state.dropped
+        );
+        for r in &state.spans {
+            let _ = write!(out, "[{:>8}ms] {:<10} {}", r.start_ms, r.actor, r.stage);
+            if let Some(g) = r.group {
+                let _ = write!(out, " {g}");
+            }
+            match r.end_ms {
+                None => out.push_str(" (open)"),
+                Some(end) if end > r.start_ms => {
+                    let _ = write!(out, " +{}ms", end - r.start_ms);
+                }
+                Some(_) => {}
+            }
+            if !r.detail.is_empty() {
+                let _ = write!(out, ": {}", r.detail);
+            }
+            out.push('\n');
+        }
+        out
     }
 }
 
 /// Pipeline order of the committed stages; attribution rank is the
 /// index, and overlapping spans resolve to the highest rank (the
-/// downstream stage wins the overlapped slice). Stages outside this
-/// list rank below all of them.
+/// downstream stage wins the overlapped slice). Records of any other
+/// stage annotate the timeline and take no part in attribution.
 pub const STAGE_ORDER: [&str; 8] = [
     "vfs.write",
     "relation.trigger",
@@ -348,12 +380,8 @@ pub const STAGE_ORDER: [&str; 8] = [
 /// interval covered by no span: time spent queued between stages.
 pub const WAIT_STAGE: &str = "pipeline.wait";
 
-fn stage_rank(stage: &str) -> usize {
-    STAGE_ORDER
-        .iter()
-        .position(|s| *s == stage)
-        .map(|i| i + 1)
-        .unwrap_or(0)
+fn stage_rank(stage: &str) -> Option<usize> {
+    STAGE_ORDER.iter().position(|s| *s == stage)
 }
 
 /// One group's assembled profile.
@@ -375,21 +403,28 @@ pub struct GroupProfile {
     pub convergence_lag_ms: Option<u64>,
 }
 
-/// Assembles span records into per-group trees, critical-path
-/// attributions, SLO lags, a text report, and a Chrome trace export.
+/// Assembles the records that carry a group into per-group
+/// critical-path attributions, SLO lags, a text report, and a Chrome
+/// trace export.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     records: Vec<SpanRecord>,
 }
 
+/// The group of a record the profiler kept.
+fn group_of(r: &SpanRecord) -> GroupKey {
+    r.group.expect("the profiler keeps grouped records only")
+}
+
 impl Profiler {
-    /// A profiler over a cloned span table (see
+    /// A profiler over the grouped records of a cloned table (see
     /// [`SpanRecorder::records`]).
-    pub fn new(records: Vec<SpanRecord>) -> Self {
+    pub fn new(mut records: Vec<SpanRecord>) -> Self {
+        records.retain(|r| r.group.is_some());
         Profiler { records }
     }
 
-    /// All recorded spans, in recording order.
+    /// The grouped records, in recording order.
     pub fn records(&self) -> &[SpanRecord] {
         &self.records
     }
@@ -397,8 +432,8 @@ impl Profiler {
     /// Per-group profiles, ordered by group key.
     pub fn groups(&self) -> Vec<GroupProfile> {
         let mut by_group: BTreeMap<GroupKey, Vec<&SpanRecord>> = BTreeMap::new();
-        for r in &self.records {
-            by_group.entry(r.group).or_default().push(r);
+        for r in self.records.iter().filter(|r| stage_rank(&r.stage).is_some()) {
+            by_group.entry(group_of(r)).or_default().push(r);
         }
         by_group
             .into_iter()
@@ -565,13 +600,14 @@ impl Profiler {
         let mut clients: BTreeSet<u32> = BTreeSet::new();
         for r in &self.records {
             actors.insert(r.actor.as_str());
-            clients.insert(r.group.client);
+            clients.insert(group_of(r).client);
         }
         let tid_of: BTreeMap<&str, usize> = actors
             .iter()
             .enumerate()
             .map(|(i, a)| (*a, i + 1))
             .collect();
+        let first_id = self.records.first().map_or(0, |r| r.id.0);
         let mut events: Vec<String> = Vec::new();
         for client in &clients {
             events.push(format!(
@@ -591,13 +627,15 @@ impl Profiler {
         }
         for r in &self.records {
             let tid = tid_of[r.actor.as_str()];
-            let pid = r.group.client;
+            let pid = group_of(r).client;
             let ts = r.start_ms * 1000;
+            // A parent the recorder evicted reads as none: the record
+            // is a root of what is left.
+            let parent = r.parent.filter(|p| p.0 >= first_id).map_or(0, |p| p.0);
             let args = format!(
-                "{{\"group\":{},\"span\":{},\"parent\":{},\"detail\":{}}}",
-                json_str(&r.group.to_string()),
+                "{{\"group\":{},\"span\":{},\"parent\":{parent},\"detail\":{}}}",
+                json_str(&group_of(r).to_string()),
                 r.id.0,
-                r.parent.map(|p| p.0).unwrap_or(0),
                 json_str(&r.detail)
             );
             match r.end_ms {
@@ -666,24 +704,12 @@ fn profile_group(group: GroupKey, spans: &[&SpanRecord]) -> GroupProfile {
         (Some(lo), Some(hi)) => hi - lo,
         _ => 0,
     };
-    // Pipeline order first, pipeline.wait last, unknown stages in
-    // between by name — a stable, readable ordering.
+    // Pipeline order, pipeline.wait last.
     let mut attribution: Vec<(String, u64)> = attributed
         .iter()
         .map(|(s, ms)| (s.to_string(), *ms))
         .collect();
-    attribution.sort_by_key(|(stage, _)| {
-        if stage == WAIT_STAGE {
-            (usize::MAX, stage.clone())
-        } else {
-            let r = stage_rank(stage);
-            if r > 0 {
-                (r, String::new())
-            } else {
-                (STAGE_ORDER.len() + 1, stage.clone())
-            }
-        }
-    });
+    attribution.sort_by_key(|(stage, _)| stage_rank(stage).unwrap_or(usize::MAX));
     let origin = closed
         .iter()
         .filter(|(s, _)| s.stage == "vfs.write")
@@ -729,13 +755,13 @@ mod tests {
     fn disabled_recorder_is_inert_and_lazy() {
         let r = SpanRecorder::default();
         assert!(!r.enabled());
-        let id = r.start(key(1, 1), "client-1", "vfs.write", 5, None);
+        let id = r.start(Some(key(1, 1)), "client-1", "vfs.write", 5, None);
         assert!(id.is_none());
-        r.end_detail(id, 9, || unreachable!("must stay lazy"));
-        let id2 = r.record(key(1, 1), "client-1", "wire.upload", 5, 9, None, || {
-            unreachable!("must stay lazy")
-        });
-        assert!(id2.is_none());
+        r.end(id, 9, || unreachable!("must stay lazy"));
+        let lazy = || unreachable!("must stay lazy");
+        assert!(r.record(Some(key(1, 1)), "a", "wire.upload", 5, 9, None, lazy).is_none());
+        assert!(r.event(None, "a", "vfs.op", 5, lazy).is_none());
+        r.attach(&[id], key(1, 1));
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0);
     }
@@ -743,39 +769,84 @@ mod tests {
     #[test]
     fn first_span_becomes_group_root_and_parents_followers() {
         let r = SpanRecorder::new(64);
-        let root = r.record(key(1, 1), "client-1", "vfs.write", 0, 10, None, String::new);
-        let child = r.start(key(1, 1), "client-1", "wire.upload", 10, None);
-        let explicit = r.start(key(1, 1), "server", "server.apply", 20, Some(child));
-        r.end(child, 30);
-        r.end(explicit, 40);
-        assert_eq!(r.group_root(key(1, 1)), Some(root));
-        let recs = r.records();
-        assert_eq!(recs[0].parent, None);
-        assert_eq!(recs[1].parent, Some(root));
-        assert_eq!(recs[2].parent, Some(child));
-        // A different group roots independently.
-        let other = r.start(key(2, 1), "client-2", "vfs.write", 5, None);
-        assert_eq!(r.group_root(key(2, 1)), Some(other));
+        let root = r.record(Some(key(1, 1)), "client-1", "vfs.write", 0, 10, None, String::new);
+        let child = r.start(Some(key(1, 1)), "client-1", "wire.upload", 10, None);
+        let explicit = r.start(Some(key(1, 1)), "server", "server.apply", 20, Some(child));
+        r.end(child, 30, String::new);
+        r.end(explicit, 40, String::new);
+        // A different group roots independently; a groupless event has
+        // no parent at all.
+        r.start(Some(key(2, 1)), "client-2", "vfs.write", 5, None);
+        r.event(None, "client-2", "vfs.op", 5, String::new);
+        let parents: Vec<_> = r.records().iter().map(|s| s.parent).collect();
+        assert_eq!(parents, [None, Some(root), Some(child), None, None]);
     }
 
     #[test]
-    fn capacity_drops_are_counted_not_evicted() {
-        let r = SpanRecorder::new(2);
-        let a = r.start(key(1, 1), "a", "s", 0, None);
-        let b = r.start(key(1, 1), "a", "s", 1, None);
-        let c = r.start(key(1, 1), "a", "s", 2, None);
-        assert!(!a.is_none() && !b.is_none());
-        assert!(c.is_none());
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 1);
+    fn attach_hands_earlier_records_their_group_and_root() {
+        let r = SpanRecorder::new(64);
+        let trigger = r.event(None, "client-1", "relation.trigger", 3, String::new);
+        let encode = r.start(None, "client-1", "delta.encode", 3, None);
+        let segment = r.record(None, "client-1", "delta.segment", 3, 3, Some(encode), String::new);
+        r.end(encode, 3, String::new);
+        let root = r.record(Some(key(1, 4)), "client-1", "vfs.write", 0, 9, None, String::new);
+        r.attach(&[trigger, encode, SpanId(99)], key(1, 4));
+        let recs = r.records();
+        assert_eq!(recs[0].group, Some(key(1, 4)));
+        assert_eq!(recs[0].parent, Some(root));
+        assert_eq!(recs[1].parent, Some(root));
+        assert_eq!((recs[2].group, recs[2].parent), (None, Some(encode)));
+        assert_eq!(recs[3].parent, None, "the root stays the root");
+        assert_eq!(segment, SpanId(3), "ids are recording order");
+        // The profiler reads grouped pipeline stages only.
+        assert_eq!(Profiler::new(recs).records().len(), 3);
+    }
+
+    #[test]
+    fn full_table_evicts_the_oldest_and_never_reuses_an_id() {
+        let r = SpanRecorder::new(3);
+        let first = r.start(Some(key(1, 1)), "a", "wire.upload", 0, None);
+        for i in 1..5 {
+            r.event(Some(key(1, 1)), "a", "s", i, || format!("{i}"));
+        }
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.dropped(), 2);
+        r.end(first, 9, String::new); // evicted: a stale handle closes nobody's span
+        let recs = r.records();
+        assert_eq!(recs[0].detail, "2");
+        assert!(recs.iter().all(|s| s.end_ms == Some(s.start_ms)));
+        assert_eq!(recs[2].id, SpanId(5));
+        // The evicted root no longer parents anything: the oldest
+        // survivor of the group took its place.
+        let next = r.event(Some(key(1, 1)), "a", "s", 5, String::new);
+        let recs = r.records();
+        assert_eq!((next, recs[2].parent), (SpanId(6), Some(recs[0].id)));
+        assert!(Profiler::new(recs).chrome_trace().contains("\"parent\":0"));
+    }
+
+    #[test]
+    fn dump_is_deterministic_and_marks_width() {
+        let run = || {
+            let r = SpanRecorder::new(32);
+            r.event(None, "client-1", "vfs.op", 100, || "write /a".into());
+            r.record(Some(key(1, 7)), "link", "wire.upload", 105, 140, None, || "group 7".into());
+            r.start(Some(key(1, 7)), "link", "wire.upload", 150, None);
+            r.dump()
+        };
+        let a = run();
+        assert_eq!(a, run());
+        assert!(a.contains("3 records (0 dropped)"), "{a}");
+        assert!(a.contains("client-1   vfs.op: write /a"), "{a}");
+        assert!(a.contains("wire.upload <c1,g7> +35ms: group 7"), "{a}");
+        assert!(a.contains("wire.upload <c1,g7> (open)\n"), "{a}");
     }
 
     #[test]
     fn double_end_keeps_first_close() {
         let r = SpanRecorder::new(8);
-        let id = r.start(key(1, 1), "a", "wire.upload", 10, None);
-        r.end(id, 20);
-        r.end(id, 99);
+        let id = r.start(Some(key(1, 1)), "a", "wire.upload", 10, None);
+        r.end(id, 20, String::new);
+        r.end(id, 99, String::new);
         assert_eq!(r.records()[0].end_ms, Some(20));
     }
 
@@ -785,10 +856,10 @@ mod tests {
         let g = key(1, 1);
         // vfs.write dwell 0..100, encode 100..140 overlapping upload
         // 120..200, gap 200..210, server.apply 210..230.
-        r.record(g, "client-1", "vfs.write", 0, 100, None, String::new);
-        r.record(g, "client-1", "delta.encode", 100, 140, None, String::new);
-        r.record(g, "client-1", "wire.upload", 120, 200, None, String::new);
-        r.record(g, "server", "server.apply", 210, 230, None, String::new);
+        r.record(Some(g), "client-1", "vfs.write", 0, 100, None, String::new);
+        r.record(Some(g), "client-1", "delta.encode", 100, 140, None, String::new);
+        r.record(Some(g), "client-1", "wire.upload", 120, 200, None, String::new);
+        r.record(Some(g), "server", "server.apply", 210, 230, None, String::new);
         let prof = Profiler::new(r.records());
         let groups = prof.groups();
         assert_eq!(groups.len(), 1);
@@ -816,11 +887,11 @@ mod tests {
     fn open_spans_are_excluded_from_attribution_but_reported() {
         let r = SpanRecorder::new(64);
         let g = key(2, 3);
-        r.record(g, "client-2", "vfs.write", 0, 10, None, String::new);
-        let lost = r.start(g, "client-2", "wire.upload", 10, None);
+        r.record(Some(g), "client-2", "vfs.write", 0, 10, None, String::new);
+        let lost = r.start(Some(g), "client-2", "wire.upload", 10, None);
         assert!(!lost.is_none()); // never ended: the dropped-chunk case
-        r.record(g, "client-2", "wire.upload", 40, 60, None, String::new);
-        r.record(g, "server", "server.apply", 60, 70, None, String::new);
+        r.record(Some(g), "client-2", "wire.upload", 40, 60, None, String::new);
+        r.record(Some(g), "server", "server.apply", 60, 70, None, String::new);
         let prof = Profiler::new(r.records());
         let gp = &prof.groups()[0];
         assert_eq!(gp.open_spans, 1);
@@ -836,9 +907,9 @@ mod tests {
     fn lags_and_report_cover_forward() {
         let r = SpanRecorder::new(64);
         let g = key(1, 2);
-        r.record(g, "client-1", "vfs.write", 100, 200, None, String::new);
-        r.record(g, "server", "server.apply", 250, 300, None, String::new);
-        r.record(g, "server", "forward", 300, 450, None, || {
+        r.record(Some(g), "client-1", "vfs.write", 100, 200, None, String::new);
+        r.record(Some(g), "server", "server.apply", 250, 300, None, String::new);
+        r.record(Some(g), "server", "forward", 300, 450, None, || {
             "peer client-2".into()
         });
         let prof = Profiler::new(r.records());
@@ -856,9 +927,9 @@ mod tests {
     fn export_registers_gauges_and_histograms() {
         let r = SpanRecorder::new(64);
         let g = key(1, 1);
-        r.record(g, "client-1", "vfs.write", 0, 1_000, None, String::new);
-        r.record(g, "client-1", "wire.upload", 1_000, 1_400, None, String::new);
-        r.record(g, "server", "server.apply", 1_400, 1_500, None, String::new);
+        r.record(Some(g), "client-1", "vfs.write", 0, 1_000, None, String::new);
+        r.record(Some(g), "client-1", "wire.upload", 1_000, 1_400, None, String::new);
+        r.record(Some(g), "server", "server.apply", 1_400, 1_500, None, String::new);
         let reg = Registry::new();
         Profiler::new(r.records()).export(&reg);
         let snap = reg.snapshot();
@@ -876,8 +947,8 @@ mod tests {
         let build = || {
             let r = SpanRecorder::new(64);
             let g = key(3, 9);
-            r.record(g, "client-3", "vfs.write", 0, 50, None, || "w \"q\"".into());
-            let open = r.start(g, "client-3", "wire.upload", 50, None);
+            r.record(Some(g), "client-3", "vfs.write", 0, 50, None, || "w \"q\"".into());
+            let open = r.start(Some(g), "client-3", "wire.upload", 50, None);
             assert!(!open.is_none());
             Profiler::new(r.records()).chrome_trace()
         };

@@ -16,7 +16,7 @@
 //! | [`delta`] | `deltacfs-delta` | rsync, the local bitwise variant, CDC, fixed-block dedup, LZ compression, MD5 |
 //! | [`kvstore`] | `deltacfs-kvstore` | WAL + memtable + segment KV store (the LevelDB stand-in) |
 //! | [`net`] | `deltacfs-net` | virtual clock, accounted links, platform cost profiles |
-//! | [`obs`] | `deltacfs-obs` | metrics registry, structured sync-pipeline tracing, flight recorder |
+//! | [`obs`] | `deltacfs-obs` | metrics registry, one recorder of the sync pipeline (flight recorder, span profiler) |
 //! | [`baselines`] | `deltacfs-baselines` | Dropbox-, Seafile-, NFS- and Dropsync-like engines |
 //! | [`workloads`] | `deltacfs-workloads` | the §IV-A traces, filebench personalities, replay driver |
 //!

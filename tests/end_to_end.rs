@@ -6,9 +6,10 @@ use deltacfs::core::{ApplyOutcome, DeltaCfsConfig, DeltaCfsSystem, SyncEngine};
 use deltacfs::net::{LinkSpec, PlatformProfile, SimClock};
 use deltacfs::vfs::Vfs;
 use deltacfs::workloads::{
-    replay, AppendTrace, GeditTrace, RandomWriteTrace, TimedOp, Trace, TraceConfig, TraceMeta,
-    WeChatTrace, WordTrace,
+    replay, AppendTrace, GeditTrace, RandomWriteTrace, Trace, TraceConfig, WeChatTrace, WordTrace,
 };
+
+mod common;
 
 const SCALE: f64 = 0.02;
 
@@ -70,31 +71,7 @@ fn deltacfs_converges_on_every_standard_trace() {
 /// the first, not replace it (it is the base's history).
 #[test]
 fn interleaved_editor_and_database_converge() {
-    struct Merged(GeditTrace, WeChatTrace);
-    impl Trace for Merged {
-        fn meta(&self) -> TraceMeta {
-            TraceMeta {
-                name: "gedit+wechat",
-                description: format!(
-                    "[{}] + [{}]",
-                    self.0.meta().description,
-                    self.1.meta().description
-                ),
-            }
-        }
-        fn generate(&self, sink: &mut dyn FnMut(TimedOp)) {
-            let mut ops = Vec::new();
-            self.0.generate(&mut |op| ops.push(op));
-            self.1.generate(&mut |op| ops.push(op));
-            // Stable: each application keeps its own order.
-            ops.sort_by_key(|op| op.at_ms);
-            ops.into_iter().for_each(sink);
-        }
-    }
-    let trace = Merged(
-        GeditTrace::new(TraceConfig::scaled(0.2)),
-        WeChatTrace::new(TraceConfig::scaled(0.02)),
-    );
+    let trace = common::editor_and_database_trace();
     let (sys, fs, _) = run_deltacfs(&trace);
     assert_converged("gedit+wechat", &sys, &fs);
 }

@@ -8,14 +8,24 @@
 use deltacfs::core::{ApplyOutcome, DeltaCfsConfig, ShardRouter, SyncHub};
 use deltacfs::net::{CrashPhase, FaultSpec, LinkSpec, SimClock};
 
+mod common;
+use common::{client_metric, recorded, RecordedHub};
+
 const SETTLE_MS: u64 = 600_000;
 
-fn two_client_hub() -> (SyncHub, SimClock) {
+fn two_client_hub() -> (RecordedHub, SimClock) {
     let clock = SimClock::new();
-    let mut hub = SyncHub::new(clock.clone());
+    let mut hub = recorded(SyncHub::new(clock.clone()));
     hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
     hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
     (hub, clock)
+}
+
+/// Groups the couriers abandoned, over all clients.
+fn given_up(hub: &SyncHub) -> i64 {
+    (0..hub.client_count())
+        .map(|idx| client_metric(hub, "retry_groups_given_up", idx))
+        .sum()
 }
 
 /// Ingest pending events, then advance past the upload delay and pump
@@ -84,7 +94,7 @@ fn drop_matrix_converges() {
         run_disjoint_workload(&mut hub, &clock);
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
-        assert_eq!(hub.given_up(0) + hub.given_up(1), 0, "seed {seed}");
+        assert_eq!(given_up(&hub), 0, "seed {seed}");
         assert_converged(&hub, seed);
     }
 }
@@ -99,7 +109,7 @@ fn drop_matrix_converges_with_wire_compression() {
     let cfg = DeltaCfsConfig::new().with_wire_compression(true);
     for seed in 0..8u64 {
         let clock = SimClock::new();
-        let mut hub = SyncHub::new(clock.clone());
+        let mut hub = recorded(SyncHub::new(clock.clone()));
         hub.add_client(cfg, LinkSpec::pc());
         hub.add_client(cfg, LinkSpec::mobile());
         hub.enable_faults(
@@ -110,7 +120,7 @@ fn drop_matrix_converges_with_wire_compression() {
         run_disjoint_workload(&mut hub, &clock);
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
-        assert_eq!(hub.given_up(0) + hub.given_up(1), 0, "seed {seed}");
+        assert_eq!(given_up(&hub), 0, "seed {seed}");
         assert_converged(&hub, seed);
     }
 }
@@ -430,7 +440,7 @@ fn disconnect_window_defers_and_heals() {
 /// A 4-shard hub whose two writers live in namespaces pinned to
 /// *different* shards, so every fault schedule below exercises striped
 /// locks, per-shard snapshots, and per-shard crash reloads.
-fn two_writer_sharded_hub() -> (SyncHub, SimClock, [String; 2]) {
+fn two_writer_sharded_hub() -> (RecordedHub, SimClock, [String; 2]) {
     let router = ShardRouter::new(4);
     let ns_a = "alpha".to_string();
     let ns_b = (0..)
@@ -438,7 +448,7 @@ fn two_writer_sharded_hub() -> (SyncHub, SimClock, [String; 2]) {
         .find(|ns| router.shard_of_namespace(ns) != router.shard_of_namespace(&ns_a))
         .unwrap();
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), 4);
+    let mut hub = recorded(SyncHub::with_shards(clock.clone(), 4));
     hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
     hub.add_client_in(&ns_b, DeltaCfsConfig::new(), LinkSpec::pc());
     assert_ne!(hub.home_shard(0), hub.home_shard(1), "writers share a shard");
@@ -508,7 +518,7 @@ fn sharded_drop_matrix_converges() {
         run_sharded_disjoint_workload(&mut hub, &clock, &ns);
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
-        assert_eq!(hub.given_up(0) + hub.given_up(1), 0, "seed {seed}");
+        assert_eq!(given_up(&hub), 0, "seed {seed}");
         assert_converged_sharded(&hub, seed);
     }
 }
@@ -804,7 +814,7 @@ fn crash_drops_staged_forward_group_and_settle_reconverges() {
         hub.fs_mut(0).write("/u", 700, &[3u8; 700]).unwrap();
         hub.ingest(0);
         pump_round(&mut hub, &clock);
-        if hub.forward_stage_depth(1) == 0 {
+        if client_metric(&hub, "forward_staged_groups", 1) == 0 {
             continue; // this seed lost the head message (or nothing)
         }
         exercised = true;
@@ -826,7 +836,7 @@ fn crash_drops_staged_forward_group_and_settle_reconverges() {
         assert_eq!(staged(&hub, "server"), 0, "seed {seed}");
         hub.crash_and_restart_client(1);
         assert_eq!(
-            hub.forward_stage_depth(1),
+            client_metric(&hub, "forward_staged_groups", 1),
             0,
             "seed {seed}: restart left staged forward frames"
         );
@@ -862,7 +872,7 @@ fn crash_drops_staged_forward_group_and_settle_reconverges() {
 #[test]
 fn forward_keeps_the_receivers_own_pending_edits() {
     let clock = SimClock::new();
-    let mut hub = SyncHub::new(clock.clone());
+    let mut hub = recorded(SyncHub::new(clock.clone()));
     let a = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
     let b = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
     hub.fs_mut(a).create("/a").unwrap();

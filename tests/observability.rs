@@ -1,70 +1,34 @@
 //! Integration tests for the unified observability layer: one registry
-//! snapshot covering every subsystem, deterministic sync-pipeline traces
-//! under pinned-seed fault runs, and the flight recorder that dumps the
-//! causal event timeline when a run fails.
+//! snapshot covering every subsystem, one deterministic record of the
+//! sync pipeline under pinned-seed fault runs — every stage recorded
+//! once, every adaptive decision explainable from it — and the flight
+//! recorder that dumps that record when a run fails.
 
 use std::panic;
 
-use deltacfs::core::{DeltaCfsConfig, SyncHub};
+use deltacfs::core::{DeltaCfsConfig, DeltaCfsSystem, HubConfig, SyncEngine, SyncHub};
 use deltacfs::net::{FaultSpec, LinkSpec, SimClock};
-use deltacfs::obs::{DumpGuard, MetricValue, Obs, TraceEvent};
+use deltacfs::obs::{GroupKey, MetricValue, Obs, SpanRecord};
+use deltacfs::vfs::Vfs;
+
+mod common;
+use common::{client_metric, faulty_multi_writer_run, recorded};
 
 const SEED: u64 = 7;
 
-/// A pinned-seed two-writer faulty run with tracing enabled: concurrent
-/// edits on disjoint files, then a Word-style transactional save on
-/// client 1 (so the relation-table trigger and the parallel delta
-/// encoder both leave trace spans), settled to convergence.
-fn faulty_multi_writer_run(seed: u64) -> SyncHub {
-    let clock = SimClock::new();
-    let mut hub = SyncHub::new(clock.clone());
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.enable_observability(Obs::with_tracing(8192));
-    hub.enable_fault_topology(vec![
-        FaultSpec::clean(seed)
-            .with_rates(0.25, 0.15, 0.25)
-            .with_reorder(0.5),
-        FaultSpec::clean(seed ^ 0xBEEF).with_rates(0.2, 0.2, 0.2),
-    ]);
-
-    hub.fs_mut(0).create("/a.txt").unwrap();
-    hub.fs_mut(0).write("/a.txt", 0, b"alpha round one").unwrap();
-    hub.fs_mut(1).create("/b.txt").unwrap();
-    hub.fs_mut(1).write("/b.txt", 0, &vec![7u8; 20_000]).unwrap();
-    hub.pump();
-    clock.advance(4_000);
-    hub.pump();
-
-    // Word-style save on client 1: rename away, write the new version
-    // under a temp name, rename it into place, drop the old copy.
-    let mut doc = hub.fs(1).peek_all("/b.txt").unwrap();
-    doc[10_000] = 9;
-    hub.fs_mut(1).rename("/b.txt", "/b.bak").unwrap();
-    hub.pump();
-    hub.fs_mut(1).create("/b.tmp").unwrap();
-    hub.pump();
-    hub.fs_mut(1).write("/b.tmp", 0, &doc).unwrap();
-    hub.pump();
-    hub.fs_mut(1).close_path("/b.tmp").unwrap();
-    hub.pump();
-    hub.fs_mut(1).rename("/b.tmp", "/b.txt").unwrap();
-    hub.pump();
-    hub.fs_mut(1).unlink("/b.bak").unwrap();
-    hub.pump();
-    clock.advance(4_000);
-    hub.pump();
-    hub.settle(600_000);
-    hub
+fn stages(records: &[SpanRecord]) -> Vec<&str> {
+    records.iter().map(|r| r.stage.as_str()).collect()
 }
 
-fn stages(events: &[TraceEvent]) -> Vec<&str> {
-    events.iter().map(|e| e.stage.as_str()).collect()
+/// How many records of `stage` carry `group`.
+fn count(records: &[SpanRecord], group: GroupKey, stage: &str) -> usize {
+    let of_group = records.iter().filter(|r| r.group == Some(group));
+    of_group.filter(|r| r.stage == stage).count()
 }
 
 #[test]
 fn unified_snapshot_covers_every_subsystem() {
-    let hub = faulty_multi_writer_run(SEED);
+    let hub = faulty_multi_writer_run(HubConfig::new(), SEED);
     let snap = hub.export_metrics();
 
     // Per-client counters are labeled client="<n>".
@@ -108,10 +72,10 @@ fn unified_snapshot_covers_every_subsystem() {
         }
         other => panic!("retry_backoff_ms: {other:?}"),
     }
-    // The flight recorder's drop counter is part of the snapshot, and a
-    // generously sized ring drops nothing on this run.
+    // The recorder's eviction counter is part of the snapshot, and a
+    // generously sized table evicts nothing on this run.
     match snap.get("trace_events_dropped") {
-        Some(MetricValue::Counter(v)) => assert_eq!(*v, 0, "ring dropped events"),
+        Some(MetricValue::Counter(v)) => assert_eq!(*v, 0, "recorder evicted records"),
         other => panic!("trace_events_dropped: {other:?}"),
     }
     // Both export formats include the labeled and histogram series.
@@ -124,13 +88,9 @@ fn unified_snapshot_covers_every_subsystem() {
 }
 
 /// One compressible streamed upload on a mobile link and platform with
-/// tracing on: `len` bytes of repetitive text (every chunk clears the
-/// cost-benefit bar there), synced to the cloud.
-fn streamed_text_upload(
-    len: usize,
-    ring: usize,
-) -> (deltacfs::core::DeltaCfsSystem, Obs) {
-    use deltacfs::core::{DeltaCfsSystem, SyncEngine};
+/// the recorder on: `len` bytes of repetitive text (every chunk clears
+/// the cost-benefit bar there), synced to the cloud.
+fn streamed_text_upload(len: usize, capacity: usize) -> (DeltaCfsSystem, Obs) {
     use deltacfs::net::PlatformProfile;
 
     let clock = SimClock::new();
@@ -140,10 +100,10 @@ fn streamed_text_upload(
         .with_wire_compression(true);
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
     sys.set_platform(PlatformProfile::mobile());
-    let obs = Obs::with_tracing(ring);
+    let obs = Obs::recording(capacity);
     sys.enable_observability(obs.clone());
 
-    let mut fs = deltacfs::vfs::Vfs::new();
+    let mut fs = Vfs::new();
     fs.enable_event_log();
     fs.create("/doc.txt").unwrap();
     let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
@@ -167,9 +127,7 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
     // A compressible streamed upload on a mobile platform must leave
     // the codec's full observability surface behind: compressed/raw
     // chunk counters, the bytes-saved counter, the ratio histogram,
-    // and a `wire.compress` trace event per codec decision.
-    use deltacfs::core::SyncEngine;
-
+    // and exactly one `wire.compress` record per compressed chunk.
     let (sys, obs) = streamed_text_upload(64 * 1024, 8192);
 
     let snap = obs.registry.snapshot();
@@ -193,30 +151,25 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
     // visible through its own.
     assert!(sys.codec_cost().bytes_compressed > 0);
     assert_eq!(sys.report().client_cost.bytes_compressed, 0);
-    // Every codec decision left a trace event.
-    let events = obs.tracer.events();
-    let compress_events = events
-        .iter()
-        .filter(|e| e.stage == "wire.compress")
-        .count() as u64;
-    assert!(
-        compress_events >= compressed,
-        "codec traced {compress_events} events for {compressed} compressed chunks"
-    );
+    // Every compressed chunk left one record, keyed by the group (the
+    // file's create went up as group 1, its content as group 2).
+    let group = GroupKey { client: 1, seq: 2 };
+    let recorded = count(&obs.recorder.records(), group, "wire.compress") as u64;
+    assert_eq!(recorded, compressed, "one record per compressed chunk");
 }
 
 #[test]
 fn streamed_compressed_upload_trace_is_deterministic() {
-    // The codec's `wire.compress` events and the uploader's `chunk`
-    // events come from one loop on one thread, so the same streamed,
-    // compressed upload renders the same dump every time.
+    // The codec's `wire.compress` spans and the uploader's per-chunk
+    // `wire.upload` spans come from one loop on one thread, so the same
+    // streamed, compressed upload renders the same dump every time.
     let run = || -> String {
         let (_, obs) = streamed_text_upload(256 * 1024, 65536);
-        assert_eq!(obs.tracer.dropped(), 0, "ring dropped events");
-        obs.tracer.dump()
+        assert_eq!(obs.recorder.dropped(), 0, "recorder evicted records");
+        obs.recorder.dump()
     };
     let first = run();
-    assert!(first.contains("wire.compress") && first.contains("chunk"));
+    assert!(first.contains("wire.compress") && first.contains("wire.upload"));
     for round in 1..=20 {
         assert!(run() == first, "dump of run {round} differs from the first");
     }
@@ -224,22 +177,19 @@ fn streamed_compressed_upload_trace_is_deterministic() {
 
 #[test]
 fn pinned_seed_trace_is_deterministic() {
-    // Satellite check: the same pinned-seed multi-writer topology run
-    // twice produces byte-identical traces — same event ordering, same
-    // timestamps, same span nesting.
-    let first = faulty_multi_writer_run(SEED);
-    let second = faulty_multi_writer_run(SEED);
-    let a = first.obs().tracer.events();
-    let b = second.obs().tracer.events();
-    assert!(!a.is_empty(), "trace is empty");
-    assert_eq!(a.len(), b.len(), "event counts differ");
-    assert_eq!(a, b, "event sequences differ");
-    // Determinism only holds when the ring kept everything.
-    assert_eq!(first.obs().tracer.dropped(), 0, "ring dropped events");
-    assert_eq!(second.obs().tracer.dropped(), 0, "ring dropped events");
+    // The same pinned-seed multi-writer topology run twice produces a
+    // byte-identical record — same order, same timestamps, same parents.
+    let first = faulty_multi_writer_run(HubConfig::new(), SEED);
+    let second = faulty_multi_writer_run(HubConfig::new(), SEED);
+    let a = first.obs().recorder.records();
+    let b = second.obs().recorder.records();
+    assert!(!a.is_empty(), "record is empty");
+    assert_eq!(a, b, "records differ");
+    // Determinism only holds when the table kept everything.
+    assert_eq!(first.obs().recorder.dropped(), 0, "recorder evicted records");
     assert_eq!(
-        first.obs().tracer.dump(),
-        second.obs().tracer.dump(),
+        first.obs().recorder.dump(),
+        second.obs().recorder.dump(),
         "rendered dumps differ"
     );
 
@@ -250,45 +200,41 @@ fn pinned_seed_trace_is_deterministic() {
         "relation.trigger",
         "delta.encode",
         "delta.segment",
+        "vfs.write",
         "sync.group",
         "wire.upload",
         "server.apply",
         "fault.inject",
         "retry.backoff",
-        "wire.forward",
+        "forward",
     ] {
-        assert!(st.contains(&stage), "stage {stage} never traced");
+        assert!(st.contains(&stage), "stage {stage} never recorded");
     }
-    // Span nesting: the delta.encode enter/exit pair brackets its
-    // per-worker segment events at depth 1.
-    let enter = st.iter().position(|s| *s == "delta.encode").unwrap();
-    let seg = a
-        .iter()
-        .find(|e| e.stage == "delta.segment")
-        .expect("segment event");
-    assert_eq!(seg.depth, 1, "segment events nest inside the encode span");
-    assert_eq!(a[enter].depth, 0);
+    // The per-worker segment events hang off the encode span.
+    let encode = a.iter().find(|r| r.stage == "delta.encode").unwrap();
+    let seg = a.iter().find(|r| r.stage == "delta.segment").unwrap();
+    assert_eq!(seg.parent, Some(encode.id), "segments nest inside the encode span");
 }
 
 #[test]
 fn flight_recorder_dumps_causal_timeline_on_failure() {
-    // A deliberately failed pinned-seed fault run must leave a flight
-    // recorder dump with the causal timeline of the "diverging" file,
-    // byte-identical across two runs of the same seed.
-    let run_and_fail = |tag: &str| -> String {
-        let path = std::env::temp_dir().join(format!(
-            "deltacfs-obs-test-{}-{tag}.dump",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        std::env::set_var("DELTACFS_TRACE_DUMP", &path);
+    // A pinned-seed fault run built through the shared armed-hub builder
+    // and failed on purpose must leave a flight recorder dump with the
+    // causal timeline of the "diverging" file under the builder's label.
+    // Dumps are appended: two failing runs leave two, byte-identical
+    // because the seed is the same.
+    let path = std::env::temp_dir().join(format!(
+        "deltacfs-obs-test-{}.dump",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    std::env::set_var("DELTACFS_TRACE_DUMP", &path);
+    for _ in 0..2 {
         let result = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            let hub = faulty_multi_writer_run(SEED);
+            let hub = faulty_multi_writer_run(HubConfig::new(), SEED);
             // Absorb component counters so the dump's metrics section
             // reflects the full picture at failure time.
             let _ = hub.export_metrics();
-            let _guard = DumpGuard::new("seed 7 two-writer fault run", &hub.obs().tracer)
-                .with_registry(&hub.obs().registry);
             // Deliberate divergence assertion — this is the failure the
             // recorder exists to explain.
             assert_eq!(
@@ -297,25 +243,216 @@ fn flight_recorder_dumps_causal_timeline_on_failure() {
                 "deliberate failure"
             );
         }));
-        std::env::remove_var("DELTACFS_TRACE_DUMP");
         assert!(result.is_err(), "the run was supposed to fail");
-        let dump = std::fs::read_to_string(&path).expect("dump file written");
-        std::fs::remove_file(&path).ok();
-        dump
-    };
+    }
+    std::env::remove_var("DELTACFS_TRACE_DUMP");
+    let both = std::fs::read_to_string(&path).expect("dump file written");
+    std::fs::remove_file(&path).ok();
+    let (first, second) = both.split_at(both.len() / 2);
+    assert_eq!(first, second, "dump is not reproducible, or one overwrote the other");
 
-    let first = run_and_fail("first");
-    let second = run_and_fail("second");
-    assert_eq!(first, second, "dump is not reproducible");
-
-    // The header names the run, the timeline covers the diverging file's
-    // causal chain, and the metrics snapshot rides along.
-    assert!(first.contains("=== DeltaCFS flight recorder dump: seed 7 two-writer fault run ==="));
-    assert!(first.contains("flight recorder:"), "missing event header");
-    assert!(first.contains("/b.txt"), "diverging file absent from trace");
+    // The header names the run by topology and seeds, the timeline
+    // covers the diverging file's causal chain, and the metrics snapshot
+    // rides along.
+    let label = format!("2 client(s) on 1 shard(s), fault seeds [{SEED}, {}]", SEED ^ 0xBEEF);
+    assert!(first.starts_with(&format!("=== DeltaCFS flight recorder dump: {label} ===")));
+    assert!(first.contains("flight recorder:"), "missing record header");
+    assert!(first.contains("/b.txt"), "diverging file absent from the record");
     assert!(first.contains("relation.trigger"), "no trigger decision");
     assert!(first.contains("delta.encode"), "no encode span");
-    assert!(first.contains("server.apply"), "no server apply event");
+    assert!(first.contains("server.apply"), "no server apply record");
     assert!(first.contains("=== metrics at failure ==="));
     assert!(first.contains("fault_injections_fired"));
+}
+
+/// Step `step` (of [`WORD_SAVE_STEPS`]) of a Word-style transactional
+/// save of `/doc` — rename away, write a temp file, rename it into
+/// place, drop the old copy: one relation-table trigger, one local delta.
+/// Interception is synchronous, so the caller delivers each step's
+/// events before the next.
+fn word_save_step(fs: &mut Vfs, step: usize) {
+    match step {
+        0 => fs.rename("/doc", "/doc.bak").unwrap(),
+        1 => fs.create("/doc.tmp").unwrap(),
+        2 => {
+            let mut doc = fs.peek_all("/doc.bak").unwrap();
+            doc[10_000] ^= 0xff;
+            fs.write("/doc.tmp", 0, &doc).unwrap();
+        }
+        3 => fs.close_path("/doc.tmp").unwrap(),
+        4 => fs.rename("/doc.tmp", "/doc").unwrap(),
+        _ => fs.unlink("/doc.bak").unwrap(),
+    }
+}
+const WORD_SAVE_STEPS: usize = 6;
+
+/// The group whose records include a `delta.encode` span.
+fn delta_group(records: &[SpanRecord]) -> GroupKey {
+    let encode = records.iter().find(|r| r.stage == "delta.encode");
+    encode.and_then(|r| r.group).expect("a packed delta")
+}
+
+#[test]
+fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
+    // One upload group carrying a delta, on each delivery path; the
+    // record holds one entry per stage occurrence — no stage is written
+    // by two calls, and pack time re-creates nothing.
+    let engine_run = |cfg: DeltaCfsConfig| {
+        let clock = SimClock::new();
+        let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
+        let obs = Obs::recording(8192);
+        sys.enable_observability(obs.clone());
+        let mut fs = Vfs::new();
+        fs.enable_event_log();
+        fs.create("/doc").unwrap();
+        fs.write("/doc", 0, &vec![5u8; 20_000]).unwrap();
+        for e in fs.drain_events() {
+            sys.on_event(&e, &fs);
+        }
+        clock.advance(4_000);
+        sys.tick(&fs);
+        for step in 0..WORD_SAVE_STEPS {
+            word_save_step(&mut fs, step);
+            for e in fs.drain_events() {
+                sys.on_event(&e, &fs);
+            }
+        }
+        clock.advance(4_000);
+        sys.finish(&fs);
+        assert_eq!(sys.server().file("/doc"), fs.peek_slice("/doc").ok());
+        obs.recorder.records()
+    };
+    let once = ["relation.trigger", "delta.encode", "vfs.write", "sync.group", "server.apply"];
+
+    // Engine, unframed: the whole group is one upload.
+    let records = engine_run(DeltaCfsConfig::new());
+    let group = delta_group(&records);
+    for stage in once.into_iter().chain(["wire.upload"]) {
+        assert_eq!(count(&records, group, stage), 1, "unframed: {stage}");
+    }
+
+    // Engine, framed: one wire.upload per frame plus the end-of-message
+    // latency, one server.stage/server.apply pair at the commit.
+    let cfg = DeltaCfsConfig::new().with_streaming(true).with_chunk_budget(1024);
+    let records = engine_run(cfg);
+    let group = delta_group(&records);
+    for stage in once.into_iter().chain(["server.stage"]) {
+        assert_eq!(count(&records, group, stage), 1, "framed: {stage}");
+    }
+    let frames = records.iter().filter(|r| r.group == Some(group));
+    let frames = frames.filter(|r| r.detail.contains(" chunk ")).count();
+    assert!(frames > 1, "the group went up in {frames} frame(s)");
+    assert_eq!(count(&records, group, "wire.upload"), frames + 1, "framed: wire.upload");
+
+    // Hub: the pump's unframed leg, the courier's attempts, and the
+    // forward stream to the peer.
+    let hub_run = |drop_first_upload: bool| {
+        let clock = SimClock::new();
+        let mut hub = recorded(SyncHub::new(clock.clone()));
+        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.fs_mut(0).create("/doc").unwrap();
+        hub.fs_mut(0).write("/doc", 0, &vec![5u8; 20_000]).unwrap();
+        hub.pump();
+        clock.advance(4_000);
+        hub.pump();
+        if drop_first_upload {
+            hub.enable_faults(FaultSpec::clean(SEED).with_dropped_upload(1));
+        }
+        for step in 0..WORD_SAVE_STEPS {
+            word_save_step(hub.fs_mut(0), step);
+            hub.ingest(0);
+        }
+        clock.advance(4_000);
+        hub.pump();
+        assert!(hub.settle(600_000));
+        assert_eq!(hub.fs(1).peek_all("/doc").unwrap(), hub.fs(0).peek_all("/doc").unwrap());
+        let forwarded = client_metric(&hub, "forward_chunks", 1);
+        (hub.obs().recorder.records(), forwarded as usize)
+    };
+    let (records, forwarded) = hub_run(false);
+    let group = delta_group(&records);
+    for stage in once.into_iter().chain(["wire.upload", "forward"]) {
+        assert_eq!(count(&records, group, stage), 1, "pump: {stage}");
+    }
+    let chunks: usize = records.iter().filter(|r| r.stage == "wire.forward.chunk").count();
+    assert_eq!(chunks, forwarded, "one record per forwarded frame");
+
+    // Courier: one span per attempt — the dropped one stays open on
+    // purpose — and still one apply, one forward.
+    let (records, _) = hub_run(true);
+    let group = delta_group(&records);
+    for stage in once.into_iter().chain(["wire.upload", "forward"]) {
+        assert_eq!(count(&records, group, stage), 1, "courier: {stage}");
+    }
+    let dropped = records.iter().find(|r| r.end_ms.is_none()).expect("an open attempt");
+    assert_eq!(dropped.stage, "wire.upload");
+    let group = dropped.group.expect("attempts are keyed by their group");
+    assert_eq!(count(&records, group, "wire.upload"), 2, "courier: one span per attempt");
+    for stage in ["vfs.write", "sync.group", "retry.backoff", "server.apply", "forward"] {
+        assert_eq!(count(&records, group, stage), 1, "courier, retried group: {stage}");
+    }
+}
+
+#[test]
+fn interleaved_applications_are_explainable_from_the_record() {
+    // PR 22's scenario: a second editor save fires while the first
+    // save's delta is still queued behind the chat database's open write
+    // node. From `records()` alone: which encode built on a version the
+    // cloud did not hold yet, what produced that version, and that both
+    // went up — in causal order — before the server applied them.
+    let clock = SimClock::new();
+    let mut sys = DeltaCfsSystem::new(DeltaCfsConfig::new(), clock.clone(), LinkSpec::pc());
+    let obs = Obs::recording(1 << 16);
+    sys.enable_observability(obs.clone());
+    let mut fs = Vfs::new();
+    deltacfs::workloads::replay(&common::editor_and_database_trace(), &mut fs, &mut sys, &clock, 100);
+    assert_eq!(obs.recorder.dropped(), 0);
+    let records = obs.recorder.records();
+
+    // An encode's detail reads "<path> <version>: … base <path> <version>; …".
+    let produced = |r: &SpanRecord| r.detail.split(": ").next().unwrap().to_string();
+    let base = |r: &SpanRecord| {
+        let (_, rest) = r.detail.split_once("base ").unwrap();
+        rest.split(';').next().unwrap().to_string()
+    };
+    let packed_at = |g: Option<GroupKey>| {
+        let pack = records.iter().find(|r| r.stage == "sync.group" && r.group == g);
+        pack.expect("every encode's group was packed").id
+    };
+    let encodes: Vec<&SpanRecord> =
+        records.iter().filter(|r| r.stage == "delta.encode").collect();
+    // The second save: its base was produced by an encode whose group
+    // had not been packed when it ran.
+    let (first, second) = encodes
+        .iter()
+        .flat_map(|a| encodes.iter().map(move |b| (*a, *b)))
+        .find(|(a, b)| produced(a) == base(b) && packed_at(a.group) > b.id)
+        .expect("no save chained onto a still-queued delta");
+    assert!(second.detail.contains("base /notes.txt <c1,"), "{}", second.detail);
+    assert!(second.detail.contains("delta wins"), "{}", second.detail);
+
+    let group = second.group.expect("attached at pack time");
+    let in_group = |stage: &str, after: &SpanRecord| {
+        let mut of_stage = records.iter().filter(|r| r.stage == stage);
+        of_stage
+            .find(|r| r.group == Some(group) && r.id > after.id)
+            .unwrap_or_else(|| panic!("no {stage} of {group} after {:?}", after.id))
+    };
+    let trigger = records[..records.iter().position(|r| r.id == second.id).unwrap()]
+        .iter()
+        .rev()
+        .find(|r| r.stage == "relation.trigger")
+        .unwrap();
+    assert_eq!(trigger.group, Some(group));
+    assert!(trigger.detail.contains("gedit pattern"), "{}", trigger.detail);
+    // Causal order: trigger → encode → pack → upload → apply.
+    let pack = in_group("sync.group", second);
+    let upload = in_group("wire.upload", pack);
+    let apply = in_group("server.apply", upload);
+    assert!(apply.detail.contains("all_applied=true"), "{}", apply.detail);
+    // The first save's delta is an earlier record of a group no later
+    // than the second's: the cloud gets the base before what builds on it.
+    assert!(first.id < second.id && first.group <= second.group);
+    assert_eq!(count(&records, group, "server.apply"), 1);
 }

@@ -9,51 +9,14 @@ use deltacfs::core::{DeltaCfsConfig, HubConfig, SyncHub};
 use deltacfs::net::{FaultSpec, LinkSpec, SimClock};
 use deltacfs::obs::{MetricValue, Obs, Profiler};
 
+mod common;
+
 const SEED: u64 = 7;
 
 /// The pinned-seed two-writer faulty run of `tests/observability.rs`,
-/// with causal span profiling armed: concurrent edits on disjoint
-/// files, a Word-style transactional save on client 1, settled to
-/// convergence under independent per-writer fault schedules.
-fn faulty_profiled_run(seed: u64) -> SyncHub {
-    let clock = SimClock::new();
-    let mut hub = SyncHub::with_config(clock.clone(), HubConfig::new().with_profiling(true));
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.enable_observability(Obs::with_profiling(8192));
-    hub.enable_fault_topology(vec![
-        FaultSpec::clean(seed)
-            .with_rates(0.25, 0.15, 0.25)
-            .with_reorder(0.5),
-        FaultSpec::clean(seed ^ 0xBEEF).with_rates(0.2, 0.2, 0.2),
-    ]);
-
-    hub.fs_mut(0).create("/a.txt").unwrap();
-    hub.fs_mut(0).write("/a.txt", 0, b"alpha round one").unwrap();
-    hub.fs_mut(1).create("/b.txt").unwrap();
-    hub.fs_mut(1).write("/b.txt", 0, &vec![7u8; 20_000]).unwrap();
-    hub.pump();
-    clock.advance(4_000);
-    hub.pump();
-
-    let mut doc = hub.fs(1).peek_all("/b.txt").unwrap();
-    doc[10_000] = 9;
-    hub.fs_mut(1).rename("/b.txt", "/b.bak").unwrap();
-    hub.pump();
-    hub.fs_mut(1).create("/b.tmp").unwrap();
-    hub.pump();
-    hub.fs_mut(1).write("/b.tmp", 0, &doc).unwrap();
-    hub.pump();
-    hub.fs_mut(1).close_path("/b.tmp").unwrap();
-    hub.pump();
-    hub.fs_mut(1).rename("/b.tmp", "/b.txt").unwrap();
-    hub.pump();
-    hub.fs_mut(1).unlink("/b.bak").unwrap();
-    hub.pump();
-    clock.advance(4_000);
-    hub.pump();
-    hub.settle(600_000);
-    hub
+/// with the profiler folded into the exported metrics.
+fn faulty_profiled_run(seed: u64) -> common::RecordedHub {
+    common::faulty_multi_writer_run(HubConfig::new().with_profiling(true), seed)
 }
 
 #[test]
@@ -64,11 +27,11 @@ fn pinned_seed_span_tree_and_chrome_trace_are_byte_identical() {
     // intentionally unclosed spans (attempts the fault plan dropped).
     let first = faulty_profiled_run(SEED);
     let second = faulty_profiled_run(SEED);
-    assert_eq!(first.obs().spans.dropped(), 0, "span table overflowed");
-    assert_eq!(second.obs().spans.dropped(), 0, "span table overflowed");
+    assert_eq!(first.obs().recorder.dropped(), 0, "recorder evicted records");
+    assert_eq!(second.obs().recorder.dropped(), 0, "recorder evicted records");
 
-    let a = first.obs().spans.records();
-    let b = second.obs().spans.records();
+    let a = first.obs().recorder.records();
+    let b = second.obs().recorder.records();
     assert!(!a.is_empty(), "no spans recorded");
     assert_eq!(a, b, "span tables differ");
 
@@ -169,25 +132,52 @@ fn profiled_snapshot_exports_stage_histograms_and_lag_gauges() {
 
 #[test]
 fn profiling_off_records_no_spans() {
-    // The default hub (profiling off) must leave the span table empty —
-    // the disabled path is one relaxed atomic load per span site, and
-    // the snapshot carries no profiler series.
-    let clock = SimClock::new();
-    let mut hub = SyncHub::new(clock.clone());
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-    hub.enable_observability(Obs::with_tracing(1024));
-    hub.fs_mut(0).create("/x").unwrap();
-    hub.fs_mut(0).write("/x", 0, b"payload").unwrap();
-    hub.pump();
-    clock.advance(4_000);
-    hub.pump();
-    hub.settle(60_000);
-    assert!(hub.obs().spans.is_empty(), "spans recorded while disabled");
-    assert_eq!(hub.fs(1).peek_all("/x").unwrap(), b"payload");
-    let snap = hub.export_metrics();
+    // `Obs::new()` records nothing — the disabled path is one relaxed
+    // atomic load per site — and recording changes no output byte: hub
+    // state, traffic, cost and the exported metrics are identical to the
+    // recording run's except the recorder-derived series.
+    let run = |obs: Obs, profiling: bool| {
+        let clock = SimClock::new();
+        let cfg = HubConfig::new().with_profiling(profiling);
+        let mut hub = SyncHub::with_config(clock.clone(), cfg);
+        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.enable_observability(obs);
+        hub.enable_faults(FaultSpec::clean(SEED).with_rates(0.25, 0.15, 0.25));
+        hub.fs_mut(0).create("/x").unwrap();
+        hub.fs_mut(0).write("/x", 0, b"payload").unwrap();
+        hub.pump();
+        clock.advance(4_000);
+        hub.pump();
+        hub.fs_mut(0).write("/x", 3, b"LOAD").unwrap();
+        hub.pump();
+        assert!(hub.settle(60_000));
+        assert_eq!(hub.fs(1).peek_all("/x").unwrap(), b"payLOAD");
+        hub
+    };
+    let plain = run(Obs::new(), false);
+    assert!(plain.obs().recorder.is_empty(), "records made while disabled");
+    let snap = plain.export_metrics();
     assert!(snap.get("spans_recorded").is_none());
     assert!(snap.get("convergence_lag_ms").is_none());
+
+    let recording = run(Obs::recording(8192), true);
+    assert!(!recording.obs().recorder.is_empty());
+    assert_eq!(recording.server().paths(), plain.server().paths());
+    assert_eq!(recording.server().file("/x"), plain.server().file("/x"));
+    for idx in 0..2 {
+        assert_eq!(recording.traffic(idx), plain.traffic(idx), "client {idx} traffic");
+        assert_eq!(recording.client(idx).cost(), plain.client(idx).cost(), "client {idx} cost");
+    }
+    let derived = ["span_stage_ms", "sync_lag_ms", "convergence_lag_ms", "spans_recorded", "spans_open"];
+    let without_derived = |json: String| -> Vec<String> {
+        let entries = json.lines().map(str::to_string);
+        entries.filter(|l| !derived.iter().any(|d| l.contains(d))).collect()
+    };
+    assert_eq!(
+        without_derived(recording.export_metrics().to_json()),
+        without_derived(snap.to_json()),
+    );
 }
 
 #[test]
@@ -228,14 +218,14 @@ fn streaming_upload_spans_cover_compress_and_stage() {
         assert_eq!(sys.server().file("/doc.txt"), Some(&text[..]));
         (sys.report().traffic, sys.outcomes().to_vec())
     };
-    let obs = Obs::with_profiling(8192);
+    let obs = Obs::recording(8192);
     let profiled = run(obs.clone());
-    // Profiling changes what the run remembers, not what it does.
+    // Recording changes what the run remembers, not what it does.
     let plain = Obs::new();
     assert_eq!(run(plain.clone()), profiled);
-    assert!(plain.spans.is_empty(), "spans recorded while disabled");
+    assert!(plain.recorder.is_empty(), "records made while disabled");
 
-    let profiler = Profiler::new(obs.spans.records());
+    let profiler = Profiler::new(obs.recorder.records());
     let stages: Vec<&str> = profiler.records().iter().map(|r| r.stage.as_str()).collect();
     for stage in ["vfs.write", "wire.compress", "wire.upload", "server.stage", "server.apply"] {
         assert!(stages.contains(&stage), "stage {stage} never recorded");

@@ -7,6 +7,9 @@ use deltacfs::net::SimClock;
 use deltacfs::vfs::Vfs;
 use proptest::prelude::*;
 
+mod common;
+use common::recorded;
+
 fn buffer(max: usize) -> impl Strategy<Value = Vec<u8>> {
     // Skewed toward repetitive content so copies/matches actually occur.
     prop_oneof![
@@ -576,7 +579,7 @@ proptest! {
         use deltacfs::net::{FaultSpec, LinkSpec};
 
         let clock = SimClock::new();
-        let mut hub = SyncHub::new(clock.clone());
+        let mut hub = recorded(SyncHub::new(clock.clone()));
         hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
         hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
         hub.enable_faults(
@@ -681,7 +684,7 @@ proptest! {
         use deltacfs::net::{FaultSpec, LinkSpec};
 
         let clock = SimClock::new();
-        let mut hub = SyncHub::new(clock.clone());
+        let mut hub = recorded(SyncHub::new(clock.clone()));
         hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
         hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
         hub.enable_fault_topology(vec![
@@ -988,7 +991,7 @@ proptest! {
             .unwrap();
 
         let clock = SimClock::new();
-        let mut hub = SyncHub::with_shards(clock.clone(), 4);
+        let mut hub = recorded(SyncHub::with_shards(clock.clone(), 4));
         let wa = hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
         let wb = hub.add_client_in(&ns_b, DeltaCfsConfig::new(), LinkSpec::pc());
         let _ra = hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
@@ -1111,7 +1114,7 @@ fn run_bidirectional_workload(
     use deltacfs::core::DeltaCfsConfig;
 
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), shards);
+    let mut hub = recorded(SyncHub::with_shards(clock.clone(), shards));
     let a = hub.add_client_in("shared", DeltaCfsConfig::new(), LinkSpec::pc());
     let b = hub.add_client_in("shared", DeltaCfsConfig::new(), LinkSpec::pc());
     hub.fs_mut(a).mkdir_all("/shared").unwrap();

@@ -17,9 +17,11 @@ use deltacfs::core::{
 use deltacfs::delta::{Cost, Delta, DeltaOp};
 use deltacfs::kvstore::{BatchOp, KeyValue, KvError, MemStore};
 use deltacfs::net::{LinkSpec, SimClock};
-use deltacfs::obs::MetricValue;
 use deltacfs::vfs::Vfs;
 use proptest::prelude::*;
+
+mod common;
+use common::metric;
 
 fn version(client: u32, counter: u64) -> Version {
     Version {
@@ -412,14 +414,6 @@ proptest! {
 }
 
 // --- budgets as gauges ----------------------------------------------------
-
-fn metric(hub: &SyncHub, name: &str) -> i64 {
-    match hub.export_metrics().get(name) {
-        Some(MetricValue::Gauge(v)) => *v,
-        Some(MetricValue::Counter(v)) => *v as i64,
-        other => panic!("{name}: {other:?}"),
-    }
-}
 
 #[test]
 fn server_history_holds_the_overwritten_bytes_not_whole_copies() {

@@ -20,7 +20,7 @@
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
-use deltacfs_delta::{local, segment_bounds, Cost, DeltaParams};
+use deltacfs_delta::{local, Cost, DeltaParams};
 use deltacfs_kvstore::{KeyValue, MemStore};
 use deltacfs_net::{SimClock, SimTime};
 use deltacfs_obs::{Obs, SpanId};
@@ -146,13 +146,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             actor: format!("client-{}", id.0),
             span_marks: HashMap::new(),
         }
-    }
-
-    /// The delta tuning this client's config selects, shared by every
-    /// diff site so the parallelism gate cannot drift.
-    fn delta_params(&self) -> DeltaParams {
-        DeltaParams::with_block_size(self.cfg.block_size)
-            .with_min_parallel_bytes(self.cfg.min_parallel_bytes)
     }
 
     /// Records a relation-table trigger; a single relaxed atomic load
@@ -722,33 +715,16 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             ids.extend(src_ids);
         }
 
-        let params = self.delta_params();
         // Encode CPU never advances the simulated clock, so the span is
         // zero-width at `now`; measured encode time is the standing
         // benchmark's `delta.local_diff_ns_per_byte`.
         let now_ms = now.as_millis();
-        let recorder = &self.obs.recorder;
-        let span = recorder.start(None, &self.actor, "delta.encode", now_ms, None);
-        if !span.is_none() {
-            // Per-worker-segment events come from the *same* split the
-            // scan phase uses; made here on the engine thread so the
-            // record stays deterministic regardless of worker scheduling.
-            let workers = params.workers_for(new_content.len(), self.cfg.parallelism);
-            let bounds = segment_bounds(new_content.len(), self.cfg.block_size, workers);
-            for (i, (start, end)) in bounds.into_iter().enumerate() {
-                let parent = Some(span);
-                recorder.record(None, &self.actor, "delta.segment", now_ms, now_ms, parent, || {
-                    format!("worker {i}: window positions {start}..{end}")
-                });
-            }
-        }
-        let delta = local::diff_parallel(
-            old_content,
-            new_content,
-            &params,
-            self.cfg.parallelism,
-            &mut self.cost,
-        );
+        let span = self
+            .obs
+            .recorder
+            .start(None, &self.actor, "delta.encode", now_ms, None);
+        let params = DeltaParams::with_block_size(self.cfg.block_size);
+        let delta = local::diff(old_content, new_content, &params, &mut self.cost);
         let chose_delta = delta.wire_size() < new_content.len() as u64;
         // What the cloud will hold at `path` when a full-content node
         // lands there. The paper's per-RPC interception never uploads
@@ -980,9 +956,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             let undo = self.undo.get(path).expect("checked above");
             let old = undo.reconstruct(current);
             self.cost.bytes_copied += old.len() as u64;
-            let params = self.delta_params();
-            let delta =
-                local::diff_parallel(&old, current, &params, self.cfg.parallelism, &mut self.cost);
+            let params = DeltaParams::with_block_size(self.cfg.block_size);
+            let delta = local::diff(&old, current, &params, &mut self.cost);
             self.clear_undo(path);
             if delta.wire_size() < raw_size {
                 return UpdatePayload::Delta {
@@ -1264,14 +1239,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             if base_matches && initial_len > 0 {
                 let old = self.undo[&path].reconstruct(current);
                 self.cost.bytes_copied += old.len() as u64;
-                let params = self.delta_params();
-                let delta = local::diff_parallel(
-                    &old,
-                    current,
-                    &params,
-                    self.cfg.parallelism,
-                    &mut self.cost,
-                );
+                let params = DeltaParams::with_block_size(self.cfg.block_size);
+                let delta = local::diff(&old, current, &params, &mut self.cost);
                 if delta.wire_size() < current.len() as u64 {
                     self.queue.push(
                         NodeKind::Delta {

@@ -44,23 +44,11 @@ pub struct DeltaCfsConfig {
     pub checksums: bool,
     /// Causal-consistency strategy (see [`CausalMode`]).
     pub causal_mode: CausalMode,
-    /// Worker threads for delta encoding. Defaults to the number of
-    /// available cores; `1` selects the sequential path. The parallel
-    /// path produces byte-identical deltas and identical [`Cost`]
-    /// totals regardless of the thread count, so this knob trades only
-    /// wall-clock time, never output.
-    ///
-    /// [`Cost`]: deltacfs_delta::Cost
+    /// Compat, no behaviour (DESIGN.md §10): always 1, read by nothing
+    /// here; `benchmark/src/probes.rs` names it.
     pub parallelism: usize,
-    /// New-file sizes below this use the sequential delta matcher even
-    /// when [`parallelism`](DeltaCfsConfig::parallelism) is higher:
-    /// per-segment seam overhead beats the parallel win on small inputs
-    /// (the standing benchmark measures 0.83–0.91x for two workers on
-    /// 10–16 MB). Threaded into
-    /// [`DeltaParams::min_parallel_bytes`]; output and cost are
-    /// unaffected either way.
-    ///
-    /// [`DeltaParams::min_parallel_bytes`]: deltacfs_delta::DeltaParams
+    /// Compat, no behaviour (DESIGN.md §10): always 0, read by nothing
+    /// here; `benchmark/src/probes.rs` names it.
     pub min_parallel_bytes: usize,
     /// Upload transaction groups as a stream of bounded chunk frames
     /// (scatter-gather wire framing, staged per group on the server)
@@ -91,8 +79,8 @@ impl DeltaCfsConfig {
             preserve_limit: 256 * 1024 * 1024,
             checksums: true,
             causal_mode: CausalMode::Backindex,
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            min_parallel_bytes: deltacfs_delta::DeltaParams::DEFAULT_MIN_PARALLEL_BYTES,
+            parallelism: 1,
+            min_parallel_bytes: 0,
             streaming: false,
             chunk_budget: 256 * 1024,
             wire_compression: false,
@@ -110,26 +98,6 @@ impl DeltaCfsConfig {
     /// the paper's backindex design).
     pub fn with_causal_mode(mut self, mode: CausalMode) -> Self {
         self.causal_mode = mode;
-        self
-    }
-
-    /// Sets the delta-encoding worker-thread count (`1` = sequential).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "parallelism must be at least 1");
-        self.parallelism = workers;
-        self
-    }
-
-    /// Overrides the sequential-fallback size threshold for parallel
-    /// delta encoding (`0` forces the parallel path whenever
-    /// `parallelism > 1`; tests use this to keep coverage on small
-    /// inputs).
-    pub fn with_min_parallel_bytes(mut self, bytes: usize) -> Self {
-        self.min_parallel_bytes = bytes;
         self
     }
 
@@ -156,7 +124,8 @@ impl DeltaCfsConfig {
         self
     }
 
-    // Benchmark compat, no behaviour (see `deltacfs_delta`'s compat block).
+    // Benchmark compat, no behaviour (see `deltacfs_delta`'s compat block;
+    // the fields `parallelism` and `min_parallel_bytes` are compat too).
     /// Compat: returns `self`.
     pub fn with_hierarchy_min_bytes(self, _: usize) -> Self {
         self
@@ -247,10 +216,8 @@ mod tests {
         assert_eq!(c.block_size, 4096);
         assert!(c.checksums);
         assert!(!c.without_checksums().checksums);
-        assert!(c.parallelism >= 1, "defaults to available cores, >= 1");
         assert!(!c.streaming, "streaming is opt-in");
         assert_eq!(c.chunk_budget, 256 * 1024);
-        assert_eq!(c.min_parallel_bytes, 8 << 20);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);
     }
@@ -259,16 +226,9 @@ mod tests {
     fn streaming_builders() {
         let c = DeltaCfsConfig::new()
             .with_streaming(true)
-            .with_chunk_budget(4096)
-            .with_min_parallel_bytes(0);
+            .with_chunk_budget(4096);
         assert!(c.streaming);
         assert_eq!(c.chunk_budget, 4096);
-        assert_eq!(c.min_parallel_bytes, 0);
-    }
-
-    #[test]
-    fn parallelism_builder() {
-        assert_eq!(DeltaCfsConfig::new().with_parallelism(4).parallelism, 4);
     }
 
     #[test]
@@ -276,11 +236,5 @@ mod tests {
         let h = HubConfig::new();
         assert!(!h.profiling, "span recording is opt-in");
         assert!(h.with_profiling(true).profiling);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_parallelism_rejected() {
-        let _ = DeltaCfsConfig::new().with_parallelism(0);
     }
 }

@@ -360,52 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_does_not_change_cost_or_traffic() {
-        // The parallel delta path is documented to be byte-identical to
-        // the sequential one; at the engine level that means the worker
-        // count may change wall-clock time but never cost counters,
-        // uploaded bytes, or the synced content.
-        let run = |workers: usize| {
-            let clock = SimClock::new();
-            let cfg = DeltaCfsConfig::new()
-                .with_parallelism(workers)
-                .with_min_parallel_bytes(0);
-            let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
-            let mut fs = Vfs::new();
-            fs.enable_event_log();
-            fs.create("/f").unwrap();
-            let base: Vec<u8> = (0..20_000u32).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
-            fs.write("/f", 0, &base).unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
-            }
-            clock.advance(4000);
-            sys.tick(&fs);
-            // In-place update over more than half the file: upload goes
-            // through local delta encoding against the undo-log base.
-            let edit = vec![0xAB; 12_000];
-            fs.write("/f", 100, &edit).unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
-            }
-            clock.advance(4000);
-            sys.finish(&fs);
-            let r = sys.report();
-            (
-                r.client_cost,
-                r.traffic.bytes_up,
-                sys.server().file("/f").map(<[u8]>::to_vec),
-            )
-        };
-        let (cost1, up1, file1) = run(1);
-        let (cost4, up4, file4) = run(4);
-        assert_eq!(cost1, cost4, "cost must not depend on worker count");
-        assert_eq!(up1, up4, "traffic must not depend on worker count");
-        assert_eq!(file1, file4);
-        assert!(file1.is_some());
-    }
-
-    #[test]
     fn streaming_upload_matches_materialized_traffic_and_state() {
         // The streaming pipeline is an implementation detail of the
         // upload: same traffic totals, same costs, same cloud state.

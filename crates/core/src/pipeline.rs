@@ -298,8 +298,10 @@ impl ChunkAccountant {
                 bytes += OP_HEADER_BYTES;
             }
             match op {
+                // A forwarded delta was decoded off the wire: an end that
+                // overflows merges with nothing, as in `Delta::from_ops`.
                 DeltaOp::Copy { offset, len } => {
-                    self.prev = Some(PrevOp::Copy { end: offset + len })
+                    self.prev = offset.checked_add(*len).map(|end| PrevOp::Copy { end })
                 }
                 DeltaOp::Literal(b) => {
                     bytes += b.len() as u64;

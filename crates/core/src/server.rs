@@ -646,10 +646,12 @@ impl CloudServer {
                     .get(base_path)
                     .map(|f| f.content.clone())
                     .unwrap_or_default();
-                self.cost.bytes_copied += delta.output_len();
                 self.cost.ops += 1;
                 match delta.apply(&base) {
-                    Ok(new_content) => self.bump(&msg.path, Bytes::from(new_content), msg.version),
+                    Ok(new_content) => {
+                        self.cost.bytes_copied += new_content.len() as u64;
+                        self.bump(&msg.path, Bytes::from(new_content), msg.version)
+                    }
                     Err(_) => {
                         // Base mismatch slipped through (e.g. base file
                         // shorter than the delta expects): store nothing;

@@ -1,5 +1,6 @@
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use bytes::Bytes;
 
@@ -63,10 +64,16 @@ impl Delta {
                 DeltaOp::Copy { offset, len } => {
                     flush_literal_run(&mut run, &mut merged);
                     match merged.last_mut() {
+                        // Checked: decoded ops are untrusted, and a copy
+                        // whose end overflows has no neighbour.
                         Some(DeltaOp::Copy {
                             offset: prev_offset,
                             len: prev_len,
-                        }) if *prev_offset + *prev_len == offset => *prev_len += len,
+                        }) if prev_offset.checked_add(*prev_len) == Some(offset)
+                            && prev_len.checked_add(len).is_some() =>
+                        {
+                            *prev_len += len
+                        }
                         _ => merged.push(DeltaOp::Copy { offset, len }),
                     }
                 }
@@ -92,20 +99,19 @@ impl Delta {
             .sum()
     }
 
-    /// Total bytes referenced from the old file.
+    /// Total bytes referenced from the old file, saturating at
+    /// `u64::MAX` (a decoded delta's lengths are untrusted).
     pub fn copy_bytes(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Copy { len, .. } => *len,
-                DeltaOp::Literal(_) => 0,
-            })
-            .sum()
+        self.ops.iter().fold(0, |sum, op| match op {
+            DeltaOp::Copy { len, .. } => sum.saturating_add(*len),
+            DeltaOp::Literal(_) => sum,
+        })
     }
 
-    /// Length of the file this delta reconstructs.
+    /// Length of the file this delta reconstructs, saturating at
+    /// `u64::MAX`.
     pub fn output_len(&self) -> u64 {
-        self.literal_bytes() + self.copy_bytes()
+        self.literal_bytes().saturating_add(self.copy_bytes())
     }
 
     /// Size of the delta on the wire: literals plus per-op headers.
@@ -122,27 +128,20 @@ impl Delta {
     /// different base version (the situation DeltaCFS's version control
     /// exists to prevent).
     pub fn apply(&self, old: &[u8]) -> Result<Vec<u8>, ApplyError> {
-        let mut out = Vec::with_capacity(self.output_len() as usize);
+        // Every copy is range-checked before anything is allocated: a
+        // decoded delta's lengths are untrusted and size nothing unchecked.
+        let mut out_len = 0usize;
+        for op in &self.ops {
+            out_len = out_len.saturating_add(match op {
+                DeltaOp::Copy { offset, len } => copy_range(old, *offset, *len)?.len(),
+                DeltaOp::Literal(b) => b.len(),
+            });
+        }
+        let mut out = Vec::with_capacity(out_len);
         for op in &self.ops {
             match op {
                 DeltaOp::Copy { offset, len } => {
-                    let start = *offset as usize;
-                    let end =
-                        start
-                            .checked_add(*len as usize)
-                            .ok_or(ApplyError::CopyOutOfRange {
-                                offset: *offset,
-                                len: *len,
-                                old_len: old.len() as u64,
-                            })?;
-                    if end > old.len() {
-                        return Err(ApplyError::CopyOutOfRange {
-                            offset: *offset,
-                            len: *len,
-                            old_len: old.len() as u64,
-                        });
-                    }
-                    out.extend_from_slice(&old[start..end]);
+                    out.extend_from_slice(&old[copy_range(old, *offset, *len)?]);
                 }
                 DeltaOp::Literal(b) => out.extend_from_slice(b),
             }
@@ -151,28 +150,17 @@ impl Delta {
     }
 }
 
-/// Collects the instructions a matcher walk emits, in output order; the
-/// sequential and replayed walks both write through it so they cannot
-/// drift in how ops are formed.
-#[derive(Default)]
-pub(crate) struct DeltaBuilder {
-    ops: Vec<DeltaOp>,
-}
-
-impl DeltaBuilder {
-    /// A copy of `len` bytes at `offset` of the old file.
-    pub(crate) fn copy(&mut self, offset: u64, len: u64) {
-        self.ops.push(DeltaOp::Copy { offset, len });
-    }
-
-    /// A run of literal bytes.
-    pub(crate) fn literal(&mut self, data: &[u8]) {
-        self.ops.push(DeltaOp::Literal(Bytes::copy_from_slice(data)));
-    }
-
-    /// The finished delta, adjacent compatible ops merged.
-    pub(crate) fn finish(self) -> Delta {
-        Delta::from_ops(self.ops)
+/// The bytes of `old` a copy of `len` bytes at `offset` reads, or the
+/// error if any of them lies past its end (an overflowing end included).
+fn copy_range(old: &[u8], offset: u64, len: u64) -> Result<Range<usize>, ApplyError> {
+    let old_len = old.len() as u64;
+    match offset.checked_add(len) {
+        Some(end) if end <= old_len => Ok(offset as usize..end as usize),
+        _ => Err(ApplyError::CopyOutOfRange {
+            offset,
+            len,
+            old_len,
+        }),
     }
 }
 
@@ -307,6 +295,46 @@ mod tests {
         let err = delta.apply(b"abcd").unwrap_err();
         assert!(matches!(err, ApplyError::CopyOutOfRange { old_len: 4, .. }));
         assert!(err.to_string().contains("exceeds base file"));
+    }
+
+    fn copy(offset: u64, len: u64) -> DeltaOp {
+        DeltaOp::Copy { offset, len }
+    }
+
+    #[test]
+    fn huge_copy_is_rejected_before_anything_is_allocated() {
+        // A 16 TiB copy against a 4-byte base: the declared length must
+        // not size an allocation (it used to abort the process).
+        let delta = Delta::from_ops(vec![copy(0, 1 << 44)]);
+        assert_eq!(delta.output_len(), 1 << 44);
+        assert!(matches!(
+            delta.apply(b"abcd"),
+            Err(ApplyError::CopyOutOfRange { len, .. }) if len == 1 << 44
+        ));
+        // Out of range after an in-range op too.
+        let x = DeltaOp::Literal(Bytes::from_static(b"x"));
+        let delta = Delta::from_ops(vec![copy(0, 2), x, copy(3, u64::MAX)]);
+        assert!(delta.apply(b"abcd").is_err());
+    }
+
+    #[test]
+    fn copies_whose_end_overflows_neither_merge_nor_panic() {
+        // The end overflows: no neighbour.
+        let ops = vec![copy(u64::MAX, 1), copy(0, 1)];
+        assert_eq!(Delta::from_ops(ops.clone()).ops(), &ops[..]);
+        assert!(Delta::from_ops(ops).apply(b"abcd").is_err());
+        // Adjacent, but the joined length would overflow.
+        let ops = vec![copy(0, 2), copy(2, u64::MAX)];
+        assert_eq!(Delta::from_ops(ops.clone()).ops(), &ops[..]);
+        assert!(Delta::from_ops(ops).apply(b"abcd").is_err());
+    }
+
+    #[test]
+    fn lengths_saturate() {
+        let x = DeltaOp::Literal(Bytes::from_static(b"x"));
+        let delta = Delta::from_ops(vec![copy(0, u64::MAX), x, copy(0, u64::MAX)]);
+        assert_eq!(delta.copy_bytes(), u64::MAX);
+        assert_eq!(delta.output_len(), u64::MAX);
     }
 
     #[test]

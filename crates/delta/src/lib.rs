@@ -13,11 +13,6 @@
 //!   candidate blocks found by the rolling hash are verified by **bitwise
 //!   comparison** (word-at-a-time with exact first-difference accounting),
 //!   eliminating the dominant MD5 cost.
-//! * both block-based diffs also come in a parallel flavour
-//!   ([`local::diff_parallel`], [`rsync::diff_parallel`]): window probing
-//!   runs across a scoped worker pool, then a cheap sequential replay
-//!   re-walks the greedy traversal — output and [`Cost`] totals are
-//!   byte-identical to the sequential functions for any thread count.
 //! * [`cdc`] — content-defined chunking with a gear hash, as used by
 //!   Seafile/LBFS (1 MB average chunks by default).
 //! * [`dedup`] — fixed-size super-block deduplication (Dropbox's 4 MB
@@ -62,13 +57,11 @@ pub mod dedup;
 mod delta_ops;
 pub mod local;
 mod md5_impl;
-mod parallel;
 mod rolling;
 pub mod rsync;
 mod weak_index;
 
 pub use cost::Cost;
-pub use parallel::segment_bounds;
 pub use delta_ops::{ApplyError, Delta, DeltaOp, OP_HEADER_BYTES};
 pub use md5_impl::{md5, md5_hex, Md5};
 pub use rolling::RollingChecksum;
@@ -83,27 +76,11 @@ pub struct DeltaParams {
     /// (§IV-C: "the delta is at least one data block even though only 1 byte
     /// is modified").
     pub block_size: usize,
-
-    /// The least share of the new file one parallel worker must get
-    /// ([`DeltaParams::workers_for`]): a file below it takes the
-    /// sequential matcher even when a parallel diff is requested, one
-    /// below twice it gets a single worker, and so on. Per-segment seam
-    /// overhead (window re-derivations, on-demand replay probes)
-    /// outweighs the parallel win on small shares — the standing
-    /// benchmark measures 0.83–0.91x for two workers on 10–16 MB. Output
-    /// and [`Cost`] are unaffected either way, by contract.
-    pub min_parallel_bytes: usize,
 }
 
 impl DeltaParams {
     /// rsync's historical 4 KB block size, the paper's default.
     pub const DEFAULT_BLOCK_SIZE: usize = 4096;
-
-    /// Default [`min_parallel_bytes`](DeltaParams::min_parallel_bytes)
-    /// threshold (8 MiB), set from a thread sweep over 4–64 MiB files;
-    /// the standing benchmark still measures two workers at 0.83–0.91x
-    /// on 10–16 MB.
-    pub const DEFAULT_MIN_PARALLEL_BYTES: usize = 8 << 20;
 
     /// Creates parameters with the paper's default 4 KB block size.
     pub fn new() -> Self {
@@ -117,29 +94,7 @@ impl DeltaParams {
     /// Panics if `block_size` is zero.
     pub fn with_block_size(block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        DeltaParams {
-            block_size,
-            min_parallel_bytes: Self::DEFAULT_MIN_PARALLEL_BYTES,
-        }
-    }
-
-    /// Overrides the sequential-fallback threshold (0 forces the parallel
-    /// path whenever `workers > 1`; tests use this to keep coverage on
-    /// small inputs).
-    pub fn with_min_parallel_bytes(mut self, min_parallel_bytes: usize) -> Self {
-        self.min_parallel_bytes = min_parallel_bytes;
-        self
-    }
-
-    /// How many of the `parallelism` offered workers the parallel
-    /// matchers use on a `new_len`-byte file: as many as get at least
-    /// [`min_parallel_bytes`](DeltaParams::min_parallel_bytes) each, and
-    /// never fewer than one (which means the sequential walk).
-    pub fn workers_for(&self, new_len: usize, parallelism: usize) -> usize {
-        let by_size = new_len
-            .checked_div(self.min_parallel_bytes)
-            .unwrap_or(usize::MAX);
-        parallelism.min(by_size).max(1)
+        DeltaParams { block_size }
     }
 }
 
@@ -149,8 +104,9 @@ impl Default for DeltaParams {
     }
 }
 
-// Benchmark compat, no behaviour (DESIGN.md §17): `benchmark/src/probes.rs`
-// names these four; they go with the benchmark's `api.rs` PR.
+// Benchmark compat, no behaviour (DESIGN.md §17, §10): `benchmark/src/probes.rs`
+// names these five and `{local,rsync}::diff_parallel`; they go with the
+// benchmark's `api.rs` PR.
 /// Compat: empty.
 pub struct HierarchyParams {}
 /// Compat: always zero.
@@ -170,6 +126,10 @@ impl DeltaParams {
     pub fn with_hierarchy(self, _: Option<HierarchyParams>) -> Self {
         self
     }
+    /// Compat: returns `self`.
+    pub fn with_min_parallel_bytes(self, _: usize) -> Self {
+        self
+    }
 }
 
 #[cfg(test)]
@@ -180,18 +140,6 @@ mod tests {
     fn default_params_use_4k_blocks() {
         assert_eq!(DeltaParams::new().block_size, 4096);
         assert_eq!(DeltaParams::default(), DeltaParams::new());
-    }
-
-    #[test]
-    fn worker_plan_reads_the_floor_per_worker() {
-        let p = DeltaParams::new().with_min_parallel_bytes(8 << 20);
-        assert_eq!(p.workers_for((8 << 20) - 1, 4), 1, "below the floor");
-        assert_eq!(p.workers_for(10 << 20, 4), 1, "one share only");
-        assert_eq!(p.workers_for(16 << 20, 4), 2);
-        assert_eq!(p.workers_for(64 << 20, 4), 4, "capped by parallelism");
-        assert_eq!(p.workers_for(64 << 20, 0), 1);
-        // A zero floor offers every worker at any size.
-        assert_eq!(p.with_min_parallel_bytes(0).workers_for(10, 7), 7);
     }
 
     #[test]

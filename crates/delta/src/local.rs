@@ -11,18 +11,15 @@
 //!
 //! The emitted [`Delta`] is bit-for-bit compatible with
 //! [`rsync::diff`](crate::rsync::diff)'s output format, so the cloud-side
-//! apply path is shared. [`diff_parallel`] runs the same search across a
-//! scoped worker pool and is guaranteed to produce byte-identical output
-//! (and identical [`Cost`] totals) to [`diff`].
+//! apply path is shared.
 
 use std::collections::HashMap;
 
 use crate::cost::Cost;
 use crate::delta_ops::Delta;
-use crate::parallel::{replay_matches, scan_matches, ProbeOutcome};
 use crate::rolling::RollingChecksum;
 use crate::rsync::diff_with;
-use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter, WeakIndex};
+use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
 use crate::DeltaParams;
 
 /// Indexes old-file blocks by weak checksum only, charging the canonical
@@ -60,85 +57,22 @@ pub fn diff(old: &[u8], new: &[u8], params: &DeltaParams, cost: &mut Cost) -> De
         cost,
         Some(&filter),
         |weak| weak_map.get(&weak),
-        |window, candidates, cost| {
-            confirm_bitwise(old, bs, window, candidates, |bytes, ops| {
-                cost.bytes_compared += bytes;
-                cost.ops += ops;
-            })
-        },
+        |window, candidates, cost| confirm_bitwise(old, bs, window, candidates, cost),
         |block_idx| block_range(old.len(), bs, block_idx),
     )
 }
 
-/// Like [`diff`], but probes window positions across `workers` scoped
-/// threads (old-file indexing is parallelized too, sharded by
-/// `weak % workers`).
-///
-/// The output `Delta` is **byte-identical** to [`diff`]'s for any thread
-/// count — candidate selection stays ordered by block index and the greedy
-/// walk is replayed sequentially over the precomputed match table — and the
-/// `Cost` totals are identical as well: speculative probing at positions
-/// the greedy walk skips is wall-clock overhead of the parallel pipeline,
-/// not algorithmic work, and is never charged.
-///
-/// `workers` is an offer: the matcher uses
-/// [`DeltaParams::workers_for`] of them, and with one — `workers <= 1`,
-/// or an input below `params.min_parallel_bytes`, where seam overhead
-/// would outweigh the parallel win — falls through to the sequential
-/// implementation (same output and cost by contract).
+// Benchmark compat, no behaviour (DESIGN.md §10): `benchmark/src/probes.rs`
+// names it; it goes with the benchmark's `api.rs` PR.
+/// Compat: [`diff`]; `workers` is ignored.
 pub fn diff_parallel(
     old: &[u8],
     new: &[u8],
     params: &DeltaParams,
-    workers: usize,
+    _workers: usize,
     cost: &mut Cost,
 ) -> Delta {
-    let workers = params.workers_for(new.len(), workers);
-    if workers <= 1 {
-        return diff(old, new, params, cost);
-    }
-    let bs = params.block_size;
-    let index = WeakIndex::build_parallel(old, bs, workers);
-    // Canonical indexing cost: one weak pass over every old block, same as
-    // the sequential loop charges.
-    cost.bytes_rolled += old.len() as u64;
-    cost.ops += old.len().div_ceil(bs) as u64;
-    let probe = probe_bitwise(old, bs, &index);
-    let table = scan_matches(new, bs, workers, &probe);
-    replay_matches(
-        new,
-        bs,
-        &table,
-        cost,
-        |cost, bytes, ops| {
-            cost.bytes_compared += bytes;
-            cost.ops += ops;
-        },
-        |block_idx| block_range(old.len(), bs, block_idx),
-        |pos| {
-            let window = &new[pos..pos + bs];
-            probe(RollingChecksum::new(window).digest(), window)
-        },
-    )
-}
-
-/// The bitwise-confirming probe the parallel scan and its replay share.
-fn probe_bitwise<'a>(
-    old: &'a [u8],
-    bs: usize,
-    index: &'a WeakIndex,
-) -> impl Fn(u32, &[u8]) -> Option<ProbeOutcome> + Sync + 'a {
-    move |weak: u32, window: &[u8]| {
-        index.lookup(weak).map(|candidates| {
-            let mut bytes = 0u64;
-            let mut ops = 0u64;
-            let matched = confirm_bitwise(old, bs, window, candidates, |b, o| {
-                bytes += b;
-                ops += o;
-            });
-            (matched, bytes, ops)
-        })
-    }
+    diff(old, new, params, cost)
 }
 
 /// `(offset, len)` of block `block_idx` in an old file of `old_len` bytes.
@@ -149,21 +83,20 @@ fn block_range(old_len: usize, block_size: usize, block_idx: u32) -> (u64, u64) 
 }
 
 /// Tries `candidates` in block-index order until one bitwise-matches
-/// `window`, reporting each compare's exact cost through `charge(bytes,
-/// ops)`. Shared by the sequential and parallel paths so they cannot
-/// drift.
+/// `window`, charging each compare's exact cost to `cost`.
 fn confirm_bitwise(
     old: &[u8],
     block_size: usize,
     window: &[u8],
     candidates: &CandidateSet,
-    mut charge: impl FnMut(u64, u64),
+    cost: &mut Cost,
 ) -> Option<u32> {
     for b in candidates.iter() {
         let start = b as usize * block_size;
         let block = &old[start..(start + block_size).min(old.len())];
         let (equal, compared) = bitwise_eq(block, window);
-        charge(compared, 1);
+        cost.bytes_compared += compared;
+        cost.ops += 1;
         if equal {
             return Some(b);
         }
@@ -270,6 +203,7 @@ mod tests {
         roundtrip(b"", b"", 16);
         roundtrip(b"", b"xyz", 16);
         roundtrip(b"xyz", b"", 16);
+        roundtrip(b"tiny", b"tin", 16);
     }
 
     #[test]
@@ -343,58 +277,5 @@ mod tests {
     #[test]
     fn bitwise_eq_length_mismatch_is_free() {
         assert_eq!(bitwise_eq(b"abc", b"abcd"), (false, 0));
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical() {
-        let old: Vec<u8> = (0..30_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = old.clone();
-        new.splice(5_000..5_000, [0xEE; 37]);
-        new[70_000] ^= 0xFF;
-        let params = DeltaParams::with_block_size(512).with_min_parallel_bytes(0);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&old, &new, &params, &mut c_seq);
-        for workers in [2, 3, 4, 7] {
-            let mut c_par = Cost::new();
-            let d_par = diff_parallel(&old, &new, &params, workers, &mut c_par);
-            assert_eq!(d_par, d_seq, "delta differs with {workers} workers");
-            assert_eq!(c_par, c_seq, "cost differs with {workers} workers");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_edge_inputs() {
-        let params = DeltaParams::with_block_size(16).with_min_parallel_bytes(0);
-        for (old, new) in [
-            (&b""[..], &b""[..]),
-            (&b""[..], &b"short"[..]),
-            (&b"short"[..], &b""[..]),
-            (&b"tiny"[..], &b"tin"[..]),
-        ] {
-            let mut c_seq = Cost::new();
-            let d_seq = diff(old, new, &params, &mut c_seq);
-            let mut c_par = Cost::new();
-            let d_par = diff_parallel(old, new, &params, 4, &mut c_par);
-            assert_eq!(d_par, d_seq);
-            assert_eq!(c_par, c_seq);
-            assert_eq!(d_par.apply(old).unwrap(), new);
-        }
-    }
-
-    #[test]
-    fn small_inputs_skip_parallel_segmentation() {
-        // Below the threshold the parallel entry point must behave exactly
-        // like the sequential one (it is documented to fall through).
-        let old: Vec<u8> = (0..8_192u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = old.clone();
-        new[1000] ^= 0xFF;
-        let params = DeltaParams::with_block_size(512); // default 8 MiB gate
-        assert!(new.len() < params.min_parallel_bytes);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&old, &new, &params, &mut c_seq);
-        let mut c_par = Cost::new();
-        let d_par = diff_parallel(&old, &new, &params, 8, &mut c_par);
-        assert_eq!(d_par, d_seq);
-        assert_eq!(c_par, c_seq);
     }
 }

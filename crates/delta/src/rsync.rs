@@ -13,10 +13,11 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
+
 use crate::cost::Cost;
-use crate::delta_ops::{Delta, DeltaBuilder};
+use crate::delta_ops::{Delta, DeltaOp};
 use crate::md5_impl::md5;
-use crate::parallel::{replay_matches, scan_matches, ProbeOutcome};
 use crate::rolling::RollingChecksum;
 use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
 use crate::DeltaParams;
@@ -132,56 +133,17 @@ pub fn diff(sig: &Signature, new: &[u8], params: &DeltaParams, cost: &mut Cost) 
     )
 }
 
-/// Like [`diff`], but probes window positions across `workers` scoped
-/// threads, sharing `sig` read-only.
-///
-/// The output `Delta` — and the `Cost` totals — are **byte-identical** to
-/// [`diff`]'s for any thread count: candidate selection stays ordered by
-/// block index and the greedy walk is replayed sequentially over the
-/// precomputed match table. Of the `workers` offered,
-/// [`DeltaParams::workers_for`] are used; one falls through to the
-/// sequential implementation.
+// Benchmark compat, no behaviour (DESIGN.md §10): `benchmark/src/probes.rs`
+// names it; it goes with the benchmark's `api.rs` PR.
+/// Compat: [`diff`]; `workers` is ignored.
 pub fn diff_parallel(
     sig: &Signature,
     new: &[u8],
     params: &DeltaParams,
-    workers: usize,
+    _workers: usize,
     cost: &mut Cost,
 ) -> Delta {
-    debug_assert_eq!(sig.block_size, params.block_size);
-    let workers = params.workers_for(new.len(), workers);
-    if workers <= 1 {
-        return diff(sig, new, params, cost);
-    }
-    let bs = sig.block_size;
-    let probe = probe_md5(sig);
-    let table = scan_matches(new, bs, workers, &probe);
-    replay_matches(
-        new,
-        bs,
-        &table,
-        cost,
-        |cost, bytes, ops| {
-            cost.bytes_strong_hashed += bytes;
-            cost.ops += ops;
-        },
-        |block_idx| sig.block_range(block_idx),
-        |pos| {
-            let window = &new[pos..pos + bs];
-            probe(RollingChecksum::new(window).digest(), window)
-        },
-    )
-}
-
-/// The md5-confirming probe the parallel scan and its replay share.
-fn probe_md5<'a>(sig: &'a Signature) -> impl Fn(u32, &[u8]) -> Option<ProbeOutcome> + Sync + 'a {
-    |weak: u32, window: &[u8]| {
-        sig.lookup_weak(weak).map(|candidates| {
-            let digest = md5(window);
-            let matched = candidates.iter().find(|&b| sig.strong[b as usize] == digest);
-            (matched, window.len() as u64, 1u64)
-        })
-    }
+    diff(sig, new, params, cost)
 }
 
 /// Shared rolling-window matcher used by both the remote ([`diff`]) and the
@@ -207,13 +169,13 @@ pub(crate) fn diff_with<'a>(
     mut confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<u32>,
     block_range: impl Fn(u32) -> (u64, u64),
 ) -> Delta {
-    let mut sink = DeltaBuilder::default();
+    let mut ops = Vec::new();
     let mut literal_start = 0usize;
     let mut pos = 0usize;
 
-    let flush_literal = |sink: &mut DeltaBuilder, from: usize, to: usize, cost: &mut Cost| {
+    let flush_literal = |ops: &mut Vec<DeltaOp>, from: usize, to: usize, cost: &mut Cost| {
         if to > from {
-            sink.literal(&new[from..to]);
+            ops.push(DeltaOp::Literal(Bytes::copy_from_slice(&new[from..to])));
             cost.bytes_copied += (to - from) as u64;
         }
     };
@@ -226,9 +188,9 @@ pub(crate) fn diff_with<'a>(
             let matched =
                 lookup(rc.digest()).and_then(|candidates| confirm(window, candidates, cost));
             if let Some(block_idx) = matched {
-                flush_literal(&mut sink, literal_start, pos, cost);
+                flush_literal(&mut ops, literal_start, pos, cost);
                 let (offset, len) = block_range(block_idx);
-                sink.copy(offset, len);
+                ops.push(DeltaOp::Copy { offset, len });
                 pos += block_size;
                 literal_start = pos;
                 if pos + block_size > new.len() {
@@ -267,8 +229,8 @@ pub(crate) fn diff_with<'a>(
             }
         }
     }
-    flush_literal(&mut sink, literal_start, new.len(), cost);
-    sink.finish()
+    flush_literal(&mut ops, literal_start, new.len(), cost);
+    Delta::from_ops(ops)
 }
 
 #[cfg(test)]
@@ -379,25 +341,6 @@ mod tests {
         let old: Vec<u8> = (0..10_000).map(|_| next()).collect();
         let new: Vec<u8> = (0..10_000).map(|_| next()).collect();
         roundtrip(&old, &new, 32);
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical() {
-        let old: Vec<u8> = (0..20_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut new = old.clone();
-        new.splice(3_000..3_000, b"SHIFTED".iter().copied());
-        new[60_000] ^= 0x55;
-        let params = DeltaParams::with_block_size(256).with_min_parallel_bytes(0);
-        let mut c_sig = Cost::new();
-        let sig = signature(&old, &params, &mut c_sig);
-        let mut c_seq = Cost::new();
-        let d_seq = diff(&sig, &new, &params, &mut c_seq);
-        for workers in [2, 3, 4, 6] {
-            let mut c_par = Cost::new();
-            let d_par = diff_parallel(&sig, &new, &params, workers, &mut c_par);
-            assert_eq!(d_par, d_seq, "delta differs with {workers} workers");
-            assert_eq!(c_par, c_seq, "cost differs with {workers} workers");
-        }
     }
 
     /// Runs the walk with and without the weak filter and demands

@@ -7,11 +7,6 @@
 //!   inline and the overflow `Vec` is only allocated on a real collision.
 //!   This removes one heap allocation per *block* of the old file compared
 //!   to the previous `Vec<u32>`-per-entry representation.
-//! * [`WeakIndex`] — a sharded weak map (shard = `weak % nshards`) built by
-//!   a two-phase scoped worker pool, used by the parallel diff pipeline.
-//!   Candidates are inserted in increasing block-index order globally, so
-//!   candidate iteration order — and therefore match selection — is
-//!   identical to the sequential single-map build.
 //! * [`WeakFilter`] — a pair of 64 Kbit membership bitmaps over the two
 //!   16-bit halves of the weak digest. A filter miss *proves* a weak-map
 //!   miss (the filter is a superset of the map's key set), so the hot
@@ -22,13 +17,11 @@
 
 use std::collections::HashMap;
 
-use crate::rolling::RollingChecksum;
-
 /// Block indices sharing one weak checksum, first candidate inline.
 ///
 /// Iteration yields candidates in insertion order, which every builder in
-/// this crate keeps equal to increasing block-index order — the order the
-/// determinism contract of the parallel pipeline relies on.
+/// this crate keeps equal to increasing block-index order, so a window
+/// that matches several blocks takes the first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CandidateSet {
     first: u32,
@@ -120,99 +113,10 @@ impl WeakFilter {
     }
 }
 
-/// A weak map sharded by `weak % nshards`, safe to share read-only across
-/// the diff worker pool.
-#[derive(Debug)]
-pub(crate) struct WeakIndex {
-    shards: Vec<HashMap<u32, CandidateSet>>,
-    filter: WeakFilter,
-}
-
-impl WeakIndex {
-    /// Looks up the candidate set for `weak`, if any. The filter
-    /// fast-path rejects most misses without touching a shard map; by the
-    /// [`WeakFilter`] superset invariant the result is unchanged.
-    #[inline]
-    pub(crate) fn lookup(&self, weak: u32) -> Option<&CandidateSet> {
-        if !self.filter.plausible(weak) {
-            return None;
-        }
-        self.shards[weak as usize % self.shards.len()].get(&weak)
-    }
-
-    /// The miss filter covering this index's weak digests.
-    #[cfg(test)]
-    pub(crate) fn filter(&self) -> &WeakFilter {
-        &self.filter
-    }
-
-    /// Indexes the blocks of `old` across `workers` threads.
-    ///
-    /// Phase 1 splits the blocks into contiguous ranges and computes
-    /// `(weak, block index)` pairs per range; phase 2 has each shard owner
-    /// walk the ranges *in order* and keep the pairs landing in its shard,
-    /// so per-weak candidate order is increasing block index — exactly
-    /// what the sequential single-map build produces.
-    pub(crate) fn build_parallel(old: &[u8], block_size: usize, workers: usize) -> Self {
-        let nblocks = old.len().div_ceil(block_size);
-        let workers = workers.clamp(1, nblocks.max(1));
-        let per_range = nblocks.div_ceil(workers).max(1);
-        let mut pairs: Vec<Vec<(u32, u32)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = (w * per_range).min(nblocks);
-                    let hi = ((w + 1) * per_range).min(nblocks);
-                    s.spawn(move || {
-                        (lo..hi)
-                            .map(|i| {
-                                let start = i * block_size;
-                                let end = (start + block_size).min(old.len());
-                                let weak = RollingChecksum::new(&old[start..end]).digest();
-                                (weak, i as u32)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            pairs = handles
-                .into_iter()
-                .map(|h| h.join().expect("index worker panicked"))
-                .collect();
-        });
-        let nshards = workers;
-        let mut shards: Vec<HashMap<u32, CandidateSet>> = Vec::new();
-        std::thread::scope(|s| {
-            let pairs = &pairs;
-            let handles: Vec<_> = (0..nshards)
-                .map(|shard| {
-                    s.spawn(move || {
-                        let mut map = HashMap::new();
-                        for range in pairs {
-                            for &(weak, idx) in range {
-                                if weak as usize % nshards == shard {
-                                    insert_candidate(&mut map, weak, idx);
-                                }
-                            }
-                        }
-                        map
-                    })
-                })
-                .collect();
-            shards = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-        });
-        let filter =
-            WeakFilter::from_weak_keys(pairs.iter().flatten().map(|&(weak, _)| weak));
-        WeakIndex { shards, filter }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rolling::RollingChecksum;
 
     #[test]
     fn candidate_set_keeps_insertion_order() {
@@ -231,44 +135,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_matches_sequential_map() {
-        // Repetitive content forces weak collisions across ranges.
-        let old: Vec<u8> = b"abcdabcdXYabcdabcd".repeat(57);
-        let bs = 4;
-        let mut seq: HashMap<u32, CandidateSet> = HashMap::new();
-        for (i, block) in old.chunks(bs).enumerate() {
-            insert_candidate(&mut seq, RollingChecksum::new(block).digest(), i as u32);
-        }
-        for workers in [1, 2, 3, 5, 8] {
-            let index = WeakIndex::build_parallel(&old, bs, workers);
-            for (weak, set) in &seq {
-                let got = index.lookup(*weak).expect("weak value present");
-                assert_eq!(
-                    got.iter().collect::<Vec<_>>(),
-                    set.iter().collect::<Vec<_>>(),
-                    "candidate order differs at weak {weak:#x} with {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_old_builds_empty_index() {
-        let index = WeakIndex::build_parallel(&[], 16, 4);
-        assert_eq!(index.lookup(0), None);
-    }
-
-    #[test]
     fn filter_never_rejects_an_indexed_digest() {
         // The superset invariant: every digest actually in the map must be
         // plausible — including digests whose halves collide across blocks.
         let old: Vec<u8> = (0..5_000).map(|i| (i * 37 % 251) as u8).collect();
         let bs = 8;
-        let index = WeakIndex::build_parallel(&old, bs, 3);
+        let mut map = HashMap::new();
+        for (i, block) in old.chunks(bs).enumerate() {
+            insert_candidate(&mut map, RollingChecksum::new(block).digest(), i as u32);
+        }
+        let filter = WeakFilter::from_weak_keys(map.keys().copied());
         for block in old.chunks(bs) {
             let weak = RollingChecksum::new(block).digest();
-            assert!(index.filter().plausible(weak), "false negative at {weak:#x}");
-            assert!(index.lookup(weak).is_some());
+            assert!(filter.plausible(weak), "false negative at {weak:#x}");
+            assert!(map.contains_key(&weak));
         }
     }
 

@@ -787,7 +787,7 @@ mod tests {
         let r = SpanRecorder::new(64);
         let trigger = r.event(None, "client-1", "relation.trigger", 3, String::new);
         let encode = r.start(None, "client-1", "delta.encode", 3, None);
-        let segment = r.record(None, "client-1", "delta.segment", 3, 3, Some(encode), String::new);
+        let child = r.record(None, "client-1", "vfs.op", 3, 3, Some(encode), String::new);
         r.end(encode, 3, String::new);
         let root = r.record(Some(key(1, 4)), "client-1", "vfs.write", 0, 9, None, String::new);
         r.attach(&[trigger, encode, SpanId(99)], key(1, 4));
@@ -797,7 +797,7 @@ mod tests {
         assert_eq!(recs[1].parent, Some(root));
         assert_eq!((recs[2].group, recs[2].parent), (None, Some(encode)));
         assert_eq!(recs[3].parent, None, "the root stays the root");
-        assert_eq!(segment, SpanId(3), "ids are recording order");
+        assert_eq!(child, SpanId(3), "ids are recording order");
         // The profiler reads grouped pipeline stages only.
         assert_eq!(Profiler::new(recs).records().len(), 3);
     }

@@ -355,3 +355,56 @@ fn snapshot_mode_transactional_save_still_converges() {
         assert!(fs.exists(&cloud_path), "stray {cloud_path} on cloud");
     }
 }
+
+/// A delta decoded off the wire is untrusted input. A copy 16 TiB long
+/// against a 4-byte base (it sized an allocation before any range check
+/// and aborted the process), two copies whose merge overflows `u64` (a
+/// panic in `Delta::from_ops`, a wrong merge in release) and a copy whose
+/// end overflows (a capacity panic) all leave the file as it was.
+#[test]
+fn crafted_delta_messages_leave_the_file_unchanged() {
+    use deltacfs::core::{wire, ClientId, CloudServer, Payload, UpdateMsg, UpdatePayload, Version};
+    use deltacfs::delta::{Delta, DeltaOp};
+
+    // Encoded in place of `u64::MAX`, which no `Delta` can be built with
+    // next to `Copy { 0, 1 }`; patched into the bytes after encoding.
+    const MARK: u64 = 0x1111_1111_1111_1111;
+    let v = |counter| Version {
+        client: ClientId(1),
+        counter,
+    };
+    let msg = |base, payload| UpdateMsg {
+        path: "/f".into(),
+        base,
+        version: Some(v(2)),
+        payload,
+        txn: None,
+        group: None,
+    };
+    let mut server = CloudServer::new();
+    let mut create = msg(None, UpdatePayload::Full(Payload::from_static(b"abcd")));
+    create.version = Some(v(1));
+    server.apply_msg(&create);
+
+    let copy = |offset, len| DeltaOp::Copy { offset, len };
+    for ops in [
+        vec![copy(0, 1 << 44)],
+        vec![copy(MARK, 1), copy(0, 1)],
+        vec![copy(2, u64::MAX)],
+    ] {
+        let delta = Delta::from_ops(ops.clone());
+        let payload = UpdatePayload::Delta {
+            base_path: "/f".into(),
+            delta,
+        };
+        let mut bytes = wire::encode(&msg(Some(v(1)), payload));
+        let at = bytes.windows(8).position(|w| w == MARK.to_le_bytes());
+        if let Some(at) = at {
+            bytes[at..at + 8].fill(0xFF);
+        }
+        let decoded = wire::decode(&bytes).expect("well-formed frame");
+        server.apply_msg(&decoded);
+        assert_eq!(server.file("/f"), Some(&b"abcd"[..]), "{ops:?}");
+        assert_eq!(server.version("/f"), Some(v(1)), "{ops:?}");
+    }
+}

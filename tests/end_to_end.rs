@@ -76,6 +76,63 @@ fn interleaved_editor_and_database_converge() {
     assert_converged("gedit+wechat", &sys, &fs);
 }
 
+/// The undo-log path (paper §III-A): an in-place update that overwrote
+/// more than `inplace_delta_threshold` of a file ships as a local delta
+/// against the undo log's reconstruction of the cloud's copy, not as the
+/// write itself. Here 12 000 of 20 000 bytes are rewritten with one byte
+/// changed, so the delta carries about two blocks, not the 12 000 bytes.
+#[test]
+fn inplace_update_over_threshold_ships_a_local_delta() {
+    use deltacfs::core::{ClientId, CloudServer, DeltaCfsClient, UpdateMsg, UpdatePayload};
+
+    let clock = SimClock::new();
+    let mut client = DeltaCfsClient::new(ClientId(1), DeltaCfsConfig::new(), clock.clone());
+    let mut server = CloudServer::new();
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    let mut sync = |client: &mut DeltaCfsClient, fs: &mut Vfs| -> Vec<UpdateMsg> {
+        for e in fs.drain_events() {
+            client.handle_event(&e, fs);
+        }
+        clock.advance(4_000);
+        let groups = client.tick(fs);
+        for group in &groups {
+            for outcome in server.apply_txn(group) {
+                assert_eq!(outcome, ApplyOutcome::Applied);
+            }
+        }
+        groups.into_iter().flatten().collect()
+    };
+
+    let base: Vec<u8> = (0..20_000u32)
+        .map(|i| (i.wrapping_mul(31) % 251) as u8)
+        .collect();
+    fs.create("/f").unwrap();
+    fs.write("/f", 0, &base).unwrap();
+    sync(&mut client, &mut fs);
+
+    let mut edit = base[100..12_100].to_vec();
+    edit[5_000] ^= 0xFF;
+    fs.write("/f", 100, &edit).unwrap();
+    let uploaded = sync(&mut client, &mut fs);
+    let [UpdateMsg {
+        payload: UpdatePayload::Delta { delta, .. },
+        ..
+    }] = &uploaded[..]
+    else {
+        panic!("expected one delta message, uploaded {uploaded:?}");
+    };
+    assert!(
+        delta.wire_size() < edit.len() as u64,
+        "delta of {} wire bytes for a {}-byte edit",
+        delta.wire_size(),
+        edit.len()
+    );
+    assert_eq!(client.cost().bytes_strong_hashed, 0);
+    assert!(client.cost().bytes_compared > 0, "the matcher never ran");
+    assert_eq!(server.file("/f"), Some(&fs.peek_all("/f").unwrap()[..]));
+}
+
 #[test]
 fn gedit_trace_link_pattern_syncs_exactly() {
     let cfg = TraceConfig::scaled(0.2);

@@ -18,11 +18,11 @@ fn buffer(max: usize) -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// An `(old, new)` pair for the matcher-identity property, from two
-/// input classes: two independent buffers, or a `new` derived from `old`
+/// An `(old, new)` pair for the matcher round trips, from two input
+/// classes: two independent buffers, or a `new` derived from `old`
 /// (prefix shift + XOR edit + tail) — the class where long real matches
-/// exist, so the parallel scan's block jumps and its re-synchronisation
-/// at segment seams are actually exercised.
+/// exist, so the walk's block jumps and its re-synchronisation after an
+/// edit are actually exercised.
 fn old_new_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     let derived = (
         buffer(16384),
@@ -51,9 +51,11 @@ fn old_new_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// rsync reconstructs any new file from any old file.
+    /// rsync reconstructs any new file from any old file, independent or
+    /// derived from it.
     #[test]
-    fn rsync_roundtrip(old in buffer(8192), new in buffer(8192), bs in 1usize..256) {
+    fn rsync_roundtrip(pair in old_new_pair(), bs in 1usize..256) {
+        let (old, new) = pair;
         let params = DeltaParams::with_block_size(bs);
         let mut cost = Cost::new();
         let sig = rsync::signature(&old, &params, &mut cost);
@@ -64,46 +66,13 @@ proptest! {
     /// The local bitwise variant reconstructs identically and never
     /// strong-hashes.
     #[test]
-    fn local_diff_roundtrip_without_md5(old in buffer(8192), new in buffer(8192), bs in 1usize..256) {
+    fn local_diff_roundtrip_without_md5(pair in old_new_pair(), bs in 1usize..256) {
+        let (old, new) = pair;
         let params = DeltaParams::with_block_size(bs);
         let mut cost = Cost::new();
         let delta = local::diff(&old, &new, &params, &mut cost);
         prop_assert_eq!(delta.apply(&old).unwrap(), new);
         prop_assert_eq!(cost.bytes_strong_hashed, 0);
-    }
-
-    /// The parallel delta paths are byte-identical to the sequential ones
-    /// — same `Delta`, same `Cost` totals — for any worker count. This is
-    /// the determinism contract of DESIGN.md §10: parallelism may only
-    /// change wall-clock time, never output or accounting.
-    #[test]
-    fn parallel_diff_is_byte_identical(
-        pair in old_new_pair(),
-        bs in 1usize..256,
-        workers in 1usize..8,
-    ) {
-        let (old, new) = pair;
-        // Drop the size gate so small generated inputs actually take the
-        // parallel path instead of falling back to the sequential walk.
-        let params = DeltaParams::with_block_size(bs).with_min_parallel_bytes(0);
-
-        let mut seq_cost = Cost::new();
-        let seq = local::diff(&old, &new, &params, &mut seq_cost);
-        let mut par_cost = Cost::new();
-        let par = local::diff_parallel(&old, &new, &params, workers, &mut par_cost);
-        prop_assert_eq!(&par, &seq);
-        prop_assert_eq!(par_cost, seq_cost);
-
-        let mut seq_cost = Cost::new();
-        let sig = rsync::signature(&old, &params, &mut seq_cost);
-        let seq = rsync::diff(&sig, &new, &params, &mut seq_cost);
-        let mut par_cost = Cost::new();
-        let sig_p = rsync::signature(&old, &params, &mut par_cost);
-        let par = rsync::diff_parallel(&sig_p, &new, &params, workers, &mut par_cost);
-        prop_assert_eq!(&par, &seq);
-        prop_assert_eq!(par_cost, seq_cost);
-
-        prop_assert_eq!(par.apply(&old).unwrap(), new);
     }
 
     /// A delta framed for the wire is indistinguishable from the
@@ -1343,7 +1312,6 @@ fn run_codec_workload(
     let cfg = DeltaCfsConfig::new()
         .with_streaming(true)
         .with_chunk_budget(budget)
-        .with_min_parallel_bytes(0)
         .with_wire_compression(policy.is_some());
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
     if let Some(policy) = policy {

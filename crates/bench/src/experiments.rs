@@ -585,8 +585,8 @@ fn fault_cell(scenario: &'static str, spec: FaultSpec) -> FaultCellResult {
     let drained = hub.settle(600_000);
     let stats = hub.fault_stats().expect("faults are armed");
     let converged = drained
-        && hub.server().paths().iter().all(|p| {
-            (0..2).all(|i| hub.fs(i).peek_all(p).ok().as_deref() == hub.server().file(p).as_deref())
+        && hub.cloud().paths().iter().all(|p| {
+            (0..2).all(|i| hub.fs(i).peek_all(p).ok().as_deref() == hub.cloud().file(p))
         });
     let snap = hub.export_metrics();
     let both_clients = |name: &str| -> u64 {
@@ -603,7 +603,7 @@ fn fault_cell(scenario: &'static str, spec: FaultSpec) -> FaultCellResult {
         seed,
         converged,
         retries: both_clients("retry_retransmissions"),
-        duplicates: hub.server().duplicates_ignored(),
+        duplicates: hub.cloud().duplicates_ignored(),
         server_crashes: stats.crashes_before_apply + stats.crashes_after_apply,
         bytes_up: hub.traffic(0).bytes_up + hub.traffic(1).bytes_up,
         gave_up: both_clients("retry_groups_given_up") as usize,

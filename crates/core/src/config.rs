@@ -146,10 +146,6 @@ impl Default for DeltaCfsConfig {
 /// knobs live in [`DeltaCfsConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
-    /// Number of server shards. `1` reproduces the single-instance hub
-    /// byte for byte; higher counts stripe the replay index,
-    /// group-outcome records, and persisted state by namespace.
-    pub shards: usize,
     /// Record per-group apply latency into the
     /// `hub_apply_latency_us` observability histogram. Off by default:
     /// wall-clock timing is nondeterministic, and the deterministic
@@ -165,24 +161,12 @@ pub struct HubConfig {
 }
 
 impl HubConfig {
-    /// The single-shard legacy configuration.
+    /// The default configuration: both recorders off.
     pub fn new() -> Self {
         HubConfig {
-            shards: 1,
             latency_histogram: false,
             profiling: false,
         }
-    }
-
-    /// Sets the shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a hub needs at least one shard");
-        self.shards = shards;
-        self
     }
 
     /// Enables the wall-clock apply-latency histogram.

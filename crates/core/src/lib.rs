@@ -54,6 +54,7 @@
 mod checksum_store;
 mod client;
 pub mod codec;
+mod compat;
 mod config;
 mod engine;
 mod inline;
@@ -64,7 +65,6 @@ mod protocol;
 mod relation_table;
 mod retry;
 mod server;
-mod shard;
 mod sync_queue;
 mod undo_log;
 pub mod wire;
@@ -82,7 +82,7 @@ pub use protocol::{
 };
 pub use relation_table::{OldVersion, Preserved, RelationTable};
 pub use retry::{Courier, Flight, RetryPolicy, BACKOFF_BUCKETS_MS};
+pub use compat::{CloudCopies, ShardedServer};
 pub use server::CloudServer;
-pub use shard::{ShardRouter, ShardedServer};
 pub use sync_queue::{Node, NodeKind, SyncQueue};
 pub use undo_log::{UndoLog, UndoRecord};

@@ -1,4 +1,4 @@
-//! Multi-client sharing (paper §III-D) over a sharded, multi-tenant hub.
+//! Multi-client sharing (paper §III-D) over a multi-tenant hub.
 //!
 //! When a client uploads incremental data for a shared file, the cloud —
 //! "besides storing the data" — forwards the *same* incremental data to
@@ -7,16 +7,12 @@
 //! Conflicts on receiving clients reconcile exactly like on the cloud
 //! (first write wins; the local edit survives as a conflict copy).
 //!
-//! The hub side is sharded (DESIGN.md §13): server state lives in a
-//! [`ShardedServer`], each shard with its own snapshot store, and clients
-//! attach to a *namespace* (their shared folder, the first path
-//! component). Fan-out is batched per peer through the namespace
-//! subscriber index instead of scanning every client per message. One
-//! round loop on the calling thread delivers everything, busy clients in
-//! index order, so traces, `apply_order()` and the conflict list do not
-//! depend on the shard count. A 1-shard hub with root clients reproduces
-//! the original single-instance hub byte for byte — the shard-invariance
-//! property suite pins this.
+//! One server, many namespaces (DESIGN.md §13): the hub owns one
+//! [`CloudServer`] and, in fault mode, one snapshot store. Clients attach
+//! to a *namespace* (their shared folder, the first path component).
+//! Fan-out is batched per peer through the namespace subscriber index
+//! instead of scanning every client per message. One round loop on the
+//! calling thread delivers everything, busy clients in index order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -33,12 +29,13 @@ use crate::client::{DeltaCfsClient, RemoteConflict};
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::{DeltaCfsConfig, HubConfig};
 use crate::engine::{all_applied, group_span_key, record_apply, upload_group};
+use crate::persist;
 use crate::pipeline::{frame_group, ChunkStager};
 use crate::protocol::{
     ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version, ACK_WIRE_BYTES,
 };
 use crate::retry::{Courier, RetryPolicy, BACKOFF_BUCKETS_MS};
-use crate::shard::ShardedServer;
+use crate::server::{in_namespace, CloudServer};
 
 struct Slot {
     client: DeltaCfsClient,
@@ -51,9 +48,6 @@ struct Slot {
     /// The shared folder this client is attached to (first path
     /// component); `""` is the legacy root client that sees everything.
     namespace: String,
-    /// The server shard the namespace hashes to — the client's
-    /// queue-depth gauge bucket.
-    home_shard: usize,
     /// Client-side staging for chunk-streamed forwards and recovery
     /// downloads — the mirror of the server's upload stage. A group
     /// whose stream was cut sits here, uncommitted, until a resend
@@ -112,7 +106,7 @@ impl Slot {
 /// # Ok::<(), deltacfs_vfs::VfsError>(())
 /// ```
 pub struct SyncHub {
-    server: ShardedServer,
+    server: CloudServer,
     slots: Vec<Slot>,
     clock: SimClock,
     cfg: HubConfig,
@@ -130,11 +124,10 @@ pub struct SyncHub {
     /// reliability layer (couriers + server idempotency + crash/restart
     /// from the snapshot store).
     fault: Option<FaultTopology>,
-    /// One durable snapshot store per shard, refreshed for the involved
-    /// shards after every applied group; a simulated server crash
-    /// reloads every shard from here. A shard never writes another
-    /// shard's store.
-    stores: Vec<MemStore>,
+    /// The server's durable snapshot store, refreshed after every
+    /// delivered group in fault mode; a simulated server crash reloads
+    /// the server from here.
+    store: MemStore,
     /// Duplicated group copies held back for out-of-order redelivery.
     deferred: Vec<Vec<UpdateMsg>>,
     /// Every `(client, path, version)` the server acknowledged as
@@ -158,27 +151,20 @@ impl std::fmt::Debug for SyncHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncHub")
             .field("clients", &self.slots.len())
-            .field("shards", &self.server.shard_count())
             .finish_non_exhaustive()
     }
 }
 
 impl SyncHub {
-    /// Creates a single-shard hub with no clients (the legacy
-    /// configuration; see [`SyncHub::with_config`] for sharding).
+    /// Creates a hub with no clients.
     pub fn new(clock: SimClock) -> Self {
         Self::with_config(clock, HubConfig::new())
-    }
-
-    /// Creates a hub with `shards` server shards and no clients.
-    pub fn with_shards(clock: SimClock, shards: usize) -> Self {
-        Self::with_config(clock, HubConfig::new().with_shards(shards))
     }
 
     /// Creates a hub from a full [`HubConfig`].
     pub fn with_config(clock: SimClock, cfg: HubConfig) -> Self {
         SyncHub {
-            server: ShardedServer::new(cfg.shards),
+            server: CloudServer::new(),
             slots: Vec::new(),
             clock,
             cfg,
@@ -187,7 +173,7 @@ impl SyncHub {
             subscribers: HashMap::new(),
             root_subscribers: Vec::new(),
             fault: None,
-            stores: (0..cfg.shards).map(|_| MemStore::new()).collect(),
+            store: MemStore::new(),
             deferred: Vec::new(),
             acked: Vec::new(),
             synthetic_groups: 0,
@@ -233,8 +219,7 @@ impl SyncHub {
     /// Attaches a new client to `namespace` (a single path component;
     /// `""` is the root). The client is expected to operate under
     /// `/<namespace>/…`; forwarded updates, full sync, and anti-entropy
-    /// are filtered to that subtree, and the namespace pins the client's
-    /// home shard.
+    /// are filtered to that subtree.
     ///
     /// # Panics
     ///
@@ -268,7 +253,6 @@ impl SyncHub {
                 .or_default()
                 .push(idx);
         }
-        let home_shard = self.server.router().shard_of_namespace(namespace);
         let policy = if cfg.wire_compression {
             CodecPolicy::Adaptive
         } else {
@@ -289,7 +273,6 @@ impl SyncHub {
             courier,
             actor: format!("client-{}", idx + 1).into(),
             namespace: namespace.to_string(),
-            home_shard,
             forward: ChunkStager::new(),
             forward_seen: HashSet::new(),
             forward_chunks: 0,
@@ -318,9 +301,7 @@ impl SyncHub {
             slot.courier.set_backoff_histogram(hist.clone());
         }
         self.fault = Some(FaultTopology::shared(spec));
-        self.server
-            .save_all(&mut self.stores)
-            .expect("MemStore save cannot fail");
+        self.save_server();
     }
 
     /// Arms one *independent* fault schedule per client: `specs[i]`
@@ -352,9 +333,32 @@ impl SyncHub {
             slot.courier.set_backoff_histogram(hist.clone());
         }
         self.fault = Some(FaultTopology::per_client(specs));
-        self.server
-            .save_all(&mut self.stores)
-            .expect("MemStore save cannot fail");
+        self.save_server();
+    }
+
+    /// Snapshots the server into its store.
+    fn save_server(&mut self) {
+        // Unreachable: every `MemStore` operation returns `Ok`.
+        persist::save(&self.server, &mut self.store).expect("MemStore save cannot fail");
+    }
+
+    /// A simulated server crash: volatile state (cost and duplicate
+    /// counters, staged uploads) dies and the server restarts from its
+    /// snapshot, or empty, with a record saying why, if that won't load.
+    fn crash_server(&mut self, key: Option<GroupKey>, now_ms: u64) {
+        let mut restarted = match persist::load(&mut self.store) {
+            Ok(server) => server,
+            Err(e) => {
+                self.obs
+                    .recorder
+                    .event(key, "server", "fault.inject", now_ms, || {
+                        format!("snapshot did not load ({e}); server restarted empty")
+                    });
+                CloudServer::new()
+            }
+        };
+        self.server.hand_over_apply_order(&mut restarted);
+        self.server = restarted;
     }
 
     /// What the fault schedules have injected so far, summed over every
@@ -385,19 +389,9 @@ impl SyncHub {
         self.slots.len()
     }
 
-    /// Number of server shards.
-    pub fn shard_count(&self) -> usize {
-        self.server.shard_count()
-    }
-
     /// The namespace client `idx` is attached to (`""` for root).
     pub fn namespace(&self, idx: usize) -> &str {
         &self.slots[idx].namespace
-    }
-
-    /// The server shard client `idx`'s namespace hashes to.
-    pub fn home_shard(&self, idx: usize) -> usize {
-        self.slots[idx].home_shard
     }
 
     /// The file system of client `idx` — the application performs its
@@ -416,8 +410,8 @@ impl SyncHub {
         &self.slots[idx].client
     }
 
-    /// The shared (sharded) cloud server.
-    pub fn server(&self) -> &ShardedServer {
+    /// The shared cloud server.
+    pub fn cloud(&self) -> &CloudServer {
         &self.server
     }
 
@@ -455,8 +449,9 @@ impl SyncHub {
 
     /// The server's state as client `idx` may see it — its namespace, or
     /// everything for a root client — as messages: a `Mkdir` per
-    /// directory, then a `Full` per file. A full sync streams all of
-    /// them; anti-entropy picks its repairs from them.
+    /// directory, then a `Full` per file in path order. A full sync
+    /// streams all of them; anti-entropy picks its repairs from them.
+    /// Each `Full` shares the server's buffer instead of copying it.
     fn namespace_state(&self, idx: usize) -> Vec<UpdateMsg> {
         let ns = &self.slots[idx].namespace;
         let state_msg = |path, version, payload| UpdateMsg {
@@ -471,20 +466,15 @@ impl SyncHub {
             .server
             .dirs()
             .into_iter()
-            .filter(|dir| ns.is_empty() || path_in_namespace(ns, dir))
+            .filter(|dir| in_namespace(ns, dir))
             .map(|dir| state_msg(dir, None, UpdatePayload::Mkdir))
             .collect();
-        let paths = if ns.is_empty() {
-            self.server.paths()
-        } else {
-            self.server.paths_in_namespace(ns)
-        };
-        for path in paths {
-            let content = self.server.file(&path).expect("listed path exists");
+        let files = self.server.paths_in_namespace(ns).into_iter().filter_map(|path| {
+            let content = Payload::from(self.server.shared_file(&path)?.clone());
             let version = self.server.version(&path);
-            let content = Payload::from(content);
-            msgs.push(state_msg(path, version, UpdatePayload::Full(content)));
-        }
+            Some(state_msg(path, version, UpdatePayload::Full(content)))
+        });
+        msgs.extend(files);
         msgs
     }
 
@@ -624,6 +614,7 @@ impl SyncHub {
     /// fault plan, and only a surviving acknowledgement advances the
     /// queue.
     fn drive_courier(&mut self, idx: usize, now: SimTime) {
+        // Unreachable: only called when `self.fault` is `Some`, restored below.
         let mut topo = self.fault.take().expect("fault mode is armed");
         let actor = Arc::clone(&self.slots[idx].actor);
         while self.slots[idx].courier.ready(now) {
@@ -670,8 +661,8 @@ impl SyncHub {
                 }
                 UploadVerdict::CrashBeforeApply => {
                     // The group dies with the server's volatile state; the
-                    // restarted server comes back from the per-shard
-                    // snapshots and the client retries into it.
+                    // restarted server comes back from its snapshot and
+                    // the client retries into it.
                     self.obs.recorder.event(gkey, "server", "fault.inject", now_ms, || {
                         "server crash before apply; restored from snapshot".to_string()
                     });
@@ -680,9 +671,7 @@ impl SyncHub {
                     self.obs.recorder.end(attempt_span, done_ms, || {
                         format!("attempt {attempt} arrived; server crashed before apply")
                     });
-                    self.server
-                        .reload_all(&mut self.stores)
-                        .expect("snapshot loads");
+                    self.crash_server(gkey, now_ms);
                     let delay = self.slots[idx].courier.on_failure(now);
                     self.trace_backoff(idx, gkey, now_ms, delay);
                 }
@@ -701,9 +690,7 @@ impl SyncHub {
                     } else {
                         record_apply(&self.obs, &actor, gkey, done_ms, &outcomes);
                     }
-                    self.server
-                        .save_group(&group, &mut self.stores)
-                        .expect("MemStore save");
+                    self.save_server();
                     if duplicate {
                         // Every duplicated copy — versioned or namespace-
                         // only — may be held back and redelivered after
@@ -730,9 +717,7 @@ impl SyncHub {
                         self.obs.recorder.event(gkey, "server", "fault.inject", now_ms, || {
                             "server crash after apply; ack lost with it".to_string()
                         });
-                        self.server
-                            .reload_all(&mut self.stores)
-                            .expect("snapshot loads");
+                        self.crash_server(gkey, now_ms);
                         let delay = self.slots[idx].courier.on_failure(now);
                         self.trace_backoff(idx, gkey, now_ms, delay);
                     } else if self.slots[idx]
@@ -828,6 +813,7 @@ impl SyncHub {
             if planned.is_empty() {
                 continue;
             }
+            // Unreachable: a client's tick or flush stamps every group.
             let gid = group
                 .iter()
                 .find_map(|m| m.group)
@@ -913,9 +899,7 @@ impl SyncHub {
             let local_paths = self.slots[idx].fs.walk_files("/").unwrap_or_default();
             for path in local_paths {
                 let path = path.to_string();
-                let shard = self.server.shard_of_path(&path);
-                let on_server = self.server.with_shard(shard, |s| s.file(&path).is_some());
-                if !on_server && !path.contains(".conflict-") {
+                if self.server.file(&path).is_none() && !path.contains(".conflict-") {
                     let msg = UpdateMsg {
                         path,
                         base: None,
@@ -941,18 +925,15 @@ impl SyncHub {
     ///   `client="<n>"`, plus courier retry counters and the
     ///   `sync_queue_payload_bytes` gauge;
     /// * server-side apply cost (`server_cost_*`), the idempotency
-    ///   index's `server_duplicates_ignored`,
-    ///   `server_cross_shard_groups`, and the `server_history_bytes`
-    ///   gauge (bytes retained for old versions, summed over shards);
+    ///   index's `server_duplicates_ignored`, and the
+    ///   `server_history_bytes` gauge (bytes retained for old versions);
     /// * `stager_staged_bytes`, labeled `client="<n>"` for each client's
-    ///   forward stager and `side="server"` for the shards' upload
-    ///   stagers: raw bytes of streamed groups received but not yet
+    ///   forward stager and `side="server"` for the server's upload
+    ///   stager: raw bytes of streamed groups received but not yet
     ///   committed;
     /// * `hub_pump_clients_visited` / `hub_pump_clients_skipped`: clients
     ///   the pumps drained and ticked, and clients they passed over as
     ///   not busy;
-    /// * per-shard `shard_queue_depth` / `shard_files` gauges labeled
-    ///   `shard="<k>"`;
     /// * when fault injection is armed, the per-kind `fault_*` injection
     ///   counters and their `fault_injections_fired` total;
     /// * the `retry_backoff_ms` histogram and anything else components
@@ -960,7 +941,6 @@ impl SyncHub {
     pub fn export_metrics(&self) -> Snapshot {
         let reg = &self.obs.registry;
         let mut queued = 0;
-        let mut shard_queue = vec![0i64; self.server.shard_count()];
         for (idx, slot) in self.slots.iter().enumerate() {
             let id = format!("{}", idx + 1);
             let label = Some(("client", id.as_str()));
@@ -1016,33 +996,15 @@ impl SyncHub {
             )
             .set(slot.client.queued_payload_bytes() as i64);
             queued += slot.client.queued_nodes() as i64;
-            shard_queue[slot.home_shard] += slot.client.queued_nodes() as i64;
         }
         reg.gauge("sync_queue_depth", "nodes waiting in sync queues")
             .set(queued);
-        for (s, depth) in shard_queue.iter().enumerate() {
-            let id = format!("{s}");
-            let label = Some(("shard", id.as_str()));
-            reg.gauge_labeled(
-                "shard_queue_depth",
-                "sync-queue nodes waiting on clients homed on this shard",
-                label,
-            )
-            .set(*depth);
-            reg.gauge_labeled("shard_files", "files currently stored on this shard", label)
-                .set(self.server.shard_file_count(s) as i64);
-        }
         self.server.cost().export_counters(reg, "server_cost", None);
         reg.counter(
             "server_duplicates_ignored",
             "uploads the idempotency index absorbed",
         )
         .set(self.server.duplicates_ignored());
-        reg.counter(
-            "server_cross_shard_groups",
-            "transaction groups dispatched through the cross-shard path",
-        )
-        .set(self.server.cross_shard_groups());
         reg.gauge(
             "server_history_bytes",
             "bytes the server retains for the sake of older file versions",
@@ -1134,7 +1096,7 @@ impl SyncHub {
 /// the earlier gap. An ops batch likewise assumes the peer holds the
 /// base the uploader built on; a stale peer would otherwise silently
 /// apply the ops to the wrong content.
-fn plan_forward_group(server: &ShardedServer, peer: &Slot, group: &[UpdateMsg]) -> Vec<UpdateMsg> {
+fn plan_forward_group(server: &CloudServer, peer: &Slot, group: &[UpdateMsg]) -> Vec<UpdateMsg> {
     // `None` entries are tombstones (unlinked / renamed away); absent
     // paths fall back to the peer's real version table.
     let mut view: HashMap<String, Option<Version>> = HashMap::new();
@@ -1156,8 +1118,8 @@ fn plan_forward_group(server: &ShardedServer, peer: &Slot, group: &[UpdateMsg]) 
         };
         let forwarded = if peer_diverged {
             let content = server
-                .file(&msg.path)
-                .map(Payload::from)
+                .shared_file(&msg.path)
+                .map(|b| Payload::from(b.clone()))
                 .unwrap_or_default();
             UpdateMsg {
                 payload: UpdatePayload::Full(content),
@@ -1275,6 +1237,7 @@ fn deliver_group_streaming(
                     frame.byte_len(),
                 )
             });
+        // Unreachable: frames arrive in `frame_group`'s order until one is lost.
         if !lost {
             if let Some(group_msgs) = forward
                 .accept(&frame)
@@ -1306,23 +1269,13 @@ fn deliver_group_streaming(
     }
 }
 
-/// Whether `path` lies inside namespace `ns` (the `/<ns>` subtree).
-fn path_in_namespace(ns: &str, path: &str) -> bool {
-    path.strip_prefix('/')
-        .and_then(|rest| rest.strip_prefix(ns))
-        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-}
-
 /// Whether a forwarded message is visible to a client in namespace `ns`
 /// (root sees everything; otherwise the message must touch the
 /// namespace's subtree).
 fn msg_visible(ns: &str, msg: &UpdateMsg) -> bool {
-    if ns.is_empty() {
-        return true;
-    }
-    path_in_namespace(ns, &msg.path)
+    in_namespace(ns, &msg.path)
         || match &msg.payload {
-            UpdatePayload::Rename { to } | UpdatePayload::Link { to } => path_in_namespace(ns, to),
+            UpdatePayload::Rename { to } | UpdatePayload::Link { to } => in_namespace(ns, to),
             _ => false,
         }
 }
@@ -1364,7 +1317,7 @@ mod tests {
         clock.advance(4000);
         hub.pump(); // upload aged nodes
         assert_eq!(
-            hub.server().file("/shared.txt").as_deref(),
+            hub.cloud().file("/shared.txt"),
             Some(&b"from client 0"[..])
         );
         assert_eq!(hub.fs(1).peek_all("/shared.txt").unwrap(), b"from client 0");
@@ -1402,10 +1355,10 @@ mod tests {
         hub.pump(); // upload aged nodes
         hub.flush();
         // Client 0 pumped first: its version is the cloud's latest.
-        assert_eq!(hub.server().file("/doc").as_deref(), Some(&b"AAAA"[..]));
+        assert_eq!(hub.cloud().file("/doc"), Some(&b"AAAA"[..]));
         // Client 1's edit survived somewhere (conflict copy on cloud or
         // local conflict file).
-        let cloud_conflict = hub.server().paths().iter().any(|p| p.contains(".conflict"));
+        let cloud_conflict = hub.cloud().paths().iter().any(|p| p.contains(".conflict"));
         let local_conflict = !hub.conflicts().is_empty();
         assert!(cloud_conflict || local_conflict);
     }
@@ -1528,7 +1481,7 @@ mod tests {
     #[test]
     fn namespaced_tenants_are_isolated() {
         let clock = SimClock::new();
-        let mut hub = SyncHub::with_shards(clock.clone(), 4);
+        let mut hub = SyncHub::new(clock.clone());
         let a1 = hub.add_client_in("t1", DeltaCfsConfig::new(), LinkSpec::pc());
         let a2 = hub.add_client_in("t1", DeltaCfsConfig::new(), LinkSpec::pc());
         let b1 = hub.add_client_in("t2", DeltaCfsConfig::new(), LinkSpec::pc());
@@ -1542,5 +1495,44 @@ mod tests {
         assert_eq!(hub.fs(a2).peek_all("/t1/doc").unwrap(), b"tenant one");
         assert!(!hub.fs(b1).exists("/t1/doc"));
         assert_eq!(hub.traffic(b1).bytes_down, 0, "no fan-out to tenant 2");
+    }
+
+    #[test]
+    fn full_sync_state_shares_the_servers_buffers() {
+        let (mut hub, _) = hub_with_two_clients();
+        let t = hub.add_client_in("t", DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.fs_mut(0).mkdir_all("/t/sub").unwrap();
+        for (path, fill) in [("/t/b", 2u8), ("/t/a", 1), ("/t/sub/c", 3), ("/u", 4)] {
+            hub.fs_mut(0).create(path).unwrap();
+            hub.fs_mut(0).write(path, 0, &vec![fill; 5_000]).unwrap();
+        }
+        hub.flush();
+        let state = hub.namespace_state(t);
+        let paths: Vec<&str> = state.iter().map(|m| m.path.as_str()).collect();
+        assert_eq!(paths, ["/t", "/t/sub", "/t/a", "/t/b", "/t/sub/c"]);
+        for msg in &state[2..] {
+            let UpdatePayload::Full(content) = &msg.payload else {
+                panic!("{} is not a Full", msg.path);
+            };
+            let server = hub.cloud().file(&msg.path).unwrap();
+            assert_eq!(content.as_ptr(), server.as_ptr(), "{} was copied", msg.path);
+            assert_eq!(msg.version, hub.cloud().version(&msg.path));
+        }
+    }
+
+    #[test]
+    fn unreadable_snapshot_restarts_the_server_empty_without_panicking() {
+        use deltacfs_kvstore::KeyValue;
+        let (mut hub, _) = hub_with_two_clients();
+        hub.enable_observability(Obs::recording(256));
+        let crash = deltacfs_net::CrashPhase::BeforeApply;
+        hub.enable_faults(FaultSpec::clean(1).with_crash(1, crash));
+        hub.store.put(b"f\0/x", b"not a wire message").unwrap();
+        hub.fs_mut(0).create("/f").unwrap();
+        hub.fs_mut(0).write("/f", 0, b"survives the retry").unwrap();
+        assert!(hub.settle(600_000));
+        let records = hub.obs().recorder.records();
+        assert!(records.iter().any(|r| r.detail.contains("snapshot did not load")));
+        assert_eq!(hub.cloud().file("/f"), Some(&b"survives the retry"[..]));
     }
 }

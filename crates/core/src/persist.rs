@@ -269,20 +269,6 @@ pub fn load<K: KeyValue>(store: &mut K) -> Result<CloudServer, PersistError> {
     Ok(server)
 }
 
-/// Reconstructs a server from the snapshot in `store`, replacing
-/// `server`'s state in place. This is the per-shard reload path for the
-/// sharded hub: each shard reloads from its own store without the caller
-/// juggling ownership of the shard slot behind its lock.
-///
-/// # Errors
-///
-/// [`PersistError::Corrupt`] if a record fails to decode. On error the
-/// target server is left untouched.
-pub fn load_into<K: KeyValue>(store: &mut K, server: &mut CloudServer) -> Result<(), PersistError> {
-    *server = load(store)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,6 +9,9 @@
 //! version and materializes the loser as a conflict copy — built from the
 //! *incremental* data applied against the matching historical version, so
 //! nothing needs to be re-uploaded (§III-C).
+//!
+//! A hub runs one server for all tenants: a namespace is a path prefix
+//! over the one file map (DESIGN.md §13).
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -25,7 +28,7 @@ use crate::wire::WireError;
 const DEFAULT_HISTORY: usize = 8;
 
 #[derive(Debug, Clone)]
-pub(crate) struct ServerFile {
+struct ServerFile {
     content: Bytes,
     version: Option<Version>,
     /// The retained older versions, oldest first.
@@ -106,6 +109,16 @@ impl ServerFile {
             })
             .sum()
     }
+}
+
+/// Whether `path` lies inside namespace `ns`: the `/<ns>` subtree, or
+/// anywhere for the root namespace `""`.
+pub(crate) fn in_namespace(ns: &str, path: &str) -> bool {
+    ns.is_empty()
+        || path
+            .strip_prefix('/')
+            .and_then(|rest| rest.strip_prefix(ns))
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 /// Applies `op` to `content`, first saving in `undo` what it destroys.
@@ -199,11 +212,6 @@ impl CloudServer {
         self.cost
     }
 
-    /// Resets the server's work counters.
-    pub fn reset_cost(&mut self) {
-        self.cost = Cost::new();
-    }
-
     /// Current content of `path`, if present.
     pub fn file(&self, path: &str) -> Option<&[u8]> {
         self.files.get(path).map(|f| &f.content[..])
@@ -226,9 +234,25 @@ impl CloudServer {
 
     /// All stored file paths, sorted.
     pub fn paths(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.files.keys().cloned().collect();
+        self.paths_in_namespace("")
+    }
+
+    /// The stored file paths inside namespace `ns` (the `/<ns>` subtree;
+    /// every path for the root namespace `""`), sorted.
+    pub fn paths_in_namespace(&self, ns: &str) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .files
+            .keys()
+            .filter(|p| in_namespace(ns, p))
+            .cloned()
+            .collect();
         v.sort();
         v
+    }
+
+    /// The server's own buffer for `path`, to share instead of copy.
+    pub(crate) fn shared_file(&self, path: &str) -> Option<&Bytes> {
+        self.files.get(path).map(|f| &f.content)
     }
 
     /// Total bytes stored (current versions only).
@@ -495,11 +519,6 @@ impl CloudServer {
         }
     }
 
-    /// Whether a `<CliID, GroupSeq>` group has already been applied here.
-    pub fn has_seen_group(&self, group: GroupId) -> bool {
-        self.group_seen.contains_key(&group)
-    }
-
     /// The recorded whole-group outcomes, for snapshotting.
     pub(crate) fn group_records(&self) -> impl Iterator<Item = (GroupId, &[ApplyOutcome])> {
         self.group_seen.iter().map(|(g, o)| (*g, &o[..]))
@@ -516,59 +535,11 @@ impl CloudServer {
         self.duplicate_groups
     }
 
-    /// Whether a `<CliID, VerCnt>` version has already been applied (or
-    /// conflicted) here.
-    pub fn has_seen(&self, version: Version) -> bool {
-        self.seen.contains_key(&version)
-    }
-
-    /// The outcome recorded for `version` in the per-version index, if
-    /// any — the sharded dispatcher replays cross-shard retransmissions
-    /// from here.
-    pub(crate) fn seen_outcome(&self, version: Version) -> Option<ApplyOutcome> {
-        self.seen.get(&version).cloned()
-    }
-
-    /// Records a `<CliID, VerCnt>` outcome in the per-version index
-    /// (sharded dispatcher: a cross-shard group's members are indexed on
-    /// the shard owning each member's path).
-    pub(crate) fn record_seen(&mut self, version: Version, outcome: ApplyOutcome) {
-        self.seen.insert(version, outcome);
-    }
-
-    /// The recorded outcome vector of one group, if present.
-    pub(crate) fn group_record(&self, group: GroupId) -> Option<Vec<ApplyOutcome>> {
-        self.group_seen.get(&group).cloned()
-    }
-
-    /// Removes and returns the whole stored entry for `path` — content,
-    /// version, and retained history. Used by the sharded dispatcher to
-    /// check a file out of its owner shard for a cross-shard group.
-    pub(crate) fn take_file(&mut self, path: &str) -> Option<ServerFile> {
-        self.files.remove(path)
-    }
-
-    /// Installs a complete file entry under `path` (the check-in half of
-    /// [`CloudServer::take_file`]). Does not touch the apply order.
-    pub(crate) fn put_file(&mut self, path: String, file: ServerFile) {
-        self.files.insert(path, file);
-    }
-
-    /// Drains every stored file entry, sorted by path for determinism.
-    pub(crate) fn drain_files(&mut self) -> Vec<(String, ServerFile)> {
-        let mut out: Vec<(String, ServerFile)> = self.files.drain().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Inserts a directory marker without going through a message.
-    pub(crate) fn insert_dir(&mut self, path: &str) {
-        self.dirs.insert(path.to_string());
-    }
-
-    /// Removes a directory marker without going through a message.
-    pub(crate) fn remove_dir(&mut self, path: &str) {
-        self.dirs.remove(path);
+    /// Hands the apply log to `restarted`, this server reloaded after a
+    /// simulated crash: the log keeps what ran before the crash and leaves
+    /// out the snapshot replay `persist::load` performs.
+    pub(crate) fn hand_over_apply_order(&mut self, restarted: &mut CloudServer) {
+        restarted.apply_order = std::mem::take(&mut self.apply_order);
     }
 
     /// Rebuilds the idempotency memory from the stored files — used after
@@ -1063,8 +1034,6 @@ mod tests {
         assert!(dup);
         assert_eq!(s.duplicates_ignored(), 1);
         assert_eq!(s.version_history("/f"), vec![v(1, 1)]);
-        assert!(s.has_seen(v(1, 1)));
-        assert!(!s.has_seen(v(1, 2)));
     }
 
     #[test]
@@ -1148,7 +1117,6 @@ mod tests {
         let (replayed, dup) = s.apply_txn_idempotent(&rename);
         assert!(dup, "group index must recognize the version-less replay");
         assert_eq!(replayed, first);
-        assert!(s.has_seen_group(gid(1, 2)));
         assert_eq!(s.file("/old"), Some(&b"fresh"[..]));
         assert_eq!(s.file("/new"), Some(&b"payload"[..]));
     }
@@ -1199,6 +1167,39 @@ mod tests {
         assert_eq!(replayed, first);
         let copies_after = s.paths().iter().filter(|p| p.contains(".conflict")).count();
         assert_eq!(copies_before, copies_after);
+    }
+
+    #[test]
+    fn whole_group_resend_replays_verbatim_and_applies_nothing() {
+        // A committed group over two top-level directories, resent whole.
+        let mut group = vec![
+            ops_msg("/d0/a", None, v(9, 1), vec![write_op(0, b"a")]),
+            ops_msg("/d1/b", None, v(9, 2), vec![write_op(0, b"b")]),
+        ];
+        for m in &mut group {
+            m.group = Some(gid(9, 1));
+        }
+        let mut s = CloudServer::new();
+        let (first, dup) = s.apply_txn_idempotent(&group);
+        assert_eq!((first.clone(), dup), (vec![ApplyOutcome::Applied; 2], false));
+        let (order, cost) = (s.apply_order().to_vec(), s.cost());
+        let (replayed, dup) = s.apply_txn_idempotent(&group);
+        assert!(dup, "resend of a committed group must be recognized");
+        assert_eq!(replayed, first);
+        assert_eq!(s.duplicates_ignored(), 1);
+        assert_eq!((s.apply_order(), s.cost()), (&order[..], cost), "re-applied");
+        assert_eq!(s.version_history("/d1/b"), vec![v(9, 2)]);
+    }
+
+    #[test]
+    fn namespace_listing_filters_the_one_map() {
+        let mut s = CloudServer::new();
+        for (n, path) in ["/t1/a", "/t2/b", "/t1", "/t10/c", "/t1.conflict-c2"].iter().enumerate() {
+            s.apply_msg(&ops_msg(path, None, v(1, n as u64 + 1), vec![write_op(0, b"x")]));
+        }
+        assert_eq!(s.paths_in_namespace("t1"), ["/t1", "/t1/a"]);
+        assert_eq!(s.paths_in_namespace("t2"), ["/t2/b"]);
+        assert_eq!(s.paths_in_namespace("").len(), 5);
     }
 
     #[test]

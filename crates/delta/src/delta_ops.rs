@@ -4,6 +4,8 @@ use std::ops::Range;
 
 use bytes::Bytes;
 
+use crate::compress::MAX_DECOMPRESSED;
+
 /// One instruction of a [`Delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaOp {
@@ -126,15 +128,22 @@ impl Delta {
     /// Returns [`ApplyError`] if a copy instruction references bytes beyond
     /// the end of `old` — which means the delta was computed against a
     /// different base version (the situation DeltaCFS's version control
-    /// exists to prevent).
+    /// exists to prevent) — or if the output would exceed
+    /// [`MAX_DECOMPRESSED`], the ceiling a decoded frame is held to too.
     pub fn apply(&self, old: &[u8]) -> Result<Vec<u8>, ApplyError> {
-        // Every copy is range-checked before anything is allocated: a
-        // decoded delta's lengths are untrusted and size nothing unchecked.
+        // Every copy is range-checked and the total is capped before
+        // anything is allocated: a decoded delta's lengths are untrusted,
+        // and copies each in range can still sum to many times the base.
         let mut out_len = 0usize;
         for op in &self.ops {
             out_len = out_len.saturating_add(match op {
                 DeltaOp::Copy { offset, len } => copy_range(old, *offset, *len)?.len(),
                 DeltaOp::Literal(b) => b.len(),
+            });
+        }
+        if out_len > MAX_DECOMPRESSED {
+            return Err(ApplyError::OutputTooLarge {
+                len: self.output_len(),
             });
         }
         let mut out = Vec::with_capacity(out_len);
@@ -191,6 +200,11 @@ pub enum ApplyError {
         /// Actual length of the base file.
         old_len: u64,
     },
+    /// The output would exceed [`MAX_DECOMPRESSED`] bytes.
+    OutputTooLarge {
+        /// Length the delta asked for, saturating at `u64::MAX`.
+        len: u64,
+    },
 }
 
 impl fmt::Display for ApplyError {
@@ -203,6 +217,10 @@ impl fmt::Display for ApplyError {
             } => write!(
                 f,
                 "delta copy [{offset}, +{len}) exceeds base file of {old_len} bytes"
+            ),
+            ApplyError::OutputTooLarge { len } => write!(
+                f,
+                "delta output of {len} bytes exceeds the {MAX_DECOMPRESSED}-byte ceiling"
             ),
         }
     }
@@ -315,6 +333,27 @@ mod tests {
         let x = DeltaOp::Literal(Bytes::from_static(b"x"));
         let delta = Delta::from_ops(vec![copy(0, 2), x, copy(3, u64::MAX)]);
         assert!(delta.apply(b"abcd").is_err());
+    }
+
+    #[test]
+    fn copies_summing_past_the_ceiling_are_rejected_before_allocating() {
+        // Each copy is in range; together they ask for 1 GiB + 64 KiB.
+        let base = vec![7u8; 64 << 10];
+        let n = (MAX_DECOMPRESSED / base.len()) as u64 + 1;
+        let ops = (0..n).map(|_| copy(0, base.len() as u64)).collect();
+        let delta = Delta::from_ops(ops);
+        assert_eq!(delta.ops().len() as u64, n, "repeated copies do not merge");
+        let err = delta.apply(&base).unwrap_err();
+        assert_eq!(
+            err,
+            ApplyError::OutputTooLarge {
+                len: n * base.len() as u64
+            }
+        );
+        assert!(err.to_string().contains("ceiling"));
+        // Up to the ceiling is fine.
+        let delta = Delta::from_ops(vec![copy(0, 4), copy(0, 4)]);
+        assert_eq!(delta.apply(b"abcd").unwrap(), b"abcdabcd");
     }
 
     #[test]

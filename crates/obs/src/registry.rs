@@ -228,7 +228,7 @@ impl Registry {
 
     /// Registers (or retrieves) a gauge carrying one `key="value"`
     /// label — the same name may be registered under several labels
-    /// (e.g. one per shard).
+    /// (e.g. one per client).
     ///
     /// # Panics
     ///
@@ -645,17 +645,17 @@ mod tests {
     #[test]
     fn labeled_gauges_keep_series_separate() {
         let reg = Registry::new();
-        reg.gauge_labeled("shard_queue_depth", "", Some(("shard", "0")))
+        reg.gauge_labeled("sync_queue_payload_bytes", "", Some(("client", "1")))
             .set(3);
-        reg.gauge_labeled("shard_queue_depth", "", Some(("shard", "1")))
+        reg.gauge_labeled("sync_queue_payload_bytes", "", Some(("client", "2")))
             .set(7);
         let snap = reg.snapshot();
         assert_eq!(
-            snap.get_labeled("shard_queue_depth", "0"),
+            snap.get_labeled("sync_queue_payload_bytes", "1"),
             Some(&MetricValue::Gauge(3))
         );
         assert_eq!(
-            snap.get_labeled("shard_queue_depth", "1"),
+            snap.get_labeled("sync_queue_payload_bytes", "2"),
             Some(&MetricValue::Gauge(7))
         );
     }

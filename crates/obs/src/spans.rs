@@ -6,7 +6,7 @@
 //! forward, and recovery-download directions). A [`SpanRecorder`] keys
 //! parented records on that identity — mirrored here as [`GroupKey`] so
 //! this crate stays dependency-free — which lets the client, the wire
-//! codec, the server shards, and the forward fan-out all write into the
+//! codec, the server, and the forward fan-out all write into the
 //! *same* causal record without any extra bytes on the wire. A point
 //! event ([`SpanRecorder::event`]) is a zero-width record; a record made
 //! before its group id exists (a relation-table trigger, a delta encode)

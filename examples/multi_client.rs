@@ -54,13 +54,13 @@ fn main() {
     hub.flush();
 
     println!("\ncloud files after concurrent edits:");
-    for path in hub.server().paths() {
+    for path in hub.cloud().paths() {
         println!("  {path}");
     }
     let conflicts = hub.conflicts();
     println!("client-side conflicts recorded: {}", conflicts.len());
     assert!(
-        hub.server().paths().iter().any(|p| p.contains("conflict")) || !conflicts.is_empty(),
+        hub.cloud().paths().iter().any(|p| p.contains("conflict")) || !conflicts.is_empty(),
         "the losing edit must survive somewhere"
     );
 }

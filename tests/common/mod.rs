@@ -50,9 +50,8 @@ pub fn recorded(mut hub: SyncHub) -> RecordedHub {
 impl RecordedHub {
     fn label(&mut self, seeds: &[u64]) {
         let label = format!(
-            "{} client(s) on {} shard(s), fault seeds {seeds:?}",
-            self.hub.client_count(),
-            self.hub.server().shard_count()
+            "{} client(s), fault seeds {seeds:?}",
+            self.hub.client_count()
         );
         self.guard = DumpGuard::new(&label, self.hub.obs());
     }

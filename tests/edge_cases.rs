@@ -359,8 +359,9 @@ fn snapshot_mode_transactional_save_still_converges() {
 /// A delta decoded off the wire is untrusted input. A copy 16 TiB long
 /// against a 4-byte base (it sized an allocation before any range check
 /// and aborted the process), two copies whose merge overflows `u64` (a
-/// panic in `Delta::from_ops`, a wrong merge in release) and a copy whose
-/// end overflows (a capacity panic) all leave the file as it was.
+/// panic in `Delta::from_ops`, a wrong merge in release), a copy whose
+/// end overflows (a capacity panic) and in-range copies that sum to 1 TiB
+/// all leave the file as it was.
 #[test]
 fn crafted_delta_messages_leave_the_file_unchanged() {
     use deltacfs::core::{wire, ClientId, CloudServer, Payload, UpdateMsg, UpdatePayload, Version};
@@ -407,4 +408,26 @@ fn crafted_delta_messages_leave_the_file_unchanged() {
         assert_eq!(server.file("/f"), Some(&b"abcd"[..]), "{ops:?}");
         assert_eq!(server.version("/f"), Some(v(1)), "{ops:?}");
     }
+
+    // Copies each in range that sum to 1 TiB: 65 536 copies of a 16 MiB
+    // base (the total sized an allocation and aborted the process).
+    let base = vec![5u8; 16 << 20];
+    let mut big = msg(None, UpdatePayload::Full(Payload::from(base.clone())));
+    big.path = "/big".into();
+    big.version = Some(v(3));
+    server.apply_msg(&big);
+    let delta = Delta::from_ops(vec![copy(0, base.len() as u64); 1 << 16]);
+    let mut bomb = msg(
+        Some(v(3)),
+        UpdatePayload::Delta {
+            base_path: "/big".into(),
+            delta,
+        },
+    );
+    bomb.path = "/big".into();
+    bomb.version = Some(v(4));
+    let decoded = wire::decode(&wire::encode(&bomb)).expect("well-formed frame");
+    server.apply_msg(&decoded);
+    assert_eq!(server.file("/big"), Some(&base[..]));
+    assert_eq!(server.version("/big"), Some(v(3)));
 }

@@ -5,7 +5,7 @@
 //! Every assertion embeds the seed that reproduces the failing schedule:
 //! re-run with that seed pinned in a `FaultSpec` to replay it exactly.
 
-use deltacfs::core::{ApplyOutcome, DeltaCfsConfig, ShardRouter, SyncHub};
+use deltacfs::core::{ApplyOutcome, DeltaCfsConfig, SyncHub};
 use deltacfs::net::{CrashPhase, FaultSpec, LinkSpec, SimClock};
 
 mod common;
@@ -40,8 +40,8 @@ fn pump_round(hub: &mut SyncHub, clock: &SimClock) {
 /// client, and that no client holds stray non-conflict files the server
 /// lacks.
 fn assert_converged(hub: &SyncHub, seed: u64) {
-    for path in hub.server().paths() {
-        let server = hub.server().file(&path).unwrap();
+    for path in hub.cloud().paths() {
+        let server = hub.cloud().file(&path).unwrap();
         for idx in 0..hub.client_count() {
             let local = hub.fs(idx).peek_all(&path).unwrap_or_default();
             assert_eq!(
@@ -55,7 +55,7 @@ fn assert_converged(hub: &SyncHub, seed: u64) {
             let path = path.to_string();
             if !path.contains(".conflict-") {
                 assert!(
-                    hub.server().file(&path).is_some(),
+                    hub.cloud().file(&path).is_some(),
                     "seed {seed}: client {idx} holds {path} the server lacks"
                 );
             }
@@ -149,7 +149,7 @@ fn server_crash_matrix_loses_no_committed_version() {
             );
             for (client, path, version) in hub.acked() {
                 assert!(
-                    hub.server().version_history(path).contains(version),
+                    hub.cloud().version_history(path).contains(version),
                     "seed {seed} crash@{crash_at} {phase:?}: acked version \
                      {version:?} from client {client} lost on {path}"
                 );
@@ -166,7 +166,7 @@ fn first_write_wins_when_losers_upload_is_delayed_by_loss() {
     hub.fs_mut(0).create("/doc").unwrap();
     hub.fs_mut(0).write("/doc", 0, &vec![b'x'; 50_000]).unwrap();
     pump_round(&mut hub, &clock);
-    assert_eq!(hub.server().file("/doc").as_deref().map(<[u8]>::len), Some(50_000));
+    assert_eq!(hub.cloud().file("/doc").map(<[u8]>::len), Some(50_000));
 
     // Upload attempt 1 (client 1's edit) is dropped; the retry arrives
     // only after client 0's competing edit has been applied.
@@ -182,13 +182,13 @@ fn first_write_wins_when_losers_upload_is_delayed_by_loss() {
     assert!(drained, "seed {seed}: courier never drained");
 
     // First write wins: the cloud kept client 0's content.
-    let doc = hub.server().file("/doc").unwrap();
+    let doc = hub.cloud().file("/doc").unwrap();
     assert_eq!(&doc[..6], b"FIRST!", "seed {seed}");
     // The late loser was stored as a cloud-side conflict copy, built
     // from its incremental ops against the historical base.
     let conflict_path = "/doc.conflict-c2";
     let copy = hub
-        .server()
+        .cloud()
         .file(conflict_path)
         .unwrap_or_else(|| panic!("seed {seed}: no conflict copy {conflict_path}"));
     assert_eq!(&copy[..6], b"SECOND", "seed {seed}");
@@ -230,7 +230,7 @@ fn client_crash_restart_replays_undo_log_as_delta() {
     let mut expect = vec![3u8; 40_000];
     expect[1_000..1_064].copy_from_slice(&[9u8; 64]);
     expect[30_000..30_032].copy_from_slice(&[8u8; 32]);
-    assert_eq!(hub.server().file("/db").as_deref(), Some(&expect[..]), "seed {seed}");
+    assert_eq!(hub.cloud().file("/db"), Some(&expect[..]), "seed {seed}");
     assert_converged(&hub, seed);
     // The replay shipped a delta against the cloud's base, not 40 KB.
     let up = hub.traffic(0).bytes_up - up_before;
@@ -254,7 +254,7 @@ fn client_crash_restart_ships_unsynced_file_whole() {
     let drained = hub.settle(SETTLE_MS);
     assert!(drained, "seed {seed}");
     assert_eq!(
-        hub.server().file("/fresh").as_deref(),
+        hub.cloud().file("/fresh"),
         Some(&b"never uploaded"[..]),
         "seed {seed}"
     );
@@ -275,12 +275,12 @@ fn duplicate_and_reordered_deliveries_are_absorbed() {
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}");
         assert!(
-            hub.server().duplicates_ignored() > 0,
+            hub.cloud().duplicates_ignored() > 0,
             "seed {seed}: dedup never engaged"
         );
         // No version was applied twice: histories hold distinct versions.
-        for path in hub.server().paths() {
-            let history = hub.server().version_history(&path);
+        for path in hub.cloud().paths() {
+            let history = hub.cloud().version_history(&path);
             let mut dedup = history.clone();
             dedup.dedup();
             assert_eq!(
@@ -319,11 +319,28 @@ fn multi_writer_fault_matrix_converges() {
         hub.fs_mut(0).rename("/a.txt", "/a-renamed.txt").unwrap();
         hub.fs_mut(1).rename("/b.txt", "/b-renamed.txt").unwrap();
         pump_round(&mut hub, &clock);
+        // A root client moves a file across top-level directories.
+        for dir in ["/docs", "/archive"] {
+            hub.fs_mut(0).mkdir_all(dir).unwrap();
+        }
+        hub.fs_mut(0).create("/docs/notes.txt").unwrap();
+        hub.fs_mut(0).write("/docs/notes.txt", 0, b"moved across").unwrap();
+        pump_round(&mut hub, &clock);
+        hub.fs_mut(0)
+            .rename("/docs/notes.txt", "/archive/notes.txt")
+            .unwrap();
+        pump_round(&mut hub, &clock);
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
         // Every held-back duplicate was redelivered before settle returned.
         assert_eq!(hub.deferred_len(), 0, "seed {seed}: deferred queue leaked");
         assert_converged(&hub, seed);
+        assert_eq!(
+            hub.cloud().file("/archive/notes.txt"),
+            Some(&b"moved across"[..]),
+            "seed {seed}"
+        );
+        assert!(hub.cloud().file("/docs/notes.txt").is_none(), "seed {seed}");
         // Causal order per writer, independent of the other writer's
         // interleaved retries.
         for idx in 0..hub.client_count() {
@@ -347,10 +364,10 @@ fn multi_writer_fault_matrix_converges() {
         // current path's history, not just the path the ack named.
         for (client, path, version) in hub.acked() {
             let survives = hub
-                .server()
+                .cloud()
                 .paths()
                 .iter()
-                .any(|p| hub.server().version_history(p).contains(version));
+                .any(|p| hub.cloud().version_history(p).contains(version));
             assert!(
                 survives,
                 "seed {seed}: acked version {version:?} from client {client} lost on {path}"
@@ -371,7 +388,7 @@ fn late_rename_replay_after_recreate_is_deduped() {
     hub.fs_mut(0).create("/old").unwrap();
     hub.fs_mut(0).write("/old", 0, b"payload").unwrap();
     pump_round(&mut hub, &clock);
-    assert_eq!(hub.server().file("/old").as_deref(), Some(&b"payload"[..]));
+    assert_eq!(hub.cloud().file("/old"), Some(&b"payload"[..]));
 
     // Every delivery duplicated, every duplicate redelivered late.
     hub.enable_faults(
@@ -387,16 +404,16 @@ fn late_rename_replay_after_recreate_is_deduped() {
     assert!(drained, "seed {seed}: courier never drained");
     assert_eq!(hub.deferred_len(), 0, "seed {seed}: deferred queue leaked");
     assert!(
-        hub.server().duplicates_ignored() > 0,
+        hub.cloud().duplicates_ignored() > 0,
         "seed {seed}: dedup never engaged"
     );
     assert_eq!(
-        hub.server().file("/new").as_deref(),
+        hub.cloud().file("/new"),
         Some(&b"payload"[..]),
         "seed {seed}: late rename replay clobbered /new"
     );
     assert_eq!(
-        hub.server().file("/old").as_deref(),
+        hub.cloud().file("/old"),
         Some(&b"fresh"[..]),
         "seed {seed}: late rename replay removed the recreated /old"
     );
@@ -418,7 +435,7 @@ fn disconnect_window_defers_and_heals() {
 
     // Inside the window nothing from client 1 reached the cloud.
     assert!(
-        hub.server().file("/from1").is_none(),
+        hub.cloud().file("/from1").is_none(),
         "seed {seed}: disconnected client still uploaded"
     );
     let stats = hub.fault_stats().unwrap();
@@ -428,38 +445,32 @@ fn disconnect_window_defers_and_heals() {
     let drained = hub.settle(SETTLE_MS);
     assert!(drained, "seed {seed}");
     assert_eq!(
-        hub.server().file("/from1").as_deref(),
+        hub.cloud().file("/from1"),
         Some(&b"queued while offline"[..]),
         "seed {seed}"
     );
     assert_converged(&hub, seed);
 }
 
-// --- Sharded-hub fault matrix (DESIGN.md §13) ----------------------------
+// --- Namespaced two-writer fault matrix (DESIGN.md §13) -----------------
 
-/// A 4-shard hub whose two writers live in namespaces pinned to
-/// *different* shards, so every fault schedule below exercises striped
-/// locks, per-shard snapshots, and per-shard crash reloads.
-fn two_writer_sharded_hub() -> (RecordedHub, SimClock, [String; 2]) {
-    let router = ShardRouter::new(4);
-    let ns_a = "alpha".to_string();
-    let ns_b = (0..)
-        .map(|i| format!("beta{i}"))
-        .find(|ns| router.shard_of_namespace(ns) != router.shard_of_namespace(&ns_a))
-        .unwrap();
+/// A hub whose two writers live in different namespaces of the one
+/// server, so every fault schedule below mixes two tenants' retries,
+/// snapshots and crash reloads.
+fn two_writer_namespaced_hub() -> (RecordedHub, SimClock, [String; 2]) {
+    let (ns_a, ns_b) = ("alpha".to_string(), "beta0".to_string());
     let clock = SimClock::new();
-    let mut hub = recorded(SyncHub::with_shards(clock.clone(), 4));
+    let mut hub = recorded(SyncHub::new(clock.clone()));
     hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
     hub.add_client_in(&ns_b, DeltaCfsConfig::new(), LinkSpec::pc());
-    assert_ne!(hub.home_shard(0), hub.home_shard(1), "writers share a shard");
     hub.fs_mut(0).mkdir_all(&format!("/{ns_a}")).unwrap();
     hub.fs_mut(1).mkdir_all(&format!("/{ns_b}")).unwrap();
     (hub, clock, [ns_a, ns_b])
 }
 
 /// The disjoint workload of `run_disjoint_workload`, with each writer's
-/// paths under its own namespace (and therefore on its own shard).
-fn run_sharded_disjoint_workload(hub: &mut SyncHub, clock: &SimClock, ns: &[String; 2]) {
+/// paths under its own namespace.
+fn run_namespaced_disjoint_workload(hub: &mut SyncHub, clock: &SimClock, ns: &[String; 2]) {
     let a = |p: &str| format!("/{}/{p}", ns[0]);
     let b = |p: &str| format!("/{}/{p}", ns[1]);
     hub.fs_mut(0).create(&a("a.txt")).unwrap();
@@ -481,11 +492,11 @@ fn run_sharded_disjoint_workload(hub: &mut SyncHub, clock: &SimClock, ns: &[Stri
 /// Namespace-aware convergence: each client agrees with the server on
 /// every path inside its own namespace, and holds no stray non-conflict
 /// files the server lacks.
-fn assert_converged_sharded(hub: &SyncHub, seed: u64) {
+fn assert_converged_namespaced(hub: &SyncHub, seed: u64) {
     for idx in 0..hub.client_count() {
         let ns = hub.namespace(idx).to_string();
-        for path in hub.server().paths_in_namespace(&ns) {
-            let server = hub.server().file(&path).unwrap();
+        for path in hub.cloud().paths_in_namespace(&ns) {
+            let server = hub.cloud().file(&path).unwrap();
             let local = hub.fs(idx).peek_all(&path).unwrap_or_default();
             assert_eq!(
                 local, server,
@@ -496,7 +507,7 @@ fn assert_converged_sharded(hub: &SyncHub, seed: u64) {
             let path = path.to_string();
             if !path.contains(".conflict-") {
                 assert!(
-                    hub.server().file(&path).is_some(),
+                    hub.cloud().file(&path).is_some(),
                     "seed {seed}: client {idx} holds {path} the server lacks"
                 );
             }
@@ -505,31 +516,31 @@ fn assert_converged_sharded(hub: &SyncHub, seed: u64) {
 }
 
 #[test]
-fn sharded_drop_matrix_converges() {
+fn namespaced_drop_matrix_converges() {
     // The pinned-seed drop/dup/reorder matrix of `drop_matrix_converges`,
-    // against a sharded hub with the writers split across shards.
+    // with the writers in two namespaces.
     for seed in 0..8u64 {
-        let (mut hub, clock, ns) = two_writer_sharded_hub();
+        let (mut hub, clock, ns) = two_writer_namespaced_hub();
         hub.enable_faults(
             FaultSpec::clean(seed)
                 .with_rates(0.3, 0.2, 0.3)
                 .with_reorder(0.5),
         );
-        run_sharded_disjoint_workload(&mut hub, &clock, &ns);
+        run_namespaced_disjoint_workload(&mut hub, &clock, &ns);
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
         assert_eq!(given_up(&hub), 0, "seed {seed}");
-        assert_converged_sharded(&hub, seed);
+        assert_converged_namespaced(&hub, seed);
     }
 }
 
 #[test]
-fn sharded_multi_writer_fault_topology_converges() {
-    // `multi_writer_fault_matrix_converges` on a sharded hub: distinct
-    // per-writer schedules, server crashes on odd seeds (reloading every
-    // shard's snapshot), writers on different shards throughout.
+fn namespaced_multi_writer_fault_topology_converges() {
+    // `multi_writer_fault_matrix_converges` with the writers in two
+    // namespaces: distinct per-writer schedules, server crashes on odd
+    // seeds (reloading the server's snapshot).
     for seed in 0..8u64 {
-        let (mut hub, clock, ns) = two_writer_sharded_hub();
+        let (mut hub, clock, ns) = two_writer_namespaced_hub();
         let mut spec_b = FaultSpec::clean(seed ^ 0x00DE_C0DE)
             .with_rates(0.25, 0.15, 0.5)
             .with_reorder(1.0);
@@ -542,9 +553,9 @@ fn sharded_multi_writer_fault_topology_converges() {
                 .with_reorder(0.5),
             spec_b,
         ]);
-        run_sharded_disjoint_workload(&mut hub, &clock, &ns);
-        // Version-less rename groups on both shards while duplicates are
-        // being deferred.
+        run_namespaced_disjoint_workload(&mut hub, &clock, &ns);
+        // Version-less rename groups in both namespaces while duplicates
+        // are being deferred.
         let a_renamed = format!("/{}/a-renamed.txt", ns[0]);
         let b_renamed = format!("/{}/b-renamed.txt", ns[1]);
         hub.fs_mut(0)
@@ -557,8 +568,8 @@ fn sharded_multi_writer_fault_topology_converges() {
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: a courier gave up or never drained");
         assert_eq!(hub.deferred_len(), 0, "seed {seed}: deferred queue leaked");
-        assert_converged_sharded(&hub, seed);
-        // Causal order per writer, independent of the other shard's
+        assert_converged_namespaced(&hub, seed);
+        // Causal order per writer, independent of the other writer's
         // interleaved retries.
         for idx in 0..hub.client_count() {
             let counters: Vec<u64> = hub
@@ -576,14 +587,13 @@ fn sharded_multi_writer_fault_topology_converges() {
                 );
             }
         }
-        // Nothing the server acked was lost, crash or no crash — the
-        // per-shard snapshots must jointly cover every acked version.
+        // Nothing the server acked was lost, crash or no crash.
         for (client, path, version) in hub.acked() {
             let survives = hub
-                .server()
+                .cloud()
                 .paths()
                 .iter()
-                .any(|p| hub.server().version_history(p).contains(version));
+                .any(|p| hub.cloud().version_history(p).contains(version));
             assert!(
                 survives,
                 "seed {seed}: acked version {version:?} from client {client} lost on {path}"
@@ -764,7 +774,7 @@ fn lost_forward_then_diverged_peer_materializes_full_never_stale_delta() {
         let drained = hub.settle(SETTLE_MS);
         assert!(drained, "seed {seed}: courier never drained");
         assert_eq!(
-            hub.server().file("/f").as_deref(),
+            hub.cloud().file("/f"),
             Some(&v3[..]),
             "seed {seed}"
         );
@@ -888,7 +898,7 @@ fn forward_keeps_the_receivers_own_pending_edits() {
     hub.pump();
     hub.flush();
     assert_eq!(
-        hub.server().file("/b").as_deref(),
+        hub.cloud().file("/b"),
         Some(&b"from b"[..]),
         "B's own edit was lost to the forward"
     );

@@ -249,7 +249,7 @@ fn flight_recorder_dumps_causal_timeline_on_failure() {
     // The header names the run by topology and seeds, the timeline
     // covers the diverging file's causal chain, and the metrics snapshot
     // rides along.
-    let label = format!("2 client(s) on 1 shard(s), fault seeds [{SEED}, {}]", SEED ^ 0xBEEF);
+    let label = format!("2 client(s), fault seeds [{SEED}, {}]", SEED ^ 0xBEEF);
     assert!(first.starts_with(&format!("=== DeltaCFS flight recorder dump: {label} ===")));
     assert!(first.contains("flight recorder:"), "missing record header");
     assert!(first.contains("/b.txt"), "diverging file absent from the record");

@@ -453,7 +453,7 @@ proptest! {
             let cb = hub.fs(b).peek_all(path.as_str()).unwrap();
             prop_assert_eq!(&ca, &cb, "{} diverged between clients", path);
             prop_assert_eq!(
-                hub.server().file(path.as_str()).as_deref(),
+                hub.cloud().file(path.as_str()),
                 Some(&ca[..]),
                 "{} diverged from cloud", path
             );
@@ -606,8 +606,8 @@ proptest! {
 
         // Convergence: the uploader, the passive peer, and the server
         // agree on every path the server holds.
-        for path in hub.server().paths() {
-            let server = hub.server().file(&path).unwrap();
+        for path in hub.cloud().paths() {
+            let server = hub.cloud().file(&path).unwrap();
             for idx in 0..2 {
                 let local = hub.fs(idx).peek_all(&path).unwrap_or_default();
                 prop_assert_eq!(
@@ -721,8 +721,8 @@ proptest! {
 
         // Convergence: both writers and the server agree on every path
         // the server holds.
-        for path in hub.server().paths() {
-            let server = hub.server().file(&path).unwrap();
+        for path in hub.cloud().paths() {
+            let server = hub.cloud().file(&path).unwrap();
             for idx in 0..2 {
                 let local = hub.fs(idx).peek_all(&path).unwrap_or_default();
                 prop_assert_eq!(
@@ -745,37 +745,80 @@ proptest! {
     }
 }
 
-// --- Shard invariance (DESIGN.md §13) ------------------------------------
+// --- One server, many namespaces (DESIGN.md §13) --------------------------
 
-use deltacfs::core::{ShardRouter, SyncHub};
+use deltacfs::core::SyncHub;
 use deltacfs::net::{FaultSpec, LinkSpec};
 
-/// A hub's round drivers: `(pump, flush)`.
-type HubDriver = (fn(&mut SyncHub), fn(&mut SyncHub));
+/// One tenant-workload step: tenant, second client?, kind, pick,
+/// offset, data.
+type TenantOp = (u8, bool, u8, usize, u64, Vec<u8>);
 
-/// Drives a multi-tenant workload on a hub with `shards` shards: four
-/// tenants, two clients each, writes/renames/unlinks confined to each
-/// tenant's namespace; an op whose tenant number is 4 or more (tenant
-/// `n % 4`) shares its pump round with the next op, so rounds see several
-/// busy tenants. `pump` and `flush` are the hub's round drivers under
-/// test. Returns everything shard count must not change.
-#[allow(clippy::type_complexity)]
-fn run_tenant_workload(
-    shards: usize,
-    (pump, flush): HubDriver,
-    ops: &[(u8, bool, u8, usize, u64, Vec<u8>)],
-) -> (
-    Vec<(String, Option<Vec<u8>>)>,      // server content
-    Vec<String>,                         // causal apply order
-    Vec<Vec<(String, Vec<u8>)>>,         // per-client file state
-    Vec<(u64, u64)>,                     // per-client traffic totals
-    Vec<(usize, String, u64)>,           // acked versions, in ack order
-    Vec<(usize, String)>,                // conflicts observed: (client, path)
-) {
+/// Everything two runs of one hub workload must agree on.
+type HubFingerprint = (
+    Vec<(String, Option<Vec<u8>>)>, // server content
+    Vec<String>,                    // causal apply order
+    Vec<Vec<(String, Vec<u8>)>>,    // per-client file state
+    Vec<(u64, u64)>,                // per-client traffic totals
+    Vec<(usize, String, u64)>,      // acked versions, in ack order
+    Vec<(usize, String)>,           // conflicts observed: (client, path)
+);
+
+/// Every file of client `idx`, sorted by path.
+fn client_files(hub: &SyncHub, idx: usize) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = hub
+        .fs(idx)
+        .walk_files("/")
+        .unwrap_or_default()
+        .into_iter()
+        .map(|p| {
+            let c = hub.fs(idx).peek_all(p.as_str()).unwrap();
+            (p.to_string(), c)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn hub_fingerprint(hub: &SyncHub) -> HubFingerprint {
+    let server_content = hub
+        .cloud()
+        .paths()
+        .into_iter()
+        .map(|p| {
+            let c = hub.cloud().file(&p).map(<[u8]>::to_vec);
+            (p, c)
+        })
+        .collect();
+    (
+        server_content,
+        hub.cloud().apply_order().to_vec(),
+        (0..hub.client_count())
+            .map(|idx| client_files(hub, idx))
+            .collect(),
+        (0..hub.client_count())
+            .map(|idx| (hub.traffic(idx).bytes_up, hub.traffic(idx).bytes_down))
+            .collect(),
+        hub.acked()
+            .iter()
+            .map(|(c, p, v)| (*c, p.clone(), v.counter))
+            .collect(),
+        hub.conflicts()
+            .iter()
+            .map(|(client, conflict)| (*client, conflict.path.clone()))
+            .collect(),
+    )
+}
+
+/// Drives a multi-tenant workload on one hub: four tenants, two clients
+/// each, writes/renames/unlinks confined to each tenant's namespace; an
+/// op whose tenant number is 4 or more (tenant `n % 4`) shares its pump
+/// round with the next op, so rounds see several busy tenants.
+fn run_tenant_workload(ops: &[TenantOp]) -> SyncHub {
     use deltacfs::core::DeltaCfsConfig;
 
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), shards);
+    let mut hub = SyncHub::new(clock.clone());
     let mut clients = Vec::new();
     for t in 0..4 {
         let ns = format!("t{t}");
@@ -842,70 +885,25 @@ fn run_tenant_workload(
         if *tenant >= 4 {
             continue;
         }
-        pump(&mut hub);
+        hub.pump();
         clock.advance(2_500);
-        pump(&mut hub);
+        hub.pump();
     }
     clock.advance(10_000);
-    pump(&mut hub);
-    flush(&mut hub);
-
-    let server_content = hub
-        .server()
-        .paths()
-        .into_iter()
-        .map(|p| {
-            let c = hub.server().file(&p);
-            (p, c)
-        })
-        .collect();
-    let client_files = (0..hub.client_count())
-        .map(|idx| {
-            let mut files: Vec<(String, Vec<u8>)> = hub
-                .fs(idx)
-                .walk_files("/")
-                .unwrap_or_default()
-                .into_iter()
-                .map(|p| {
-                    let c = hub.fs(idx).peek_all(p.as_str()).unwrap();
-                    (p.to_string(), c)
-                })
-                .collect();
-            files.sort();
-            files
-        })
-        .collect();
-    let traffic = (0..hub.client_count())
-        .map(|idx| (hub.traffic(idx).bytes_up, hub.traffic(idx).bytes_down))
-        .collect();
-    let acked = hub
-        .acked()
-        .iter()
-        .map(|(c, p, v)| (*c, p.clone(), v.counter))
-        .collect();
-    (
-        server_content,
-        hub.server().apply_order(),
-        client_files,
-        traffic,
-        acked,
-        hub.conflicts()
-            .iter()
-            .map(|(client, conflict)| (*client, conflict.path.clone()))
-            .collect(),
-    )
+    hub.pump();
+    hub.flush();
+    hub
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sharding is a pure dispatch optimization (DESIGN.md §13): the same
-    /// multi-tenant workload run on 1-, 4- and 16-shard hubs produces
-    /// identical server content, identical per-client state, identical
-    /// traffic totals, the identical causal apply order and the identical
-    /// conflict sequence — under either name of the hub's pump. The
-    /// striped locks, per-shard persistence and batched fan-out may only
-    /// change wall-clock time, never outcomes.
+    /// Many tenants on the one server: a multi-tenant workload run twice
+    /// lands the identical server content, per-client state, traffic,
+    /// causal apply order, ack order and conflict sequence; no client
+    /// ever holds a path outside its namespace; and once settled, every
+    /// client agrees with the server inside its namespace. (The name is
+    /// from when the hub was sharded; DESIGN.md §13 maps the old checks.)
     #[test]
     fn sharded_hub_matches_single_shard(
         ops in proptest::collection::vec(
@@ -913,30 +911,40 @@ proptest! {
             1..16
         )
     ) {
-        let plain: HubDriver = (SyncHub::pump, SyncHub::flush);
-        let baseline = run_tenant_workload(1, plain, &ops);
-        for shards in [4usize, 16] {
-            let forwarding: HubDriver = (SyncHub::pump_parallel, SyncHub::flush_parallel);
-            for (name, driver) in [("pump", plain), ("pump_parallel", forwarding)] {
-                let sharded = run_tenant_workload(shards, driver, &ops);
-                prop_assert_eq!(&sharded.0, &baseline.0, "server content, {} shards, {}", shards, name);
-                prop_assert_eq!(&sharded.1, &baseline.1, "apply order, {} shards, {}", shards, name);
-                prop_assert_eq!(&sharded.2, &baseline.2, "client state, {} shards, {}", shards, name);
-                prop_assert_eq!(&sharded.3, &baseline.3, "traffic, {} shards, {}", shards, name);
-                prop_assert_eq!(&sharded.4, &baseline.4, "acked order, {} shards, {}", shards, name);
-                prop_assert_eq!(&sharded.5, &baseline.5, "conflicts, {} shards, {}", shards, name);
+        let mut hub = run_tenant_workload(&ops);
+        let first = hub_fingerprint(&hub);
+        prop_assert_eq!(&hub_fingerprint(&run_tenant_workload(&ops)), &first, "two runs diverged");
+        for idx in 0..hub.client_count() {
+            let subtree = format!("/{}/", hub.namespace(idx));
+            for (path, _) in client_files(&hub, idx) {
+                prop_assert!(path.starts_with(&subtree), "client {} holds {}", idx, path);
+            }
+        }
+        prop_assert!(hub.settle(600_000), "a courier never drained");
+        for idx in 0..hub.client_count() {
+            for path in hub.cloud().paths_in_namespace(hub.namespace(idx)) {
+                prop_assert_eq!(
+                    hub.fs(idx).peek_slice(&path).ok(),
+                    hub.cloud().file(&path),
+                    "client {} diverged on {}", idx, path
+                );
+            }
+            for (path, _) in client_files(&hub, idx) {
+                prop_assert!(
+                    path.contains(".conflict-") || hub.cloud().file(&path).is_some(),
+                    "client {} holds {} the server lacks", idx, path
+                );
             }
         }
     }
 
-    /// The multi-writer fault topology test, on a sharded hub: two
-    /// writers whose namespaces live on different shards of four, each
-    /// under its own independent drop/dup/reorder schedule, with a
-    /// passive reader per namespace so forwarded downloads stay in play.
-    /// Sharded dispatch, per-shard snapshots and replicated group
-    /// records must preserve convergence and per-writer causal order.
+    /// The multi-writer fault topology test with namespaces: two writers
+    /// in two namespaces of the one server, each under its own
+    /// independent drop/dup/reorder schedule, with a passive reader per
+    /// namespace so forwarded downloads stay in play. Convergence and
+    /// per-writer causal order must hold in each namespace.
     #[test]
-    fn sharded_multi_writer_fault_topology_converges(
+    fn namespaced_multi_writer_fault_topology_converges(
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
         drop_a in 0.0f64..0.35,
@@ -951,21 +959,14 @@ proptest! {
     ) {
         use deltacfs::core::DeltaCfsConfig;
 
-        // Two namespaces guaranteed to live on different shards.
-        let router = ShardRouter::new(4);
-        let ns_a = "a".to_string();
-        let ns_b = (0..)
-            .map(|i| format!("b{i}"))
-            .find(|ns| router.shard_of_namespace(ns) != router.shard_of_namespace(&ns_a))
-            .unwrap();
+        let (ns_a, ns_b) = ("a".to_string(), "b0".to_string());
 
         let clock = SimClock::new();
-        let mut hub = recorded(SyncHub::with_shards(clock.clone(), 4));
+        let mut hub = recorded(SyncHub::new(clock.clone()));
         let wa = hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
         let wb = hub.add_client_in(&ns_b, DeltaCfsConfig::new(), LinkSpec::pc());
         let _ra = hub.add_client_in(&ns_a, DeltaCfsConfig::new(), LinkSpec::pc());
         let _rb = hub.add_client_in(&ns_b, DeltaCfsConfig::new(), LinkSpec::pc());
-        prop_assert!(hub.home_shard(wa) != hub.home_shard(wb));
         hub.fs_mut(wa).mkdir_all(&format!("/{ns_a}")).unwrap();
         hub.fs_mut(wb).mkdir_all(&format!("/{ns_b}")).unwrap();
         hub.enable_fault_topology(vec![
@@ -1035,8 +1036,8 @@ proptest! {
         // on every path inside its own namespace.
         for idx in 0..hub.client_count() {
             let ns = hub.namespace(idx).to_string();
-            for path in hub.server().paths_in_namespace(&ns) {
-                let server = hub.server().file(&path).unwrap();
+            for path in hub.cloud().paths_in_namespace(&ns) {
+                let server = hub.cloud().file(&path).unwrap();
                 let local = hub.fs(idx).peek_all(&path).unwrap_or_default();
                 prop_assert_eq!(
                     &local, &server,
@@ -1044,7 +1045,7 @@ proptest! {
                 );
             }
         }
-        // Causal order per writer, independent of the other shard's
+        // Causal order per writer, independent of the other writer's
         // interleaved retries.
         let mut last: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
         for (client, path, version) in hub.acked() {
@@ -1065,10 +1066,9 @@ proptest! {
 /// against the other's version table and streamed back out as chunked
 /// forward frames, so the download-direction framing, staging and
 /// atomic group commit run in both directions at once. Returns
-/// everything the shard count must not change.
+/// everything a second run must repeat.
 #[allow(clippy::type_complexity)]
 fn run_bidirectional_workload(
-    shards: usize,
     seeds: (u64, u64),
     rates: (f64, f64, f64, f64),
     ops: &[(bool, u8, usize, u64, Vec<u8>)],
@@ -1083,7 +1083,7 @@ fn run_bidirectional_workload(
     use deltacfs::core::DeltaCfsConfig;
 
     let clock = SimClock::new();
-    let mut hub = recorded(SyncHub::with_shards(clock.clone(), shards));
+    let mut hub = recorded(SyncHub::new(clock.clone()));
     let a = hub.add_client_in("shared", DeltaCfsConfig::new(), LinkSpec::pc());
     let b = hub.add_client_in("shared", DeltaCfsConfig::new(), LinkSpec::pc());
     hub.fs_mut(a).mkdir_all("/shared").unwrap();
@@ -1151,33 +1151,16 @@ fn run_bidirectional_workload(
     }
     let settled = hub.settle(600_000);
 
-    let mut server_content: Vec<(String, Option<Vec<u8>>)> = hub
-        .server()
+    let server_content: Vec<(String, Option<Vec<u8>>)> = hub
+        .cloud()
         .paths()
         .into_iter()
         .map(|p| {
-            let c = hub.server().file(&p);
+            let c = hub.cloud().file(&p).map(<[u8]>::to_vec);
             (p, c)
         })
         .collect();
-    server_content.sort();
-    let replica_state = replicas
-        .iter()
-        .map(|&idx| {
-            let mut files: Vec<(String, Vec<u8>)> = hub
-                .fs(idx)
-                .walk_files("/")
-                .unwrap_or_default()
-                .into_iter()
-                .map(|p| {
-                    let c = hub.fs(idx).peek_all(p.as_str()).unwrap();
-                    (p.to_string(), c)
-                })
-                .collect();
-            files.sort();
-            files
-        })
-        .collect();
+    let replica_state = replicas.iter().map(|&idx| client_files(&hub, idx)).collect();
     let traffic = replicas
         .iter()
         .map(|&idx| (hub.traffic(idx).bytes_up, hub.traffic(idx).bytes_down))
@@ -1215,7 +1198,7 @@ proptest! {
         )
     ) {
         let (settled, deferred, conflicts, server, replicas, _traffic) =
-            run_bidirectional_workload(1, (seed_a, seed_b), (up_a, down_a, up_b, down_b), &ops);
+            run_bidirectional_workload((seed_a, seed_b), (up_a, down_a, up_b, down_b), &ops);
         prop_assert!(
             settled,
             "seeds {}/{}: a courier gave up or never drained", seed_a, seed_b
@@ -1246,11 +1229,11 @@ proptest! {
     }
 }
 
-/// The bidirectional scenario is shard-invariant: the same pinned-seed
-/// concurrent-edit workload run on 1-, 2-, 4- and 8-shard hubs lands
-/// byte-identical server content, replica states and traffic totals —
-/// forwarded chunk streams cross the sharded server without perturbing
-/// any outcome.
+/// The bidirectional scenario, pinned: the concurrent-edit workload
+/// drains with no leaked duplicates and no conflicts, every replica
+/// equals the server, and a second run lands byte-identical server
+/// content, replica states and traffic totals. (The name is from when
+/// the hub was sharded; DESIGN.md §13 maps the old checks.)
 #[test]
 fn bidirectional_sync_is_byte_identical_for_any_shard_count() {
     let ops: Vec<(bool, u8, usize, u64, Vec<u8>)> = (0..24usize)
@@ -1268,8 +1251,8 @@ fn bidirectional_sync_is_byte_identical_for_any_shard_count() {
     let seeds = (0xB1D1u64, 0xB1D2u64);
     let rates = (0.25, 0.25, 0.2, 0.3);
 
-    let baseline = run_bidirectional_workload(1, seeds, rates, &ops);
-    assert!(baseline.0, "single-shard baseline never drained");
+    let baseline = run_bidirectional_workload(seeds, rates, &ops);
+    assert!(baseline.0, "the baseline never drained");
     assert_eq!(baseline.1, 0, "deferred duplicates leaked");
     assert_eq!(baseline.2, 0, "disjoint-file replicas must not conflict");
     for (path, content) in &baseline.3 {
@@ -1279,13 +1262,8 @@ fn bidirectional_sync_is_byte_identical_for_any_shard_count() {
             assert_eq!(local, Some(content), "replica {idx} diverged on {path}");
         }
     }
-    for shards in [2usize, 4, 8] {
-        let run = run_bidirectional_workload(shards, seeds, rates, &ops);
-        assert_eq!(
-            run, baseline,
-            "{shards}-shard run diverged from the single-shard baseline"
-        );
-    }
+    let again = run_bidirectional_workload(seeds, rates, &ops);
+    assert_eq!(again, baseline, "a second run diverged from the first");
 }
 
 /// Runs one streamed two-group workload through a [`DeltaCfsSystem`]

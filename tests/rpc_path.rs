@@ -439,7 +439,7 @@ fn server_history_holds_the_overwritten_bytes_not_whole_copies() {
         clock.advance(10_000);
         hub.pump();
     }
-    let versions = hub.server().version_history("/big");
+    let versions = hub.cloud().version_history("/big");
     assert_eq!(
         versions.len() as u64,
         2 + GROUPS,
@@ -455,14 +455,14 @@ fn server_history_holds_the_overwritten_bytes_not_whole_copies() {
         "{retained} bytes retained for {GROUPS} 4 KiB groups"
     );
     // Each of them is still the file it was.
-    let before_any = hub.server().file_at("/big", versions[1]).unwrap();
+    let before_any = hub.cloud().file_at("/big", versions[1]).unwrap();
     assert_eq!(before_any, vec![3u8; 1 << 20]);
 }
 
 #[test]
 fn pump_over_idle_tenants_visits_no_client() {
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), 4);
+    let mut hub = SyncHub::new(clock.clone());
     for t in 0..64 {
         hub.add_client_in(&format!("t{t}"), DeltaCfsConfig::new(), LinkSpec::pc());
     }
@@ -490,7 +490,7 @@ const TENANTS: usize = 6;
 #[test]
 fn mostly_idle_tenants_are_visited_only_while_they_hold_work() {
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), 4);
+    let mut hub = SyncHub::new(clock.clone());
     for t in 0..TENANTS {
         for _ in 0..2 {
             hub.add_client_in(&format!("t{t}"), DeltaCfsConfig::new(), LinkSpec::pc());
@@ -558,7 +558,7 @@ fn mostly_idle_tenants_are_visited_only_while_they_hold_work() {
     clock.advance(10_000);
     hub.flush();
     assert!(
-        !hub.conflicts().is_empty() || hub.server().paths().iter().any(|p| p.contains(".conflict"))
+        !hub.conflicts().is_empty() || hub.cloud().paths().iter().any(|p| p.contains(".conflict"))
     );
     for t in 0..TENANTS {
         let subtree = format!("/t{t}/");
@@ -568,10 +568,10 @@ fn mostly_idle_tenants_are_visited_only_while_they_hold_work() {
                 files.iter().all(|p| p.as_str().starts_with(&subtree)),
                 "client {idx} holds a file outside {subtree}: {files:?}"
             );
-            for path in hub.server().paths_in_namespace(&format!("t{t}")) {
+            for path in hub.cloud().paths_in_namespace(&format!("t{t}")) {
                 assert_eq!(
                     hub.fs(idx).peek_slice(&path).ok(),
-                    hub.server().file(&path).as_deref(),
+                    hub.cloud().file(&path),
                     "client {idx} {path}"
                 );
             }
@@ -582,7 +582,7 @@ fn mostly_idle_tenants_are_visited_only_while_they_hold_work() {
 #[test]
 fn relation_entry_of_an_otherwise_idle_client_still_expires() {
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), 4);
+    let mut hub = SyncHub::new(clock.clone());
     // An entry that outlives the upload delay: the unlink is long gone
     // from the queue while its preserved content is still held.
     let mut cfg = DeltaCfsConfig::new();
@@ -603,7 +603,7 @@ fn relation_entry_of_an_otherwise_idle_client_still_expires() {
     let delay = hub.client(a).config().upload_delay_ms;
     clock.advance(delay);
     hub.pump();
-    assert!(hub.server().file("/t/f").is_none(), "the unlink went up");
+    assert!(hub.cloud().file("/t/f").is_none(), "the unlink went up");
     assert_eq!(hub.client(a).queued_nodes(), 0);
     assert!(
         !hub.client(a).is_quiescent(),
@@ -629,7 +629,7 @@ fn relation_entry_of_an_otherwise_idle_client_still_expires() {
 /// server, pumping once a second.
 fn snapshot_upload_times() -> Vec<u64> {
     let clock = SimClock::new();
-    let mut hub = SyncHub::with_shards(clock.clone(), 2);
+    let mut hub = SyncHub::new(clock.clone());
     let cfg = DeltaCfsConfig::new().with_causal_mode(CausalMode::Snapshot { interval_ms: 5_000 });
     let a = hub.add_client_in("t", cfg, LinkSpec::pc());
     hub.add_client_in("t", DeltaCfsConfig::new(), LinkSpec::pc());

@@ -451,7 +451,7 @@ fn forwarded_gedit_save_keeps_the_backup_link_distinct_on_the_peer() {
     assert_ne!(current, backup, "the last save changed the document");
     for (name, expected) in [("/notes.txt", &current), ("/notes.txt~", &backup)] {
         assert_eq!(
-            hub.server().file(name).as_deref(),
+            hub.cloud().file(name),
             Some(&expected[..]),
             "{name} on the cloud"
         );

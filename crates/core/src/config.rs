@@ -50,21 +50,22 @@ pub struct DeltaCfsConfig {
     /// Compat, no behaviour (DESIGN.md §10): always 0, read by nothing
     /// here; `benchmark/src/probes.rs` names it.
     pub min_parallel_bytes: usize,
-    /// Upload transaction groups as a stream of bounded chunk frames
-    /// (scatter-gather wire framing, staged per group on the server)
-    /// instead of one materialized buffer per group. Off by default;
-    /// traffic totals, costs, and server state are identical either way.
+    /// Compat, no behaviour (DESIGN.md §12): every group goes up as
+    /// frames, so nothing here reads it; `benchmark/src/{config,staged}.rs`
+    /// name it.
     pub streaming: bool,
-    /// Payload-byte budget per streamed chunk frame (see
+    /// Payload-byte budget per chunk frame, in both directions (see
     /// [`frame_group`](crate::pipeline::frame_group)).
     pub chunk_budget: usize,
-    /// Run streamed chunk frames through the adaptive wire codec: a
-    /// cost-benefit controller compresses a frame when the link's
-    /// byte savings beat the platform's compression CPU, and ships it
-    /// raw otherwise (never worse than raw — an incompressible frame
-    /// crosses the wire byte-identical to a codec-less run). Off by
-    /// default; applied content, costs, and outcomes are identical
-    /// either way, only traffic and timing improve.
+    /// Run chunk frames through the adaptive wire codec — this client's
+    /// uploads, through `DeltaCfsSystem` or `SyncHub` alike, and the
+    /// hub's forwards to it: a cost-benefit controller compresses a
+    /// frame when the link's byte savings beat the compressing
+    /// platform's CPU, and ships it raw otherwise (never worse than
+    /// raw — an incompressible frame crosses the wire byte-identical to
+    /// a codec-less run). Off by default; applied content, costs, and
+    /// outcomes are identical either way, only traffic and timing
+    /// improve.
     pub wire_compression: bool,
 }
 
@@ -101,13 +102,14 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// Enables the streaming upload pipeline.
+    /// Compat, no behaviour: sets [`streaming`](Self::streaming), which
+    /// nothing here reads.
     pub fn with_streaming(mut self, on: bool) -> Self {
         self.streaming = on;
         self
     }
 
-    /// Sets the per-frame payload budget for streamed uploads.
+    /// Sets the per-frame payload budget.
     ///
     /// # Panics
     ///
@@ -118,7 +120,7 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// Enables the adaptive wire codec on streamed chunk frames.
+    /// Enables the adaptive wire codec on chunk frames.
     pub fn with_wire_compression(mut self, on: bool) -> Self {
         self.wire_compression = on;
         self
@@ -200,19 +202,17 @@ mod tests {
         assert_eq!(c.block_size, 4096);
         assert!(c.checksums);
         assert!(!c.without_checksums().checksums);
-        assert!(!c.streaming, "streaming is opt-in");
         assert_eq!(c.chunk_budget, 256 * 1024);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);
     }
 
     #[test]
-    fn streaming_builders() {
-        let c = DeltaCfsConfig::new()
-            .with_streaming(true)
-            .with_chunk_budget(4096);
-        assert!(c.streaming);
-        assert_eq!(c.chunk_budget, 4096);
+    fn chunk_budget_builder() {
+        assert_eq!(
+            DeltaCfsConfig::new().with_chunk_budget(4096).chunk_budget,
+            4096
+        );
     }
 
     #[test]

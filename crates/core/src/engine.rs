@@ -6,19 +6,16 @@
 //! and Dropsync-like) implement the same [`SyncEngine`] trait, so the
 //! trace-replay driver and every benchmark treat all five identically.
 
-use std::time::Instant;
-
 use deltacfs_delta::Cost;
-use deltacfs_kvstore::KeyValue;
-use deltacfs_net::{Link, LinkSpec, PlatformProfile, SimClock, SimTime, TrafficStats};
-use deltacfs_obs::{GroupKey, Histogram, Obs};
+use deltacfs_net::{Link, LinkSpec, PlatformProfile, SimClock, TrafficStats};
+use deltacfs_obs::{GroupKey, Obs};
 use deltacfs_vfs::{OpEvent, Vfs};
 
 use crate::client::DeltaCfsClient;
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::DeltaCfsConfig;
-use crate::pipeline;
-use crate::protocol::{ApplyOutcome, ClientId, UpdateMsg, ACK_WIRE_BYTES};
+use crate::pipeline::{self, Arrival};
+use crate::protocol::{ApplyOutcome, ClientId, UpdateMsg};
 use crate::server::CloudServer;
 
 /// Summary of an engine's resource usage after a run.
@@ -57,8 +54,8 @@ pub trait SyncEngine {
 /// A complete single-client DeltaCFS deployment: client engine, cloud
 /// server, and the link between them.
 #[derive(Debug)]
-pub struct DeltaCfsSystem<K: KeyValue = deltacfs_kvstore::MemStore> {
-    client: DeltaCfsClient<K>,
+pub struct DeltaCfsSystem {
+    client: DeltaCfsClient,
     server: CloudServer,
     link: Link,
     clock: SimClock,
@@ -67,19 +64,19 @@ pub struct DeltaCfsSystem<K: KeyValue = deltacfs_kvstore::MemStore> {
     wire_codec: WireCodec,
 }
 
-/// The upload-direction codec a config and link imply: adaptive when
-/// `wire_compression` is on, a raw-passthrough otherwise. The platform
-/// defaults to PC until [`DeltaCfsSystem::set_platform`] overrides it.
-fn upload_codec(cfg: &DeltaCfsConfig, link_spec: LinkSpec) -> WireCodec {
-    let policy = if cfg.wire_compression {
+/// The codec policy a config implies, in both directions: adaptive when
+/// `wire_compression` is on, a raw passthrough otherwise. Upload codecs
+/// start on the PC profile; [`DeltaCfsSystem::set_platform`] overrides
+/// it, the hub's clients keep it.
+pub(crate) fn codec_policy(cfg: &DeltaCfsConfig) -> CodecPolicy {
+    if cfg.wire_compression {
         CodecPolicy::Adaptive
     } else {
         CodecPolicy::Never
-    };
-    WireCodec::for_upload(policy, PlatformProfile::pc(), link_spec)
+    }
 }
 
-impl DeltaCfsSystem<deltacfs_kvstore::MemStore> {
+impl DeltaCfsSystem {
     /// Creates a system with an in-memory checksum store.
     pub fn new(cfg: DeltaCfsConfig, clock: SimClock, link_spec: LinkSpec) -> Self {
         DeltaCfsSystem {
@@ -89,27 +86,7 @@ impl DeltaCfsSystem<deltacfs_kvstore::MemStore> {
             clock,
             outcomes: Vec::new(),
             obs: Obs::new(),
-            wire_codec: upload_codec(&cfg, link_spec),
-        }
-    }
-}
-
-impl<K: KeyValue> DeltaCfsSystem<K> {
-    /// Creates a system with an explicit checksum-store backend.
-    pub fn with_backend(
-        cfg: DeltaCfsConfig,
-        clock: SimClock,
-        link_spec: LinkSpec,
-        backend: K,
-    ) -> Self {
-        DeltaCfsSystem {
-            client: DeltaCfsClient::with_backend(ClientId(1), cfg, clock.clone(), backend),
-            server: CloudServer::new(),
-            link: Link::new(link_spec),
-            clock,
-            outcomes: Vec::new(),
-            obs: Obs::new(),
-            wire_codec: upload_codec(&cfg, link_spec),
+            wire_codec: WireCodec::for_upload(codec_policy(&cfg), PlatformProfile::pc(), link_spec),
         }
     }
 
@@ -146,12 +123,12 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
     }
 
     /// The client engine.
-    pub fn client(&self) -> &DeltaCfsClient<K> {
+    pub fn client(&self) -> &DeltaCfsClient {
         &self.client
     }
 
     /// Mutable access to the client engine.
-    pub fn client_mut(&mut self) -> &mut DeltaCfsClient<K> {
+    pub fn client_mut(&mut self) -> &mut DeltaCfsClient {
         &mut self.client
     }
 
@@ -165,7 +142,8 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         &self.outcomes
     }
 
-    /// Uploads every ready transaction group to the cloud.
+    /// Uploads every ready transaction group to the cloud, each as
+    /// frames through [`pipeline::upload_frames`], and commits it.
     fn upload_ready(&mut self, fs: &Vfs, flush: bool) {
         let groups = if flush {
             self.client.flush(fs)
@@ -173,80 +151,28 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
             self.client.tick(fs)
         };
         let now = self.clock.now();
-        let cfg = *self.client.config();
+        let chunk_budget = self.client.config().chunk_budget;
         for group in groups {
-            if cfg.streaming && group.iter().all(|m| m.group.is_some()) {
-                self.upload_group_streaming(&group, cfg.chunk_budget, now);
-            } else {
+            let arrived = pipeline::upload_frames(
+                &self.obs,
+                &mut self.link,
+                &mut self.wire_codec,
+                &mut self.server,
+                &group,
+                chunk_budget,
+                now,
+                Arrival::Acked,
+            );
+            // `None` only if the stager rejected frames cut in this
+            // process, which arrive in order.
+            if let Some((msgs, at)) = arrived {
+                let outcomes = self.server.apply_txn(&msgs);
+                let key = group_span_key(&msgs);
                 // "client-1": the actor `ClientId(1)`'s engine traces itself as.
-                let outcomes = upload_group(
-                    &self.obs,
-                    &mut self.link,
-                    "client-1",
-                    now,
-                    &group,
-                    None,
-                    |msgs| self.server.apply_txn(msgs),
-                );
+                record_apply(&self.obs, "client-1", key, at.as_millis(), &outcomes);
                 self.outcomes.extend(outcomes);
             }
         }
-    }
-
-    /// Streams one group as bounded chunk frames: each frame
-    /// (scatter-gather, shared payloads) goes through the wire codec,
-    /// onto the link and into the server's chunk stage as it is cut; the
-    /// server commits the group atomically on the final frame. Traffic
-    /// totals match the materialized path exactly — the frames'
-    /// accounted bytes sum to `Σ wire_size()` and the message latency is
-    /// charged once per group, as `Link::upload` would.
-    fn upload_group_streaming(&mut self, group: &[UpdateMsg], chunk_budget: usize, now: SimTime) {
-        let link = &mut self.link;
-        let server = &mut self.server;
-        let outcomes = &mut self.outcomes;
-        let codec = &mut self.wire_codec;
-        let recorder = &self.obs.recorder;
-        let at_ms = now.as_millis();
-        let key = group_span_key(group);
-        let mut stage_first_ms: Option<u64> = None;
-        pipeline::frame_group(group, chunk_budget, |frame| {
-            let frame = codec.encode_frame(frame, at_ms);
-            let busy_before = link.upload_busy_until();
-            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), now);
-            let (start_ms, d) = (now.max(busy_before).as_millis(), done.as_millis());
-            recorder.record(key, "link", "wire.upload", start_ms, d, None, || {
-                format!(
-                    "msg {} chunk {}{}: {} bytes ({} shared), {} on the wire",
-                    frame.msg_idx,
-                    frame.chunk_idx,
-                    if frame.last_in_group { " [group end]" } else { "" },
-                    frame.byte_len(),
-                    frame.payload_bytes(),
-                    frame.accounted,
-                )
-            });
-            let staged_at = *stage_first_ms.get_or_insert(d);
-            if let Some(out) = server
-                .receive_chunk(&frame)
-                .expect("in-process chunk stream cannot be malformed")
-            {
-                recorder.record(key, "server", "server.stage", d, d, None, || {
-                    format!("committed after a {}ms staging window", d - staged_at)
-                });
-                recorder.record(key, "server", "server.apply", d, d, None, || {
-                    format!("{} outcome(s)", out.len())
-                });
-                outcomes.extend(out);
-            }
-        });
-        let busy_before_end = link.upload_busy_until();
-        let end_done = link.upload_end_msg(now);
-        let (start_ms, end_ms) = (now.max(busy_before_end).as_millis(), end_done.as_millis());
-        recorder.record(key, "link", "wire.upload", start_ms, end_ms, None, || {
-            "end-of-message latency".into()
-        });
-        // Acknowledgement.
-        link.download(ACK_WIRE_BYTES, now);
     }
 }
 
@@ -277,39 +203,7 @@ pub(crate) fn record_apply(
     });
 }
 
-/// The whole-message upload leg on a fault-free link, the one place a
-/// group goes up unframed: [`Link::upload`] → `wire.upload` span →
-/// `apply` (its wall-clock time observed into `latency` when given) →
-/// [`record_apply`] → acknowledgement. [`DeltaCfsSystem`] and the hub's
-/// pump both upload through here.
-pub(crate) fn upload_group(
-    obs: &Obs,
-    link: &mut Link,
-    actor: &str,
-    now: SimTime,
-    group: &[UpdateMsg],
-    latency: Option<&Histogram>,
-    apply: impl FnOnce(&[UpdateMsg]) -> Vec<ApplyOutcome>,
-) -> Vec<ApplyOutcome> {
-    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-    let key = group_span_key(group);
-    let busy_before = link.upload_busy_until();
-    let arrival = link.upload(wire, now);
-    let (start_ms, arrival_ms) = (now.max(busy_before).as_millis(), arrival.as_millis());
-    obs.recorder.record(key, "link", "wire.upload", start_ms, arrival_ms, None, || {
-        format!("group of {} msgs, {wire} wire bytes", group.len())
-    });
-    let t0 = latency.map(|_| Instant::now());
-    let outcomes = apply(group);
-    if let (Some(hist), Some(t0)) = (latency, t0) {
-        hist.observe(t0.elapsed().as_micros() as u64);
-    }
-    record_apply(obs, actor, key, arrival_ms, &outcomes);
-    link.download(ACK_WIRE_BYTES, now);
-    outcomes
-}
-
-impl<K: KeyValue> SyncEngine for DeltaCfsSystem<K> {
+impl SyncEngine for DeltaCfsSystem {
     fn name(&self) -> &str {
         "deltacfs"
     }
@@ -360,53 +254,57 @@ mod tests {
     }
 
     #[test]
-    fn streaming_upload_matches_materialized_traffic_and_state() {
-        // The streaming pipeline is an implementation detail of the
-        // upload: same traffic totals, same costs, same cloud state.
-        let run = |streaming: bool| {
-            let clock = SimClock::new();
-            let cfg = DeltaCfsConfig::new()
-                .with_streaming(streaming)
-                .with_chunk_budget(512);
-            let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
-            let mut fs = Vfs::new();
-            fs.enable_event_log();
-            fs.create("/f").unwrap();
-            let base: Vec<u8> = (0..30_000u32)
-                .map(|i| (i.wrapping_mul(17) % 250) as u8)
-                .collect();
-            fs.write("/f", 0, &base).unwrap();
-            fs.create("/small").unwrap();
-            fs.write("/small", 0, b"tiny file").unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
-            }
-            clock.advance(4000);
-            sys.tick(&fs);
-            // An in-place rewrite large enough to go through the local
-            // delta path, so the streamed group carries a Delta payload.
-            let edit = vec![0x5A; 16_000];
-            fs.write("/f", 200, &edit).unwrap();
-            fs.rename("/small", "/renamed").unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
-            }
-            clock.advance(4000);
-            sys.finish(&fs);
-            let r = sys.report();
-            (
-                r.traffic,
-                r.client_cost,
-                sys.server().file("/f").map(<[u8]>::to_vec),
-                sys.server().file("/renamed").map(<[u8]>::to_vec),
-                sys.outcomes().to_vec(),
-            )
+    fn framed_upload_charges_wire_size_latency_and_ack_per_group() {
+        // Every group crosses the link as frames (a 512-byte budget
+        // splits the delta), yet a reference link that carries each of
+        // a twin client's identical groups as one whole message plus its
+        // ack agrees on every counter and on when the uplink frees up:
+        // the frames sum to `Σ wire_size()`, latency and message count
+        // settle once per group.
+        use crate::protocol::ACK_WIRE_BYTES;
+
+        let spec = LinkSpec {
+            bandwidth_up: None,
+            bandwidth_down: None,
+            latency_ms: 40,
         };
-        let materialized = run(false);
-        let streamed = run(true);
-        assert_eq!(streamed, materialized);
-        assert!(streamed.2.is_some());
-        assert_eq!(streamed.3.as_deref(), Some(&b"tiny file"[..]));
+        let clock = SimClock::new();
+        let cfg = DeltaCfsConfig::new().with_chunk_budget(512);
+        let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), spec);
+        let mut twin = DeltaCfsClient::new(ClientId(1), cfg, clock.clone());
+        let mut reference = Link::new(spec);
+        let mut sync = |fs: &mut Vfs| {
+            for e in fs.drain_events() {
+                sys.on_event(&e, fs);
+                twin.handle_event(&e, fs);
+            }
+            clock.advance(4000);
+            for group in twin.flush(fs) {
+                reference.upload(group.iter().map(UpdateMsg::wire_size).sum(), clock.now());
+                reference.download(ACK_WIRE_BYTES, clock.now());
+            }
+            sys.finish(fs);
+        };
+        let mut fs = Vfs::new();
+        fs.enable_event_log();
+        fs.create("/f").unwrap();
+        let base: Vec<u8> = (0..30_000u32).map(|i| (i.wrapping_mul(17) % 250) as u8).collect();
+        fs.write("/f", 0, &base).unwrap();
+        fs.create("/small").unwrap();
+        fs.write("/small", 0, b"tiny file").unwrap();
+        sync(&mut fs);
+        // An in-place rewrite large enough for the local delta path.
+        fs.write("/f", 200, &vec![0x5A; 16_000]).unwrap();
+        fs.rename("/small", "/renamed").unwrap();
+        sync(&mut fs);
+
+        assert!(reference.stats().msgs_up >= 2);
+        assert!(sys.report().client_cost.bytes_copied > 0, "no delta went up");
+        assert_eq!(sys.report().traffic, reference.stats());
+        assert_eq!(sys.link.upload_busy_until(), reference.upload_busy_until());
+        assert!(sys.outcomes().iter().all(|o| *o == ApplyOutcome::Applied));
+        assert_eq!(sys.server().file("/f"), fs.peek_slice("/f").ok());
+        assert_eq!(sys.server().file("/renamed"), Some(&b"tiny file"[..]));
     }
 
     #[test]

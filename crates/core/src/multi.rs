@@ -16,6 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use deltacfs_kvstore::MemStore;
 use deltacfs_net::{
@@ -26,13 +27,13 @@ use deltacfs_obs::{GroupKey, Obs, Profiler, Snapshot};
 use deltacfs_vfs::Vfs;
 
 use crate::client::{DeltaCfsClient, RemoteConflict};
-use crate::codec::{CodecPolicy, WireCodec};
+use crate::codec::WireCodec;
 use crate::config::{DeltaCfsConfig, HubConfig};
-use crate::engine::{all_applied, group_span_key, record_apply, upload_group};
+use crate::engine::{all_applied, codec_policy, group_span_key, record_apply};
 use crate::persist;
-use crate::pipeline::{frame_group, ChunkStager};
+use crate::pipeline::{frame_group, upload_frames, Arrival, ChunkStager};
 use crate::protocol::{
-    ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version, ACK_WIRE_BYTES,
+    ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version,
 };
 use crate::retry::{Courier, RetryPolicy, BACKOFF_BUCKETS_MS};
 use crate::server::{in_namespace, CloudServer};
@@ -71,6 +72,9 @@ struct Slot {
     /// byte savings beat the hub's compression CPU. Policy follows the
     /// client's `wire_compression` knob.
     forward_codec: WireCodec,
+    /// The client's upload-direction codec, built as
+    /// [`DeltaCfsSystem`](crate::DeltaCfsSystem) builds its own.
+    upload_codec: WireCodec,
 }
 
 impl Slot {
@@ -202,6 +206,7 @@ impl SyncHub {
             slot.client.set_obs(self.obs.clone());
             slot.courier.set_backoff_histogram(hist.clone());
             slot.forward_codec.attach_obs(&self.obs);
+            slot.upload_codec.attach_obs(&self.obs);
         }
     }
 
@@ -253,13 +258,11 @@ impl SyncHub {
                 .or_default()
                 .push(idx);
         }
-        let policy = if cfg.wire_compression {
-            CodecPolicy::Adaptive
-        } else {
-            CodecPolicy::Never
-        };
-        let mut forward_codec = WireCodec::for_forward(policy, link_spec);
+        let policy = codec_policy(&cfg);
+        let mut forward_codec = WireCodec::for_forward(policy.clone(), link_spec);
         forward_codec.attach_obs(&self.obs);
+        let mut upload_codec = WireCodec::for_upload(policy, PlatformProfile::pc(), link_spec);
+        upload_codec.attach_obs(&self.obs);
         let mut link = Link::new(link_spec);
         if cfg.wire_compression {
             // The hub compresses forwards, so its (pc-class) CPU rate is
@@ -279,6 +282,7 @@ impl SyncHub {
             forward_groups: 0,
             forward_max_frame_bytes: 0,
             forward_codec,
+            upload_codec,
         });
         idx
     }
@@ -574,15 +578,27 @@ impl SyncHub {
             }
             for group in groups {
                 let slot = &mut self.slots[idx];
-                let outcomes = upload_group(
+                let chunk_budget = slot.client.config().chunk_budget;
+                let arrived = upload_frames(
                     &self.obs,
                     &mut slot.link,
-                    &slot.actor,
-                    now,
+                    &mut slot.upload_codec,
+                    &mut self.server,
                     &group,
-                    latency.as_ref(),
-                    |msgs| self.server.apply_txn(msgs),
+                    chunk_budget,
+                    now,
+                    Arrival::Acked,
                 );
+                // `None` only if the server's stager rejected frames cut
+                // in this process, which a clean link leaves in order.
+                let Some((msgs, at)) = arrived else { continue };
+                let t0 = latency.as_ref().map(|_| Instant::now());
+                let outcomes = self.server.apply_txn(&msgs);
+                if let (Some(hist), Some(t0)) = (&latency, t0) {
+                    hist.observe(t0.elapsed().as_micros() as u64);
+                }
+                let key = group_span_key(&group);
+                record_apply(&self.obs, &slot.actor, key, at.as_millis(), &outcomes);
                 let applied = all_applied(&outcomes);
                 self.server_outcomes.extend(outcomes);
                 if applied {
@@ -624,24 +640,12 @@ impl SyncHub {
             let attempt = flight.attempts;
             let group = flight.group.clone();
             let now_ms = now.as_millis();
-            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
             let gkey = group_span_key(&group);
-            let recorder = self.obs.recorder.clone();
-            let busy_before = self.slots[idx].link.upload_busy_until();
-            let (done, verdict) =
-                self.slots[idx]
-                    .link
-                    .upload_faulty(wire, now, idx, topo.plan_for(idx));
-            // One span per attempt. An attempt the fault plan kills
-            // (dropped on the wire, or a disconnected client) leaves its
-            // span open on purpose: the profile shows in-flight work
-            // that never completed.
-            let start_ms = now.max(busy_before).as_millis();
-            let attempt_span = recorder.start(gkey, "link", "wire.upload", start_ms, None);
-            let done_ms = done.map(|d| d.as_millis()).unwrap_or(now_ms);
-            match verdict {
+            let verdict = topo.plan_for(idx).upload_verdict(idx, now);
+            let arrival = match verdict {
                 UploadVerdict::Disconnected => {
-                    // The reconnection time is known: park until then.
+                    // Nothing goes on the wire. The reconnection time is
+                    // known: park until then.
                     let until = topo
                         .plan_for(idx)
                         .disconnect_until(idx, now)
@@ -652,37 +656,52 @@ impl SyncHub {
                     self.slots[idx].courier.defer_until(until);
                     break;
                 }
-                UploadVerdict::Dropped => {
-                    self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
-                        format!("attempt {attempt} dropped on the wire")
-                    });
-                    let delay = self.slots[idx].courier.on_failure(now);
-                    self.trace_backoff(idx, gkey, now_ms, delay);
+                UploadVerdict::Dropped => Arrival::Dropped,
+                UploadVerdict::Delivered {
+                    crash_after_apply: false,
+                    ..
+                } => Arrival::Acked,
+                UploadVerdict::CrashBeforeApply | UploadVerdict::Delivered { .. } => {
+                    Arrival::Unacked
                 }
-                UploadVerdict::CrashBeforeApply => {
-                    // The group dies with the server's volatile state; the
-                    // restarted server comes back from its snapshot and
-                    // the client retries into it.
+            };
+            // A dropped attempt's `wire.upload` span stays open on
+            // purpose: the profile shows in-flight work that never
+            // completed.
+            let slot = &mut self.slots[idx];
+            let chunk_budget = slot.client.config().chunk_budget;
+            let arrived = upload_frames(
+                &self.obs,
+                &mut slot.link,
+                &mut slot.upload_codec,
+                &mut self.server,
+                &group,
+                chunk_budget,
+                now,
+                arrival,
+            );
+            match (verdict, arrived) {
+                (UploadVerdict::CrashBeforeApply, _) => {
+                    // The staged group dies with the server's volatile
+                    // state; the restarted server comes back from its
+                    // snapshot and the client retries into it. The
+                    // missing server.apply is what marks the loss.
                     self.obs.recorder.event(gkey, "server", "fault.inject", now_ms, || {
                         "server crash before apply; restored from snapshot".to_string()
-                    });
-                    // The bytes did arrive — the wire span closes; the
-                    // missing server.apply is what marks the loss.
-                    self.obs.recorder.end(attempt_span, done_ms, || {
-                        format!("attempt {attempt} arrived; server crashed before apply")
                     });
                     self.crash_server(gkey, now_ms);
                     let delay = self.slots[idx].courier.on_failure(now);
                     self.trace_backoff(idx, gkey, now_ms, delay);
                 }
-                UploadVerdict::Delivered {
-                    duplicate,
-                    crash_after_apply,
-                } => {
-                    let (outcomes, was_dup) = self.server.apply_txn_idempotent(&group);
-                    self.obs.recorder.end(attempt_span, done_ms, || {
-                        format!("attempt {attempt}: {wire} wire bytes delivered")
-                    });
+                (
+                    UploadVerdict::Delivered {
+                        duplicate,
+                        crash_after_apply,
+                    },
+                    Some((msgs, at)),
+                ) => {
+                    let done_ms = at.as_millis();
+                    let (outcomes, was_dup) = self.server.apply_txn_idempotent(&msgs);
                     if was_dup {
                         self.obs.recorder.event(gkey, "server", "server.dedup", now_ms, || {
                             format!("replay of group from {actor} absorbed ({} msgs)", group.len())
@@ -720,11 +739,7 @@ impl SyncHub {
                         self.crash_server(gkey, now_ms);
                         let delay = self.slots[idx].courier.on_failure(now);
                         self.trace_backoff(idx, gkey, now_ms, delay);
-                    } else if self.slots[idx]
-                        .link
-                        .download_faulty(ACK_WIRE_BYTES, now, idx, topo.plan_for(idx))
-                        .is_some()
-                    {
+                    } else if !topo.plan_for(idx).download_lost(idx, now) {
                         self.obs.recorder.event(gkey, &actor, "wire.ack", now_ms, || {
                             format!("group acknowledged after {} attempt(s)", attempt)
                         });
@@ -752,6 +767,22 @@ impl SyncHub {
                         let delay = self.slots[idx].courier.on_failure(now);
                         self.trace_backoff(idx, gkey, now_ms, delay);
                     }
+                }
+                // Dropped on the wire, or (disconnects park above) a
+                // stream the stager rejected: nothing arrived.
+                (
+                    UploadVerdict::Dropped
+                    | UploadVerdict::Disconnected
+                    | UploadVerdict::Delivered { .. },
+                    _,
+                ) => {
+                    if verdict == UploadVerdict::Dropped {
+                        self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
+                            format!("attempt {attempt} dropped on the wire")
+                        });
+                    }
+                    let delay = self.slots[idx].courier.on_failure(now);
+                    self.trace_backoff(idx, gkey, now_ms, delay);
                 }
             }
         }
@@ -1154,9 +1185,10 @@ fn plan_forward_group(server: &CloudServer, peer: &Slot, group: &[UpdateMsg]) ->
 }
 
 /// Streams one planned group to one receiving client as bounded chunk
-/// frames — the forward/download mirror of the upload pipeline. Each
-/// frame occupies the peer's downlink as a part
-/// ([`Link::download_part`]), the per-message latency settles once per
+/// frames — the forward/download mirror of
+/// [`upload_frames`](crate::pipeline::upload_frames). Each frame
+/// occupies the peer's downlink as a part
+/// ([`Link::download_part_codec`]), the per-message latency settles once per
 /// group ([`Link::download_end_msg`]), and the peer stages frames in
 /// its [`ChunkStager`], committing the whole group atomically when the
 /// final frame lands (idempotently: a group id the peer has already

@@ -2,19 +2,21 @@
 //! frames, and the receiver's reassembly of that stream.
 //!
 //! Putting a whole group on the link in one shot makes the receiver's
-//! landing buffer track the *group* size. Both stream directions — a
-//! client's upload and the hub's forward to a peer — instead run the same
-//! inline loop on the calling thread:
+//! landing buffer track the *group* size. Every group instead crosses
+//! as frames, in both directions — a client's upload and the hub's
+//! forward to a peer — through the same inline loop on the calling
+//! thread:
 //!
 //! * [`frame_group`] turns each message into a sequence of
 //!   [`ChunkFrame`]s — scatter-gather pieces mixing small control
 //!   buffers (headers, op tags) with shared [`Payload`] views, never
 //!   copying payload bytes — holding at most `chunk_budget` payload
 //!   bytes each;
-//! * the caller runs each frame through the wire codec, puts it on the
-//!   link as a part, and hands it to the receiver's [`ChunkStager`],
-//!   which stages bytes per message and releases the group atomically
-//!   when the final frame lands.
+//! * each frame runs through the wire codec, goes on the link as a
+//!   part, and lands in the receiver's [`ChunkStager`], which stages
+//!   bytes per message and releases the group whole when the final
+//!   frame lands. `upload_frames` is that loop for every upload; the
+//!   hub's forward runs its download mirror.
 //!
 //! Accounting is exact, not approximate: each frame's `accounted` bytes
 //! are charged so the per-group total equals the materialized
@@ -26,8 +28,15 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use deltacfs_delta::{compress, Delta, DeltaOp, OP_HEADER_BYTES};
+use deltacfs_net::{Link, SimTime};
+use deltacfs_obs::Obs;
 
-use crate::protocol::{GroupId, Payload, UpdateMsg, UpdatePayload, MSG_HEADER_BYTES};
+use crate::codec::WireCodec;
+use crate::engine::group_span_key;
+use crate::protocol::{
+    GroupId, Payload, UpdateMsg, UpdatePayload, ACK_WIRE_BYTES, MSG_HEADER_BYTES,
+};
+use crate::server::CloudServer;
 use crate::wire::{self, Codec, FrameSeg, WireError};
 
 /// One scatter-gather piece of a [`ChunkFrame`].
@@ -219,14 +228,11 @@ impl ChunkStager {
         } else {
             stage.next_chunk += 1;
         }
-        if frame.last_in_group {
-            let stage = self
-                .stages
-                .remove(&frame.group)
-                .expect("stage exists: we just appended to it");
-            return Ok(Some(stage.msgs));
+        if !frame.last_in_group {
+            return Ok(None);
         }
-        Ok(None)
+        // `stage` was this entry a moment ago, so the removal finds it.
+        Ok(self.stages.remove(&frame.group).map(|stage| stage.msgs))
     }
 
     /// How many groups are currently staged (incomplete streams).
@@ -445,34 +451,32 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
             // Greedy packing: shared payload bytes count against the
             // budget (control framing rides along, as in the delta
             // path); a new frame opens only when payload bytes remain.
-            let mut packed: Vec<Vec<FramePiece>> = vec![Vec::new()];
+            let mut packed: Vec<Vec<FramePiece>> = Vec::new();
+            let mut open: Vec<FramePiece> = Vec::new();
             let mut used = 0usize;
             let mut payload_total = 0u64;
             for seg in wire_frame.segs {
                 match seg {
-                    FrameSeg::Scratch(r) => packed
-                        .last_mut()
-                        .expect("packed starts non-empty")
-                        .push(FramePiece::Control(Bytes::copy_from_slice(&scratch[r]))),
+                    FrameSeg::Scratch(r) => {
+                        open.push(FramePiece::Control(Bytes::copy_from_slice(&scratch[r])))
+                    }
                     FrameSeg::Shared(p) => {
                         payload_total += p.len() as u64;
                         let mut off = 0;
                         while off < p.len() {
                             if used >= budget {
-                                packed.push(Vec::new());
+                                packed.push(std::mem::take(&mut open));
                                 used = 0;
                             }
                             let take = (budget - used).min(p.len() - off);
-                            packed
-                                .last_mut()
-                                .expect("packed starts non-empty")
-                                .push(FramePiece::Shared(p.slice(off..off + take)));
+                            open.push(FramePiece::Shared(p.slice(off..off + take)));
                             used += take;
                             off += take;
                         }
                     }
                 }
             }
+            packed.push(open);
             let header_share = msg.wire_size() - payload_total;
             let chunks = packed.len();
             for (chunk_idx, pieces) in packed.into_iter().enumerate() {
@@ -493,6 +497,99 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
             }
         }
     }
+}
+
+/// What the far end does with one upload attempt's frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Lost on the wire: every frame occupies the link, none is staged.
+    Dropped,
+    /// Staged, but no acknowledgement comes back: the server dies first.
+    Unacked,
+    /// Staged and acknowledged.
+    Acked,
+}
+
+/// The one upload leg: `group` crosses `link` as frames into `server`'s
+/// stage. Each frame from [`frame_group`] runs through `codec`, onto the
+/// link as one part and, unless the attempt is
+/// [`Dropped`](Arrival::Dropped), into
+/// [`CloudServer::receive_chunk`]; the group's latency and message count
+/// settle once, and an [`Acked`](Arrival::Acked) group's acknowledgement
+/// goes back down. Returns the reassembled group and its arrival time
+/// once the last frame is staged; committing it is the caller's.
+///
+/// Records one `wire.upload` span per attempt — closed at the arrival,
+/// left open when nothing arrives — one `wire.upload.chunk` event per
+/// frame and one `server.stage` event when the group is whole.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn upload_frames(
+    obs: &Obs,
+    link: &mut Link,
+    codec: &mut WireCodec,
+    server: &mut CloudServer,
+    group: &[UpdateMsg],
+    chunk_budget: usize,
+    now: SimTime,
+    arrival: Arrival,
+) -> Option<(Vec<UpdateMsg>, SimTime)> {
+    let recorder = &obs.recorder;
+    let key = group_span_key(group);
+    let now_ms = now.as_millis();
+    let start_ms = now.max(link.upload_busy_until()).as_millis();
+    let span = recorder.start(key, "link", "wire.upload", start_ms, None);
+    let mut staged: Result<Option<Vec<UpdateMsg>>, WireError> = Ok(None);
+    let mut wire_bytes = 0;
+    frame_group(group, chunk_budget, |frame| {
+        let frame = codec.encode_frame(frame, now_ms);
+        let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), now);
+        wire_bytes += frame.accounted;
+        recorder.event(key, "link", "wire.upload.chunk", done.as_millis(), || {
+            let end = if frame.last_in_group {
+                " [group end]"
+            } else {
+                ""
+            };
+            let codec = frame
+                .compressed_from()
+                .map(|raw| format!(", compressed from {raw}"));
+            format!(
+                "msg {} chunk {}{end}: {} bytes ({} shared), {} on the wire{}",
+                frame.msg_idx,
+                frame.chunk_idx,
+                frame.byte_len(),
+                frame.payload_bytes(),
+                frame.accounted,
+                codec.unwrap_or_default(),
+            )
+        });
+        if arrival != Arrival::Dropped && staged.is_ok() {
+            staged = server.receive_chunk(&frame);
+        }
+    });
+    let arrived = link.upload_end_msg(now);
+    let arrived_ms = arrived.as_millis();
+    let msgs = match staged {
+        Ok(msgs) => msgs?,
+        Err(e) => {
+            // The stager dropped the group and it arrives as nothing:
+            // a courier retries it, like any attempt lost on the wire.
+            recorder.event(key, "server", "server.stage", arrived_ms, || {
+                format!("stream rejected: {e}")
+            });
+            return None;
+        }
+    };
+    recorder.event(key, "server", "server.stage", arrived_ms, || {
+        format!("{} msgs reassembled", msgs.len())
+    });
+    recorder.end(span, arrived_ms, || {
+        format!("group of {} msgs, {wire_bytes} wire bytes", group.len())
+    });
+    if arrival == Arrival::Acked {
+        link.download(ACK_WIRE_BYTES, now);
+    }
+    Some((msgs, arrived))
 }
 
 #[cfg(test)]

@@ -485,38 +485,23 @@ impl CloudServer {
         (outcomes, false)
     }
 
-    /// Receives one frame of a streamed group upload.
-    ///
-    /// Staging goes through the shared [`ChunkStager`] (the same state
-    /// machine clients use for forwarded groups); when the group's
-    /// final frame lands the decoded messages commit atomically through
-    /// [`apply_txn_idempotent`] — so a group whose stream is cut
-    /// mid-way applies *nothing*, and the client's whole-group retry
-    /// restarts cleanly: chunk `(0, 0)` always resets a stale stage for
-    /// its group.
-    ///
-    /// Returns `Ok(Some(outcomes))` when the group commits, `Ok(None)`
-    /// for an intermediate frame.
+    /// Stages one frame of a group upload in the server's
+    /// [`ChunkStager`] and returns the group's messages whole once its
+    /// final frame lands, for the caller to commit: through
+    /// [`apply_txn`](CloudServer::apply_txn) on a clean link,
+    /// [`apply_txn_idempotent`](CloudServer::apply_txn_idempotent) under
+    /// retries. A cut stream commits nothing; a whole-group resend
+    /// restarts it, and a server crash drops whatever is staged.
     ///
     /// # Errors
     ///
-    /// An out-of-order or unknown frame (a prior chunk was lost) drops
-    /// the stage and returns [`WireError::Malformed`]; staged bytes
-    /// that fail to decode are reported likewise. Either way the group
-    /// is untouched and a full resend recovers.
-    ///
-    /// [`apply_txn_idempotent`]: CloudServer::apply_txn_idempotent
+    /// As [`ChunkStager::accept`]: an out-of-order frame or staged bytes
+    /// that do not decode drop the stage; a full resend recovers.
     pub fn receive_chunk(
         &mut self,
         frame: &ChunkFrame,
-    ) -> Result<Option<Vec<ApplyOutcome>>, WireError> {
-        match self.stager.accept(frame)? {
-            Some(msgs) => {
-                let (outcomes, _duplicate) = self.apply_txn_idempotent(&msgs);
-                Ok(Some(outcomes))
-            }
-            None => Ok(None),
-        }
+    ) -> Result<Option<Vec<UpdateMsg>>, WireError> {
+        self.stager.accept(frame)
     }
 
     /// The recorded whole-group outcomes, for snapshotting.

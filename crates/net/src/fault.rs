@@ -8,10 +8,10 @@
 //! same workload against the same spec yields byte-identical fault
 //! schedules, which is what makes failing seeds reproducible.
 //!
-//! The plan is threaded through [`Link`](crate::Link) (see
-//! [`Link::upload_faulty`](crate::Link::upload_faulty)) and through the
-//! client/server RPC pump in `deltacfs-core`; [`SimTime`] anchors the
-//! disconnect windows to the shared virtual clock.
+//! The plan is consulted by the client/server RPC pump in
+//! `deltacfs-core` — one upload verdict per attempt, one loss draw per
+//! download — and [`SimTime`] anchors the disconnect windows to the
+//! shared virtual clock.
 
 use rand::{Rng, SeedableRng, StdRng};
 

@@ -1,5 +1,4 @@
 use crate::clock::SimTime;
-use crate::fault::{FaultPlan, UploadVerdict};
 use crate::profile::PlatformProfile;
 use crate::traffic::TrafficStats;
 
@@ -131,29 +130,40 @@ impl Link {
     }
 
     /// Sends `bytes` client → cloud starting no earlier than `now`;
-    /// returns the completion time.
+    /// returns the completion time. One part plus its end of message:
+    /// the whole-message sends of the baselines and the ack.
     pub fn upload(&mut self, bytes: u64, now: SimTime) -> SimTime {
-        self.upload_part(bytes, now);
+        self.upload_part_codec(bytes, None, now);
         self.upload_end_msg(now)
     }
 
     /// Streams one part of a larger logical upload: the bytes occupy
     /// upload bandwidth (and are accounted) but no per-message latency
     /// or message count is charged — that happens once, in
-    /// [`upload_end_msg`](Link::upload_end_msg). A pipelined sender
-    /// calls this as each chunk becomes ready, so chunk `i + 1` can be
-    /// encoded while chunk `i` is still in flight.
-    pub fn upload_part(&mut self, bytes: u64, now: SimTime) -> SimTime {
+    /// [`upload_end_msg`](Link::upload_end_msg). When the part is a
+    /// compressed frame (`compressed_from = Some(raw_len)`) and a
+    /// compute profile is attached, the sender first pays
+    /// `compress_ms(raw_len)` of CPU, then the (smaller) compressed
+    /// bytes occupy the wire; a raw part (`None`) costs bytes only.
+    pub fn upload_part_codec(
+        &mut self,
+        bytes: u64,
+        compressed_from: Option<u64>,
+        now: SimTime,
+    ) -> SimTime {
         self.stats.bytes_up += bytes;
-        let start = now.max(self.up_busy_until);
+        let start = self
+            .codec_ready(compressed_from, now)
+            .max(self.up_busy_until);
         self.up_busy_until = start.plus_millis(transfer_ms(bytes, self.spec.bandwidth_up));
         self.up_busy_until
     }
 
-    /// Closes a logical upload made of [`upload_part`](Link::upload_part)
-    /// calls: charges the one-way latency once and counts one message.
-    /// `upload(bytes, now)` and `upload_part(bytes, now)` +
-    /// `upload_end_msg(now)` produce identical timing and accounting.
+    /// Closes a logical upload made of
+    /// [`upload_part_codec`](Link::upload_part_codec) calls: charges the
+    /// one-way latency once and counts one message. `upload(bytes, now)`
+    /// and a raw part of `bytes` + `upload_end_msg(now)` produce
+    /// identical timing and accounting.
     pub fn upload_end_msg(&mut self, now: SimTime) -> SimTime {
         self.stats.msgs_up += 1;
         let start = now.max(self.up_busy_until);
@@ -161,107 +171,39 @@ impl Link {
         self.up_busy_until
     }
 
-    /// Codec-aware twin of [`upload_part`](Link::upload_part): when the
-    /// part is a compressed frame (`compressed_from = Some(raw_len)`)
-    /// and a compute profile is attached, the sender first pays
-    /// `compress_ms(raw_len)` of CPU, then the (smaller) compressed
-    /// bytes occupy upload bandwidth. Raw parts are byte-for-byte and
-    /// tick-for-tick identical to `upload_part`.
-    pub fn upload_part_codec(
-        &mut self,
-        bytes: u64,
-        compressed_from: Option<u64>,
-        now: SimTime,
-    ) -> SimTime {
-        let ready = self.codec_ready(compressed_from, now);
-        self.upload_part(bytes, ready)
-    }
-
     /// Sends `bytes` cloud → client starting no earlier than `now`;
     /// returns the completion time.
     pub fn download(&mut self, bytes: u64, now: SimTime) -> SimTime {
-        self.download_part(bytes, now);
+        self.download_part_codec(bytes, None, now);
         self.download_end_msg(now)
     }
 
-    /// Streams one part of a larger logical download: the bytes occupy
-    /// download bandwidth (and are accounted) but no per-message latency
-    /// or message count is charged — that happens once, in
-    /// [`download_end_msg`](Link::download_end_msg). The forwarding
-    /// server calls this as each chunk frame becomes ready, mirroring
-    /// [`upload_part`](Link::upload_part) on the other direction.
-    pub fn download_part(&mut self, bytes: u64, now: SimTime) -> SimTime {
-        self.stats.bytes_down += bytes;
-        let start = now.max(self.down_busy_until);
-        self.down_busy_until = start.plus_millis(transfer_ms(bytes, self.spec.bandwidth_down));
-        self.down_busy_until
-    }
-
-    /// Codec-aware twin of [`download_part`](Link::download_part): the
-    /// forwarding server pays `compress_ms(raw_len)` of CPU for a
-    /// compressed frame before its bytes occupy download bandwidth.
-    /// Raw parts time exactly like `download_part`.
+    /// The download mirror of [`upload_part_codec`](Link::upload_part_codec):
+    /// one part of a forwarded stream occupies download bandwidth, after
+    /// the forwarding server's `compress_ms(raw_len)` of CPU when the
+    /// frame is compressed.
     pub fn download_part_codec(
         &mut self,
         bytes: u64,
         compressed_from: Option<u64>,
         now: SimTime,
     ) -> SimTime {
-        let ready = self.codec_ready(compressed_from, now);
-        self.download_part(bytes, ready)
+        self.stats.bytes_down += bytes;
+        let start = self
+            .codec_ready(compressed_from, now)
+            .max(self.down_busy_until);
+        self.down_busy_until = start.plus_millis(transfer_ms(bytes, self.spec.bandwidth_down));
+        self.down_busy_until
     }
 
     /// Closes a logical download made of
-    /// [`download_part`](Link::download_part) calls: charges the one-way
-    /// latency once and counts one message. `download(bytes, now)` and
-    /// `download_part(bytes, now)` + `download_end_msg(now)` produce
-    /// identical timing and accounting.
+    /// [`download_part_codec`](Link::download_part_codec) calls: charges
+    /// the one-way latency once and counts one message.
     pub fn download_end_msg(&mut self, now: SimTime) -> SimTime {
         self.stats.msgs_down += 1;
         let start = now.max(self.down_busy_until);
         self.down_busy_until = start.plus_millis(self.spec.latency_ms);
         self.down_busy_until
-    }
-
-    /// Sends `bytes` client → cloud through `plan`'s fault schedule.
-    ///
-    /// A disconnected client transmits nothing (the transfer is not
-    /// accounted); every other verdict puts the bytes on the wire —
-    /// dropped uploads still cost bandwidth, which is how retries show up
-    /// in the traffic counters. Returns the completion time of whatever
-    /// was transmitted, plus the verdict for the RPC layer to act on.
-    pub fn upload_faulty(
-        &mut self,
-        bytes: u64,
-        now: SimTime,
-        client: usize,
-        plan: &mut FaultPlan,
-    ) -> (Option<SimTime>, UploadVerdict) {
-        let verdict = plan.upload_verdict(client, now);
-        if verdict == UploadVerdict::Disconnected {
-            return (None, verdict);
-        }
-        let done = self.upload(bytes, now);
-        (Some(done), verdict)
-    }
-
-    /// Sends `bytes` cloud → client through `plan`'s fault schedule.
-    ///
-    /// Returns the completion time when the transfer arrives, or `None`
-    /// when it is lost (still accounted: the server did transmit it).
-    pub fn download_faulty(
-        &mut self,
-        bytes: u64,
-        now: SimTime,
-        client: usize,
-        plan: &mut FaultPlan,
-    ) -> Option<SimTime> {
-        let done = self.download(bytes, now);
-        if plan.download_lost(client, now) {
-            None
-        } else {
-            Some(done)
-        }
     }
 }
 
@@ -340,27 +282,14 @@ mod tests {
         let done_whole = whole.upload(3000, SimTime::ZERO);
 
         let mut parts = Link::new(spec);
-        parts.upload_part(1000, SimTime::ZERO);
-        parts.upload_part(1000, SimTime(100));
-        parts.upload_part(1000, SimTime(1900));
+        parts.upload_part_codec(1000, None, SimTime::ZERO);
+        parts.upload_part_codec(1000, None, SimTime(100));
+        parts.upload_part_codec(1000, None, SimTime(1900));
         let done_parts = parts.upload_end_msg(SimTime(1900));
 
         assert_eq!(done_parts, done_whole);
         assert_eq!(parts.stats(), whole.stats());
         assert_eq!(parts.stats().msgs_up, 1);
-    }
-
-    #[test]
-    fn upload_parts_only_charge_latency_at_end_of_message() {
-        let mut link = Link::new(LinkSpec {
-            bandwidth_up: None,
-            bandwidth_down: None,
-            latency_ms: 80,
-        });
-        assert_eq!(link.upload_part(4096, SimTime::ZERO), SimTime::ZERO);
-        assert_eq!(link.stats().msgs_up, 0);
-        assert_eq!(link.upload_end_msg(SimTime::ZERO), SimTime(80));
-        assert_eq!(link.stats().msgs_up, 1);
     }
 
     #[test]
@@ -374,27 +303,14 @@ mod tests {
         let done_whole = whole.download(3000, SimTime::ZERO);
 
         let mut parts = Link::new(spec);
-        parts.download_part(1000, SimTime::ZERO);
-        parts.download_part(1000, SimTime(100));
-        parts.download_part(1000, SimTime(1900));
+        parts.download_part_codec(1000, None, SimTime::ZERO);
+        parts.download_part_codec(1000, None, SimTime(100));
+        parts.download_part_codec(1000, None, SimTime(1900));
         let done_parts = parts.download_end_msg(SimTime(1900));
 
         assert_eq!(done_parts, done_whole);
         assert_eq!(parts.stats(), whole.stats());
         assert_eq!(parts.stats().msgs_down, 1);
-    }
-
-    #[test]
-    fn download_parts_only_charge_latency_at_end_of_message() {
-        let mut link = Link::new(LinkSpec {
-            bandwidth_up: None,
-            bandwidth_down: None,
-            latency_ms: 80,
-        });
-        assert_eq!(link.download_part(4096, SimTime::ZERO), SimTime::ZERO);
-        assert_eq!(link.stats().msgs_down, 0);
-        assert_eq!(link.download_end_msg(SimTime::ZERO), SimTime(80));
-        assert_eq!(link.stats().msgs_down, 1);
     }
 
     #[test]
@@ -430,8 +346,8 @@ mod tests {
                 let part = bytes / 3;
                 let rest = bytes - 2 * part;
                 for b in [part, part, rest] {
-                    let u = up.upload_part(b, SimTime::ZERO);
-                    let d = down.download_part(b, SimTime::ZERO);
+                    let u = up.upload_part_codec(b, None, SimTime::ZERO);
+                    let d = down.download_part_codec(b, None, SimTime::ZERO);
                     assert_eq!(u, d, "part of {b} bytes");
                 }
                 let done_up = up.upload_end_msg(SimTime::ZERO);
@@ -449,7 +365,7 @@ mod tests {
         // No compute profile: codec-tagged parts time like raw parts.
         let mut raw = Link::new(spec);
         let mut codec = Link::new(spec);
-        let a = raw.upload_part(4096, SimTime::ZERO);
+        let a = raw.upload_part_codec(4096, None, SimTime::ZERO);
         let b = codec.upload_part_codec(4096, Some(1 << 20), SimTime::ZERO);
         assert_eq!(a, b);
         // Profile attached but the frame ships raw: still identical.

@@ -103,9 +103,9 @@ fn drop_matrix_converges() {
 fn drop_matrix_converges_with_wire_compression() {
     // The reliability layer is codec-agnostic: the same loss /
     // duplication / reorder matrix converges with the adaptive wire
-    // codec compressing forwarded chunk frames. Retries replay whole
-    // groups, the replay index dedups on group ids, and a frame's codec
-    // decision never leaks into any of it.
+    // codec compressing upload and forwarded chunk frames. Retries
+    // replay whole groups, the replay index dedups on group ids, and a
+    // frame's codec decision never leaks into any of it.
     let cfg = DeltaCfsConfig::new().with_wire_compression(true);
     for seed in 0..8u64 {
         let clock = SimClock::new();
@@ -122,6 +122,12 @@ fn drop_matrix_converges_with_wire_compression() {
         assert!(drained, "seed {seed}: a courier gave up or never drained");
         assert_eq!(given_up(&hub), 0, "seed {seed}");
         assert_converged(&hub, seed);
+        let records = hub.obs().recorder.records();
+        assert!(
+            records.iter().any(|r| r.stage == "wire.upload.chunk"
+                && r.detail.contains("compressed from")),
+            "seed {seed}: no upload frame was compressed"
+        );
     }
 }
 
@@ -644,8 +650,9 @@ fn pinned_seed_fires_exact_injection_counts() {
 
 #[test]
 fn dropped_mid_group_chunk_never_commits_and_whole_group_resend_recovers() {
-    // The streaming upload path stages chunk frames server-side and only
-    // commits the group atomically on the final frame. Losing a chunk in
+    // Every upload stages its chunk frames server-side; the group is
+    // released whole on the final frame and committed atomically by
+    // the caller (here explicitly, as the courier does). Losing a chunk in
     // the middle of a group must therefore leave the server exactly at
     // its pre-group state; the recovery protocol is a whole-group resend
     // from chunk (0,0), which the `<CliID, GroupSeq>` replay index keeps
@@ -690,11 +697,13 @@ fn dropped_mid_group_chunk_never_commits_and_whole_group_resend_recovers() {
     assert_eq!(server.file("/f"), Some(&base[..]), "partial group must not apply");
     assert_eq!(server.version("/f"), Some(v1));
 
-    // Retry: whole-group resend from chunk (0,0) commits atomically.
+    // Retry: whole-group resend from chunk (0,0) arrives whole, and the
+    // caller commits it atomically.
     let mut outcomes = Vec::new();
     for f in &frames {
-        if let Some(out) = server.receive_chunk(f).unwrap() {
-            outcomes.extend(out);
+        if let Some(msgs) = server.receive_chunk(f).unwrap() {
+            assert_eq!(msgs, group, "the stage reassembles the sent group");
+            outcomes.extend(server.apply_txn_idempotent(&msgs).0);
         }
     }
     assert_eq!(outcomes, vec![ApplyOutcome::Applied]);
@@ -707,7 +716,9 @@ fn dropped_mid_group_chunk_never_commits_and_whole_group_resend_recovers() {
     // change, no double-apply of the delta.
     let mut replay = Vec::new();
     for f in &frames {
-        if let Some(out) = server.receive_chunk(f).unwrap() {
+        if let Some(msgs) = server.receive_chunk(f).unwrap() {
+            let (out, duplicate) = server.apply_txn_idempotent(&msgs);
+            assert!(duplicate, "the replay index recognises the resend");
             replay.extend(out);
         }
     }

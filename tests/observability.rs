@@ -95,7 +95,6 @@ fn streamed_text_upload(len: usize, capacity: usize) -> (DeltaCfsSystem, Obs) {
 
     let clock = SimClock::new();
     let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
         .with_chunk_budget(4096)
         .with_wire_compression(true);
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
@@ -289,10 +288,15 @@ fn delta_group(records: &[SpanRecord]) -> GroupKey {
 
 #[test]
 fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
-    // One upload group carrying a delta, on each delivery path; the
-    // record holds one entry per stage occurrence — no stage is written
-    // by two calls, and pack time re-creates nothing.
-    let engine_run = |cfg: DeltaCfsConfig| {
+    // One upload group carrying a delta, on each delivery path. Every
+    // path uploads through the one framed leg, so the record has one
+    // shape: per attempt one `wire.upload` span and one
+    // `wire.upload.chunk` event per frame, then one `server.stage` and
+    // one `server.apply` for the attempt that arrives. No stage is
+    // written by two calls, and pack time re-creates nothing. A small
+    // chunk budget makes the delta group span several frames.
+    let cfg = DeltaCfsConfig::new().with_chunk_budget(1024);
+    let engine_run = || {
         let clock = SimClock::new();
         let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
         let obs = Obs::recording(8192);
@@ -317,35 +321,33 @@ fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
         assert_eq!(sys.server().file("/doc"), fs.peek_slice("/doc").ok());
         obs.recorder.records()
     };
-    let once = ["relation.trigger", "delta.encode", "vfs.write", "sync.group", "server.apply"];
+    let once = [
+        "relation.trigger",
+        "delta.encode",
+        "vfs.write",
+        "sync.group",
+        "wire.upload",
+        "server.stage",
+        "server.apply",
+    ];
 
-    // Engine, unframed: the whole group is one upload.
-    let records = engine_run(DeltaCfsConfig::new());
+    // Engine.
+    let records = engine_run();
     let group = delta_group(&records);
-    for stage in once.into_iter().chain(["wire.upload"]) {
-        assert_eq!(count(&records, group, stage), 1, "unframed: {stage}");
+    for stage in once {
+        assert_eq!(count(&records, group, stage), 1, "engine: {stage}");
     }
-
-    // Engine, framed: one wire.upload per frame plus the end-of-message
-    // latency, one server.stage/server.apply pair at the commit.
-    let cfg = DeltaCfsConfig::new().with_streaming(true).with_chunk_budget(1024);
-    let records = engine_run(cfg);
-    let group = delta_group(&records);
-    for stage in once.into_iter().chain(["server.stage"]) {
-        assert_eq!(count(&records, group, stage), 1, "framed: {stage}");
-    }
-    let frames = records.iter().filter(|r| r.group == Some(group));
-    let frames = frames.filter(|r| r.detail.contains(" chunk ")).count();
+    let frames = count(&records, group, "wire.upload.chunk");
     assert!(frames > 1, "the group went up in {frames} frame(s)");
-    assert_eq!(count(&records, group, "wire.upload"), frames + 1, "framed: wire.upload");
+    assert!(records.iter().all(|r| r.end_ms.is_some()), "engine: an open span");
 
-    // Hub: the pump's unframed leg, the courier's attempts, and the
+    // Hub: the pump's clean leg, the courier's attempts, and the
     // forward stream to the peer.
     let hub_run = |drop_first_upload: bool| {
         let clock = SimClock::new();
         let mut hub = recorded(SyncHub::new(clock.clone()));
-        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
-        hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+        hub.add_client(cfg, LinkSpec::pc());
+        hub.add_client(cfg, LinkSpec::pc());
         hub.fs_mut(0).create("/doc").unwrap();
         hub.fs_mut(0).write("/doc", 0, &vec![5u8; 20_000]).unwrap();
         hub.pump();
@@ -367,25 +369,32 @@ fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
     };
     let (records, forwarded) = hub_run(false);
     let group = delta_group(&records);
-    for stage in once.into_iter().chain(["wire.upload", "forward"]) {
+    for stage in once.into_iter().chain(["forward"]) {
         assert_eq!(count(&records, group, stage), 1, "pump: {stage}");
     }
+    assert_eq!(count(&records, group, "wire.upload.chunk"), frames, "pump: one event per frame");
     let chunks: usize = records.iter().filter(|r| r.stage == "wire.forward.chunk").count();
     assert_eq!(chunks, forwarded, "one record per forwarded frame");
+    assert!(records.iter().all(|r| r.end_ms.is_some()), "pump: an open span");
 
     // Courier: one span per attempt — the dropped one stays open on
-    // purpose — and still one apply, one forward.
+    // purpose — each attempt's frames on the wire, and still one stage,
+    // one apply, one forward.
     let (records, _) = hub_run(true);
-    let group = delta_group(&records);
-    for stage in once.into_iter().chain(["wire.upload", "forward"]) {
-        assert_eq!(count(&records, group, stage), 1, "courier: {stage}");
-    }
     let dropped = records.iter().find(|r| r.end_ms.is_none()).expect("an open attempt");
     assert_eq!(dropped.stage, "wire.upload");
     let group = dropped.group.expect("attempts are keyed by their group");
     assert_eq!(count(&records, group, "wire.upload"), 2, "courier: one span per attempt");
-    for stage in ["vfs.write", "sync.group", "retry.backoff", "server.apply", "forward"] {
+    let frames = count(&records, group, "wire.upload.chunk");
+    let msg = "courier: both attempts put every frame on the wire";
+    assert!(frames >= 2 && frames.is_multiple_of(2), "{msg}");
+    let stages = ["vfs.write", "sync.group", "retry.backoff", "server.stage", "server.apply", "forward"];
+    for stage in stages {
         assert_eq!(count(&records, group, stage), 1, "courier, retried group: {stage}");
+    }
+    let group = delta_group(&records);
+    for stage in once.into_iter().chain(["forward"]) {
+        assert_eq!(count(&records, group, stage), 1, "courier: {stage}");
     }
 }
 

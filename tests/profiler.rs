@@ -182,18 +182,16 @@ fn profiling_off_records_no_spans() {
 
 #[test]
 fn streaming_upload_spans_cover_compress_and_stage() {
-    // The chunk-streamed upload direction (engine → codec → link →
-    // server stager) keys every span off the group header riding the
-    // wire frames: wire.compress on compressed frames, per-frame
-    // wire.upload, and the zero-width server.stage / server.apply pair
-    // at commit.
+    // The upload leg (engine → codec → link → server stager) keys every
+    // span off the group header riding the wire frames: wire.compress on
+    // compressed frames, one wire.upload span per attempt, and the
+    // zero-width server.stage / server.apply pair at commit.
     use deltacfs::core::{DeltaCfsSystem, SyncEngine};
     use deltacfs::net::PlatformProfile;
 
     let run = |obs: Obs| {
         let clock = SimClock::new();
         let cfg = DeltaCfsConfig::new()
-            .with_streaming(true)
             .with_chunk_budget(4096)
             .with_wire_compression(true);
         let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());

@@ -1288,7 +1288,6 @@ fn run_codec_workload(
 
     let clock = SimClock::new();
     let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
         .with_chunk_budget(budget)
         .with_wire_compression(policy.is_some());
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());

@@ -386,11 +386,6 @@ msgs_down: 11 } | cloud 2 files 107008 bytes fnv fc756f5ecd969018 | outcomes 16/
 fn word_pattern_save_is_observably_unchanged() {
     let trace = WordTrace::new(TraceConfig::scaled(0.05));
     assert_eq!(save_summary(&trace, DeltaCfsConfig::new()), WORD_SAVE_PIN);
-    // The streamed upload path accounts identically.
-    assert_eq!(
-        save_summary(&trace, DeltaCfsConfig::new().with_streaming(true)),
-        WORD_SAVE_PIN
-    );
 }
 
 #[test]

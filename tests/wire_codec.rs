@@ -456,7 +456,7 @@ struct Upload {
     staged: Vec<UpdateMsg>,
 }
 
-/// One streamed upload of `msg` the way `DeltaCfsSystem` runs it:
+/// One upload of `msg` the way the engine's upload leg runs it:
 /// `frame_group` -> `encode_frame` -> `upload_part_codec` -> `accept`,
 /// then the end-of-message latency.
 fn upload(msg: &UpdateMsg, policy: CodecPolicy, spec: LinkSpec, profile: PlatformProfile) -> Upload {
@@ -691,4 +691,73 @@ fn text_after_a_noise_run_is_found_again() {
             packed.len()
         );
     }
+}
+
+// --- the hub's uploads honour `wire_compression` ---------------------------
+
+#[test]
+fn hub_uploads_compress_like_the_engine() {
+    // A client with `wire_compression` uploads the same compressed bytes
+    // through one `DeltaCfsSystem` or a `SyncHub`: both run the one
+    // upload leg with an adaptive upload codec on the PC profile.
+    use deltacfs::core::{DeltaCfsConfig, DeltaCfsSystem, SyncEngine, SyncHub};
+    use deltacfs::net::SimClock;
+    use deltacfs::vfs::Vfs;
+
+    // A log file written in pieces, appended to, then rewritten in place.
+    let apply = |fs: &mut Vfs, step: usize| match step {
+        0 => {
+            fs.create("/app.log").unwrap();
+            for (i, piece) in log_text(96 << 10).chunks(16 << 10).enumerate() {
+                fs.write("/app.log", (i << 14) as u64, piece).unwrap();
+            }
+        }
+        1 => fs.write("/app.log", 96 << 10, &log_text(40 << 10)).unwrap(),
+        _ => fs.write("/app.log", 8 << 10, &log_text(70 << 10)).unwrap(),
+    };
+    let cfg = DeltaCfsConfig::new()
+        .with_chunk_budget(16 << 10)
+        .with_wire_compression(true);
+
+    let clock = SimClock::new();
+    let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    for step in 0..3 {
+        apply(&mut fs, step);
+        for e in fs.drain_events() {
+            sys.on_event(&e, &fs);
+        }
+        clock.advance(4_000);
+        sys.tick(&fs);
+    }
+    sys.finish(&fs);
+
+    let clock = SimClock::new();
+    let mut hub = SyncHub::new(clock.clone());
+    let obs = Obs::new();
+    hub.enable_observability(obs.clone());
+    let idx = hub.add_client(cfg, LinkSpec::mobile());
+    for step in 0..3 {
+        apply(hub.fs_mut(idx), step);
+        hub.ingest(idx);
+        clock.advance(4_000);
+        hub.pump();
+    }
+    hub.flush();
+
+    let compressed = match obs.registry.snapshot().get("wire_compress_chunks") {
+        Some(MetricValue::Counter(v)) => *v,
+        other => panic!("wire_compress_chunks: {other:?}"),
+    };
+    assert!(compressed > 0, "the hub compressed no upload frame");
+    let engine_up = sys.report().traffic.bytes_up;
+    assert_eq!(hub.traffic(idx).bytes_up, engine_up);
+    assert!(engine_up < 96 << 10, "{engine_up} bytes up: nothing was compressed");
+    assert_eq!(hub.cloud().paths(), sys.server().paths());
+    for path in sys.server().paths() {
+        assert_eq!(hub.cloud().file(&path), sys.server().file(&path), "{path}");
+        assert_eq!(hub.cloud().version(&path), sys.server().version(&path), "{path}");
+    }
+    assert_eq!(sys.server().file("/app.log"), fs.peek_slice("/app.log").ok());
 }

@@ -7,35 +7,32 @@
 //! forward to a peer — through the same inline loop on the calling
 //! thread:
 //!
-//! * [`frame_group`] turns each message into a sequence of
-//!   [`ChunkFrame`]s — scatter-gather pieces mixing small control
-//!   buffers (headers, op tags) with shared [`Payload`] views, never
-//!   copying payload bytes — holding at most `chunk_budget` payload
-//!   bytes each;
+//! * [`frame_group`] cuts each message's one wire encoding
+//!   ([`wire::encode_vectored`]) into a sequence of [`ChunkFrame`]s —
+//!   scatter-gather pieces mixing small control buffers (headers, op
+//!   tags) with shared [`Payload`] views, never copying payload bytes —
+//!   holding at most `chunk_budget` payload bytes each;
 //! * each frame runs through the wire codec, goes on the link as a
 //!   part, and lands in the receiver's [`ChunkStager`], which stages
 //!   bytes per message and releases the group whole when the final
 //!   frame lands. `upload_frames` is that loop for every upload; the
 //!   hub's forward runs its download mirror.
 //!
-//! Accounting is exact, not approximate: each frame's `accounted` bytes
-//! are charged so the per-group total equals the materialized
-//! `Σ wire_size()` byte for byte — a delta op that a frame boundary
-//! split is charged one header, just as the receiver's
-//! [`Delta::from_ops`](deltacfs_delta::Delta) re-merge produces one op.
+//! Accounting is exact, not approximate: a frame is charged the payload
+//! bytes it carries, and a message's first frame also the message's
+//! model header share, so the per-group total equals the materialized
+//! `Σ wire_size()` byte for byte.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use deltacfs_delta::{compress, Delta, DeltaOp, OP_HEADER_BYTES};
+use deltacfs_delta::compress;
 use deltacfs_net::{Link, SimTime};
 use deltacfs_obs::Obs;
 
 use crate::codec::WireCodec;
 use crate::engine::group_span_key;
-use crate::protocol::{
-    GroupId, Payload, UpdateMsg, UpdatePayload, ACK_WIRE_BYTES, MSG_HEADER_BYTES,
-};
+use crate::protocol::{GroupId, Payload, UpdateMsg, ACK_WIRE_BYTES};
 use crate::server::CloudServer;
 use crate::wire::{self, Codec, FrameSeg, WireError};
 
@@ -60,9 +57,9 @@ impl FramePiece {
 
 /// One bounded unit of a streamed group upload.
 ///
-/// Concatenating the `pieces` of every frame of one message yields that
-/// message's wire encoding (op streams are end-marker terminated, so
-/// chunked emission is just a split of the same byte stream).
+/// Concatenating the `pieces` of every frame of one message yields
+/// exactly that message's [`wire::encode`]: the frames are slices of
+/// its one encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkFrame {
     /// The transaction group this frame belongs to.
@@ -257,173 +254,22 @@ impl ChunkStager {
     }
 }
 
-/// What the last op of the previously accounted chunk was, for the
-/// cross-boundary merge rules.
-#[derive(Debug, Clone, Copy)]
-enum PrevOp {
-    Copy { end: u64 },
-    Literal,
-}
-
-/// A budget-bounded slice of one delta's op stream: the next
-/// instructions in output order, at most the budget in literal bytes
-/// (copies reference the receiver's base file and cost only a header).
-struct DeltaChunk {
-    ops: Vec<DeltaOp>,
-    /// Whether this is the final chunk of the delta.
-    last: bool,
-}
-
-/// Charges [`DeltaChunk`]s so their total equals the materialized
-/// delta's wire size.
+/// Frames every message of a transaction group as a chunk stream.
 ///
-/// A materialized [`Delta`] charges [`OP_HEADER_BYTES`] per op plus the
-/// literal bytes. Splitting may cut one op across a boundary (a literal
-/// cut by the budget, a copy run continued in the next chunk); the
-/// receiver's `from_ops` re-merge collapses those back into one op, so
-/// the accountant charges the header only for the op's first piece.
-#[derive(Debug, Default)]
-struct ChunkAccountant {
-    prev: Option<PrevOp>,
-}
-
-impl ChunkAccountant {
-    /// Model bytes for `chunk`: literals plus per-op headers, minus the
-    /// header of a leading op that merges with the previous chunk's
-    /// trailing op.
-    fn account(&mut self, chunk: &DeltaChunk) -> u64 {
-        let mut bytes = 0u64;
-        for (i, op) in chunk.ops.iter().enumerate() {
-            let merges = i == 0
-                && match (self.prev, op) {
-                    (Some(PrevOp::Copy { end }), DeltaOp::Copy { offset, .. }) => end == *offset,
-                    (Some(PrevOp::Literal), DeltaOp::Literal(_)) => true,
-                    _ => false,
-                };
-            if !merges {
-                bytes += OP_HEADER_BYTES;
-            }
-            match op {
-                // A forwarded delta was decoded off the wire: an end that
-                // overflows merges with nothing, as in `Delta::from_ops`.
-                DeltaOp::Copy { offset, len } => {
-                    self.prev = offset.checked_add(*len).map(|end| PrevOp::Copy { end })
-                }
-                DeltaOp::Literal(b) => {
-                    bytes += b.len() as u64;
-                    self.prev = Some(PrevOp::Literal);
-                }
-            }
-        }
-        bytes
-    }
-}
-
-/// Turns a message's [`DeltaChunk`] stream into [`ChunkFrame`]s.
+/// Each message is cut from its one wire encoding,
+/// [`wire::encode_vectored`]: control segments (headers, op tags,
+/// length prefixes) ride along in whichever frame is open, and shared
+/// payload segments (`Full` bodies, `Write` data, delta literals) are
+/// packed greedily, sliced where a frame reaches `chunk_budget` payload
+/// bytes — slicing is an `Arc` bump, never a copy. A new frame opens
+/// only when payload bytes remain, so a payload-free message is one
+/// frame. The pieces of a message's frames concatenate to
+/// [`wire::encode`] of it.
 ///
-/// The first frame carries the message header and the delta body's
-/// `base_path`; the last frame (the chunk with `last == true`) closes
-/// the op stream. Literal bytes are referenced as shared pieces, never
-/// copied.
-struct DeltaFramer<'a> {
-    msg: &'a UpdateMsg,
-    base_path: &'a str,
-    group: GroupId,
-    msg_idx: usize,
-    last_in_group: bool,
-    chunk_idx: usize,
-    acct: ChunkAccountant,
-}
-
-impl DeltaFramer<'_> {
-    /// Frames the next chunk of the stream.
-    fn frame(&mut self, chunk: &DeltaChunk) -> ChunkFrame {
-        let mut pieces = Vec::new();
-        let mut control = Vec::new();
-        let mut accounted = self.acct.account(chunk);
-        if self.chunk_idx == 0 {
-            wire::begin_delta_stream(&mut control, self.msg, self.base_path);
-            accounted += MSG_HEADER_BYTES + self.base_path.len() as u64;
-        }
-        for op in &chunk.ops {
-            match op {
-                DeltaOp::Copy { .. } => {
-                    wire::append_delta_ops(&mut control, std::slice::from_ref(op));
-                }
-                DeltaOp::Literal(b) => {
-                    // Tag and length go to control; the literal itself is
-                    // a shared view of the encoder's buffer.
-                    control.push(1);
-                    control.extend_from_slice(&(b.len() as u64).to_le_bytes());
-                    if !control.is_empty() {
-                        pieces.push(FramePiece::Control(Bytes::from(std::mem::take(
-                            &mut control,
-                        ))));
-                    }
-                    pieces.push(FramePiece::Shared(Payload::from(b.clone())));
-                }
-            }
-        }
-        if chunk.last {
-            wire::finish_op_stream(&mut control);
-        }
-        if !control.is_empty() {
-            pieces.push(FramePiece::Control(Bytes::from(control)));
-        }
-        let frame = ChunkFrame {
-            group: self.group,
-            msg_idx: self.msg_idx,
-            chunk_idx: self.chunk_idx,
-            last_in_msg: chunk.last,
-            last_in_group: self.last_in_group && chunk.last,
-            pieces,
-            accounted,
-            codec: Codec::Raw,
-        };
-        self.chunk_idx += 1;
-        frame
-    }
-}
-
-/// Splits a materialized delta's ops into budget-bounded chunks without
-/// copying: literal pieces are zero-copy `Bytes` slices.
-fn split_delta_ops(delta: &Delta, budget: usize, mut emit: impl FnMut(DeltaChunk)) {
-    let budget = budget.max(1);
-    let mut ops: Vec<DeltaOp> = Vec::new();
-    let mut lit = 0usize;
-    for op in delta.ops() {
-        match op {
-            DeltaOp::Copy { .. } => ops.push(op.clone()),
-            DeltaOp::Literal(b) => {
-                let mut off = 0;
-                while off < b.len() {
-                    let take = (budget - lit).min(b.len() - off);
-                    ops.push(DeltaOp::Literal(b.slice(off..off + take)));
-                    lit += take;
-                    off += take;
-                    if lit >= budget {
-                        emit(DeltaChunk {
-                            ops: std::mem::take(&mut ops),
-                            last: false,
-                        });
-                        lit = 0;
-                    }
-                }
-            }
-        }
-    }
-    emit(DeltaChunk { ops, last: true });
-}
-
-/// Frames every message of a transaction group as a chunk stream:
-/// Delta payloads are split into frames of at most `chunk_budget`
-/// literal bytes; other payloads are scatter-gather packed with their
-/// shared bodies sliced at the budget, so a group-sized `Full` body
-/// streams as many bounded frames instead of one group-sized unit
-/// (payload bytes stay shared either way — slicing is an `Arc` bump).
-/// Per group, the `accounted` fields sum exactly to `Σ wire_size()`:
-/// a split message charges its model header on the first frame and
-/// payload bytes where they travel.
+/// Each frame accounts the payload bytes it carries, and a message's
+/// first frame also its model header share, `wire_size()` minus the
+/// payload; per group the `accounted` fields sum exactly to
+/// `Σ wire_size()`.
 ///
 /// # Panics
 ///
@@ -435,66 +281,49 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
     for (msg_idx, msg) in msgs.iter().enumerate() {
         let last_in_group = msg_idx == msgs.len() - 1;
         let group = msg.group.expect("streamed messages carry a group id");
-        if let UpdatePayload::Delta { base_path, delta } = &msg.payload {
-            let mut framer = DeltaFramer {
-                msg,
-                base_path,
-                group,
-                msg_idx,
-                last_in_group,
-                chunk_idx: 0,
-                acct: ChunkAccountant::default(),
-            };
-            split_delta_ops(delta, budget, |chunk| emit(framer.frame(&chunk)));
-        } else {
-            let wire_frame = wire::encode_vectored(msg, &mut scratch);
-            // Greedy packing: shared payload bytes count against the
-            // budget (control framing rides along, as in the delta
-            // path); a new frame opens only when payload bytes remain.
-            let mut packed: Vec<Vec<FramePiece>> = Vec::new();
-            let mut open: Vec<FramePiece> = Vec::new();
-            let mut used = 0usize;
-            let mut payload_total = 0u64;
-            for seg in wire_frame.segs {
-                match seg {
-                    FrameSeg::Scratch(r) => {
-                        open.push(FramePiece::Control(Bytes::copy_from_slice(&scratch[r])))
-                    }
-                    FrameSeg::Shared(p) => {
-                        payload_total += p.len() as u64;
-                        let mut off = 0;
-                        while off < p.len() {
-                            if used >= budget {
-                                packed.push(std::mem::take(&mut open));
-                                used = 0;
-                            }
-                            let take = (budget - used).min(p.len() - off);
-                            open.push(FramePiece::Shared(p.slice(off..off + take)));
-                            used += take;
-                            off += take;
+        let wire_frame = wire::encode_vectored(msg, &mut scratch);
+        let mut packed: Vec<Vec<FramePiece>> = Vec::new();
+        let mut open: Vec<FramePiece> = Vec::new();
+        let mut used = 0usize;
+        let mut payload_total = 0u64;
+        for seg in wire_frame.segs {
+            match seg {
+                FrameSeg::Scratch(r) => {
+                    open.push(FramePiece::Control(Bytes::copy_from_slice(&scratch[r])))
+                }
+                FrameSeg::Shared(p) => {
+                    payload_total += p.len() as u64;
+                    let mut off = 0;
+                    while off < p.len() {
+                        if used >= budget {
+                            packed.push(std::mem::take(&mut open));
+                            used = 0;
                         }
+                        let take = (budget - used).min(p.len() - off);
+                        open.push(FramePiece::Shared(p.slice(off..off + take)));
+                        used += take;
+                        off += take;
                     }
                 }
             }
-            packed.push(open);
-            let header_share = msg.wire_size() - payload_total;
-            let chunks = packed.len();
-            for (chunk_idx, pieces) in packed.into_iter().enumerate() {
-                let last = chunk_idx == chunks - 1;
-                let mut frame = ChunkFrame {
-                    group,
-                    msg_idx,
-                    chunk_idx,
-                    last_in_msg: last,
-                    last_in_group: last_in_group && last,
-                    pieces,
-                    accounted: 0,
-                    codec: Codec::Raw,
-                };
-                frame.accounted =
-                    frame.payload_bytes() + if chunk_idx == 0 { header_share } else { 0 };
-                emit(frame);
-            }
+        }
+        packed.push(open);
+        let header_share = msg.wire_size() - payload_total;
+        let chunks = packed.len();
+        for (chunk_idx, pieces) in packed.into_iter().enumerate() {
+            let last = chunk_idx == chunks - 1;
+            let mut frame = ChunkFrame {
+                group,
+                msg_idx,
+                chunk_idx,
+                last_in_msg: last,
+                last_in_group: last_in_group && last,
+                pieces,
+                accounted: 0,
+                codec: Codec::Raw,
+            };
+            frame.accounted = frame.payload_bytes() + if chunk_idx == 0 { header_share } else { 0 };
+            emit(frame);
         }
     }
 }
@@ -595,7 +424,8 @@ pub(crate) fn upload_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{ClientId, FileOpItem, Version};
+    use crate::protocol::{ClientId, FileOpItem, UpdatePayload, Version};
+    use deltacfs_delta::{Delta, DeltaOp};
 
     fn gid() -> GroupId {
         GroupId {
@@ -683,9 +513,10 @@ mod tests {
                     bytes.extend_from_slice(p.as_slice());
                 }
             }
+            // The frames are slices of the message's one encoding: a
+            // literal cut at a frame boundary is still one tagged op.
+            assert_eq!(bytes, wire::encode(&msg));
             let decoded = wire::decode(&bytes).expect("streamed bytes decode");
-            // The receiver's from_ops re-merge makes the chunk splits
-            // invisible: the decoded message equals the materialized one.
             assert_eq!(decoded, msg);
         }
     }
@@ -732,7 +563,7 @@ mod tests {
 
     #[test]
     fn group_end_inside_a_message_is_rejected_not_committed_truncated() {
-        // `last_in_group` without `last_in_msg` never leaves the framers,
+        // `last_in_group` without `last_in_msg` never leaves the framer,
         // but the flags are wire input: committing on it would apply the
         // group without the message still being staged.
         let msg = UpdateMsg {
@@ -769,17 +600,6 @@ mod tests {
             }
             assert_eq!(committed, Some(vec![msg.clone()]));
             assert_eq!(stager.staged_groups(), 0);
-        }
-    }
-
-    #[test]
-    fn chunk_accountant_charges_split_ops_once() {
-        let delta = sample_delta();
-        for budget in [1usize, 3, 64, 999, 4096] {
-            let mut acct = ChunkAccountant::default();
-            let mut total = 0;
-            split_delta_ops(&delta, budget, |chunk| total += acct.account(&chunk));
-            assert_eq!(total, delta.wire_size(), "budget {budget}");
         }
     }
 }

@@ -47,7 +47,7 @@ mod stats;
 pub use error::VfsError;
 pub use event::{OpEvent, OpObserver, RecordingObserver};
 pub use fs::{DirEntry, FileKind, Handle, Metadata, PausedEventLog, Vfs};
-pub use path::VPath;
+pub use path::{VPath, PATH_MAX};
 pub use stats::IoStats;
 
 /// Result alias used throughout this crate.

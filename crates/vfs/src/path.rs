@@ -2,6 +2,11 @@ use std::fmt;
 
 use crate::VfsError;
 
+/// The longest path a [`VPath`] holds, in bytes (`PATH_MAX`). Paths
+/// cross the wire behind a `u16` length, so the bound also leaves room
+/// for the suffixes the cloud appends to conflict copies.
+pub const PATH_MAX: usize = 4096;
+
 /// A normalized, absolute path inside a [`Vfs`](crate::Vfs).
 ///
 /// `VPath` guarantees the invariants the rest of the stack relies on:
@@ -29,9 +34,10 @@ impl VPath {
     ///
     /// # Errors
     ///
-    /// Returns [`VfsError::InvalidArgument`] if `raw` is relative, empty, or
+    /// Returns [`VfsError::InvalidArgument`] if `raw` is relative, empty,
     /// contains `..` components (the in-memory VFS has no notion of a
-    /// current directory, so these are always programming errors).
+    /// current directory, so these are always programming errors), or
+    /// normalizes to more than [`PATH_MAX`] bytes.
     pub fn new(raw: &str) -> Result<Self, VfsError> {
         if !raw.starts_with('/') {
             return Err(VfsError::InvalidArgument(format!(
@@ -53,7 +59,7 @@ impl VPath {
         if parts.is_empty() {
             Ok(VPath("/".to_string()))
         } else {
-            Ok(VPath(format!("/{}", parts.join("/"))))
+            bounded(format!("/{}", parts.join("/")))
         }
     }
 
@@ -98,7 +104,7 @@ impl VPath {
     /// # Errors
     ///
     /// Returns [`VfsError::InvalidArgument`] if `component` is empty or
-    /// contains a slash.
+    /// contains a slash, or if the joined path exceeds [`PATH_MAX`] bytes.
     pub fn join(&self, component: &str) -> Result<VPath, VfsError> {
         if component.is_empty() || component.contains('/') {
             return Err(VfsError::InvalidArgument(format!(
@@ -106,9 +112,9 @@ impl VPath {
             )));
         }
         if self.is_root() {
-            Ok(VPath(format!("/{component}")))
+            bounded(format!("/{component}"))
         } else {
-            Ok(VPath(format!("{}/{component}", self.0)))
+            bounded(format!("{}/{component}", self.0))
         }
     }
 
@@ -124,6 +130,17 @@ impl VPath {
         }
         self.0 == other.0 || self.0.starts_with(&format!("{}/", other.0))
     }
+}
+
+/// Wraps a normalized path, rejecting one longer than [`PATH_MAX`].
+fn bounded(path: String) -> Result<VPath, VfsError> {
+    if path.len() > PATH_MAX {
+        return Err(VfsError::InvalidArgument(format!(
+            "path of {} bytes exceeds PATH_MAX ({PATH_MAX})",
+            path.len()
+        )));
+    }
+    Ok(VPath(path))
 }
 
 impl fmt::Display for VPath {
@@ -163,6 +180,21 @@ mod tests {
         assert!(VPath::new("a/b").is_err());
         assert!(VPath::new("").is_err());
         assert!(VPath::new("/a/../b").is_err());
+    }
+
+    #[test]
+    fn rejects_paths_longer_than_path_max() {
+        let longest = format!("/{}", "a".repeat(PATH_MAX - 1));
+        assert_eq!(VPath::new(&longest).unwrap().as_str().len(), PATH_MAX);
+        let over = format!("/{}", "a".repeat(PATH_MAX));
+        assert!(matches!(
+            VPath::new(&over),
+            Err(VfsError::InvalidArgument(_))
+        ));
+        // The bound is on the normalized form, and `join` keeps it.
+        assert!(VPath::new(&format!("//{}", "a".repeat(PATH_MAX - 1))).is_ok());
+        let dir = VPath::new(&format!("/{}", "d".repeat(PATH_MAX - 2))).unwrap();
+        assert!(matches!(dir.join("f"), Err(VfsError::InvalidArgument(_))));
     }
 
     #[test]

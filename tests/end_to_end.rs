@@ -133,6 +133,34 @@ fn inplace_update_over_threshold_ships_a_local_delta() {
     assert_eq!(server.file("/f"), Some(&fs.peek_all("/f").unwrap()[..]));
 }
 
+/// A path as long as `PATH_MAX` syncs like any other; a longer one is
+/// refused at the file system, before its length could overflow the
+/// wire's `u16` path prefix and vanish on the way to the cloud.
+#[test]
+fn longest_path_syncs_and_a_longer_one_is_refused() {
+    use deltacfs::vfs::{VfsError, PATH_MAX};
+
+    let clock = SimClock::new();
+    let mut sys = DeltaCfsSystem::new(DeltaCfsConfig::new(), clock.clone(), LinkSpec::pc());
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    let longest = format!("/{}", "p".repeat(PATH_MAX - 1));
+    fs.create(&longest).unwrap();
+    fs.write(&longest, 0, b"at the limit").unwrap();
+    let too_long = format!("/{}", "q".repeat(70_000));
+    assert!(matches!(
+        fs.create(&too_long),
+        Err(VfsError::InvalidArgument(_))
+    ));
+    for e in fs.drain_events() {
+        sys.on_event(&e, &fs);
+    }
+    clock.advance(4_000);
+    sys.finish(&fs);
+    assert_converged("longest path", &sys, &fs);
+    assert_eq!(sys.server().file(&longest), Some(&b"at the limit"[..]));
+}
+
 #[test]
 fn gedit_trace_link_pattern_syncs_exactly() {
     let cfg = TraceConfig::scaled(0.2);

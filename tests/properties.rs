@@ -79,11 +79,11 @@ proptest! {
     /// materialized one once the receiver has staged it: for any inputs,
     /// block size and chunk budget, no frame carries more than the
     /// budget in payload bytes, the frames account for exactly the
-    /// message's wire size, and the stager hands back the identical
-    /// message — ops a frame boundary split re-merge losslessly. This is
-    /// the correctness contract of the streamed upload (DESIGN.md §12):
-    /// what crosses the wire in frames is exactly what the one-shot
-    /// upload would have sent.
+    /// message's wire size, their pieces concatenate to exactly the
+    /// message's one wire encoding, and the stager hands back the
+    /// identical message. This is the correctness contract of the framed
+    /// upload (DESIGN.md §12): what crosses the wire in frames is exactly
+    /// `wire::encode` of the message.
     #[test]
     fn framed_delta_equals_materialized(
         old in buffer(8192),
@@ -116,6 +116,12 @@ proptest! {
             );
         }
         prop_assert_eq!(frames.iter().map(|f| f.accounted).sum::<u64>(), msg.wire_size());
+        let concatenated: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| &f.pieces)
+            .flat_map(|p| p.as_slice().iter().copied())
+            .collect();
+        prop_assert_eq!(concatenated, deltacfs::core::wire::encode(&msg));
 
         let mut stager = ChunkStager::new();
         let mut committed = None;

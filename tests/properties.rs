@@ -819,8 +819,10 @@ fn hub_fingerprint(hub: &SyncHub) -> HubFingerprint {
 /// Drives a multi-tenant workload on one hub: four tenants, two clients
 /// each, writes/renames/unlinks confined to each tenant's namespace; an
 /// op whose tenant number is 4 or more (tenant `n % 4`) shares its pump
-/// round with the next op, so rounds see several busy tenants.
-fn run_tenant_workload(ops: &[TenantOp]) -> SyncHub {
+/// round with the next op, so rounds see several busy tenants. `faults`,
+/// when given, is armed once every client is attached, before the first
+/// op.
+fn run_tenant_workload(ops: &[TenantOp], faults: Option<FaultSpec>) -> SyncHub {
     use deltacfs::core::DeltaCfsConfig;
 
     let clock = SimClock::new();
@@ -832,6 +834,9 @@ fn run_tenant_workload(ops: &[TenantOp]) -> SyncHub {
         let b = hub.add_client_in(&ns, DeltaCfsConfig::new(), LinkSpec::pc());
         hub.fs_mut(a).mkdir_all(&format!("/{ns}")).unwrap();
         clients.push((a, b));
+    }
+    if let Some(spec) = faults {
+        hub.enable_faults(spec);
     }
     let mut live: Vec<Vec<String>> = vec![Vec::new(); 4];
     let mut next_name = 0usize;
@@ -904,22 +909,30 @@ fn run_tenant_workload(ops: &[TenantOp]) -> SyncHub {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Many tenants on the one server: a multi-tenant workload run twice
-    /// lands the identical server content, per-client state, traffic,
-    /// causal apply order, ack order and conflict sequence; no client
-    /// ever holds a path outside its namespace; and once settled, every
-    /// client agrees with the server inside its namespace. (The name is
-    /// from when the hub was sharded; DESIGN.md §13 maps the old checks.)
+    /// Many tenants on the one server, delivered with and without a fault
+    /// plan that injects nothing: both runs land the identical server
+    /// content, per-client state, traffic, causal apply order, conflict
+    /// sequence and server outcomes (only the faulty run keeps an ack
+    /// record); no client ever holds a path outside its namespace; and
+    /// once settled, every client agrees with the server inside its
+    /// namespace.
     #[test]
-    fn sharded_hub_matches_single_shard(
+    fn clean_fault_plan_matches_the_fault_free_hub(
+        seed in any::<u64>(),
         ops in proptest::collection::vec(
             (0u8..8, any::<bool>(), 0u8..5, 0usize..4, 0u64..2048, buffer(192)),
             1..16
         )
     ) {
-        let mut hub = run_tenant_workload(&ops);
-        let first = hub_fingerprint(&hub);
-        prop_assert_eq!(&hub_fingerprint(&run_tenant_workload(&ops)), &first, "two runs diverged");
+        let mut hub = run_tenant_workload(&ops, None);
+        let faulty = run_tenant_workload(&ops, Some(FaultSpec::clean(seed)));
+        let without_acks = |hub: &SyncHub| {
+            let mut fingerprint = hub_fingerprint(hub);
+            fingerprint.4.clear();
+            fingerprint
+        };
+        prop_assert_eq!(without_acks(&faulty), without_acks(&hub), "a clean fault plan changed the run");
+        prop_assert_eq!(faulty.server_outcomes(), hub.server_outcomes());
         for idx in 0..hub.client_count() {
             let subtree = format!("/{}/", hub.namespace(idx));
             for (path, _) in client_files(&hub, idx) {

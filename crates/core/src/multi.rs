@@ -12,7 +12,10 @@
 //! to a *namespace* (their shared folder, the first path component).
 //! Fan-out is batched per peer through the namespace subscriber index
 //! instead of scanning every client per message. One round loop on the
-//! calling thread delivers everything, busy clients in index order.
+//! calling thread visits the busy clients in index order, and one
+//! delivery loop ([`SyncHub::deliver`]) runs every upload through its
+//! client's courier: under a fault plan each attempt takes the plan's
+//! verdict, without one it is delivered once and acknowledged.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -23,7 +26,7 @@ use deltacfs_net::{
     FaultPlan, FaultSpec, FaultStats, FaultTopology, Link, LinkSpec, PlatformProfile, SimClock,
     SimTime, UploadVerdict,
 };
-use deltacfs_obs::{GroupKey, Obs, Profiler, Snapshot};
+use deltacfs_obs::{GroupKey, Histogram, Obs, Profiler, Snapshot};
 use deltacfs_vfs::Vfs;
 
 use crate::client::{DeltaCfsClient, RemoteConflict};
@@ -124,9 +127,9 @@ pub struct SyncHub {
     root_subscribers: Vec<usize>,
     /// `Some` once [`SyncHub::enable_faults`] (one shared schedule) or
     /// [`SyncHub::enable_fault_topology`] (independent per-writer
-    /// schedules) arms fault injection; the pump then runs through the
-    /// reliability layer (couriers + server idempotency + crash/restart
-    /// from the snapshot store).
+    /// schedules) arms fault injection; the couriers then deliver
+    /// through the reliability layer (fault verdicts + server
+    /// idempotency + crash/restart from the snapshot store).
     fault: Option<FaultTopology>,
     /// The server's durable snapshot store, refreshed after every
     /// delivered group in fault mode; a simulated server crash reloads
@@ -135,7 +138,8 @@ pub struct SyncHub {
     /// Duplicated group copies held back for out-of-order redelivery.
     deferred: Vec<Vec<UpdateMsg>>,
     /// Every `(client, path, version)` the server acknowledged as
-    /// applied — the commit record fault tests check against.
+    /// applied under a fault plan — the commit record fault tests check
+    /// against.
     acked: Vec<(usize, String, Version)>,
     /// Counter stamping synthetic download streams (full sync,
     /// anti-entropy) with unique `<ClientId(0), seq>` group ids —
@@ -198,10 +202,7 @@ impl SyncHub {
         if self.cfg.profiling {
             self.obs.recorder.set_enabled(true);
         }
-        let hist = self
-            .obs
-            .registry
-            .histogram("retry_backoff_ms", BACKOFF_HELP, &BACKOFF_BUCKETS_MS);
+        let hist = self.backoff_histogram();
         for slot in &mut self.slots {
             slot.client.set_obs(self.obs.clone());
             slot.courier.set_backoff_histogram(hist.clone());
@@ -245,11 +246,7 @@ impl SyncHub {
         let mut fs = Vfs::new();
         fs.enable_event_log();
         let mut courier = Courier::new(RetryPolicy::default(), courier_seed(0, idx));
-        courier.set_backoff_histogram(self.obs.registry.histogram(
-            "retry_backoff_ms",
-            BACKOFF_HELP,
-            &BACKOFF_BUCKETS_MS,
-        ));
+        courier.set_backoff_histogram(self.backoff_histogram());
         if namespace.is_empty() {
             self.root_subscribers.push(idx);
         } else {
@@ -287,23 +284,16 @@ impl SyncHub {
         idx
     }
 
-    /// Arms a fault schedule: from now on every upload runs through the
-    /// reliability layer — stop-and-wait couriers with seeded backoff,
-    /// server-side `<CliID, VerCnt>` deduplication, and crash/restart
-    /// from the persisted snapshot.
+    /// Arms a fault schedule: from now on every upload attempt takes a
+    /// verdict from it and runs through the reliability layer — couriers
+    /// with seeded backoff, server-side `<CliID, VerCnt>` deduplication,
+    /// and crash/restart from the persisted snapshot.
     ///
     /// Each courier's jitter stream is re-seeded from `spec.seed`, so
     /// one seed reproduces the entire run.
     pub fn enable_faults(&mut self, spec: FaultSpec) {
         let seed = spec.seed;
-        let hist = self
-            .obs
-            .registry
-            .histogram("retry_backoff_ms", BACKOFF_HELP, &BACKOFF_BUCKETS_MS);
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            slot.courier = Courier::new(RetryPolicy::default(), courier_seed(seed, idx));
-            slot.courier.set_backoff_histogram(hist.clone());
-        }
+        self.reseed_couriers(|_| seed);
         self.fault = Some(FaultTopology::shared(spec));
         self.save_server();
     }
@@ -328,16 +318,27 @@ impl SyncHub {
             self.slots.len(),
             "one FaultSpec per attached client"
         );
-        let hist = self
-            .obs
-            .registry
-            .histogram("retry_backoff_ms", BACKOFF_HELP, &BACKOFF_BUCKETS_MS);
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            slot.courier = Courier::new(RetryPolicy::default(), courier_seed(specs[idx].seed, idx));
-            slot.courier.set_backoff_histogram(hist.clone());
-        }
+        self.reseed_couriers(|idx| specs[idx].seed);
         self.fault = Some(FaultTopology::per_client(specs));
         self.save_server();
+    }
+
+    /// Gives every client a fresh courier whose jitter stream is seeded
+    /// from `seed(idx)` and whose delays go into the shared backoff
+    /// histogram.
+    fn reseed_couriers(&mut self, seed: impl Fn(usize) -> u64) {
+        let hist = self.backoff_histogram();
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            slot.courier = Courier::new(RetryPolicy::default(), courier_seed(seed(idx), idx));
+            slot.courier.set_backoff_histogram(hist.clone());
+        }
+    }
+
+    /// The `retry_backoff_ms` histogram every courier records into.
+    fn backoff_histogram(&self) -> Histogram {
+        self.obs
+            .registry
+            .histogram("retry_backoff_ms", BACKOFF_HELP, &BACKOFF_BUCKETS_MS)
     }
 
     /// Snapshots the server into its store.
@@ -378,7 +379,9 @@ impl SyncHub {
         self.deferred.len()
     }
 
-    /// Every `(client, path, version)` the server acknowledged.
+    /// Every `(client, path, version)` the server acknowledged as
+    /// applied. Recorded only while a fault plan is armed: without one
+    /// every upload is acknowledged once, and this stays empty.
     pub fn acked(&self) -> &[(usize, String, Version)] {
         &self.acked
     }
@@ -541,8 +544,9 @@ impl SyncHub {
     }
 
     /// One delivery round, on the calling thread: every busy client, in
-    /// index order, has its events fed to its engine and its ready groups
-    /// uploaded, applied and forwarded before the next client is looked at.
+    /// index order, has its events fed to its engine, its ready groups
+    /// queued on its courier and the courier run by [`SyncHub::deliver`]
+    /// before the next client is looked at.
     fn pump_inner(&mut self, flush: bool) {
         let now = self.clock.now();
         // The opt-in wall-clock apply-latency histogram (µs), resolved
@@ -562,49 +566,17 @@ impl SyncHub {
             self.pump_visited += 1;
             // 1. Feed pending fs events into the engine.
             self.ingest(idx);
-            // 2. Upload ready groups.
+            // 2. Queue ready groups on the courier and deliver them.
             let slot = &mut self.slots[idx];
             let groups = if flush {
                 slot.client.flush(&slot.fs)
             } else {
                 slot.client.tick(&slot.fs)
             };
-            if self.fault.is_some() {
-                for group in groups {
-                    self.slots[idx].courier.enqueue(group);
-                }
-                self.drive_courier(idx, now);
-                continue;
-            }
             for group in groups {
-                let slot = &mut self.slots[idx];
-                let chunk_budget = slot.client.config().chunk_budget;
-                let arrived = upload_frames(
-                    &self.obs,
-                    &mut slot.link,
-                    &mut slot.upload_codec,
-                    &mut self.server,
-                    &group,
-                    chunk_budget,
-                    now,
-                    Arrival::Acked,
-                );
-                // `None` only if the server's stager rejected frames cut
-                // in this process, which a clean link leaves in order.
-                let Some((msgs, at)) = arrived else { continue };
-                let t0 = latency.as_ref().map(|_| Instant::now());
-                let outcomes = self.server.apply_txn(&msgs);
-                if let (Some(hist), Some(t0)) = (&latency, t0) {
-                    hist.observe(t0.elapsed().as_micros() as u64);
-                }
-                let key = group_span_key(&group);
-                record_apply(&self.obs, &slot.actor, key, at.as_millis(), &outcomes);
-                let applied = all_applied(&outcomes);
-                self.server_outcomes.extend(outcomes);
-                if applied {
-                    self.forward(idx, &group, now, &mut None);
-                }
+                slot.courier.enqueue(group);
             }
+            self.deliver(idx, now, latency.as_ref());
         }
         // Late (reordered) duplicate copies arrive now, after *every*
         // courier ran this round — a deterministic, FIFO redelivery
@@ -625,35 +597,50 @@ impl SyncHub {
         }
     }
 
-    /// Runs client `idx`'s courier until its queue drains or backoff /
-    /// disconnection parks it: each attempt goes through the client's
-    /// fault plan, and only a surviving acknowledgement advances the
-    /// queue.
-    fn drive_courier(&mut self, idx: usize, now: SimTime) {
-        // Unreachable: only called when `self.fault` is `Some`, restored below.
-        let mut topo = self.fault.take().expect("fault mode is armed");
+    /// The one delivery loop: runs client `idx`'s courier until its queue
+    /// drains or backoff / disconnection parks it. Each attempt goes up
+    /// the one upload leg; a group the server received whole is applied
+    /// (timed into `latency` when given), recorded, and forwarded to the
+    /// subscribed peers once acknowledged.
+    ///
+    /// Under a fault plan each attempt takes the client's verdict from
+    /// it, the server applies through its `<CliID, GroupSeq>` replay
+    /// index and is snapshotted after every group, and only a surviving
+    /// acknowledgement advances the queue. Without one every attempt is
+    /// delivered once and acknowledged: no fault draw, no snapshot, no
+    /// replay index and no [`SyncHub::acked`] entry.
+    fn deliver(&mut self, idx: usize, now: SimTime, latency: Option<&Histogram>) {
+        let faulty = self.fault.is_some();
         let actor = Arc::clone(&self.slots[idx].actor);
-        while self.slots[idx].courier.ready(now) {
-            let Some(flight) = self.slots[idx].courier.take_attempt(now) else {
+        let now_ms = now.as_millis();
+        loop {
+            let slot = &mut self.slots[idx];
+            let chunk_budget = slot.client.config().chunk_budget;
+            let Some(flight) = slot.courier.take_attempt(now) else {
                 break;
             };
             let attempt = flight.attempts;
-            let group = flight.group.clone();
-            let now_ms = now.as_millis();
-            let gkey = group_span_key(&group);
-            let verdict = topo.plan_for(idx).upload_verdict(idx, now);
+            let gkey = group_span_key(&flight.group);
+            let verdict = match self.fault.as_mut() {
+                Some(topo) => topo.plan_for(idx).upload_verdict(idx, now),
+                None => UploadVerdict::Delivered {
+                    duplicate: false,
+                    crash_after_apply: false,
+                },
+            };
             let arrival = match verdict {
                 UploadVerdict::Disconnected => {
                     // Nothing goes on the wire. The reconnection time is
                     // known: park until then.
-                    let until = topo
-                        .plan_for(idx)
-                        .disconnect_until(idx, now)
+                    let until = self
+                        .fault
+                        .as_mut()
+                        .and_then(|topo| topo.plan_for(idx).disconnect_until(idx, now))
                         .unwrap_or(now.plus_millis(1));
                     self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
                         format!("disconnected; courier parked until {}ms", until.as_millis())
                     });
-                    self.slots[idx].courier.defer_until(until);
+                    slot.courier.defer_until(until);
                     break;
                 }
                 UploadVerdict::Dropped => Arrival::Dropped,
@@ -668,14 +655,12 @@ impl SyncHub {
             // A dropped attempt's `wire.upload` span stays open on
             // purpose: the profile shows in-flight work that never
             // completed.
-            let slot = &mut self.slots[idx];
-            let chunk_budget = slot.client.config().chunk_budget;
             let arrived = upload_frames(
                 &self.obs,
                 &mut slot.link,
                 &mut slot.upload_codec,
                 &mut self.server,
-                &group,
+                &flight.group,
                 chunk_budget,
                 now,
                 arrival,
@@ -700,22 +685,34 @@ impl SyncHub {
                     },
                     Some((msgs, at)),
                 ) => {
-                    let done_ms = at.as_millis();
-                    let (outcomes, was_dup) = self.server.apply_txn_idempotent(&msgs);
+                    let t0 = latency.map(|_| Instant::now());
+                    let (outcomes, was_dup) = if faulty {
+                        self.server.apply_txn_idempotent(&msgs)
+                    } else {
+                        (self.server.apply_txn(&msgs), false)
+                    };
+                    if let (Some(hist), Some(t0)) = (latency, t0) {
+                        hist.observe(t0.elapsed().as_micros() as u64);
+                    }
                     if was_dup {
                         self.obs.recorder.event(gkey, "server", "server.dedup", now_ms, || {
-                            format!("replay of group from {actor} absorbed ({} msgs)", group.len())
+                            format!("replay of group from {actor} absorbed ({} msgs)", msgs.len())
                         });
                     } else {
-                        record_apply(&self.obs, &actor, gkey, done_ms, &outcomes);
+                        record_apply(&self.obs, &actor, gkey, at.as_millis(), &outcomes);
                     }
-                    self.save_server();
+                    if faulty {
+                        self.save_server();
+                    }
                     if duplicate {
                         // Every duplicated copy — versioned or namespace-
                         // only — may be held back and redelivered after
                         // newer groups: the `<CliID, GroupSeq>` replay
                         // index recognizes it whenever it shows up.
-                        let deferred = topo.plan_for(idx).defer_duplicate();
+                        let deferred = self
+                            .fault
+                            .as_mut()
+                            .is_some_and(|topo| topo.plan_for(idx).defer_duplicate());
                         self.obs.recorder.event(gkey, &actor, "fault.inject", now_ms, || {
                             if deferred {
                                 "upload duplicated; copy held for late redelivery".to_string()
@@ -724,9 +721,9 @@ impl SyncHub {
                             }
                         });
                         if deferred {
-                            self.deferred.push(group.clone());
+                            self.deferred.push(msgs);
                         } else {
-                            self.server.apply_txn_idempotent(&group);
+                            self.server.apply_txn_idempotent(&msgs);
                         }
                     }
                     if crash_after_apply {
@@ -739,23 +736,31 @@ impl SyncHub {
                         self.crash_server(gkey, now_ms);
                         let delay = self.slots[idx].courier.on_failure(now);
                         self.trace_backoff(idx, gkey, now_ms, delay);
-                    } else if !topo.plan_for(idx).download_lost(idx, now) {
-                        self.obs.recorder.event(gkey, &actor, "wire.ack", now_ms, || {
-                            format!("group acknowledged after {} attempt(s)", attempt)
-                        });
-                        self.slots[idx].courier.on_ack();
-                        if !was_dup {
-                            let applied = all_applied(&outcomes);
-                            for (msg, out) in group.iter().zip(&outcomes) {
-                                if *out == ApplyOutcome::Applied {
-                                    if let Some(v) = msg.version {
-                                        self.acked.push((idx, msg.path.clone(), v));
+                    } else if !self
+                        .fault
+                        .as_mut()
+                        .is_some_and(|topo| topo.plan_for(idx).download_lost(idx, now))
+                    {
+                        if faulty {
+                            self.obs.recorder.event(gkey, &actor, "wire.ack", now_ms, || {
+                                format!("group acknowledged after {} attempt(s)", attempt)
+                            });
+                        }
+                        let acked = self.slots[idx].courier.on_ack();
+                        if let (Some(group), false) = (acked, was_dup) {
+                            if faulty {
+                                for (msg, out) in group.iter().zip(&outcomes) {
+                                    if *out == ApplyOutcome::Applied {
+                                        if let Some(v) = msg.version {
+                                            self.acked.push((idx, msg.path.clone(), v));
+                                        }
                                     }
                                 }
                             }
+                            let applied = all_applied(&outcomes);
                             self.server_outcomes.extend(outcomes);
                             if applied {
-                                self.forward(idx, &group, now, &mut Some(&mut topo));
+                                self.forward(idx, &group, now);
                             }
                         }
                     } else {
@@ -786,7 +791,6 @@ impl SyncHub {
                 }
             }
         }
-        self.fault = Some(topo);
     }
 
     /// Records the courier's retransmission decision for group `key`.
@@ -831,13 +835,7 @@ impl SyncHub {
     /// atomically on the peer. In fault mode each forwarded message can
     /// be lost on the *receiving peer's* downlink, as decided by that
     /// peer's own fault plan.
-    fn forward(
-        &mut self,
-        from: usize,
-        group: &[UpdateMsg],
-        now: SimTime,
-        fault: &mut Option<&mut FaultTopology>,
-    ) {
+    fn forward(&mut self, from: usize, group: &[UpdateMsg], now: SimTime) {
         for idx in self.receivers_for(from) {
             let peer = &mut self.slots[idx];
             let planned = plan_forward_group(&self.server, peer, group);
@@ -849,7 +847,7 @@ impl SyncHub {
                 .iter()
                 .find_map(|m| m.group)
                 .expect("upload groups are stamped");
-            let plan = fault.as_mut().map(|topo| topo.plan_for(idx));
+            let plan = self.fault.as_mut().map(|topo| topo.plan_for(idx));
             deliver_group_streaming(
                 &self.obs,
                 now,
@@ -1092,11 +1090,7 @@ impl SyncHub {
     pub fn crash_and_restart_client(&mut self, idx: usize) -> Vec<String> {
         // Interception is synchronous: operations that completed before
         // the crash already reached the engine (and its undo logs).
-        let events = self.slots[idx].fs.drain_events();
-        for e in &events {
-            let slot = &mut self.slots[idx];
-            slot.client.handle_event(e, &slot.fs);
-        }
+        self.ingest(idx);
         self.slots[idx].courier.clear();
         // In-flight forwarded chunk streams die with the process: a
         // staged (uncommitted) group is volatile by design, so nothing

@@ -15,8 +15,8 @@ use deltacfs_workloads::filebench::FilebenchConfig;
 
 /// Every positional word `repro` understands.
 const SECTIONS: &[&str] = &[
-    "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "table5", "check",
-    "metrics", "profile",
+    "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "table5", "ablation",
+    "check", "metrics", "profile",
 ];
 
 fn main() {
@@ -73,6 +73,7 @@ fn main() {
     let wants = |name: &str| (all && name != "check") || which.iter().any(|w| w == name);
 
     let mut json = serde_json::Map::new();
+    let mut claims_hold = true;
     println!("# DeltaCFS evaluation reproduction (scale {scale})\n");
 
     if wants("fig1") {
@@ -111,9 +112,9 @@ fn main() {
         let (report, all_ok) = deltacfs_bench::claims::render(&claims);
         println!("{report}");
         json.insert("check".into(), serde_json::json!({ "passed": all_ok }));
-        if !all_ok {
-            std::process::exit(1);
-        }
+        // A failed claim fails the run, but only after every requested
+        // section has printed and the JSON is written.
+        claims_hold = all_ok;
     }
     if wants("table4") {
         let rows = experiments::table4();
@@ -124,6 +125,11 @@ fn main() {
         let rows = experiments::table5(&[1, 2, 3, 4]);
         println!("{}", table::render_table5(&rows));
         json.insert("table5".into(), serde_json::to_value(&rows).unwrap());
+    }
+    if wants("ablation") {
+        let result = experiments::ablation(scale);
+        println!("{}", table::render_ablation(&result));
+        json.insert("ablation".into(), serde_json::to_value(&result).unwrap());
     }
     if wants("metrics") || metrics_path.is_some() {
         let snap = experiments::metrics_snapshot();
@@ -173,6 +179,9 @@ fn main() {
         )
         .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         println!("(json written to {path})");
+    }
+    if !claims_hold {
+        std::process::exit(1);
     }
 }
 

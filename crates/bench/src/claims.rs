@@ -34,10 +34,28 @@ fn cell<'a>(
 /// Runs the evaluation at `scale` and checks every claim.
 pub fn check(scale: f64) -> Vec<Claim> {
     let mut claims = Vec::new();
+    let f1 = experiments::fig1(scale);
     let t2 = experiments::table2(scale);
     let f8 = experiments::fig8(scale);
     let f9 = experiments::fig9(scale);
     let t4 = experiments::table4();
+    let ab = experiments::ablation(scale);
+
+    // --- Figure 1 ---------------------------------------------------------
+    {
+        let dropbox = cell(&f1, EngineKind::Dropbox, "wechat", "pc")
+            .client_ticks
+            .unwrap();
+        let seafile = cell(&f1, EngineKind::Seafile, "wechat", "pc")
+            .client_ticks
+            .unwrap();
+        claims.push(Claim {
+            source: "Fig 1",
+            statement: "wechat: Dropbox burns more client CPU than Seafile",
+            holds: dropbox > seafile,
+            evidence: format!("Dropbox {dropbox}, Seafile {seafile}"),
+        });
+    }
 
     // --- Table II -------------------------------------------------------
     for trace in ["append", "random", "wechat"] {
@@ -229,6 +247,53 @@ pub fn check(scale: f64) -> Vec<Claim> {
             ),
         });
     }
+
+    // --- Ablations (DESIGN.md §6) -----------------------------------------
+    claims.push(Claim {
+        source: "§III-A",
+        statement: "the bitwise diff strong-hashes nothing; rsync hashes its input",
+        holds: ab.bitwise_strong_hashed == 0 && ab.rsync_strong_hashed > 0,
+        evidence: format!(
+            "bitwise {} B, rsync {} B strong-hashed",
+            ab.bitwise_strong_hashed, ab.rsync_strong_hashed
+        ),
+    });
+    claims.push(Claim {
+        source: "Table I",
+        statement: "word: the upload without the relation table is larger",
+        holds: ab.word_up_no_relation > ab.word_up,
+        evidence: format!(
+            "with relations {} B, without {} B",
+            ab.word_up, ab.word_up_no_relation
+        ),
+    });
+    claims.push(Claim {
+        source: "Fig 6",
+        statement: "word: the 3 s upload delay sends fewer messages and fewer bytes",
+        holds: ab.word_msgs < ab.word_msgs_no_delay && ab.word_up < ab.word_up_no_delay,
+        evidence: format!(
+            "with delay {} msgs / {} B, without {} msgs / {} B",
+            ab.word_msgs, ab.word_up, ab.word_msgs_no_delay, ab.word_up_no_delay
+        ),
+    });
+    claims.push(Claim {
+        source: "§III-A undo",
+        statement: "the undo-log delta shrinks a large in-place update over five-fold",
+        holds: ab.undo_delta_up < ab.undo_raw_up / 5,
+        evidence: format!(
+            "with undo log {} B, without {} B",
+            ab.undo_delta_up, ab.undo_raw_up
+        ),
+    });
+    claims.push(Claim {
+        source: "§III-E",
+        statement: "word: strict FIFO uploads more than backindex transactions",
+        holds: ab.word_up_strict_fifo > ab.word_up,
+        evidence: format!(
+            "backindex {} B, strict FIFO {} B",
+            ab.word_up, ab.word_up_strict_fifo
+        ),
+    });
     claims
 }
 
@@ -260,6 +325,6 @@ mod tests {
         let claims = check(0.05);
         let (report, all_ok) = render(&claims);
         assert!(all_ok, "failing claims:\n{report}");
-        assert!(claims.len() >= 12);
+        assert_eq!(claims.len(), 21);
     }
 }

@@ -1,7 +1,8 @@
 //! Paper-style text rendering of experiment results.
 
 use crate::experiments::{
-    CellResult, EngineKind, FaultCellResult, Fig2Result, ReliabilityRow, Table3Row, TRACES,
+    AblationResult, CellResult, EngineKind, FaultCellResult, Fig2Result, ReliabilityRow,
+    Table3Row, TRACES,
 };
 
 fn mb(bytes: u64) -> String {
@@ -167,6 +168,35 @@ pub fn render_table5(rows: &[FaultCellResult]) -> String {
         ));
     }
     out
+}
+
+/// Renders the design-choice ablations (DESIGN.md §6).
+pub fn render_ablation(a: &AblationResult) -> String {
+    format!(
+        "ABLATIONS: design choices on vs off (bytes / messages).\n  \
+         1 (strong checksum): bitwise strong-hashed {} B vs rsync {} B\n  \
+         2 (relation table): word upload with relations {} B, without {} B\n  \
+         3 (upload delay): msgs with 3 s delay {}, without {} (upload {} vs {} B)\n  \
+         4 (granularity): wechat upload, op-level RPC {} B vs 4 KB-block rsync {} B\n  \
+         5 (undo-log delta): large in-place update uploads {} B with the optimisation, {} B without\n  \
+         6 (causal modes): word upload {} B with backindex transactions, {} B under strict FIFO, \
+         {} B under 10 s ViewBox-style snapshots\n",
+        a.bitwise_strong_hashed,
+        a.rsync_strong_hashed,
+        a.word_up,
+        a.word_up_no_relation,
+        a.word_msgs,
+        a.word_msgs_no_delay,
+        a.word_up,
+        a.word_up_no_delay,
+        a.wechat_rpc_up,
+        a.wechat_blocks_up,
+        a.undo_delta_up,
+        a.undo_raw_up,
+        a.word_up,
+        a.word_up_strict_fifo,
+        a.word_up_snapshot
+    )
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! # deltacfs-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! DeltaCFS paper's evaluation (§IV). Each experiment is a plain function
-//! returning structured rows, shared by:
-//!
-//! * the `repro` binary (`cargo run -p deltacfs-bench --release --bin
-//!   repro -- all`) which prints paper-style tables, and
-//! * the Criterion benches (`cargo bench`) which measure the underlying
-//!   kernels and print the same rows.
+//! DeltaCFS paper's evaluation (§IV) and the design-choice ablations.
+//! Each experiment is a plain function returning structured rows, which
+//! the `repro` binary (`cargo run -p deltacfs-bench --release --bin repro
+//! -- all`) prints as paper-style tables and `repro check` turns into
+//! pass/fail claims.
 //!
 //! Absolute numbers differ from the paper (different hardware, simulated
 //! substrate); the claims that reproduce are the *shapes*: who wins, by
@@ -19,8 +17,3 @@
 pub mod claims;
 pub mod experiments;
 pub mod table;
-
-pub use experiments::{
-    fig1, fig2, fig8, fig9, table2, table3, table4, table5, CellResult, EngineKind,
-    FaultCellResult, Fig2Result, ReliabilityRow, Table3Row,
-};

@@ -16,7 +16,7 @@ use deltacfs_workloads::filebench::FilebenchConfig;
 /// Every positional word `repro` understands.
 const SECTIONS: &[&str] = &[
     "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "table5", "ablation",
-    "check", "metrics", "profile",
+    "indel", "check", "metrics", "profile",
 ];
 
 fn main() {
@@ -130,6 +130,11 @@ fn main() {
         let result = experiments::ablation(scale);
         println!("{}", table::render_ablation(&result));
         json.insert("ablation".into(), serde_json::to_value(&result).unwrap());
+    }
+    if wants("indel") {
+        let rows = experiments::indel(scale);
+        println!("{}", table::render_indel(&rows));
+        json.insert("indel".into(), serde_json::to_value(&rows).unwrap());
     }
     if wants("metrics") || metrics_path.is_some() {
         let snap = experiments::metrics_snapshot();

@@ -10,7 +10,7 @@ use deltacfs_net::{CrashPhase, FaultSpec, LinkSpec, PlatformProfile, SimClock};
 use deltacfs_vfs::Vfs;
 use deltacfs_workloads::filebench::{self, FilebenchConfig, Personality};
 use deltacfs_workloads::{
-    replay, AppendTrace, RandomWriteTrace, Trace, TraceConfig, WeChatTrace, WordTrace,
+    replay, AppendTrace, InDelProcess, RandomWriteTrace, Trace, TraceConfig, WeChatTrace, WordTrace,
 };
 use serde::Serialize;
 
@@ -791,6 +791,63 @@ pub fn ablation(scale: f64) -> AblationResult {
         word_up_strict_fifo,
         word_up_snapshot,
     }
+}
+
+/// One cell of the InDel grid: wire bytes of the local delta against the
+/// exact edit script's.
+#[derive(Debug, Clone, Serialize)]
+pub struct InDelRow {
+    /// Old file length in bytes.
+    pub size: usize,
+    /// Edit events per old byte, half insertions and half deletions.
+    pub rate: f64,
+    /// Bytes inserted or deleted per event.
+    pub burst: usize,
+    /// Events drawn.
+    pub events: usize,
+    /// Wire bytes of the exact edit script: the bound.
+    pub bound: u64,
+    /// Wire bytes of the walk without extension. That is `rsync::diff`:
+    /// the same candidates, tried in the same order, with nothing grown.
+    pub unextended: u64,
+    /// Wire bytes of `local::diff`, every match grown into its literals.
+    pub extended: u64,
+}
+
+/// The InDel grid: file size {64 KiB, 1 MiB, 4 MiB} × `scale` × edit rate
+/// {1e-5, 1e-4, 1e-3} × burst {1, 64}, at the default 4 KiB block.
+pub fn indel(scale: f64) -> Vec<InDelRow> {
+    let params = DeltaParams::new();
+    let mut rows = Vec::new();
+    for base in [64 << 10, 1 << 20, 4 << 20] {
+        let size = ((base as f64 * scale) as usize).max(1);
+        for rate in [1e-5, 1e-4, 1e-3] {
+            for burst in [1, 64] {
+                let pair = InDelProcess {
+                    n: size,
+                    p_ins: rate / 2.0,
+                    p_del: rate / 2.0,
+                    burst,
+                    seed: 1,
+                }
+                .sample();
+                let mut cost = Cost::new();
+                let sig = rsync::signature(&pair.old, &params, &mut cost);
+                let unextended = rsync::diff(&sig, &pair.new, &params, &mut cost).wire_size();
+                let extended = local::diff(&pair.old, &pair.new, &params, &mut cost).wire_size();
+                rows.push(InDelRow {
+                    size,
+                    rate,
+                    burst,
+                    events: pair.events,
+                    bound: pair.bound(),
+                    unextended,
+                    extended,
+                });
+            }
+        }
+    }
+    rows
 }
 
 /// Runs a pinned-seed faulty two-writer workload with the full

@@ -1,7 +1,7 @@
 //! Paper-style text rendering of experiment results.
 
 use crate::experiments::{
-    AblationResult, CellResult, EngineKind, FaultCellResult, Fig2Result, ReliabilityRow,
+    AblationResult, CellResult, EngineKind, FaultCellResult, Fig2Result, InDelRow, ReliabilityRow,
     Table3Row, TRACES,
 };
 
@@ -197,6 +197,31 @@ pub fn render_ablation(a: &AblationResult) -> String {
         a.word_up_strict_fifo,
         a.word_up_snapshot
     )
+}
+
+/// Renders the InDel grid: the local delta's wire bytes over the exact
+/// edit script's, without and with match extension.
+pub fn render_indel(rows: &[InDelRow]) -> String {
+    let mut out = String::from(
+        "INDEL: local delta wire bytes / exact edit-script bound (4 KiB blocks).\n\
+         \x20 size B     rate    burst  events   bound B   unextended   extended   unext/bound  ext/bound\n",
+    );
+    for r in rows {
+        let ratio = |wire: u64| wire as f64 / r.bound.max(1) as f64;
+        out.push_str(&format!(
+            "  {:<10} {:<7} {:>5}  {:>6}  {:>8}  {:>11}  {:>9}  {:>11.1}  {:>9.1}\n",
+            r.size,
+            format!("{:e}", r.rate),
+            r.burst,
+            r.events,
+            r.bound,
+            r.unextended,
+            r.extended,
+            ratio(r.unextended),
+            ratio(r.extended)
+        ));
+    }
+    out
 }
 
 #[cfg(test)]

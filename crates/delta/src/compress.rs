@@ -29,6 +29,7 @@
 //! ratio-guard tests pin).
 
 use crate::cost::Cost;
+use crate::local::common_prefix;
 
 const MIN_MATCH: usize = 4;
 const MAX_DIST: usize = 64 * 1024;
@@ -96,27 +97,6 @@ fn get_varint_fast(data: &[u8], pos: &mut usize) -> Option<u64> {
         }
         _ => get_varint(data, pos),
     }
-}
-
-/// Length of the common prefix of `a` and `b`, compared 8 bytes at a
-/// time: the XOR of two little-endian words has its lowest set bit in
-/// the first byte that differs.
-#[inline]
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let mut len = 0;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
-            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
-        if diff != 0 {
-            return len + diff.trailing_zeros() as usize / 8;
-        }
-        len += 8;
-    }
-    len + a[len..]
-        .iter()
-        .zip(&b[len..])
-        .take_while(|(x, y)| x == y)
-        .count()
 }
 
 /// Records position `i` in the table and returns the `(length,

@@ -74,7 +74,9 @@ pub struct DeltaParams {
     /// The paper uses rsync's historical default of 4 KB; this is also the
     /// reason op-level RPC beats delta sync for sub-4 KB in-place writes
     /// (§IV-C: "the delta is at least one data block even though only 1 byte
-    /// is modified").
+    /// is modified"). That holds for [`rsync`]; [`local`] grows each
+    /// confirmed block bitwise into its neighbouring literals, so its
+    /// literals shrink to the changed bytes wherever a block anchors them.
     pub block_size: usize,
 }
 

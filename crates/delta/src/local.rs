@@ -9,6 +9,11 @@
 //! which short-circuits on the first differing byte and costs no hashing
 //! at all.
 //!
+//! The same holds next to a confirmed block: the bytes around it can be
+//! compared with the old file directly, so every confirmed match grows
+//! bitwise into the literals on either side of it (DESIGN.md §10), and a
+//! 1-byte edit ships 1 literal byte rather than a block.
+//!
 //! The emitted [`Delta`] is bit-for-bit compatible with
 //! [`rsync::diff`](crate::rsync::diff)'s output format, so the cloud-side
 //! apply path is shared.
@@ -16,7 +21,7 @@
 use std::collections::HashMap;
 
 use crate::cost::Cost;
-use crate::delta_ops::Delta;
+use crate::delta_ops::{Delta, DeltaOp};
 use crate::rolling::RollingChecksum;
 use crate::rsync::diff_with;
 use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
@@ -42,7 +47,8 @@ fn index_old(old: &[u8], bs: usize, cost: &mut Cost) -> HashMap<u32, CandidateSe
 }
 
 /// Computes a [`Delta`] from `old` to `new` using rolling-checksum search
-/// with bitwise confirmation (no strong checksums).
+/// with bitwise confirmation (no strong checksums), each confirmed match
+/// grown bitwise into its neighbouring literals.
 ///
 /// Charges rolled and compared bytes to `cost`;
 /// `cost.bytes_strong_hashed` is never incremented by this function —
@@ -53,12 +59,12 @@ pub fn diff(old: &[u8], new: &[u8], params: &DeltaParams, cost: &mut Cost) -> De
     let filter = WeakFilter::from_weak_keys(weak_map.keys().copied());
     diff_with(
         new,
+        Some(old),
         bs,
         cost,
         Some(&filter),
         |weak| weak_map.get(&weak),
         |window, candidates, cost| confirm_bitwise(old, bs, window, candidates, cost),
-        |block_idx| block_range(old.len(), bs, block_idx),
     )
 }
 
@@ -75,22 +81,16 @@ pub fn diff_parallel(
     diff(old, new, params, cost)
 }
 
-/// `(offset, len)` of block `block_idx` in an old file of `old_len` bytes.
-fn block_range(old_len: usize, block_size: usize, block_idx: u32) -> (u64, u64) {
-    let start = block_idx as u64 * block_size as u64;
-    let len = (old_len as u64 - start).min(block_size as u64);
-    (start, len)
-}
-
 /// Tries `candidates` in block-index order until one bitwise-matches
-/// `window`, charging each compare's exact cost to `cost`.
+/// `window`, charging each compare's exact cost to `cost`, and returns
+/// that block's `(offset, len)` in `old`.
 fn confirm_bitwise(
     old: &[u8],
     block_size: usize,
     window: &[u8],
     candidates: &CandidateSet,
     cost: &mut Cost,
-) -> Option<u32> {
+) -> Option<(u64, u64)> {
     for b in candidates.iter() {
         let start = b as usize * block_size;
         let block = &old[start..(start + block_size).min(old.len())];
@@ -98,46 +98,104 @@ fn confirm_bitwise(
         cost.bytes_compared += compared;
         cost.ops += 1;
         if equal {
-            return Some(b);
+            return Some((start as u64, block.len() as u64));
         }
     }
     None
 }
 
-/// Compares two slices word-at-a-time (8-byte chunks), returning whether
-/// they are equal and how many bytes were examined before the answer was
-/// known.
+/// Grows the copy that ends `ops`, if any, forward over the start of
+/// `literal` by bitwise comparison with the old bytes after it, and
+/// returns how many literal bytes it took.
+pub(crate) fn grow_last_copy(
+    ops: &mut [DeltaOp],
+    old: &[u8],
+    literal: &[u8],
+    cost: &mut Cost,
+) -> usize {
+    let Some(DeltaOp::Copy { offset, len }) = ops.last_mut() else {
+        return 0;
+    };
+    let after = &old[(*offset + *len) as usize..];
+    let grown = common_prefix(after, literal);
+    cost.bytes_compared += examined(grown, after.len().min(literal.len()));
+    *len += grown as u64;
+    grown
+}
+
+/// How many bytes at the end of `literal` equal the old bytes before
+/// `offset`: what a copy starting at `offset` grows backward by.
+pub(crate) fn grow_backward(old: &[u8], offset: u64, literal: &[u8], cost: &mut Cost) -> u64 {
+    let before = &old[..offset as usize];
+    let grown = common_suffix(before, literal);
+    cost.bytes_compared += examined(grown, before.len().min(literal.len()));
+    grown as u64
+}
+
+/// Bytes a short-circuiting scan examined to find `equal` equal bytes out
+/// of `limit`: the first differing byte counts too.
+fn examined(equal: usize, limit: usize) -> u64 {
+    (equal + usize::from(equal < limit)) as u64
+}
+
+/// Compares two slices, returning whether they are equal and how many
+/// bytes were examined before the answer was known.
 ///
-/// The byte count is *exact*: on a mismatch inside a word, the XOR of the
-/// two words locates the first differing byte, so the charge is the
-/// position of that byte plus one — precisely what a byte-at-a-time
-/// short-circuiting scan would report. `Cost::bytes_compared` accounting
-/// is therefore unchanged by the word-wise fast path.
+/// The byte count is *exact*: on a mismatch it is the position of the
+/// first differing byte plus one — precisely what a byte-at-a-time
+/// short-circuiting scan would report. Slices of unequal length differ
+/// at no charge.
 fn bitwise_eq(a: &[u8], b: &[u8]) -> (bool, u64) {
     if a.len() != b.len() {
         return (false, 0);
     }
-    let mut a_words = a.chunks_exact(8);
-    let mut b_words = b.chunks_exact(8);
-    let mut i = 0usize;
-    for (aw, bw) in a_words.by_ref().zip(b_words.by_ref()) {
-        let x = u64::from_le_bytes(aw.try_into().expect("8-byte chunk"));
-        let y = u64::from_le_bytes(bw.try_into().expect("8-byte chunk"));
-        if x != y {
-            // Little-endian: the lowest differing byte in memory is the
-            // lowest non-zero byte of the XOR.
-            let first = (x ^ y).trailing_zeros() as usize / 8;
-            return (false, (i + first) as u64 + 1);
+    let equal = common_prefix(a, b);
+    (equal == a.len(), examined(equal, a.len()))
+}
+
+/// Length of the common prefix of `a` and `b`, compared 8 bytes at a
+/// time: the XOR of two little-endian words has its lowest set bit in
+/// the first byte that differs.
+#[inline]
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
         }
-        i += 8;
+        len += 8;
     }
-    for (&x, &y) in a_words.remainder().iter().zip(b_words.remainder()) {
-        if x != y {
-            return (false, i as u64 + 1);
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Length of the common suffix of `a` and `b`, compared 8 bytes at a
+/// time from the end: the XOR of two little-endian words has its highest
+/// set bit in the last byte that differs.
+#[inline]
+pub(crate) fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut len = 0;
+    for (x, y) in a.rchunks_exact(8).zip(b.rchunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return len + diff.leading_zeros() as usize / 8;
         }
-        i += 1;
+        len += 8;
     }
-    (true, a.len() as u64)
+    len + a[..n - len]
+        .iter()
+        .rev()
+        .zip(b[..n - len].iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 #[cfg(test)]
@@ -277,5 +335,103 @@ mod tests {
     #[test]
     fn bitwise_eq_length_mismatch_is_free() {
         assert_eq!(bitwise_eq(b"abc", b"abcd"), (false, 0));
+    }
+
+    /// Reference byte-at-a-time common suffix.
+    fn common_suffix_reference(a: &[u8], b: &[u8]) -> usize {
+        a.iter()
+            .rev()
+            .zip(b.iter().rev())
+            .take_while(|(x, y)| x == y)
+            .count()
+    }
+
+    #[test]
+    fn common_suffix_matches_reference_at_all_lengths() {
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 4095, 4096] {
+            let a: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            assert_eq!(common_suffix(&a, &a), len, "equal len {len}");
+            // Mismatch at every position, counted from the end.
+            for at in 0..len {
+                let mut b = a.clone();
+                b[at] ^= 0x80;
+                let got = common_suffix(&a, &b);
+                assert_eq!(got, len - at - 1, "len {len} mismatch at {at}");
+                assert_eq!(got, common_suffix_reference(&a, &b));
+            }
+            // Unequal lengths align at the ends.
+            let mut longer = vec![0xEEu8; 5];
+            longer.extend_from_slice(&a);
+            assert_eq!(common_suffix(&longer, &a), len, "prefixed len {len}");
+            assert_eq!(
+                common_suffix(&a, &longer),
+                common_suffix_reference(&a, &longer)
+            );
+        }
+    }
+
+    /// Seeded incompressible bytes: no two 4 KiB windows share a weak
+    /// checksum by accident, so the walk confirms only real matches.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_byte_flip_ships_one_literal_byte() {
+        let old = noise(20_000);
+        let mut new = old.clone();
+        new[5_000] ^= 0xFF;
+        let (delta, _) = roundtrip(&old, &new, 4096);
+        assert_eq!(
+            delta.ops(),
+            [
+                DeltaOp::Copy {
+                    offset: 0,
+                    len: 5_000
+                },
+                DeltaOp::Literal(new[5_000..5_001].to_vec().into()),
+                DeltaOp::Copy {
+                    offset: 5_001,
+                    len: 14_999
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn unchanged_short_tail_is_copied() {
+        // The old file's short final block never matches a full window;
+        // the copy before it grows forward through it instead.
+        let old = noise(4096 + 1000);
+        let (delta, cost) = roundtrip(&old, &old, 4096);
+        assert_eq!(
+            delta.ops(),
+            [DeltaOp::Copy {
+                offset: 0,
+                len: 5_096
+            }]
+        );
+        assert_eq!(cost.bytes_copied, 0);
+    }
+
+    #[test]
+    fn extension_charges_every_examined_byte() {
+        let old = noise(20_000);
+        let mut new = old.clone();
+        new[5_000] ^= 0xFF;
+        let (_, cost) = roundtrip(&old, &new, 4096);
+        // Three confirmed blocks (0, 2 and 3), then: block 0's copy grows
+        // forward over new[4096..8192] and stops at the flipped byte
+        // (904 equal + 1); block 2's copy grows backward over the 3192
+        // bytes left and stops at it (3191 + 1); at the end block 3's copy
+        // grows forward over the 3616-byte tail (all equal).
+        assert_eq!(cost.bytes_compared, 3 * 4096 + 905 + 3192 + 3616);
+        assert_eq!(cost.bytes_copied, 1);
     }
 }

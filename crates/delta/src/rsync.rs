@@ -17,6 +17,7 @@ use bytes::Bytes;
 
 use crate::cost::Cost;
 use crate::delta_ops::{Delta, DeltaOp};
+use crate::local::{grow_backward, grow_last_copy};
 use crate::md5_impl::md5;
 use crate::rolling::RollingChecksum;
 use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
@@ -119,6 +120,7 @@ pub fn diff(sig: &Signature, new: &[u8], params: &DeltaParams, cost: &mut Cost) 
     debug_assert_eq!(sig.block_size, params.block_size);
     diff_with(
         new,
+        None,
         params.block_size,
         cost,
         Some(&sig.filter),
@@ -127,9 +129,11 @@ pub fn diff(sig: &Signature, new: &[u8], params: &DeltaParams, cost: &mut Cost) 
             let digest = md5(window);
             cost.bytes_strong_hashed += window.len() as u64;
             cost.ops += 1;
-            candidates.iter().find(|&b| sig.strong[b as usize] == digest)
+            candidates
+                .iter()
+                .find(|&b| sig.strong[b as usize] == digest)
+                .map(|b| sig.block_range(b))
         },
-        |block_idx| sig.block_range(block_idx),
     )
 }
 
@@ -149,9 +153,16 @@ pub fn diff_parallel(
 /// Shared rolling-window matcher used by both the remote ([`diff`]) and the
 /// local bitwise variant (`local::diff`).
 ///
-/// `lookup` maps a weak digest to its candidate set; `confirm` verifies a
-/// candidate (MD5 or bitwise compare); `block_range` maps a confirmed
-/// block index to its (offset, len) in the old file.
+/// `lookup` maps a weak digest to its candidate set; `confirm` verifies
+/// the candidates (MD5 or bitwise compare) and returns the confirmed
+/// block's (offset, len) in the old file.
+///
+/// With the `old` bytes at hand (the local walk), every pending literal is
+/// trimmed from both ends before it is flushed: the copy before it grows
+/// forward and the confirmed copy after it grows backward, by bitwise
+/// comparison charged to `bytes_compared`. The walk's decisions are the
+/// same with or without `old` — the same windows are rolled and the same
+/// blocks confirmed — so only literals shrink.
 ///
 /// With a `filter`, the miss loop advances word-wise: instead of rolling
 /// one byte at a time, it peeks the next 8 window positions
@@ -162,12 +173,12 @@ pub fn diff_parallel(
 /// — so output and [`Cost`] are identical to the byte-at-a-time walk.
 pub(crate) fn diff_with<'a>(
     new: &[u8],
+    old: Option<&[u8]>,
     block_size: usize,
     cost: &mut Cost,
     filter: Option<&WeakFilter>,
     lookup: impl Fn(u32) -> Option<&'a CandidateSet>,
-    mut confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<u32>,
-    block_range: impl Fn(u32) -> (u64, u64),
+    mut confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<(u64, u64)>,
 ) -> Delta {
     let mut ops = Vec::new();
     let mut literal_start = 0usize;
@@ -187,9 +198,16 @@ pub(crate) fn diff_with<'a>(
             let window = &new[pos..pos + block_size];
             let matched =
                 lookup(rc.digest()).and_then(|candidates| confirm(window, candidates, cost));
-            if let Some(block_idx) = matched {
-                flush_literal(&mut ops, literal_start, pos, cost);
-                let (offset, len) = block_range(block_idx);
+            if let Some((mut offset, mut len)) = matched {
+                let mut literal_end = pos;
+                if let Some(old) = old {
+                    literal_start += grow_last_copy(&mut ops, old, &new[literal_start..pos], cost);
+                    let back = grow_backward(old, offset, &new[literal_start..pos], cost);
+                    offset -= back;
+                    len += back;
+                    literal_end -= back as usize;
+                }
+                flush_literal(&mut ops, literal_start, literal_end, cost);
                 ops.push(DeltaOp::Copy { offset, len });
                 pos += block_size;
                 literal_start = pos;
@@ -228,6 +246,9 @@ pub(crate) fn diff_with<'a>(
                 pos += 1;
             }
         }
+    }
+    if let Some(old) = old {
+        literal_start += grow_last_copy(&mut ops, old, &new[literal_start..], cost);
     }
     flush_literal(&mut ops, literal_start, new.len(), cost);
     Delta::from_ops(ops)
@@ -309,6 +330,38 @@ mod tests {
     }
 
     #[test]
+    fn rsync_walk_ships_whole_blocks_around_an_edit() {
+        // The sender does not hold the old file, so nothing grows a
+        // confirmed block: the edited block and the old file's short
+        // tail both ship as literals.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let old: Vec<u8> = (0..20_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect();
+        let mut new = old.clone();
+        new[5_000] ^= 0xFF;
+        let (delta, _) = roundtrip(&old, &new, 4096);
+        assert_eq!(
+            delta.ops(),
+            [
+                DeltaOp::Copy {
+                    offset: 0,
+                    len: 4096
+                },
+                DeltaOp::Literal(new[4096..8192].to_vec().into()),
+                DeltaOp::Copy {
+                    offset: 8192,
+                    len: 8192
+                },
+                DeltaOp::Literal(new[16_384..].to_vec().into()),
+            ]
+        );
+    }
+
+    #[test]
     fn signature_wire_size_counts_blocks() {
         let params = DeltaParams::with_block_size(100);
         let mut cost = Cost::new();
@@ -355,6 +408,7 @@ mod tests {
             let mut cost = Cost::new();
             let delta = diff_with(
                 new,
+                None,
                 bs,
                 &mut cost,
                 filter,
@@ -363,9 +417,11 @@ mod tests {
                     let digest = md5(window);
                     cost.bytes_strong_hashed += window.len() as u64;
                     cost.ops += 1;
-                    candidates.iter().find(|&b| sig.strong[b as usize] == digest)
+                    candidates
+                        .iter()
+                        .find(|&b| sig.strong[b as usize] == digest)
+                        .map(|b| sig.block_range(b))
                 },
-                |block_idx| sig.block_range(block_idx),
             );
             (delta, cost)
         };

@@ -17,7 +17,9 @@
 //! * [`GeditTrace`] — gedit's `create-write tmp; link f f~; rename tmp f`
 //!   save pattern;
 //! * [`filebench`] — Fileserver/Varmail/Webserver op-mix personalities
-//!   for the local-throughput micro-benchmarks (Table III).
+//!   for the local-throughput micro-benchmarks (Table III);
+//! * [`InDelProcess`] — random insertions and deletions over a random
+//!   file, with the exact edit script as the yardstick for delta size.
 //!
 //! Every trace is deterministic (seeded) and carries a
 //! [`scale`](TraceConfig::scale) knob: `1.0` reproduces the paper's sizes,
@@ -31,12 +33,14 @@
 pub mod filebench;
 mod gen;
 mod huge;
+mod indel;
 mod json;
 mod replay;
 mod traces;
 
 pub use gen::ContentGen;
 pub use huge::HugeFile;
+pub use indel::{InDelPair, InDelProcess};
 pub use json::{RecordedTrace, TraceJsonError};
 pub use replay::{replay, ReplayReport, TAIL_MS};
 pub use traces::{

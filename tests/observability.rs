@@ -269,8 +269,12 @@ fn word_save_step(fs: &mut Vfs, step: usize) {
         0 => fs.rename("/doc", "/doc.bak").unwrap(),
         1 => fs.create("/doc.tmp").unwrap(),
         2 => {
+            // An edit larger than two 1 KiB chunk budgets, so the delta
+            // carries a literal that spans several frames.
             let mut doc = fs.peek_all("/doc.bak").unwrap();
-            doc[10_000] ^= 0xff;
+            for b in &mut doc[10_000..13_000] {
+                *b ^= 0xff;
+            }
             fs.write("/doc.tmp", 0, &doc).unwrap();
         }
         3 => fs.close_path("/doc.tmp").unwrap(),

@@ -2,9 +2,10 @@
 
 use bytes::Bytes;
 use deltacfs::core::{ClientId, CloudServer, DeltaCfsClient, DeltaCfsConfig, UndoLog};
-use deltacfs::delta::{cdc, compress, local, rsync, Cost, DeltaParams};
+use deltacfs::delta::{cdc, compress, local, rsync, Cost, Delta, DeltaOp, DeltaParams};
 use deltacfs::net::SimClock;
 use deltacfs::vfs::Vfs;
+use deltacfs::workloads::InDelProcess;
 use proptest::prelude::*;
 
 mod common;
@@ -48,8 +49,68 @@ fn old_new_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     prop_oneof![(buffer(8192), buffer(8192)), derived]
 }
 
+/// An `(old, new)` pair drawn from the InDel process: random insertions
+/// and deletions, byte-wise or in bursts, over a random old file.
+fn indel_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (0usize..16384, 0usize..4, 1usize..64, any::<u64>()).prop_map(|(n, rate, burst, seed)| {
+        let rate = [1e-4, 1e-3, 1e-2, 1e-1][rate];
+        let pair = InDelProcess {
+            n,
+            p_ins: rate / 2.0,
+            p_del: rate / 2.0,
+            burst,
+            seed,
+        }
+        .sample();
+        (pair.old, pair.new)
+    })
+}
+
+/// An `(old, new)` pair where `new` is `old` with a few single bytes
+/// flipped: each flip leaves equal bytes on both sides of it inside the
+/// same 8-byte word, where a miscounted word compare would show.
+fn flipped_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (
+        buffer(16384),
+        proptest::collection::vec(any::<usize>(), 1..8),
+    )
+        .prop_map(|(old, at)| {
+            let mut new = old.clone();
+            if !new.is_empty() {
+                let len = new.len();
+                for i in at {
+                    new[i % len] ^= 0x80;
+                }
+            }
+            (old, new)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Growing matches into their literals only ever shrinks a delta:
+    /// `rsync::diff` is the same walk without the growth (the same
+    /// candidates, tried in the same order), and the local delta is never
+    /// larger on the wire, carries no more literal bytes and no more
+    /// copies, and still applies.
+    #[test]
+    fn local_delta_is_never_larger_than_rsync(
+        pair in prop_oneof![old_new_pair(), indel_pair(), flipped_pair()],
+        bs in 1usize..256,
+    ) {
+        let (old, new) = pair;
+        let params = DeltaParams::with_block_size(bs);
+        let mut cost = Cost::new();
+        let local = local::diff(&old, &new, &params, &mut cost);
+        let sig = rsync::signature(&old, &params, &mut cost);
+        let remote = rsync::diff(&sig, &new, &params, &mut cost);
+        let copies = |d: &Delta| d.ops().iter().filter(|op| matches!(op, DeltaOp::Copy { .. })).count();
+        prop_assert!(local.wire_size() <= remote.wire_size());
+        prop_assert!(local.literal_bytes() <= remote.literal_bytes());
+        prop_assert!(copies(&local) <= copies(&remote));
+        prop_assert_eq!(local.apply(&old).unwrap(), new);
+    }
 
     /// rsync reconstructs any new file from any old file, independent or
     /// derived from it.
@@ -300,7 +361,6 @@ proptest! {
 // --- Wire-format properties --------------------------------------------
 
 use deltacfs::core::{wire, FileOpItem, Payload, UpdateMsg, UpdatePayload};
-use deltacfs::delta::{Delta, DeltaOp};
 
 fn arb_version() -> impl Strategy<Value = Option<deltacfs::core::Version>> {
     proptest::option::of(

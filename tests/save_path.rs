@@ -367,19 +367,25 @@ fn save_summary(trace: &dyn Trace, cfg: DeltaCfsConfig) -> String {
 }
 
 /// Pinned from commit 17782c2 (eager pack-time merge, copying `peek`).
+/// Re-pinned when the local matcher began growing every confirmed match
+/// into its neighbouring literals (DESIGN.md §10). Three fields moved,
+/// all on the client's delta: `bytes_compared` (the growth's compares),
+/// `bytes_copied` (fewer literal bytes copied out) and `bytes_up` (fewer
+/// literal bytes shipped). `bytes_rolled` and everything else held.
 const WORD_SAVE_PIN: &str = "client Cost { bytes_rolled: 7549186, bytes_strong_hashed: 0, \
-bytes_compared: 2076672, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3328724, \
+bytes_compared: 2113697, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3291717, \
 bytes_engine_read: 7549730, ops: 1771 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
 bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3019892, \
-bytes_engine_read: 0, ops: 4 } | TrafficStats { bytes_up: 944192, bytes_down: 352, msgs_up: 11, \
+bytes_engine_read: 0, ops: 4 } | TrafficStats { bytes_up: 907176, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 1 files 875558 bytes fnv 2c8dfbbd5292d14b | outcomes 11/11 applied";
 
-/// Pinned from commit 17782c2.
+/// Pinned from commit 17782c2; re-pinned with [`WORD_SAVE_PIN`], the
+/// same three fields moved.
 const GEDIT_SAVE_PIN: &str = "client Cost { bytes_rolled: 829952, bytes_strong_hashed: 0, \
-bytes_compared: 229376, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 349184, \
+bytes_compared: 260811, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 317759, \
 bytes_engine_read: 578560, ops: 200 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
 bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 576000, \
-bytes_engine_read: 0, ops: 6 } | TrafficStats { bytes_up: 86829, bytes_down: 352, msgs_up: 11, \
+bytes_engine_read: 0, ops: 6 } | TrafficStats { bytes_up: 55404, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 2 files 107008 bytes fnv fc756f5ecd969018 | outcomes 16/16 applied";
 
 #[test]

@@ -18,6 +18,7 @@
 //!   preserved by the sync queue's backindex transactions.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use bytes::Bytes;
 use deltacfs_delta::{local, Cost, DeltaParams};
@@ -369,12 +370,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         // Interception itself costs one copy of the written data.
         self.cost.bytes_copied += data.len() as u64;
 
-        if self.cfg.checksums
-            && !self.verify_and_update_checksums(path, offset, data, overwritten, old_len, fs)
-        {
-            // Corruption detected: refuse to propagate this file.
-            self.quarantined.insert(path.to_string());
-        }
+        let written = offset..offset + data.len() as u64;
+        self.verify_and_update_checksums(path, written, overwritten, old_len, fs);
         if self.quarantined.contains(path) {
             return;
         }
@@ -409,56 +406,36 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
     }
 
-    /// Verifies the blocks a write touches *before* recording their new
-    /// checksums. Returns `false` if the pre-write content did not match
-    /// the stored checksums — i.e. something modified the file underneath
-    /// the interception layer.
+    /// Verifies the blocks a write of `written` (or a growing truncate)
+    /// changes *before* recording their new checksums. If the pre-write
+    /// content did not match the stored checksums — something modified
+    /// the file underneath the interception layer — the file is
+    /// quarantined: corruption must not propagate.
     fn verify_and_update_checksums(
         &mut self,
         path: &str,
-        offset: u64,
-        data: &Bytes,
-        overwritten: &Bytes,
+        written: Range<u64>,
+        overwritten: &[u8],
         old_len: u64,
         fs: &Vfs,
-    ) -> bool {
+    ) {
         let Some(cs) = &mut self.checksums else {
-            return true;
+            return;
         };
-        let bs = cs.block_size() as u64;
-        if data.is_empty() {
-            return true;
-        }
-        let first = offset / bs;
-        let last = (offset + data.len() as u64 - 1) / bs;
-        let mut bad_blocks = Vec::new();
-        for idx in first..=last {
-            let block_start = idx * bs;
-            // Current (post-write) block content.
-            let block = fs
-                .peek_range(path, block_start, bs as usize)
-                .unwrap_or_default();
-            self.cost.bytes_engine_read += block.len() as u64;
-            // Reconstruct the pre-write block by splicing the overwritten
-            // bytes back over the written range.
-            let pre = reconstruct_pre_block(&block, block_start, offset, overwritten, old_len);
-            if let Some(pre) = pre {
-                match cs.verify_block(path, idx, &pre, &mut self.cost) {
-                    Ok(true) | Err(_) => {}
-                    Ok(false) => bad_blocks.push(idx),
-                }
-            }
-            cs.put_block(path, idx, &block, &mut self.cost).ok();
-        }
-        if bad_blocks.is_empty() {
-            true
-        } else {
+        let content = fs.peek_slice(path).unwrap_or_default();
+        let Ok((bad_blocks, read)) =
+            cs.record_write(path, content, written, overwritten, old_len, &mut self.cost)
+        else {
+            return;
+        };
+        self.cost.bytes_engine_read += read;
+        if !bad_blocks.is_empty() {
             self.issues.push(IntegrityIssue {
                 path: path.to_string(),
                 blocks: bad_blocks,
                 kind: IssueKind::Corruption,
             });
-            false
+            self.quarantined.insert(path.to_string());
         }
     }
 
@@ -466,18 +443,18 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         let old_len = self.sizes.get(path).copied().unwrap_or(0);
         self.sizes.insert(path.to_string(), size);
         self.relation.invalidate_dst(path);
-        if let Some(cs) = &mut self.checksums {
-            let bs = cs.block_size() as u64;
-            let last_block = if size > 0 {
-                let start = (size - 1) / bs * bs;
-                let block = fs.peek_range(path, start, bs as usize).unwrap_or_default();
+        if size > old_len {
+            // Growing zero-fills the old last block too: a write of zeros.
+            self.verify_and_update_checksums(path, old_len..size, &[], old_len, fs);
+        } else if let Some(cs) = &mut self.checksums {
+            let last_block = (size > 0).then(|| {
+                let start = (size - 1) as usize / cs.block_size() * cs.block_size();
+                let content = fs.peek_slice(path).unwrap_or_default();
+                let block = &content[start.min(content.len())..content.len().min(size as usize)];
                 self.cost.bytes_engine_read += block.len() as u64;
-                Some(block)
-            } else {
-                None
-            };
-            cs.truncate(path, size, last_block.as_deref(), &mut self.cost)
-                .ok();
+                block
+            });
+            cs.truncate(path, size, last_block, &mut self.cost).ok();
         }
         if self.quarantined.contains(path) {
             return;
@@ -1004,32 +981,41 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             });
         }
         let len_before = fs.metadata(&msg.path).map_or(0, |m| m.size);
-        self.apply_remote_payload(msg, fs);
+        let delta_base_len = self.apply_remote_payload(msg, fs);
         if let Some(v) = msg.version {
             self.versions.insert(msg.path.clone(), v);
         }
         if content_change {
             let content = fs.peek_slice(&msg.path).unwrap_or_default();
             if let Some(cs) = &mut self.checksums {
-                if let UpdatePayload::Ops(ops) = &msg.payload {
+                let path = msg.path.as_str();
+                let read = match (&msg.payload, delta_base_len) {
                     // File RPC moves no byte it does not write, so only
                     // the blocks the batch touched are read and re-summed.
-                    let dirty = ops_dirty_ranges(len_before, ops);
-                    let peak_len = FileOpItem::peak_len(ops, len_before);
-                    let read = cs.update_blocks(&msg.path, content, &dirty, peak_len, &mut self.cost);
-                    self.cost.bytes_engine_read += read.unwrap_or(0);
-                } else {
-                    // A delta or a new image may move every block.
-                    self.cost.bytes_engine_read += content.len() as u64;
-                    cs.reindex_file(&msg.path, content, &mut self.cost).ok();
-                }
+                    (UpdatePayload::Ops(ops), _) => {
+                        let dirty = ops_dirty_ranges(len_before, ops);
+                        let peak_len = FileOpItem::peak_len(ops, len_before);
+                        cs.update_blocks(path, content, &dirty, peak_len, &mut self.cost)
+                    }
+                    // A delta's whole aligned block copies keep their sums.
+                    (UpdatePayload::Delta { base_path, delta }, Some(base_len)) => {
+                        cs.apply_delta(path, content, base_path, base_len, delta, &mut self.cost)
+                    }
+                    // A new image may move every block.
+                    _ => cs
+                        .reindex_file(path, content, &mut self.cost)
+                        .map(|()| content.len() as u64),
+                };
+                self.cost.bytes_engine_read += read.unwrap_or(0);
             }
             self.sizes.insert(msg.path.clone(), content.len() as u64);
         }
         conflict
     }
 
-    fn apply_remote_payload(&mut self, msg: &UpdateMsg, fs: &mut Vfs) {
+    /// Applies `msg`'s payload to `fs`; returns the base's length when it
+    /// is a `Delta` that applied.
+    fn apply_remote_payload(&mut self, msg: &UpdateMsg, fs: &mut Vfs) -> Option<u64> {
         match &msg.payload {
             UpdatePayload::Create => {
                 fs.create(&msg.path).ok();
@@ -1051,9 +1037,10 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             }
             UpdatePayload::Delta { base_path, delta } => {
                 let base = engine_read(&mut self.cost, fs, base_path);
-                if let Ok(new_content) = delta.apply(base) {
-                    install_content(fs, &msg.path, &new_content);
-                }
+                let base_len = base.len() as u64;
+                let new_content = delta.apply(base).ok()?;
+                install_content(fs, &msg.path, &new_content);
+                return Some(base_len);
             }
             UpdatePayload::Full(data) => install_content(fs, &msg.path, data),
             UpdatePayload::Rename { to } => {
@@ -1067,6 +1054,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 fs.unlink(&msg.path).ok();
                 self.versions.remove(&msg.path);
                 self.sizes.remove(&msg.path);
+                if let Some(cs) = &mut self.checksums {
+                    cs.remove(&msg.path).ok();
+                }
             }
             UpdatePayload::Mkdir => {
                 fs.mkdir_all(&msg.path).ok();
@@ -1075,6 +1065,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 fs.rmdir(&msg.path).ok();
             }
         }
+        None
     }
 
     /// Verified read (paper §III-E: "When a file is read, the data blocks
@@ -1103,18 +1094,14 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             return Ok(data);
         }
         let bs = cs.block_size() as u64;
-        let first = offset / bs;
-        let last = (offset + data.len() as u64 - 1) / bs;
-        let mut bad = Vec::new();
-        for idx in first..=last {
-            let block = fs
-                .peek_range(path, idx * bs, bs as usize)
-                .unwrap_or_default();
-            self.cost.bytes_engine_read += block.len() as u64;
-            if let Ok(false) = cs.verify_block(path, idx, &block, &mut self.cost) {
-                bad.push(idx);
-            }
-        }
+        let blocks = offset / bs..(offset + data.len() as u64).div_ceil(bs);
+        let content = fs.peek_slice(path).unwrap_or_default();
+        let covered =
+            &content[(blocks.start * bs) as usize..content.len().min((blocks.end * bs) as usize)];
+        self.cost.bytes_engine_read += covered.len() as u64;
+        let bad = cs
+            .verify_blocks(path, content, blocks, &mut self.cost)
+            .unwrap_or_default();
         if bad.is_empty() {
             Ok(data)
         } else {
@@ -1288,7 +1275,7 @@ fn engine_read<'a>(cost: &mut Cost, fs: &'a Vfs, path: &str) -> &'a [u8] {
 /// long before it. A write dirties what it covers plus the zero-filled gap
 /// when it starts past the end; a growing truncate the zero-filled tail; a
 /// shrinking one the block the file now ends in.
-fn ops_dirty_ranges(mut len: u64, ops: &[FileOpItem]) -> Vec<std::ops::Range<u64>> {
+fn ops_dirty_ranges(mut len: u64, ops: &[FileOpItem]) -> Vec<Range<u64>> {
     let mut dirty = Vec::with_capacity(ops.len());
     for op in ops {
         match op {
@@ -1343,36 +1330,6 @@ fn op_summary(event: &OpEvent) -> String {
         OpEvent::Close { path } => format!("close {path}"),
         OpEvent::Fsync { path } => format!("fsync {path}"),
     }
-}
-
-/// Reconstructs the pre-write content of one block.
-///
-/// `block` is the post-write block content starting at file offset
-/// `block_start`; the write started at `write_off` and destroyed
-/// `overwritten` (shorter than the write when the file grew); the file
-/// was `old_len` bytes long before the write. Returns `None` when the
-/// block lay entirely beyond the old file end (nothing to verify).
-fn reconstruct_pre_block(
-    block: &[u8],
-    block_start: u64,
-    write_off: u64,
-    overwritten: &Bytes,
-    old_len: u64,
-) -> Option<Vec<u8>> {
-    if block_start >= old_len {
-        return None; // this block did not exist before the write
-    }
-    // The old block ends at the old file end (a growing write zero-fills
-    // past it; those zeros are new content, not old).
-    let mut pre = block.to_vec();
-    pre.truncate((old_len - block_start) as usize);
-    // Splice the overwritten bytes back over the written range.
-    let splice_start = write_off.max(block_start);
-    let splice_end = (write_off + overwritten.len() as u64).min(block_start + pre.len() as u64);
-    for pos in splice_start..splice_end {
-        pre[(pos - block_start) as usize] = overwritten[(pos - write_off) as usize];
-    }
-    Some(pre)
 }
 
 #[cfg(test)]

@@ -4,11 +4,11 @@ use deltacfs::core::{
     ApplyOutcome, ClientId, CloudServer, DeltaCfsClient, DeltaCfsConfig, DeltaCfsSystem,
     Payload, SyncEngine, UpdateMsg, UpdatePayload,
 };
-use deltacfs::kvstore::KvStore;
+use deltacfs::kvstore::{KeyValue, KvStore};
 use deltacfs::net::{LinkSpec, SimClock};
 use deltacfs::vfs::Vfs;
 
-fn pump(client: &mut DeltaCfsClient, fs: &mut Vfs) {
+fn pump<K: KeyValue>(client: &mut DeltaCfsClient<K>, fs: &mut Vfs) {
     for e in fs.drain_events() {
         client.handle_event(&e, fs);
     }
@@ -231,4 +231,114 @@ fn conflict_copy_content_is_exact() {
     // The conflict copy equals client 2's local file exactly.
     let local2 = fs2.peek_all("/doc").unwrap();
     assert_eq!(server.file(&conflict_path), Some(&local2[..]));
+}
+
+/// A client over the in-memory store with `/f` holding `len` bytes, all
+/// checksummed.
+fn client_with_file(len: usize) -> (DeltaCfsClient, Vfs) {
+    let mut client = DeltaCfsClient::new(ClientId(1), DeltaCfsConfig::new(), SimClock::new());
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    fs.create("/f").unwrap();
+    fs.write("/f", 0, &vec![0x5Au8; len]).unwrap();
+    pump(&mut client, &mut fs);
+    (client, fs)
+}
+
+/// A write that starts past the end zero-fills the old last block; its
+/// sum must follow, or the next write into that block reads as corrupt.
+#[test]
+fn write_past_the_end_resums_the_old_last_block() {
+    let (mut client, mut fs) = client_with_file(4);
+    fs.write("/f", 5000, b"x").unwrap();
+    pump(&mut client, &mut fs);
+    fs.write("/f", 100, b"y").unwrap();
+    pump(&mut client, &mut fs);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    assert!(!client.is_quarantined("/f"));
+    assert!(client.crash_recovery_scan(&["/f".into()], &fs).is_empty());
+}
+
+/// A growing truncate zero-fills the old last block just as a write past
+/// the end does.
+#[test]
+fn growing_truncate_resums_the_old_last_block() {
+    let (mut client, mut fs) = client_with_file(4);
+    fs.truncate("/f", 10_000).unwrap();
+    pump(&mut client, &mut fs);
+    fs.write("/f", 100, b"y").unwrap();
+    pump(&mut client, &mut fs);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    assert!(!client.is_quarantined("/f"));
+    assert!(client.crash_recovery_scan(&["/f".into()], &fs).is_empty());
+}
+
+/// A forwarded `Unlink` drops the file's checksums as a local one does:
+/// a new file under the name must not be checked against the old sums.
+#[test]
+fn forwarded_unlink_drops_the_files_checksums() {
+    let mut client = DeltaCfsClient::new(ClientId(2), DeltaCfsConfig::new(), SimClock::new());
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    let forwarded = |payload| UpdateMsg {
+        path: "/a".into(),
+        base: None,
+        version: None,
+        payload,
+        txn: None,
+        group: None,
+    };
+    let full = UpdatePayload::Full(Payload::from(vec![1u8; 8192]));
+    client.apply_remote(&forwarded(full), &mut fs);
+    client.apply_remote(&forwarded(UpdatePayload::Unlink), &mut fs);
+    fs.create("/a").unwrap();
+    fs.write("/a", 0, &[2u8; 4096]).unwrap();
+    pump(&mut client, &mut fs);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    let issues = client.crash_recovery_scan(&["/a".into()], &fs);
+    assert!(issues.is_empty(), "{issues:?}");
+}
+
+/// Over the durable store, a write and a rename that each span a record
+/// of checksums (64 blocks) survive a reopen and verify clean, and the
+/// sums are really there: a flip in the second record is caught.
+#[test]
+fn record_spanning_write_and_rename_survive_a_kvstore_reopen() {
+    let dir = std::env::temp_dir().join(format!("deltacfs-records-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let record = 64 * 4096;
+
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    {
+        let backend = KvStore::open(&dir).unwrap();
+        let mut client = DeltaCfsClient::with_backend(
+            ClientId(1),
+            DeltaCfsConfig::new(),
+            SimClock::new(),
+            backend,
+        );
+        fs.create("/f").unwrap();
+        fs.write("/f", 0, &vec![0x11u8; 2 * record + 100]).unwrap();
+        pump(&mut client, &mut fs);
+        // Straddles the boundary between records 0 and 1.
+        fs.write("/f", record as u64 - 3000, &vec![0x22u8; 7000])
+            .unwrap();
+        pump(&mut client, &mut fs);
+        fs.rename("/f", "/g").unwrap();
+        pump(&mut client, &mut fs);
+        assert!(client.issues().is_empty(), "{:?}", client.issues());
+    }
+
+    let backend = KvStore::open(&dir).unwrap();
+    let mut client =
+        DeltaCfsClient::with_backend(ClientId(1), DeltaCfsConfig::new(), SimClock::new(), backend);
+    let paths = ["/f".to_string(), "/g".to_string()];
+    assert!(client.crash_recovery_scan(&paths, &fs).is_empty());
+    fs.inject_bit_flip("/g", record as u64 + 5000, 3).unwrap();
+    let issues = client.crash_recovery_scan(&paths, &fs);
+    assert_eq!(issues.len(), 1);
+    assert_eq!(issues[0].path, "/g");
+    assert_eq!(issues[0].blocks, vec![65]);
+    std::fs::remove_dir_all(&dir).ok();
 }

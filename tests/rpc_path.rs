@@ -1,9 +1,12 @@
 //! What one file RPC costs per hop (DESIGN.md §19): a receiver re-sums
 //! only the checksum blocks a forwarded ops batch touched and ends with
-//! the store a full re-index would build; the server applies ops in place
-//! and keeps the way back to the version they replaced instead of a copy
-//! of it, indistinguishably from whole-copy history; a pump visits only
-//! busy clients; and a `Snapshot`-mode client is never skipped.
+//! the store a full re-index would build; every checksum-store operation
+//! over its 64-block records ends the same way, and a forwarded delta's
+//! receiver re-sums only the blocks it does not copy whole; the server
+//! applies ops in place and keeps the way back to the version they
+//! replaced instead of a copy of it, indistinguishably from whole-copy
+//! history; a pump visits only busy clients; and a `Snapshot`-mode
+//! client is never skipped.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -14,7 +17,7 @@ use deltacfs::core::{
     persist, ApplyOutcome, CausalMode, ChecksumStore, ClientId, CloudServer, DeltaCfsClient,
     DeltaCfsConfig, FileOpItem, Payload, SyncHub, UpdateMsg, UpdatePayload, Version,
 };
-use deltacfs::delta::{Cost, Delta, DeltaOp};
+use deltacfs::delta::{local, Cost, Delta, DeltaOp, DeltaParams};
 use deltacfs::kvstore::{BatchOp, KeyValue, KvError, MemStore};
 use deltacfs::net::{LinkSpec, SimClock};
 use deltacfs::vfs::Vfs;
@@ -184,6 +187,255 @@ fn receiver_reads_and_sums_only_the_blocks_a_forwarded_write_touches() {
     // 4 KiB at an unaligned offset straddles two blocks of the 256.
     assert_eq!(cost.bytes_rolled - before.bytes_rolled, 2 * 4096);
     assert_eq!(cost.bytes_engine_read - before.bytes_engine_read, 2 * 4096);
+}
+
+// --- (a) continued: 64-block records ≡ a fresh re-index -------------------
+
+/// Every record a fresh `reindex_file` of each file leaves in a store.
+fn reindexed_all(files: &BTreeMap<&str, Vec<u8>>, block: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut fresh = ChecksumStore::new(MemStore::new(), block);
+    for (path, content) in files {
+        fresh.reindex_file(path, content, &mut Cost::new()).unwrap();
+    }
+    fresh.backend_mut().scan_prefix(b"").unwrap()
+}
+
+/// `content` with `len` bytes of `fill` written at `at`, zero-filling any
+/// gap past its end.
+fn written(content: &[u8], at: u64, len: u64, fill: u8) -> Vec<u8> {
+    let mut out = content.to_vec();
+    let end = (at + len) as usize;
+    if out.len() < end {
+        out.resize(end, 0);
+    }
+    out[at as usize..end].fill(fill);
+    out
+}
+
+/// `(kind, on "/g" not "/f", (position in blocks, byte in block),
+/// (length in blocks, extra bytes), fill)` → one store operation.
+type StoreStep = (u8, bool, (u64, u64), (u64, u64), u8);
+
+fn store_steps() -> impl Strategy<Value = Vec<StoreStep>> {
+    proptest::collection::vec(
+        (
+            0u8..10,
+            any::<bool>(),
+            (0u64..200, 0u64..70),
+            (0u64..140, 0u64..70),
+            any::<u8>(),
+        ),
+        1..12,
+    )
+}
+
+/// The sums an output block of `delta` keeps: it is a whole, aligned copy
+/// of a base block of the same length. Worked out byte by byte, apart
+/// from the store's walk over the copy ops.
+fn carried_blocks(delta: &Delta, base_len: u64, block: u64) -> Vec<bool> {
+    let mut source = Vec::new();
+    for op in delta.ops() {
+        match op {
+            DeltaOp::Copy { offset, len } => source.extend((*offset..offset + len).map(Some)),
+            DeltaOp::Literal(bytes) => source.extend(std::iter::repeat_n(None, bytes.len())),
+        }
+    }
+    source
+        .chunks(block as usize)
+        .map(|out| match out[0] {
+            Some(s) if s % block == 0 && block.min(base_len - s) == out.len() as u64 => out
+                .iter()
+                .enumerate()
+                .all(|(i, src)| *src == Some(s + i as u64)),
+            _ => false,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random sequences of every store operation over two files that
+    /// cross the 64- and 128-block record boundaries: after each step the
+    /// store holds exactly the records a fresh re-index of the model
+    /// holds, and every file verifies clean.
+    #[test]
+    fn record_store_operations_equal_a_fresh_reindex(
+        block in 1usize..70,
+        steps in store_steps(),
+    ) {
+        let bs = block as u64;
+        let mut cs = ChecksumStore::new(MemStore::new(), block);
+        let mut files: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
+        let mut cost = Cost::new();
+        for (kind, on_g, (pos, in_block), (blocks, extra), fill) in steps {
+            let (p, q) = if on_g { ("/g", "/f") } else { ("/f", "/g") };
+            let old = files.get(p).cloned().unwrap_or_default();
+            let old_len = old.len() as u64;
+            let at = pos * bs + in_block % bs;
+            let len = blocks * bs + extra % bs;
+            let new = written(&old, at, len, fill);
+            match kind {
+                // An intercepted write, through the one write-path call.
+                0 | 1 => {
+                    let clip = |n: u64| (n as usize).min(old.len());
+                    let ow = &old[clip(at)..clip(at + len)];
+                    let (bad, _) = cs
+                        .record_write(p, &new, at..at + len, ow, old_len, &mut cost)
+                        .unwrap();
+                    prop_assert!(bad.is_empty(), "clean blocks {:?} failed", bad);
+                    files.insert(p, new);
+                }
+                // The probe's call: a write that starts inside the file.
+                2 => {
+                    let at = at.min(old_len);
+                    let new = written(&old, at, len, fill);
+                    cs.update_range(p, at, len, |idx| {
+                        let start = (idx * bs) as usize;
+                        let end = (start + block).min(new.len());
+                        (start < new.len()).then(|| new[start..end].to_vec())
+                    }, &mut cost).unwrap();
+                    files.insert(p, new);
+                }
+                // A forwarded write (3) or truncate to `at` (4).
+                3 | 4 => {
+                    let (dirty, new) = if kind == 3 {
+                        (old_len.min(at)..at + len, new)
+                    } else if at >= old_len {
+                        (old_len..at, written(&old, old_len, at - old_len, 0))
+                    } else {
+                        (at.saturating_sub(1)..at, old[..at as usize].to_vec())
+                    };
+                    let peak = old_len.max(new.len() as u64);
+                    cs.update_blocks(p, &new, &[dirty], peak, &mut cost).unwrap();
+                    files.insert(p, new);
+                }
+                // A local truncate to `at`.
+                5 => {
+                    if at > old_len {
+                        let new = written(&old, old_len, at - old_len, 0);
+                        let (bad, _) = cs
+                            .record_write(p, &new, old_len..at, &[], old_len, &mut cost)
+                            .unwrap();
+                        prop_assert!(bad.is_empty(), "clean blocks {:?} failed", bad);
+                        files.insert(p, new);
+                    } else {
+                        let new = &old[..at as usize];
+                        let last = (at > 0).then(|| &new[((at - 1) / bs * bs) as usize..]);
+                        cs.truncate(p, at, last, &mut cost).unwrap();
+                        files.insert(p, new.to_vec());
+                    }
+                }
+                6 => {
+                    cs.rename(p, q).unwrap();
+                    files.remove(q);
+                    if let Some(content) = files.remove(p) {
+                        files.insert(q, content);
+                    }
+                }
+                7 => {
+                    cs.remove(p).unwrap();
+                    files.remove(p);
+                }
+                8 => {
+                    cs.reindex_file(p, &new, &mut cost).unwrap();
+                    files.insert(p, new);
+                }
+                // A forwarded delta against either file (or itself): `len`
+                // bytes of `fill` replace `extra` bytes at `at`, shifting
+                // the rest.
+                _ => {
+                    let base_path = if in_block % 2 == 1 && files.contains_key(q) { q } else { p };
+                    let base = files.get(base_path).cloned().unwrap_or_default();
+                    let cut = (at as usize).min(base.len());
+                    let rest = (cut + extra as usize).min(base.len());
+                    let new = [&base[..cut], &vec![fill; len as usize], &base[rest..]].concat();
+                    let params = DeltaParams::with_block_size(block);
+                    let delta = local::diff(&base, &new, &params, &mut Cost::new());
+                    prop_assert_eq!(delta.apply(&base).unwrap(), new.clone());
+                    let base_len = base.len() as u64;
+                    cs.apply_delta(p, &new, base_path, base_len, &delta, &mut cost).unwrap();
+                    files.insert(p, new);
+                }
+            }
+            let records = cs.backend_mut().scan_prefix(b"").unwrap();
+            prop_assert_eq!(records, reindexed_all(&files, block));
+            for (path, content) in &files {
+                let bad = cs.verify_file(path, content, &mut cost).unwrap();
+                prop_assert!(bad.is_empty(), "{} blocks {:?} do not verify", path, bad);
+            }
+        }
+    }
+
+    /// A forwarded `Delta` onto a clean base, patching the file itself or
+    /// built against another: the receiver keeps the base's sum for every
+    /// output block that is a whole aligned copy, re-sums only the rest,
+    /// and ends with the store a fresh re-index builds.
+    #[test]
+    fn forwarded_delta_resums_only_what_it_does_not_copy_whole(
+        block in 1usize..70,
+        shape in (60u64..200, 0u64..70),
+        pieces in proptest::collection::vec((0u8..3, 0u64..200, 0u64..140), 1..8),
+        other_base in any::<bool>(),
+    ) {
+        let (bs, (base_blocks, tail)) = (block as u64, shape);
+        let base_len = base_blocks * bs + tail % bs;
+        let base: Vec<u8> = (0..base_len).map(|i| (i * 31 % 251) as u8).collect();
+        let mut ops = Vec::new();
+        for (kind, at, len) in pieces {
+            let offset = match kind {
+                0 => at % base_blocks * bs,
+                1 => (at * bs + 1) % base_len,
+                _ => {
+                    ops.push(DeltaOp::Literal(Bytes::from(vec![at as u8; len as usize + 1])));
+                    continue;
+                }
+            };
+            let len = ((len + 1) * bs).min(base_len - offset);
+            ops.push(DeltaOp::Copy { offset, len });
+        }
+        let delta = Delta::from_ops(ops);
+        let new = delta.apply(&base).unwrap();
+
+        let (mut client, mut fs, mut store) = receiver(&base, block);
+        let mut files = BTreeMap::from([("/f", base.clone())]);
+        let base_path = if other_base {
+            // "/f" holds something else; the delta is built against "/b".
+            let full = UpdatePayload::Full(Payload::copy_from_slice(&base));
+            let b = msg("/b", None, Some(version(1, 2)), full);
+            client.apply_remote(&b, &mut fs);
+            let other = UpdatePayload::Full(Payload::from(vec![7u8; 3 * block]));
+            let f = msg("/f", Some(version(1, 1)), Some(version(1, 3)), other);
+            client.apply_remote(&f, &mut fs);
+            files.insert("/b", base.clone());
+            "/b"
+        } else {
+            "/f"
+        };
+        let before = client.cost().bytes_rolled;
+        let update = msg(
+            "/f",
+            None,
+            Some(version(1, 4)),
+            UpdatePayload::Delta { base_path: base_path.into(), delta: delta.clone() },
+        );
+        prop_assert!(client.apply_remote(&update, &mut fs).is_none());
+        prop_assert_eq!(fs.peek_slice("/f").unwrap(), &new[..]);
+        files.insert("/f", new.clone());
+
+        let resummed: u64 = carried_blocks(&delta, base_len, bs)
+            .iter()
+            .zip(new.chunks(block))
+            .filter(|(carried, _)| !**carried)
+            .map(|(_, out)| out.len() as u64)
+            .sum();
+        prop_assert_eq!(client.cost().bytes_rolled - before, resummed);
+        prop_assert_eq!(store.scan_prefix(b"").unwrap(), reindexed_all(&files, block));
+        let bad = ChecksumStore::new(store.clone(), block)
+            .verify_file("/f", &new, &mut Cost::new())
+            .unwrap();
+        prop_assert!(bad.is_empty(), "blocks {:?} do not verify", bad);
+    }
 }
 
 // --- (b) reverse-patch history ≡ whole-copy history -----------------------

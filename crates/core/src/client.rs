@@ -91,14 +91,14 @@ pub struct DeltaCfsClient<K: KeyValue = MemStore> {
     /// it. Crash recovery replays the undo log as a delta only when the
     /// cloud is still at this base.
     undo_base: HashMap<String, Version>,
-    checksums: Option<ChecksumStore<K>>,
+    checksums: ChecksumStore<K>,
     quarantined: HashSet<String>,
     issues: Vec<IntegrityIssue>,
     next_txn: u64,
     last_snapshot: SimTime,
     cost: Cost,
     /// Observability bundle; default-disabled recorder, so every
-    /// recorder call below costs one relaxed atomic load until
+    /// recorder call below costs one `Cell<bool>` read until
     /// [`DeltaCfsClient::set_obs`] installs a live one.
     obs: Obs,
     /// Actor name under which this client's records are made.
@@ -121,9 +121,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     /// Creates a client with an explicit checksum-store backend (e.g. the
     /// persistent [`deltacfs_kvstore::KvStore`]).
     pub fn with_backend(id: ClientId, cfg: DeltaCfsConfig, clock: SimClock, backend: K) -> Self {
-        let checksums = cfg
-            .checksums
-            .then(|| ChecksumStore::new(backend, cfg.block_size));
         DeltaCfsClient {
             id,
             cfg,
@@ -136,7 +133,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             pending_delta: HashMap::new(),
             undo: HashMap::new(),
             undo_base: HashMap::new(),
-            checksums,
+            checksums: ChecksumStore::new(backend, cfg.block_size),
             quarantined: HashSet::new(),
             issues: Vec::new(),
             next_txn: 1,
@@ -149,8 +146,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
     }
 
-    /// Records a relation-table trigger; a single relaxed atomic load
-    /// while recording is off.
+    /// Records a relation-table trigger; a single `Cell<bool>` read while
+    /// recording is off.
     fn mark_relation(&self, now: SimTime, detail: impl FnOnce() -> String) -> SpanId {
         let at_ms = now.as_millis();
         self.obs
@@ -177,11 +174,6 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     /// The client's configuration.
     pub fn config(&self) -> &DeltaCfsConfig {
         &self.cfg
-    }
-
-    /// Resets the work counters.
-    pub fn reset_cost(&mut self) {
-        self.cost = Cost::new();
     }
 
     /// Integrity issues detected so far.
@@ -252,9 +244,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         let paths = fs.walk_files("/").unwrap_or_default();
         for path in paths {
             let content = engine_read(&mut self.cost, fs, path.as_str());
-            if let Some(cs) = &mut self.checksums {
-                cs.reindex_file(path.as_str(), content, &mut self.cost).ok();
-            }
+            self.checksums
+                .reindex_file(path.as_str(), content, &mut self.cost)
+                .ok();
             let version = self.next_version();
             self.sizes.insert(path.to_string(), content.len() as u64);
             self.queue.push(
@@ -419,10 +411,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         old_len: u64,
         fs: &Vfs,
     ) {
-        let Some(cs) = &mut self.checksums else {
-            return;
-        };
         let content = fs.peek_slice(path).unwrap_or_default();
+        let cs = &mut self.checksums;
         let Ok((bad_blocks, read)) =
             cs.record_write(path, content, written, overwritten, old_len, &mut self.cost)
         else {
@@ -446,7 +436,8 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         if size > old_len {
             // Growing zero-fills the old last block too: a write of zeros.
             self.verify_and_update_checksums(path, old_len..size, &[], old_len, fs);
-        } else if let Some(cs) = &mut self.checksums {
+        } else {
+            let cs = &mut self.checksums;
             let last_block = (size > 0).then(|| {
                 let start = (size - 1) as usize / cs.block_size() * cs.block_size();
                 let content = fs.peek_slice(path).unwrap_or_default();
@@ -501,9 +492,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         if self.quarantined.remove(src) {
             self.quarantined.insert(dst.to_string());
         }
-        if let Some(cs) = &mut self.checksums {
-            cs.rename(src, dst).ok();
-        }
+        self.checksums.rename(src, dst).ok();
     }
 
     fn on_rename(&mut self, src: &str, dst: &str, replaced: Option<Bytes>, fs: &Vfs, now: SimTime) {
@@ -577,11 +566,14 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     }
 
     fn on_unlink(&mut self, path: &str, removed: Option<Bytes>, now: SimTime) {
+        // Unlinked files larger than this are not preserved for the
+        // relation table (the paper's ENOSPC escape hatch).
+        const PRESERVE_LIMIT: u64 = 256 * 1024 * 1024;
         self.queue.pack(path);
         self.relation.invalidate_dst(path);
         let base_version = self.versions.get(path).copied();
         if let Some(content) = removed {
-            if (content.len() as u64) <= self.cfg.preserve_limit {
+            if (content.len() as u64) <= PRESERVE_LIMIT {
                 // Preserve the dying content (the paper's tmp/ move).
                 self.relation.on_unlink(path, content, base_version, now);
             }
@@ -609,9 +601,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         self.clear_undo(path);
         self.pending_delta.remove(path);
         self.quarantined.remove(path);
-        if let Some(cs) = &mut self.checksums {
-            cs.remove(path).ok();
-        }
+        self.checksums.remove(path).ok();
     }
 
     fn on_close(&mut self, path: &str, fs: &Vfs, now: SimTime) {
@@ -987,27 +977,26 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
         if content_change {
             let content = fs.peek_slice(&msg.path).unwrap_or_default();
-            if let Some(cs) = &mut self.checksums {
-                let path = msg.path.as_str();
-                let read = match (&msg.payload, delta_base_len) {
-                    // File RPC moves no byte it does not write, so only
-                    // the blocks the batch touched are read and re-summed.
-                    (UpdatePayload::Ops(ops), _) => {
-                        let dirty = ops_dirty_ranges(len_before, ops);
-                        let peak_len = FileOpItem::peak_len(ops, len_before);
-                        cs.update_blocks(path, content, &dirty, peak_len, &mut self.cost)
-                    }
-                    // A delta's whole aligned block copies keep their sums.
-                    (UpdatePayload::Delta { base_path, delta }, Some(base_len)) => {
-                        cs.apply_delta(path, content, base_path, base_len, delta, &mut self.cost)
-                    }
-                    // A new image may move every block.
-                    _ => cs
-                        .reindex_file(path, content, &mut self.cost)
-                        .map(|()| content.len() as u64),
-                };
-                self.cost.bytes_engine_read += read.unwrap_or(0);
-            }
+            let cs = &mut self.checksums;
+            let path = msg.path.as_str();
+            let read = match (&msg.payload, delta_base_len) {
+                // File RPC moves no byte it does not write, so only
+                // the blocks the batch touched are read and re-summed.
+                (UpdatePayload::Ops(ops), _) => {
+                    let dirty = ops_dirty_ranges(len_before, ops);
+                    let peak_len = FileOpItem::peak_len(ops, len_before);
+                    cs.update_blocks(path, content, &dirty, peak_len, &mut self.cost)
+                }
+                // A delta's whole aligned block copies keep their sums.
+                (UpdatePayload::Delta { base_path, delta }, Some(base_len)) => {
+                    cs.apply_delta(path, content, base_path, base_len, delta, &mut self.cost)
+                }
+                // A new image may move every block.
+                _ => cs
+                    .reindex_file(path, content, &mut self.cost)
+                    .map(|()| content.len() as u64),
+            };
+            self.cost.bytes_engine_read += read.unwrap_or(0);
             self.sizes.insert(msg.path.clone(), content.len() as u64);
         }
         conflict
@@ -1054,9 +1043,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 fs.unlink(&msg.path).ok();
                 self.versions.remove(&msg.path);
                 self.sizes.remove(&msg.path);
-                if let Some(cs) = &mut self.checksums {
-                    cs.remove(&msg.path).ok();
-                }
+                self.checksums.remove(&msg.path).ok();
             }
             UpdatePayload::Mkdir => {
                 fs.mkdir_all(&msg.path).ok();
@@ -1087,12 +1074,10 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     ) -> Result<Vec<u8>, IntegrityIssue> {
         let data = fs.peek_range(path, offset, len).unwrap_or_default();
         self.cost.bytes_engine_read += data.len() as u64;
-        let Some(cs) = &mut self.checksums else {
-            return Ok(data);
-        };
         if data.is_empty() {
             return Ok(data);
         }
+        let cs = &mut self.checksums;
         let bs = cs.block_size() as u64;
         let blocks = offset / bs..(offset + data.len() as u64).div_ceil(bs);
         let content = fs.peek_slice(path).unwrap_or_default();
@@ -1125,10 +1110,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         let mut found = Vec::new();
         for path in paths {
             let content = engine_read(&mut self.cost, fs, path);
-            let Some(cs) = &mut self.checksums else {
-                continue;
-            };
-            if let Ok(bad) = cs.verify_file(path, content, &mut self.cost) {
+            if let Ok(bad) = self.checksums.verify_file(path, content, &mut self.cost) {
                 if !bad.is_empty() {
                     let issue = IntegrityIssue {
                         path: path.clone(),
@@ -1156,9 +1138,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
             fs.truncate(path, 0).ok();
             fs.write(path, 0, good).ok();
         }
-        if let Some(cs) = &mut self.checksums {
-            cs.reindex_file(path, good, &mut self.cost).ok();
-        }
+        self.checksums.reindex_file(path, good, &mut self.cost).ok();
         self.sizes.insert(path.to_string(), good.len() as u64);
         self.quarantined.remove(path);
     }
@@ -1729,6 +1709,22 @@ mod tests {
         let msgs: Vec<_> = client.tick(&fs).into_iter().flatten().collect();
         assert_eq!(msgs.len(), 1);
         assert!(matches!(&msgs[0].payload, UpdatePayload::Full(d) if &d[..] == b"existing"));
+    }
+
+    #[test]
+    fn bootstrapped_file_checksums_are_live() {
+        let mut client = DeltaCfsClient::new(ClientId(1), DeltaCfsConfig::new(), SimClock::new());
+        let mut fs = Vfs::new();
+        fs.create("/pre").unwrap();
+        fs.write("/pre", 0, &vec![3u8; 3 * 4096]).unwrap();
+        client.bootstrap(&fs);
+        let paths = ["/pre".to_string()];
+        assert!(client.crash_recovery_scan(&paths, &fs).is_empty());
+        // Only sums recorded by `bootstrap` can catch this flip.
+        fs.inject_bit_flip("/pre", 2 * 4096 + 7, 4).unwrap();
+        let issues = client.crash_recovery_scan(&paths, &fs);
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].blocks, vec![2]);
     }
 
     #[test]

@@ -37,11 +37,6 @@ pub struct DeltaCfsConfig {
     /// file when its node is uploaded, try compressing the update with
     /// local delta encoding against the undo-log reconstruction.
     pub inplace_delta_threshold: f64,
-    /// Unlinked files larger than this are not preserved for the relation
-    /// table (the paper's ENOSPC escape hatch).
-    pub preserve_limit: u64,
-    /// Maintain the block-checksum store (DeltaCFSc in Table III).
-    pub checksums: bool,
     /// Causal-consistency strategy (see [`CausalMode`]).
     pub causal_mode: CausalMode,
     /// Compat, no behaviour (DESIGN.md §10): always 1, read by nothing
@@ -77,8 +72,6 @@ impl DeltaCfsConfig {
             relation_timeout_ms: 2_000,
             block_size: 4096,
             inplace_delta_threshold: 0.5,
-            preserve_limit: 256 * 1024 * 1024,
-            checksums: true,
             causal_mode: CausalMode::Backindex,
             parallelism: 1,
             min_parallel_bytes: 0,
@@ -86,13 +79,6 @@ impl DeltaCfsConfig {
             chunk_budget: 256 * 1024,
             wire_compression: false,
         }
-    }
-
-    /// Disables the checksum store (the plain `DeltaCFS` row of
-    /// Table III).
-    pub fn without_checksums(mut self) -> Self {
-        self.checksums = false;
-        self
     }
 
     /// Selects a causal-consistency strategy (ablations; the default is
@@ -155,7 +141,7 @@ pub struct HubConfig {
     pub latency_histogram: bool,
     /// Record the run (the flight recorder's and the critical-path sync
     /// profiler's input). Off by default: every recorder site then costs
-    /// one relaxed atomic load. When on, `enable_observability` turns the
+    /// one `Cell<bool>` read. When on, `enable_observability` turns the
     /// shared recorder on even if the bundle was built with it off, and
     /// `export_metrics` folds the profiler's per-stage histograms and
     /// SLO lag gauges into the unified snapshot.
@@ -200,8 +186,6 @@ mod tests {
         assert_eq!(c.upload_delay_ms, 3_000);
         assert_eq!(c.relation_timeout_ms, 2_000);
         assert_eq!(c.block_size, 4096);
-        assert!(c.checksums);
-        assert!(!c.without_checksums().checksums);
         assert_eq!(c.chunk_budget, 256 * 1024);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);

@@ -18,7 +18,7 @@
 //! verdict, without one it is delivered once and acknowledged.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use deltacfs_kvstore::MemStore;
@@ -48,7 +48,7 @@ struct Slot {
     courier: Courier,
     /// Actor name in the record, `client-<CliID>` like the engine's own;
     /// shared, so the courier names it without allocating per attempt.
-    actor: Arc<str>,
+    actor: Rc<str>,
     /// The shared folder this client is attached to (first path
     /// component); `""` is the legacy root client that sees everything.
     namespace: String,
@@ -611,7 +611,7 @@ impl SyncHub {
     /// replay index and no [`SyncHub::acked`] entry.
     fn deliver(&mut self, idx: usize, now: SimTime, latency: Option<&Histogram>) {
         let faulty = self.fault.is_some();
-        let actor = Arc::clone(&self.slots[idx].actor);
+        let actor = Rc::clone(&self.slots[idx].actor);
         let now_ms = now.as_millis();
         loop {
             let slot = &mut self.slots[idx];

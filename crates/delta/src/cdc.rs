@@ -7,8 +7,6 @@
 //! chunk size of 1 MB, which is why its CPU usage is moderate but its
 //! network usage is poor: touching one byte re-uploads a ~1 MB chunk.
 
-use std::sync::OnceLock;
-
 use crate::cost::Cost;
 
 /// Parameters for the gear-hash chunker.
@@ -73,21 +71,23 @@ impl ChunkSpan {
     }
 }
 
-pub(crate) fn gear_table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // splitmix64 from a fixed seed: deterministic across runs/platforms.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut table = [0u64; 256];
-        for entry in &mut table {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            *entry = z ^ (z >> 31);
-        }
-        table
-    })
+/// The gear hash's per-byte values, built at compile time.
+const GEAR: [u64; 256] = gear_table();
+
+const fn gear_table() -> [u64; 256] {
+    // splitmix64 from a fixed seed: deterministic across runs/platforms.
+    let mut state = 0x9E3779B97F4A7C15u64;
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < 256 {
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        table[i] = z ^ (z >> 31);
+        i += 1;
+    }
+    table
 }
 
 /// Splits `data` into content-defined chunks.
@@ -96,7 +96,7 @@ pub(crate) fn gear_table() -> &'static [u64; 256] {
 /// Always returns at least one chunk for non-empty input; chunk spans
 /// partition the input exactly.
 pub fn chunks(data: &[u8], params: &CdcParams, cost: &mut Cost) -> Vec<ChunkSpan> {
-    let table = gear_table();
+    let table = &GEAR;
     let mask = params.mask();
     let mut out = Vec::new();
     let mut start = 0usize;
@@ -225,6 +225,23 @@ mod tests {
         let a = chunks(&data, &small(), &mut Cost::new());
         let b = chunks(&data, &small(), &mut Cost::new());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn gear_table_and_boundaries_are_pinned() {
+        let t = &GEAR;
+        assert_eq!(t[0], 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(t[1], 0x06c4_5d18_8009_454f);
+        assert_eq!(t[255], 0xcbdc_6d34_b7c7_534d);
+        let data = pseudo_random(4_000, 29);
+        let ends: Vec<u64> = chunks(&data, &small(), &mut Cost::new())
+            .iter()
+            .map(|s| s.offset + s.len)
+            .collect();
+        assert_eq!(
+            ends,
+            [575, 866, 930, 1335, 1541, 1656, 2452, 3320, 3819, 4000]
+        );
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl RollingChecksum {
         }
         states
     }
-
-    /// Window length this checksum was built over.
-    pub fn window_len(&self) -> usize {
-        self.window as usize
-    }
 }
 
 #[cfg(test)]
@@ -136,11 +131,6 @@ mod tests {
         // Unlike a plain byte sum, the positional term distinguishes
         // permutations.
         assert_ne!(weak_digest(b"ab"), weak_digest(b"ba"));
-    }
-
-    #[test]
-    fn window_len_reported() {
-        assert_eq!(RollingChecksum::new(b"abcd").window_len(), 4);
     }
 
     #[test]

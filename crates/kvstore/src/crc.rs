@@ -1,24 +1,26 @@
 //! CRC-32 (IEEE 802.3 polynomial), used to detect torn WAL records.
 
-use std::sync::OnceLock;
+/// The byte-at-a-time lookup table, built at compile time.
+const TABLE: [u32; 256] = table();
 
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB88320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+const fn table() -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB88320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[i] = c;
+        i += 1;
+    }
+    t
 }
 
 /// Computes the CRC-32 checksum of `data`.
@@ -29,7 +31,7 @@ fn table() -> &'static [u32; 256] {
 /// assert_eq!(deltacfs_kvstore::crc32(b"123456789"), 0xCBF43926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
+    let t = &TABLE;
     let mut c: u32 = 0xFFFFFFFF;
     for &b in data {
         c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -1,6 +1,6 @@
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A point in simulated time, in milliseconds since the experiment start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -38,7 +38,8 @@ impl fmt::Display for SimTime {
 /// driver, a sync engine, and its sync queue all observe consistent time.
 /// The clock only moves when the driver calls [`SimClock::advance`] — the
 /// relation-table timeout (1–3 s) and sync-queue upload delay (3 s) from
-/// the paper become deterministic.
+/// the paper become deterministic. The simulation runs on one thread,
+/// so the clock is an `Rc<Cell<u64>>` and neither `Send` nor `Sync`.
 ///
 /// # Example
 ///
@@ -52,7 +53,7 @@ impl fmt::Display for SimTime {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now: Arc<AtomicU64>,
+    now: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -63,17 +64,17 @@ impl SimClock {
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        SimTime(self.now.load(Ordering::SeqCst))
+        SimTime(self.now.get())
     }
 
     /// Moves the clock forward by `ms` milliseconds.
     pub fn advance(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::SeqCst);
+        self.now.set(self.now.get().wrapping_add(ms));
     }
 
     /// Moves the clock to `t` if `t` is in the future; never rewinds.
     pub fn advance_to(&self, t: SimTime) {
-        self.now.fetch_max(t.0, Ordering::SeqCst);
+        self.now.set(self.now.get().max(t.0));
     }
 }
 

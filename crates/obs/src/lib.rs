@@ -8,25 +8,29 @@
 //!
 //! Two pieces:
 //!
-//! * [`Registry`] — a lock-cheap metrics registry: monotonic [`Counter`]s,
-//!   [`Gauge`]s, and fixed-bucket [`Histogram`]s behind atomic handles.
-//!   Registration takes a short lock; every increment afterwards is a
-//!   single atomic operation. [`Registry::snapshot`] freezes all metrics
-//!   into a deterministic, name-sorted [`Snapshot`] that exports as JSON
-//!   ([`Snapshot::to_json`]) or Prometheus text exposition
-//!   ([`Snapshot::to_prometheus`]).
+//! * [`Registry`] — the metrics registry: monotonic [`Counter`]s,
+//!   [`Gauge`]s, and fixed-bucket [`Histogram`]s behind `Rc`'d cell
+//!   handles. Registration looks the name up once; every increment
+//!   afterwards is a plain cell update. [`Registry::snapshot`] freezes
+//!   all metrics into a deterministic, name-sorted [`Snapshot`] that
+//!   exports as JSON ([`Snapshot::to_json`]) or Prometheus text
+//!   exposition ([`Snapshot::to_prometheus`]).
 //! * [`SpanRecorder`] — the one timeline of the sync pipeline: spans
 //!   ([`SpanRecorder::start`]/[`SpanRecorder::end`]) and point events
 //!   ([`SpanRecorder::event`], a zero-width span), keyed by the upload
 //!   group's `<CliID, GroupSeq>` and timestamped by the caller from the
 //!   deterministic `SimClock`, so two runs of the same seed produce a
 //!   *byte-identical* record. It keeps the most recent `capacity`
-//!   records. A disabled recorder costs one relaxed atomic load per call
+//!   records. A disabled recorder costs one `Cell<bool>` read per call
 //!   site; detail strings are built lazily through closures and never
 //!   materialize when recording is off. Two readers share the table: the
 //!   **flight recorder** ([`SpanRecorder::dump`] and [`DumpGuard`], a
 //!   drop guard that appends the timeline to a file, or stderr, when a
 //!   test panics) and the critical-path [`Profiler`].
+//!
+//! The simulation runs on one thread, and the types say so: every handle
+//! here is `Rc`-shared and neither `Send` nor `Sync`, so clones share one
+//! state and the compiler, not a lock, refuses cross-thread use.
 //!
 //! The [`Merge`] trait and the [`metric_struct!`] macro unify the ad-hoc
 //! counter structs (`TrafficStats`, `IoStats`, `Cost`, `FaultStats`) that
@@ -77,7 +81,7 @@ pub struct Obs {
 
 impl Obs {
     /// A bundle whose recorder is disabled: metrics record normally,
-    /// recorder call sites cost one relaxed atomic load each.
+    /// recorder call sites cost one `Cell<bool>` read each.
     pub fn new() -> Self {
         Self::default()
     }

@@ -1,36 +1,37 @@
-//! The lock-cheap metrics registry.
+//! The metrics registry of the one-thread simulation.
 //!
-//! Registration (name → handle) takes a short mutex; the returned
-//! [`Counter`]/[`Gauge`]/[`Histogram`] handles are `Arc`'d atomics, so
-//! every update afterwards is a single atomic operation with no lock and
-//! no allocation. Handles registered twice under the same name and label
+//! Registration (name → handle) borrows the registry's map; the returned
+//! [`Counter`]/[`Gauge`]/[`Histogram`] handles are `Rc`'d cells, so every
+//! update afterwards is a plain load and store with no lookup and no
+//! allocation. Handles registered twice under the same name and label
 //! resolve to the *same* cells, which lets independent components share a
-//! metric without coordinating.
+//! metric without coordinating. The handles are neither `Send` nor
+//! `Sync`: the compiler, not a lock, keeps them on one thread.
 //!
 //! [`Registry::snapshot`] freezes the registry into a name-sorted
 //! [`Snapshot`] whose JSON and Prometheus renderings are byte-stable for
 //! a given set of metric values — the property the golden-file tests and
 //! the trace-determinism contract (DESIGN.md §11) rely on.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// One metric's identity: name plus an optional `key="value"` label.
 type MetricKey = (String, Option<(String, String)>);
 
 #[derive(Debug)]
 enum Entry {
-    Counter { help: String, cell: Arc<AtomicU64> },
-    Gauge { help: String, cell: Arc<AtomicI64> },
-    Histogram { help: String, cell: Arc<HistogramCell> },
+    Counter { help: String, cell: Rc<Cell<u64>> },
+    Gauge { help: String, cell: Rc<Cell<i64>> },
+    Histogram { help: String, cell: Rc<HistogramCell> },
 }
 
-/// A monotonic counter handle (atomic, lock-free after registration).
+/// A monotonic counter handle.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Rc<Cell<u64>>,
 }
 
 impl Counter {
@@ -41,42 +42,42 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.set(self.cell.get().wrapping_add(n));
     }
 
     /// Overwrites the value — used when absorbing an externally
     /// accumulated counter struct at snapshot time (see
     /// [`metric_struct!`](crate::metric_struct)).
     pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
+        self.cell.set(v);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.get()
     }
 }
 
 /// A gauge handle: a value that can move both ways.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    cell: Arc<AtomicI64>,
+    cell: Rc<Cell<i64>>,
 }
 
 impl Gauge {
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        self.cell.store(v, Ordering::Relaxed);
+        self.cell.set(v);
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: i64) {
-        self.cell.fetch_add(delta, Ordering::Relaxed);
+        self.cell.set(self.cell.get().wrapping_add(delta));
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.get()
     }
 }
 
@@ -85,16 +86,16 @@ struct HistogramCell {
     /// Inclusive upper bounds of the finite buckets, strictly increasing.
     bounds: Vec<u64>,
     /// One count per finite bucket plus the overflow (+Inf) bucket.
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
-    max: AtomicU64,
+    counts: Vec<Cell<u64>>,
+    sum: Cell<u64>,
+    count: Cell<u64>,
+    max: Cell<u64>,
 }
 
 /// A fixed-bucket histogram handle.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    cell: Arc<HistogramCell>,
+    cell: Rc<HistogramCell>,
 }
 
 impl Histogram {
@@ -106,25 +107,26 @@ impl Histogram {
             .iter()
             .position(|&b| v <= b)
             .unwrap_or(self.cell.bounds.len());
-        self.cell.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.cell.sum.fetch_add(v, Ordering::Relaxed);
-        self.cell.count.fetch_add(1, Ordering::Relaxed);
-        self.cell.max.fetch_max(v, Ordering::Relaxed);
+        let cell = &self.cell;
+        cell.counts[idx].set(cell.counts[idx].get() + 1);
+        cell.sum.set(cell.sum.get().wrapping_add(v));
+        cell.count.set(cell.count.get() + 1);
+        cell.max.set(cell.max.get().max(v));
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
+        self.cell.count.get()
     }
 
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
-        self.cell.sum.load(Ordering::Relaxed)
+        self.cell.sum.get()
     }
 
     /// Largest observation (0 when empty).
     pub fn max(&self) -> u64 {
-        self.cell.max.load(Ordering::Relaxed)
+        self.cell.max.get()
     }
 
     /// Estimates the `q`-quantile (`q` is clamped into `[0.0, 1.0]`).
@@ -152,7 +154,7 @@ impl Histogram {
         let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
         let mut cumulative = 0u64;
         for (idx, c) in self.cell.counts.iter().enumerate() {
-            let in_bucket = c.load(Ordering::Relaxed);
+            let in_bucket = c.get();
             if cumulative + in_bucket >= target {
                 if idx >= self.cell.bounds.len() {
                     return Some(self.max());
@@ -172,12 +174,7 @@ impl Histogram {
 /// metric set.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    metrics: Mutex<BTreeMap<MetricKey, Entry>>,
+    metrics: Rc<RefCell<BTreeMap<MetricKey, Entry>>>,
 }
 
 impl Registry {
@@ -206,10 +203,10 @@ impl Registry {
         label: Option<(&str, &str)>,
     ) -> Counter {
         let key = make_key(name, label);
-        let mut metrics = self.inner.metrics.lock().expect("registry poisoned");
+        let mut metrics = self.metrics.borrow_mut();
         let entry = metrics.entry(key).or_insert_with(|| Entry::Counter {
             help: help.to_string(),
-            cell: Arc::new(AtomicU64::new(0)),
+            cell: Rc::default(),
         });
         match entry {
             Entry::Counter { cell, .. } => Counter { cell: cell.clone() },
@@ -236,10 +233,10 @@ impl Registry {
     /// metric kind.
     pub fn gauge_labeled(&self, name: &str, help: &str, label: Option<(&str, &str)>) -> Gauge {
         let key = make_key(name, label);
-        let mut metrics = self.inner.metrics.lock().expect("registry poisoned");
+        let mut metrics = self.metrics.borrow_mut();
         let entry = metrics.entry(key).or_insert_with(|| Entry::Gauge {
             help: help.to_string(),
-            cell: Arc::new(AtomicI64::new(0)),
+            cell: Rc::default(),
         });
         match entry {
             Entry::Gauge { cell, .. } => Gauge { cell: cell.clone() },
@@ -283,15 +280,15 @@ impl Registry {
             "histogram {name} bounds must be strictly increasing"
         );
         let key = make_key(name, label);
-        let mut metrics = self.inner.metrics.lock().expect("registry poisoned");
+        let mut metrics = self.metrics.borrow_mut();
         let entry = metrics.entry(key).or_insert_with(|| Entry::Histogram {
             help: help.to_string(),
-            cell: Arc::new(HistogramCell {
+            cell: Rc::new(HistogramCell {
                 bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-                max: AtomicU64::new(0),
+                counts: vec![Cell::new(0); bounds.len() + 1],
+                sum: Cell::new(0),
+                count: Cell::new(0),
+                max: Cell::new(0),
             }),
         });
         match entry {
@@ -302,25 +299,19 @@ impl Registry {
 
     /// Freezes every metric into a name-sorted snapshot.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.inner.metrics.lock().expect("registry poisoned");
+        let metrics = self.metrics.borrow();
         let entries = metrics
             .iter()
             .map(|((name, label), entry)| {
                 let value = match entry {
-                    Entry::Counter { cell, .. } => {
-                        MetricValue::Counter(cell.load(Ordering::Relaxed))
-                    }
-                    Entry::Gauge { cell, .. } => MetricValue::Gauge(cell.load(Ordering::Relaxed)),
+                    Entry::Counter { cell, .. } => MetricValue::Counter(cell.get()),
+                    Entry::Gauge { cell, .. } => MetricValue::Gauge(cell.get()),
                     Entry::Histogram { cell, .. } => MetricValue::Histogram {
                         bounds: cell.bounds.clone(),
-                        counts: cell
-                            .counts
-                            .iter()
-                            .map(|c| c.load(Ordering::Relaxed))
-                            .collect(),
-                        sum: cell.sum.load(Ordering::Relaxed),
-                        count: cell.count.load(Ordering::Relaxed),
-                        max: cell.max.load(Ordering::Relaxed),
+                        counts: cell.counts.iter().map(Cell::get).collect(),
+                        sum: cell.sum.get(),
+                        count: cell.count.get(),
+                        max: cell.max.get(),
                     },
                 };
                 let help = match entry {

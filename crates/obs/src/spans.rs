@@ -22,8 +22,8 @@
 //! (raw milliseconds), so two runs of the same seed produce
 //! byte-identical tables, [`SpanRecorder::dump`] timelines, text reports,
 //! and Chrome trace exports. A disabled recorder (the default) costs one
-//! relaxed atomic load per site; detail closures never run while
-//! recording is off.
+//! `Cell<bool>` read per site; detail closures never run while recording
+//! is off.
 //!
 //! The [`Profiler`] assembles per-group span trees and computes a
 //! **critical-path attribution**: the group's wall-clock interval
@@ -40,10 +40,10 @@
 //! a group and a stage of the pipeline order take part; everything else
 //! in the table annotates the timeline.
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::registry::json_str;
 use crate::Registry;
@@ -130,20 +130,21 @@ impl SpanState {
 
 #[derive(Debug)]
 struct RecorderInner {
-    enabled: AtomicBool,
-    state: Mutex<SpanState>,
+    enabled: Cell<bool>,
+    state: RefCell<SpanState>,
 }
 
 /// The shared recorder: a bounded FIFO of [`SpanRecord`]s. Cloning
 /// yields a handle to the same table, so the clients, the codec, and the
-/// server all write into one causal record.
+/// server all write into one causal record. Like the simulation it
+/// records, it lives on one thread (it is neither `Send` nor `Sync`).
 ///
 /// The default recorder is *disabled*: every site pays exactly one
-/// relaxed atomic load, recording calls return [`SpanId::NONE`], and
-/// detail closures never execute.
+/// `Cell<bool>` read, recording calls return [`SpanId::NONE`], and detail
+/// closures never execute.
 #[derive(Debug, Clone)]
 pub struct SpanRecorder {
-    inner: Arc<RecorderInner>,
+    inner: Rc<RecorderInner>,
 }
 
 impl Default for SpanRecorder {
@@ -159,9 +160,9 @@ impl SpanRecorder {
     /// (older ones are evicted and counted).
     pub fn new(capacity: usize) -> Self {
         SpanRecorder {
-            inner: Arc::new(RecorderInner {
-                enabled: AtomicBool::new(true),
-                state: Mutex::new(SpanState {
+            inner: Rc::new(RecorderInner {
+                enabled: Cell::new(true),
+                state: RefCell::new(SpanState {
                     spans: VecDeque::new(),
                     first_id: 1,
                     roots: BTreeMap::new(),
@@ -172,19 +173,19 @@ impl SpanRecorder {
         }
     }
 
-    /// Whether records are currently made — the one relaxed atomic load
-    /// every site pays when recording is off.
+    /// Whether records are currently made — the one read every site
+    /// pays when recording is off.
     pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled.get()
     }
 
     /// Turns recording on or off at runtime.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        self.inner.enabled.set(on);
     }
 
-    fn state(&self) -> MutexGuard<'_, SpanState> {
-        self.inner.state.lock().expect("span recorder poisoned")
+    fn state(&self) -> RefMut<'_, SpanState> {
+        self.inner.state.borrow_mut()
     }
 
     /// Opens a span. With `parent: None` it attaches to its group's root

@@ -79,7 +79,7 @@ pub struct Vfs {
     next_inode: u64,
     next_handle: u64,
     handles: HashMap<u64, HandleState>,
-    observer: Option<Box<dyn OpObserver + Send>>,
+    observer: Option<Box<dyn OpObserver>>,
     event_log: Option<Vec<OpEvent>>,
     capacity: Option<u64>,
     used: u64,
@@ -162,13 +162,8 @@ impl Vfs {
     }
 
     /// Installs an inline observer, replacing any previous one.
-    pub fn set_observer(&mut self, obs: Box<dyn OpObserver + Send>) {
+    pub fn set_observer(&mut self, obs: Box<dyn OpObserver>) {
         self.observer = Some(obs);
-    }
-
-    /// Removes and returns the inline observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn OpObserver + Send>> {
-        self.observer.take()
     }
 
     /// Switches on the built-in event log.
@@ -893,7 +888,8 @@ impl Vfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RecordingObserver;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn fs_with_file(path: &str, content: &[u8]) -> Vfs {
         let mut fs = Vfs::new();
@@ -1132,24 +1128,26 @@ mod tests {
 
     #[test]
     fn observer_sees_all_mutations() {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
         let mut fs = Vfs::new();
-        fs.set_observer(Box::new(RecordingObserver::new()));
-        fs.create("/a").unwrap();
-        fs.write("/a", 0, b"abc").unwrap();
-        fs.rename("/a", "/b").unwrap();
-        fs.unlink("/b").unwrap();
-        let obs = fs.take_observer().unwrap();
-        // Downcasting through Any is unavailable for plain trait objects, so
-        // count through the event log path in a second run instead.
-        drop(obs);
-        let mut fs = Vfs::new();
+        fs.set_observer(Box::new(move |e: &OpEvent| {
+            sink.borrow_mut().push(e.clone())
+        }));
         fs.enable_event_log();
         fs.create("/a").unwrap();
         fs.write("/a", 0, b"abc").unwrap();
+        fs.write("/a", 1, b"xyz").unwrap();
+        fs.truncate("/a", 2).unwrap();
         fs.rename("/a", "/b").unwrap();
         fs.unlink("/b").unwrap();
-        let kinds: Vec<_> = fs.drain_events().iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds, vec!["create", "write", "rename", "unlink"]);
+        let logged = fs.drain_events();
+        let kinds: Vec<_> = logged.iter().map(|e| e.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["create", "write", "write", "truncate", "rename", "unlink"]
+        );
+        assert_eq!(*seen.borrow(), logged, "the observer sees the log");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 
 use std::collections::HashMap;
 
-use deltacfs_core::{EngineReport, SyncEngine};
 use deltacfs_core::codec::compressed_wire_size;
+use deltacfs_core::{EngineReport, SyncEngine};
 use deltacfs_delta::{dedup, rsync, Cost, DeltaParams};
 use deltacfs_net::{Link, LinkSpec, SimClock};
 use deltacfs_vfs::{OpEvent, Vfs};

@@ -60,7 +60,10 @@ fn failed_check_still_runs_every_section_and_writes_the_json() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("TABLE IV"), "Table IV did not run: {stdout}");
+    assert!(
+        stdout.contains("TABLE IV"),
+        "Table IV did not run: {stdout}"
+    );
     let written = std::fs::read_to_string(&json).expect("the JSON is written");
     let field = |value: &Value, key: &str| match value {
         Value::Object(map) => map.get(key).cloned(),

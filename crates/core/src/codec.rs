@@ -399,8 +399,11 @@ mod tests {
 
     #[test]
     fn mobile_compresses_text_and_ships_noise_raw() {
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Adaptive, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Adaptive,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         let len = 64 * 1024;
         let out = codec.encode_frame(frame_of(text(len), len as u64), 0);
         assert!(matches!(out.codec, Codec::Lz77 { raw_len } if raw_len == len as u64));
@@ -416,7 +419,11 @@ mod tests {
             WireCodec::for_upload(CodecPolicy::Adaptive, PlatformProfile::pc(), LinkSpec::pc());
         let len = 64 * 1024;
         let out = codec.encode_frame(frame_of(text(len), len as u64), 0);
-        assert_eq!(out.codec, Codec::Raw, "unconstrained link: CPU not worth it");
+        assert_eq!(
+            out.codec,
+            Codec::Raw,
+            "unconstrained link: CPU not worth it"
+        );
     }
 
     #[test]
@@ -435,8 +442,11 @@ mod tests {
 
     #[test]
     fn schedule_policy_cycles_decisions() {
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Schedule(vec![true, false]), PlatformProfile::pc(), LinkSpec::pc());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Schedule(vec![true, false]),
+            PlatformProfile::pc(),
+            LinkSpec::pc(),
+        );
         let len = 8 * 1024;
         let a = codec.encode_frame(frame_of(text(len), len as u64), 0);
         let b = codec.encode_frame(frame_of(text(len), len as u64), 0);
@@ -448,11 +458,18 @@ mod tests {
 
     #[test]
     fn tiny_frames_skip_the_codec_entirely() {
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Always, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Always,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         let out = codec.encode_frame(frame_of(text(32), 32), 0);
         assert_eq!(out.codec, Codec::Raw);
-        assert_eq!(codec.cost().bytes_compressed, 0, "no attempt below the floor");
+        assert_eq!(
+            codec.cost().bytes_compressed,
+            0,
+            "no attempt below the floor"
+        );
     }
 
     #[test]
@@ -460,18 +477,28 @@ mod tests {
         // The probe on highly repetitive text overestimates the LZ77
         // ratio; after a few compressed frames the bias goes negative,
         // recording that the compressor beats the entropy estimate.
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Always, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Always,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         for _ in 0..4 {
             codec.encode_frame(frame_of(text(64 * 1024), 64 * 1024), 0);
         }
-        assert!(codec.bias < 0.0, "bias {} should correct downward", codec.bias);
+        assert!(
+            codec.bias < 0.0,
+            "bias {} should correct downward",
+            codec.bias
+        );
     }
 
     #[test]
     fn compressed_frames_roundtrip_through_the_stager_path() {
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Always, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Always,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         let body = text(16 * 1024);
         let out = codec.encode_frame(frame_of(body.clone(), body.len() as u64), 0);
         let Codec::Lz77 { raw_len } = out.codec else {
@@ -497,14 +524,24 @@ mod tests {
             ],
             ..frame_of(Vec::new(), 64 * 1024)
         };
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Always, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Always,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         assert_eq!(codec.gather.capacity(), 0, "a new codec holds nothing");
         let out = codec.encode_frame(two_pieces(false), 0);
         assert!(matches!(out.codec, Codec::Lz77 { raw_len: 65_536 }));
-        assert!(codec.gather.capacity() >= 65_536, "kept for the group's next frame");
+        assert!(
+            codec.gather.capacity() >= 65_536,
+            "kept for the group's next frame"
+        );
         codec.encode_frame(two_pieces(true), 0);
-        assert_eq!(codec.gather.capacity(), 0, "released after the group's last frame");
+        assert_eq!(
+            codec.gather.capacity(),
+            0,
+            "released after the group's last frame"
+        );
         // A link that ships raw never gets as far as allocating.
         let mut lan =
             WireCodec::for_upload(CodecPolicy::Adaptive, PlatformProfile::pc(), LinkSpec::pc());
@@ -515,8 +552,11 @@ mod tests {
     #[test]
     fn metrics_count_compressed_and_raw_chunks() {
         let obs = Obs::new();
-        let mut codec =
-            WireCodec::for_upload(CodecPolicy::Adaptive, PlatformProfile::mobile(), LinkSpec::mobile());
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Adaptive,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
         codec.attach_obs(&obs);
         let len = 64 * 1024;
         codec.encode_frame(frame_of(text(len), len as u64), 0);

@@ -197,10 +197,14 @@ pub(crate) fn record_apply(
     at_ms: u64,
     outcomes: &[ApplyOutcome],
 ) {
-    obs.recorder.record(key, "server", "server.apply", at_ms, at_ms, None, || {
-        let applied = all_applied(outcomes);
-        format!("group from {from}: {} msgs, all_applied={applied}", outcomes.len())
-    });
+    obs.recorder
+        .record(key, "server", "server.apply", at_ms, at_ms, None, || {
+            let applied = all_applied(outcomes);
+            format!(
+                "group from {from}: {} msgs, all_applied={applied}",
+                outcomes.len()
+            )
+        });
 }
 
 impl SyncEngine for DeltaCfsSystem {
@@ -288,7 +292,9 @@ mod tests {
         let mut fs = Vfs::new();
         fs.enable_event_log();
         fs.create("/f").unwrap();
-        let base: Vec<u8> = (0..30_000u32).map(|i| (i.wrapping_mul(17) % 250) as u8).collect();
+        let base: Vec<u8> = (0..30_000u32)
+            .map(|i| (i.wrapping_mul(17) % 250) as u8)
+            .collect();
         fs.write("/f", 0, &base).unwrap();
         fs.create("/small").unwrap();
         fs.write("/small", 0, b"tiny file").unwrap();
@@ -299,7 +305,10 @@ mod tests {
         sync(&mut fs);
 
         assert!(reference.stats().msgs_up >= 2);
-        assert!(sys.report().client_cost.bytes_copied > 0, "no delta went up");
+        assert!(
+            sys.report().client_cost.bytes_copied > 0,
+            "no delta went up"
+        );
         assert_eq!(sys.report().traffic, reference.stats());
         assert_eq!(sys.link.upload_busy_until(), reference.upload_busy_until());
         assert!(sys.outcomes().iter().all(|o| *o == ApplyOutcome::Applied));

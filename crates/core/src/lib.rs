@@ -72,6 +72,7 @@ pub mod wire;
 pub use checksum_store::ChecksumStore;
 pub use client::{DeltaCfsClient, IntegrityIssue, IssueKind, RemoteConflict};
 pub use codec::{CodecPolicy, WireCodec};
+pub use compat::{CloudCopies, ShardedServer};
 pub use config::{CausalMode, DeltaCfsConfig, HubConfig};
 pub use engine::{DeltaCfsSystem, EngineReport, SyncEngine};
 pub use inline::{InlineInterceptor, InlineMode};
@@ -82,7 +83,6 @@ pub use protocol::{
 };
 pub use relation_table::{OldVersion, Preserved, RelationTable};
 pub use retry::{Courier, Flight, RetryPolicy, BACKOFF_BUCKETS_MS};
-pub use compat::{CloudCopies, ShardedServer};
 pub use server::CloudServer;
 pub use sync_queue::{Node, NodeKind, SyncQueue};
 pub use undo_log::{UndoLog, UndoRecord};

@@ -788,7 +788,9 @@ mod tests {
         // beyond the declared cap — not any particular decode result.
         let mut state = 0x123456789abcdef0u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as u8
         };
         for round in 0..500 {

@@ -146,7 +146,11 @@ mod tests {
                 let before = rc;
                 for (i, state) in states.iter().enumerate() {
                     let fresh = RollingChecksum::new(&data[pos + i + 1..pos + i + 1 + win]);
-                    assert_eq!(state.digest(), fresh.digest(), "win {win} pos {pos} step {i}");
+                    assert_eq!(
+                        state.digest(),
+                        fresh.digest(),
+                        "win {win} pos {pos} step {i}"
+                    );
                 }
                 // Non-committing: self unchanged.
                 assert_eq!(rc, before);

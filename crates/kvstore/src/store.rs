@@ -181,10 +181,8 @@ impl KvStore {
             )
             .add(self.replayed);
         self.counters = Some(KvCounters {
-            wal_records: registry.counter(
-                "kv_wal_records",
-                "records appended to the write-ahead log",
-            ),
+            wal_records: registry
+                .counter("kv_wal_records", "records appended to the write-ahead log"),
             wal_batch_commits: registry.counter(
                 "kv_wal_batch_commits",
                 "group commits appended to the WAL as one record",
@@ -545,11 +543,7 @@ mod tests {
             std::fs::write(&wal_path, &full[..full.len() - cut]).unwrap();
             let mut s = KvStore::open(&dir.0).unwrap();
             let present = (0..3u8)
-                .filter(|i| {
-                    s.get(format!("blk:{i}").as_bytes())
-                        .unwrap()
-                        .is_some()
-                })
+                .filter(|i| s.get(format!("blk:{i}").as_bytes()).unwrap().is_some())
                 .count();
             assert_eq!(present, 0, "cut {cut}: partial batch visible after crash");
             assert_eq!(s.get(b"durable").unwrap(), Some(b"yes".to_vec()));
@@ -566,8 +560,9 @@ mod tests {
     fn write_batch_respects_flush_threshold() {
         let dir = TempDir::new("batch-flush");
         let mut s = KvStore::open_with_threshold(&dir.0, 4).unwrap();
-        let batch: Vec<BatchOp> =
-            (0..10u8).map(|i| BatchOp::put(vec![i], vec![i * 3])).collect();
+        let batch: Vec<BatchOp> = (0..10u8)
+            .map(|i| BatchOp::put(vec![i], vec![i * 3]))
+            .collect();
         s.write_batch(&batch).unwrap();
         assert!(s.segment_count() >= 1);
         for i in 0..10u8 {

@@ -316,9 +316,7 @@ mod tests {
                     key: b"a".to_vec(),
                     value: b"1".to_vec()
                 },
-                WalRecord::Delete {
-                    key: b"b".to_vec()
-                },
+                WalRecord::Delete { key: b"b".to_vec() },
                 WalRecord::Put {
                     key: b"c".to_vec(),
                     value: vec![]

@@ -254,12 +254,7 @@ impl FaultPlan {
         let seq = self.upload_seq;
         let drop_draw = self.rng.gen_bool(self.spec.upload_drop.clamp(0.0, 1.0));
         let dup_draw = self.rng.gen_bool(self.spec.duplicate.clamp(0.0, 1.0));
-        if let Some(cp) = self
-            .spec
-            .crash_points
-            .iter()
-            .find(|cp| cp.at_upload == seq)
-        {
+        if let Some(cp) = self.spec.crash_points.iter().find(|cp| cp.at_upload == seq) {
             match cp.phase {
                 CrashPhase::BeforeApply => {
                     self.stats.crashes_before_apply += 1;
@@ -391,7 +386,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let spec = FaultSpec::clean(42).with_rates(0.3, 0.2, 0.25).with_reorder(0.5);
+        let spec = FaultSpec::clean(42)
+            .with_rates(0.3, 0.2, 0.25)
+            .with_reorder(0.5);
         let mut a = FaultPlan::new(spec.clone());
         let mut b = FaultPlan::new(spec);
         assert_eq!(verdicts(&mut a, 50), verdicts(&mut b, 50));

@@ -325,11 +325,7 @@ mod tests {
             bandwidth_down: Some(512 * 1024),
             latency_ms: 25,
         };
-        for spec in [
-            LinkSpec::pc(),
-            LinkSpec::datacenter(),
-            symmetric,
-        ] {
+        for spec in [LinkSpec::pc(), LinkSpec::datacenter(), symmetric] {
             for bytes in [0u64, 1, 4096, 3 * 1024 * 1024] {
                 let mut up = Link::new(spec);
                 let mut down = Link::new(spec);

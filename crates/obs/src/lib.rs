@@ -141,7 +141,10 @@ impl Drop for DumpGuard {
         // Appended, not overwritten: every failing run of a test process
         // keeps its dump.
         if let Some(path) = std::env::var_os("DELTACFS_TRACE_DUMP").filter(|p| !p.is_empty()) {
-            let file = std::fs::OpenOptions::new().create(true).append(true).open(&path);
+            let file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path);
             if file.and_then(|mut f| f.write_all(dump.as_bytes())).is_ok() {
                 let path = path.to_string_lossy();
                 eprintln!("flight recorder: appended {} bytes to {path}", dump.len());
@@ -160,7 +163,8 @@ mod tests {
     fn default_bundle_records_nothing() {
         let obs = Obs::new();
         assert!(!obs.recorder.enabled());
-        obs.recorder.event(None, "a", "stage", 0, || unreachable!("lazy detail"));
+        obs.recorder
+            .event(None, "a", "stage", 0, || unreachable!("lazy detail"));
         assert!(obs.recorder.is_empty());
     }
 

@@ -132,7 +132,13 @@ mod tests {
         let mut a = Sample { hits: 2, misses: 3 };
         let b = Sample { hits: 5, misses: 7 };
         a.merge_from(&b);
-        assert_eq!(a, Sample { hits: 7, misses: 10 });
+        assert_eq!(
+            a,
+            Sample {
+                hits: 7,
+                misses: 10
+            }
+        );
         a.reset();
         assert_eq!(a, Sample::default());
     }

@@ -23,9 +23,18 @@ type MetricKey = (String, Option<(String, String)>);
 
 #[derive(Debug)]
 enum Entry {
-    Counter { help: String, cell: Rc<Cell<u64>> },
-    Gauge { help: String, cell: Rc<Cell<i64>> },
-    Histogram { help: String, cell: Rc<HistogramCell> },
+    Counter {
+        help: String,
+        cell: Rc<Cell<u64>>,
+    },
+    Gauge {
+        help: String,
+        cell: Rc<Cell<i64>>,
+    },
+    Histogram {
+        help: String,
+        cell: Rc<HistogramCell>,
+    },
 }
 
 /// A monotonic counter handle.
@@ -159,7 +168,11 @@ impl Histogram {
                 if idx >= self.cell.bounds.len() {
                     return Some(self.max());
                 }
-                let lo = if idx == 0 { 0 } else { self.cell.bounds[idx - 1] };
+                let lo = if idx == 0 {
+                    0
+                } else {
+                    self.cell.bounds[idx - 1]
+                };
                 let hi = self.cell.bounds[idx];
                 let into = (target - cumulative) as f64 / in_bucket as f64;
                 return Some(lo + ((hi - lo) as f64 * into).round() as u64);
@@ -196,12 +209,7 @@ impl Registry {
     ///
     /// Panics if the name+label is already registered as a different
     /// metric kind.
-    pub fn counter_labeled(
-        &self,
-        name: &str,
-        help: &str,
-        label: Option<(&str, &str)>,
-    ) -> Counter {
+    pub fn counter_labeled(&self, name: &str, help: &str, label: Option<(&str, &str)>) -> Counter {
         let key = make_key(name, label);
         let mut metrics = self.metrics.borrow_mut();
         let entry = metrics.entry(key).or_insert_with(|| Entry::Counter {
@@ -593,8 +601,10 @@ mod tests {
     #[test]
     fn labels_keep_series_separate() {
         let reg = Registry::new();
-        reg.counter_labeled("bytes_up", "", Some(("client", "0"))).add(10);
-        reg.counter_labeled("bytes_up", "", Some(("client", "1"))).add(20);
+        reg.counter_labeled("bytes_up", "", Some(("client", "0")))
+            .add(10);
+        reg.counter_labeled("bytes_up", "", Some(("client", "1")))
+            .add(20);
         let snap = reg.snapshot();
         assert_eq!(
             snap.get_labeled("bytes_up", "0"),

@@ -433,7 +433,11 @@ impl Profiler {
     /// Per-group profiles, ordered by group key.
     pub fn groups(&self) -> Vec<GroupProfile> {
         let mut by_group: BTreeMap<GroupKey, Vec<&SpanRecord>> = BTreeMap::new();
-        for r in self.records.iter().filter(|r| stage_rank(&r.stage).is_some()) {
+        for r in self
+            .records
+            .iter()
+            .filter(|r| stage_rank(&r.stage).is_some())
+        {
             by_group.entry(group_of(r)).or_default().push(r);
         }
         by_group
@@ -470,7 +474,10 @@ impl Profiler {
     /// Worst observed convergence lag across all groups: VFS write →
     /// last peer commit.
     pub fn convergence_lag(&self) -> Option<u64> {
-        self.groups().iter().filter_map(|g| g.convergence_lag_ms).max()
+        self.groups()
+            .iter()
+            .filter_map(|g| g.convergence_lag_ms)
+            .max()
     }
 
     /// Registers the profiler's aggregates on `reg`: per-stage
@@ -551,10 +558,7 @@ impl Profiler {
         }
         let samples = self.stage_samples();
         if !samples.is_empty() {
-            let _ = writeln!(
-                out,
-                "\nper-stage critical-path latency (ms across groups):"
-            );
+            let _ = writeln!(out, "\nper-stage critical-path latency (ms across groups):");
             let _ = writeln!(
                 out,
                 "  {:<18} {:>6} {:>8} {:>8} {:>8}",
@@ -760,7 +764,9 @@ mod tests {
         assert!(id.is_none());
         r.end(id, 9, || unreachable!("must stay lazy"));
         let lazy = || unreachable!("must stay lazy");
-        assert!(r.record(Some(key(1, 1)), "a", "wire.upload", 5, 9, None, lazy).is_none());
+        assert!(r
+            .record(Some(key(1, 1)), "a", "wire.upload", 5, 9, None, lazy)
+            .is_none());
         assert!(r.event(None, "a", "vfs.op", 5, lazy).is_none());
         r.attach(&[id], key(1, 1));
         assert!(r.is_empty());
@@ -770,7 +776,15 @@ mod tests {
     #[test]
     fn first_span_becomes_group_root_and_parents_followers() {
         let r = SpanRecorder::new(64);
-        let root = r.record(Some(key(1, 1)), "client-1", "vfs.write", 0, 10, None, String::new);
+        let root = r.record(
+            Some(key(1, 1)),
+            "client-1",
+            "vfs.write",
+            0,
+            10,
+            None,
+            String::new,
+        );
         let child = r.start(Some(key(1, 1)), "client-1", "wire.upload", 10, None);
         let explicit = r.start(Some(key(1, 1)), "server", "server.apply", 20, Some(child));
         r.end(child, 30, String::new);
@@ -790,7 +804,15 @@ mod tests {
         let encode = r.start(None, "client-1", "delta.encode", 3, None);
         let child = r.record(None, "client-1", "vfs.op", 3, 3, Some(encode), String::new);
         r.end(encode, 3, String::new);
-        let root = r.record(Some(key(1, 4)), "client-1", "vfs.write", 0, 9, None, String::new);
+        let root = r.record(
+            Some(key(1, 4)),
+            "client-1",
+            "vfs.write",
+            0,
+            9,
+            None,
+            String::new,
+        );
         r.attach(&[trigger, encode, SpanId(99)], key(1, 4));
         let recs = r.records();
         assert_eq!(recs[0].group, Some(key(1, 4)));
@@ -830,7 +852,15 @@ mod tests {
         let run = || {
             let r = SpanRecorder::new(32);
             r.event(None, "client-1", "vfs.op", 100, || "write /a".into());
-            r.record(Some(key(1, 7)), "link", "wire.upload", 105, 140, None, || "group 7".into());
+            r.record(
+                Some(key(1, 7)),
+                "link",
+                "wire.upload",
+                105,
+                140,
+                None,
+                || "group 7".into(),
+            );
             r.start(Some(key(1, 7)), "link", "wire.upload", 150, None);
             r.dump()
         };
@@ -858,9 +888,33 @@ mod tests {
         // vfs.write dwell 0..100, encode 100..140 overlapping upload
         // 120..200, gap 200..210, server.apply 210..230.
         r.record(Some(g), "client-1", "vfs.write", 0, 100, None, String::new);
-        r.record(Some(g), "client-1", "delta.encode", 100, 140, None, String::new);
-        r.record(Some(g), "client-1", "wire.upload", 120, 200, None, String::new);
-        r.record(Some(g), "server", "server.apply", 210, 230, None, String::new);
+        r.record(
+            Some(g),
+            "client-1",
+            "delta.encode",
+            100,
+            140,
+            None,
+            String::new,
+        );
+        r.record(
+            Some(g),
+            "client-1",
+            "wire.upload",
+            120,
+            200,
+            None,
+            String::new,
+        );
+        r.record(
+            Some(g),
+            "server",
+            "server.apply",
+            210,
+            230,
+            None,
+            String::new,
+        );
         let prof = Profiler::new(r.records());
         let groups = prof.groups();
         assert_eq!(groups.len(), 1);
@@ -891,7 +945,15 @@ mod tests {
         r.record(Some(g), "client-2", "vfs.write", 0, 10, None, String::new);
         let lost = r.start(Some(g), "client-2", "wire.upload", 10, None);
         assert!(!lost.is_none()); // never ended: the dropped-chunk case
-        r.record(Some(g), "client-2", "wire.upload", 40, 60, None, String::new);
+        r.record(
+            Some(g),
+            "client-2",
+            "wire.upload",
+            40,
+            60,
+            None,
+            String::new,
+        );
         r.record(Some(g), "server", "server.apply", 60, 70, None, String::new);
         let prof = Profiler::new(r.records());
         let gp = &prof.groups()[0];
@@ -908,8 +970,24 @@ mod tests {
     fn lags_and_report_cover_forward() {
         let r = SpanRecorder::new(64);
         let g = key(1, 2);
-        r.record(Some(g), "client-1", "vfs.write", 100, 200, None, String::new);
-        r.record(Some(g), "server", "server.apply", 250, 300, None, String::new);
+        r.record(
+            Some(g),
+            "client-1",
+            "vfs.write",
+            100,
+            200,
+            None,
+            String::new,
+        );
+        r.record(
+            Some(g),
+            "server",
+            "server.apply",
+            250,
+            300,
+            None,
+            String::new,
+        );
         r.record(Some(g), "server", "forward", 300, 450, None, || {
             "peer client-2".into()
         });
@@ -928,9 +1006,33 @@ mod tests {
     fn export_registers_gauges_and_histograms() {
         let r = SpanRecorder::new(64);
         let g = key(1, 1);
-        r.record(Some(g), "client-1", "vfs.write", 0, 1_000, None, String::new);
-        r.record(Some(g), "client-1", "wire.upload", 1_000, 1_400, None, String::new);
-        r.record(Some(g), "server", "server.apply", 1_400, 1_500, None, String::new);
+        r.record(
+            Some(g),
+            "client-1",
+            "vfs.write",
+            0,
+            1_000,
+            None,
+            String::new,
+        );
+        r.record(
+            Some(g),
+            "client-1",
+            "wire.upload",
+            1_000,
+            1_400,
+            None,
+            String::new,
+        );
+        r.record(
+            Some(g),
+            "server",
+            "server.apply",
+            1_400,
+            1_500,
+            None,
+            String::new,
+        );
         let reg = Registry::new();
         Profiler::new(r.records()).export(&reg);
         let snap = reg.snapshot();
@@ -948,7 +1050,9 @@ mod tests {
         let build = || {
             let r = SpanRecorder::new(64);
             let g = key(3, 9);
-            r.record(Some(g), "client-3", "vfs.write", 0, 50, None, || "w \"q\"".into());
+            r.record(Some(g), "client-3", "vfs.write", 0, 50, None, || {
+                "w \"q\"".into()
+            });
             let open = r.start(Some(g), "client-3", "wire.upload", 50, None);
             assert!(!open.is_none());
             Profiler::new(r.records()).chrome_trace()

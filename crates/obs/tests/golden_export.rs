@@ -15,10 +15,18 @@ fn sample_registry() -> Registry {
         .add(70_443);
     reg.counter("traffic_bytes_down", "bytes downloaded over the wire")
         .add(1_289);
-    reg.counter_labeled("io_bytes_read", "bytes read from the VFS", Some(("client", "0")))
-        .add(704_512);
-    reg.counter_labeled("io_bytes_read", "bytes read from the VFS", Some(("client", "1")))
-        .add(12_288);
+    reg.counter_labeled(
+        "io_bytes_read",
+        "bytes read from the VFS",
+        Some(("client", "0")),
+    )
+    .add(704_512);
+    reg.counter_labeled(
+        "io_bytes_read",
+        "bytes read from the VFS",
+        Some(("client", "1")),
+    )
+    .add(12_288);
     reg.gauge("sync_queue_depth", "nodes waiting in the sync queue")
         .set(3);
     let h = reg.histogram(
@@ -58,5 +66,8 @@ fn json_export_matches_golden() {
 
 #[test]
 fn prometheus_export_matches_golden() {
-    check_golden("metrics.prom", &sample_registry().snapshot().to_prometheus());
+    check_golden(
+        "metrics.prom",
+        &sample_registry().snapshot().to_prometheus(),
+    );
 }

@@ -100,7 +100,13 @@ mod tests {
         let f = HugeFile::new(3, 5_000);
         let whole = f.materialize();
         assert_eq!(whole.len() as u64, f.len());
-        for (start, len) in [(0u64, 64usize), (5, 1), (90, 40), (3_990, 300), (f.len() - 17, 17)] {
+        for (start, len) in [
+            (0u64, 64usize),
+            (5, 1),
+            (90, 40),
+            (3_990, 300),
+            (f.len() - 17, 17),
+        ] {
             let mut buf = vec![0u8; len];
             f.read_at(start, &mut buf);
             assert_eq!(
@@ -151,6 +157,9 @@ mod tests {
             .filter(|o| **o > 20_000 && old_cuts.contains(o))
             .count();
         let downstream = new_cuts.iter().filter(|o| **o > 20_000).count();
-        assert_eq!(resynced, downstream, "cut points diverged downstream of the edit");
+        assert_eq!(
+            resynced, downstream,
+            "cut points diverged downstream of the edit"
+        );
     }
 }

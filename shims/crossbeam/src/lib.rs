@@ -46,7 +46,11 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).senders += 1;
+            self.0
+                .state
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .senders += 1;
             Sender(Arc::clone(&self.0))
         }
     }
@@ -84,11 +88,7 @@ pub mod channel {
                 }
                 match st.cap {
                     Some(cap) if st.queue.len() >= cap => {
-                        st = self
-                            .0
-                            .not_full
-                            .wait(st)
-                            .unwrap_or_else(|e| e.into_inner());
+                        st = self.0.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
                     }
                     _ => break,
                 }
@@ -117,7 +117,11 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).receivers += 1;
+            self.0
+                .state
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .receivers += 1;
             Receiver(Arc::clone(&self.0))
         }
     }
@@ -147,11 +151,7 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self
-                    .0
-                    .not_empty
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = self.0.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         }
 
@@ -203,17 +203,25 @@ pub mod queue {
     impl<T> SegQueue<T> {
         /// An empty queue.
         pub fn new() -> Self {
-            SegQueue { inner: Mutex::new(VecDeque::new()) }
+            SegQueue {
+                inner: Mutex::new(VecDeque::new()),
+            }
         }
 
         /// Appends `value` at the back.
         pub fn push(&self, value: T) {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).push_back(value);
+            self.inner
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push_back(value);
         }
 
         /// Removes the front element, if any.
         pub fn pop(&self) -> Option<T> {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).pop_front()
+            self.inner
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop_front()
         }
 
         /// Number of queued elements.

@@ -39,7 +39,9 @@ impl TestRng {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        TestRng { s: [next(), next(), next(), next()] }
+        TestRng {
+            s: [next(), next(), next(), next()],
+        }
     }
 
     /// Next raw 64 bits.
@@ -275,7 +277,10 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
         } else {
             (1, next)
         };
-        assert!(!choices.is_empty(), "proptest shim: empty class in pattern {pattern:?}");
+        assert!(
+            !choices.is_empty(),
+            "proptest shim: empty class in pattern {pattern:?}"
+        );
         for _ in 0..reps {
             let pick = rng.gen_range_u64(0, choices.len() as u64) as usize;
             out.push(choices[pick]);
@@ -374,7 +379,10 @@ impl<T: Debug> Strategy for Union<T> {
 }
 
 /// Boxes one weighted arm for [`Union::new`] (used by [`prop_oneof!`]).
-pub fn weighted_arm<S: Strategy + 'static>(weight: u32, strat: S) -> (u32, BoxedStrategy<S::Value>) {
+pub fn weighted_arm<S: Strategy + 'static>(
+    weight: u32,
+    strat: S,
+) -> (u32, BoxedStrategy<S::Value>) {
     (weight, Box::new(strat))
 }
 

@@ -100,7 +100,10 @@ pub trait Rng: RngCore {
     where
         Self: Sized,
     {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         f64::sample(self) < p
     }
 

@@ -213,7 +213,10 @@ mod tests {
     #[test]
     fn primitive_roundtrips() {
         assert_eq!(u64::deserialize_content(&42u64.serialize_content()), Ok(42));
-        assert_eq!(i64::deserialize_content(&(-3i64).serialize_content()), Ok(-3));
+        assert_eq!(
+            i64::deserialize_content(&(-3i64).serialize_content()),
+            Ok(-3)
+        );
         assert_eq!(
             String::deserialize_content(&"hi".serialize_content()),
             Ok("hi".to_string())
@@ -222,10 +225,7 @@ mod tests {
             Vec::<u8>::deserialize_content(&vec![1u8, 2].serialize_content()),
             Ok(vec![1, 2])
         );
-        assert_eq!(
-            Option::<u64>::deserialize_content(&Content::Null),
-            Ok(None)
-        );
+        assert_eq!(Option::<u64>::deserialize_content(&Content::Null), Ok(None));
         assert!(u8::deserialize_content(&Content::U64(300)).is_err());
     }
 }

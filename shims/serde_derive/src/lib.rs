@@ -286,8 +286,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let name = &item.name;
     let body = match &item.shape {
         Shape::Struct(fields) => {
-            let mut code =
-                String::from("let mut m: Vec<(String, serde::Content)> = Vec::new();\n");
+            let mut code = String::from("let mut m: Vec<(String, serde::Content)> = Vec::new();\n");
             for f in fields {
                 if f.flatten {
                     code.push_str(&format!(
@@ -426,10 +425,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 for v in variants {
                     let wire = variant_wire_name(&item, &v.name);
                     match &v.fields {
-                        None => arms.push_str(&format!(
-                            "\"{wire}\" => Ok({name}::{v}),\n",
-                            v = v.name
-                        )),
+                        None => {
+                            arms.push_str(&format!("\"{wire}\" => Ok({name}::{v}),\n", v = v.name))
+                        }
                         Some(fields) => {
                             let mut inits = String::new();
                             for f in fields {

@@ -284,7 +284,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
     }
 
     fn err(&self, msg: &str) -> Error {

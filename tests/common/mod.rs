@@ -99,9 +99,13 @@ pub fn faulty_multi_writer_run(cfg: HubConfig, seed: u64) -> RecordedHub {
     ]);
 
     hub.fs_mut(0).create("/a.txt").unwrap();
-    hub.fs_mut(0).write("/a.txt", 0, b"alpha round one").unwrap();
+    hub.fs_mut(0)
+        .write("/a.txt", 0, b"alpha round one")
+        .unwrap();
     hub.fs_mut(1).create("/b.txt").unwrap();
-    hub.fs_mut(1).write("/b.txt", 0, &vec![7u8; 20_000]).unwrap();
+    hub.fs_mut(1)
+        .write("/b.txt", 0, &vec![7u8; 20_000])
+        .unwrap();
     hub.pump();
     clock.advance(4_000);
     hub.pump();

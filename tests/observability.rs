@@ -185,7 +185,11 @@ fn pinned_seed_trace_is_deterministic() {
     assert!(!a.is_empty(), "record is empty");
     assert_eq!(a, b, "records differ");
     // Determinism only holds when the table kept everything.
-    assert_eq!(first.obs().recorder.dropped(), 0, "recorder evicted records");
+    assert_eq!(
+        first.obs().recorder.dropped(),
+        0,
+        "recorder evicted records"
+    );
     assert_eq!(
         first.obs().recorder.dump(),
         second.obs().recorder.dump(),
@@ -217,10 +221,7 @@ fn flight_recorder_dumps_causal_timeline_on_failure() {
     // causal timeline of the "diverging" file under the builder's label.
     // Dumps are appended: two failing runs leave two, byte-identical
     // because the seed is the same.
-    let path = std::env::temp_dir().join(format!(
-        "deltacfs-obs-test-{}.dump",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("deltacfs-obs-test-{}.dump", std::process::id()));
     std::fs::remove_file(&path).ok();
     std::env::set_var("DELTACFS_TRACE_DUMP", &path);
     for _ in 0..2 {
@@ -243,7 +244,10 @@ fn flight_recorder_dumps_causal_timeline_on_failure() {
     let both = std::fs::read_to_string(&path).expect("dump file written");
     std::fs::remove_file(&path).ok();
     let (first, second) = both.split_at(both.len() / 2);
-    assert_eq!(first, second, "dump is not reproducible, or one overwrote the other");
+    assert_eq!(
+        first, second,
+        "dump is not reproducible, or one overwrote the other"
+    );
 
     // The header names the run by topology and seeds, the timeline
     // covers the diverging file's causal chain, and the metrics snapshot
@@ -251,7 +255,10 @@ fn flight_recorder_dumps_causal_timeline_on_failure() {
     let label = format!("2 client(s), fault seeds [{SEED}, {}]", SEED ^ 0xBEEF);
     assert!(first.starts_with(&format!("=== DeltaCFS flight recorder dump: {label} ===")));
     assert!(first.contains("flight recorder:"), "missing record header");
-    assert!(first.contains("/b.txt"), "diverging file absent from the record");
+    assert!(
+        first.contains("/b.txt"),
+        "diverging file absent from the record"
+    );
     assert!(first.contains("relation.trigger"), "no trigger decision");
     assert!(first.contains("delta.encode"), "no encode span");
     assert!(first.contains("server.apply"), "no server apply record");
@@ -343,7 +350,10 @@ fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
     }
     let frames = count(&records, group, "wire.upload.chunk");
     assert!(frames > 1, "the group went up in {frames} frame(s)");
-    assert!(records.iter().all(|r| r.end_ms.is_some()), "engine: an open span");
+    assert!(
+        records.iter().all(|r| r.end_ms.is_some()),
+        "engine: an open span"
+    );
 
     // Hub: the pump's clean leg, the courier's attempts, and the
     // forward stream to the peer.
@@ -367,7 +377,10 @@ fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
         clock.advance(4_000);
         hub.pump();
         assert!(hub.settle(600_000));
-        assert_eq!(hub.fs(1).peek_all("/doc").unwrap(), hub.fs(0).peek_all("/doc").unwrap());
+        assert_eq!(
+            hub.fs(1).peek_all("/doc").unwrap(),
+            hub.fs(0).peek_all("/doc").unwrap()
+        );
         let forwarded = client_metric(&hub, "forward_chunks", 1);
         (hub.obs().recorder.records(), forwarded as usize)
     };
@@ -376,25 +389,53 @@ fn every_stage_is_recorded_once_per_occurrence_on_every_path() {
     for stage in once.into_iter().chain(["forward"]) {
         assert_eq!(count(&records, group, stage), 1, "pump: {stage}");
     }
-    assert_eq!(count(&records, group, "wire.upload.chunk"), frames, "pump: one event per frame");
-    let chunks: usize = records.iter().filter(|r| r.stage == "wire.forward.chunk").count();
+    assert_eq!(
+        count(&records, group, "wire.upload.chunk"),
+        frames,
+        "pump: one event per frame"
+    );
+    let chunks: usize = records
+        .iter()
+        .filter(|r| r.stage == "wire.forward.chunk")
+        .count();
     assert_eq!(chunks, forwarded, "one record per forwarded frame");
-    assert!(records.iter().all(|r| r.end_ms.is_some()), "pump: an open span");
+    assert!(
+        records.iter().all(|r| r.end_ms.is_some()),
+        "pump: an open span"
+    );
 
     // Courier: one span per attempt — the dropped one stays open on
     // purpose — each attempt's frames on the wire, and still one stage,
     // one apply, one forward.
     let (records, _) = hub_run(true);
-    let dropped = records.iter().find(|r| r.end_ms.is_none()).expect("an open attempt");
+    let dropped = records
+        .iter()
+        .find(|r| r.end_ms.is_none())
+        .expect("an open attempt");
     assert_eq!(dropped.stage, "wire.upload");
     let group = dropped.group.expect("attempts are keyed by their group");
-    assert_eq!(count(&records, group, "wire.upload"), 2, "courier: one span per attempt");
+    assert_eq!(
+        count(&records, group, "wire.upload"),
+        2,
+        "courier: one span per attempt"
+    );
     let frames = count(&records, group, "wire.upload.chunk");
     let msg = "courier: both attempts put every frame on the wire";
     assert!(frames >= 2 && frames.is_multiple_of(2), "{msg}");
-    let stages = ["vfs.write", "sync.group", "retry.backoff", "server.stage", "server.apply", "forward"];
+    let stages = [
+        "vfs.write",
+        "sync.group",
+        "retry.backoff",
+        "server.stage",
+        "server.apply",
+        "forward",
+    ];
     for stage in stages {
-        assert_eq!(count(&records, group, stage), 1, "courier, retried group: {stage}");
+        assert_eq!(
+            count(&records, group, stage),
+            1,
+            "courier, retried group: {stage}"
+        );
     }
     let group = delta_group(&records);
     for stage in once.into_iter().chain(["forward"]) {
@@ -414,7 +455,13 @@ fn interleaved_applications_are_explainable_from_the_record() {
     let obs = Obs::recording(1 << 16);
     sys.enable_observability(obs.clone());
     let mut fs = Vfs::new();
-    deltacfs::workloads::replay(&common::editor_and_database_trace(), &mut fs, &mut sys, &clock, 100);
+    deltacfs::workloads::replay(
+        &common::editor_and_database_trace(),
+        &mut fs,
+        &mut sys,
+        &clock,
+        100,
+    );
     assert_eq!(obs.recorder.dropped(), 0);
     let records = obs.recorder.records();
 
@@ -425,11 +472,15 @@ fn interleaved_applications_are_explainable_from_the_record() {
         rest.split(';').next().unwrap().to_string()
     };
     let packed_at = |g: Option<GroupKey>| {
-        let pack = records.iter().find(|r| r.stage == "sync.group" && r.group == g);
+        let pack = records
+            .iter()
+            .find(|r| r.stage == "sync.group" && r.group == g);
         pack.expect("every encode's group was packed").id
     };
-    let encodes: Vec<&SpanRecord> =
-        records.iter().filter(|r| r.stage == "delta.encode").collect();
+    let encodes: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.stage == "delta.encode")
+        .collect();
     // The second save: its base was produced by an encode whose group
     // had not been packed when it ran.
     let (first, second) = encodes
@@ -437,7 +488,11 @@ fn interleaved_applications_are_explainable_from_the_record() {
         .flat_map(|a| encodes.iter().map(move |b| (*a, *b)))
         .find(|(a, b)| produced(a) == base(b) && packed_at(a.group) > b.id)
         .expect("no save chained onto a still-queued delta");
-    assert!(second.detail.contains("base /notes.txt <c1,"), "{}", second.detail);
+    assert!(
+        second.detail.contains("base /notes.txt <c1,"),
+        "{}",
+        second.detail
+    );
     assert!(second.detail.contains("delta wins"), "{}", second.detail);
 
     let group = second.group.expect("attached at pack time");
@@ -453,12 +508,20 @@ fn interleaved_applications_are_explainable_from_the_record() {
         .find(|r| r.stage == "relation.trigger")
         .unwrap();
     assert_eq!(trigger.group, Some(group));
-    assert!(trigger.detail.contains("gedit pattern"), "{}", trigger.detail);
+    assert!(
+        trigger.detail.contains("gedit pattern"),
+        "{}",
+        trigger.detail
+    );
     // Causal order: trigger → encode → pack → upload → apply.
     let pack = in_group("sync.group", second);
     let upload = in_group("wire.upload", pack);
     let apply = in_group("server.apply", upload);
-    assert!(apply.detail.contains("all_applied=true"), "{}", apply.detail);
+    assert!(
+        apply.detail.contains("all_applied=true"),
+        "{}",
+        apply.detail
+    );
     // The first save's delta is an earlier record of a group no later
     // than the second's: the cloud gets the base before what builds on it.
     assert!(first.id < second.id && first.group <= second.group);

@@ -27,8 +27,16 @@ fn pinned_seed_span_tree_and_chrome_trace_are_byte_identical() {
     // intentionally unclosed spans (attempts the fault plan dropped).
     let first = faulty_profiled_run(SEED);
     let second = faulty_profiled_run(SEED);
-    assert_eq!(first.obs().recorder.dropped(), 0, "recorder evicted records");
-    assert_eq!(second.obs().recorder.dropped(), 0, "recorder evicted records");
+    assert_eq!(
+        first.obs().recorder.dropped(),
+        0,
+        "recorder evicted records"
+    );
+    assert_eq!(
+        second.obs().recorder.dropped(),
+        0,
+        "recorder evicted records"
+    );
 
     let a = first.obs().recorder.records();
     let b = second.obs().recorder.records();
@@ -66,8 +74,19 @@ fn critical_path_attribution_sums_to_end_to_end_time() {
     }
     // Both sides of the wire joined each tree: client-recorded roots
     // (vfs.write) and server/link stages keyed by the same group.
-    let stages: Vec<&str> = profiler.records().iter().map(|r| r.stage.as_str()).collect();
-    for stage in ["vfs.write", "relation.trigger", "delta.encode", "wire.upload", "server.apply", "forward"] {
+    let stages: Vec<&str> = profiler
+        .records()
+        .iter()
+        .map(|r| r.stage.as_str())
+        .collect();
+    for stage in [
+        "vfs.write",
+        "relation.trigger",
+        "delta.encode",
+        "wire.upload",
+        "server.apply",
+        "forward",
+    ] {
         assert!(stages.contains(&stage), "stage {stage} never recorded");
     }
     // Every non-root span links to a parent within its own group.
@@ -156,7 +175,10 @@ fn profiling_off_records_no_spans() {
         hub
     };
     let plain = run(Obs::new(), false);
-    assert!(plain.obs().recorder.is_empty(), "records made while disabled");
+    assert!(
+        plain.obs().recorder.is_empty(),
+        "records made while disabled"
+    );
     let snap = plain.export_metrics();
     assert!(snap.get("spans_recorded").is_none());
     assert!(snap.get("convergence_lag_ms").is_none());
@@ -166,13 +188,29 @@ fn profiling_off_records_no_spans() {
     assert_eq!(recording.server().paths(), plain.server().paths());
     assert_eq!(recording.server().file("/x"), plain.server().file("/x"));
     for idx in 0..2 {
-        assert_eq!(recording.traffic(idx), plain.traffic(idx), "client {idx} traffic");
-        assert_eq!(recording.client(idx).cost(), plain.client(idx).cost(), "client {idx} cost");
+        assert_eq!(
+            recording.traffic(idx),
+            plain.traffic(idx),
+            "client {idx} traffic"
+        );
+        assert_eq!(
+            recording.client(idx).cost(),
+            plain.client(idx).cost(),
+            "client {idx} cost"
+        );
     }
-    let derived = ["span_stage_ms", "sync_lag_ms", "convergence_lag_ms", "spans_recorded", "spans_open"];
+    let derived = [
+        "span_stage_ms",
+        "sync_lag_ms",
+        "convergence_lag_ms",
+        "spans_recorded",
+        "spans_open",
+    ];
     let without_derived = |json: String| -> Vec<String> {
         let entries = json.lines().map(str::to_string);
-        entries.filter(|l| !derived.iter().any(|d| l.contains(d))).collect()
+        entries
+            .filter(|l| !derived.iter().any(|d| l.contains(d)))
+            .collect()
     };
     assert_eq!(
         without_derived(recording.export_metrics().to_json()),
@@ -224,8 +262,18 @@ fn streaming_upload_spans_cover_compress_and_stage() {
     assert!(plain.recorder.is_empty(), "records made while disabled");
 
     let profiler = Profiler::new(obs.recorder.records());
-    let stages: Vec<&str> = profiler.records().iter().map(|r| r.stage.as_str()).collect();
-    for stage in ["vfs.write", "wire.compress", "wire.upload", "server.stage", "server.apply"] {
+    let stages: Vec<&str> = profiler
+        .records()
+        .iter()
+        .map(|r| r.stage.as_str())
+        .collect();
+    for stage in [
+        "vfs.write",
+        "wire.compress",
+        "wire.upload",
+        "server.stage",
+        "server.apply",
+    ] {
         assert!(stages.contains(&stage), "stage {stage} never recorded");
     }
     // Clean run: every span closed, and attribution still balances.

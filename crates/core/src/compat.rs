@@ -21,6 +21,15 @@ impl SyncHub {
         CloudCopies(self.cloud())
     }
 }
+impl CloudServer {
+    /// Compat: [`CloudServer::apply_txn`], and whether the group was a
+    /// replay.
+    pub fn apply_txn_idempotent(&mut self, msgs: &[UpdateMsg]) -> (Vec<ApplyOutcome>, bool) {
+        let before = self.duplicates_ignored();
+        let outcomes = self.apply_txn(msgs);
+        (outcomes, self.duplicates_ignored() > before)
+    }
+}
 /// Compat: owned-copy reads of a [`CloudServer`].
 pub struct CloudCopies<'a>(&'a CloudServer);
 impl CloudCopies<'_> {

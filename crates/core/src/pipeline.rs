@@ -450,7 +450,6 @@ mod tests {
                 base_path: "/f".into(),
                 delta,
             },
-            txn: None,
             group: Some(gid()),
         }
     }
@@ -478,7 +477,6 @@ mod tests {
                     offset: 0,
                     data: Payload::from(vec![1u8; 300]),
                 }]),
-                txn: Some(3),
                 group: Some(gid()),
             },
             delta_msg(sample_delta()),
@@ -528,7 +526,6 @@ mod tests {
             base: None,
             version: Some(ver(1)),
             payload: UpdatePayload::Full(Payload::from(vec![0xA5u8; 5_000])),
-            txn: Some(1),
             group: Some(gid()),
         };
         let mut frames = Vec::new();
@@ -571,7 +568,6 @@ mod tests {
             base: None,
             version: Some(ver(1)),
             payload: UpdatePayload::Full(Payload::from(vec![0xA5u8; 3_000])),
-            txn: Some(1),
             group: Some(gid()),
         };
         let mut frames = Vec::new();

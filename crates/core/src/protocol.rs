@@ -8,6 +8,7 @@
 //! of a file (base-version check), falling back to first-write-wins
 //! conflict handling on mismatch.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
@@ -141,9 +142,10 @@ impl fmt::Display for Version {
 /// Like file versions, group sequence numbers are client-assigned from a
 /// per-client monotonic counter — but they stamp the *group*, not the
 /// file, so namespace-only groups (pure renames/mkdirs, which carry no
-/// file version) are just as dedupable as content-bearing ones. The
-/// server's replay index keys on this pair to recognize retransmitted
-/// groups regardless of payload kind.
+/// file version) are just as dedupable as content-bearing ones. A
+/// stop-and-wait courier delivers each client's groups in `seq` order,
+/// so a receiver recognizes a replay by one number per sender: a group
+/// whose `seq` is at most the last one it applied from that client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId {
     /// The client that uploaded the group.
@@ -153,6 +155,16 @@ pub struct GroupId {
 }
 
 impl GroupId {
+    /// Whether this group is a replay for a receiver whose `last` holds
+    /// the highest `GroupSeq` it applied from each sender; a group that
+    /// is not becomes its sender's entry.
+    pub(crate) fn is_replay(self, last: &mut HashMap<ClientId, u64>) -> bool {
+        let applied = last.entry(self.client).or_insert(0);
+        let replay = self.seq <= *applied;
+        *applied = (*applied).max(self.seq);
+        replay
+    }
+
     /// The span-context key this group id defines: every chunk frame
     /// already carries the `<CliID, GroupSeq>` pair in its wire header
     /// (upload, forward, and recovery-download directions alike), so
@@ -301,13 +313,12 @@ pub struct UpdateMsg {
     pub version: Option<Version>,
     /// What to do.
     pub payload: UpdatePayload,
-    /// Transaction group; messages sharing a `txn` id must be applied
-    /// atomically (backindex grouping, paper §III-E).
-    pub txn: Option<u64>,
     /// The upload group this message travelled in (`<CliID, GroupSeq>`),
-    /// shared by every member of the group. `None` only for synthetic
-    /// messages that never cross the client→cloud upload path (full-sync
-    /// pushes, anti-entropy repairs, persisted snapshot records).
+    /// shared by every member of the group; the server applies a group
+    /// atomically (backindex grouping, paper §III-E). `None` only for
+    /// synthetic messages that never cross the client→cloud upload path
+    /// (full-sync pushes, anti-entropy repairs, persisted snapshot
+    /// records).
     pub group: Option<GroupId>,
 }
 
@@ -402,7 +413,6 @@ mod tests {
                 },
                 FileOpItem::Truncate { size: 0 },
             ]),
-            txn: None,
             group: None,
         };
         assert_eq!(

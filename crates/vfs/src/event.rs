@@ -154,31 +154,6 @@ impl<F: FnMut(&OpEvent)> OpObserver for F {
     }
 }
 
-/// An [`OpObserver`] that stores every event; useful for trace collection
-/// and in tests.
-#[derive(Debug, Default)]
-pub struct RecordingObserver {
-    events: Vec<OpEvent>,
-}
-
-impl RecordingObserver {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The events observed so far, in order.
-    pub fn events(&self) -> &[OpEvent] {
-        &self.events
-    }
-}
-
-impl OpObserver for RecordingObserver {
-    fn on_op(&mut self, event: &OpEvent) {
-        self.events.push(event.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,14 +194,5 @@ mod tests {
             obs.on_op(&OpEvent::Create { path: p("/x") });
         }
         assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn recording_observer_keeps_order() {
-        let mut rec = RecordingObserver::new();
-        rec.on_op(&OpEvent::Create { path: p("/a") });
-        rec.on_op(&OpEvent::Close { path: p("/a") });
-        let kinds: Vec<_> = rec.events().iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds, vec!["create", "close"]);
     }
 }

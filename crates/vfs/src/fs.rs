@@ -221,13 +221,14 @@ impl Vfs {
         self.used
     }
 
+    /// Runs the observer on `event`, then moves it into the log: the
+    /// event is never cloned.
     fn emit(&mut self, event: OpEvent) {
-        if let Some(log) = &mut self.event_log {
-            log.push(event.clone());
-        }
-        if let Some(mut obs) = self.observer.take() {
+        if let Some(obs) = &mut self.observer {
             obs.on_op(&event);
-            self.observer = Some(obs);
+        }
+        if let Some(log) = &mut self.event_log {
+            log.push(event);
         }
     }
 

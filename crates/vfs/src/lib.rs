@@ -45,7 +45,7 @@ mod path;
 mod stats;
 
 pub use error::VfsError;
-pub use event::{OpEvent, OpObserver, RecordingObserver};
+pub use event::{OpEvent, OpObserver};
 pub use fs::{DirEntry, FileKind, Handle, Metadata, PausedEventLog, Vfs};
 pub use path::{VPath, PATH_MAX};
 pub use stats::IoStats;

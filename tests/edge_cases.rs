@@ -379,7 +379,6 @@ fn crafted_delta_messages_leave_the_file_unchanged() {
         base,
         version: Some(v(2)),
         payload,
-        txn: None,
         group: None,
     };
     let mut server = CloudServer::new();

@@ -44,7 +44,6 @@ fn msg(
         base,
         version: ver,
         payload,
-        txn: None,
         group: None,
     }
 }

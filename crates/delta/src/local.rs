@@ -18,32 +18,36 @@
 //! [`rsync::diff`](crate::rsync::diff)'s output format, so the cloud-side
 //! apply path is shared.
 
-use std::collections::HashMap;
-
 use crate::cost::Cost;
 use crate::delta_ops::{Delta, DeltaOp};
 use crate::rolling::RollingChecksum;
 use crate::rsync::diff_with;
-use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
+use crate::weak_index::{CandidateSet, WeakIndex};
 use crate::DeltaParams;
 
-/// Indexes old-file blocks by weak checksum only, charging the canonical
-/// one-pass cost.
+/// Indexes old-file blocks by weak checksum only: block `i` takes
+/// `old_sums[i]` when that holds a sum, and is rolled (and charged) when
+/// it does not.
 ///
-/// Kept out of line: inlined into [`diff`], its one caller, the per-block
-/// checksum loop spills its vector constants and a 10 MB `diff` measures
-/// 8 % slower (13.0 against 14.3 ms, medians of seven alternating runs).
+/// Kept out of line: inlined into [`diff_with_sums`], its one caller, the
+/// per-block checksum loop spills its vector constants and a 10 MB `diff`
+/// measures 8 % slower (13.0 against 14.3 ms, medians of seven
+/// alternating runs).
 #[inline(never)]
-fn index_old(old: &[u8], bs: usize, cost: &mut Cost) -> HashMap<u32, CandidateSet> {
-    let nblocks = old.len().div_ceil(bs);
-    let mut weak_map: HashMap<u32, CandidateSet> = HashMap::with_capacity(nblocks);
+fn index_old(old: &[u8], bs: usize, old_sums: &[Option<u32>], cost: &mut Cost) -> WeakIndex {
+    let mut index = WeakIndex::with_capacity(old.len().div_ceil(bs));
     for (i, block) in old.chunks(bs).enumerate() {
-        let weak = RollingChecksum::new(block).digest();
-        cost.bytes_rolled += block.len() as u64;
-        cost.ops += 1;
-        insert_candidate(&mut weak_map, weak, i as u32);
+        let weak = match old_sums.get(i) {
+            Some(&Some(sum)) => sum,
+            _ => {
+                cost.bytes_rolled += block.len() as u64;
+                cost.ops += 1;
+                RollingChecksum::new(block).digest()
+            }
+        };
+        index.insert(weak, i as u32);
     }
-    weak_map
+    index
 }
 
 /// Computes a [`Delta`] from `old` to `new` using rolling-checksum search
@@ -54,16 +58,37 @@ fn index_old(old: &[u8], bs: usize, cost: &mut Cost) -> HashMap<u32, CandidateSe
 /// `cost.bytes_strong_hashed` is never incremented by this function —
 /// that is the whole point.
 pub fn diff(old: &[u8], new: &[u8], params: &DeltaParams, cost: &mut Cost) -> Delta {
+    diff_with_sums(old, new, params, &[], &[], cost)
+}
+
+/// [`diff`], taking the block sums a caller already holds instead of
+/// rolling them: `old_sums[i]` and `new_sums[i]` are the
+/// [`RollingChecksum`] digests of block `i` (at `params.block_size`) of
+/// `old` and `new`, or `None` where the caller has none. Past either
+/// slice's end every block is rolled.
+///
+/// The old file is indexed from `old_sums`, and the walk seeds every
+/// window that starts on a block boundary from `new_sums`. A wrong sum
+/// can only cost matches, never correctness: every candidate is still
+/// confirmed bitwise. With every sum right the delta equals [`diff`]'s,
+/// and only `cost.bytes_rolled` and `cost.ops` fall.
+pub fn diff_with_sums(
+    old: &[u8],
+    new: &[u8],
+    params: &DeltaParams,
+    old_sums: &[Option<u32>],
+    new_sums: &[Option<u32>],
+    cost: &mut Cost,
+) -> Delta {
     let bs = params.block_size;
-    let weak_map = index_old(old, bs, cost);
-    let filter = WeakFilter::from_weak_keys(weak_map.keys().copied());
+    let index = index_old(old, bs, old_sums, cost);
     diff_with(
         new,
         Some(old),
         bs,
+        new_sums,
+        &index,
         cost,
-        Some(&filter),
-        |weak| weak_map.get(&weak),
         |window, candidates, cost| confirm_bitwise(old, bs, window, candidates, cost),
     )
 }
@@ -418,6 +443,126 @@ mod tests {
             }]
         );
         assert_eq!(cost.bytes_copied, 0);
+    }
+
+    mod stored_sums {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Seeded bytes drawn from an `alphabet`-letter alphabet: a small
+        /// one makes weak collisions and repeated blocks common.
+        fn bytes(len: usize, seed: u64, alphabet: u16) -> Vec<u8> {
+            let mut state = seed | 1;
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((state >> 33) % u64::from(alphabet)) as u8
+                })
+                .collect()
+        }
+
+        /// `old` after each `(at, kind, len)` edit in turn: insert `len`
+        /// bytes (kind 0), insert whole blocks at a block boundary (1),
+        /// delete (2) or overwrite (3).
+        fn edited(old: &[u8], edits: &[(usize, u8, usize)], bs: usize, seed: u64) -> Vec<u8> {
+            let mut new = old.to_vec();
+            for (k, &(at, kind, len)) in edits.iter().enumerate() {
+                let fresh = bytes(len, seed ^ k as u64, 256);
+                let at = at % (new.len() + 1);
+                match kind {
+                    0 => drop(new.splice(at..at, fresh)),
+                    1 => {
+                        let at = at / bs * bs;
+                        let blocks = bytes(bs * (1 + len % 3), seed ^ k as u64, 256);
+                        drop(new.splice(at..at, blocks));
+                    }
+                    2 => drop(new.drain(at..(at + len).min(new.len()))),
+                    _ => {
+                        let end = (at + len).min(new.len());
+                        new[at..end].copy_from_slice(&fresh[..end - at]);
+                    }
+                }
+            }
+            new
+        }
+
+        fn sums(data: &[u8], bs: usize) -> Vec<Option<u32>> {
+            data.chunks(bs)
+                .map(|block| Some(RollingChecksum::new(block).digest()))
+                .collect()
+        }
+
+        /// `sums` with each entry kept, dropped or replaced by `rot`'s
+        /// draw, and the list cut short or run past the file's end.
+        fn damaged(mut sums: Vec<Option<u32>>, rot: u64, len_shift: u8) -> Vec<Option<u32>> {
+            let mut state = rot | 1;
+            for sum in &mut sums {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                match (state >> 60) % 4 {
+                    0 => {}
+                    1 => *sum = None,
+                    2 => *sum = Some((state >> 16) as u32),
+                    _ => *sum = sum.map(|s| s ^ 1),
+                }
+            }
+            match len_shift % 3 {
+                0 => sums.truncate(sums.len() / 2),
+                1 => sums.extend([Some(0), None, Some(u32::MAX)]),
+                _ => {}
+            }
+            sums
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn correct_sums_change_only_the_rolled_bytes(
+                old_len in 0usize..6_000,
+                seed in any::<u64>(),
+                alphabet in 1u16..257,
+                bs in 4usize..96,
+                edits in proptest::collection::vec((any::<usize>(), 0u8..4, 0usize..300), 0..6),
+            ) {
+                let params = DeltaParams::with_block_size(bs);
+                let old = bytes(old_len, seed, alphabet);
+                let new = edited(&old, &edits, bs, seed);
+                let mut plain_cost = Cost::new();
+                let plain = diff(&old, &new, &params, &mut plain_cost);
+                let mut cost = Cost::new();
+                let stored =
+                    diff_with_sums(&old, &new, &params, &sums(&old, bs), &sums(&new, bs), &mut cost);
+                prop_assert_eq!(stored.ops(), plain.ops());
+                prop_assert!(cost.bytes_rolled <= plain_cost.bytes_rolled);
+                cost.bytes_rolled = plain_cost.bytes_rolled;
+                cost.ops = plain_cost.ops;
+                prop_assert_eq!(cost, plain_cost);
+            }
+
+            #[test]
+            fn wrong_or_missing_sums_still_apply_exactly(
+                old_len in 0usize..6_000,
+                seed in any::<u64>(),
+                alphabet in 1u16..257,
+                bs in 4usize..96,
+                edits in proptest::collection::vec((any::<usize>(), 0u8..4, 0usize..300), 0..6),
+                rot in any::<u64>(),
+                len_shift in any::<u8>(),
+            ) {
+                let params = DeltaParams::with_block_size(bs);
+                let old = bytes(old_len, seed, alphabet);
+                let new = edited(&old, &edits, bs, seed);
+                let old_sums = damaged(sums(&old, bs), rot, len_shift);
+                let new_sums = damaged(sums(&new, bs), !rot, len_shift / 3);
+                let mut cost = Cost::new();
+                let delta = diff_with_sums(&old, &new, &params, &old_sums, &new_sums, &mut cost);
+                prop_assert_eq!(delta.apply(&old).unwrap(), &new[..]);
+                // A bad sum on the new side costs a roll, never a match.
+                let mut cost = Cost::new();
+                let new_side = diff_with_sums(&old, &new, &params, &sums(&old, bs), &new_sums, &mut cost);
+                prop_assert_eq!(new_side.ops(), diff(&old, &new, &params, &mut Cost::new()).ops());
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! [`Cost`], because this per-modification whole-file scan is precisely the
 //! "abuse of delta sync" the paper sets out to eliminate.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use crate::cost::Cost;
@@ -20,7 +18,7 @@ use crate::delta_ops::{Delta, DeltaOp};
 use crate::local::{grow_backward, grow_last_copy};
 use crate::md5_impl::md5;
 use crate::rolling::RollingChecksum;
-use crate::weak_index::{insert_candidate, CandidateSet, WeakFilter};
+use crate::weak_index::{CandidateSet, WeakIndex};
 use crate::DeltaParams;
 
 /// Per-block wire overhead of a transmitted signature entry:
@@ -33,12 +31,8 @@ pub struct Signature {
     block_size: usize,
     /// Strong checksum of each block, indexed by block number.
     strong: Vec<[u8; 16]>,
-    /// Weak checksum -> block numbers with that weak checksum (first
-    /// candidate inline, overflow allocated only on collision).
-    weak_map: HashMap<u32, CandidateSet>,
-    /// Superset membership filter over `weak_map`'s keys: a filter miss
-    /// proves a map miss, which lets the scan's miss loop word-skip.
-    filter: WeakFilter,
+    /// Weak checksum -> block numbers with that weak checksum.
+    index: WeakIndex,
     old_len: u64,
 }
 
@@ -70,17 +64,6 @@ impl Signature {
         let len = (self.old_len - start).min(self.block_size as u64);
         (start, len)
     }
-
-    /// Weak-map lookup behind the filter fast-path; by the
-    /// [`WeakFilter`] superset invariant the result equals a direct map
-    /// probe.
-    #[inline]
-    fn lookup_weak(&self, weak: u32) -> Option<&CandidateSet> {
-        if !self.filter.plausible(weak) {
-            return None;
-        }
-        self.weak_map.get(&weak)
-    }
 }
 
 /// Computes the block [`Signature`] of `old`.
@@ -91,8 +74,7 @@ pub fn signature(old: &[u8], params: &DeltaParams, cost: &mut Cost) -> Signature
     let bs = params.block_size;
     let nblocks = old.len().div_ceil(bs);
     let mut strong = Vec::with_capacity(nblocks);
-    let mut weak_map: HashMap<u32, CandidateSet> = HashMap::with_capacity(nblocks);
-    let mut filter = WeakFilter::new();
+    let mut index = WeakIndex::with_capacity(nblocks);
     for (i, block) in old.chunks(bs).enumerate() {
         let weak = RollingChecksum::new(block).digest();
         cost.bytes_rolled += block.len() as u64;
@@ -100,14 +82,12 @@ pub fn signature(old: &[u8], params: &DeltaParams, cost: &mut Cost) -> Signature
         cost.bytes_strong_hashed += block.len() as u64;
         cost.ops += 2;
         strong.push(digest);
-        insert_candidate(&mut weak_map, weak, i as u32);
-        filter.insert(weak);
+        index.insert(weak, i as u32);
     }
     Signature {
         block_size: bs,
         strong,
-        weak_map,
-        filter,
+        index,
         old_len: old.len() as u64,
     }
 }
@@ -122,9 +102,9 @@ pub fn diff(sig: &Signature, new: &[u8], params: &DeltaParams, cost: &mut Cost) 
         new,
         None,
         params.block_size,
+        &[],
+        &sig.index,
         cost,
-        Some(&sig.filter),
-        |weak| sig.lookup_weak(weak),
         |window, candidates, cost| {
             let digest = md5(window);
             cost.bytes_strong_hashed += window.len() as u64;
@@ -153,9 +133,16 @@ pub fn diff_parallel(
 /// Shared rolling-window matcher used by both the remote ([`diff`]) and the
 /// local bitwise variant (`local::diff`).
 ///
-/// `lookup` maps a weak digest to its candidate set; `confirm` verifies
+/// `index` maps a weak digest to its candidate set; `confirm` verifies
 /// the candidates (MD5 or bitwise compare) and returns the confirmed
 /// block's (offset, len) in the old file.
+///
+/// A window that starts on a block boundary takes its state from
+/// `new_sums[block]` when that holds a sum ([`RollingChecksum::from_digest`]),
+/// and is rolled otherwise. A seeded window that finds no match is rolled
+/// from its bytes before the walk slides on, and looked up again if the
+/// two states differ, so a wrong sum costs one roll and no match; and
+/// every candidate is still confirmed by `confirm`.
 ///
 /// With the `old` bytes at hand (the local walk), every pending literal is
 /// trimmed from both ends before it is flushed: the copy before it grows
@@ -164,20 +151,20 @@ pub fn diff_parallel(
 /// same with or without `old` — the same windows are rolled and the same
 /// blocks confirmed — so only literals shrink.
 ///
-/// With a `filter`, the miss loop advances word-wise: instead of rolling
-/// one byte at a time, it peeks the next 8 window positions
+/// The miss loop advances word-wise: instead of rolling one byte at a
+/// time, it peeks the next 8 window positions
 /// ([`RollingChecksum::peek8`]) and jumps straight to the first whose
-/// weak digest the filter deems plausible. Filter-implausible positions
+/// weak digest the index's filter deems plausible. Filter-implausible positions
 /// are *provably* lookup misses — and a lookup miss charges nothing but
 /// its one rolled byte, which the jump still charges per position skipped
 /// — so output and [`Cost`] are identical to the byte-at-a-time walk.
-pub(crate) fn diff_with<'a>(
+pub(crate) fn diff_with(
     new: &[u8],
     old: Option<&[u8]>,
     block_size: usize,
+    new_sums: &[Option<u32>],
+    index: &WeakIndex,
     cost: &mut Cost,
-    filter: Option<&WeakFilter>,
-    lookup: impl Fn(u32) -> Option<&'a CandidateSet>,
     mut confirm: impl FnMut(&[u8], &CandidateSet, &mut Cost) -> Option<(u64, u64)>,
 ) -> Delta {
     let mut ops = Vec::new();
@@ -191,13 +178,24 @@ pub(crate) fn diff_with<'a>(
         }
     };
 
+    // The window at `pos`, and whether it came from a stored sum.
+    let seed = |pos: usize, cost: &mut Cost| match new_sums.get(pos / block_size) {
+        Some(&Some(sum)) if pos.is_multiple_of(block_size) => {
+            (RollingChecksum::from_digest(sum, block_size), true)
+        }
+        _ => {
+            cost.bytes_rolled += block_size as u64;
+            (RollingChecksum::new(&new[pos..pos + block_size]), false)
+        }
+    };
+
     if new.len() >= block_size {
-        let mut rc = RollingChecksum::new(&new[..block_size]);
-        cost.bytes_rolled += block_size as u64;
+        let (mut rc, mut seeded) = seed(0, cost);
         loop {
             let window = &new[pos..pos + block_size];
-            let matched =
-                lookup(rc.digest()).and_then(|candidates| confirm(window, candidates, cost));
+            let matched = index
+                .get(rc.digest())
+                .and_then(|candidates| confirm(window, candidates, cost));
             if let Some((mut offset, mut len)) = matched {
                 let mut literal_end = pos;
                 if let Some(old) = old {
@@ -214,32 +212,41 @@ pub(crate) fn diff_with<'a>(
                 if pos + block_size > new.len() {
                     break;
                 }
-                rc = RollingChecksum::new(&new[pos..pos + block_size]);
-                cost.bytes_rolled += block_size as u64;
+                (rc, seeded) = seed(pos, cost);
             } else {
+                if seeded {
+                    // The walk never slides from a stored sum that found
+                    // nothing: it rolls the window's own bytes and looks
+                    // again where they disagree, so a bad sum costs this
+                    // roll and not the matches after it.
+                    seeded = false;
+                    let rolled = RollingChecksum::new(window);
+                    cost.bytes_rolled += block_size as u64;
+                    if rolled != rc {
+                        rc = rolled;
+                        continue;
+                    }
+                }
                 if pos + block_size >= new.len() {
                     break;
                 }
-                if let Some(filter) = filter {
-                    if pos + block_size + 8 <= new.len() {
-                        let outs: [u8; 8] =
-                            new[pos..pos + 8].try_into().expect("8-byte out window");
-                        let ins: [u8; 8] = new[pos + block_size..pos + block_size + 8]
-                            .try_into()
-                            .expect("8-byte in window");
-                        let states = rc.peek8(&outs, &ins);
-                        // Jump to the first plausible upcoming position, or
-                        // past all 8 when none is; each skipped position is
-                        // a proven miss and charges its one rolled byte.
-                        let k = states
-                            .iter()
-                            .position(|s| filter.plausible(s.digest()))
-                            .unwrap_or(7);
-                        rc = states[k];
-                        cost.bytes_rolled += k as u64 + 1;
-                        pos += k + 1;
-                        continue;
-                    }
+                if pos + block_size + 8 <= new.len() {
+                    let outs: [u8; 8] = new[pos..pos + 8].try_into().expect("8-byte out window");
+                    let ins: [u8; 8] = new[pos + block_size..pos + block_size + 8]
+                        .try_into()
+                        .expect("8-byte in window");
+                    let states = rc.peek8(&outs, &ins);
+                    // Jump to the first plausible upcoming position, or
+                    // past all 8 when none is; each skipped position is
+                    // a proven miss and charges its one rolled byte.
+                    let k = states
+                        .iter()
+                        .position(|s| index.plausible(s.digest()))
+                        .unwrap_or(7);
+                    rc = states[k];
+                    cost.bytes_rolled += k as u64 + 1;
+                    pos += k + 1;
+                    continue;
                 }
                 rc.roll(new[pos], new[pos + block_size]);
                 cost.bytes_rolled += 1;
@@ -396,7 +403,8 @@ mod tests {
         roundtrip(&old, &new, 32);
     }
 
-    /// Runs the walk with and without the weak filter and demands
+    /// Runs the walk with the weak filter and with one that finds every
+    /// digest plausible (so the walk never skips), and demands
     /// identical deltas and identical `Cost` totals — the skip must be
     /// decision-neutral at every boundary (tiny blocks, block sizes under
     /// the 8-byte lookahead, tails shorter than a word, dense matches).
@@ -404,15 +412,15 @@ mod tests {
         let params = DeltaParams::with_block_size(bs);
         let mut c_sig = Cost::new();
         let sig = signature(old, &params, &mut c_sig);
-        let run = |filter: Option<&WeakFilter>| {
+        let run = |index: &WeakIndex| {
             let mut cost = Cost::new();
             let delta = diff_with(
                 new,
                 None,
                 bs,
+                &[],
+                index,
                 &mut cost,
-                filter,
-                |weak| sig.weak_map.get(&weak),
                 |window, candidates, cost| {
                     let digest = md5(window);
                     cost.bytes_strong_hashed += window.len() as u64;
@@ -425,8 +433,8 @@ mod tests {
             );
             (delta, cost)
         };
-        let (d_plain, c_plain) = run(None);
-        let (d_filt, c_filt) = run(Some(&sig.filter));
+        let (d_plain, c_plain) = run(&sig.index.clone().unfiltered());
+        let (d_filt, c_filt) = run(&sig.index);
         assert_eq!(d_filt, d_plain, "delta drifted (bs {bs})");
         assert_eq!(c_filt, c_plain, "cost drifted (bs {bs})");
         assert_eq!(d_filt.apply(old).unwrap(), new);

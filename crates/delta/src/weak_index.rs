@@ -1,6 +1,6 @@
 //! Weak-checksum candidate maps shared by the block-matching diffs.
 //!
-//! Two pieces live here:
+//! Three pieces live here:
 //!
 //! * [`CandidateSet`] — the value type of every weak map. Almost all weak
 //!   checksums identify exactly one block, so the first candidate is stored
@@ -14,6 +14,8 @@
 //!   [`RollingChecksum::peek8`](crate::RollingChecksum::peek8), skip whole
 //!   words of implausible positions — without ever changing a match
 //!   decision.
+//! * [`WeakIndex`] — the weak map and its filter, filled together, so the
+//!   superset invariant holds by construction.
 
 use std::collections::HashMap;
 
@@ -54,11 +56,58 @@ impl CandidateSet {
     }
 }
 
-/// Inserts `idx` under `weak`, preserving block-index insertion order.
-pub(crate) fn insert_candidate(map: &mut HashMap<u32, CandidateSet>, weak: u32, idx: u32) {
-    map.entry(weak)
-        .and_modify(|set| set.push(idx))
-        .or_insert_with(|| CandidateSet::new(idx));
+/// Old-file blocks by weak digest, behind a [`WeakFilter`] over the same
+/// digests: what the walk looks each window up in.
+#[derive(Debug, Clone)]
+pub(crate) struct WeakIndex {
+    map: HashMap<u32, CandidateSet>,
+    filter: WeakFilter,
+}
+
+impl WeakIndex {
+    /// An empty index sized for `blocks` blocks.
+    pub(crate) fn with_capacity(blocks: usize) -> Self {
+        WeakIndex {
+            map: HashMap::with_capacity(blocks),
+            filter: WeakFilter::new(),
+        }
+    }
+
+    /// Inserts block `idx` under `weak`, preserving block-index
+    /// insertion order.
+    pub(crate) fn insert(&mut self, weak: u32, idx: u32) {
+        self.map
+            .entry(weak)
+            .and_modify(|set| set.push(idx))
+            .or_insert_with(|| CandidateSet::new(idx));
+        self.filter.insert(weak);
+    }
+
+    /// Whether some block *might* have digest `weak`. `false` is
+    /// definitive.
+    #[inline]
+    pub(crate) fn plausible(&self, weak: u32) -> bool {
+        self.filter.plausible(weak)
+    }
+
+    /// The blocks with digest `weak`. The filter answers a miss first; by
+    /// its superset invariant the result equals a direct map probe.
+    #[inline]
+    pub(crate) fn get(&self, weak: u32) -> Option<&CandidateSet> {
+        if !self.filter.plausible(weak) {
+            return None;
+        }
+        self.map.get(&weak)
+    }
+
+    /// The same index with a filter that finds every digest plausible:
+    /// a walk over it never skips, the byte-at-a-time reference.
+    #[cfg(test)]
+    pub(crate) fn unfiltered(mut self) -> Self {
+        self.filter.lo.fill(u64::MAX);
+        self.filter.hi.fill(u64::MAX);
+        self
+    }
 }
 
 /// A conservative membership test over weak digests: two 64 Kbit bitmaps,
@@ -84,15 +133,6 @@ impl WeakFilter {
             lo: Box::new([0u64; 1024]),
             hi: Box::new([0u64; 1024]),
         }
-    }
-
-    /// Builds a filter covering every digest in `weaks`.
-    pub(crate) fn from_weak_keys(weaks: impl Iterator<Item = u32>) -> Self {
-        let mut f = Self::new();
-        for weak in weaks {
-            f.insert(weak);
-        }
-        f
     }
 
     /// Marks `weak` as present.
@@ -140,15 +180,15 @@ mod tests {
         // plausible — including digests whose halves collide across blocks.
         let old: Vec<u8> = (0..5_000).map(|i| (i * 37 % 251) as u8).collect();
         let bs = 8;
-        let mut map = HashMap::new();
+        let mut index = WeakIndex::with_capacity(0);
         for (i, block) in old.chunks(bs).enumerate() {
-            insert_candidate(&mut map, RollingChecksum::new(block).digest(), i as u32);
+            index.insert(RollingChecksum::new(block).digest(), i as u32);
         }
-        let filter = WeakFilter::from_weak_keys(map.keys().copied());
-        for block in old.chunks(bs) {
+        for (i, block) in old.chunks(bs).enumerate() {
             let weak = RollingChecksum::new(block).digest();
-            assert!(filter.plausible(weak), "false negative at {weak:#x}");
-            assert!(map.contains_key(&weak));
+            assert!(index.plausible(weak), "false negative at {weak:#x}");
+            let candidates = index.get(weak).expect("indexed digest");
+            assert!(candidates.iter().any(|b| b == i as u32));
         }
     }
 

@@ -372,18 +372,24 @@ fn save_summary(trace: &dyn Trace, cfg: DeltaCfsConfig) -> String {
 /// all on the client's delta: `bytes_compared` (the growth's compares),
 /// `bytes_copied` (fewer literal bytes copied out) and `bytes_up` (fewer
 /// literal bytes shipped). `bytes_rolled` and everything else held.
-const WORD_SAVE_PIN: &str = "client Cost { bytes_rolled: 7549186, bytes_strong_hashed: 0, \
+/// Re-pinned when the matcher began taking the block sums the Checksum
+/// Store holds (DESIGN.md §10): only the client's `bytes_rolled` and
+/// `ops` moved (7 549 186 → 4 589 748 and 1 771 → 1 246), since the old
+/// version's blocks and the new version's block-aligned windows that
+/// match are no longer rolled; the delta, and so everything else, held.
+const WORD_SAVE_PIN: &str = "client Cost { bytes_rolled: 4589748, bytes_strong_hashed: 0, \
 bytes_compared: 2113697, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3291717, \
-bytes_engine_read: 7549730, ops: 1771 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
+bytes_engine_read: 7549730, ops: 1246 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
 bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3019892, \
 bytes_engine_read: 0, ops: 4 } | TrafficStats { bytes_up: 907176, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 1 files 875558 bytes fnv 2c8dfbbd5292d14b | outcomes 11/11 applied";
 
 /// Pinned from commit 17782c2; re-pinned with [`WORD_SAVE_PIN`], the
-/// same three fields moved.
-const GEDIT_SAVE_PIN: &str = "client Cost { bytes_rolled: 829952, bytes_strong_hashed: 0, \
+/// same three fields moved, and again with it for the stored sums
+/// (`bytes_rolled` 829 952 → 359 936, `ops` 200 → 135).
+const GEDIT_SAVE_PIN: &str = "client Cost { bytes_rolled: 359936, bytes_strong_hashed: 0, \
 bytes_compared: 260811, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 317759, \
-bytes_engine_read: 578560, ops: 200 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
+bytes_engine_read: 578560, ops: 135 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
 bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 576000, \
 bytes_engine_read: 0, ops: 6 } | TrafficStats { bytes_up: 55404, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 2 files 107008 bytes fnv fc756f5ecd969018 | outcomes 16/16 applied";
@@ -398,6 +404,52 @@ fn word_pattern_save_is_observably_unchanged() {
 fn gedit_pattern_save_is_observably_unchanged() {
     let trace = GeditTrace::new(TraceConfig::scaled(0.25));
     assert_eq!(save_summary(&trace, DeltaCfsConfig::new()), GEDIT_SAVE_PIN);
+}
+
+/// A gedit-style rename-over save of a 3 MiB file with 64 KiB inserted at
+/// a block boundary sums each saved byte about once: the temp file's
+/// blocks as they are written, and next to nothing for the delta. The old
+/// version is indexed from the sums stored for the replaced file, and the
+/// walk seeds every block-aligned window from the sums `rename` moved
+/// onto `/f` (DESIGN.md §10).
+#[test]
+fn block_aligned_rename_over_save_sums_each_byte_about_once() {
+    let (mut client, mut fs, clock) = setup();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut noise = |len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect()
+    };
+    let old = noise(3 << 20);
+    fs.create("/f").unwrap();
+    write_in_chunks(&mut client, &mut fs, "/f", &old, 64 * 1024);
+    clock.advance(4_000);
+    assert!(!client.tick(&fs).is_empty());
+
+    let mut new = old.clone();
+    new.splice(1 << 20..1 << 20, noise(64 * 1024));
+    let before = client.cost().bytes_rolled;
+    fs.create("/f.tmp").unwrap();
+    pump(&mut client, &mut fs);
+    write_in_chunks(&mut client, &mut fs, "/f.tmp", &new, 64 * 1024);
+    fs.close_path("/f.tmp").unwrap();
+    fs.rename("/f.tmp", "/f").unwrap();
+    pump(&mut client, &mut fs);
+
+    let rolled = client.cost().bytes_rolled - before;
+    assert!(
+        rolled * 5 <= new.len() as u64 * 6,
+        "the save rolled {rolled} bytes for a {}-byte file",
+        new.len()
+    );
+    // The save still shipped as a delta: the inserted bytes and no more.
+    assert_eq!(client.queued_payload_bytes(), 64 * 1024);
 }
 
 // --- forwarded hard links must not alias ----------------------------------

@@ -605,7 +605,7 @@ impl SyncHub {
     /// drains or backoff / disconnection parks it. Each attempt goes up
     /// the one upload leg; a group the server received whole is applied
     /// (timed into `latency` when given), recorded, and forwarded to the
-    /// subscribed peers once acknowledged.
+    /// subscribed peers as it is applied.
     ///
     /// Every arrival commits through [`CloudServer::apply_txn`], which
     /// absorbs a replay by its sender's `GroupSeq`. Under a fault plan
@@ -711,6 +711,15 @@ impl SyncHub {
                             });
                     } else {
                         record_apply(&self.obs, &actor, gkey, at.as_millis(), &outcomes);
+                        // The server forwards a group when it first applies
+                        // it. On the client's ack it would miss every group
+                        // whose first ack is lost: the retry is absorbed as
+                        // a replay, and the peers would get the file only
+                        // at `settle`, whole.
+                        if all_applied(&outcomes) {
+                            self.forward(idx, &msgs, now);
+                        }
+                        self.server_outcomes.extend(outcomes.iter().cloned());
                     }
                     if faulty {
                         self.save_server();
@@ -764,20 +773,13 @@ impl SyncHub {
                                 });
                         }
                         let acked = self.slots[idx].courier.on_ack();
-                        if let (Some(group), false) = (acked, was_dup) {
-                            if faulty {
-                                for (msg, out) in group.iter().zip(&outcomes) {
-                                    if *out == ApplyOutcome::Applied {
-                                        if let Some(v) = msg.version {
-                                            self.acked.push((idx, msg.path.clone(), v));
-                                        }
+                        if let (Some(group), false, true) = (acked, was_dup, faulty) {
+                            for (msg, out) in group.iter().zip(&outcomes) {
+                                if *out == ApplyOutcome::Applied {
+                                    if let Some(v) = msg.version {
+                                        self.acked.push((idx, msg.path.clone(), v));
                                     }
                                 }
-                            }
-                            let applied = all_applied(&outcomes);
-                            self.server_outcomes.extend(outcomes);
-                            if applied {
-                                self.forward(idx, &group, now);
                             }
                         }
                     } else {
@@ -1049,11 +1051,8 @@ impl SyncHub {
         reg.gauge("sync_queue_depth", "nodes waiting in sync queues")
             .set(queued);
         self.server.cost().export_counters(reg, "server_cost", None);
-        reg.counter(
-            "server_duplicates_ignored",
-            "uploads absorbed as replays",
-        )
-        .set(self.server.duplicates_ignored());
+        reg.counter("server_duplicates_ignored", "uploads absorbed as replays")
+            .set(self.server.duplicates_ignored());
         reg.gauge(
             "server_history_bytes",
             "bytes the server retains for the sake of older file versions",

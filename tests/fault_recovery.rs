@@ -653,13 +653,16 @@ fn pinned_seed_fires_exact_injection_counts() {
 
     let stats = hub.fault_stats().unwrap();
     assert!(stats.total_fired() > 0, "seed {seed}: no injection fired");
-    // Exact pinned counts for seed 3 under this workload.
-    assert_eq!(stats.uploads_attempted, 19, "seed {seed}: {stats:?}");
-    assert_eq!(stats.uploads_dropped, 9, "seed {seed}: {stats:?}");
-    assert_eq!(stats.uploads_duplicated, 5, "seed {seed}: {stats:?}");
+    // Exact pinned counts for seed 3 under this workload. Re-pinned when
+    // the hub began forwarding a group as the server first applies it,
+    // not on the uploader's ack: the forwards' download draws moved
+    // ahead of the ack's in the one plan's decision stream.
+    assert_eq!(stats.uploads_attempted, 16, "seed {seed}: {stats:?}");
+    assert_eq!(stats.uploads_dropped, 2, "seed {seed}: {stats:?}");
+    assert_eq!(stats.uploads_duplicated, 6, "seed {seed}: {stats:?}");
     assert_eq!(stats.duplicates_reordered, 3, "seed {seed}: {stats:?}");
-    assert_eq!(stats.downloads_dropped, 2, "seed {seed}: {stats:?}");
-    assert_eq!(stats.total_fired(), 19, "seed {seed}: {stats:?}");
+    assert_eq!(stats.downloads_dropped, 6, "seed {seed}: {stats:?}");
+    assert_eq!(stats.total_fired(), 17, "seed {seed}: {stats:?}");
 
     // The same numbers come out of the unified metrics snapshot.
     let snap = hub.export_metrics();

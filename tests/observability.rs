@@ -175,6 +175,34 @@ fn streamed_compressed_upload_trace_is_deterministic() {
 }
 
 #[test]
+fn a_group_whose_first_ack_is_lost_is_forwarded_once_applied() {
+    // Seed 3: client 1's second group is applied, its ack dies on the
+    // downlink, and the retry is absorbed as a replay. The server
+    // forwards what it applies when it applies it, so the group reaches
+    // client 2 as that group's forward, not as the whole file at settle.
+    let hub = faulty_multi_writer_run(HubConfig::new(), 3);
+    let records = hub.obs().recorder.records();
+    let group = GroupKey { client: 1, seq: 2 };
+    let of_group: Vec<&SpanRecord> = records.iter().filter(|r| r.group == Some(group)).collect();
+    let dump = || hub.obs().recorder.dump();
+    assert!(
+        of_group
+            .iter()
+            .any(|r| r.stage == "fault.inject" && r.detail.contains("ack lost")),
+        "{group}'s first ack was not lost; the seed no longer pins the case:\n{}",
+        dump()
+    );
+    assert!(
+        of_group.iter().any(|r| r.stage == "server.dedup"),
+        "{group}'s retry was not absorbed as a replay:\n{}",
+        dump()
+    );
+    let forwards: Vec<&&SpanRecord> = of_group.iter().filter(|r| r.stage == "forward").collect();
+    assert_eq!(forwards.len(), 1, "{group} forwards:\n{}", dump());
+    assert_eq!(forwards[0].actor, "client-2", "{}", dump());
+}
+
+#[test]
 fn pinned_seed_trace_is_deterministic() {
     // The same pinned-seed multi-writer topology run twice produces a
     // byte-identical record — same order, same timestamps, same parents.

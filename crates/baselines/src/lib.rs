@@ -24,6 +24,7 @@
 //! and their transfers to a [`Link`](deltacfs_net::Link), which is exactly
 //! what Tables II and Figures 8–9 of the paper report.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod common;

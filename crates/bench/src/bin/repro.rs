@@ -9,6 +9,8 @@
 //! `--scale` scales the traces (1.0 = the paper's exact sizes; the default
 //! 0.25 preserves every ratio while running in minutes on one core).
 
+#![forbid(unsafe_code)]
+
 use deltacfs_bench::experiments;
 use deltacfs_bench::table;
 use deltacfs_workloads::filebench::FilebenchConfig;

@@ -12,6 +12,7 @@
 //! roughly what factor, and where the crossovers fall. `EXPERIMENTS.md`
 //! at the repository root records paper-vs-measured for every row.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod claims;

@@ -49,6 +49,7 @@
 //! # Ok::<(), deltacfs_vfs::VfsError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checksum_store;

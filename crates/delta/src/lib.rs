@@ -48,6 +48,7 @@
 //! assert!(cost_rsync.bytes_strong_hashed > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdc;

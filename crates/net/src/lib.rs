@@ -22,6 +22,7 @@
 //!   [`PlatformProfile::pc`] and [`PlatformProfile::mobile`] presets model
 //!   the Xeon and the wimpy phone core respectively.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;

@@ -53,6 +53,7 @@
 //! assert!(obs.recorder.dump().contains("wire.upload <c1,g1> +30ms: group 1"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod merge;

@@ -6,6 +6,8 @@
 //! trace_tool info gedit.json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use deltacfs_workloads::{
     AppendTrace, GeditTrace, RandomWriteTrace, RecordedTrace, Trace, TraceConfig, TraceOp,
     WeChatTrace, WordTrace,

@@ -28,6 +28,7 @@
 //! realistic compressibility mix (chat text compresses; random blobs do
 //! not), because the Dropbox baseline's compression savings depend on it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod filebench;

@@ -11,6 +11,8 @@
 //! Also scriptable: `printf 'write /a hi\nsync\nstatus\n' | cargo run
 //! --bin deltacfs_sim`.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write as _};
 
 use deltacfs::core::{DeltaCfsConfig, DeltaCfsSystem, SyncEngine};

@@ -50,6 +50,7 @@
 //! quickstart`), and the full paper evaluation regenerates with
 //! `cargo run -p deltacfs-bench --release --bin repro -- all`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use deltacfs_baselines as baselines;

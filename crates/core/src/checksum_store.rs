@@ -21,6 +21,7 @@
 //! most once and commits all its changes as one [`KeyValue::write_batch`]:
 //! a crash leaves a file's old checksum set or its new one, never a mix.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use deltacfs_delta::{Cost, Delta, DeltaOp, RollingChecksum};
@@ -102,6 +103,11 @@ impl Record {
     fn set(&mut self, slot: usize, sum: u32) {
         self.present |= 1 << slot;
         self.sums[slot] = sum;
+    }
+
+    fn clear(&mut self, slot: usize) {
+        self.present &= !(1 << slot);
+        self.sums[slot] = 0;
     }
 
     /// Drops every slot from `slot` on.
@@ -381,17 +387,23 @@ impl<K: KeyValue> ChecksumStore<K> {
         copies
     }
 
-    /// Checks and records one intercepted write of `path` that left the
-    /// file as `content`: `write` is the byte range written (a growing
-    /// truncate writes zeros over `[old_len, size)`), `overwritten` the
-    /// bytes it destroyed, starting at `write.start`, and `old_len` the
-    /// length before.
+    /// Checks and records one intercepted write of `path`: `written` is
+    /// its offset and the bytes it wrote (a growing truncate writes no
+    /// bytes at the new size: zeros fill `[old_len, offset)` either way),
+    /// `overwritten` the bytes it destroyed, starting at its offset,
+    /// `old_len` the length before, and `content` the file as it is when
+    /// the write is recorded — possibly after later operations.
     ///
     /// Every block from the one holding the first changed byte —
-    /// `min(write.start, old_len)`, so the old last block a write past the
-    /// end zero-fills is included — to the end of the write gets its new
-    /// sum. Before that, the part of the block that existed before the
-    /// write is rebuilt and verified against the stored sum, if any.
+    /// `min(offset, old_len)`, so the old last block a write past the end
+    /// zero-fills is included — to the end of the write gets its new sum.
+    /// A block the write covers up to `max(old_len, write end)` is summed
+    /// from the written bytes, and its old sum verified against
+    /// `overwritten`; only the partial edge blocks are read from
+    /// `content`, with the part that existed before the write rebuilt and
+    /// verified against the stored sum, if any. An edge block whose
+    /// written part `content` no longer holds gets no sum: the file moved
+    /// on, and whatever changed it is recorded in turn.
     ///
     /// Returns the blocks whose pre-write content did not verify, and how
     /// many bytes of `content` were read.
@@ -403,49 +415,83 @@ impl<K: KeyValue> ChecksumStore<K> {
         &mut self,
         path: &str,
         content: &[u8],
-        write: Range<u64>,
+        written: (u64, &[u8]),
         overwritten: &[u8],
         old_len: u64,
         cost: &mut Cost,
     ) -> Result<(Vec<u64>, u64), KvError> {
         let bs = self.block_size as u64;
-        let from = write.start.min(old_len);
-        if from >= write.end {
+        let (offset, data) = written;
+        let end = offset + data.len() as u64;
+        let from = offset.min(old_len);
+        if from >= end {
             return Ok((Vec::new(), 0));
         }
-        let ow = write.start..write.start + overwritten.len() as u64;
+        let new_len = old_len.max(end);
+        // What the write left at `range` (inside `from..end`): zeros up
+        // to `offset`, then `data` — borrowed unless the range reaches
+        // into the zero-filled gap of a write past the end.
+        let left = |range: Range<u64>| -> Cow<'_, [u8]> {
+            let lo = range.start.max(offset);
+            let written = &data[(lo - offset) as usize..(range.end.max(lo) - offset) as usize];
+            if lo == range.start {
+                return Cow::Borrowed(written);
+            }
+            let mut out = vec![0u8; (lo.min(range.end) - range.start) as usize];
+            out.extend_from_slice(written);
+            Cow::Owned(out)
+        };
         let mut touched = Touched::new(path);
-        let mut bad = Vec::new();
-        let mut read = 0;
+        let (mut bad, mut read) = (Vec::new(), 0);
         let mut pre = Vec::new();
-        for idx in from / bs..=(write.end - 1) / bs {
+        for idx in from / bs..=(end - 1) / bs {
             let start = idx * bs;
-            let block = self.block(content, idx);
-            read += block.len() as u64;
+            let stop = (start + bs).min(new_len);
+            let old_stop = (start + bs).min(old_len);
             let (rec, slot) = locate(idx);
-            let record = touched.record(&mut self.kv, rec)?;
-            if let (true, Some(stored)) = (start < old_len, record.get(slot)) {
+            let (new, old): (Cow<'_, [u8]>, &[u8]) = if from <= start && stop <= end {
+                // Wholly written: the event's bytes are the block, and
+                // the bytes it overwrote are the block's old part.
+                let old = if start < old_stop {
+                    &overwritten[(start - offset) as usize..(old_stop - offset) as usize]
+                } else {
+                    &[]
+                };
+                (left(start..stop), old)
+            } else {
+                let written = from.max(start)..end.min(stop);
+                let block = content.get(start as usize..stop as usize);
+                read += block.map_or(0, |b| b.len() as u64);
+                let Some(block) = block.filter(|b| {
+                    b[(written.start - start) as usize..(written.end - start) as usize]
+                        == *left(written.clone())
+                }) else {
+                    touched.record(&mut self.kv, rec)?.clear(slot);
+                    continue;
+                };
                 // The old block ends at the old file end; splice back what
                 // the write destroyed.
-                let old = &block[..(old_len - start).min(block.len() as u64) as usize];
-                let splice = ow.start.max(start)..ow.end.min(start + old.len() as u64);
-                let old = if splice.is_empty() {
+                let old = &block[..(old_stop.max(start) - start) as usize];
+                let ow = offset.max(start)..(offset + overwritten.len() as u64).min(old_stop);
+                let old = if ow.is_empty() {
                     old
                 } else {
                     pre.clear();
                     pre.extend_from_slice(old);
-                    pre[(splice.start - start) as usize..(splice.end - start) as usize]
-                        .copy_from_slice(
-                            &overwritten[(splice.start - ow.start) as usize
-                                ..(splice.end - ow.start) as usize],
-                        );
+                    pre[(ow.start - start) as usize..(ow.end - start) as usize].copy_from_slice(
+                        &overwritten[(ow.start - offset) as usize..(ow.end - offset) as usize],
+                    );
                     &pre
                 };
+                (Cow::Borrowed(block), old)
+            };
+            let record = touched.record(&mut self.kv, rec)?;
+            if let (true, Some(stored)) = (start < old_stop, record.get(slot)) {
                 if self.checksum(old, cost) != stored {
                     bad.push(idx);
                 }
             }
-            record.set(slot, self.checksum(block, cost));
+            record.set(slot, self.checksum(&new, cost));
         }
         self.kv.write_batch(&touched.into_batch())?;
         Ok((bad, read))
@@ -854,24 +900,57 @@ mod tests {
         cs.reindex_file("/f", &content, &mut cost).unwrap();
         // "XYZWV" over bytes 3..8, then 2 bytes past the old end.
         content[3..8].copy_from_slice(b"XYZWV");
+        // Block 0 is an edge, read from the file; block 1 is written whole.
         let (bad, read) = cs
-            .record_write("/f", &content, 3..8, b"abbbb", 10, &mut cost)
+            .record_write("/f", &content, (3, b"XYZWV"), b"abbbb", 10, &mut cost)
             .unwrap();
-        assert_eq!((bad, read), (vec![], 8));
+        assert_eq!((bad, read), (vec![], 4));
         content.extend_from_slice(b"\0\0\0\0PQ");
         let (bad, read) = cs
-            .record_write("/f", &content, 14..16, b"", 10, &mut cost)
+            .record_write("/f", &content, (14, b"PQ"), b"", 10, &mut cost)
             .unwrap();
-        // The old last block "cc" was zero-filled to a whole block.
-        assert_eq!((bad, read), (vec![], 8));
+        // The old last block "cc" was zero-filled to a whole block (read);
+        // the next one is zeros and the write.
+        assert_eq!((bad, read), (vec![], 4));
         assert_eq!(dump(&mut cs), reindexed("/f", &content));
         // Bytes changed behind the store's back fail the next write.
         content[0] = b'!';
         content[1] = b'm';
         let (bad, _) = cs
-            .record_write("/f", &content, 1..2, b"a", 16, &mut cost)
+            .record_write("/f", &content, (1, b"m"), b"a", 16, &mut cost)
             .unwrap();
         assert_eq!(bad, vec![0]);
+    }
+
+    #[test]
+    fn a_write_is_summed_from_its_bytes_not_from_what_the_path_holds_later() {
+        let mut cs = store();
+        let mut cost = Cost::new();
+        // The path already holds other bytes when the write is recorded:
+        // the written blocks are summed from the write.
+        let (bad, read) = cs
+            .record_write("/f", b"zzzzzzzzzz", (0, b"aaaabbbbcc"), b"", 0, &mut cost)
+            .unwrap();
+        assert_eq!((bad, read), (vec![], 0));
+        assert_eq!(dump(&mut cs), reindexed("/f", b"aaaabbbbcc"));
+        // An edge block whose written part the file no longer holds gets
+        // no sum; a whole one is still summed from the write.
+        let (bad, read) = cs
+            .record_write(
+                "/f",
+                b"aaaaqqqqqq",
+                (2, b"XXXXXX"),
+                b"aabbbb",
+                10,
+                &mut cost,
+            )
+            .unwrap();
+        assert_eq!((bad, read), (vec![], 4));
+        let mut expect = reindexed("/f", b"aaXXXXXXcc");
+        // Slot 0 absent: its mask bit clear, its sum stored as 0.
+        expect[0].1[..8].copy_from_slice(&0b110u64.to_le_bytes());
+        expect[0].1[8..12].fill(0);
+        assert_eq!(dump(&mut cs), expect);
     }
 
     #[test]

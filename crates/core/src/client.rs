@@ -360,8 +360,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         // Interception itself costs one copy of the written data.
         self.cost.bytes_copied += data.len() as u64;
 
-        let written = offset..offset + data.len() as u64;
-        self.verify_and_update_checksums(path, written, overwritten, old_len, fs);
+        self.verify_and_update_checksums(path, (offset, data), overwritten, old_len, fs);
         if self.quarantined.contains(path) {
             return;
         }
@@ -396,15 +395,16 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
     }
 
-    /// Verifies the blocks a write of `written` (or a growing truncate)
-    /// changes *before* recording their new checksums. If the pre-write
-    /// content did not match the stored checksums — something modified
-    /// the file underneath the interception layer — the file is
-    /// quarantined: corruption must not propagate.
+    /// Verifies the blocks a write of `written` — its offset and bytes —
+    /// (or a growing truncate) changes *before* recording their new
+    /// checksums. If the pre-write content did not match the stored
+    /// checksums — something modified the file underneath the
+    /// interception layer — the file is quarantined: corruption must not
+    /// propagate.
     fn verify_and_update_checksums(
         &mut self,
         path: &str,
-        written: Range<u64>,
+        written: (u64, &[u8]),
         overwritten: &[u8],
         old_len: u64,
         fs: &Vfs,
@@ -433,7 +433,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         self.relation.invalidate_dst(path);
         if size > old_len {
             // Growing zero-fills the old last block too: a write of zeros.
-            self.verify_and_update_checksums(path, old_len..size, &[], old_len, fs);
+            self.verify_and_update_checksums(path, (size, &[]), &[], old_len, fs);
         } else {
             let cs = &mut self.checksums;
             let last_block = (size > 0).then(|| {

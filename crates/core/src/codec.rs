@@ -41,7 +41,6 @@ use deltacfs_net::{LinkSpec, PlatformProfile};
 use deltacfs_obs::{Counter, Histogram, Obs};
 
 use crate::pipeline::ChunkFrame;
-use crate::protocol::Payload;
 use crate::wire::{self, Codec};
 
 /// Frames smaller than this always ship raw: the envelope overhead and
@@ -346,16 +345,6 @@ pub fn compressed_wire_size(data: &[u8], cost: &mut Cost) -> u64 {
     compress::compressed_size(data, cost)
 }
 
-/// Shorthand used by tests: the payload a codec frame would restore to.
-#[doc(hidden)]
-pub fn frame_payload(frame: &ChunkFrame) -> Payload {
-    let mut out = Vec::with_capacity(frame.byte_len() as usize);
-    for piece in &frame.pieces {
-        out.extend_from_slice(piece.as_slice());
-    }
-    Payload::from(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +359,7 @@ mod tests {
             },
             msg_idx: 0,
             chunk_idx: 0,
+            msg_len: bytes.len() as u64,
             last_in_msg: true,
             last_in_group: true,
             pieces: vec![FramePiece::Control(Bytes::from(bytes))],
@@ -505,7 +495,11 @@ mod tests {
             panic!("text frame should compress");
         };
         assert_eq!(raw_len, body.len() as u64);
-        let env = frame_payload(&out);
+        let env: Vec<u8> = out
+            .pieces
+            .iter()
+            .flat_map(|p| p.as_slice().to_vec())
+            .collect();
         let (declared, comp) = wire::decode_codec_envelope(&env).expect("envelope parses");
         assert_eq!(declared, raw_len);
         let restored =

@@ -58,6 +58,7 @@ pub mod codec;
 mod compat;
 mod config;
 mod engine;
+mod extents;
 mod inline;
 mod multi;
 pub mod persist;
@@ -84,6 +85,6 @@ pub use protocol::{
 };
 pub use relation_table::{OldVersion, Preserved, RelationTable};
 pub use retry::{Courier, Flight, RetryPolicy, BACKOFF_BUCKETS_MS};
-pub use server::CloudServer;
+pub use server::{CloudServer, FileLayout};
 pub use sync_queue::{Node, NodeKind, SyncQueue};
 pub use undo_log::{UndoLog, UndoRecord};

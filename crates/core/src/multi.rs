@@ -458,7 +458,9 @@ impl SyncHub {
     /// everything for a root client — as messages: a `Mkdir` per
     /// directory, then a `Full` per file in path order. A full sync
     /// streams all of them; anti-entropy picks its repairs from them.
-    /// Each `Full` shares the server's buffer instead of copying it.
+    /// Each `Full` shares the server's buffer instead of copying it; a
+    /// file of several extents is flattened once for it, counted in
+    /// `server_flatten_bytes`.
     fn namespace_state(&self, idx: usize) -> Vec<UpdateMsg> {
         let ns = &self.slots[idx].namespace;
         let state_msg = |path, version, payload| UpdateMsg {
@@ -480,7 +482,7 @@ impl SyncHub {
             .paths_in_namespace(ns)
             .into_iter()
             .filter_map(|path| {
-                let content = Payload::from(self.server.shared_file(&path)?.clone());
+                let content = Payload::from(self.server.shared_file(&path)?);
                 let version = self.server.version(&path);
                 Some(state_msg(path, version, UpdatePayload::Full(content)))
             });
@@ -951,7 +953,9 @@ impl SyncHub {
             let local_paths = self.slots[idx].fs.walk_files("/").unwrap_or_default();
             for path in local_paths {
                 let path = path.to_string();
-                if self.server.file(&path).is_none() && !path.contains(".conflict-") {
+                // `layout` asks whether the file exists without
+                // flattening it.
+                if self.server.layout(&path).is_none() && !path.contains(".conflict-") {
                     let msg = UpdateMsg {
                         path,
                         base: None,
@@ -977,7 +981,9 @@ impl SyncHub {
     ///   `sync_queue_payload_bytes` gauge;
     /// * server-side apply cost (`server_cost_*`), the replays absorbed
     ///   (`server_duplicates_ignored`), and the
-    ///   `server_history_bytes` gauge (bytes retained for old versions);
+    ///   `server_history_bytes` gauge (bytes retained for old versions),
+    ///   and `server_flatten_bytes`, the bytes copied to hand a reader a
+    ///   file of several extents as one buffer;
     /// * `stager_staged_bytes`, labeled `client="<n>"` for each client's
     ///   forward stager and `side="server"` for the server's upload
     ///   stager: raw bytes of streamed groups received but not yet
@@ -1058,6 +1064,11 @@ impl SyncHub {
             "bytes the server retains for the sake of older file versions",
         )
         .set(self.server.history_bytes() as i64);
+        reg.counter(
+            "server_flatten_bytes",
+            "bytes the server copied to hand a reader a file as one buffer",
+        )
+        .set(self.server.flatten_bytes());
         reg.gauge_labeled(
             "stager_staged_bytes",
             "raw bytes held for streamed groups that have not committed yet",
@@ -1163,7 +1174,7 @@ fn plan_forward_group(server: &CloudServer, peer: &Slot, group: &[UpdateMsg]) ->
         let forwarded = if peer_diverged {
             let content = server
                 .shared_file(&msg.path)
-                .map(|b| Payload::from(b.clone()))
+                .map(Payload::from)
                 .unwrap_or_default();
             UpdateMsg {
                 payload: UpdatePayload::Full(content),

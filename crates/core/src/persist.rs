@@ -6,7 +6,10 @@
 //! files", wimpy storage servers suffice. This module supplies the
 //! durability half of that sketch — every file's current content and
 //! version (plus the retained history) serializes through the same wire
-//! format the protocol uses, into the embedded KV store.
+//! format the protocol uses, into the embedded KV store. A file of
+//! several extents, and every retained version, is flattened for it
+//! (counted in [`CloudServer::flatten_bytes`]); a reloaded file is one
+//! extent again.
 //!
 //! Layout inside the store:
 //!
@@ -129,12 +132,12 @@ pub fn save<K: KeyValue>(server: &CloudServer, store: &mut K) -> Result<(), Pers
             store.put(&history_key(&path, n), &wire::encode(&msg))?;
             prev = Some(*v);
         }
-        let content = server.file(&path).expect("listed path exists");
+        let content = server.shared_file(&path).expect("listed path exists");
         let msg = UpdateMsg {
             path: path.clone(),
             base: prev,
             version: server.version(&path),
-            payload: UpdatePayload::Full(Payload::copy_from_slice(content)),
+            payload: UpdatePayload::Full(Payload::from(content)),
             group: None,
         };
         store.put(&file_key(&path), &wire::encode(&msg))?;

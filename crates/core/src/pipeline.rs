@@ -68,6 +68,10 @@ pub struct ChunkFrame {
     pub msg_idx: usize,
     /// Index of this chunk within the message.
     pub chunk_idx: usize,
+    /// The message's encoded length: what the receiver reserves once, at
+    /// its first chunk, and what its frames must add up to exactly. Like
+    /// `chunk_idx` it is framing, not charged on the link.
+    pub msg_len: u64,
     /// Whether this frame completes its message.
     pub last_in_msg: bool,
     /// Whether this frame completes the whole group (the server commits
@@ -122,7 +126,10 @@ struct StageState {
     msgs: Vec<UpdateMsg>,
     /// Encoded bytes of `msgs`, whose payloads are views of them.
     msgs_bytes: u64,
+    /// The message arriving, in a buffer reserved at its declared length.
     cur: Vec<u8>,
+    /// That declared length (`ChunkFrame::msg_len`).
+    cur_len: usize,
     next_msg: usize,
     next_chunk: usize,
 }
@@ -135,11 +142,13 @@ struct StageState {
 /// construction.
 ///
 /// Frames stage per-message bytes (the receiver's single "NIC landing"
-/// copy); a `last_in_msg` frame freezes and decodes the message, and
-/// the `last_in_group` frame releases the whole group at once — so a
-/// group whose stream is cut mid-way releases *nothing*, and a
-/// whole-group resend restarts cleanly: chunk `(0, 0)` always resets a
-/// stale stage for its group.
+/// copy) into a buffer of exactly the message's declared length,
+/// reserved once at its first chunk, so it never grows and the decoded
+/// message's payloads — views of it — pin no slack; a `last_in_msg`
+/// frame freezes and decodes the message, and the `last_in_group` frame
+/// releases the whole group at once — so a group whose stream is cut
+/// mid-way releases *nothing*, and a whole-group resend restarts
+/// cleanly: chunk `(0, 0)` always resets a stale stage for its group.
 #[derive(Debug, Default)]
 pub struct ChunkStager {
     stages: HashMap<GroupId, StageState>,
@@ -160,14 +169,26 @@ impl ChunkStager {
     ///
     /// An out-of-order or unknown frame (a prior chunk was lost) drops
     /// the stage and returns [`WireError::Malformed`]; staged bytes
-    /// that fail to decode, and a frame that closes the group without
-    /// closing its message, are reported likewise. Either way the group
-    /// is untouched and a full resend recovers.
+    /// that fail to decode, a frame that closes the group without
+    /// closing its message, a declared message length past
+    /// [`compress::MAX_DECOMPRESSED`] or unlike its first chunk's, and
+    /// frames that carry a message past its declared length or close it
+    /// short of it are reported likewise. Either way the group is
+    /// untouched and a full resend recovers.
     pub fn accept(&mut self, frame: &ChunkFrame) -> Result<Option<Vec<UpdateMsg>>, WireError> {
+        let staged = self.stage(frame);
+        if staged.is_err() {
+            self.stages.remove(&frame.group);
+        }
+        staged
+    }
+
+    /// [`accept`](ChunkStager::accept) up to the error; the caller drops
+    /// the stage on one.
+    fn stage(&mut self, frame: &ChunkFrame) -> Result<Option<Vec<UpdateMsg>>, WireError> {
         if frame.last_in_group && !frame.last_in_msg {
             // The flags are wire input: committing here would drop the
             // bytes staged for the message still in progress.
-            self.stages.remove(&frame.group);
             return Err(WireError::Malformed("group ends inside a message"));
         }
         if frame.msg_idx == 0 && frame.chunk_idx == 0 {
@@ -177,11 +198,27 @@ impl ChunkStager {
             return Err(WireError::Malformed("chunk for unknown group stream"));
         };
         if frame.msg_idx != stage.next_msg || frame.chunk_idx != stage.next_chunk {
-            self.stages.remove(&frame.group);
             return Err(WireError::Malformed("chunk out of order"));
         }
+        // The declared length is wire input too: it sizes one
+        // reservation, capped like any inflated frame, and every frame of
+        // the message must repeat it.
+        let declared = usize::try_from(frame.msg_len)
+            .ok()
+            .filter(|len| *len <= compress::MAX_DECOMPRESSED)
+            .ok_or(WireError::Malformed("message length past the cap"))?;
+        if frame.chunk_idx == 0 {
+            stage.cur = Vec::with_capacity(declared);
+            stage.cur_len = declared;
+        } else if declared != stage.cur_len {
+            return Err(WireError::Malformed("message length changed mid-message"));
+        }
+        let room = stage.cur_len - stage.cur.len();
         match frame.codec {
             Codec::Raw => {
+                if frame.byte_len() > room as u64 {
+                    return Err(WireError::Malformed("frame runs past its message"));
+                }
                 for piece in &frame.pieces {
                     stage.cur.extend_from_slice(piece.as_slice());
                 }
@@ -190,36 +227,36 @@ impl ChunkStager {
                 // A compressed frame is one piece, its envelope, read
                 // where it lies and inflated straight onto the staged
                 // message: the exact bytes a raw frame would have
-                // carried. `raw_len` caps what is appended, so a corrupt
-                // frame cannot balloon memory.
+                // carried. `raw_len` caps what is appended, and must fit
+                // the room the message has left, so a corrupt frame
+                // cannot balloon memory or grow the reservation.
+                if raw_len > room as u64 {
+                    return Err(WireError::Malformed("frame runs past its message"));
+                }
                 let staged = stage.cur.len();
                 let inflated = match frame.pieces.as_slice() {
                     [envelope] => wire::decode_codec_envelope(envelope.as_slice())
                         .ok()
                         .filter(|(declared, _)| *declared == raw_len)
                         .and_then(|(_, body)| {
-                            let cap = usize::try_from(raw_len).ok()?;
+                            let cap = raw_len as usize;
                             compress::decompress_into(body, cap, &mut stage.cur)?;
                             (stage.cur.len() - staged == cap).then_some(())
                         }),
                     _ => None,
                 };
                 if inflated.is_none() {
-                    self.stages.remove(&frame.group);
                     return Err(WireError::Malformed("codec frame"));
                 }
             }
         }
         if frame.last_in_msg {
+            if stage.cur.len() != stage.cur_len {
+                return Err(WireError::Malformed("message ends short of its length"));
+            }
             let buf = Bytes::from(std::mem::take(&mut stage.cur));
             stage.msgs_bytes += buf.len() as u64;
-            match wire::decode_shared(&buf) {
-                Ok(msg) => stage.msgs.push(msg),
-                Err(e) => {
-                    self.stages.remove(&frame.group);
-                    return Err(e);
-                }
-            }
+            stage.msgs.push(wire::decode_shared(&buf)?);
             stage.next_msg += 1;
             stage.next_chunk = 0;
         } else {
@@ -282,6 +319,7 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
         let last_in_group = msg_idx == msgs.len() - 1;
         let group = msg.group.expect("streamed messages carry a group id");
         let wire_frame = wire::encode_vectored(msg, &mut scratch);
+        let msg_len = wire_frame.wire_len(&scratch) as u64;
         let mut packed: Vec<Vec<FramePiece>> = Vec::new();
         let mut open: Vec<FramePiece> = Vec::new();
         let mut used = 0usize;
@@ -316,6 +354,7 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
                 group,
                 msg_idx,
                 chunk_idx,
+                msg_len,
                 last_in_msg: last,
                 last_in_group: last_in_group && last,
                 pieces,
@@ -556,6 +595,30 @@ mod tests {
         }
         assert_eq!(committed, Some(vec![msg]));
         assert_eq!(stager.staged_groups(), 0, "commit must clear the stage");
+    }
+
+    #[test]
+    fn a_message_lands_in_one_buffer_of_its_exact_length() {
+        let msg = UpdateMsg {
+            path: "/f".into(),
+            base: None,
+            version: Some(ver(1)),
+            payload: UpdatePayload::Full(Payload::from(vec![0x5Au8; 10_000])),
+            group: Some(gid()),
+        };
+        let encoded = wire::encode(&msg).len();
+        let mut frames = Vec::new();
+        frame_group(std::slice::from_ref(&msg), 1024, |f| frames.push(f));
+        assert!(frames.len() >= 10);
+        assert!(frames.iter().all(|f| f.msg_len == encoded as u64));
+        let mut stager = ChunkStager::new();
+        let (last, head) = frames.split_last().unwrap();
+        for frame in head {
+            assert_eq!(stager.accept(frame), Ok(None));
+            let stage = &stager.stages[&gid()];
+            assert_eq!(stage.cur.capacity(), encoded, "reserved once, never grown");
+        }
+        assert_eq!(stager.accept(last), Ok(Some(vec![msg])));
     }
 
     #[test]

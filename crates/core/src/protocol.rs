@@ -293,12 +293,11 @@ pub const MSG_HEADER_BYTES: u64 = 64;
 /// Per-file-op framing inside an [`UpdatePayload::Ops`] payload.
 pub const OP_ITEM_HEADER_BYTES: u64 = 16;
 
-/// Bytes one server acknowledgement occupies on the wire — the encoded
-/// size of [`wire::WireAck`](crate::wire::WireAck) (magic, ack opcode +
-/// padding, group id, outcome tallies). Every simulated ack download
-/// charges this constant, so changing the ack header changes traffic
-/// stats everywhere at once instead of silently skewing them; a wire
-/// test pins the two together.
+/// Bytes one server acknowledgement occupies on the wire: the magic (4),
+/// an ack opcode and padding (4), the group id (12) and three `u32`
+/// outcome tallies (12). Every simulated ack download charges this
+/// constant, so changing the ack header changes traffic stats everywhere
+/// at once instead of silently skewing them.
 pub const ACK_WIRE_BYTES: u64 = 32;
 
 /// One versioned incremental update for one file.

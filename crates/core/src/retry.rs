@@ -196,12 +196,6 @@ impl Courier {
         self.queue.is_empty()
     }
 
-    /// Earliest time the courier wants to act again, if anything is
-    /// queued.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.queue.front().map(|f| f.not_before)
-    }
-
     /// Total retransmissions performed (attempts beyond the first, over
     /// all groups).
     pub fn retries(&self) -> u64 {
@@ -218,6 +212,12 @@ impl Courier {
 mod tests {
     use super::*;
     use crate::protocol::UpdatePayload;
+
+    /// When the courier next wants to act: its head group's earliest
+    /// retry time.
+    fn wakeup(courier: &Courier) -> SimTime {
+        courier.queue.front().expect("a group is queued").not_before
+    }
 
     fn group(n: u64) -> Vec<UpdateMsg> {
         vec![UpdateMsg {
@@ -324,7 +324,7 @@ mod tests {
             courier.enqueue(group(seed));
             let mut now = SimTime::ZERO;
             loop {
-                now = courier.next_wakeup().unwrap().max(now);
+                now = wakeup(&courier).max(now);
                 assert!(courier.take_attempt(now).is_some());
                 match courier.on_failure(now) {
                     Some(delay) => {
@@ -386,7 +386,7 @@ mod tests {
         courier.enqueue(group(1));
         let mut now = SimTime::ZERO;
         for _ in 0..3 {
-            now = courier.next_wakeup().unwrap().max(now);
+            now = wakeup(&courier).max(now);
             assert!(courier.take_attempt(now).is_some());
             courier.on_failure(now);
         }

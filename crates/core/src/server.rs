@@ -10,58 +10,85 @@
 //! *incremental* data applied against the matching historical version, so
 //! nothing needs to be re-uploaded (§III-C).
 //!
+//! Content is a list of shared extents (`extents.rs`): a
+//! received message lands once and the file keeps views of it, so an
+//! apply splices views and copies no byte, and history keeps the views a
+//! version replaced. A cleaner compacts a file whose extents pin many
+//! bytes it no longer shows, or grow too many; a reader that needs
+//! contiguous bytes gets a flatten that is counted.
+//!
 //! A hub runs one server for all tenants: a namespace is a path prefix
 //! over the one file map (DESIGN.md §13).
 
 use std::borrow::Cow;
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
-use deltacfs_delta::Cost;
+use deltacfs_delta::compress::MAX_DECOMPRESSED;
+use deltacfs_delta::{Cost, Delta, DeltaOp};
 
+use crate::extents::{
+    relocate, revert, unshared_bytes, Extent, Extents, Mint, PatchRec, Pins, Source,
+};
 use crate::pipeline::{ChunkFrame, ChunkStager};
 use crate::protocol::{ApplyOutcome, ClientId, FileOpItem, UpdateMsg, UpdatePayload, Version};
-use crate::undo_log::UndoLog;
 use crate::wire::WireError;
 
 /// How many past versions the server retains per file.
 const DEFAULT_HISTORY: usize = 8;
 
-#[derive(Debug, Clone)]
+/// The cleaner compacts a file whose sources hold more than
+/// `len / UNSHOWN_SHARE + UNSHOWN_SLACK` bytes that it no longer shows...
+const UNSHOWN_SHARE: u64 = 8;
+const UNSHOWN_SLACK: u64 = 4096;
+/// ...or that has more than `EXTENT_FLOOR + len / EXTENT_BYTES` extents.
+const EXTENT_FLOOR: usize = 64;
+const EXTENT_BYTES: u64 = 4096;
+
+#[derive(Debug, Clone, Default)]
 struct ServerFile {
-    content: Bytes,
+    content: Extents,
     version: Option<Version>,
     /// The retained older versions, oldest first.
     history: VecDeque<(Version, Retained)>,
+    /// What the current extents keep alive, for the cleaner.
+    pins: Pins,
+    /// The content as one buffer, once a reader asked for it; every
+    /// mutation drops it.
+    flat: OnceCell<Bytes>,
 }
 
-/// How a version that is no longer current is kept: as its whole image,
-/// or as the way back to it from the next newer version — never both.
+/// How a version that is no longer current is kept: as its whole extent
+/// list, or as the way back to it from the next newer version — never
+/// both. Either way it holds views, not copies.
 #[derive(Debug, Clone)]
 enum Retained {
-    /// The version's bytes. A delta, a full upload or a restore replaced
-    /// the file, so the old image was moved here as it was.
-    Image(Bytes),
+    /// The version's extents. A delta, a full upload or a restore replaced
+    /// the file, so the old list was moved here as it was.
+    Image(Extents),
     /// What an ops group overwrote and cut off: reverting it on the next
-    /// newer version's image gives this version back.
-    Patch(UndoLog),
+    /// newer version gives this version back.
+    Patch(Vec<PatchRec>),
 }
 
 impl ServerFile {
-    fn new() -> Self {
+    /// A file of `content` at `version`, with no history.
+    fn holding(content: Extents, version: Option<Version>) -> Self {
         ServerFile {
-            content: Bytes::new(),
-            version: None,
-            history: VecDeque::new(),
+            pins: Pins::of(&content),
+            content,
+            version,
+            ..ServerFile::default()
         }
     }
 
-    /// The bytes of a retained `version`, the current one included. A
+    /// The extents of a retained `version`, the current one included. A
     /// version kept as a patch is rebuilt by walking back from the nearest
-    /// newer whole image.
-    fn at(&self, version: Version) -> Option<Cow<'_, [u8]>> {
+    /// newer whole list.
+    fn at(&self, version: Version) -> Option<Extents> {
         if self.version == Some(version) {
-            return Some(Cow::Borrowed(&self.content));
+            return Some(self.content.clone());
         }
         let idx = self.history.iter().position(|(v, _)| *v == version)?;
         let mut newer = &self.content;
@@ -69,21 +96,18 @@ impl ServerFile {
         let mut patches = Vec::new();
         for (_, kept) in self.history.range(idx..) {
             match kept {
-                Retained::Image(image) => {
-                    newer = image;
+                Retained::Image(list) => {
+                    newer = list;
                     break;
                 }
                 Retained::Patch(patch) => patches.push(patch),
             }
         }
-        if patches.is_empty() {
-            return Some(Cow::Borrowed(newer));
-        }
-        let mut image = newer.to_vec();
+        let mut content = newer.clone();
         for patch in patches.into_iter().rev() {
-            patch.revert(&mut image);
+            revert(&mut content, patch);
         }
-        Some(Cow::Owned(image))
+        Some(content)
     }
 
     /// Makes `version` the current one; the version it replaces, if the
@@ -99,16 +123,151 @@ impl ServerFile {
         self.version = version;
     }
 
-    /// Bytes held for the sake of older versions.
-    fn history_bytes(&self) -> u64 {
+    /// Replaces the content wholesale; the old list becomes history.
+    fn replace(&mut self, content: Extents, version: Option<Version>, limit: usize) {
+        self.pins = Pins::of(&content);
+        self.flat.take();
+        let old = std::mem::replace(&mut self.content, content);
+        self.advance(Retained::Image(old), version, limit);
+    }
+
+    /// Applies one group's `ops` as splices of views of their payloads,
+    /// which all arrived in one message, and returns what they replaced.
+    fn apply_ops(&mut self, ops: &[FileOpItem], mint: &mut Mint) -> Vec<PatchRec> {
+        let src = mint.source(ops.iter().map(FileOpItem::payload_len).sum());
+        let mut patch = Vec::with_capacity(ops.len());
+        for op in ops {
+            let old_len = self.content.len();
+            let (offset, replaced) = match op {
+                FileOpItem::Write { offset, data } => {
+                    self.grow_to(*offset, mint);
+                    let piece = Extent {
+                        start: *offset,
+                        data: data.as_bytes().clone(),
+                        src,
+                    };
+                    if !piece.data.is_empty() {
+                        self.pins.add(&piece);
+                    }
+                    (*offset, self.content.splice(*offset, vec![piece]))
+                }
+                FileOpItem::Truncate { size } => {
+                    self.grow_to(*size, mint);
+                    (*size, self.content.truncate(*size))
+                }
+            };
+            for r in &replaced {
+                self.pins.remove(r);
+            }
+            patch.push(PatchRec {
+                old_len,
+                offset,
+                replaced,
+            });
+        }
+        self.flat.take();
+        patch
+    }
+
+    /// Zero-fills the file up to `len` bytes if it is shorter.
+    fn grow_to(&mut self, len: u64, mint: &mut Mint) {
+        let Some(gap) = len.checked_sub(self.content.len()).filter(|g| *g > 0) else {
+            return;
+        };
+        let zeros = Extent {
+            start: self.content.len(),
+            data: Bytes::from(vec![0u8; gap as usize]),
+            src: mint.source(gap),
+        };
+        self.pins.add(&zeros);
+        self.content.push(zeros.data, zeros.src);
+    }
+
+    /// Bytes the current extents keep alive but do not show.
+    fn unshown(&self) -> u64 {
+        self.pins.pinned().saturating_sub(self.content.len())
+    }
+
+    /// Whether the cleaner's bounds are exceeded.
+    fn needs_compaction(&self) -> bool {
+        let len = self.content.len();
+        self.unshown() > len / UNSHOWN_SHARE + UNSHOWN_SLACK
+            || self.content.count() > EXTENT_FLOOR + (len / EXTENT_BYTES) as usize
+    }
+
+    /// Flattens the content into one fresh buffer, then copies history's
+    /// views out of the buffers the content no longer holds where that
+    /// frees them. Returns the bytes copied.
+    fn compact(&mut self, mint: &mut Mint) -> u64 {
+        let len = self.content.len();
+        let flat = Bytes::from(self.content.flatten());
+        let dropped = std::mem::take(&mut self.pins);
+        self.content = Extents::whole(flat, mint.source(len));
+        self.pins = Pins::of(&self.content);
+        self.flat.take();
+        let mut views: Vec<&mut Extent> = Vec::new();
+        for (_, kept) in &mut self.history {
+            match kept {
+                Retained::Image(list) => views.extend(list.iter_mut()),
+                Retained::Patch(patch) => {
+                    for rec in patch {
+                        views.extend(rec.replaced.iter_mut());
+                    }
+                }
+            }
+        }
+        len + relocate(&mut views, |id| dropped.holds(id), mint)
+    }
+
+    /// Every extent history holds.
+    fn kept_extents(&self) -> impl Iterator<Item = &Extent> {
         self.history
             .iter()
-            .map(|(_, kept)| match kept {
-                Retained::Image(image) => image.len() as u64,
-                Retained::Patch(patch) => patch.preserved_bytes(),
+            .flat_map(|(_, kept)| -> Box<dyn Iterator<Item = &Extent>> {
+                match kept {
+                    Retained::Image(list) => Box::new(list.iter()),
+                    Retained::Patch(patch) => {
+                        Box::new(patch.iter().flat_map(|r| r.replaced.iter()))
+                    }
+                }
             })
-            .sum()
     }
+
+    /// Bytes held for the sake of older versions: what history shows and
+    /// the current content does not.
+    fn history_bytes(&self) -> u64 {
+        unshared_bytes(self.kept_extents(), self.content.iter())
+    }
+}
+
+/// The extents `delta` builds from `base`: a copy is views of the base's
+/// extents, a literal its own view of the message (source `src`). `None`
+/// if a copy reaches past the base, or the output would exceed
+/// [`MAX_DECOMPRESSED`] — checked before anything is built, since a
+/// decoded delta's lengths are untrusted.
+fn delta_extents(base: &Extents, delta: &Delta, src: Source) -> Option<Extents> {
+    let mut out_len = 0u64;
+    for op in delta.ops() {
+        let n = match op {
+            DeltaOp::Copy { offset, len } => {
+                offset.checked_add(*len).filter(|end| *end <= base.len())?;
+                *len
+            }
+            DeltaOp::Literal(b) => b.len() as u64,
+        };
+        out_len = out_len.saturating_add(n);
+    }
+    if out_len > MAX_DECOMPRESSED as u64 {
+        return None;
+    }
+    let mut out = Extents::default();
+    for op in delta.ops() {
+        match op {
+            DeltaOp::Copy { offset, len } => out.push_range(base, *offset, *len),
+            DeltaOp::Literal(b) => out.push(b.clone(), src),
+        }
+    }
+    Some(out)
 }
 
 /// Whether `path` lies inside namespace `ns`: the `/<ns>` subtree, or
@@ -121,22 +280,16 @@ pub(crate) fn in_namespace(ns: &str, path: &str) -> bool {
             .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
-/// Applies `op` to `content`, first saving in `undo` what it destroys.
-fn apply_logged(op: &FileOpItem, content: &mut Vec<u8>, undo: &mut UndoLog) {
-    let len = content.len();
-    match op {
-        FileOpItem::Write { offset, data } => {
-            let start = (*offset as usize).min(len);
-            let end = (*offset as usize + data.len()).min(len);
-            let overwritten = Bytes::copy_from_slice(&content[start..end]);
-            undo.record_write(len as u64, *offset, overwritten, data.len() as u64);
-        }
-        FileOpItem::Truncate { size } => {
-            let cut = Bytes::copy_from_slice(&content[(*size as usize).min(len)..]);
-            undo.record_truncate(len as u64, *size, cut);
-        }
-    }
-    op.apply_to(content);
+/// How a file's current content is laid out in the server's memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileLayout {
+    /// The file's length.
+    pub len: u64,
+    /// How many extents show it.
+    pub extents: usize,
+    /// Bytes of the buffers those extents keep alive that the file does
+    /// not show (overwritten or cut views of a landed message).
+    pub unshown_bytes: u64,
 }
 
 /// The cloud endpoint: versioned file storage that applies incremental
@@ -174,6 +327,10 @@ pub struct CloudServer {
     /// in a stage is visible to reads or applied until the group's
     /// final chunk commits it atomically.
     stager: ChunkStager,
+    /// Source ids for landed messages and new buffers.
+    mint: Mint,
+    /// Bytes copied to give a reader contiguous content.
+    flattened: Cell<u64>,
 }
 
 impl Default for CloudServer {
@@ -194,6 +351,8 @@ impl CloudServer {
             applied_seq: HashMap::new(),
             duplicate_groups: 0,
             stager: ChunkStager::new(),
+            mint: Mint::default(),
+            flattened: Cell::new(0),
         }
     }
 
@@ -202,9 +361,26 @@ impl CloudServer {
         self.cost
     }
 
+    /// `file`'s content as one buffer: its single extent, or a flatten
+    /// cached until the next mutation and counted in
+    /// [`flatten_bytes`](CloudServer::flatten_bytes).
+    fn flat<'a>(&'a self, file: &'a ServerFile) -> Option<&'a Bytes> {
+        if file.content.len() == 0 {
+            return None;
+        }
+        Some(file.content.single().unwrap_or_else(|| {
+            file.flat.get_or_init(|| {
+                self.flattened
+                    .set(self.flattened.get() + file.content.len());
+                Bytes::from(file.content.flatten())
+            })
+        }))
+    }
+
     /// Current content of `path`, if present.
     pub fn file(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(|f| &f.content[..])
+        let file = self.files.get(path)?;
+        Some(self.flat(file).map_or(&[][..], |b| &b[..]))
     }
 
     /// Current version of `path`, if present.
@@ -240,21 +416,40 @@ impl CloudServer {
         v
     }
 
-    /// The server's own buffer for `path`, to share instead of copy.
-    pub(crate) fn shared_file(&self, path: &str) -> Option<&Bytes> {
-        self.files.get(path).map(|f| &f.content)
+    /// The current content of `path` as one shared buffer, to share
+    /// instead of copy: the file's own buffer when it has one extent,
+    /// else the counted flatten [`file`](CloudServer::file) reads.
+    pub(crate) fn shared_file(&self, path: &str) -> Option<Bytes> {
+        let file = self.files.get(path)?;
+        Some(self.flat(file).cloned().unwrap_or_default())
     }
 
     /// Total bytes stored (current versions only).
     pub fn stored_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.content.len() as u64).sum()
+        self.files.values().map(|f| f.content.len()).sum()
     }
 
-    /// Bytes retained for the sake of older versions: whole images of
-    /// versions a delta or a full upload replaced, and the overwritten
-    /// bytes of versions an ops group replaced.
+    /// Bytes retained for the sake of older versions: the bytes retained
+    /// versions show and the current ones do not — whatever a delta, a
+    /// full upload or an ops group replaced.
     pub fn history_bytes(&self) -> u64 {
         self.files.values().map(ServerFile::history_bytes).sum()
+    }
+
+    /// Bytes copied so far to hand a reader contiguous content
+    /// ([`file`](CloudServer::file) of a file of several extents, a
+    /// retained version, a snapshot). Applying and forwarding copy none.
+    pub fn flatten_bytes(&self) -> u64 {
+        self.flattened.get()
+    }
+
+    /// How `path`'s current content is laid out, if it exists.
+    pub fn layout(&self, path: &str) -> Option<FileLayout> {
+        self.files.get(path).map(|f| FileLayout {
+            len: f.content.len(),
+            extents: f.content.count(),
+            unshown_bytes: f.unshown(),
+        })
     }
 
     /// Bytes staged for streamed groups that have not committed yet
@@ -283,10 +478,17 @@ impl CloudServer {
     }
 
     /// Content of `path` at a specific retained version (the current
-    /// version included). Borrowed where the server holds that image,
-    /// rebuilt where it holds the way back to it.
+    /// version included). Borrowed for the current version, as
+    /// [`file`](CloudServer::file) reads it; an older one is rebuilt
+    /// from the views history keeps and flattened, counted.
     pub fn file_at(&self, path: &str, version: Version) -> Option<Cow<'_, [u8]>> {
-        self.files.get(path)?.at(version)
+        let file = self.files.get(path)?;
+        if file.version == Some(version) {
+            return self.file(path).map(Cow::Borrowed);
+        }
+        let content = file.at(version)?;
+        self.flattened.set(self.flattened.get() + content.len());
+        Some(Cow::Owned(content.flatten()))
     }
 
     /// Restores `path` to a retained `version`, stamping the restored
@@ -294,10 +496,10 @@ impl CloudServer {
     /// they forward to clients like any other update). Returns `false`
     /// if the version is no longer retained.
     pub fn restore(&mut self, path: &str, version: Version, new_version: Version) -> bool {
-        let Some(content) = self.file_at(path, version).map(Cow::into_owned) else {
+        let Some(content) = self.files.get(path).and_then(|f| f.at(version)) else {
             return false;
         };
-        self.bump(path, Bytes::from(content), Some(new_version));
+        self.bump(path, content, Some(new_version));
         true
     }
 
@@ -312,15 +514,13 @@ impl CloudServer {
         conflict_path: &str,
         new_version: Version,
     ) -> bool {
-        let Some(copy) = self.files.get(conflict_path).map(|f| f.content.clone()) else {
+        let Some(copy) = self.files.remove(conflict_path) else {
             return false;
         };
-        self.bump(path, copy, Some(new_version));
-        self.files.remove(conflict_path);
+        self.bump(path, copy.content, Some(new_version));
         self.apply_order.push(path.to_string());
         true
     }
-
     /// Resolves a conflict by discarding the conflict copy (keeping the
     /// current version). Returns `false` if the copy does not exist.
     pub fn resolve_conflict_discard(&mut self, conflict_path: &str) -> bool {
@@ -474,71 +674,59 @@ impl CloudServer {
         restarted.apply_order = std::mem::take(&mut self.apply_order);
     }
 
-    fn bump(&mut self, path: &str, new_content: Bytes, new_version: Option<Version>) {
-        let entry = self
-            .files
-            .entry(path.to_string())
-            .or_insert_with(ServerFile::new);
-        let old_image = std::mem::replace(&mut entry.content, new_content);
-        entry.advance(Retained::Image(old_image), new_version, self.history_limit);
+    fn bump(&mut self, path: &str, content: Extents, version: Option<Version>) {
+        let file = self.files.entry(path.to_string()).or_default();
+        file.replace(content, version, self.history_limit);
+        self.clean(path);
         self.apply_order.push(path.to_string());
+    }
+
+    /// Runs the cleaner on `path` after a change to its content.
+    fn clean(&mut self, path: &str) {
+        if let Some(file) = self.files.get_mut(path).filter(|f| f.needs_compaction()) {
+            self.cost.bytes_copied += file.compact(&mut self.mint);
+        }
     }
 
     fn apply_unchecked(&mut self, msg: &UpdateMsg) {
         match &msg.payload {
             UpdatePayload::Create => {
-                self.files
-                    .entry(msg.path.clone())
-                    .or_insert_with(ServerFile::new)
-                    .version = msg.version;
+                self.files.entry(msg.path.clone()).or_default().version = msg.version;
                 self.apply_order.push(msg.path.clone());
             }
             UpdatePayload::Ops(ops) => {
-                let file = self
-                    .files
-                    .entry(msg.path.clone())
-                    .or_insert_with(ServerFile::new);
-                // In place: the file's buffer is taken out and put back,
-                // not copied (a message that still shares it costs one
-                // copy, once), and grown once, to no more than the group
-                // needs. What the group destroys is the way back to the
-                // version it replaces.
-                let mut content = Vec::from(std::mem::take(&mut file.content));
-                let peak = FileOpItem::peak_len(ops, content.len() as u64);
-                content.reserve_exact(peak as usize - content.len());
-                let mut undo = UndoLog::new();
+                let file = self.files.entry(msg.path.clone()).or_default();
+                // Spliced where it lies: the payloads are views of the
+                // landed message, and what they replace is the way back
+                // to the version this group replaces.
                 for op in ops {
                     self.cost.bytes_copied += op.payload_len();
                     self.cost.ops += 1;
-                    apply_logged(op, &mut content, &mut undo);
                 }
-                file.content = Bytes::from(content);
-                file.advance(Retained::Patch(undo), msg.version, self.history_limit);
+                let patch = file.apply_ops(ops, &mut self.mint);
+                file.advance(Retained::Patch(patch), msg.version, self.history_limit);
+                self.clean(&msg.path);
                 self.apply_order.push(msg.path.clone());
             }
             UpdatePayload::Delta { base_path, delta } => {
-                let base = self
-                    .files
-                    .get(base_path)
-                    .map(|f| f.content.clone())
-                    .unwrap_or_default();
+                let empty = Extents::default();
+                let base = self.files.get(base_path).map_or(&empty, |f| &f.content);
+                let src = self.mint.source(delta.literal_bytes());
                 self.cost.ops += 1;
-                match delta.apply(&base) {
-                    Ok(new_content) => {
-                        self.cost.bytes_copied += new_content.len() as u64;
-                        self.bump(&msg.path, Bytes::from(new_content), msg.version)
-                    }
-                    Err(_) => {
-                        // Base mismatch slipped through (e.g. base file
-                        // shorter than the delta expects): store nothing;
-                        // version check should have caught this.
-                    }
+                // A base mismatch that slipped through (e.g. a base
+                // shorter than the delta expects) stores nothing; the
+                // version check should have caught it.
+                if let Some(content) = delta_extents(base, delta, src) {
+                    self.cost.bytes_copied += delta.literal_bytes();
+                    self.bump(&msg.path, content, msg.version);
                 }
             }
             UpdatePayload::Full(data) => {
                 self.cost.bytes_copied += data.len() as u64;
                 self.cost.ops += 1;
-                self.bump(&msg.path, data.as_bytes().clone(), msg.version);
+                let src = self.mint.source(data.len() as u64);
+                let content = Extents::whole(data.as_bytes().clone(), src);
+                self.bump(&msg.path, content, msg.version);
             }
             UpdatePayload::Rename { to } => {
                 if let Some(f) = self.files.remove(&msg.path) {
@@ -547,8 +735,8 @@ impl CloudServer {
                 }
             }
             UpdatePayload::Link { to } => {
+                // The copy shares every view, and its history.
                 if let Some(f) = self.files.get(&msg.path).cloned() {
-                    self.cost.bytes_copied += f.content.len() as u64;
                     self.files.insert(to.clone(), f);
                     self.apply_order.push(to.clone());
                 }
@@ -574,51 +762,51 @@ impl CloudServer {
             UpdatePayload::Delta { base_path, .. } => base_path.as_str(),
             _ => msg.path.as_str(),
         };
-        let base_content: Option<Cow<'_, [u8]>> = match msg.base {
-            None => Some(Cow::Borrowed(&[])),
+        let base = match msg.base {
+            None => Some(Extents::default()),
             Some(wanted) => self.files.get(base_path).and_then(|f| f.at(wanted)),
         };
-        let Some(base_content) = base_content else {
+        let Some(base) = base else {
             return ApplyOutcome::Rejected {
                 reason: format!("unknown base version for {}", msg.path),
             };
         };
         let client = msg.version.map(|v| v.client.0).unwrap_or_default();
         let stored_as = format!("{}.conflict-c{}", msg.path, client);
-        let new_content = match &msg.payload {
+        let file = match &msg.payload {
             UpdatePayload::Ops(ops) => {
-                let mut content = base_content.into_owned();
+                let mut file = ServerFile::holding(base, msg.version);
                 for op in ops {
                     self.cost.bytes_copied += op.payload_len();
-                    op.apply_to(&mut content);
                 }
-                Bytes::from(content)
+                file.apply_ops(ops, &mut self.mint);
+                file
             }
-            UpdatePayload::Delta { delta, .. } => match delta.apply(&base_content) {
-                Ok(c) => {
-                    self.cost.bytes_copied += c.len() as u64;
-                    Bytes::from(c)
-                }
-                Err(_) => {
+            UpdatePayload::Delta { delta, .. } => {
+                let src = self.mint.source(delta.literal_bytes());
+                let Some(content) = delta_extents(&base, delta, src) else {
                     return ApplyOutcome::Rejected {
                         reason: format!("delta does not fit base for {}", msg.path),
-                    }
-                }
-            },
-            UpdatePayload::Full(data) => data.as_bytes().clone(),
+                    };
+                };
+                self.cost.bytes_copied += delta.literal_bytes();
+                ServerFile::holding(content, msg.version)
+            }
+            UpdatePayload::Full(data) => {
+                let src = self.mint.source(data.len() as u64);
+                ServerFile::holding(Extents::whole(data.as_bytes().clone(), src), msg.version)
+            }
             // A create that lost the race materializes as an empty
             // conflict copy; the existing file stays untouched.
-            UpdatePayload::Create => Bytes::new(),
+            UpdatePayload::Create => ServerFile::holding(Extents::default(), msg.version),
             // Namespace ops cannot conflict in this model; apply directly.
             _ => {
                 self.apply_unchecked(msg);
                 return ApplyOutcome::Applied;
             }
         };
-        let mut file = ServerFile::new();
-        file.content = new_content;
-        file.version = msg.version;
         self.files.insert(stored_as.clone(), file);
+        self.clean(&stored_as);
         self.apply_order.push(stored_as.clone());
         ApplyOutcome::Conflict { stored_as }
     }
@@ -646,10 +834,10 @@ mod tests {
         }
     }
 
-    fn write_op(offset: u64, data: &'static [u8]) -> FileOpItem {
+    fn write_op(offset: u64, data: &[u8]) -> FileOpItem {
         FileOpItem::Write {
             offset,
-            data: Payload::from_static(data),
+            data: Payload::copy_from_slice(data),
         }
     }
 
@@ -869,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn ops_apply_in_place_and_leave_a_reverse_patch() {
+    fn ops_splice_views_and_leave_a_reverse_patch() {
         let full = |base, ver, data: Vec<u8>| UpdateMsg {
             path: "/f".into(),
             base,
@@ -878,33 +1066,38 @@ mod tests {
             group: None,
         };
         let mut s = CloudServer::new();
-        s.apply_msg(&full(None, v(1, 1), vec![7u8; 100_000]));
-        // The full upload's buffer was shared with its message; from the
-        // first ops group on the file owns its buffer.
+        let body = Payload::from(vec![7u8; 100_000]);
+        let landed = body.as_bytes().as_ptr();
+        s.apply_msg(&UpdateMsg {
+            payload: UpdatePayload::Full(body),
+            ..full(None, v(1, 1), Vec::new())
+        });
+        // The full upload is the file: its buffer, not a copy.
+        assert_eq!(s.file("/f").unwrap().as_ptr(), landed);
         s.apply_msg(&ops_msg(
             "/f",
             Some(v(1, 1)),
             v(1, 2),
             vec![write_op(10, b"one")],
         ));
-        let buffer = s.file("/f").unwrap().as_ptr();
         s.apply_msg(&ops_msg(
             "/f",
             Some(v(1, 2)),
             v(1, 3),
             vec![write_op(50_000, b"two")],
         ));
-        assert_eq!(
-            s.file("/f").unwrap().as_ptr(),
-            buffer,
-            "applied where it lies"
-        );
         s.apply_msg(&ops_msg(
             "/f",
             Some(v(1, 3)),
             v(1, 4),
             vec![FileOpItem::Truncate { size: 90_000 }],
         ));
+        // Spliced, not rebuilt: the payloads are the only bytes counted,
+        // and nothing was flattened.
+        assert_eq!(s.cost().bytes_copied, 100_000 + 3 + 3);
+        assert_eq!(s.flatten_bytes(), 0);
+        let layout = s.layout("/f").unwrap();
+        assert_eq!((layout.len, layout.extents), (90_000, 5));
         // Three ops groups retain what they destroyed, not three images.
         assert_eq!(s.history_bytes(), 3 + 3 + 10_000);
         // A new image in between: older versions walk back from it, not
@@ -917,6 +1110,7 @@ mod tests {
             vec![write_op(0, b"RE")],
         ));
         assert_eq!(s.file("/f"), Some(&b"REwritten"[..]));
+        assert_eq!(s.flatten_bytes(), 9, "a read of two extents flattens");
         assert_eq!(s.file_at("/f", v(1, 5)).as_deref(), Some(&b"rewritten"[..]));
         let mut expect = vec![7u8; 100_000];
         assert_eq!(s.file_at("/f", v(1, 1)).as_deref(), Some(&expect[..]));
@@ -926,6 +1120,97 @@ mod tests {
         assert_eq!(s.file_at("/f", v(1, 3)).as_deref(), Some(&expect[..]));
         expect.truncate(90_000);
         assert_eq!(s.file_at("/f", v(1, 4)).as_deref(), Some(&expect[..]));
+    }
+
+    #[test]
+    fn a_delta_copies_views_of_its_base_and_its_literals() {
+        use deltacfs_delta::{Delta, DeltaOp};
+        let mut s = CloudServer::new();
+        let base = Payload::from((0..=255u8).cycle().take(64 * 1024).collect::<Vec<u8>>());
+        s.apply_msg(&UpdateMsg {
+            path: "/f".into(),
+            base: None,
+            version: Some(v(1, 1)),
+            payload: UpdatePayload::Full(base.clone()),
+            group: None,
+        });
+        let delta = Delta::from_ops(vec![
+            DeltaOp::Copy {
+                offset: 0,
+                len: 1000,
+            },
+            DeltaOp::Literal(Bytes::from_static(b"NEW")),
+            DeltaOp::Copy {
+                offset: 2000,
+                len: 60_000,
+            },
+        ]);
+        let expect = [&base[..1000], b"NEW", &base[2000..62_000]].concat();
+        let copied = s.cost().bytes_copied;
+        let msg = UpdateMsg {
+            path: "/f".into(),
+            base: Some(v(1, 1)),
+            version: Some(v(1, 2)),
+            payload: UpdatePayload::Delta {
+                base_path: "/f".into(),
+                delta,
+            },
+            group: None,
+        };
+        assert_eq!(s.apply_msg(&msg), ApplyOutcome::Applied);
+        assert_eq!(s.cost().bytes_copied - copied, 3, "only the literal");
+        let layout = s.layout("/f").unwrap();
+        assert_eq!((layout.len, layout.extents), (61_003, 3));
+        // The copies view the old image, which history keeps whole.
+        assert_eq!(layout.unshown_bytes, 64 * 1024 - 61_000);
+        assert_eq!(s.history_bytes(), 64 * 1024 - 61_000);
+        assert_eq!(s.file("/f"), Some(&expect[..]));
+        assert_eq!(s.file_at("/f", v(1, 1)).as_deref(), Some(&base[..]));
+    }
+
+    #[test]
+    fn the_cleaner_compacts_a_file_that_pins_what_it_no_longer_shows() {
+        let mut s = CloudServer::new();
+        s.apply_msg(&ops_msg(
+            "/f",
+            None,
+            v(1, 1),
+            vec![write_op(0, &[1u8; 64 * 1024])],
+        ));
+        let mut counter = 1;
+        // Each group overwrites most of the previous one's bytes.
+        for round in 0..40u64 {
+            counter += 1;
+            let ops = vec![FileOpItem::Write {
+                offset: round * 512 % 8192,
+                data: Payload::from(vec![round as u8; 8192]),
+            }];
+            s.apply_msg(&ops_msg("/f", Some(v(1, counter - 1)), v(1, counter), ops));
+            let layout = s.layout("/f").unwrap();
+            assert!(
+                layout.unshown_bytes <= layout.len / 8 + 4096,
+                "round {round}: {layout:?}"
+            );
+            assert!(layout.extents <= 64 + (layout.len / 4096) as usize);
+        }
+        let copied_by_cleaner = s.cost().bytes_copied - 64 * 1024 - 40 * 8192;
+        assert!(copied_by_cleaner > 0, "the cleaner ran");
+        // Every retained version is still the bytes it was.
+        let history = s.version_history("/f");
+        let mut reference = vec![1u8; 64 * 1024];
+        for round in 0..40u64 {
+            let at = (round * 512 % 8192) as usize;
+            reference[at..at + 8192].fill(round as u8);
+            let version = v(1, round + 2);
+            if history.contains(&version) {
+                assert_eq!(
+                    s.file_at("/f", version).as_deref(),
+                    Some(&reference[..]),
+                    "{version:?}"
+                );
+            }
+        }
+        assert_eq!(s.file("/f"), Some(&reference[..]));
     }
 
     #[test]

@@ -565,85 +565,6 @@ pub fn decode_codec_envelope(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
     Ok((raw_len, &rest[used..]))
 }
 
-/// Opcode tag distinguishing an acknowledgement frame from update
-/// messages (which use the low opcode range).
-const ACK_OPCODE: u8 = 0x40;
-
-/// The server's per-group acknowledgement: which group it settles and
-/// the outcome tallies the client uses for conflict surfacing.
-///
-/// Every simulated ack download charges
-/// [`ACK_WIRE_BYTES`](crate::protocol::ACK_WIRE_BYTES) — the encoded
-/// size of this frame — so the traffic accounting tracks the real
-/// header, not a magic number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireAck {
-    /// The upload group being acknowledged.
-    pub group: GroupId,
-    /// Messages applied cleanly.
-    pub applied: u32,
-    /// Messages that produced a conflict copy.
-    pub conflicts: u32,
-    /// Messages rejected outright.
-    pub rejected: u32,
-}
-
-/// Serializes one acknowledgement frame.
-///
-/// ```text
-/// ack = magic "DCFS" | u8 ACK_OPCODE | u8[3] reserved |
-///       u32 client | u64 group_seq |
-///       u32 applied | u32 conflicts | u32 rejected
-/// ```
-pub fn encode_ack(ack: &WireAck) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32);
-    let mut w = Writer { buf: &mut buf };
-    w.buf.extend_from_slice(MAGIC);
-    w.u8(ACK_OPCODE);
-    w.buf.extend_from_slice(&[0u8; 3]);
-    w.u32(ack.group.client.0);
-    w.u64(ack.group.seq);
-    w.u32(ack.applied);
-    w.u32(ack.conflicts);
-    w.u32(ack.rejected);
-    buf
-}
-
-/// Deserializes one acknowledgement frame.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] or [`WireError::Malformed`] on any framing
-/// violation.
-pub fn decode_ack(buf: &[u8]) -> Result<WireAck, WireError> {
-    let shared = Bytes::copy_from_slice(buf);
-    let mut r = Reader {
-        buf: &shared,
-        pos: 0,
-    };
-    if r.take(4)? != MAGIC {
-        return Err(WireError::Malformed("magic"));
-    }
-    if r.u8()? != ACK_OPCODE {
-        return Err(WireError::Malformed("ack opcode"));
-    }
-    if r.take(3)? != [0u8; 3] {
-        return Err(WireError::Malformed("ack reserved"));
-    }
-    let client = ClientId(r.u32()?);
-    let seq = r.u64()?;
-    let ack = WireAck {
-        group: GroupId { client, seq },
-        applied: r.u32()?,
-        conflicts: r.u32()?,
-        rejected: r.u32()?,
-    };
-    if r.pos != buf.len() {
-        return Err(WireError::Malformed("trailing bytes"));
-    }
-    Ok(ack)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,28 +587,6 @@ mod tests {
             client: ClientId(c),
             seq: n,
         }
-    }
-
-    #[test]
-    fn ack_frame_roundtrips_and_matches_accounted_size() {
-        let ack = WireAck {
-            group: g(7, 123_456),
-            applied: 3,
-            conflicts: 1,
-            rejected: 0,
-        };
-        let buf = encode_ack(&ack);
-        assert_eq!(
-            buf.len() as u64,
-            crate::protocol::ACK_WIRE_BYTES,
-            "ACK_WIRE_BYTES must track the real ack header"
-        );
-        assert_eq!(decode_ack(&buf), Ok(ack));
-        // Framing violations are rejected, not misread.
-        assert!(decode_ack(&buf[..buf.len() - 1]).is_err());
-        let mut wrong = buf.clone();
-        wrong[4] = 0x41;
-        assert!(decode_ack(&wrong).is_err());
     }
 
     fn sample_msgs() -> Vec<UpdateMsg> {

@@ -203,11 +203,6 @@ impl KvStore {
         });
     }
 
-    /// Number of on-disk segments (diagnostics / tests).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Flushes the memtable to a new segment and truncates the WAL.
     ///
     /// # Errors
@@ -416,7 +411,7 @@ mod tests {
         for i in 0..10u8 {
             s.put(&[i], &[i * 2]).unwrap();
         }
-        assert!(s.segment_count() >= 2);
+        assert!(s.segments.len() >= 2);
         for i in 0..10u8 {
             assert_eq!(s.get(&[i]).unwrap(), Some(vec![i * 2]));
         }
@@ -461,13 +456,13 @@ mod tests {
         s.delete(b"a").unwrap();
         s.flush().unwrap();
         s.compact().unwrap();
-        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.segments.len(), 1);
         assert_eq!(s.get(b"a").unwrap(), None);
         assert_eq!(s.get(b"b").unwrap(), Some(b"2".to_vec()));
         drop(s);
         let mut s = KvStore::open(&dir.0).unwrap();
         assert_eq!(s.get(b"b").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.segments.len(), 1);
     }
 
     #[test]
@@ -564,7 +559,7 @@ mod tests {
             .map(|i| BatchOp::put(vec![i], vec![i * 3]))
             .collect();
         s.write_batch(&batch).unwrap();
-        assert!(s.segment_count() >= 1);
+        assert!(!s.segments.is_empty());
         for i in 0..10u8 {
             assert_eq!(s.get(&[i]).unwrap(), Some(vec![i * 3]));
         }
@@ -692,6 +687,6 @@ mod tests {
         assert_eq!(s.get(b"nope").unwrap(), None);
         assert!(s.scan_prefix(b"x").unwrap().is_empty());
         s.flush().unwrap(); // flushing empty memtable is a no-op
-        assert_eq!(s.segment_count(), 0);
+        assert_eq!(s.segments.len(), 0);
     }
 }

@@ -95,22 +95,6 @@ pub enum OpEvent {
 }
 
 impl OpEvent {
-    /// The primary path the event concerns (the destination for renames and
-    /// links).
-    pub fn primary_path(&self) -> &VPath {
-        match self {
-            OpEvent::Create { path }
-            | OpEvent::Truncate { path, .. }
-            | OpEvent::Write { path, .. }
-            | OpEvent::Unlink { path, .. }
-            | OpEvent::Mkdir { path }
-            | OpEvent::Rmdir { path }
-            | OpEvent::Close { path }
-            | OpEvent::Fsync { path } => path,
-            OpEvent::Rename { dst, .. } | OpEvent::Link { dst, .. } => dst,
-        }
-    }
-
     /// Number of payload bytes carried by the event (written data only).
     pub fn payload_len(&self) -> usize {
         match self {
@@ -160,18 +144,6 @@ mod tests {
 
     fn p(s: &str) -> VPath {
         VPath::new(s).unwrap()
-    }
-
-    #[test]
-    fn primary_path_points_at_destination() {
-        let e = OpEvent::Rename {
-            src: p("/a"),
-            dst: p("/b"),
-            replaced: None,
-        };
-        assert_eq!(e.primary_path().as_str(), "/b");
-        let e = OpEvent::Create { path: p("/c") };
-        assert_eq!(e.primary_path().as_str(), "/c");
     }
 
     #[test]

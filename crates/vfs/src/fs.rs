@@ -216,11 +216,6 @@ impl Vfs {
         self.stats.reset();
     }
 
-    /// Total bytes currently stored in regular files.
-    pub fn bytes_used(&self) -> u64 {
-        self.used
-    }
-
     /// Runs the observer on `event`, then moves it into the log: the
     /// event is never cloned.
     fn emit(&mut self, event: OpEvent) {
@@ -1108,9 +1103,9 @@ mod tests {
         fs.write("/a", 0, b"abcdefghij").unwrap();
         fs.truncate("/a", 4).unwrap();
         fs.write("/a", 4, b"12345").unwrap();
-        assert_eq!(fs.bytes_used(), 9);
+        assert_eq!(fs.used, 9);
         fs.unlink("/a").unwrap();
-        assert_eq!(fs.bytes_used(), 0);
+        assert_eq!(fs.used, 0);
     }
 
     #[test]
@@ -1165,7 +1160,7 @@ mod tests {
             assert!(!paused.has_events());
         }
         assert_eq!(fs.peek_all("/theirs").unwrap(), b"rem");
-        assert_eq!(fs.bytes_used(), 3);
+        assert_eq!(fs.used, 3);
         let kinds: Vec<_> = fs.drain_events().iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["create"], "only the local edit is logged");
         assert!(!fs.has_events());
@@ -1191,7 +1186,7 @@ mod tests {
         fs.inject_torn_write("/a", 2, b"ZZZZ").unwrap();
         assert!(fs.drain_events().is_empty());
         assert_eq!(fs.read_all("/a").unwrap(), b"aaZZZZ");
-        assert_eq!(fs.bytes_used(), 6);
+        assert_eq!(fs.used, 6);
     }
 
     #[test]

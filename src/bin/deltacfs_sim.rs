@@ -101,7 +101,7 @@ fn main() {
                 }
                 println!("cloud:");
                 for p in sys.server().paths() {
-                    let size = sys.server().file(&p).map(<[u8]>::len).unwrap_or(0);
+                    let size = sys.server().layout(&p).map_or(0, |l| l.len);
                     println!("  {p}  ({size} B)");
                 }
                 Ok(())

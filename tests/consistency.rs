@@ -273,6 +273,26 @@ fn growing_truncate_resums_the_old_last_block() {
     assert!(client.crash_recovery_scan(&["/f".into()], &fs).is_empty());
 }
 
+/// A write's block sums come from the bytes it wrote, not from whatever
+/// its path holds when the event is delivered: here the path was renamed
+/// away and recreated with other bytes before any event reached the
+/// client.
+#[test]
+fn a_write_delivered_after_its_path_was_reused_keeps_its_own_sums() {
+    let mut client = DeltaCfsClient::new(ClientId(1), DeltaCfsConfig::new(), SimClock::new());
+    let mut fs = Vfs::new();
+    fs.enable_event_log();
+    fs.create("/tmp0").unwrap();
+    fs.write("/tmp0", 0, &[1u8; 10_000]).unwrap();
+    fs.rename("/tmp0", "/f").unwrap();
+    fs.create("/tmp0").unwrap();
+    fs.write("/tmp0", 0, &[2u8; 10_000]).unwrap();
+    pump(&mut client, &mut fs);
+    let paths = ["/f".to_string(), "/tmp0".to_string()];
+    assert!(client.crash_recovery_scan(&paths, &fs).is_empty());
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+}
+
 /// A forwarded `Unlink` drops the file's checksums as a local one does:
 /// a new file under the name must not be checked against the old sums.
 #[test]

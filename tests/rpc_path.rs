@@ -3,10 +3,10 @@
 //! the store a full re-index would build; every checksum-store operation
 //! over its 64-block records ends the same way, and a forwarded delta's
 //! receiver re-sums only the blocks it does not copy whole; the server
-//! applies ops in place and keeps the way back to the version they
-//! replaced instead of a copy of it, indistinguishably from whole-copy
-//! history; a pump visits only busy clients; and a `Snapshot`-mode
-//! client is never skipped.
+//! keeps files as shared extents and history as the views an update
+//! replaced instead of copies, indistinguishably from whole-copy history
+//! and within the cleaner's bounds; a pump visits only busy clients; and
+//! a `Snapshot`-mode client is never skipped.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -62,10 +62,13 @@ fn file_op((kind, pos, len, aligned): (u8, u64, usize, bool), block: usize) -> F
     match kind {
         0..=2 => FileOpItem::Write {
             offset: snap(pos),
-            data: Payload::from(vec![
-                kind + 1 + (pos % 200) as u8;
-                snap(len as u64) as usize
-            ]),
+            // No two neighbouring bytes alike, so a view misplaced by
+            // a byte shows.
+            data: Payload::from(
+                (0..snap(len as u64))
+                    .map(|i| kind + 1 + ((pos + i) % 200) as u8)
+                    .collect::<Vec<u8>>(),
+            ),
         },
         3 => FileOpItem::Write {
             offset: snap(pos),
@@ -279,8 +282,9 @@ proptest! {
                 0 | 1 => {
                     let clip = |n: u64| (n as usize).min(old.len());
                     let ow = &old[clip(at)..clip(at + len)];
+                    let data = &new[at as usize..(at + len) as usize];
                     let (bad, _) = cs
-                        .record_write(p, &new, at..at + len, ow, old_len, &mut cost)
+                        .record_write(p, &new, (at, data), ow, old_len, &mut cost)
                         .unwrap();
                     prop_assert!(bad.is_empty(), "clean blocks {:?} failed", bad);
                     files.insert(p, new);
@@ -314,7 +318,7 @@ proptest! {
                     if at > old_len {
                         let new = written(&old, old_len, at - old_len, 0);
                         let (bad, _) = cs
-                            .record_write(p, &new, old_len..at, &[], old_len, &mut cost)
+                            .record_write(p, &new, (at, &[]), &[], old_len, &mut cost)
                             .unwrap();
                         prop_assert!(bad.is_empty(), "clean blocks {:?} failed", bad);
                         files.insert(p, new);
@@ -437,7 +441,7 @@ proptest! {
     }
 }
 
-// --- (b) reverse-patch history ≡ whole-copy history -----------------------
+// --- (b) extent history ≡ whole-copy history ------------------------------
 
 /// The reference: every retained version is a whole copy.
 #[derive(Clone, Default)]
@@ -510,6 +514,14 @@ fn mirror(model: &mut Model, update: &UpdateMsg, outcome: &ApplyOutcome) -> Resu
                 model.insert(to.clone(), file);
             }
         }
+        (UpdatePayload::Link { to }, ApplyOutcome::Applied) => {
+            if let Some(file) = model.get(&update.path).cloned() {
+                model.insert(to.clone(), file);
+            }
+        }
+        (UpdatePayload::Unlink, ApplyOutcome::Applied) => {
+            model.remove(&update.path);
+        }
         (payload, ApplyOutcome::Applied) => {
             let base = model
                 .get(base_path)
@@ -576,6 +588,14 @@ fn same_history(server: &CloudServer, model: &Model) -> Result<(), String> {
                 return Err(format!("{path} at {v:?}: retained bytes differ"));
             }
         }
+        // The cleaner's bounds: what the extents pin but do not show, and
+        // how many there are.
+        let layout = server.layout(path).ok_or("listed path has no layout")?;
+        if layout.unshown_bytes > layout.len / 8 + 4096
+            || layout.extents > 64 + (layout.len / 4096) as usize
+        {
+            return Err(format!("{path}: {layout:?} outside the cleaner's bounds"));
+        }
     }
     Ok(())
 }
@@ -585,14 +605,16 @@ const FILES: [&str; 3] = ["/a", "/b", "/c"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random `Ops` / `Delta` / `Full` / `Rename` / conflicting groups and
-    /// restores: after every step each retained version materialises to
-    /// the bytes the whole-copy reference holds — across the 8-entry
-    /// eviction, after a snapshot round-trip, and after `restore`.
+    /// Random `Ops` / `Delta` / `Full` / `Rename` / `Link` / `Unlink` /
+    /// conflicting groups and restores: after every step each retained
+    /// version materialises to the bytes the whole-copy reference holds,
+    /// and every file's extents stay within the cleaner's bounds — across
+    /// the 8-entry eviction, compactions, after a snapshot round-trip, and
+    /// after `restore`.
     #[test]
-    fn reverse_patch_history_equals_whole_copy_history(
+    fn extent_history_equals_whole_copy_history(
         steps in proptest::collection::vec(
-            (0u8..10, 0usize..3, 0usize..3, 0usize..12, raw_batch(5), any::<bool>()),
+            (0u8..12, 0usize..3, 0usize..3, 0usize..12, raw_batch(5), any::<bool>()),
             1..48,
         ),
     ) {
@@ -618,7 +640,10 @@ proptest! {
             let update = match kind {
                 0..=3 => msg(path, base, Some(new_version), UpdatePayload::Ops(ops)),
                 4 => {
-                    let data = vec![counter as u8; raw[0].2 * 3];
+                    // Up to 8 KiB: overwriting or cutting most of one
+                    // pins more than the cleaner allows.
+                    let data: Vec<u8> =
+                        (0..raw[0].2 * 64).map(|i| (counter as usize + i) as u8).collect();
                     msg(path, base, Some(new_version), UpdatePayload::Full(Payload::from(data)))
                 }
                 5 => {
@@ -626,7 +651,9 @@ proptest! {
                     let keep = model.get(base_path).map_or(0, |f| f.content.len() / 2) as u64;
                     let delta = Delta::from_ops(vec![
                         DeltaOp::Copy { offset: 0, len: keep },
-                        DeltaOp::Literal(Bytes::from(vec![counter as u8; raw[0].2])),
+                        DeltaOp::Literal(Bytes::from(
+                            (0..raw[0].2).map(|i| (counter as usize * 3 + i) as u8).collect::<Vec<u8>>(),
+                        )),
                     ]);
                     let base = if stale { base } else { model.get(base_path).and_then(|f| f.version) };
                     msg(
@@ -638,6 +665,8 @@ proptest! {
                 }
                 6 => msg(path, None, None, UpdatePayload::Rename { to: FILES[other].into() }),
                 7 => msg(path, None, Some(new_version), UpdatePayload::Create),
+                8 => msg(path, None, None, UpdatePayload::Link { to: FILES[other].into() }),
+                9 => msg(path, None, None, UpdatePayload::Unlink),
                 _ => {
                     // Restore some retained version as a new one.
                     let Some(target) = model.get(path).and_then(|f| {

@@ -377,20 +377,33 @@ fn save_summary(trace: &dyn Trace, cfg: DeltaCfsConfig) -> String {
 /// `ops` moved (7 549 186 → 4 589 748 and 1 771 → 1 246), since the old
 /// version's blocks and the new version's block-aligned windows that
 /// match are no longer rolled; the delta, and so everything else, held.
+/// Re-pinned when server files became lists of shared extents (DESIGN.md
+/// §13): only the server's `bytes_copied` moved (3 019 892 → 906 213),
+/// since a delta's copies are now views of the base and only its literal
+/// bytes count. In the same change the Checksum Store began summing a
+/// write's whole blocks from the written bytes, reading only the partial
+/// edge blocks from the file: the client's `bytes_engine_read` moved
+/// (7 549 730 → 4 529 838), its `bytes_rolled` did not. Wire and the
+/// cloud's bytes held.
 const WORD_SAVE_PIN: &str = "client Cost { bytes_rolled: 4589748, bytes_strong_hashed: 0, \
 bytes_compared: 2113697, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3291717, \
-bytes_engine_read: 7549730, ops: 1246 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
-bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 3019892, \
+bytes_engine_read: 4529838, ops: 1246 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
+bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 906213, \
 bytes_engine_read: 0, ops: 4 } | TrafficStats { bytes_up: 907176, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 1 files 875558 bytes fnv 2c8dfbbd5292d14b | outcomes 11/11 applied";
 
 /// Pinned from commit 17782c2; re-pinned with [`WORD_SAVE_PIN`], the
 /// same three fields moved, and again with it for the stored sums
-/// (`bytes_rolled` 829 952 → 359 936, `ops` 200 → 135).
+/// (`bytes_rolled` 829 952 → 359 936, `ops` 200 → 135), and for the
+/// shared extents: the server's `bytes_copied` 576 000 → 54 079, the
+/// deltas' literals alone, because `link f f~` now shares the file's
+/// views instead of copying its bytes and a delta's copies are views; and
+/// the client's `bytes_engine_read` 578 560 → 263 680, from the block
+/// sums taken from the written bytes.
 const GEDIT_SAVE_PIN: &str = "client Cost { bytes_rolled: 359936, bytes_strong_hashed: 0, \
 bytes_compared: 260811, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 317759, \
-bytes_engine_read: 578560, ops: 135 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
-bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 576000, \
+bytes_engine_read: 263680, ops: 135 } | server Cost { bytes_rolled: 0, bytes_strong_hashed: 0, \
+bytes_compared: 0, bytes_chunked: 0, bytes_compressed: 0, bytes_copied: 54079, \
 bytes_engine_read: 0, ops: 6 } | TrafficStats { bytes_up: 55404, bytes_down: 352, msgs_up: 11, \
 msgs_down: 11 } | cloud 2 files 107008 bytes fnv fc756f5ecd969018 | outcomes 16/16 applied";
 

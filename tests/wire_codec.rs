@@ -244,6 +244,66 @@ proptest! {
         prop_assert_eq!(committed, Some(msgs));
         prop_assert_eq!(stager.staged_groups(), 0);
     }
+
+    /// A message's declared length is wire input: declared too long, too
+    /// short, past the decompression cap, or changed between its frames,
+    /// the stream is `Malformed` — no panic, nothing left staged — and a
+    /// resend of the true stream commits.
+    #[test]
+    fn a_lying_message_length_is_malformed_and_stages_nothing(
+        bodies in proptest::collection::vec(buffer(6000), 1..4),
+        budget in 64usize..4096,
+        compressed in any::<bool>(),
+        lie in 0u8..4,
+        by in 1u64..5000,
+        victim in 0usize..1000,
+    ) {
+        let msgs = group_of(&bodies);
+        let mut frames = Vec::new();
+        frame_group(&msgs, budget, |f| frames.push(f));
+        if compressed {
+            let mut codec = WireCodec::for_upload(
+                CodecPolicy::Always,
+                PlatformProfile::mobile(),
+                LinkSpec::mobile(),
+            );
+            frames = frames.into_iter().map(|f| codec.encode_frame(f, 0)).collect();
+        }
+        let victim = victim % frames.len();
+        let msg_idx = frames[victim].msg_idx;
+        let mut lying = frames.clone();
+        for (i, frame) in lying.iter_mut().enumerate() {
+            let declared = frame.msg_len;
+            frame.msg_len = match lie {
+                _ if frame.msg_idx != msg_idx => continue,
+                0 => declared + by,
+                1 => declared.saturating_sub(by),
+                2 => compress::MAX_DECOMPRESSED as u64 + by,
+                // One frame of the message says otherwise.
+                _ if i == victim => declared + by,
+                _ => continue,
+            };
+        }
+        let mut stager = ChunkStager::new();
+        let mut rejected = false;
+        for frame in &lying {
+            match stager.accept(frame) {
+                Ok(committed) => prop_assert!(committed.is_none(), "a lying stream committed"),
+                Err(e) => {
+                    prop_assert!(matches!(e, WireError::Malformed(_)), "{:?}", e);
+                    rejected = true;
+                    break;
+                }
+            }
+        }
+        prop_assert!(rejected, "lie {} by {} went unnoticed", lie, by);
+        prop_assert_eq!((stager.staged_groups(), stager.staged_bytes()), (0, 0));
+        let mut committed = None;
+        for frame in &frames {
+            committed = stager.accept(frame).expect("the true stream stages");
+        }
+        prop_assert_eq!(committed, Some(msgs));
+    }
 }
 
 // --- streams through the codec and the stager ---------------------------

@@ -594,7 +594,8 @@ impl<K: KeyValue> ChecksumStore<K> {
     }
 
     /// Adjusts checksums after a truncate to `new_size`; `last_block` is
-    /// the content of the (possibly shortened) final block, if any.
+    /// the content of the (possibly shortened) final block, or `None`
+    /// when its bytes are not known — then that block loses its sum.
     ///
     /// # Errors
     ///
@@ -624,9 +625,12 @@ impl<K: KeyValue> ChecksumStore<K> {
         if nblocks > 0 && (boundary.is_some() || last_block.is_some()) {
             let (rec, slot) = locate(nblocks - 1);
             let mut record = boundary.unwrap_or(Record::EMPTY);
-            record.clear_from(slot + 1);
-            if let Some(block) = last_block {
-                record.set(slot, self.checksum(block, cost));
+            match last_block {
+                Some(block) => {
+                    record.clear_from(slot + 1);
+                    record.set(slot, self.checksum(block, cost));
+                }
+                None => record.clear_from(slot),
             }
             batch.push(record.commit(record_key(path, rec)));
         }

@@ -282,10 +282,14 @@ impl<K: KeyValue> DeltaCfsClient<K> {
                 offset,
                 data,
                 overwritten,
-            } => self.on_write(path.as_str(), *offset, data, overwritten, fs, now),
-            OpEvent::Truncate { path, size, cut } => {
-                self.on_truncate(path.as_str(), *size, cut, fs, now)
-            }
+                stamp,
+            } => self.on_write(path.as_str(), (*offset, data), overwritten, *stamp, fs, now),
+            OpEvent::Truncate {
+                path,
+                size,
+                cut,
+                stamp,
+            } => self.on_truncate(path.as_str(), *size, cut, *stamp, fs, now),
             OpEvent::Rename { src, dst, replaced } => {
                 self.on_rename(src.as_str(), dst.as_str(), replaced.clone(), fs, now)
             }
@@ -346,9 +350,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     fn on_write(
         &mut self,
         path: &str,
-        offset: u64,
-        data: &Bytes,
+        (offset, data): (u64, &Bytes),
         overwritten: &Bytes,
+        stamp: u64,
         fs: &Vfs,
         now: SimTime,
     ) {
@@ -360,7 +364,7 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         // Interception itself costs one copy of the written data.
         self.cost.bytes_copied += data.len() as u64;
 
-        self.verify_and_update_checksums(path, (offset, data), overwritten, old_len, fs);
+        self.verify_and_update_checksums(path, (offset, data), overwritten, old_len, stamp, fs);
         if self.quarantined.contains(path) {
             return;
         }
@@ -401,15 +405,21 @@ impl<K: KeyValue> DeltaCfsClient<K> {
     /// checksums — something modified the file underneath the
     /// interception layer — the file is quarantined: corruption must not
     /// propagate.
+    ///
+    /// The event is `stamp`ed; once a file has changed since, a block
+    /// the write covers only in part may hold later bytes, so it loses
+    /// its sum instead of being verified, and a later event sums it
+    /// again.
     fn verify_and_update_checksums(
         &mut self,
         path: &str,
         written: (u64, &[u8]),
         overwritten: &[u8],
         old_len: u64,
+        stamp: u64,
         fs: &Vfs,
     ) {
-        let content = fs.peek_slice(path).unwrap_or_default();
+        let content = stamped(fs, path, stamp).unwrap_or_default();
         let cs = &mut self.checksums;
         let Ok((bad_blocks, read)) =
             cs.record_write(path, content, written, overwritten, old_len, &mut self.cost)
@@ -427,18 +437,28 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
     }
 
-    fn on_truncate(&mut self, path: &str, size: u64, cut: &Bytes, fs: &Vfs, now: SimTime) {
+    fn on_truncate(
+        &mut self,
+        path: &str,
+        size: u64,
+        cut: &Bytes,
+        stamp: u64,
+        fs: &Vfs,
+        now: SimTime,
+    ) {
         let old_len = self.sizes.get(path).copied().unwrap_or(0);
         self.sizes.insert(path.to_string(), size);
         self.relation.invalidate_dst(path);
         if size > old_len {
             // Growing zero-fills the old last block too: a write of zeros.
-            self.verify_and_update_checksums(path, (size, &[]), &[], old_len, fs);
+            self.verify_and_update_checksums(path, (size, &[]), &[], old_len, stamp, fs);
         } else {
             let cs = &mut self.checksums;
-            let last_block = (size > 0).then(|| {
+            // Once a file has changed since, the new last block's bytes
+            // may not be this truncate's: it loses its sum.
+            let content = stamped(fs, path, stamp).filter(|_| size > 0);
+            let last_block = content.map(|content| {
                 let start = (size - 1) as usize / cs.block_size() * cs.block_size();
-                let content = fs.peek_slice(path).unwrap_or_default();
                 let block = &content[start.min(content.len())..content.len().min(size as usize)];
                 self.cost.bytes_engine_read += block.len() as u64;
                 block
@@ -1320,6 +1340,14 @@ fn install_content(fs: &mut Vfs, path: &str, content: &[u8]) {
     }
     fs.truncate(path, 0).ok();
     fs.write(path, 0, content).ok();
+}
+
+/// `path`'s bytes as the event stamped `stamp` left them, or `None` once
+/// any file has changed since (see [`Vfs::content_stamp`]).
+fn stamped<'a>(fs: &'a Vfs, path: &str, stamp: u64) -> Option<&'a [u8]> {
+    (fs.content_stamp() == stamp)
+        .then(|| fs.peek_slice(path).ok())
+        .flatten()
 }
 
 /// Compact one-line rendering of an intercepted operation for the trace.

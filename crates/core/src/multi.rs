@@ -530,16 +530,14 @@ impl SyncHub {
     /// Feeds client `idx`'s pending file-system events into its engine
     /// without pumping any uploads.
     ///
-    /// The interception layer verifies block checksums and records undo
-    /// bytes against the *live* file content, so it assumes each event
-    /// is handled before the file changes again. The pump drains events
-    /// too, but only at pump time — a driver that batches several
-    /// operations against [`SyncHub::fs_mut`] between pumps must call
-    /// this after each operation (or each single-file burst), exactly
-    /// as `deltacfs_workloads::replay` feeds its engine per op.
-    /// Otherwise two writes landing in one checksum block between pumps
-    /// are indistinguishable from out-of-band corruption and quarantine
-    /// the file.
+    /// The interception layer verifies block checksums against the
+    /// *live* file content. The pump drains events too, but only at pump
+    /// time; a driver that batches several operations against
+    /// [`SyncHub::fs_mut`] between ingests is still sound (an event
+    /// delivered after a later change clears the sums of the blocks it
+    /// writes in part instead of verifying them), but verifies less
+    /// than one that calls this after each operation, as
+    /// `deltacfs_workloads::replay` feeds its engine per op.
     pub fn ingest(&mut self, idx: usize) {
         let events = self.slots[idx].fs.drain_events();
         for e in &events {

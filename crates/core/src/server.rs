@@ -518,9 +518,9 @@ impl CloudServer {
             return false;
         };
         self.bump(path, copy.content, Some(new_version));
-        self.apply_order.push(path.to_string());
         true
     }
+
     /// Resolves a conflict by discarding the conflict copy (keeping the
     /// current version). Returns `false` if the copy does not exist.
     pub fn resolve_conflict_discard(&mut self, conflict_path: &str) -> bool {
@@ -1023,6 +1023,29 @@ mod tests {
         assert_eq!(s.file_at("/f", v(2, 1)).as_deref(), Some(&b"AAAA"[..]));
         // Discarding a nonexistent copy reports false.
         assert!(!s.resolve_conflict_discard(&stored_as));
+    }
+
+    #[test]
+    fn keep_copy_logs_its_promotion_once() {
+        let mut s = CloudServer::new();
+        s.apply_msg(&ops_msg("/f", None, v(1, 1), vec![write_op(0, b"base")]));
+        s.apply_msg(&ops_msg(
+            "/f",
+            Some(v(1, 1)),
+            v(2, 1),
+            vec![write_op(0, b"A")],
+        ));
+        let ApplyOutcome::Conflict { stored_as } = s.apply_msg(&ops_msg(
+            "/f",
+            Some(v(1, 1)),
+            v(3, 1),
+            vec![write_op(0, b"B")],
+        )) else {
+            panic!("expected conflict");
+        };
+        let before = s.apply_order().len();
+        assert!(s.resolve_conflict_keep_copy("/f", &stored_as, v(3, 2)));
+        assert_eq!(s.apply_order()[before..], ["/f".to_string()]);
     }
 
     #[test]

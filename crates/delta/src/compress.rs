@@ -8,11 +8,38 @@
 //! savings on compressible data, and the wire codec can compress chunk
 //! frames.
 //!
-//! Format (private, round-trip only): a token stream where each token
-//! starts with a varint `v`; if `v & 1 == 0` it is a literal run of
-//! `v >> 1` bytes that follow, otherwise a back-reference of length
-//! `v >> 1` whose distance follows as a second varint. A concatenation
-//! of token streams is a token stream.
+//! # Stream format
+//!
+//! Private, round-trip only. A stream is a list of *sequences*, each a
+//! run of literal bytes and then one back-reference:
+//!
+//! ```text
+//! token  [lit-ext]  literals  offset  [match-ext]
+//! ```
+//!
+//! * `token` is one byte:
+//!   * bits 0–2 hold the literal count `L`; the value 7 means `lit-ext`,
+//!     a LEB128 varint, follows the token, and `L = 7 + lit-ext`;
+//!   * bits 3–6 hold the match length `M − 4`; the value 15 means
+//!     `match-ext`, a varint, follows the offset, and `M = 19 +
+//!     match-ext`;
+//!   * bit 7 set means the offset takes two bytes; clear, one.
+//! * `literals` are the `L` bytes, verbatim.
+//! * `offset` (little-endian) says how far before the write point the
+//!   match starts: 1 to 65 535 bytes, into any earlier sequence's
+//!   output but never before the stream's first byte. The match may
+//!   overlap its own output (a run). Offset 0 means "no match": the
+//!   sequence is literals only, and its match-length bits must be 0.
+//! * A stream may end right after a sequence's literals: that last
+//!   sequence has no offset and no match. The empty stream decodes to
+//!   nothing.
+//!
+//! A stream whose last sequence carries an offset may be followed by
+//! another stream: the concatenation decodes to the two outputs one
+//! after the other. The encoder closes every window but an input's last
+//! one that way, with offset 0 after a literal tail.
+//!
+//! # Encoder
 //!
 //! The match finder lives in an [`Encoder`], which owns the hash table:
 //! 2^15 `u32` positions (128 KiB), allocated on the first call and
@@ -26,15 +53,28 @@
 //! an incompressible run costs a probe every few dozen bytes instead of
 //! one per byte — at the price of finding the first match after such a
 //! run a little late (under 1 % of output on the content classes the
-//! ratio-guard tests pin).
+//! ratio-guard tests pin). A sequence is written as fixed 8- and
+//! 16-byte block stores cut back to its length, while the output's
+//! spare capacity takes them.
+
+use std::ops::Range;
 
 use crate::cost::Cost;
 use crate::local::common_prefix;
 
 const MIN_MATCH: usize = 4;
-const MAX_DIST: usize = 64 * 1024;
+/// The farthest an offset reaches back: the largest two-byte offset.
+const MAX_DIST: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 15;
 const TABLE_LEN: usize = 1 << HASH_BITS;
+
+/// Token bits 0–2, the literal count; this value means a varint follows.
+const LIT_FIELD: usize = 7;
+/// Token bits 3–6, the match length less [`MIN_MATCH`]; this value
+/// means a varint follows the offset.
+const MATCH_FIELD: usize = 15;
+/// Token bit 7: the offset takes two bytes.
+const WIDE: u8 = 0x80;
 
 /// The scan step grows by one byte per `1 << STRIDE_SHIFT` consecutive
 /// misses.
@@ -44,6 +84,17 @@ const STRIDE_SHIFT: u32 = 6;
 /// positions, so longer inputs are compressed as independent windows
 /// (the format concatenates).
 const WINDOW: usize = 1 << 30;
+
+/// Short literal runs and matches are copied as one block of this many
+/// bytes, then cut back to their length.
+const BLOCK: usize = 16;
+
+/// Spare output capacity the block stores of one sequence may write
+/// into: a head word, a literal block and a tail word. With less spare,
+/// or more literals than a block, a sequence is appended at its exact
+/// length, so the output's capacity grows exactly as under exact
+/// appends.
+const SEQUENCE_SLACK: usize = 8 + BLOCK + 8;
 
 #[inline]
 fn load32(data: &[u8], at: usize) -> u32 {
@@ -55,47 +106,84 @@ fn hash(word: u32) -> usize {
     (word.wrapping_mul(0x9E3779B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// `v` as a LEB128 varint in the low bytes of a little-endian word, and
+/// how many bytes it takes. Lengths stay under a [`WINDOW`] (2^30), so
+/// at most five.
 #[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn varint_word(mut v: usize) -> (u64, usize) {
+    let mut word = 0u64;
+    let mut n = 0;
     while v >= 0x80 {
-        out.push(v as u8 | 0x80);
+        word |= ((v as u64 & 0x7f) | 0x80) << (8 * n);
         v >>= 7;
+        n += 1;
     }
-    out.push(v as u8);
+    (word | (v as u64) << (8 * n), n + 1)
 }
 
-fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *data.get(*pos)?;
-        *pos += 1;
-        // A continuation byte whose payload bits would be shifted past
-        // bit 63 encodes a value outside u64 — malformed, not wrapped.
-        if shift == 63 && byte & 0x7e != 0 {
-            return None;
-        }
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
-
-/// [`get_varint`] with the one-byte case — nearly every token of real
-/// compressor output — decided on the spot.
+/// A sequence's token, whose other bits are `token`, and its literal
+/// count extension for `lit` literals: a word and its length in bytes.
 #[inline]
-fn get_varint_fast(data: &[u8], pos: &mut usize) -> Option<u64> {
-    match data.get(*pos) {
-        Some(&byte) if byte < 0x80 => {
-            *pos += 1;
-            Some(u64::from(byte))
-        }
-        _ => get_varint(data, pos),
+fn head(lit: usize, token: u8) -> (u64, usize) {
+    let token = u64::from(token) | lit.min(LIT_FIELD) as u64;
+    if lit < LIT_FIELD {
+        return (token, 1);
+    }
+    let (ext, n) = varint_word(lit - LIT_FIELD);
+    (token | ext << 8, 1 + n)
+}
+
+/// Appends the first `n` bytes of `word` as one store of all eight, cut
+/// back.
+#[inline]
+fn put_word(out: &mut Vec<u8>, word: u64, n: usize) {
+    let at = out.len();
+    out.extend_from_slice(&word.to_le_bytes());
+    out.truncate(at + n);
+}
+
+/// Appends one sequence: the literals `data[lits]`, then a match of
+/// `len >= MIN_MATCH` bytes starting `dist` bytes back. `dist` 0 writes
+/// offset 0, "no match" (then `len` must be `MIN_MATCH`).
+#[inline]
+fn put_sequence(out: &mut Vec<u8>, data: &[u8], lits: Range<usize>, len: usize, dist: usize) {
+    let lit = lits.len();
+    let code = len - MIN_MATCH;
+    let wide = dist > 0xFF;
+    let token = (code.min(MATCH_FIELD) << 3) as u8 | if wide { WIDE } else { 0 };
+    let (head, head_len) = head(lit, token);
+    let (mut tail, mut tail_len) = (dist as u64, 1 + usize::from(wide));
+    if code >= MATCH_FIELD {
+        let (ext, n) = varint_word(code - MATCH_FIELD);
+        tail |= ext << (8 * tail_len);
+        tail_len += n;
+    }
+    let spare = out.capacity() - out.len();
+    let block = data.get(lits.start..lits.start + BLOCK);
+    if lit == 0 && spare >= 8 {
+        // Nine matches in ten follow no literals: token and tail fit
+        // one word.
+        put_word(out, head | tail << 8, 1 + tail_len);
+    } else if let Some(block) = block.filter(|_| lit <= BLOCK && spare >= SEQUENCE_SLACK) {
+        put_word(out, head, head_len);
+        let at = out.len();
+        out.extend_from_slice(block);
+        out.truncate(at + lit);
+        put_word(out, tail, tail_len);
+    } else {
+        out.extend_from_slice(&head.to_le_bytes()[..head_len]);
+        out.extend_from_slice(&data[lits]);
+        out.extend_from_slice(&tail.to_le_bytes()[..tail_len]);
+    }
+}
+
+/// Appends the literal run that ends an input: the last sequence, with
+/// no offset.
+fn put_last_literals(out: &mut Vec<u8>, run: &[u8]) {
+    if !run.is_empty() {
+        let (head, head_len) = head(run.len(), 0);
+        out.extend_from_slice(&head.to_le_bytes()[..head_len]);
+        out.extend_from_slice(run);
     }
 }
 
@@ -116,21 +204,15 @@ fn find(table: &mut [u32; TABLE_LEN], base: u32, data: &[u8], i: usize) -> Optio
     Some((len, dist))
 }
 
-fn put_literals(out: &mut Vec<u8>, run: &[u8]) {
-    if !run.is_empty() {
-        put_varint(out, (run.len() as u64) << 1);
-        out.extend_from_slice(run);
-    }
-}
-
-/// The greedy-lazy scan over one window. `STRIDE` is a compile-time
-/// switch only so the ratio-guard tests can pin the unstrided output
-/// byte for byte against the reference encoder; every public entry
-/// point strides.
+/// The greedy-lazy scan over one window; `more` says another window of
+/// the same input follows. `STRIDE` is a compile-time switch only so
+/// the ratio-guard tests can hold the unstrided parse equal to the
+/// reference encoder's; every public entry point strides.
 fn scan<const STRIDE: bool>(
     table: &mut [u32; TABLE_LEN],
     base: u32,
     data: &[u8],
+    more: bool,
     out: &mut Vec<u8>,
 ) {
     let mut literal_start = 0usize;
@@ -157,13 +239,15 @@ fn scan<const STRIDE: bool>(
                 }
             }
         }
-        put_literals(out, &data[literal_start..i]);
-        put_varint(out, ((len as u64) << 1) | 1);
-        put_varint(out, dist as u64);
+        put_sequence(out, data, literal_start..i, len, dist);
         i += len;
         literal_start = i;
     }
-    put_literals(out, &data[literal_start..]);
+    if more && literal_start < data.len() {
+        put_sequence(out, data, literal_start..data.len(), MIN_MATCH, 0);
+    } else {
+        put_last_literals(out, &data[literal_start..]);
+    }
 }
 
 /// The LZ77 match finder and the hash table it works in.
@@ -202,22 +286,23 @@ impl Encoder {
     /// callers that count work add `data.len()` to their own
     /// `Cost::bytes_compressed`, as [`compress`] does.
     pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_with::<true>(data, out);
+        self.compress_with::<true>(data, WINDOW, out);
     }
 
-    fn compress_with<const STRIDE: bool>(&mut self, data: &[u8], out: &mut Vec<u8>) {
+    fn compress_with<const STRIDE: bool>(&mut self, data: &[u8], window: usize, out: &mut Vec<u8>) {
         if self.table.is_empty() {
             self.table = vec![0; TABLE_LEN];
         }
-        for window in data.chunks(WINDOW) {
-            if u64::from(self.base) + window.len() as u64 > u64::from(u32::MAX) {
+        let mut windows = data.chunks(window).peekable();
+        while let Some(chunk) = windows.next() {
+            if u64::from(self.base) + chunk.len() as u64 > u64::from(u32::MAX) {
                 self.table.fill(0);
                 self.base = 1;
             }
             let table = <&mut [u32; TABLE_LEN]>::try_from(&mut self.table[..])
                 .expect("table allocated with TABLE_LEN entries");
-            scan::<STRIDE>(table, self.base, window, out);
-            self.base += window.len() as u32;
+            scan::<STRIDE>(table, self.base, chunk, windows.peek().is_some(), out);
+            self.base += chunk.len() as u32;
         }
     }
 }
@@ -269,81 +354,119 @@ pub fn decompress_limited(data: &[u8], max_len: usize) -> Option<Vec<u8>> {
 /// never reaches before the append point, and on `None` `out` is
 /// exactly as it was.
 ///
-/// Tokens are decoded into a zero-filled window at the end of `out`
-/// that is sized from the *input* (twice its length) and doubles
-/// when a token that has passed every check needs more, never past
-/// `max_len` — memory follows the bytes read and produced, not a length
-/// a token merely declares.
+/// Every sequence is appended: a length is checked against the input
+/// left (literals) or the output so far (offsets) and against `max_len`
+/// before any of its bytes are, and no block store passes `max_len`,
+/// so memory follows the bytes read and produced, not a length a token
+/// merely declares — and a caller that reserved `max_len` sees no
+/// reallocation.
 pub fn decompress_into(data: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
     let start = out.len();
-    let produced = inflate(data, max_len, out);
-    out.truncate(start + produced.unwrap_or(0));
-    produced.map(|_| ())
-}
-
-/// Short matches are copied as one fixed-size block; the bytes past the
-/// match's end land in window space the next token overwrites.
-const BLOCK: usize = 16;
-
-/// Grows the decode window at the end of `out` to cover `..end`
-/// (`end <= limit`): at least doubling it, never past `limit`.
-#[inline]
-fn ensure_window(out: &mut Vec<u8>, start: usize, end: usize, limit: usize) {
-    if end > out.len() {
-        let doubled = start.saturating_add((out.len() - start).saturating_mul(2));
-        out.resize(doubled.max(end).min(limit), 0);
+    let inflated = inflate(data, start.saturating_add(max_len), out);
+    if inflated.is_none() {
+        out.truncate(start);
     }
+    inflated
 }
 
-/// [`decompress_into`]'s loop. Leaves `out` longer than the bytes
-/// produced (the window); returns how many bytes it produced.
-fn inflate(data: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<usize> {
-    let start = out.len();
-    // One past the last index this call may ever write.
-    let limit = start.saturating_add(max_len);
-    let window = data.len().saturating_mul(2);
-    out.resize(limit.min(start.saturating_add(window)), 0);
-    let mut at = start;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let token = get_varint_fast(data, &mut pos)?;
-        let len = usize::try_from(token >> 1).ok()?;
-        if len > limit - at {
+/// Reads a length extension: a varint that fits `usize`.
+#[inline]
+fn get_len(data: &[u8], pos: &mut usize) -> Option<usize> {
+    usize::try_from(get_varint(data, pos)?).ok()
+}
+
+fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = *data.get(*pos)?;
+        *pos += 1;
+        // A continuation byte whose payload bits would be shifted past
+        // bit 63 encodes a value outside u64 — malformed, not wrapped.
+        if shift == 63 && byte & 0x7e != 0 {
             return None;
         }
-        if token & 1 == 0 {
-            let run = data.get(pos..pos.checked_add(len)?)?;
-            ensure_window(out, start, at + len, limit);
-            out[at..at + len].copy_from_slice(run);
-            pos += len;
-        } else {
-            let dist = usize::try_from(get_varint_fast(data, &mut pos)?).ok()?;
-            if dist == 0 || dist > at - start {
+        v |= ((byte & 0x7f) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+        shift += 7;
+        if shift > 63 {
+            return None;
+        }
+    }
+}
+
+/// [`decompress_into`]'s loop: appends sequences to `out` while it stays
+/// within `limit` bytes. Leaves what it appended on `None`.
+fn inflate(data: &[u8], limit: usize, out: &mut Vec<u8>) -> Option<()> {
+    let start = out.len();
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let token = data[pos];
+        pos += 1;
+        let mut lit = usize::from(token) & LIT_FIELD;
+        if lit == LIT_FIELD {
+            lit = get_len(data, &mut pos)?.checked_add(LIT_FIELD)?;
+        }
+        let at = out.len();
+        if lit > limit - at {
+            return None;
+        }
+        match data.get(pos..pos + BLOCK) {
+            Some(block) if lit <= BLOCK && BLOCK <= limit - at => {
+                out.extend_from_slice(block);
+                out.truncate(at + lit);
+            }
+            _ => out.extend_from_slice(data.get(pos..pos.checked_add(lit)?)?),
+        }
+        pos += lit;
+        if pos == data.len() {
+            break;
+        }
+        // The offset, one or two bytes: a two-byte load masked by the
+        // width bit, unless the stream ends after one byte.
+        let wide = usize::from(token >> 7);
+        let dist = match data.get(pos..pos + 2) {
+            Some(&[lo, hi]) => usize::from(u16::from_le_bytes([lo, hi])) & (0xFF | (wide * 0xFF00)),
+            _ if wide == 0 => usize::from(data[pos]),
+            _ => return None,
+        };
+        pos += 1 + wide;
+        let mut len = usize::from(token >> 3) & MATCH_FIELD;
+        if dist == 0 {
+            // Literals only; a match length would be meaningless.
+            if len != 0 {
                 return None;
             }
-            ensure_window(out, start, at + len, limit);
-            let from = at - dist;
-            if len <= BLOCK && dist >= BLOCK && at + BLOCK <= out.len() {
-                let block: [u8; BLOCK] = out[from..from + BLOCK]
-                    .try_into()
-                    .expect("BLOCK-byte slice");
-                out[at..at + BLOCK].copy_from_slice(&block);
-            } else {
-                // Overlapping copies are valid LZ77 (run-length
-                // encoding). Each pass copies everything between `from`
-                // and the write point, so the passes never overlap and
-                // double in size; a match at `dist >= len` is one pass.
-                let mut done = 0;
-                while done < len {
-                    let n = (len - done).min(dist + done);
-                    out.copy_within(from..from + n, at + done);
-                    done += n;
-                }
+            continue;
+        }
+        if len == MATCH_FIELD {
+            len = get_len(data, &mut pos)?.checked_add(MATCH_FIELD)?;
+        }
+        let len = len.checked_add(MIN_MATCH)?;
+        let at = out.len();
+        if dist > at - start || len > limit - at {
+            return None;
+        }
+        let from = at - dist;
+        if len <= BLOCK && dist >= BLOCK && BLOCK <= limit - at {
+            out.extend_from_within(from..from + BLOCK);
+            out.truncate(at + len);
+        } else {
+            // Overlapping copies are valid LZ77 (run-length encoding).
+            // Each pass copies everything between `from` and the write
+            // point, so the passes never overlap and double in size; a
+            // match at `dist >= len` is one pass.
+            let mut done = 0;
+            while done < len {
+                let n = (len - done).min(dist + done);
+                out.extend_from_within(from..from + n);
+                done += n;
             }
         }
-        at += len;
     }
-    Some(at - start)
+    Some(())
 }
 
 /// Compresses and reports only the resulting size; convenience for traffic
@@ -408,11 +531,39 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The encoder this module shipped before [`Encoder`]: a probe at
-    /// every byte position, byte-wise loads and match extension. It is
-    /// the definition of what the wire cost before, so the ratio guard
-    /// below measures against it.
+    /// The stream format this module shipped before sequences: a varint
+    /// `v` per token, a literal run of `v >> 1` bytes if `v` is even,
+    /// else a match of `v >> 1` bytes whose distance follows as a second
+    /// varint.
+    fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    fn put_literals(out: &mut Vec<u8>, run: &[u8]) {
+        if !run.is_empty() {
+            put_varint(out, (run.len() as u64) << 1);
+            out.extend_from_slice(run);
+        }
+    }
+
+    /// The distance limit of the old format.
+    const REFERENCE_MAX_DIST: usize = 64 * 1024;
+
+    /// The encoder this module shipped before [`Encoder`], in the old
+    /// stream format: a probe at every byte position, byte-wise loads
+    /// and match extension. It is the definition of what the wire cost
+    /// before, so the ratio guard below measures against it.
     fn reference_compress(data: &[u8]) -> Vec<u8> {
+        reference_compress_within(data, REFERENCE_MAX_DIST)
+    }
+
+    /// [`reference_compress`] with matches reaching at most `max_dist`
+    /// back.
+    fn reference_compress_within(data: &[u8], max_dist: usize) -> Vec<u8> {
         fn hash4(data: &[u8], i: usize) -> usize {
             let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
             (v.wrapping_mul(0x9E3779B1) >> (32 - HASH_BITS)) as usize
@@ -429,7 +580,7 @@ mod tests {
             let candidate = table[h];
             table[h] = i;
             if candidate == usize::MAX
-                || i - candidate > MAX_DIST
+                || i - candidate > max_dist
                 || data[candidate..candidate + MIN_MATCH] != data[i..i + MIN_MATCH]
             {
                 return None;
@@ -463,10 +614,81 @@ mod tests {
         out
     }
 
+    /// A parse: one `(literals, match length, distance)` per sequence,
+    /// length and distance 0 for a sequence of literals only.
+    type Parse = Vec<(Vec<u8>, usize, usize)>;
+
+    /// The parse an old-format stream encodes: each match with the
+    /// literal run before it.
+    fn reference_parse(stream: &[u8]) -> Parse {
+        let (mut parse, mut lits, mut pos) = (Vec::new(), Vec::new(), 0);
+        while pos < stream.len() {
+            let token = get_varint(stream, &mut pos).expect("well-formed") as usize;
+            if token & 1 == 0 {
+                lits.extend_from_slice(&stream[pos..pos + (token >> 1)]);
+                pos += token >> 1;
+            } else {
+                let dist = get_varint(stream, &mut pos).expect("well-formed") as usize;
+                parse.push((std::mem::take(&mut lits), token >> 1, dist));
+            }
+        }
+        if !lits.is_empty() {
+            parse.push((lits, 0, 0));
+        }
+        parse
+    }
+
+    /// The parse a sequence stream encodes, field by field.
+    fn parse(stream: &[u8]) -> Parse {
+        let (mut parse, mut pos) = (Vec::new(), 0);
+        while pos < stream.len() {
+            let token = stream[pos];
+            pos += 1;
+            let mut lit = usize::from(token) & LIT_FIELD;
+            if lit == LIT_FIELD {
+                lit += get_len(stream, &mut pos).expect("well-formed");
+            }
+            let lits = stream[pos..pos + lit].to_vec();
+            pos += lit;
+            if pos == stream.len() {
+                parse.push((lits, 0, 0));
+                break;
+            }
+            let mut dist = usize::from(stream[pos]);
+            pos += 1;
+            if token & WIDE != 0 {
+                dist |= usize::from(stream[pos]) << 8;
+                pos += 1;
+            }
+            let mut len = usize::from(token >> 3) & MATCH_FIELD;
+            if dist == 0 {
+                assert_eq!(len, 0, "offset 0 with match bits");
+                parse.push((lits, 0, 0));
+                continue;
+            }
+            if len == MATCH_FIELD {
+                len += get_len(stream, &mut pos).expect("well-formed");
+            }
+            parse.push((lits, len + MIN_MATCH, dist));
+        }
+        parse
+    }
+
     fn unstrided(data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        Encoder::new().compress_with::<false>(data, &mut out);
+        Encoder::new().compress_with::<false>(data, WINDOW, &mut out);
         out
+    }
+
+    /// The unstrided encoder and the reference, at this format's
+    /// distance limit, decide alike: same literals, same matches.
+    fn assert_same_parse(data: &[u8], what: &str) {
+        let ours = parse(&unstrided(data));
+        let reference = reference_parse(&reference_compress_within(data, MAX_DIST));
+        assert!(
+            ours == reference,
+            "{what}: the parse diverges from the reference"
+        );
     }
 
     const WORDS: &[&str] = &[
@@ -602,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn unstrided_output_is_the_reference_output() {
+    fn unstrided_parse_is_the_reference_parse() {
         for (class, data) in content_classes(1 << 19) {
             for frame in GUARD_FRAMES {
                 // One encoder across frames: entries an earlier frame
@@ -610,14 +832,56 @@ mod tests {
                 let mut encoder = Encoder::new();
                 for chunk in data.chunks(frame) {
                     let mut out = Vec::new();
-                    encoder.compress_with::<false>(chunk, &mut out);
+                    encoder.compress_with::<false>(chunk, WINDOW, &mut out);
+                    let reference = reference_parse(&reference_compress_within(chunk, MAX_DIST));
                     assert!(
-                        out == reference_compress(chunk),
+                        parse(&out) == reference,
                         "{class} at {frame}-byte frames diverges from the reference"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn windows_concatenate_into_one_stream() {
+        // Noise, text, noise: a window that ends in a literal tail is
+        // closed with offset 0 unless it is the input's last.
+        let rng = &mut StdRng::seed_from_u64(7);
+        let data = [noise(rng, 700), word_salad(rng, 900), noise(rng, 1300)].concat();
+        for window in [500, 1000, 1200, data.len()] {
+            let mut closes = 0;
+            let mut stream = Vec::new();
+            Encoder::new().compress_with::<true>(&data, window, &mut stream);
+            assert_eq!(
+                decompress_limited(&stream, data.len()).as_deref(),
+                Some(&data[..])
+            );
+            // Each window's stream, decoded on its own, is that window.
+            let mut encoder = Encoder::new();
+            let mut joined = Vec::new();
+            let chunks: Vec<&[u8]> = data.chunks(window).collect();
+            for (k, chunk) in chunks.iter().enumerate() {
+                let mut part = Vec::new();
+                encoder.compress_with::<true>(chunk, WINDOW, &mut part);
+                assert_eq!(decompress(&part).as_deref(), Some(*chunk), "window {k}");
+                if k + 1 < chunks.len() && matches!(parse(&part).last(), Some((_, 0, 0))) {
+                    // The close: offset 0 after the literal tail.
+                    part.push(0);
+                    closes += 1;
+                }
+                joined.extend_from_slice(&part);
+            }
+            assert_eq!(joined, stream, "{window}-byte windows");
+            assert_eq!(closes > 0, window < data.len(), "{window}-byte windows");
+        }
+        // A close after an empty tail would be a stray token: after a
+        // match the window ends without one.
+        let runs = [b'r'; 64];
+        let mut stream = Vec::new();
+        Encoder::new().compress_with::<true>(&[&runs[..], &runs[..]].concat(), 64, &mut stream);
+        assert_eq!(decompress(&stream), Some(vec![b'r'; 128]));
+        assert_eq!(parse(&stream).len(), 2);
     }
 
     #[test]
@@ -700,14 +964,23 @@ mod tests {
 
     #[test]
     fn malformed_inputs_return_none() {
-        // Literal run of 5 with only 1 byte present.
-        assert!(decompress(&[0x0a, b'a']).is_none());
-        // Match of len 2 with dist 9 into an empty output.
-        assert!(decompress(&[0x05, 0x09]).is_none());
-        // Truncated varint.
-        assert!(decompress(&[0x80]).is_none());
-        // Match token missing its distance varint.
-        assert!(decompress(&[0x05]).is_none());
+        // Five literals with only one byte present.
+        assert!(decompress(&[0x05, b'a']).is_none());
+        // A 4-byte match at distance 9 into an empty output.
+        assert!(decompress(&[0x00, 0x09]).is_none());
+        // A literal count extension cut short.
+        assert!(decompress(&[0x07, 0x80]).is_none());
+        // A match length extension missing after the offset.
+        assert!(decompress(&[0x79, b'a', 0x01]).is_none());
+        // A two-byte offset with one byte left.
+        assert!(decompress(&[0x81, b'a', 0x01]).is_none());
+        // Offset 0 ("no match") with match-length bits set.
+        assert!(decompress(&[0x09, b'a', 0x00]).is_none());
+        // Offset 0 without them is a literals-only sequence.
+        assert_eq!(
+            decompress(&[0x01, b'a', 0x00, 0x01, b'b']),
+            Some(b"ab".to_vec())
+        );
     }
 
     #[test]
@@ -739,34 +1012,57 @@ mod tests {
         for cut in 0..full.len() {
             let _ = decompress(&full[..cut]);
         }
-        // Explicit truncations: literal promising more bytes than remain,
-        // and a match token whose distance varint is missing.
-        assert!(decompress(&[0x0a, b'a']).is_none());
-        assert!(decompress(&[0x05]).is_none());
+        // Explicit truncations: literals promising more bytes than
+        // remain, and a two-byte offset cut after its first byte.
+        assert!(decompress(&[0x05, b'a']).is_none());
+        assert!(decompress(&[0x81, b'a', 0x01]).is_none());
     }
 
     #[test]
     fn varint_overflow_is_rejected() {
-        // Ten continuation bytes push past 63 bits of shift.
-        let overlong = [0xff; 10];
+        // A literal count extension of ten continuation bytes pushes
+        // past 63 bits of shift.
+        let mut overlong = vec![0x07];
+        overlong.extend_from_slice(&[0xff; 10]);
         assert!(decompress(&overlong).is_none());
         // Exactly at the boundary: a 10th byte with any bit above the
         // 64th set is malformed, not silently wrapped.
-        let mut edge = [0x80u8; 10];
-        edge[9] = 0x02;
+        let mut edge = vec![0x07];
+        edge.extend_from_slice(&[0x80; 9]);
+        edge.push(0x02);
+        assert!(decompress(&edge).is_none());
+        // Likewise for a match length extension.
+        let mut edge = vec![0x7A, b'a', b'b', 0x01];
+        edge.extend_from_slice(&[0x80; 9]);
+        edge.push(0x02);
         assert!(decompress(&edge).is_none());
     }
 
     #[test]
     fn giant_declared_match_cannot_balloon_memory() {
-        // A back-reference declaring a near-u64::MAX length with dist 1:
-        // two literal bytes then the bomb token. Must be rejected by the
-        // output ceiling without allocating the declared length.
-        let mut bomb = vec![0x04, b'a', b'b'];
-        put_varint(&mut bomb, (u64::MAX >> 1 << 1) | 1); // match, huge len
-        put_varint(&mut bomb, 1); // dist 1
+        // Two literals, then a match at distance 1 declaring a length
+        // near u64::MAX: rejected by the output ceiling without
+        // allocating the declared length.
+        let mut bomb = vec![0x7A, b'a', b'b', 0x01];
+        put_varint(&mut bomb, u64::MAX - 64);
         assert!(decompress(&bomb).is_none());
         assert!(decompress_limited(&bomb, 1 << 16).is_none());
+        // A match length just under the ceiling passes the ceiling but
+        // not the cap.
+        let mut bomb = vec![0x7A, b'a', b'b', 0x01];
+        put_varint(&mut bomb, (MAX_DECOMPRESSED - 64) as u64);
+        assert!(decompress_limited(&bomb, 1 << 16).is_none());
+        // Literal counts likewise: past the ceiling, and under it but
+        // past the input.
+        for declared in [u64::MAX - 64, (MAX_DECOMPRESSED - 64) as u64] {
+            let mut bomb = vec![0x07];
+            put_varint(&mut bomb, declared);
+            bomb.extend_from_slice(b"abc");
+            assert!(decompress(&bomb).is_none());
+            let mut out = Vec::new();
+            assert!(decompress_into(&bomb, MAX_DECOMPRESSED, &mut out).is_none());
+            assert!(out.capacity() < 4096, "capacity {}", out.capacity());
+        }
     }
 
     #[test]
@@ -836,12 +1132,12 @@ mod tests {
             // the reference's decisions. A small alphabet makes matches
             // frequent; a wide one exercises the miss path.
             #[test]
-            fn unstrided_matches_reference_on_random_buffers(
+            fn unstrided_parse_matches_reference_on_random_buffers(
                 data in proptest::collection::vec(any::<u8>(), 0..4096),
                 alphabet in 1u16..257,
             ) {
                 let data: Vec<u8> = data.iter().map(|&b| (u16::from(b) % alphabet) as u8).collect();
-                prop_assert_eq!(super::unstrided(&data), super::reference_compress(&data));
+                super::assert_same_parse(&data, "random buffer");
             }
         }
     }

@@ -30,6 +30,11 @@ pub enum OpEvent {
         /// paper's undo log performs before issuing the write (§III-A,
         /// in-place updates that modify a large portion of a file).
         overwritten: Bytes,
+        /// The file system's content stamp after the write
+        /// ([`Vfs::content_stamp`](crate::Vfs::content_stamp)): an
+        /// observer that finds another stamp knows a file changed since,
+        /// so this file's bytes outside the write may postdate the event.
+        stamp: u64,
     },
     /// `path` was truncated to `size` bytes.
     Truncate {
@@ -39,6 +44,9 @@ pub enum OpEvent {
         size: u64,
         /// The bytes that were removed, if the file shrank.
         cut: Bytes,
+        /// The file system's content stamp after the truncate, as for
+        /// [`OpEvent::Write`].
+        stamp: u64,
     },
     /// `src` was atomically renamed to `dst`.
     Rename {
@@ -153,6 +161,7 @@ mod tests {
             offset: 0,
             data: Bytes::from_static(b"xyz"),
             overwritten: Bytes::new(),
+            stamp: 1,
         };
         assert_eq!(e.payload_len(), 3);
         assert_eq!(OpEvent::Close { path: p("/a") }.payload_len(), 0);

@@ -84,6 +84,8 @@ pub struct Vfs {
     capacity: Option<u64>,
     used: u64,
     stats: IoStats,
+    /// Writes and truncates applied so far ([`Vfs::content_stamp`]).
+    content_changes: u64,
 }
 
 impl std::fmt::Debug for Vfs {
@@ -150,6 +152,7 @@ impl Vfs {
             capacity: None,
             used: 0,
             stats: IoStats::new(),
+            content_changes: 0,
         }
     }
 
@@ -426,12 +429,14 @@ impl Vfs {
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         self.stats.mutations += 1;
+        self.content_changes += 1;
         if observed {
             self.emit(OpEvent::Write {
                 path: p,
                 offset,
                 data: Bytes::copy_from_slice(data),
                 overwritten,
+                stamp: self.content_changes,
             });
         }
         Ok(())
@@ -489,6 +494,16 @@ impl Vfs {
         Ok(self.file_data(id, &p)?)
     }
 
+    /// How many writes and truncates this file system has applied: the
+    /// `stamp` of the latest [`OpEvent::Write`] or [`OpEvent::Truncate`].
+    /// An observer holding an event whose stamp equals it sees every
+    /// file's bytes exactly as that event left them; bytes changed
+    /// outside the interception layer ([`Vfs::inject_bit_flip`]) leave
+    /// it alone.
+    pub fn content_stamp(&self) -> u64 {
+        self.content_changes
+    }
+
     /// Reads up to `len` bytes at `offset` without touching the IO
     /// counters (clamped at EOF), for engine-internal scans.
     ///
@@ -533,8 +548,14 @@ impl Vfs {
         };
         self.used = self.used + growth - old_len.saturating_sub(size);
         self.stats.mutations += 1;
+        self.content_changes += 1;
         if observed {
-            self.emit(OpEvent::Truncate { path: p, size, cut });
+            self.emit(OpEvent::Truncate {
+                path: p,
+                size,
+                cut,
+                stamp: self.content_changes,
+            });
         }
         Ok(())
     }
@@ -927,6 +948,27 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
+    }
+
+    #[test]
+    fn writes_and_truncates_stamp_their_events_and_nothing_else_moves_the_stamp() {
+        let mut fs = Vfs::new();
+        fs.enable_event_log();
+        fs.create("/a").unwrap();
+        fs.write("/a", 0, b"abcdef").unwrap();
+        fs.truncate("/a", 3).unwrap();
+        fs.rename("/a", "/b").unwrap();
+        fs.inject_bit_flip("/b", 0, 1).unwrap();
+        assert_eq!(fs.content_stamp(), 2);
+        let stamps: Vec<u64> = fs
+            .drain_events()
+            .iter()
+            .filter_map(|e| match e {
+                OpEvent::Write { stamp, .. } | OpEvent::Truncate { stamp, .. } => Some(*stamp),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stamps, [1, 2]);
     }
 
     #[test]

@@ -11,9 +11,10 @@ mod common;
 
 use common::metric;
 use deltacfs::core::{DeltaCfsConfig, DeltaCfsSystem, SyncEngine, SyncHub};
-use deltacfs::net::{LinkSpec, SimClock};
+use deltacfs::net::{LinkSpec, PlatformProfile, SimClock};
+use deltacfs::obs::{MetricValue, Obs};
 use deltacfs::vfs::Vfs;
-use deltacfs::workloads::{replay, GeditTrace, TraceConfig};
+use deltacfs::workloads::{replay, GeditTrace, TraceConfig, WeChatTrace};
 
 // --- server rows -------------------------------------------------------------
 
@@ -160,4 +161,37 @@ fn gedit_history_holds_about_what_its_saves_shipped() {
         "{history} bytes of history for {uploaded} bytes uploaded"
     );
     assert_eq!(sys.server().flatten_bytes(), 0);
+}
+
+// --- the compressed mobile path ----------------------------------------------
+
+/// The WeChat trace at tier-1 scale through one engine with wire
+/// compression on the mobile link and platform (`wechat_inplace`'s
+/// set-up, smaller): the bytes that cross the wire and the frames that
+/// ship compressed. Both are exact for the trace's seed, so a compressor
+/// that loses ratio, or a codec decision that flips, fails here.
+#[test]
+fn wechat_trace_compressed_upload_is_pinned() {
+    let trace = WeChatTrace::new(TraceConfig::scaled(0.02));
+    let clock = SimClock::new();
+    let cfg = DeltaCfsConfig::new().with_wire_compression(true);
+    let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
+    sys.set_platform(PlatformProfile::mobile());
+    let obs = Obs::new();
+    sys.enable_observability(obs.clone());
+    let mut fs = Vfs::new();
+    replay(&trace, &mut fs, &mut sys, &clock, 100);
+    let snapshot = obs.registry.snapshot();
+    let counter = |name: &str| match snapshot.get(name) {
+        Some(MetricValue::Counter(v)) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    let bytes_up = sys.report().traffic.bytes_up;
+    let (compressed, raw) = (counter("wire_compress_chunks"), counter("wire_raw_chunks"));
+    println!("budgets: wechat x0.02 compressed: bytes_up {bytes_up}, frames {compressed} compressed / {raw} raw");
+    assert_eq!(
+        sys.server().file("/chat.db"),
+        fs.peek_slice("/chat.db").ok()
+    );
+    assert_eq!((bytes_up, compressed, raw), (1_882_489, 13, 2));
 }

@@ -361,3 +361,67 @@ fn record_spanning_write_and_rename_survive_a_kvstore_reopen() {
     assert_eq!(issues[0].blocks, vec![65]);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Two partial writes to one block, ingested together: when the first
+/// is delivered the file already holds the second, so the block's bytes
+/// outside the first write postdate it. That is no corruption: the
+/// file stays unquarantined and the cloud receives both writes.
+#[test]
+fn two_partial_writes_to_one_block_ingested_together_stay_sound() {
+    use deltacfs::core::SyncHub;
+    let clock = SimClock::new();
+    let mut hub = SyncHub::new(clock.clone());
+    let a = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    let fs = hub.fs_mut(a);
+    fs.create("/f").unwrap();
+    fs.write("/f", 0, &[1u8; 8192]).unwrap();
+    hub.ingest(a);
+    hub.flush();
+    let fs = hub.fs_mut(a);
+    fs.write("/f", 0, &[2u8; 100]).unwrap();
+    fs.write("/f", 200, &[3u8; 100]).unwrap();
+    hub.ingest(a);
+    hub.flush();
+    let client = hub.client(a);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    assert!(!client.is_quarantined("/f"));
+    let expected = hub.fs(a).peek_all("/f").unwrap();
+    assert_eq!(hub.cloud().file("/f"), Some(&expected[..]));
+    // The block's stored sum is the file's: a later write to it,
+    // delivered alone, verifies clean.
+    hub.fs_mut(a).write("/f", 1000, &[4u8; 50]).unwrap();
+    hub.ingest(a);
+    hub.flush();
+    let client = hub.client(a);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    let expected = hub.fs(a).peek_all("/f").unwrap();
+    assert_eq!(hub.cloud().file("/f"), Some(&expected[..]));
+}
+
+/// A shrinking truncate and a write into its new last block, ingested
+/// together: the truncate is delivered when the block already holds the
+/// write, so it drops the block's sum rather than storing one the
+/// write's own verification would then fail.
+#[test]
+fn a_truncate_and_a_write_to_its_last_block_ingested_together_stay_sound() {
+    use deltacfs::core::SyncHub;
+    let clock = SimClock::new();
+    let mut hub = SyncHub::new(clock.clone());
+    let a = hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    hub.add_client(DeltaCfsConfig::new(), LinkSpec::pc());
+    let fs = hub.fs_mut(a);
+    fs.create("/f").unwrap();
+    fs.write("/f", 0, &[1u8; 8192]).unwrap();
+    hub.ingest(a);
+    hub.flush();
+    let fs = hub.fs_mut(a);
+    fs.truncate("/f", 5000).unwrap();
+    fs.write("/f", 4500, &[2u8; 100]).unwrap();
+    hub.ingest(a);
+    hub.flush();
+    let client = hub.client(a);
+    assert!(client.issues().is_empty(), "{:?}", client.issues());
+    let expected = hub.fs(a).peek_all("/f").unwrap();
+    assert_eq!(hub.cloud().file("/f"), Some(&expected[..]));
+}

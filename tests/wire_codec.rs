@@ -1,8 +1,9 @@
 //! The compressed wire path against its references.
 //!
-//! * `decompress_into` against the byte-at-a-time decoder it replaced:
-//!   same accept/reject, same bytes, the destination untouched on
-//!   reject, memory that follows the bytes read and produced.
+//! * `decompress_into` against a byte-at-a-time reference decoder of the
+//!   sequence format: same accept/reject, same bytes, the destination
+//!   untouched on reject, memory that follows the bytes read and
+//!   produced.
 //! * Encoder round trips aimed at the word-wise arithmetic (4-byte
 //!   loads at the end of input, 8-byte match extension, the distance
 //!   limit, the miss stride).
@@ -24,6 +25,7 @@ use deltacfs::delta::{compress, Cost, Delta, DeltaOp};
 use deltacfs::net::{Link, LinkSpec, PlatformProfile, SimTime};
 use deltacfs::obs::{MetricValue, Obs};
 use proptest::prelude::*;
+use std::ops::Range;
 
 // --- the reference decoder ----------------------------------------------
 
@@ -47,34 +49,58 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// `decompress_limited` as it was before `decompress_into`: one bounds
-/// check and one `push` per byte. `out` is the caller's only so that a
-/// rejected stream still shows how far it got.
+/// The sequence format (`compress`'s module doc) read one field at a
+/// time, with one bounds check and one `push` per byte. `out` is the
+/// caller's only so that a rejected stream still shows how far it got.
 fn reference_inflate(data: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
     let mut pos = 0usize;
     while pos < data.len() {
-        let token = get_varint(data, &mut pos)?;
-        let len = usize::try_from(token >> 1).ok()?;
-        if out.len().checked_add(len)? > max_len {
+        let token = data[pos];
+        pos += 1;
+        let mut lit = usize::from(token & 7);
+        if lit == 7 {
+            lit = usize::try_from(get_varint(data, &mut pos)?)
+                .ok()?
+                .checked_add(7)?;
+        }
+        if out.len().checked_add(lit)? > max_len {
             return None;
         }
-        if token & 1 == 0 {
-            let end = pos.checked_add(len)?;
-            if end > data.len() {
+        for _ in 0..lit {
+            out.push(*data.get(pos)?);
+            pos += 1;
+        }
+        if pos == data.len() {
+            // The last sequence: literals only, no offset.
+            break;
+        }
+        let mut dist = usize::from(data[pos]);
+        pos += 1;
+        if token & 0x80 != 0 {
+            dist |= usize::from(*data.get(pos)?) << 8;
+            pos += 1;
+        }
+        let mut len = usize::from(token >> 3 & 15);
+        if dist == 0 {
+            // No match; match-length bits are malformed.
+            if len != 0 {
                 return None;
             }
-            out.extend_from_slice(&data[pos..end]);
-            pos = end;
-        } else {
-            let dist = usize::try_from(get_varint(data, &mut pos)?).ok()?;
-            if dist == 0 || dist > out.len() {
-                return None;
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let byte = out[start + k];
-                out.push(byte);
-            }
+            continue;
+        }
+        if len == 15 {
+            len = usize::try_from(get_varint(data, &mut pos)?)
+                .ok()?
+                .checked_add(15)?;
+        }
+        let len = len.checked_add(4)?;
+        if out.len().checked_add(len)? > max_len || dist > out.len() {
+            return None;
+        }
+        let start = out.len() - dist;
+        for k in 0..len {
+            let byte = out[start + k];
+            out.push(byte);
         }
     }
     Some(())
@@ -111,19 +137,30 @@ fn check_against_reference(stream: &[u8], cap: usize, prefix: &[u8]) {
     );
 }
 
-/// Byte ranges of the tokens of a well-formed stream.
-fn token_spans(stream: &[u8]) -> Vec<std::ops::Range<usize>> {
+/// Byte ranges of the sequences of a well-formed stream, each with the
+/// range of its offset (none for a last sequence of literals only).
+fn sequence_spans(stream: &[u8]) -> Vec<(Range<usize>, Option<Range<usize>>)> {
     let mut spans = Vec::new();
     let mut pos = 0usize;
     while pos < stream.len() {
         let start = pos;
-        let token = get_varint(stream, &mut pos).expect("well-formed stream");
-        if token & 1 == 0 {
-            pos += (token >> 1) as usize;
-        } else {
-            get_varint(stream, &mut pos).expect("well-formed stream");
+        let token = stream[pos];
+        pos += 1;
+        let mut lit = usize::from(token & 7);
+        if lit == 7 {
+            lit += get_varint(stream, &mut pos).expect("well-formed stream") as usize;
         }
-        spans.push(start..pos);
+        pos += lit;
+        let mut offset = None;
+        if pos < stream.len() {
+            let width = 1 + usize::from(token >> 7);
+            offset = Some(pos..pos + width);
+            pos += width;
+            if token >> 3 & 15 == 15 {
+                get_varint(stream, &mut pos).expect("well-formed stream");
+            }
+        }
+        spans.push((start..pos, offset));
     }
     spans
 }
@@ -167,7 +204,7 @@ proptest! {
     #[test]
     fn decoder_matches_reference_on_damaged_streams(
         data in buffer(4096),
-        damage in 0u8..5,
+        damage in 0u8..6,
         x in any::<usize>(),
         y in any::<usize>(),
         cap_choice in any::<u8>(),
@@ -175,7 +212,7 @@ proptest! {
         prefix in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let valid = compress::compress(&data, &mut Cost::new());
-        let spans = token_spans(&valid);
+        let spans = sequence_spans(&valid);
         let mut stream = valid.clone();
         match damage {
             // Untouched: the cap alone decides.
@@ -189,17 +226,24 @@ proptest! {
             }
             // Cut anywhere, token boundary or not.
             2 => stream.truncate(x % (stream.len() + 1)),
-            // One token spliced in at another token's boundary — or, when
-            // both land on the same token, duplicated in place.
+            // One sequence spliced in at another sequence's boundary —
+            // or, when both land on the same one, duplicated in place.
             3 if !spans.is_empty() => {
-                let token = valid[spans[x % spans.len()].clone()].to_vec();
-                let at = spans[y % spans.len()].start;
-                stream.splice(at..at, token);
+                let sequence = valid[spans[x % spans.len()].0.clone()].to_vec();
+                let at = spans[y % spans.len()].0.start;
+                stream.splice(at..at, sequence);
             }
-            // A run of tokens dropped.
+            // A run of sequences dropped.
             4 if !spans.is_empty() => {
                 let (a, b) = (x % spans.len(), y % spans.len());
-                stream.drain(spans[a.min(b)].start..spans[a.max(b)].end);
+                stream.drain(spans[a.min(b)].0.start..spans[a.max(b)].0.end);
+            }
+            // One sequence's offset zeroed: "no match", its match bits
+            // still set unless the match was the shortest.
+            5 if !spans.is_empty() => {
+                if let Some(offset) = spans[x % spans.len()].1.clone() {
+                    stream[offset].fill(0);
+                }
             }
             _ => {}
         }
@@ -649,19 +693,30 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 
 #[test]
 fn declared_length_reserves_nothing() {
-    // Thirteen bytes declaring a 2^60-byte match under a 1 GiB cap.
-    let mut bomb = vec![0x04, b'a', b'b'];
-    put_varint(&mut bomb, (1u64 << 61) | 1);
-    put_varint(&mut bomb, 1);
+    // Two literals, then a match at distance 1 whose length extension
+    // declares 2^60 bytes, under a 1 GiB cap.
+    let mut bomb = vec![0x7A, b'a', b'b', 0x01];
+    put_varint(&mut bomb, 1u64 << 60);
     let mut out = Vec::new();
     assert_eq!(compress::decompress_into(&bomb, 1 << 30, &mut out), None);
     assert!(out.is_empty());
     assert!(out.capacity() < 4096, "capacity {}", out.capacity());
+    // A literal count past the cap, and one the cap allows but the input
+    // does not hold.
+    for declared in [1u64 << 60, (1 << 30) - 7] {
+        let mut bomb = vec![0x07];
+        put_varint(&mut bomb, declared);
+        bomb.extend_from_slice(b"abcd");
+        let mut out = Vec::new();
+        assert_eq!(compress::decompress_into(&bomb, 1 << 30, &mut out), None);
+        assert!(out.is_empty());
+        assert!(out.capacity() < 4096, "capacity {}", out.capacity());
+    }
     // A length the cap does allow is produced, not just reserved: memory
-    // then follows the output.
-    let mut run = vec![0x02, 0];
-    put_varint(&mut run, ((1u64 << 20) - 1) << 1 | 1);
-    put_varint(&mut run, 1);
+    // then follows the output. One literal, then a match at distance 1
+    // of 19 + extension bytes.
+    let mut run = vec![0x79, 0, 0x01];
+    put_varint(&mut run, (1u64 << 20) - 20);
     let mut out = Vec::new();
     assert_eq!(compress::decompress_into(&run, 1 << 20, &mut out), Some(()));
     assert_eq!(out, vec![0u8; 1 << 20]);
@@ -672,7 +727,7 @@ fn back_reference_stops_at_the_append_point() {
     // "abcd" then a 4-byte match: distance 4 is the first appended byte,
     // distance 5 would read the caller's own bytes.
     for (dist, accepted) in [(4u8, true), (5, false)] {
-        let stream = [0x08, b'a', b'b', b'c', b'd', 0x09, dist];
+        let stream = [0x04, b'a', b'b', b'c', b'd', dist];
         let mut out = b"caller's bytes".to_vec();
         let got = compress::decompress_into(&stream, 64, &mut out);
         assert_eq!(got.is_some(), accepted, "distance {dist}");
@@ -744,11 +799,12 @@ fn periodic_data_round_trips_through_overlapping_copies() {
 }
 
 #[test]
-fn distance_limit_is_inclusive_at_64_kib() {
+fn distance_limit_is_inclusive_at_65_535() {
     // A 32-byte unit, zeros (one long match: nothing else enters the
-    // table), the unit again at exactly 65 536 or 65 537 bytes' distance.
+    // table), the unit again at exactly 65 535 or 65 536 bytes'
+    // distance: the largest two-byte offset and one past it.
     let unit: Vec<u8> = noise(32, 6).iter().map(|b| b | 1).collect();
-    let sizes: Vec<usize> = [65_536usize, 65_537]
+    let sizes: Vec<usize> = [65_535usize, 65_536]
         .iter()
         .map(|&dist| {
             let data = [&unit[..], &vec![0u8; dist - unit.len()], &unit[..]].concat();
@@ -757,7 +813,7 @@ fn distance_limit_is_inclusive_at_64_kib() {
         .collect();
     assert!(
         sizes[0] + unit.len() / 2 < sizes[1],
-        "a match at 65 536 is in reach, one at 65 537 is not: {sizes:?}"
+        "a match at 65 535 is in reach, one at 65 536 is not: {sizes:?}"
     );
 }
 
